@@ -25,7 +25,7 @@ use blunt_obs::{FlightKind, FlightRecorder, FlightRing};
 
 use crate::conn::Addr;
 use crate::fault::{Fate, FaultConfig, FaultConfigError};
-use crate::frame::{read_frame, Frame, TaggedEnv, DRIVER_NODE};
+use crate::frame::{Frame, FrameReader, TaggedEnv, DRIVER_NODE};
 use crate::injector::{Injector, TransportStats};
 use crate::pool::{BroadcastPool, ConnectionPool};
 use crate::rpc::{DedupWindow, ReplyRouter, TagGen};
@@ -111,10 +111,11 @@ struct Shared {
 }
 
 impl Shared {
-    fn reader_loop(&self, peer: usize, mut stream: crate::conn::Stream) {
+    fn reader_loop(&self, peer: usize, stream: crate::conn::Stream) {
+        let mut reader = FrameReader::new(stream);
         let mut dedup = DedupWindow::new(1024);
         loop {
-            let frame = match read_frame(&mut stream) {
+            let frame = match reader.read() {
                 Ok(Some(f)) => f,
                 Ok(None) | Err(_) => return,
             };
@@ -466,10 +467,7 @@ impl Transport for NetClient {
             }
         }
         for (dst, entries) in per_dst {
-            blunt_obs::static_counter!("net.batch.frames").inc();
-            blunt_obs::static_counter!("net.batch.envelopes").add(entries.len() as u64);
-            blunt_obs::histogram("net.batch.envelopes_per_frame").record(entries.len() as u64);
-            self.write(dst, &Frame::EnvBatch { entries });
+            self.write(dst, &Frame::batch(entries));
         }
     }
 

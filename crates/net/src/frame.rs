@@ -499,24 +499,58 @@ impl<'a> Cursor<'a> {
     }
 }
 
+impl From<TaggedEnv> for Frame {
+    /// The entry as its own [`Frame::Env`].
+    fn from(e: TaggedEnv) -> Frame {
+        Frame::Env {
+            tag: e.tag,
+            re: e.re,
+            env: e.env,
+        }
+    }
+}
+
 impl Frame {
+    /// Packs `entries` into one [`Frame::EnvBatch`], counting the
+    /// amortization as `net.batch.frames`/`net.batch.envelopes`.
+    pub(crate) fn batch(entries: Vec<TaggedEnv>) -> Frame {
+        blunt_obs::static_counter!("net.batch.frames").inc();
+        blunt_obs::static_counter!("net.batch.envelopes").add(entries.len() as u64);
+        blunt_obs::static_histogram!("net.batch.envelopes_per_frame").record(entries.len() as u64);
+        Frame::EnvBatch { entries }
+    }
+
     /// Encodes the frame as `len:u32le` + body, ready to write.
     ///
     /// # Errors
     ///
     /// [`FrameError::TooLarge`] when the body exceeds [`MAX_FRAME_LEN`].
     pub fn encode(&self) -> Result<Vec<u8>, FrameError> {
-        let mut out = vec![0u8; 4];
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`Frame::encode`] into a caller-owned buffer, which is cleared
+    /// first — a connection that keeps one buffer encodes every frame it
+    /// writes without allocating.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::TooLarge`] when the body exceeds [`MAX_FRAME_LEN`].
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+        out.clear();
+        out.extend_from_slice(&[0u8; 4]);
         out.push(FRAME_VERSION);
         match self {
             Frame::Hello { node, t_us } => {
                 out.push(0);
-                put_u32(&mut out, *node);
-                put_u64(&mut out, *t_us);
+                put_u32(out, *node);
+                put_u64(out, *t_us);
             }
             Frame::Env { tag, re, env } => {
                 out.push(1);
-                put_tagged_env(&mut out, *tag, *re, env);
+                put_tagged_env(out, *tag, *re, env);
             }
             Frame::Shutdown => out.push(2),
             Frame::Goodbye {
@@ -529,20 +563,20 @@ impl Frame {
                 dump,
             } => {
                 out.push(3);
-                put_u32(&mut out, *node);
-                put_u64(&mut out, *crashes);
-                put_u64(&mut out, *recoveries);
-                put_u64(&mut out, *wal_lost);
-                put_u64(&mut out, *wal_replayed);
-                put_u64(&mut out, *fsync_p99_us);
-                put_u32(&mut out, dump.len() as u32);
+                put_u32(out, *node);
+                put_u64(out, *crashes);
+                put_u64(out, *recoveries);
+                put_u64(out, *wal_lost);
+                put_u64(out, *wal_replayed);
+                put_u64(out, *fsync_p99_us);
+                put_u32(out, dump.len() as u32);
                 out.extend_from_slice(dump.as_bytes());
             }
             Frame::HelloAck { node, echo_t, t_us } => {
                 out.push(4);
-                put_u32(&mut out, *node);
-                put_u64(&mut out, *echo_t);
-                put_u64(&mut out, *t_us);
+                put_u32(out, *node);
+                put_u64(out, *echo_t);
+                put_u64(out, *t_us);
             }
             Frame::Telemetry {
                 node,
@@ -554,19 +588,19 @@ impl Frame {
                 events,
             } => {
                 out.push(5);
-                put_u32(&mut out, *node);
-                put_u64(&mut out, *recoveries);
-                put_u64(&mut out, *crashes);
-                put_u64(&mut out, *fsync_count);
-                put_u64(&mut out, *fsync_p99_us);
-                put_u64(&mut out, *span_events);
-                put_u64(&mut out, *events);
+                put_u32(out, *node);
+                put_u64(out, *recoveries);
+                put_u64(out, *crashes);
+                put_u64(out, *fsync_count);
+                put_u64(out, *fsync_p99_us);
+                put_u64(out, *span_events);
+                put_u64(out, *events);
             }
             Frame::EnvBatch { entries } => {
                 out.push(6);
-                put_u32(&mut out, entries.len() as u32);
+                put_u32(out, entries.len() as u32);
                 for e in entries {
-                    put_tagged_env(&mut out, e.tag, e.re, &e.env);
+                    put_tagged_env(out, e.tag, e.re, &e.env);
                 }
             }
         }
@@ -575,7 +609,7 @@ impl Frame {
             return Err(FrameError::TooLarge { len: body_len });
         }
         out[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-        Ok(out)
+        Ok(())
     }
 
     /// Decodes one frame body (the bytes *after* the length prefix).
@@ -649,24 +683,69 @@ impl Frame {
     }
 }
 
-/// Writes one encoded frame, counting `net.frames_sent`/`net.bytes_sent`.
+/// One connection's write half with its encode buffer: every frame is
+/// encoded into the same allocation and leaves in a single `write_all`.
+#[derive(Debug)]
+pub struct FrameWriter<W> {
+    w: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> FrameWriter<W> {
+    /// Wraps `w`; the encode buffer grows to the largest frame written.
+    pub fn new(w: W) -> FrameWriter<W> {
+        FrameWriter { w, buf: Vec::new() }
+    }
+
+    /// The wrapped stream.
+    pub fn get_ref(&self) -> &W {
+        &self.w
+    }
+
+    /// Writes one encoded frame, counting `net.frames_sent`/`net.bytes_sent`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying I/O error; [`FrameError`]s surface as
+    /// [`io::ErrorKind::InvalidData`].
+    pub fn write(&mut self, frame: &Frame) -> io::Result<()> {
+        frame
+            .encode_into(&mut self.buf)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        self.w.write_all(&self.buf)?;
+        blunt_obs::static_counter!("net.frames_sent").inc();
+        blunt_obs::static_counter!("net.bytes_sent").add(self.buf.len() as u64);
+        Ok(())
+    }
+}
+
+/// Writes one encoded frame through a throwaway [`FrameWriter`] (one
+/// allocation per call; connections keep a writer instead).
 ///
 /// # Errors
 ///
-/// Propagates the underlying I/O error; [`FrameError`]s surface as
-/// [`io::ErrorKind::InvalidData`].
+/// As [`FrameWriter::write`].
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let bytes = frame
-        .encode()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    w.write_all(&bytes)?;
-    blunt_obs::static_counter!("net.frames_sent").inc();
-    blunt_obs::static_counter!("net.bytes_sent").add(bytes.len() as u64);
-    Ok(())
+    FrameWriter::new(w).write(frame)
 }
 
-/// Reads one frame, counting `net.frames_received`/`net.bytes_received`.
-/// Returns `Ok(None)` on a clean end of stream (EOF at a frame boundary).
+fn too_large(len: usize) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, FrameError::TooLarge { len })
+}
+
+/// Decodes one frame body, counting `net.frames_received`/`net.bytes_received`.
+fn decode_counted(body: &[u8]) -> io::Result<Frame> {
+    let frame = Frame::decode(body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    blunt_obs::static_counter!("net.frames_received").inc();
+    blunt_obs::static_counter!("net.bytes_received").add(4 + body.len() as u64);
+    Ok(frame)
+}
+
+/// Reads one frame straight off `r`: one `read` for the header, one for
+/// the body, and no byte past the frame's end is consumed. For callers
+/// that hand the stream on afterwards; a connection's read loop uses a
+/// [`FrameReader`]. Returns `Ok(None)` on a clean end of stream (EOF at a
+/// frame boundary).
 ///
 /// # Errors
 ///
@@ -689,17 +768,90 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            FrameError::TooLarge { len },
-        ));
+        return Err(too_large(len));
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
-    let frame = Frame::decode(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    blunt_obs::static_counter!("net.frames_received").inc();
-    blunt_obs::static_counter!("net.bytes_received").add(4 + len as u64);
-    Ok(Some(frame))
+    decode_counted(&body).map(Some)
+}
+
+/// What a [`FrameReader`] asks the kernel for per `read`: room for a few
+/// hundred protocol frames, so a burst queued on the socket costs one
+/// syscall, not two per frame.
+const READ_BUF_LEN: usize = 64 * 1024;
+
+/// One connection's read half behind a buffer: a single `read` yields the
+/// header, the body and any frames queued behind them, and bodies are
+/// decoded in place. Same verdicts as [`read_frame`], frame for frame.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    r: R,
+    /// `buf[start..end]` holds bytes read but not yet decoded.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps `r`. The buffer grows past its initial 64 KiB only for a
+    /// frame that needs it, and never past [`MAX_FRAME_LEN`] + 4.
+    pub fn new(r: R) -> FrameReader<R> {
+        FrameReader {
+            r,
+            buf: vec![0u8; READ_BUF_LEN],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Reads one frame, counting `net.frames_received`/`net.bytes_received`.
+    /// Returns `Ok(None)` on a clean end of stream (EOF at a frame
+    /// boundary).
+    ///
+    /// # Errors
+    ///
+    /// As [`read_frame`].
+    pub fn read(&mut self) -> io::Result<Option<Frame>> {
+        loop {
+            let have = self.end - self.start;
+            let need = if have < 4 {
+                4
+            } else {
+                let header = &self.buf[self.start..self.start + 4];
+                let len = u32::from_le_bytes(header.try_into().expect("4 bytes")) as usize;
+                if len > MAX_FRAME_LEN {
+                    return Err(too_large(len));
+                }
+                4 + len
+            };
+            if have >= need {
+                let frame = decode_counted(&self.buf[self.start + 4..self.start + need])?;
+                self.start += need;
+                if self.start == self.end {
+                    self.start = 0;
+                    self.end = 0;
+                }
+                return Ok(Some(frame));
+            }
+            if self.start + need > self.buf.len() {
+                // The frame under way does not fit behind `start`: move
+                // it to the front, and grow for a body over 64 KiB.
+                self.buf.copy_within(self.start..self.end, 0);
+                self.start = 0;
+                self.end = have;
+                if need > self.buf.len() {
+                    self.buf.resize(need, 0);
+                }
+            }
+            match self.r.read(&mut self.buf[self.end..]) {
+                Ok(0) if have == 0 => return Ok(None),
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1110,15 +1262,10 @@ mod tests {
         }
     }
 
-    /// Satellite hardening: a decoder fed tens of thousands of seeded
-    /// mutations of valid frames — byte flips, truncations, extensions,
-    /// and pure noise — must always return a structured [`FrameError`] or
-    /// a valid frame, never panic. Every accepted mutant must re-encode
-    /// (decode yields only encodable frames).
-    #[test]
-    fn randomized_corruption_never_panics_and_always_errors_structurally() {
+    /// The fuzzers' seed corpus: one valid body of every frame kind.
+    fn fuzz_corpus() -> Vec<Vec<u8>> {
         use blunt_abd::msg::AbdMsg;
-        let corpus: Vec<Vec<u8>> = [
+        [
             Frame::Hello {
                 node: DRIVER_NODE,
                 t_us: 42,
@@ -1214,39 +1361,57 @@ mod tests {
         ]
         .iter()
         .map(|f| f.encode().unwrap()[4..].to_vec())
-        .collect();
+        .collect()
+    }
 
+    /// One seeded mutation of a corpus body — byte flips, a truncation, an
+    /// extension or pure noise, by `round` — with the length of the body
+    /// it started from.
+    fn mutant(rng: &mut Mix, corpus: &[Vec<u8>], round: u64) -> (usize, Vec<u8>) {
+        let mut body = corpus[rng.below(corpus.len())].clone();
+        let original_len = body.len();
+        match round % 4 {
+            // Flip 1–4 bytes anywhere in the body.
+            0 => {
+                for _ in 0..(1 + rng.below(4)) {
+                    let at = rng.below(body.len());
+                    body[at] ^= (rng.next() % 255 + 1) as u8;
+                }
+            }
+            // Truncate at a random cut.
+            1 => body.truncate(rng.below(body.len())),
+            // Extend with random trailing bytes.
+            2 => {
+                for _ in 0..(1 + rng.below(8)) {
+                    body.push((rng.next() & 0xFF) as u8);
+                }
+            }
+            // Replace with pure noise of random length (version byte
+            // kept valid half the time so kind/tag paths get exercised).
+            _ => {
+                body = (0..rng.below(64))
+                    .map(|_| (rng.next() & 0xFF) as u8)
+                    .collect();
+                if !body.is_empty() && round % 8 < 4 {
+                    body[0] = FRAME_VERSION;
+                }
+            }
+        }
+        (original_len, body)
+    }
+
+    /// Satellite hardening: a decoder fed tens of thousands of seeded
+    /// mutations of valid frames — byte flips, truncations, extensions,
+    /// and pure noise — must always return a structured [`FrameError`] or
+    /// a valid frame, never panic. Every accepted mutant must re-encode
+    /// (decode yields only encodable frames).
+    #[test]
+    fn randomized_corruption_never_panics_and_always_errors_structurally() {
+        let corpus = fuzz_corpus();
         let mut rng = Mix(0x0B1D_5EED_F422_ED00);
         let mut decoded_ok = 0u64;
         for round in 0..12_000u64 {
-            let mut body = corpus[rng.below(corpus.len())].clone();
-            match round % 4 {
-                // Flip 1–4 bytes anywhere in the body.
-                0 => {
-                    for _ in 0..(1 + rng.below(4)) {
-                        let at = rng.below(body.len());
-                        body[at] ^= (rng.next() % 255 + 1) as u8;
-                    }
-                }
-                // Truncate at a random cut.
-                1 => body.truncate(rng.below(body.len())),
-                // Extend with random trailing bytes.
-                2 => {
-                    for _ in 0..(1 + rng.below(8)) {
-                        body.push((rng.next() & 0xFF) as u8);
-                    }
-                }
-                // Replace with pure noise of random length (version byte
-                // kept valid half the time so kind/tag paths get exercised).
-                _ => {
-                    body = (0..rng.below(64))
-                        .map(|_| (rng.next() & 0xFF) as u8)
-                        .collect();
-                    if !body.is_empty() && round % 8 < 4 {
-                        body[0] = FRAME_VERSION;
-                    }
-                }
-            }
+            let (_, body) = mutant(&mut rng, &corpus, round);
             // The property under test: decode returns, structurally.
             if let Ok(frame) = Frame::decode(&body) {
                 decoded_ok += 1;
@@ -1257,5 +1422,225 @@ mod tests {
         // Sanity: some mutants (e.g. flipped numeric fields) must still
         // decode, or the fuzzer is only exercising the error paths.
         assert!(decoded_ok > 0, "corpus mutations never decoded");
+    }
+
+    /// A stream that ends each `read` at the next of `cuts` (absolute
+    /// offsets, ascending), then at the end of `data`, counting its reads.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        cuts: &'a [usize],
+        at: usize,
+        reads: usize,
+    }
+
+    impl<'a> Chunked<'a> {
+        fn new(data: &'a [u8], cuts: &'a [usize]) -> Chunked<'a> {
+            Chunked {
+                data,
+                cuts,
+                at: 0,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let stop = self
+                .cuts
+                .iter()
+                .copied()
+                .find(|&c| c > self.at)
+                .unwrap_or(self.data.len())
+                .min(self.data.len());
+            let n = buf.len().min(stop - self.at);
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// What a frame read came to, comparable across the two readers: the
+    /// frame, or the error's kind plus — for a rejected frame — the
+    /// [`FrameError`] it carries (std words its own EOF errors variously).
+    type Verdict = Result<Option<Frame>, (io::ErrorKind, String)>;
+
+    /// Reads `next` until it ends or fails; the last verdict is the
+    /// `Ok(None)` or the error.
+    fn verdicts(mut next: impl FnMut() -> io::Result<Option<Frame>>) -> Vec<Verdict> {
+        let mut out = Vec::new();
+        loop {
+            let v = next().map_err(|e| match e.kind() {
+                io::ErrorKind::InvalidData => (e.kind(), e.to_string()),
+                kind => (kind, String::new()),
+            });
+            let done = !matches!(v, Ok(Some(_)));
+            out.push(v);
+            if done {
+                return out;
+            }
+        }
+    }
+
+    fn sample_stream() -> (Vec<Frame>, Vec<u8>) {
+        let frames = vec![
+            Frame::Hello { node: 0, t_us: 5 },
+            env_frame(
+                Payload::StateReply {
+                    sn: 1,
+                    snap: vec![(
+                        ObjId(3),
+                        Val::Tuple(vec![Val::Int(5), Val::Nil]),
+                        Ts { t: 1, pid: 0 },
+                    )],
+                },
+                true,
+            ),
+            Frame::EnvBatch {
+                entries: vec![
+                    TaggedEnv {
+                        tag: 5,
+                        re: 3,
+                        env: Envelope::abd(
+                            Pid(0),
+                            Pid(4),
+                            AbdMsg::Ack {
+                                obj: ObjId(2),
+                                sn: 8,
+                            },
+                            false,
+                        ),
+                    };
+                    3
+                ],
+            },
+            Frame::Shutdown,
+        ];
+        let mut bytes = Vec::new();
+        for f in &frames {
+            write_frame(&mut bytes, f).unwrap();
+        }
+        (frames, bytes)
+    }
+
+    #[test]
+    fn buffered_reader_reassembles_frames_split_at_every_offset() {
+        let (frames, bytes) = sample_stream();
+        let want: Vec<Verdict> = frames
+            .iter()
+            .cloned()
+            .map(|f| Ok(Some(f)))
+            .chain([Ok(None)])
+            .collect();
+        for cut in 0..=bytes.len() {
+            let cuts = [cut];
+            let mut r = FrameReader::new(Chunked::new(&bytes, &cuts));
+            assert_eq!(verdicts(|| r.read()), want, "one split at {cut}");
+        }
+        // And a byte at a time: every offset a boundary in one stream.
+        let every: Vec<usize> = (0..bytes.len()).collect();
+        let mut r = FrameReader::new(Chunked::new(&bytes, &every));
+        assert_eq!(verdicts(|| r.read()), want);
+    }
+
+    #[test]
+    fn buffered_reader_takes_every_queued_frame_in_one_read() {
+        let (frames, bytes) = sample_stream();
+        let mut r = FrameReader::new(Chunked::new(&bytes, &[]));
+        for f in &frames {
+            assert_eq!(r.read().unwrap().as_ref(), Some(f));
+            assert_eq!(r.r.reads, 1, "the first read brought every frame in");
+        }
+        assert_eq!(r.read().unwrap(), None, "clean EOF at a frame boundary");
+        assert_eq!(r.r.reads, 2);
+    }
+
+    #[test]
+    fn buffered_reader_reports_mid_frame_eof_and_oversize_lengths() {
+        let (_, bytes) = sample_stream();
+        let first = 4 + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        // EOF inside the second frame's header, then inside its body: the
+        // first frame still decodes, the stream then ends in a truncation.
+        for end in [first + 1, first + 3, first + 4, first + 9] {
+            let mut r = FrameReader::new(&bytes[..end]);
+            assert!(matches!(r.read(), Ok(Some(Frame::Hello { .. }))));
+            let err = r.read().expect_err("EOF mid-frame");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {end}");
+        }
+        // A length over the cap is refused from the header alone, before
+        // any buffer grows for it.
+        let len = MAX_FRAME_LEN + 1;
+        let header = (len as u32).to_le_bytes();
+        let mut r = FrameReader::new(&header[..]);
+        let err = r.read().expect_err("oversize length");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            FrameError::TooLarge { len }.to_string(),
+            "the structured error survives"
+        );
+        assert_eq!(r.buf.len(), READ_BUF_LEN, "nothing was allocated for it");
+    }
+
+    #[test]
+    fn buffered_reader_grows_for_a_frame_larger_than_its_buffer() {
+        let big = Frame::Goodbye {
+            node: 1,
+            crashes: 0,
+            recoveries: 0,
+            wal_lost: 0,
+            wal_replayed: 0,
+            fsync_p99_us: 0,
+            dump: "x".repeat(3 * READ_BUF_LEN),
+        };
+        let mut bytes = Vec::new();
+        for f in [&Frame::Shutdown, &big, &Frame::Shutdown] {
+            write_frame(&mut bytes, f).unwrap();
+        }
+        // Socket-sized reads: the big body arrives over many of them, with
+        // the small frame behind it sharing the last.
+        let cuts: Vec<usize> = (0..bytes.len()).step_by(10_000).collect();
+        let mut r = FrameReader::new(Chunked::new(&bytes, &cuts));
+        assert_eq!(r.read().unwrap(), Some(Frame::Shutdown));
+        assert_eq!(r.read().unwrap(), Some(big));
+        assert_eq!(r.read().unwrap(), Some(Frame::Shutdown));
+        assert_eq!(r.read().unwrap(), None);
+    }
+
+    /// The corruption fuzz again, as byte streams: each mutant goes through
+    /// the unbuffered `read_frame` and through a `FrameReader` fed in two
+    /// pieces, and the two must agree verdict for verdict. Every fifth
+    /// mutant keeps its *original* length prefix, so truncations and
+    /// extensions also desynchronize the stream itself.
+    #[test]
+    fn buffered_reader_agrees_with_read_frame_on_every_corruption() {
+        let corpus = fuzz_corpus();
+        let (_, trailer) = sample_stream();
+        let mut frames_read = 0usize;
+        for seed in [0x0B1D_5EED_F422_ED00, 0xB0FF_E2ED_0000_0001, 48_879] {
+            let mut rng = Mix(seed);
+            for round in 0..10_000u64 {
+                let (original_len, body) = mutant(&mut rng, &corpus, round);
+                let claimed = if round % 5 == 4 {
+                    original_len
+                } else {
+                    body.len()
+                };
+                let mut stream = (claimed as u32).to_le_bytes().to_vec();
+                stream.extend_from_slice(&body);
+                // Valid frames behind the mutant: a reader that survives it
+                // must pick the stream up at the same byte.
+                stream.extend_from_slice(&trailer);
+                let mut plain = &stream[..];
+                let want = verdicts(|| read_frame(&mut plain));
+                let cuts = [rng.below(stream.len() + 1)];
+                let mut r = FrameReader::new(Chunked::new(&stream, &cuts));
+                let got = verdicts(|| r.read());
+                assert_eq!(got, want, "seed {seed:#x} round {round}");
+                frames_read += want.len() - 1;
+            }
+        }
+        assert!(frames_read > 0, "no mutant stream ever yielded a frame");
     }
 }

@@ -12,12 +12,11 @@
 //! [`BroadcastPool`] is the quorum-facing view: fan one logical message out
 //! to every peer, building a distinct tagged frame per destination.
 
-use std::io::Write as _;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::conn::{Addr, Stream};
-use crate::frame::{write_frame, Frame};
+use crate::frame::{Frame, FrameWriter};
 
 /// How long a fresh dial retries connection refusals before giving up —
 /// generous enough to cover servers that are still binding at startup.
@@ -27,7 +26,7 @@ pub const DIAL_RETRY_WINDOW: Duration = Duration::from_secs(10);
 /// single redial per write.
 pub struct ConnectionPool {
     peers: Vec<Addr>,
-    slots: Vec<Mutex<Option<Stream>>>,
+    slots: Vec<Mutex<Option<FrameWriter<Stream>>>>,
     /// Builds the session handshake sent first on every (re)connected
     /// stream. A closure rather than a stored frame so dialers that sample
     /// a clock into their `Hello` (clock-offset estimation) get a fresh
@@ -67,12 +66,11 @@ impl ConnectionPool {
         self.peers.is_empty()
     }
 
-    fn dial(&self, peer: usize) -> std::io::Result<Stream> {
-        let mut s = self.peers[peer].connect_retry(DIAL_RETRY_WINDOW)?;
-        write_frame(&mut s, &(self.hello)())?;
-        s.flush()?;
-        (self.on_connect)(peer, s.try_clone()?);
-        Ok(s)
+    fn dial(&self, peer: usize) -> std::io::Result<FrameWriter<Stream>> {
+        let mut w = FrameWriter::new(self.peers[peer].connect_retry(DIAL_RETRY_WINDOW)?);
+        w.write(&(self.hello)())?;
+        (self.on_connect)(peer, w.get_ref().try_clone()?);
+        Ok(w)
     }
 
     /// Writes `frame` to `peer`, dialing on first use and redialing once on
@@ -88,7 +86,7 @@ impl ConnectionPool {
         if slot.is_none() {
             *slot = Some(self.dial(peer)?);
         }
-        let first = write_frame(slot.as_mut().expect("dialed above"), frame);
+        let first = slot.as_mut().expect("dialed above").write(frame);
         if first.is_ok() {
             return Ok(());
         }
@@ -97,7 +95,7 @@ impl ConnectionPool {
         *slot = None;
         blunt_obs::static_counter!("net.reconnects").inc();
         let mut fresh = self.dial(peer)?;
-        match write_frame(&mut fresh, frame) {
+        match fresh.write(frame) {
             Ok(()) => {
                 *slot = Some(fresh);
                 Ok(())

@@ -7,7 +7,9 @@
 //! their fate at the socket — including `Reorder` (a per-link hold-back
 //! slot, released when the next reply on the same link overtakes it) and
 //! `Delay` (a delayer thread that writes the frame when its deadline
-//! passes), which the schedule restricts to these links.
+//! passes), which the schedule restricts to these links. Whatever one
+//! [`Transport::send_batch`] call leaves deliverable reaches the driver
+//! as a single `EnvBatch` frame.
 //!
 //! Inbound `Shutdown` raises the stop flag; the runtime then reports the
 //! server's crash/recovery/WAL stats back with [`NetServer::goodbye`].
@@ -20,12 +22,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
-use blunt_obs::{FlightKind, FlightRecorder};
+use blunt_obs::{FlightKind, FlightRecorder, FlightRing};
 
 use crate::client::{ServerGoodbye, ServerTelemetry};
 use crate::conn::{Addr, Stream};
 use crate::fault::{Fate, FaultConfig};
-use crate::frame::{read_frame, write_frame, Frame, DRIVER_NODE};
+use crate::frame::{Frame, FrameReader, FrameWriter, TaggedEnv, DRIVER_NODE};
 use crate::injector::{Injector, TransportStats};
 use crate::pool::ConnectionPool;
 use crate::rpc::{DedupWindow, TagGen};
@@ -53,13 +55,13 @@ pub struct NetServerCfg {
 
 /// The single writer handle back to the driver process, replaced whenever
 /// the driver redials (e.g. after noticing a dead connection).
-struct DriverSlot(Mutex<Option<Stream>>);
+struct DriverSlot(Mutex<Option<FrameWriter<Stream>>>);
 
 impl DriverSlot {
     fn write(&self, frame: &Frame) {
         let mut slot = self.0.lock().expect("driver slot lock");
-        if let Some(s) = slot.as_mut() {
-            if write_frame(s, frame).is_err() {
+        if let Some(w) = slot.as_mut() {
+            if w.write(frame).is_err() {
                 // The frame is lost; the driver's pool will redial and the
                 // retransmission layer recovers.
                 *slot = None;
@@ -83,7 +85,7 @@ pub struct NetServer {
     tags: TagGen,
     driver: Arc<DriverSlot>,
     /// Reorder hold-back, one slot per client link (index = dst − servers).
-    holds: Vec<Mutex<Option<Frame>>>,
+    holds: Vec<Mutex<Option<TaggedEnv>>>,
     delayer: Mutex<Option<Sender<DelayedFrame>>>,
     delayer_handle: Mutex<Option<JoinHandle<()>>>,
     stop: Arc<AtomicBool>,
@@ -100,19 +102,21 @@ pub struct NetServer {
 fn conn_loop(
     me: Pid,
     flight: &FlightRecorder,
-    mut stream: Stream,
+    stream: Stream,
     mailbox: &Sender<Envelope>,
     driver: &DriverSlot,
     stop: &AtomicBool,
     dedup_epoch: &AtomicU64,
 ) {
-    let (hello, hello_t) = match read_frame(&mut stream) {
+    let writer = stream.try_clone();
+    let mut reader = FrameReader::new(stream);
+    let (hello, hello_t) = match reader.read() {
         Ok(Some(Frame::Hello { node, t_us })) => (node, t_us),
         _ => return,
     };
     if hello == DRIVER_NODE {
-        if let Ok(writer) = stream.try_clone() {
-            *driver.0.lock().expect("driver slot lock") = Some(writer);
+        if let Ok(writer) = writer {
+            *driver.0.lock().expect("driver slot lock") = Some(FrameWriter::new(writer));
         }
         // Echo the driver's timestamp with our own flight clock — the same
         // clock stamping this process's flight events — so the driver can
@@ -126,7 +130,7 @@ fn conn_loop(
     let mut dedup = DedupWindow::new(1024);
     let mut seen_epoch = dedup_epoch.load(Ordering::SeqCst);
     loop {
-        let frame = read_frame(&mut stream);
+        let frame = reader.read();
         // An amnesia crash since the last frame wipes this connection's
         // dedup memory: pre-crash clients retransmit tags this window has
         // already admitted, and dropping them would starve recovery of
@@ -322,12 +326,13 @@ impl NetServer {
             dump,
         });
     }
-}
 
-impl Transport for NetServer {
-    fn send(&self, env: Envelope) {
+    /// Realizes one outbound envelope: draws its fate (exempt and peer
+    /// traffic bypass the injector), and pushes whatever that leaves
+    /// deliverable to the driver *now* onto `out`, in wire order. Peer
+    /// frames and delayed replies leave on their own.
+    fn route(&self, env: Envelope, ring: &FlightRing, out: &mut Vec<TaggedEnv>) {
         let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-        let ring = self.flight.thread_ring();
         ring.record_span(
             FlightKind::BusSend,
             src,
@@ -335,23 +340,20 @@ impl Transport for NetServer {
             label,
             env.span.flight_word(),
         );
-        let re = env.reply_to;
-        let frame = Frame::Env {
+        let entry = TaggedEnv {
             tag: self.tags.next(),
-            re,
+            re: env.reply_to,
             env: Envelope { reply_to: 0, ..env },
         };
         if dst < self.servers {
             // Peer traffic is recovery (always exempt): straight to the
             // peer's listener, no fault schedule.
-            let _ = self.peers.send(dst as usize, &frame);
+            let _ = self.peers.send(dst as usize, &Frame::from(entry));
             return;
         }
-        if let Frame::Env { env, .. } = &frame {
-            if env.exempt {
-                self.driver.write(&frame);
-                return;
-            }
+        if entry.env.exempt {
+            out.push(entry);
+            return;
         }
         let (fate, _signal) = {
             let mut inj = self.injector.lock().expect("injector lock");
@@ -376,30 +378,47 @@ impl Transport for NetServer {
         match fate {
             Fate::Drop | Fate::CrashDrop { .. } | Fate::PartitionDrop { .. } => {}
             Fate::Reorder => {
-                let displaced = self.holds[slot].lock().expect("hold lock").replace(frame);
-                if let Some(p) = displaced {
-                    self.driver.write(&p);
-                }
+                let displaced = self.holds[slot].lock().expect("hold lock").replace(entry);
+                out.extend(displaced);
             }
             Fate::Deliver | Fate::Duplicate => {
-                self.driver.write(&frame);
                 if fate == Fate::Duplicate {
                     // Same tag twice; the driver's dedup window absorbs it.
-                    self.driver.write(&frame);
+                    out.push(entry.clone());
                 }
-                let held = self.holds[slot].lock().expect("hold lock").take();
-                if let Some(h) = held {
-                    // The held frame is overtaken: written after.
-                    self.driver.write(&h);
-                }
+                out.push(entry);
+                // The held entry is overtaken: written after.
+                out.extend(self.holds[slot].lock().expect("hold lock").take());
             }
             Fate::Delay(ms) => {
                 let due = Instant::now() + Duration::from_millis(u64::from(ms));
                 let guard = self.delayer.lock().expect("delayer lock");
                 if let Some(tx) = guard.as_ref() {
-                    let _ = tx.send(DelayedFrame { due, frame });
+                    let _ = tx.send(DelayedFrame {
+                        due,
+                        frame: Frame::from(entry),
+                    });
                 }
             }
+        }
+    }
+}
+
+impl Transport for NetServer {
+    fn send(&self, env: Envelope) {
+        self.send_batch(vec![env]);
+    }
+
+    fn send_batch(&self, envs: Vec<Envelope>) {
+        // Fates are drawn per logical envelope, in the caller's order —
+        // the injector cannot tell a batch from the unbatched loop.
+        let ring = self.flight.thread_ring();
+        let mut out = Vec::with_capacity(envs.len());
+        for env in envs {
+            self.route(env, &ring, &mut out);
+        }
+        if !out.is_empty() {
+            self.driver.write(&Frame::batch(out));
         }
     }
 
@@ -411,13 +430,13 @@ impl Transport for NetServer {
     }
 
     fn flush(&self) {
-        let held: Vec<Frame> = self
+        let held: Vec<TaggedEnv> = self
             .holds
             .iter()
             .filter_map(|h| h.lock().expect("hold lock").take())
             .collect();
-        for frame in held {
-            self.driver.write(&frame);
+        if !held.is_empty() {
+            self.driver.write(&Frame::batch(held));
         }
         *self.delayer.lock().expect("delayer lock") = None;
         if let Some(h) = self

@@ -738,6 +738,9 @@ struct Server<'a> {
     state: StoreState,
     wal: MultiWal,
     pending_acks: Vec<PendingAck>,
+    /// Protocol replies of the drain pass under way, in send order; they
+    /// leave together in [`Server::flush_replies`].
+    replies: Vec<Envelope>,
     amnesia: bool,
     demo_skip: bool,
     /// Exchange counter for recovery state transfer, scoped to this server.
@@ -746,10 +749,23 @@ struct Server<'a> {
     ring: Arc<FlightRing>,
 }
 
+/// Most envelopes one drain pass takes off the mailbox before its replies
+/// are flushed: bounds both how long the first reply of a pass waits for
+/// the last and how many envelopes share one `EnvBatch` frame.
+const DRAIN_PASS: usize = 64;
+
 /// One ABD replica: replies to queries, absorbs updates, and (under
 /// amnesia) crashes and recovers on the bus's signal. Responses inherit
 /// the triggering envelope's exemption so retransmitted exchanges complete
 /// without consuming fault indices.
+///
+/// The loop **drains, then flushes**: it blocks for one envelope, takes
+/// whatever else is already queued (up to 64 envelopes a pass) without
+/// blocking, and hands the pass's protocol replies to the transport as one
+/// [`Transport::send_batch`] — one frame and one `write` on the socket
+/// tier, the plain send loop on the bus. A lone request is answered
+/// exactly as fast as before: its pass ends as soon as the mailbox is
+/// empty.
 ///
 /// The replica is **keyed throughout** ([`StoreState`]/[`MultiWal`]): every
 /// ABD message names its [`ObjId`], so the same loop serves the classic
@@ -790,6 +806,7 @@ pub fn server_loop(
         state: StoreState::new(Val::Nil),
         wal: MultiWal::new(fsync_interval),
         pending_acks: Vec::new(),
+        replies: Vec::new(),
         amnesia,
         demo_skip,
         catchup_sn: 0,
@@ -797,28 +814,22 @@ pub fn server_loop(
     };
     loop {
         match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(env) => {
-                let exempt = env.exempt;
-                srv.ring.record_span(
-                    FlightKind::BusDeliver,
-                    me.0,
-                    u64::from(env.src.0),
-                    env.msg.flight_label(),
-                    env.span.flight_word(),
-                );
-                srv.handle(env, &rx);
-                if exempt && srv.amnesia {
-                    // Retransmission pressure: an exempt arrival means some
-                    // client is stuck waiting, plausibly on a withheld ack —
-                    // group-commit now.
-                    srv.flush_wal();
+            Ok(first) => {
+                srv.deliver(first, &rx);
+                for _ in 1..DRAIN_PASS {
+                    match rx.try_recv() {
+                        Ok(env) => srv.deliver(env, &rx),
+                        Err(_) => break,
+                    }
                 }
+                srv.flush_replies();
             }
             Err(RecvTimeoutError::Timeout) => {
                 if srv.amnesia {
                     // Idle flush: no batch will fill soon, sync what's
                     // pending so withheld acks go out.
                     srv.flush_wal();
+                    srv.flush_replies();
                 }
                 if stop.load(Ordering::Relaxed) {
                     return;
@@ -830,6 +841,46 @@ pub fn server_loop(
 }
 
 impl Server<'_> {
+    /// One envelope off the mailbox: flight event, step, and (under
+    /// amnesia) the group commit an exempt arrival asks for.
+    fn deliver(&mut self, env: Envelope, rx: &Receiver<Envelope>) {
+        let exempt = env.exempt;
+        self.ring.record_span(
+            FlightKind::BusDeliver,
+            self.me.0,
+            u64::from(env.src.0),
+            env.msg.flight_label(),
+            env.span.flight_word(),
+        );
+        self.handle(env, rx);
+        if exempt && self.amnesia {
+            // Retransmission pressure: an exempt arrival means some
+            // client is stuck waiting, plausibly on a withheld ack —
+            // group-commit now.
+            self.flush_wal();
+        }
+    }
+
+    /// Hands the buffered protocol replies to the transport as one batch,
+    /// in the order they were produced. Nothing may stay buffered while
+    /// the server blocks, crashes or exits: every such point calls this
+    /// first. Control traffic (state transfer) never enters the buffer —
+    /// a snapshot can be large, and it leaves on its own frame.
+    fn flush_replies(&mut self) {
+        if self.replies.is_empty() {
+            return;
+        }
+        blunt_obs::static_counter!("runtime.server.reply_flushes").inc();
+        blunt_obs::static_counter!("runtime.server.reply_envelopes").add(self.replies.len() as u64);
+        // `send_batch` takes the batch by value; size its successor like
+        // the pass just flushed — a lone reply should not cost a
+        // pass-sized allocation, a busy server should not regrow from
+        // empty every pass.
+        let next = Vec::with_capacity(self.replies.len());
+        self.bus
+            .send_batch(std::mem::replace(&mut self.replies, next));
+    }
+
     fn handle(&mut self, env: Envelope, rx: &Receiver<Envelope>) {
         match env.msg {
             Payload::Abd(msg) => self.handle_abd(env.src, msg, env.exempt, env.reply_to, env.span),
@@ -849,7 +900,7 @@ impl Server<'_> {
                 // its own write-back, so a later crash here cannot un-happen
                 // an observed read (docs/RUNTIME.md).
                 let reply = self.state.reply(obj, sn);
-                self.bus.send(
+                self.replies.push(
                     Envelope::abd(self.me, src, reply, exempt)
                         .in_reply_to(re)
                         .with_span(span.reply()),
@@ -865,7 +916,7 @@ impl Server<'_> {
                         u64::from(sn),
                         span.flight_word(),
                     );
-                    self.bus.send(
+                    self.replies.push(
                         Envelope::abd(self.me, src, AbdMsg::Ack { obj, sn }, exempt)
                             .in_reply_to(re)
                             .with_span(span.reply()),
@@ -891,7 +942,7 @@ impl Server<'_> {
                         u64::from(sn),
                         span.flight_word(),
                     );
-                    self.bus.send(
+                    self.replies.push(
                         Envelope::abd(self.me, src, AbdMsg::Ack { obj, sn }, true)
                             .in_reply_to(re)
                             .with_span(span.reply()),
@@ -952,7 +1003,7 @@ impl Server<'_> {
                     a.span.flight_word(),
                 );
                 // Exempt like every amnesia-mode ack (see `handle_abd`).
-                self.bus.send(
+                self.replies.push(
                     Envelope::abd(
                         self.me,
                         a.dst,
@@ -996,6 +1047,9 @@ impl Server<'_> {
             // servers in multi-process mode) is ignorable, not fatal.
             return;
         }
+        // Replies produced before the signal left before the crash when
+        // each had its own send; they still do.
+        self.flush_replies();
         let mut crashes: u64 = 1;
         let mut buffered: Vec<Envelope> = Vec::new();
         while crashes > 0 {

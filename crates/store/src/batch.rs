@@ -3,12 +3,13 @@
 //! A [`BatchingTransport`] sits between one pipelined client and the shared
 //! transport. Protocol sends accumulate in a buffer — in send order — and
 //! are handed to the inner transport as one [`Transport::send_batch`] call
-//! when the buffer reaches `batch_max`, when the client is about to block
-//! on its mailbox (nothing more is coming until replies arrive), or at an
-//! explicit flush. Over the socket tier the inner `send_batch` packs each
-//! destination's surviving envelopes into a single `EnvBatch` frame,
-//! amortizing framing and syscalls across a quorum round's fan-out; over
-//! the in-process bus it degenerates to the plain send loop.
+//! when the buffer reaches `batch_max`, when the client has drained its
+//! mailbox and is about to block on it (nothing more is coming until
+//! replies arrive), or at an explicit flush. Over the socket tier the
+//! inner `send_batch` packs each destination's surviving envelopes into a
+//! single `EnvBatch` frame, amortizing framing and syscalls across a
+//! quorum round's fan-out; over the in-process bus it degenerates to the
+//! plain send loop.
 //!
 //! **Batching is transport amortization only.** `send_batch`'s contract
 //! (see [`Transport`]) draws fault fates per logical envelope in buffer
@@ -55,11 +56,14 @@ impl<'a> BatchingTransport<'a> {
             if buf.is_empty() {
                 return;
             }
-            std::mem::take(&mut *buf)
+            // `send_batch` takes the batch by value, so the buffer cannot
+            // be handed back; a full-sized replacement is one allocation
+            // per flush where `mem::take` regrew from empty every time.
+            std::mem::replace(&mut *buf, Vec::with_capacity(self.batch_max))
         };
         blunt_obs::static_counter!("store.batch.flushes").inc();
         blunt_obs::static_counter!("store.batch.envelopes").add(batch.len() as u64);
-        blunt_obs::histogram("store.batch.envelopes_per_flush").record(batch.len() as u64);
+        blunt_obs::static_histogram!("store.batch.envelopes_per_flush").record(batch.len() as u64);
         self.inner.send_batch(batch);
     }
 

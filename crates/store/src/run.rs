@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -583,6 +583,8 @@ fn spawn_shard_monitor(
 struct OpSpec {
     idx: u64,
     key: ObjId,
+    /// The key's shard, looked up once here rather than per fill pass.
+    shard: u32,
     is_read: bool,
     /// Already counted toward `store.degraded_ops` (each deferred op
     /// counts once, however many fill passes skip it).
@@ -653,7 +655,6 @@ struct InFlight {
     spec: OpSpec,
     inv: InvId,
     span: SpanCtx,
-    shard: u32,
     machine: Machine,
     t0: Instant,
 }
@@ -661,7 +662,8 @@ struct InFlight {
 /// The pipelined client: draws a burst of op specs in program order, keeps
 /// up to `pipeline_depth` of them in flight (never two on the same key),
 /// and multiplexes every reply/ack back to its op by `sn`. All protocol
-/// sends go through a per-client [`BatchingTransport`].
+/// sends go through a per-client [`BatchingTransport`], flushed only once
+/// the client has handled every reply already on its lane.
 ///
 /// Liveness is **per shard** ([`ShardHealth`]): each shard has its own
 /// backoff clock, timeouts retransmit only that shard's stalled ops, and a
@@ -724,6 +726,7 @@ fn store_client_loop(
                 OpSpec {
                     idx,
                     key,
+                    shard: ring_map.shard_for(key),
                     is_read,
                     deferred: false,
                 }
@@ -749,7 +752,7 @@ fn store_client_loop(
                     if active_keys.contains(&s.key.0) {
                         continue;
                     }
-                    let h = &health[ring_map.shard_for(s.key) as usize];
+                    let h = &health[s.shard as usize];
                     if h.degraded && h.in_flight >= DEGRADED_INFLIGHT_CAP {
                         if !s.deferred {
                             s.deferred = true;
@@ -768,7 +771,7 @@ fn store_client_loop(
                 sn_counter += 1;
                 let sn = sn_counter;
                 let inv = InvId(u64::from(me.0) * 10_000_000 + spec.idx);
-                let shard = ring_map.shard_for(spec.key);
+                let shard = spec.shard;
                 let (method, arg) = if spec.is_read {
                     (MethodId::READ, Val::Nil)
                 } else {
@@ -837,7 +840,6 @@ fn store_client_loop(
                         spec,
                         inv,
                         span,
-                        shard,
                         machine,
                         t0,
                     },
@@ -847,163 +849,167 @@ fn store_client_loop(
                 debug_assert!(pending.is_empty(), "startable ops exist while idle");
                 break;
             }
-            // The replies being waited on can't arrive until the requests
-            // actually leave.
-            bt.flush_pending();
-
-            // Sleep until the earliest shard retransmission deadline; each
-            // shard's backoff runs on its own clock.
-            let now = Instant::now();
-            let timeout = health
-                .iter()
-                .filter_map(|h| h.due)
-                .map(|d| d.saturating_duration_since(now))
-                .min()
-                .unwrap_or(initial_wait);
-            match rx.recv_timeout(timeout) {
-                Ok(env) => {
-                    let src_shard =
-                        (env.src.0 < servers_total).then(|| env.src.0 / cfg.servers_per_shard);
-                    ring.record_span(
-                        FlightKind::BusDeliver,
-                        me.0,
-                        u64::from(env.src.0),
-                        env.msg.flight_label(),
-                        env.span.flight_word(),
-                    );
-                    // Any frame from a shard's replica is progress: reset
-                    // that shard's backoff and clear its degraded flag.
-                    if let Some(s) = src_shard {
-                        health[s as usize].on_message(initial_wait, Instant::now());
-                    }
-                    let Payload::Abd(msg) = env.msg else {
-                        continue; // control traffic never targets clients
+            // Drain, then flush: handle every reply already on the lane, and
+            // only with the lane empty flush and block. Requests produced
+            // while draining share one flush, so batches fill toward
+            // `batch_max`; nothing is delayed, because a request buffered
+            // here could not have been answered before the lane ran dry
+            // anyway. At depth 1 the lane is always empty at this point and
+            // the loop flushes and blocks exactly as it would without the
+            // drain.
+            let mut now = Instant::now();
+            let mut head = match rx.try_recv() {
+                Ok(env) => Some(env),
+                Err(TryRecvError::Empty) => {
+                    // The replies being waited on can't arrive until the
+                    // requests actually leave.
+                    bt.flush_pending();
+                    // Sleep until the earliest shard retransmission
+                    // deadline; each shard's backoff runs on its own clock.
+                    let timeout = health
+                        .iter()
+                        .filter_map(|h| h.due)
+                        .map(|d| d.saturating_duration_since(now))
+                        .min()
+                        .unwrap_or(initial_wait);
+                    let woken = match rx.recv_timeout(timeout) {
+                        Ok(env) => Some(env),
+                        Err(RecvTimeoutError::Timeout) => None,
+                        Err(RecvTimeoutError::Disconnected) => {
+                            panic!("transport closed while store operations were in flight")
+                        }
                     };
-                    match msg {
-                        AbdMsg::Reply {
-                            obj,
-                            sn: msg_sn,
-                            val,
-                            ts,
-                        } => {
-                            let Some(mut fl) = active.remove(&msg_sn) else {
-                                continue; // stale round, already finished
-                            };
-                            if fl.spec.key != obj {
-                                active.insert(msg_sn, fl);
-                                continue;
-                            }
-                            match &mut fl.machine {
-                                Machine::Broken { .. } => {
-                                    complete_op(
-                                        me,
-                                        &fl,
-                                        val,
-                                        &local,
-                                        &ring,
-                                        mon_txs,
-                                        &mut active_keys,
-                                    );
-                                    let h = &mut health[fl.shard as usize];
-                                    h.in_flight -= 1;
-                                    if h.in_flight == 0 {
-                                        h.due = None;
-                                    }
-                                }
-                                Machine::Abd(op) => {
-                                    match op.on_reply(
-                                        env.src,
-                                        msg_sn,
-                                        &val,
-                                        ts,
-                                        quorum,
-                                        me,
-                                        &mut sn_counter,
-                                    ) {
-                                        ReplyEffect::StartUpdate {
-                                            sn: new_sn,
-                                            val,
-                                            ts,
-                                            ..
-                                        } => {
-                                            bt.broadcast_span(
-                                                me,
-                                                &shard_servers[fl.shard as usize],
-                                                &AbdMsg::Update {
-                                                    obj,
-                                                    sn: new_sn,
-                                                    val,
-                                                    ts,
-                                                },
-                                                false,
-                                                fl.span,
-                                            );
-                                            active.insert(new_sn, fl);
-                                        }
-                                        ReplyEffect::NextQuery { sn: new_sn, .. } => {
-                                            bt.broadcast_span(
-                                                me,
-                                                &shard_servers[fl.shard as usize],
-                                                &AbdMsg::Query { obj, sn: new_sn },
-                                                false,
-                                                fl.span,
-                                            );
-                                            active.insert(new_sn, fl);
-                                        }
-                                        ReplyEffect::NeedChoice { .. } => {
-                                            // Drawing here would make the rng
-                                            // stream depend on arrival order;
-                                            // the store pins k = 1 so this
-                                            // state is unreachable.
-                                            unreachable!("ABD with k = 1 has no object random step")
-                                        }
-                                        ReplyEffect::Ignored | ReplyEffect::Counted => {
-                                            active.insert(msg_sn, fl);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        AbdMsg::Ack { obj, sn: msg_sn } => {
-                            let Some(mut fl) = active.remove(&msg_sn) else {
-                                continue;
-                            };
-                            if fl.spec.key != obj {
-                                active.insert(msg_sn, fl);
-                                continue;
-                            }
-                            let Machine::Abd(op) = &mut fl.machine else {
-                                active.insert(msg_sn, fl);
-                                continue;
-                            };
-                            match op.on_ack(env.src, msg_sn, quorum) {
-                                AckEffect::Complete { ret } => {
-                                    complete_op(
-                                        me,
-                                        &fl,
-                                        ret,
-                                        &local,
-                                        &ring,
-                                        mon_txs,
-                                        &mut active_keys,
-                                    );
-                                    let h = &mut health[fl.shard as usize];
-                                    h.in_flight -= 1;
-                                    if h.in_flight == 0 {
-                                        h.due = None;
-                                    }
-                                }
-                                AckEffect::Ignored | AckEffect::Counted => {
-                                    active.insert(msg_sn, fl);
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
+                    now = Instant::now();
+                    woken
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
+                Err(TryRecvError::Disconnected) => {
                     panic!("transport closed while store operations were in flight")
+                }
+            };
+            // One clock reading serves the whole pass: backoff deadlines
+            // are milliseconds, a pass is microseconds.
+            while let Some(env) = head.take().or_else(|| rx.try_recv().ok()) {
+                let src_shard =
+                    (env.src.0 < servers_total).then(|| env.src.0 / cfg.servers_per_shard);
+                ring.record_span(
+                    FlightKind::BusDeliver,
+                    me.0,
+                    u64::from(env.src.0),
+                    env.msg.flight_label(),
+                    env.span.flight_word(),
+                );
+                // Any frame from a shard's replica is progress: reset
+                // that shard's backoff and clear its degraded flag.
+                if let Some(s) = src_shard {
+                    health[s as usize].on_message(initial_wait, now);
+                }
+                let Payload::Abd(msg) = env.msg else {
+                    continue; // control traffic never targets clients
+                };
+                match msg {
+                    AbdMsg::Reply {
+                        obj,
+                        sn: msg_sn,
+                        val,
+                        ts,
+                    } => {
+                        let Some(mut fl) = active.remove(&msg_sn) else {
+                            continue; // stale round, already finished
+                        };
+                        if fl.spec.key != obj {
+                            active.insert(msg_sn, fl);
+                            continue;
+                        }
+                        match &mut fl.machine {
+                            Machine::Broken { .. } => {
+                                complete_op(me, &fl, val, &local, &ring, mon_txs, &mut active_keys);
+                                let h = &mut health[fl.spec.shard as usize];
+                                h.in_flight -= 1;
+                                if h.in_flight == 0 {
+                                    h.due = None;
+                                }
+                            }
+                            Machine::Abd(op) => {
+                                match op.on_reply(
+                                    env.src,
+                                    msg_sn,
+                                    &val,
+                                    ts,
+                                    quorum,
+                                    me,
+                                    &mut sn_counter,
+                                ) {
+                                    ReplyEffect::StartUpdate {
+                                        sn: new_sn,
+                                        val,
+                                        ts,
+                                        ..
+                                    } => {
+                                        bt.broadcast_span(
+                                            me,
+                                            &shard_servers[fl.spec.shard as usize],
+                                            &AbdMsg::Update {
+                                                obj,
+                                                sn: new_sn,
+                                                val,
+                                                ts,
+                                            },
+                                            false,
+                                            fl.span,
+                                        );
+                                        active.insert(new_sn, fl);
+                                    }
+                                    ReplyEffect::NextQuery { sn: new_sn, .. } => {
+                                        bt.broadcast_span(
+                                            me,
+                                            &shard_servers[fl.spec.shard as usize],
+                                            &AbdMsg::Query { obj, sn: new_sn },
+                                            false,
+                                            fl.span,
+                                        );
+                                        active.insert(new_sn, fl);
+                                    }
+                                    ReplyEffect::NeedChoice { .. } => {
+                                        // Drawing here would make the rng
+                                        // stream depend on arrival order;
+                                        // the store pins k = 1 so this
+                                        // state is unreachable.
+                                        unreachable!("ABD with k = 1 has no object random step")
+                                    }
+                                    ReplyEffect::Ignored | ReplyEffect::Counted => {
+                                        active.insert(msg_sn, fl);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    AbdMsg::Ack { obj, sn: msg_sn } => {
+                        let Some(mut fl) = active.remove(&msg_sn) else {
+                            continue;
+                        };
+                        if fl.spec.key != obj {
+                            active.insert(msg_sn, fl);
+                            continue;
+                        }
+                        let Machine::Abd(op) = &mut fl.machine else {
+                            active.insert(msg_sn, fl);
+                            continue;
+                        };
+                        match op.on_ack(env.src, msg_sn, quorum) {
+                            AckEffect::Complete { ret } => {
+                                complete_op(me, &fl, ret, &local, &ring, mon_txs, &mut active_keys);
+                                let h = &mut health[fl.spec.shard as usize];
+                                h.in_flight -= 1;
+                                if h.in_flight == 0 {
+                                    h.due = None;
+                                }
+                            }
+                            AckEffect::Ignored | AckEffect::Counted => {
+                                active.insert(msg_sn, fl);
+                            }
+                        }
+                    }
+                    _ => {}
                 }
             }
             // Retransmission sweep: every shard whose deadline passed gets
@@ -1012,7 +1018,6 @@ fn store_client_loop(
             // backoff doubled, and a strike toward degraded status. Other
             // shards' clocks are untouched: one silent shard no longer
             // triggers retransmission storms across the healthy ones.
-            let now = Instant::now();
             for (shard_idx, h) in health.iter_mut().enumerate() {
                 let Some(due) = h.due else {
                     continue;
@@ -1022,7 +1027,7 @@ fn store_client_loop(
                 }
                 let shard_u32 = u32::try_from(shard_idx).expect("shard index fits u32");
                 for (sn, fl) in &active {
-                    if fl.shard != shard_u32 {
+                    if fl.spec.shard != shard_u32 {
                         continue;
                     }
                     match &fl.machine {
@@ -1039,7 +1044,7 @@ fn store_client_loop(
                                 );
                                 bt.broadcast_span(
                                     me,
-                                    &shard_servers[fl.shard as usize],
+                                    &shard_servers[fl.spec.shard as usize],
                                     &msg,
                                     true,
                                     fl.span,
@@ -1117,7 +1122,7 @@ fn complete_op(
         fl.span.flight_word(),
         u64::from(fl.spec.key.0),
     );
-    let _ = mon_txs[fl.shard as usize].send(Action::Return {
+    let _ = mon_txs[fl.spec.shard as usize].send(Action::Return {
         inv: fl.inv,
         val: ret,
     });

@@ -11,11 +11,10 @@
 //!   per-shard monitor on the keyed store, with a rendered window;
 //! - the same client loop over real sockets (UDS loopback) stays clean.
 
-use std::thread;
+mod common;
 
-use blunt_net::Addr;
-use blunt_runtime::{run_net_server, NetServeConfig, RecoveryMode};
-use blunt_store::{run_store, run_store_net, StoreConfig};
+use blunt_runtime::RecoveryMode;
+use blunt_store::{run_store, StoreConfig};
 
 #[test]
 fn keyed_smoke_under_light_faults_zero_violations() {
@@ -213,34 +212,7 @@ fn keyed_store_over_uds_sockets_zero_violations() {
     cfg.clients = 2;
     cfg.ops_per_client = 250;
     cfg.keys = 16;
-    let total = cfg.servers_total();
-    let dir = std::env::temp_dir().join(format!("blunt-store-net-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("socket dir");
-    let addrs: Vec<Addr> = (0..total)
-        .map(|i| Addr::parse(dir.join(format!("s{i}.sock")).to_str().expect("utf-8 path")))
-        .collect();
-    let servers: Vec<_> = (0..total)
-        .map(|i| {
-            let scfg = NetServeConfig {
-                listen: addrs[i as usize].clone(),
-                server_id: i,
-                servers: total,
-                clients: cfg.clients,
-                peers: addrs.clone(),
-                seed: cfg.seed,
-                faults: cfg.faults,
-                recovery: RecoveryMode::Stable,
-                shard_size: None,
-                dump_dir: None,
-            };
-            thread::spawn(move || run_net_server(&scfg).expect("server run"))
-        })
-        .collect();
-
-    let report = run_store_net(&cfg, &addrs).expect("valid fault config");
-    for s in servers {
-        s.join().expect("server thread");
-    }
+    let report = common::run_over_uds(&cfg, "net");
     assert_eq!(report.ops, 500);
     assert!(
         report.monitor.clean(),
