@@ -1,6 +1,9 @@
 //! chaos — seeded soak runner for the threaded chaos runtime
-//! (`blunt_runtime`): ABD and O^k step machines on real OS threads under
-//! fault injection, with the online linearizability monitor as the oracle.
+//! (`blunt_runtime` replicas under the one client driver in `blunt_store`):
+//! ABD and O^k step machines on real OS threads under fault injection, with
+//! the online linearizability monitor as the oracle. Every mode plans named
+//! `(StoreConfig, RunOpts)` runs for that one driver — the register set is
+//! the store at one shard and one key.
 //!
 //! ```sh
 //! cargo run --release -p blunt-bench --bin chaos                 # full soak set
@@ -11,13 +14,16 @@
 //! cargo run --release -p blunt-bench --bin chaos -- --demo-broken
 //! cargo run --release -p blunt-bench --bin chaos -- --demo-amnesia
 //! cargo run --release -p blunt-bench --bin chaos -- --store --smoke --fault-profile amnesia
+//! cargo run --release -p blunt-bench --bin chaos -- --store --smoke --k 2
 //! cargo run --release -p blunt-bench --bin chaos -- --store --demo-amnesia
 //! ```
 //!
 //! `--fault-profile none|light|heavy|amnesia` narrows the run to the two
 //! ABD shapes (k = 1, 2) under the named fault mix; `amnesia` additionally
 //! turns crashes into full volatile-state loss with WAL + peer-catch-up
-//! recovery. `--crash-len`/`--crash-period` override the crash window
+//! recovery. `--k N` sets the preamble depth wherever a single
+//! configuration runs (`--store`, `--connect`, `--sweep`, the demos); the
+//! side-by-side register set rejects it. `--crash-len`/`--crash-period` override the crash window
 //! shape; an unusable combination (windows that cannot stagger disjointly,
 //! rates past 1000‰) is a *usage* error: the offending numbers go to
 //! stderr and the exit status is 2, distinct from a soundness failure.
@@ -28,7 +34,8 @@
 //! end-of-run histogram), recoveries, and the monitor's backlog in
 //! ops-behind-frontier. Watching is read-only — it never perturbs the
 //! fault schedule, so a watched run and a silent run of the same seed
-//! produce identical deterministic results.
+//! produce identical deterministic results. `--watch`, `--watch-out` and
+//! the stall watchdog apply in every mode.
 //!
 //! **Flight recorder.** Every run keeps a bounded per-thread event window
 //! (bus sends, fault decisions, op boundaries, acks, WAL flushes, crashes,
@@ -36,7 +43,9 @@
 //! moment of detection* and written under `--dump-dir` (default
 //! `target/chaos/flight/`) as schema-versioned JSONL plus a rendered
 //! space-time diagram; a stall (no completed op for 60 s) does the same.
-//! The demo modes emit `broken_fast_read.*` / `broken_amnesia.*` dumps.
+//! The demo modes emit `broken_fast_read.*` / `broken_amnesia.*` /
+//! `broken_store_amnesia.*` dumps (a keyed `--demo-broken` uses its config
+//! name) and nothing else: no results, no summary.
 //!
 //! Each configuration records the deterministic counters
 //! `runtime.chaos.<cfg>.ops`, `.violations`, `.monitor_actions`, and (for
@@ -67,10 +76,9 @@
 
 use blunt_bench::parallel_map;
 use blunt_runtime::{
-    run_chaos, run_chaos_net, run_net_server, run_shm_chaos, Addr, ChaosReport, FaultConfig,
-    NetChaosTopology, NetServeConfig, RecoveryMode, RuntimeConfig, ShmChaosConfig,
+    run_net_server, run_shm_chaos, Addr, FaultConfig, NetServeConfig, RecoveryMode, ShmChaosConfig,
 };
-use blunt_store::{run_store, run_store_net, StoreConfig, StoreReport};
+use blunt_store::{run_store_with, RunOpts, StoreConfig, StoreReport};
 use blunt_trace::regress::BenchResults;
 use blunt_trace::{flight_space_time, DiagramOptions};
 use std::path::{Path, PathBuf};
@@ -84,10 +92,11 @@ const USAGE: &str = "usage: chaos [--smoke] [--seed N] [--results-out PATH] \
      [--connect ADDR,ADDR,...] [--k N] [--recovery stable|amnesia] \
      [--demo-broken | --demo-amnesia]\n\
        chaos --store [--smoke] [--keys N] [--shards N] [--pipeline-depth N] [--batch N] \\\n\
+             [--k N] [--watch DUR] [--watch-out PATH] \\\n\
              [--ops-per-client N] [--fault-profile none|light|heavy|amnesia] [--seed N] \\\n\
              [--recovery stable|amnesia] [--crash-len N] [--crash-period N] \\\n\
              [--connect ADDR,...] [--batch-hist-out PATH] [--demo-broken | --demo-amnesia]\n\
-       chaos --sweep N [--store] [--smoke] [--seed BASE] [--ops-per-client N] \\\n\
+       chaos --sweep N [--store] [--smoke] [--seed BASE] [--k N] [--ops-per-client N] \\\n\
              [--fault-profile ...] [--summary-out PATH]\n\
        chaos serve --listen ADDR --server-id N --peers ADDR,ADDR,... \\\n\
              [--servers N] [--clients N] [--shard-size N] [--seed N] \\\n\
@@ -157,8 +166,10 @@ struct Cli {
     /// `--connect a,b,c`: drive external `chaos serve` processes at these
     /// addresses instead of in-process server threads.
     connect: Option<Vec<Addr>>,
-    /// Preamble depth for the single `--connect` configuration.
-    k: u32,
+    /// `--k N`: preamble depth (ABD^k) wherever one configuration runs —
+    /// `--store`, `--connect`, `--sweep`, the demos. The default register
+    /// set runs k = 1 and 2 side by side and rejects it.
+    k: Option<u32>,
     /// `--recovery stable|amnesia`: crash semantics override, applied after
     /// `--fault-profile`. In `--connect` mode this MUST match what the
     /// `chaos serve` processes were started with.
@@ -177,6 +188,14 @@ struct Cli {
     /// `--batch-hist-out p`: where the store run writes its batch-size
     /// histogram artifact.
     batch_hist_out: PathBuf,
+}
+
+impl Cli {
+    /// The preamble depth of a single-configuration run: `--k`, or plain
+    /// ABD.
+    fn k(&self) -> u32 {
+        self.k.unwrap_or(1)
+    }
 }
 
 fn usage_error(msg: &str) -> ! {
@@ -247,7 +266,7 @@ fn parse_cli() -> Cli {
         crash_len: None,
         crash_period: None,
         connect: None,
-        k: 1,
+        k: None,
         recovery: None,
         store: false,
         sweep: None,
@@ -314,13 +333,14 @@ fn parse_cli() -> Cli {
             }
             "--k" => {
                 let v = value("--k", &mut args);
-                cli.k = v
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=4).contains(n))
-                    .unwrap_or_else(|| {
-                        usage_error(&format!("--k: `{v}` is not an integer in 1..=4"))
-                    });
+                cli.k = Some(
+                    v.parse()
+                        .ok()
+                        .filter(|n| (1..=4).contains(n))
+                        .unwrap_or_else(|| {
+                            usage_error(&format!("--k: `{v}` is not an integer in 1..=4"))
+                        }),
+                );
             }
             "--recovery" => {
                 let v = value("--recovery", &mut args);
@@ -380,13 +400,21 @@ fn parse_cli() -> Cli {
             }
         }
     }
-    if cli.store && cli.demo_amnesia && cli.connect.is_some() {
-        // The keyed demo pins one shard's recovery to the broken mode,
-        // which only the in-process spawner can arrange per shard.
-        usage_error("--store --demo-amnesia runs in-process; it does not combine with --connect");
+    if cli.demo_amnesia && cli.connect.is_some() {
+        // The demo pins shard 0's recovery to the broken mode, which only
+        // the in-process spawner can arrange.
+        usage_error("--demo-amnesia runs in-process; it does not combine with --connect");
     }
-    if cli.sweep.is_some() && (cli.demo_broken || cli.demo_amnesia || cli.connect.is_some()) {
-        usage_error("--sweep does not combine with the demo modes or --connect");
+    let demo = cli.demo_broken || cli.demo_amnesia;
+    if cli.sweep.is_some() && (demo || cli.connect.is_some() || cli.watch_out.is_some()) {
+        // Parallel seeds would all truncate the one mirror file.
+        usage_error("--sweep does not combine with the demo modes, --connect or --watch-out");
+    }
+    if cli.k.is_some() && !(cli.store || cli.connect.is_some() || cli.sweep.is_some() || demo) {
+        usage_error(
+            "--k: the register set runs k = 1 and 2 side by side; \
+             --k applies with --store, --connect, --sweep or a demo mode",
+        );
     }
     // Validate every output path before the first run starts.
     ensure_parent("--results-out", &cli.results_out);
@@ -395,67 +423,181 @@ fn parse_cli() -> Cli {
     if let Some(p) = &cli.watch_out {
         ensure_parent("--watch-out", p);
     }
+    if cli.store {
+        ensure_parent("--batch-hist-out", &cli.batch_hist_out);
+    }
     cli
 }
 
-/// The named message-passing configurations. Without a `--fault-profile`
-/// this is the default set: the full chaos mix at k = 1, 2 plus a
-/// fault-free control. With one, it is the two ABD shapes under that
-/// profile only (the control and shm configs are skipped — the profile IS
-/// the variable under study). Smoke mode shrinks ops, not shape variety.
-fn abd_configs(cli: &Cli) -> Vec<(String, RuntimeConfig)> {
-    let mut cfgs = Vec::new();
+/// One named run: the configuration and what travels beside it.
+struct Run {
+    name: String,
+    cfg: StoreConfig,
+    opts: RunOpts,
+}
+
+impl Run {
+    /// Runs it — in process, or against `--connect`'s servers. An unusable
+    /// fault shape (e.g. a --crash-len/--crash-period pair whose windows
+    /// cannot stagger disjointly) is a usage error, not a soundness
+    /// failure: echo the offending numbers and exit 2.
+    fn execute(&self, cli: &Cli) -> StoreReport {
+        run_store_with(&self.cfg, &self.opts, cli.connect.as_deref())
+            .unwrap_or_else(|e| usage_error(&e.to_string()))
+    }
+
+    /// Diagram lanes: every node, then one monitor per shard.
+    fn lanes(&self) -> usize {
+        (self.cfg.servers_total() + self.cfg.clients + self.cfg.shards) as usize
+    }
+}
+
+/// What travels beside every configuration this invocation runs: ABD^k,
+/// the watch flags, and a stall watchdog that dumps under `--dump-dir`.
+fn run_opts(cli: &Cli, k: u32) -> RunOpts {
+    RunOpts {
+        k,
+        watch: cli.watch,
+        watch_out: cli.watch_out.clone(),
+        stall_after: Some(Duration::from_secs(60)),
+        flight_dump_dir: Some(cli.dump_dir.clone()),
+    }
+}
+
+/// Finishes a run from its base shape: the fault profile and every
+/// override flag applied on top, the watch/watchdog settings beside it.
+fn finish_run(cli: &Cli, name: String, mut cfg: StoreConfig, k: u32) -> Run {
+    if let Some(p) = cli.profile {
+        cfg.faults = p.faults();
+        if p == FaultProfile::Amnesia {
+            cfg.recovery = RecoveryMode::amnesia();
+        }
+    }
+    // `parse_cli` rejects the four shape flags without --store.
+    if let Some(n) = cli.keys {
+        cfg.keys = n;
+    }
+    if let Some(n) = cli.shards {
+        cfg.shards = n;
+    }
+    if let Some(n) = cli.pipeline_depth {
+        cfg.pipeline_depth = n;
+    }
+    if let Some(n) = cli.batch {
+        cfg.batch_max = n;
+    }
+    if let Some(n) = cli.ops_per_client {
+        cfg.ops_per_client = n;
+    }
+    if cli.store && cli.profile == Some(FaultProfile::Amnesia) {
+        // The register shapes' amnesia windows (8 in every 200 link events)
+        // assume a handful of servers; a sharded topology runs dozens, and
+        // crash windows must stagger disjointly across ALL of them. Scale
+        // the period with the server count (and shorten the blackout) so
+        // every store shape admits a valid window layout; --crash-len /
+        // --crash-period below still override the scaled defaults.
+        cfg.faults.crash_len = 4;
+        cfg.faults.crash_period = 20 * u64::from(cfg.servers_total());
+    }
+    if let Some(r) = cli.recovery {
+        cfg.recovery = r;
+    }
+    if let Some(len) = cli.crash_len {
+        cfg.faults.crash_len = len;
+    }
+    if let Some(period) = cli.crash_period {
+        cfg.faults.crash_period = period;
+    }
+    // Turn the config asserts that a CLI user can actually trip into
+    // usage errors naming the offending numbers.
+    if u64::from(cfg.pipeline_depth) > cfg.burst {
+        usage_error(&format!(
+            "--pipeline-depth: {} exceeds the burst size {}",
+            cfg.pipeline_depth, cfg.burst
+        ));
+    }
+    if cfg.servers_total() > 64 {
+        usage_error(&format!(
+            "--shards: {} shards × {} replicas = {} servers exceeds the 64-pid ceiling",
+            cfg.shards,
+            cfg.servers_per_shard,
+            cfg.servers_total()
+        ));
+    }
+    Run {
+        name,
+        cfg,
+        opts: run_opts(cli, k),
+    }
+}
+
+/// The register shape — the store at one shard and one key. `smoke` picks
+/// the CI-sized one; the acceptance soak shape is ≥ 8 clients and ≥ 100k
+/// total ops. Over `--connect` the one shard is exactly the servers listed.
+fn register_shape(cli: &Cli, seed: u64, smoke: bool) -> StoreConfig {
+    let mut cfg = StoreConfig::register(seed);
+    if !smoke {
+        cfg.clients = 8;
+        cfg.ops_per_client = 13_000;
+        cfg.burst = 4;
+    }
+    if let Some(addrs) = &cli.connect {
+        cfg.servers_per_shard = u32::try_from(addrs.len()).expect("server count fits u32");
+    }
+    cfg
+}
+
+/// A register run at preamble depth `k`, named `<prefix>.abd_k<k>_<profile>`.
+fn register_run(cli: &Cli, prefix: &str, seed: u64, k: u32, smoke: bool) -> Run {
+    let suffix = cli.profile.map_or("chaos", FaultProfile::name);
+    let name = format!("{prefix}.abd_k{k}_{suffix}");
+    finish_run(cli, name, register_shape(cli, seed, smoke), k)
+}
+
+/// The keyed-store run: the CI smoke shape or the 1M-op bench shape, named
+/// `smoke.store_light`, `bench.store_none`, … — with a `k<N>` infix when
+/// `--k` asks for ABD^k beyond plain ABD.
+fn store_run(cli: &Cli, seed: u64) -> Run {
+    let k = cli.k();
+    let (mode, cfg, default_profile) = if cli.smoke {
+        ("smoke", StoreConfig::smoke(seed), "light")
+    } else {
+        ("bench", StoreConfig::bench(seed), "none")
+    };
+    let suffix = cli.profile.map_or(default_profile, FaultProfile::name);
+    let infix = if k == 1 {
+        String::new()
+    } else {
+        format!("k{k}_")
+    };
+    finish_run(cli, format!("{mode}.store_{infix}{suffix}"), cfg, k)
+}
+
+/// What this invocation runs. `--store` and `--connect` run one
+/// configuration at `--k`. Otherwise it is the register set: the chaos mix
+/// (or the named `--fault-profile`) at k = 1 and 2 side by side, plus —
+/// without a profile — a fault-free control at k = 1 (with one, the control
+/// and the shm configs are skipped: the profile IS the variable under
+/// study). Smoke mode shrinks ops, not shape variety.
+fn plan(cli: &Cli) -> Vec<Run> {
+    if cli.store {
+        return vec![store_run(cli, cli.seed)];
+    }
+    if cli.connect.is_some() {
+        return vec![register_run(cli, "net", cli.seed, cli.k(), cli.smoke)];
+    }
     let mode = if cli.smoke { "smoke" } else { "soak" };
-    let (smoke, seed) = (cli.smoke, cli.seed);
-    for k in [1u32, 2] {
-        // Full fault mix at the acceptance shape (8 clients for soak).
-        let mut cfg = if smoke {
-            RuntimeConfig::smoke(seed ^ u64::from(k))
-        } else {
-            RuntimeConfig::soak(seed ^ u64::from(k), k)
-        };
-        cfg.k = k;
-        let suffix = match cli.profile {
-            Some(p) => {
-                cfg.faults = p.faults();
-                if p == FaultProfile::Amnesia {
-                    cfg.recovery = RecoveryMode::amnesia();
-                }
-                p.name()
-            }
-            None => "chaos",
-        };
-        cfgs.push((format!("{mode}.abd_k{k}_{suffix}"), cfg));
-    }
+    let mut runs: Vec<Run> = [1u32, 2]
+        .into_iter()
+        .map(|k| register_run(cli, mode, cli.seed ^ u64::from(k), k, cli.smoke))
+        .collect();
     if cli.profile.is_none() {
-        // A fault-free control at the same shape (k = 1): the protocol under
-        // nothing but thread nondeterminism.
-        let mut quiet = if smoke {
-            RuntimeConfig::smoke(seed ^ 0x71)
-        } else {
-            RuntimeConfig::soak(seed ^ 0x71, 1)
-        };
+        // The protocol under nothing but thread nondeterminism.
+        let mut quiet = register_shape(cli, cli.seed ^ 0x71, cli.smoke);
         quiet.faults = FaultConfig::none();
-        cfgs.push((format!("{mode}.abd_k1_quiet"), quiet));
+        runs.push(finish_run(cli, format!("{mode}.abd_k1_quiet"), quiet, 1));
     }
-    for (_, cfg) in &mut cfgs {
-        if let Some(len) = cli.crash_len {
-            cfg.faults.crash_len = len;
-        }
-        if let Some(period) = cli.crash_period {
-            cfg.faults.crash_period = period;
-        }
-        if let Some(n) = cli.ops_per_client {
-            cfg.ops_per_client = n;
-        }
-        if let Some(r) = cli.recovery {
-            cfg.recovery = r;
-        }
-        cfg.watch = cli.watch;
-        cfg.watch_out = cli.watch_out.clone();
-        cfg.flight_dump_dir = Some(cli.dump_dir.clone());
-    }
-    cfgs
+    runs
 }
 
 fn shm_configs(smoke: bool, seed: u64) -> Vec<(String, ShmChaosConfig)> {
@@ -483,9 +625,10 @@ fn record(name: &str, ops: u64, violations: u64, recoveries: Option<u64>, action
     }
 }
 
-fn print_abd(name: &str, r: &ChaosReport) {
+fn print_report(name: &str, r: &StoreReport, run: &Run) {
+    let cfg = &run.cfg;
     println!(
-        "{name:<24} ops {:>7}  {:>9.0} ops/s  lat p50/p99 {:>4}/{:>5} µs  \
+        "{name:<24} ops {:>8}  {:>9.0} ops/s  lat p50/p99 {:>4}/{:>5} µs  \
          retrans {:>6}  violations {}",
         r.ops,
         r.ops_per_sec(),
@@ -495,52 +638,78 @@ fn print_abd(name: &str, r: &ChaosReport) {
         r.monitor.violations.len(),
     );
     println!(
-        "{:<24} bus: offered {} dropped {} dup {} reorder {} delayed {} \
-         crash {} partition {}",
+        "{:<24} shape: ABD^{}, {} shards × {} replicas, {} keys, {} clients, \
+         pipeline {}, batch {}",
         "",
-        r.bus.offered,
-        r.bus.dropped,
-        r.bus.duplicated,
-        r.bus.reordered,
-        r.bus.delayed,
-        r.bus.crash_dropped,
-        r.bus.partition_dropped,
+        run.opts.k,
+        cfg.shards,
+        cfg.servers_per_shard,
+        cfg.keys,
+        cfg.clients,
+        cfg.pipeline_depth,
+        cfg.batch_max,
     );
     println!(
-        "{:<24} coverage: fates [{}] over {} links  monitor: {} actions, \
-         {:.1} ms observe, lag hwm {}",
+        "{:<24} net: offered {} dropped {} dup {} reorder {} delayed {} \
+         crash {} partition {}",
+        "",
+        r.stats.offered,
+        r.stats.dropped,
+        r.stats.duplicated,
+        r.stats.reordered,
+        r.stats.delayed,
+        r.stats.crash_dropped,
+        r.stats.partition_dropped,
+    );
+    if cfg.batch_max > 1 {
+        let h = batch_histogram();
+        println!(
+            "{:<24} batching: {} flushes carried {} envelopes — per-flush \
+             p50/p99/max {}/{}/{} (mean {:.1})",
+            "",
+            h.count,
+            h.sum,
+            h.p50(),
+            h.percentile(0.99),
+            h.max,
+            h.mean(),
+        );
+    }
+    println!(
+        "{:<24} coverage: fates [{}] over {} links  monitors: {} actions \
+         across {} shards, {:.1} ms observe, lag hwm {}",
         "",
         r.coverage.fates_exercised().join(" "),
         r.coverage.links.len(),
         r.monitor_overhead.actions,
+        cfg.shards,
         r.monitor_overhead.observe_ns as f64 / 1e6,
         r.monitor_overhead.lag_ops_hwm,
     );
     if r.recovery.crashes > 0 {
         println!(
             "{:<24} recovery: crashes {} recovered {} wal lost/replayed {}/{} \
-             state queries {}",
+             state queries {}  degraded ops {}",
             "",
             r.recovery.crashes,
             r.recovery.recoveries,
             r.recovery.wal_records_lost,
             r.recovery.wal_records_replayed,
             r.recovery.state_queries,
+            r.degraded_ops,
+        );
+        let per: Vec<String> = r
+            .shard_recoveries
+            .iter()
+            .enumerate()
+            .map(|(s, (c, rec))| format!("s{s} {c}/{rec}"))
+            .collect();
+        println!(
+            "{:<24} per-shard crashes/recoveries: {}",
+            "",
+            per.join("  ")
         );
     }
-}
-
-/// Writes the run's violation flight dump (JSONL + rendered diagram) under
-/// `dump_dir` as `<stem>.flight.jsonl` / `<stem>.diagram.txt`. Returns the
-/// diagram path when a dump existed.
-fn write_flight_artifacts(
-    dump_dir: &Path,
-    stem: &str,
-    report: &ChaosReport,
-    lanes: usize,
-) -> Option<PathBuf> {
-    let dump = report.violation_dump.as_ref()?;
-    Some(write_flight_dump_files(dump_dir, stem, dump, lanes))
 }
 
 /// Writes one flight dump (JSONL + rendered diagram) under `dump_dir`;
@@ -569,101 +738,39 @@ fn write_flight_dump_files(
     diagram
 }
 
-/// Print the first violation window; exit 0 iff the monitor caught the
-/// intentionally-broken implementation.
-fn report_demo_catch(what: &str, report: &ChaosReport) -> ExitCode {
-    match report.monitor.violations.first() {
-        Some(v) => {
-            println!(
-                "\nfirst violation window (object {:?}, segment {}):\n",
-                v.obj, v.segment
-            );
-            println!("{}", v.rendered);
-            println!(
-                "the monitor caught {what}: {} violation window(s) total",
-                report.monitor.violations.len()
-            );
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!("\nchaos: {what} was NOT caught — monitor bug");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn demo_broken(cli: &Cli) -> ExitCode {
-    let mut cfg = RuntimeConfig::smoke(cli.seed);
-    cfg.broken_reads = true;
-    cfg.read_per_mille = 400;
-    cfg.watch = cli.watch;
-    cfg.watch_out = cli.watch_out.clone();
-    cfg.flight_dump_dir = Some(cli.dump_dir.clone());
-    println!("demo: ABD with an unsound single-server fast read (no quorum, no write-back)\n");
-    let report = match run_chaos(&cfg) {
-        Ok(r) => r,
-        Err(e) => usage_error(&e.to_string()),
-    };
-    print_abd("broken_fast_read", &report);
-    let lanes = (cfg.servers + cfg.clients + 1) as usize;
-    write_flight_artifacts(&cli.dump_dir, "broken_fast_read", &report, lanes);
-    report_demo_catch("the unsound read", &report)
-}
-
-fn demo_amnesia(cli: &Cli) -> ExitCode {
-    // The proven catch configuration (mirrors the
-    // `broken_amnesia_recovery_is_caught_with_a_rendered_window` test):
-    // two clients so per-link crash-window phases stay unsynchronized —
-    // an acknowledged write can die in a wipe — while the real-time order
-    // stays tight enough that the resulting stale read is provably
-    // non-linearizable. Whether a particular run trips the coincidence is
-    // scheduling-sensitive (the clients' real-time overlap is wall-clock
-    // state), so sweep a few seeds and demand the catch within the budget.
-    println!("demo: amnesia crashes with a recovery that skips WAL replay and peer catch-up\n");
-    let mut last = None;
-    let mut lanes = 0usize;
-    for attempt in 0..8u64 {
-        let mut cfg = RuntimeConfig::smoke_amnesia(cli.seed + attempt);
-        cfg.recovery = RecoveryMode::demo_amnesia();
-        cfg.clients = 2;
-        cfg.ops_per_client = 2000;
-        cfg.read_per_mille = 400;
-        cfg.faults.drop_per_mille = 200;
-        cfg.faults.delay_per_mille = 100;
-        cfg.faults.crash_len = 2;
-        cfg.faults.crash_period = 9;
-        cfg.watch = cli.watch;
-        cfg.watch_out = cli.watch_out.clone();
-        cfg.flight_dump_dir = Some(cli.dump_dir.clone());
-        lanes = (cfg.servers + cfg.clients + 1) as usize;
-        let report = match run_chaos(&cfg) {
-            Ok(r) => r,
-            Err(e) => usage_error(&e.to_string()),
-        };
-        print_abd(&format!("broken_amnesia[{}]", cli.seed + attempt), &report);
-        if report.recovery.crashes == 0 {
-            eprintln!("\nchaos: no crash events fired — demo config is inert");
-            return ExitCode::FAILURE;
-        }
-        let caught = !report.monitor.violations.is_empty();
-        last = Some(report);
-        if caught {
-            break;
-        }
-    }
-    let report = last.expect("at least one attempt runs");
-    write_flight_artifacts(&cli.dump_dir, "broken_amnesia", &report, lanes);
-    report_demo_catch("the recovery that skips replay and catch-up", &report)
-}
-
 /// One config's deterministic summary entry. Timing-dependent numbers
-/// (latency, retransmissions, monitor lag/observe time) are deliberately
-/// excluded so two same-seed runs write byte-identical summaries.
-/// `transport` labels which tier carried the run's messages
-/// (`in-process`, `tcp`, or `uds`) — new in schema v2.
-fn summary_entry(name: &str, r: &ChaosReport, transport: &str) -> blunt_obs::Json {
+/// (latency, retransmissions, monitor lag/observe time, `degraded_ops`)
+/// are deliberately excluded so two same-seed in-process runs write
+/// byte-identical summaries. `transport` labels which tier carried the
+/// run's messages (`in-process`, `tcp`, or `uds`).
+///
+/// For stable-recovery runs at depth 1 every field is seed-deterministic.
+/// Pipelined amnesia runs narrow that set: acks leave the per-link
+/// schedule (they are exempt), so the reply legs' counts start depending
+/// on how the pipelined clients interleave queries and updates —
+/// `bus.offered`/`delivered` and the server→client link coverage become
+/// timing-dependent (docs/STORE.md § determinism). What stays exact for a
+/// seed, and what the tests pin byte-for-byte: `ops`, `violations`,
+/// `monitor_actions`, `recoveries`, `shard_recoveries`,
+/// `bus.crash_events`, and every client→server link.
+///
+/// Socket runs add the `servers` sections (schema v3): their fsync p99 and
+/// clock offsets are timing-dependent, and net entries are already outside
+/// the byte-determinism contract (their transport timing is wall-clock
+/// state); in-process entries never carry the section.
+fn summary_entry(name: &str, r: &StoreReport, transport: &str) -> blunt_obs::Json {
     use blunt_obs::Json;
-    Json::Obj(vec![
+    let shard_recoveries = r
+        .shard_recoveries
+        .iter()
+        .map(|&(crashes, recoveries)| {
+            Json::Obj(vec![
+                ("crashes".into(), Json::UInt(crashes)),
+                ("recoveries".into(), Json::UInt(recoveries)),
+            ])
+        })
+        .collect();
+    let mut fields = vec![
         ("name".into(), Json::Str(name.into())),
         ("transport".into(), Json::Str(transport.into())),
         ("ops".into(), Json::UInt(r.ops)),
@@ -671,29 +778,31 @@ fn summary_entry(name: &str, r: &ChaosReport, transport: &str) -> blunt_obs::Jso
             "violations".into(),
             Json::UInt(r.monitor.violations.len() as u64),
         ),
+        ("monitor_actions".into(), Json::UInt(r.monitor_actions)),
         ("recoveries".into(), Json::UInt(r.recovery.recoveries)),
-        (
-            "monitor_actions".into(),
-            Json::UInt(r.monitor_overhead.actions),
-        ),
+        ("shard_recoveries".into(), Json::Arr(shard_recoveries)),
         (
             "bus".into(),
             Json::Obj(vec![
-                ("offered".into(), Json::UInt(r.bus.offered)),
-                ("dropped".into(), Json::UInt(r.bus.dropped)),
-                ("duplicated".into(), Json::UInt(r.bus.duplicated)),
-                ("reordered".into(), Json::UInt(r.bus.reordered)),
-                ("delayed".into(), Json::UInt(r.bus.delayed)),
-                ("crash_dropped".into(), Json::UInt(r.bus.crash_dropped)),
+                ("offered".into(), Json::UInt(r.stats.offered)),
+                ("dropped".into(), Json::UInt(r.stats.dropped)),
+                ("duplicated".into(), Json::UInt(r.stats.duplicated)),
+                ("reordered".into(), Json::UInt(r.stats.reordered)),
+                ("delayed".into(), Json::UInt(r.stats.delayed)),
+                ("crash_dropped".into(), Json::UInt(r.stats.crash_dropped)),
                 (
                     "partition_dropped".into(),
-                    Json::UInt(r.bus.partition_dropped),
+                    Json::UInt(r.stats.partition_dropped),
                 ),
-                ("crash_events".into(), Json::UInt(r.bus.crash_events)),
+                ("crash_events".into(), Json::UInt(r.stats.crash_events)),
             ]),
         ),
         ("coverage".into(), r.coverage.to_json()),
-    ])
+    ];
+    if !r.remote_servers.is_empty() {
+        fields.push(("servers".into(), servers_json(&r.remote_servers)));
+    }
+    Json::Obj(fields)
 }
 
 /// The per-server telemetry sections of a net-transport config entry
@@ -870,243 +979,6 @@ fn run_serve(args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// The `--connect` driver: one configuration over external servers. Same
-/// monitor, flight recorder, summary, and exit discipline as the
-/// in-process sets — only the transport differs.
-fn run_net_driver(cli: &Cli, addrs: &[Addr]) -> ExitCode {
-    let seed = cli.seed;
-    let transport = addrs[0].kind();
-    let suffix = match cli.profile {
-        Some(p) => p.name(),
-        None => "chaos",
-    };
-    let name = format!("net.abd_k{}_{suffix}", cli.k);
-    let mut cfg = if cli.smoke {
-        RuntimeConfig::smoke(seed)
-    } else {
-        RuntimeConfig::soak(seed, cli.k)
-    };
-    cfg.k = cli.k;
-    cfg.servers = u32::try_from(addrs.len()).expect("server count fits u32");
-    if let Some(p) = cli.profile {
-        cfg.faults = p.faults();
-        if p == FaultProfile::Amnesia {
-            cfg.recovery = RecoveryMode::amnesia();
-        }
-    }
-    if let Some(len) = cli.crash_len {
-        cfg.faults.crash_len = len;
-    }
-    if let Some(period) = cli.crash_period {
-        cfg.faults.crash_period = period;
-    }
-    if let Some(n) = cli.ops_per_client {
-        cfg.ops_per_client = n;
-    }
-    if let Some(r) = cli.recovery {
-        cfg.recovery = r;
-    }
-    cfg.watch = cli.watch;
-    cfg.watch_out = cli.watch_out.clone();
-    cfg.flight_dump_dir = Some(cli.dump_dir.clone());
-    println!(
-        "chaos: net driver ({transport}), {} servers, seed {seed:#x} (replay with --seed {seed})\n",
-        addrs.len()
-    );
-    let topo = NetChaosTopology {
-        servers: addrs.to_vec(),
-    };
-    let t0 = Instant::now();
-    let report = match run_chaos_net(&cfg, &topo) {
-        Ok(r) => r,
-        Err(e) => usage_error(&e.to_string()),
-    };
-    let mut phases = vec![
-        (name.clone(), t0.elapsed().as_secs_f64() * 1000.0),
-        (
-            format!("monitor.{name}"),
-            report.monitor_overhead.observe_ns as f64 / 1e6,
-        ),
-        (
-            format!("monitor_lag_ops.{name}"),
-            report.monitor_overhead.lag_ops_hwm as f64,
-        ),
-    ];
-    let lanes = (cfg.servers + cfg.clients + 1) as usize;
-    // The merged cross-process flight dump: the driver's window plus every
-    // server's goodbye window, shifted onto the driver clock, rendered with
-    // remote-process lanes and span tags. Written unconditionally (clean
-    // runs included) — this is the net tier's telemetry artifact, not a
-    // violation capture.
-    if let Some(merged) = &report.merged_flight {
-        let jsonl = cli.dump_dir.join("net.merged.flight.jsonl");
-        let diagram = cli.dump_dir.join("net.merged.diagram.txt");
-        let opts = DiagramOptions {
-            lane_width: 40,
-            ..DiagramOptions::default()
-        };
-        std::fs::write(&jsonl, merged.to_jsonl()).expect("write merged flight dump");
-        std::fs::write(
-            &diagram,
-            flight_space_time(&merged.last_n(800), lanes, &opts),
-        )
-        .expect("write merged flight diagram");
-        println!(
-            "merged flight dump written to {} (+ {})",
-            jsonl.display(),
-            diagram.display()
-        );
-        // Per-op latency phase medians from the span-attributed timeline —
-        // informational bench phases (timing-dependent, never gated).
-        let b = blunt_trace::latency_breakdown(merged);
-        if b.ops > 0 {
-            phases.push((
-                format!("breakdown.client_queue_us.{name}"),
-                b.client_queue_us as f64,
-            ));
-            phases.push((format!("breakdown.wire_us.{name}"), b.wire_us as f64));
-            phases.push((
-                format!("breakdown.server_ack_us.{name}"),
-                b.server_ack_us as f64,
-            ));
-            phases.push((format!("breakdown.fsync_us.{name}"), b.fsync_us as f64));
-            phases.push((
-                format!("breakdown.quorum_complete_us.{name}"),
-                b.quorum_complete_us as f64,
-            ));
-            println!(
-                "latency breakdown ({} ops): client queue {}µs → wire {}µs → \
-                 server ack {}µs → fsync {}µs → quorum complete {}µs",
-                b.ops,
-                b.client_queue_us,
-                b.wire_us,
-                b.server_ack_us,
-                b.fsync_us,
-                b.quorum_complete_us,
-            );
-        }
-    }
-    phases.sort_by(|a, b| a.0.cmp(&b.0));
-    print_abd(&name, &report);
-    record(
-        &name,
-        report.ops,
-        report.monitor.violations.len() as u64,
-        Some(report.recovery.recoveries),
-        Some(report.monitor_overhead.actions),
-    );
-    let mut entry = summary_entry(&name, &report, transport);
-    if let blunt_obs::Json::Obj(fields) = &mut entry {
-        fields.push(("servers".into(), servers_json(&report.remote_servers)));
-    }
-    let summaries = vec![entry];
-    if !report.monitor.clean() {
-        write_flight_artifacts(&cli.dump_dir, &name, &report, lanes);
-    }
-    ensure_parent("--results-out", &cli.results_out);
-    let mut results = BenchResults::from_snapshot(phases, &blunt_obs::snapshot());
-    results
-        .counters
-        .retain(|(name, _)| name.starts_with("runtime.chaos."));
-    results.seed = Some(seed);
-    std::fs::write(&cli.results_out, format!("{}\n", results.to_json()))
-        .expect("write BENCH_results.json");
-    println!("\nbench results written to {}", cli.results_out.display());
-    let summary = summary_doc(seed, if cli.smoke { "smoke" } else { "soak" }, summaries);
-    ensure_parent("--summary-out", &cli.summary_out);
-    std::fs::write(&cli.summary_out, format!("{summary}\n")).expect("write run summary");
-    println!("run summary written to {}", cli.summary_out.display());
-    if report.monitor.clean() {
-        println!("verdict: all configurations linearizable (0 violations)");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("verdict: VIOLATIONS in {name}");
-        ExitCode::FAILURE
-    }
-}
-
-/// Builds the store run from the CLI: the CI smoke shape or the 1M-op
-/// bench shape, with the fault profile and `--keys`/`--shards`/
-/// `--pipeline-depth`/`--batch` overrides applied on top. Returns the
-/// config name (`smoke.store_light`, `bench.store_none`, …) with it.
-fn store_config(cli: &Cli, seed: u64) -> (String, StoreConfig) {
-    let mut cfg = if cli.smoke {
-        StoreConfig::smoke(seed)
-    } else {
-        StoreConfig::bench(seed)
-    };
-    let suffix = match cli.profile {
-        Some(p) => {
-            cfg.faults = p.faults();
-            if p == FaultProfile::Amnesia {
-                cfg.recovery = RecoveryMode::amnesia();
-            }
-            p.name()
-        }
-        // The constructors' defaults: light faults for smoke, fault-free
-        // for the throughput bench.
-        None => {
-            if cli.smoke {
-                "light"
-            } else {
-                "none"
-            }
-        }
-    };
-    if let Some(n) = cli.keys {
-        cfg.keys = n;
-    }
-    if let Some(n) = cli.shards {
-        cfg.shards = n;
-    }
-    if let Some(n) = cli.pipeline_depth {
-        cfg.pipeline_depth = n;
-    }
-    if let Some(n) = cli.batch {
-        cfg.batch_max = n;
-    }
-    if let Some(n) = cli.ops_per_client {
-        cfg.ops_per_client = n;
-    }
-    if cli.profile == Some(FaultProfile::Amnesia) {
-        // The register sets' amnesia windows (8 in every 200 link events)
-        // assume a handful of servers; a sharded topology runs dozens, and
-        // crash windows must stagger disjointly across ALL of them. Scale
-        // the period with the server count (and shorten the blackout) so
-        // every store shape admits a valid window layout; --crash-len /
-        // --crash-period below still override the scaled defaults.
-        cfg.faults.crash_len = 4;
-        cfg.faults.crash_period = 20 * u64::from(cfg.servers_total());
-    }
-    if let Some(r) = cli.recovery {
-        cfg.recovery = r;
-    }
-    if let Some(len) = cli.crash_len {
-        cfg.faults.crash_len = len;
-    }
-    if let Some(period) = cli.crash_period {
-        cfg.faults.crash_period = period;
-    }
-    // Turn the config asserts that a CLI user can actually trip into
-    // usage errors naming the offending numbers.
-    if u64::from(cfg.pipeline_depth) > cfg.burst {
-        usage_error(&format!(
-            "--pipeline-depth: {} exceeds the burst size {}",
-            cfg.pipeline_depth, cfg.burst
-        ));
-    }
-    if cfg.servers_total() > 64 {
-        usage_error(&format!(
-            "--shards: {} shards × {} replicas = {} servers exceeds the 64-pid ceiling",
-            cfg.shards,
-            cfg.servers_per_shard,
-            cfg.servers_total()
-        ));
-    }
-    let mode = if cli.smoke { "smoke" } else { "bench" };
-    (format!("{mode}.store_{suffix}"), cfg)
-}
-
 /// The store run's batch-size histogram, from the global registry.
 fn batch_histogram() -> blunt_obs::HistogramSnapshot {
     blunt_obs::snapshot()
@@ -1115,143 +987,6 @@ fn batch_histogram() -> blunt_obs::HistogramSnapshot {
         .find(|(n, _)| n == "store.batch.envelopes_per_flush")
         .map(|(_, h)| h.clone())
         .unwrap_or_default()
-}
-
-fn print_store(name: &str, r: &StoreReport, cfg: &StoreConfig) {
-    println!(
-        "{name:<24} ops {:>8}  {:>9.0} ops/s  lat p50/p99 {:>4}/{:>5} µs  \
-         retrans {:>6}  violations {}",
-        r.ops,
-        r.ops_per_sec(),
-        r.latency_us.p50(),
-        r.latency_us.percentile(0.99),
-        r.retransmissions,
-        r.monitor.violations.len(),
-    );
-    println!(
-        "{:<24} shape: {} shards × {} replicas, {} keys, {} clients, \
-         pipeline {}, batch {}",
-        "",
-        cfg.shards,
-        cfg.servers_per_shard,
-        cfg.keys,
-        cfg.clients,
-        cfg.pipeline_depth,
-        cfg.batch_max,
-    );
-    println!(
-        "{:<24} net: offered {} dropped {} dup {} reorder {} delayed {} \
-         crash {} partition {}",
-        "",
-        r.stats.offered,
-        r.stats.dropped,
-        r.stats.duplicated,
-        r.stats.reordered,
-        r.stats.delayed,
-        r.stats.crash_dropped,
-        r.stats.partition_dropped,
-    );
-    let h = batch_histogram();
-    if h.count > 0 {
-        println!(
-            "{:<24} batching: {} flushes carried {} envelopes — per-flush \
-             p50/p99/max {}/{}/{} (mean {:.1})",
-            "",
-            h.count,
-            h.sum,
-            h.p50(),
-            h.percentile(0.99),
-            h.max,
-            h.mean(),
-        );
-    }
-    println!(
-        "{:<24} coverage: fates [{}] over {} links  monitors: {} actions \
-         across {} shards",
-        "",
-        r.coverage.fates_exercised().join(" "),
-        r.coverage.links.len(),
-        r.monitor_actions,
-        cfg.shards,
-    );
-    if r.recovery.crashes > 0 {
-        println!(
-            "{:<24} recovery: crashes {} recovered {} wal lost/replayed {}/{} \
-             state queries {}  degraded ops {}",
-            "",
-            r.recovery.crashes,
-            r.recovery.recoveries,
-            r.recovery.wal_records_lost,
-            r.recovery.wal_records_replayed,
-            r.recovery.state_queries,
-            r.degraded_ops,
-        );
-        let per: Vec<String> = r
-            .shard_recoveries
-            .iter()
-            .enumerate()
-            .map(|(s, (c, rec))| format!("s{s} {c}/{rec}"))
-            .collect();
-        println!(
-            "{:<24} per-shard crashes/recoveries: {}",
-            "",
-            per.join("  ")
-        );
-    }
-}
-
-/// The store entry for the run summary, same shape contract as
-/// [`summary_entry`]. For stable-recovery runs every field is
-/// seed-deterministic. Amnesia runs narrow that set: acks leave the
-/// per-link schedule (they are exempt), so the reply legs' counts start
-/// depending on how the pipelined clients interleave queries and updates
-/// — `bus.offered`/`delivered` and the server→client link coverage become
-/// timing-dependent (docs/STORE.md § determinism). What stays exact for a
-/// seed, and what the tests pin byte-for-byte: `ops`, `violations`,
-/// `monitor_actions`, `recoveries`, `shard_recoveries`,
-/// `bus.crash_events`, and every client→server link. `degraded_ops` is
-/// NOT here at all: deferral depends on wall-clock backoff timing.
-fn store_summary_entry(name: &str, r: &StoreReport, transport: &str) -> blunt_obs::Json {
-    use blunt_obs::Json;
-    let shard_recoveries = r
-        .shard_recoveries
-        .iter()
-        .map(|&(crashes, recoveries)| {
-            Json::Obj(vec![
-                ("crashes".into(), Json::UInt(crashes)),
-                ("recoveries".into(), Json::UInt(recoveries)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("name".into(), Json::Str(name.into())),
-        ("transport".into(), Json::Str(transport.into())),
-        ("ops".into(), Json::UInt(r.ops)),
-        (
-            "violations".into(),
-            Json::UInt(r.monitor.violations.len() as u64),
-        ),
-        ("monitor_actions".into(), Json::UInt(r.monitor_actions)),
-        ("recoveries".into(), Json::UInt(r.recovery.recoveries)),
-        ("shard_recoveries".into(), Json::Arr(shard_recoveries)),
-        (
-            "bus".into(),
-            Json::Obj(vec![
-                ("offered".into(), Json::UInt(r.stats.offered)),
-                ("dropped".into(), Json::UInt(r.stats.dropped)),
-                ("duplicated".into(), Json::UInt(r.stats.duplicated)),
-                ("reordered".into(), Json::UInt(r.stats.reordered)),
-                ("delayed".into(), Json::UInt(r.stats.delayed)),
-                ("crash_dropped".into(), Json::UInt(r.stats.crash_dropped)),
-                (
-                    "partition_dropped".into(),
-                    Json::UInt(r.stats.partition_dropped),
-                ),
-                ("crash_events".into(), Json::UInt(r.stats.crash_events)),
-            ]),
-        ),
-        ("coverage".into(), r.coverage.to_json()),
-    ])
 }
 
 /// The CI batch-size artifact: the full per-flush histogram plus its
@@ -1287,56 +1022,9 @@ fn write_batch_hist(path: &Path, name: &str, r: &StoreReport) {
     println!("batch histogram written to {}", path.display());
 }
 
-/// The keyed `--demo-amnesia` driver: a two-shard store where shard 0's
-/// recovery is intentionally broken (no WAL replay, no peer catch-up)
-/// while shard 1 recovers soundly. The broken shard's monitor must catch
-/// the stale keyed reads. Same two-client rationale as the register demo:
-/// per-link crash-window phases stay unsynchronized, so an acknowledged
-/// write can die in a wipe while a second client's read stays real-time
-/// ordered after the ack — and whether a particular run trips that
-/// coincidence is scheduling-sensitive, so sweep a few seeds and demand
-/// the catch within the budget.
-fn demo_store_amnesia(cli: &Cli) -> ExitCode {
-    println!("demo: keyed store where shard 0's recovery skips WAL replay and peer catch-up\n");
-    let mut last: Option<(StoreConfig, StoreReport)> = None;
-    for attempt in 0..8u64 {
-        let mut cfg = StoreConfig::smoke(cli.seed + attempt);
-        cfg.shards = 2;
-        cfg.clients = 2;
-        cfg.ops_per_client = 2000;
-        cfg.keys = cli.keys.unwrap_or(4);
-        cfg.read_per_mille = 400;
-        cfg.recovery = RecoveryMode::amnesia();
-        cfg.demo_shard = Some(0);
-        cfg.faults = FaultConfig::chaos();
-        cfg.faults.drop_per_mille = 200;
-        cfg.faults.delay_per_mille = 100;
-        cfg.faults.crash_len = 2;
-        cfg.faults.crash_period = 3 * u64::from(cfg.servers_total());
-        let report = match run_store(&cfg) {
-            Ok(r) => r,
-            Err(e) => usage_error(&e.to_string()),
-        };
-        print_store(
-            &format!("broken_store_amnesia[{}]", cli.seed + attempt),
-            &report,
-            &cfg,
-        );
-        if report.recovery.crashes == 0 {
-            eprintln!("\nchaos: no crash events fired — demo config is inert");
-            return ExitCode::FAILURE;
-        }
-        let caught = !report.monitor.violations.is_empty();
-        last = Some((cfg, report));
-        if caught {
-            break;
-        }
-    }
-    let (cfg, report) = last.expect("at least one attempt runs");
-    if let Some(dump) = &report.violation_dump {
-        let lanes = (cfg.servers_total() + cfg.clients + cfg.shards) as usize;
-        write_flight_dump_files(&cli.dump_dir, "broken_store_amnesia", dump, lanes);
-    }
+/// Print the first violation window; exit 0 iff the monitor caught the
+/// intentionally-broken implementation.
+fn report_demo_catch(what: &str, report: &StoreReport) -> ExitCode {
     match report.monitor.violations.first() {
         Some(v) => {
             println!(
@@ -1345,292 +1033,189 @@ fn demo_store_amnesia(cli: &Cli) -> ExitCode {
             );
             println!("{}", v.rendered);
             println!(
-                "the monitor caught the shard that forgot: {} violation window(s) total",
+                "the monitor caught {what}: {} violation window(s) total",
                 report.monitor.violations.len()
             );
             ExitCode::SUCCESS
         }
         None => {
-            eprintln!(
-                "\nchaos: the recovery that skips replay and catch-up was NOT caught — monitor bug"
-            );
+            eprintln!("\nchaos: {what} was NOT caught — monitor bug");
             ExitCode::FAILURE
         }
     }
 }
 
-/// The `--store` driver: one keyed-store run (in-process, or over sockets
-/// with `--connect`), with the same results/summary/exit discipline as the
-/// register sets plus the batch-size artifact.
-fn run_store_mode(cli: &Cli) -> ExitCode {
-    if cli.demo_amnesia {
-        return demo_store_amnesia(cli);
-    }
-    let (name, mut cfg) = store_config(cli, cli.seed);
-    if cli.demo_broken {
-        cfg.broken_reads = true;
-        // Concentrate the keyspace and go write-heavy so stale replicas
-        // are exposed quickly (mirrors the single-register demo).
-        if cli.keys.is_none() {
-            cfg.keys = 8;
-        }
-        cfg.read_per_mille = 400;
-    }
-    let transport = match &cli.connect {
-        Some(addrs) => addrs[0].kind(),
-        None => "in-process",
-    };
-    println!(
-        "chaos: keyed store ({transport}), {} shards × {} replicas, {} keys, \
-         {} clients × {} ops, seed {seed:#x} (replay with --seed {seed})\n",
-        cfg.shards,
-        cfg.servers_per_shard,
-        cfg.keys,
-        cfg.clients,
-        cfg.ops_per_client,
-        seed = cli.seed,
-    );
-    let t0 = Instant::now();
-    let report = match &cli.connect {
-        Some(addrs) => run_store_net(&cfg, addrs),
-        None => run_store(&cfg),
-    };
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => usage_error(&e.to_string()),
-    };
-    let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    print_store(&name, &report, &cfg);
-    // Recoveries are gated only under an amnesia recovery mode; stable
-    // store runs keep their historical counter set (no `.recoveries` key),
-    // so the committed baselines stay byte-identical.
-    record(
-        &name,
-        report.ops,
-        report.monitor.violations.len() as u64,
-        cfg.recovery
-            .is_amnesia()
-            .then_some(report.recovery.recoveries),
-        Some(report.monitor_actions),
-    );
-    // Throughput and the batch-size distribution ride as phases: they are
-    // timing-dependent, so the gate treats them as informational unless
-    // bench-report runs with --strict-times.
-    let h = batch_histogram();
-    let mut phases = vec![
-        (name.clone(), wall_ms),
-        (format!("store_ops_per_sec.{name}"), report.ops_per_sec()),
-        (format!("store_batch_per_flush_p50.{name}"), h.p50() as f64),
-        (
-            format!("store_batch_per_flush_p99.{name}"),
-            h.percentile(0.99) as f64,
-        ),
-        (format!("store_batch_per_flush_mean.{name}"), h.mean()),
-    ];
-    phases.sort_by(|a, b| a.0.cmp(&b.0));
-    if !report.monitor.clean() {
-        if let Some(dump) = &report.violation_dump {
-            let lanes = (cfg.servers_total() + cfg.clients + cfg.shards) as usize;
-            write_flight_dump_files(&cli.dump_dir, &name, dump, lanes);
-        }
-    }
-    ensure_parent("--results-out", &cli.results_out);
-    let mut results = BenchResults::from_snapshot(phases, &blunt_obs::snapshot());
-    results
-        .counters
-        .retain(|(name, _)| name.starts_with("runtime.chaos."));
-    results.seed = Some(cli.seed);
-    std::fs::write(&cli.results_out, format!("{}\n", results.to_json()))
-        .expect("write BENCH_results.json");
-    println!("\nbench results written to {}", cli.results_out.display());
-    let summaries = vec![store_summary_entry(&name, &report, transport)];
-    let summary = summary_doc(
-        cli.seed,
-        if cli.smoke { "smoke" } else { "bench" },
-        summaries,
-    );
-    ensure_parent("--summary-out", &cli.summary_out);
-    std::fs::write(&cli.summary_out, format!("{summary}\n")).expect("write run summary");
-    println!("run summary written to {}", cli.summary_out.display());
-    ensure_parent("--batch-hist-out", &cli.batch_hist_out);
-    write_batch_hist(&cli.batch_hist_out, &name, &report);
-    if cli.demo_broken {
-        return match report.monitor.violations.first() {
-            Some(v) => {
-                println!(
-                    "\nfirst violation window (object {:?}, segment {}):\n",
-                    v.obj, v.segment
-                );
-                println!("{}", v.rendered);
-                println!(
-                    "the monitor caught the unsound keyed read: {} violation window(s) total",
-                    report.monitor.violations.len()
-                );
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!("\nchaos: the unsound keyed read was NOT caught — monitor bug");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if report.monitor.clean() {
-        println!("verdict: keyed store linearizable per shard (0 violations)");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("verdict: VIOLATIONS in {name}");
-        ExitCode::FAILURE
-    }
-}
-
-/// The `--sweep N` driver: N consecutive seeds of the smoke-sized
-/// configuration (register k = 1, or the store with `--store`), run in
-/// parallel via [`parallel_map`], with a machine-readable per-seed
-/// pass/fail summary at `--summary-out`. Exit 1 if ANY seed fails.
-fn run_sweep(cli: &Cli, n: u64) -> ExitCode {
-    use blunt_obs::Json;
-    struct SweepRun {
-        seed: u64,
-        ops: u64,
-        violations: u64,
-        offered: u64,
-        dropped: u64,
-        recoveries: u64,
-    }
-    let seeds: Vec<u64> = (0..n).map(|i| cli.seed.wrapping_add(i)).collect();
-    let threads = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(seeds.len());
-    let workload = if cli.store { "store" } else { "abd_k1" };
-    println!(
-        "chaos: sweeping {n} seed(s) from {:#x} on {threads} thread(s) ({workload})\n",
-        cli.seed
-    );
-    let runs: Vec<SweepRun> = parallel_map(seeds, threads, |seed| {
-        if cli.store {
-            let (_, cfg) = store_config(cli, seed);
-            let r = run_store(&cfg).unwrap_or_else(|e| usage_error(&e.to_string()));
-            SweepRun {
-                seed,
-                ops: r.ops,
-                violations: r.monitor.violations.len() as u64,
-                offered: r.stats.offered,
-                dropped: r.stats.dropped,
-                recoveries: r.recovery.recoveries,
-            }
+/// The run a demo mode makes at `seed`, named after its flight-dump stem.
+fn demo_run(cli: &Cli, seed: u64) -> Run {
+    let k = cli.k();
+    if !cli.demo_amnesia {
+        let mut run = if cli.store {
+            store_run(cli, seed)
         } else {
-            let mut cfg = RuntimeConfig::smoke(seed);
-            if let Some(p) = cli.profile {
-                cfg.faults = p.faults();
-                if p == FaultProfile::Amnesia {
-                    cfg.recovery = RecoveryMode::amnesia();
-                }
-            }
-            if let Some(len) = cli.crash_len {
-                cfg.faults.crash_len = len;
-            }
-            if let Some(period) = cli.crash_period {
-                cfg.faults.crash_period = period;
-            }
-            if let Some(ops) = cli.ops_per_client {
-                cfg.ops_per_client = ops;
-            }
-            if let Some(r) = cli.recovery {
-                cfg.recovery = r;
-            }
-            let r = run_chaos(&cfg).unwrap_or_else(|e| usage_error(&e.to_string()));
-            SweepRun {
-                seed,
-                ops: r.ops,
-                violations: r.monitor.violations.len() as u64,
-                offered: r.bus.offered,
-                dropped: r.bus.dropped,
-                recoveries: r.recovery.recoveries,
-            }
+            let mut run = register_run(cli, "demo", seed, k, true);
+            run.name = "broken_fast_read".into();
+            run
+        };
+        run.cfg.broken_reads = true;
+        // Go write-heavy and (keyed) concentrate the keyspace: replicas
+        // that miss a dropped update stay stale, and the single-server fast
+        // read exposes them quickly.
+        run.cfg.read_per_mille = 400;
+        if cli.store && cli.keys.is_none() {
+            run.cfg.keys = 8;
         }
-    });
-    let mut entries = Vec::with_capacity(runs.len());
-    let mut failed: u64 = 0;
-    for r in &runs {
-        let pass = r.violations == 0;
-        failed += u64::from(!pass);
-        println!(
-            "seed {:#018x}  ops {:>7}  offered {:>8}  dropped {:>6}  \
-             recoveries {:>3}  violations {:>2}  {}",
-            r.seed,
-            r.ops,
-            r.offered,
-            r.dropped,
-            r.recoveries,
-            r.violations,
-            if pass { "pass" } else { "FAIL" },
-        );
-        entries.push(Json::Obj(vec![
-            ("seed".into(), Json::UInt(r.seed)),
-            ("ops".into(), Json::UInt(r.ops)),
-            ("violations".into(), Json::UInt(r.violations)),
-            ("offered".into(), Json::UInt(r.offered)),
-            ("dropped".into(), Json::UInt(r.dropped)),
-            ("recoveries".into(), Json::UInt(r.recoveries)),
-            ("pass".into(), Json::Bool(pass)),
-        ]));
+        return run;
     }
-    // Schema v2: per-run `recoveries` (docs/OBS_SCHEMA.md) — amnesia
-    // configs report how many crash-recoveries each seed exercised, so a
-    // sweep that never recovered is visible as hollow coverage.
-    let doc = Json::Obj(vec![
-        ("type".into(), Json::Str("chaos_sweep".into())),
-        ("schema_version".into(), Json::UInt(2)),
-        ("workload".into(), Json::Str(workload.into())),
-        ("base_seed".into(), Json::UInt(cli.seed)),
-        ("seeds".into(), Json::UInt(n)),
-        ("failed".into(), Json::UInt(failed)),
-        ("runs".into(), Json::Arr(entries)),
-    ]);
-    ensure_parent("--summary-out", &cli.summary_out);
-    std::fs::write(&cli.summary_out, format!("{doc}\n")).expect("write sweep summary");
-    println!("\nsweep summary written to {}", cli.summary_out.display());
-    if failed == 0 {
-        println!("verdict: {n}/{n} seeds linearizable");
-        ExitCode::SUCCESS
+    // The proven catch configuration (mirrors the store's
+    // `a_shard_recovery_that_forgets_…` tests): shard 0's recovery is
+    // intentionally broken — no WAL replay, no peer catch-up — while any
+    // other shard recovers soundly, and the register demo is the one-shard
+    // case. Two clients, so per-link crash-window phases stay
+    // unsynchronized — an acknowledged write can die in a wipe — while the
+    // real-time order stays tight enough that the resulting stale read is
+    // provably non-linearizable.
+    let (name, mut cfg) = if cli.store {
+        let mut cfg = StoreConfig::smoke(seed);
+        cfg.shards = 2;
+        cfg.keys = cli.keys.unwrap_or(4);
+        ("broken_store_amnesia", cfg)
     } else {
-        eprintln!("verdict: {failed}/{n} seeds FAILED");
-        ExitCode::FAILURE
+        ("broken_amnesia", StoreConfig::register(seed))
+    };
+    cfg.clients = 2;
+    cfg.ops_per_client = 2000;
+    cfg.read_per_mille = 400;
+    cfg.recovery = RecoveryMode::amnesia();
+    cfg.demo_shard = Some(0);
+    cfg.faults = FaultConfig::chaos();
+    cfg.faults.drop_per_mille = 200;
+    cfg.faults.delay_per_mille = 100;
+    cfg.faults.crash_len = 2;
+    // Windows exactly fill the period: servers × (len + 1).
+    cfg.faults.crash_period = 3 * u64::from(cfg.servers_total());
+    Run {
+        name: name.into(),
+        cfg,
+        opts: run_opts(cli, k),
     }
 }
 
-fn main() -> ExitCode {
-    let mut raw = std::env::args().skip(1).peekable();
-    if raw.peek().map(String::as_str) == Some("serve") {
-        raw.next();
-        return run_serve(raw);
-    }
-    drop(raw);
-    let cli = parse_cli();
-    if let Some(n) = cli.sweep {
-        return run_sweep(&cli, n);
-    }
-    if cli.store {
-        // Store mode handles --connect and --demo-broken itself.
-        return run_store_mode(&cli);
-    }
-    if let Some(addrs) = cli.connect.clone() {
-        if cli.demo_broken || cli.demo_amnesia {
-            usage_error("--connect does not combine with the demo modes");
+/// The demo modes, register and keyed alike: run the intentionally-broken
+/// implementation, write the flight dump captured at the first violation,
+/// and print that violation's window. `--demo-broken` is one run;
+/// whether a `--demo-amnesia` run trips the coincidence it needs is
+/// scheduling-sensitive (the clients' real-time overlap is wall-clock
+/// state), so it sweeps a few seeds and demands the catch within the
+/// budget.
+fn run_demo(cli: &Cli) -> ExitCode {
+    let (intro, what) = match (cli.demo_amnesia, cli.store) {
+        (false, false) => (
+            "ABD with an unsound single-server fast read (no quorum, no write-back)",
+            "the unsound read",
+        ),
+        (false, true) => (
+            "keyed store with an unsound single-server fast read (no quorum, no write-back)",
+            "the unsound keyed read",
+        ),
+        (true, false) => (
+            "amnesia crashes with a recovery that skips WAL replay and peer catch-up",
+            "the recovery that skips replay and catch-up",
+        ),
+        (true, true) => (
+            "keyed store where shard 0's recovery skips WAL replay and peer catch-up",
+            "the shard that forgot",
+        ),
+    };
+    println!("demo: {intro}\n");
+    let attempts = if cli.demo_amnesia { 8 } else { 1 };
+    let mut last = None;
+    for attempt in 0..attempts {
+        let seed = cli.seed + attempt;
+        let run = demo_run(cli, seed);
+        let report = run.execute(cli);
+        print_report(&format!("{}[{seed}]", run.name), &report, &run);
+        if cli.demo_amnesia && report.recovery.crashes == 0 {
+            eprintln!("\nchaos: no crash events fired — demo config is inert");
+            return ExitCode::FAILURE;
         }
-        return run_net_driver(&cli, &addrs);
+        let caught = !report.monitor.violations.is_empty();
+        last = Some((run, report));
+        if caught {
+            break;
+        }
     }
-    if cli.demo_broken {
-        return demo_broken(&cli);
+    let (run, report) = last.expect("at least one attempt runs");
+    if let Some(dump) = &report.violation_dump {
+        write_flight_dump_files(&cli.dump_dir, &run.name, dump, run.lanes());
     }
-    if cli.demo_amnesia {
-        return demo_amnesia(&cli);
-    }
+    report_demo_catch(what, &report)
+}
 
-    let seed = cli.seed;
+/// The cross-process tracing artifacts of a socket run: the merged dump —
+/// the driver's window plus every server's goodbye window, shifted onto the
+/// driver clock — as JSONL plus a diagram with remote-process lanes and
+/// span tags. Written unconditionally (clean runs included): this is the
+/// net tier's telemetry artifact, not a violation capture. Returns the
+/// per-op latency phase medians from the span-attributed timeline as
+/// informational bench phases (timing-dependent, never gated).
+fn write_merged_flight(cli: &Cli, merged: &blunt_obs::FlightDump, run: &Run) -> Vec<(String, f64)> {
+    let jsonl = cli.dump_dir.join("net.merged.flight.jsonl");
+    let diagram = cli.dump_dir.join("net.merged.diagram.txt");
+    let opts = DiagramOptions {
+        lane_width: 40,
+        ..DiagramOptions::default()
+    };
+    std::fs::write(&jsonl, merged.to_jsonl()).expect("write merged flight dump");
+    std::fs::write(
+        &diagram,
+        flight_space_time(&merged.last_n(800), run.lanes(), &opts),
+    )
+    .expect("write merged flight diagram");
     println!(
-        "chaos: {} set{}, seed {seed:#x} (replay with --seed {seed})\n",
-        if cli.smoke { "smoke" } else { "full soak" },
+        "merged flight dump written to {} (+ {})",
+        jsonl.display(),
+        diagram.display()
+    );
+    let b = blunt_trace::latency_breakdown(merged);
+    if b.ops == 0 {
+        return Vec::new();
+    }
+    println!(
+        "latency breakdown ({} ops): client queue {}µs → wire {}µs → \
+         server ack {}µs → fsync {}µs → quorum complete {}µs",
+        b.ops, b.client_queue_us, b.wire_us, b.server_ack_us, b.fsync_us, b.quorum_complete_us,
+    );
+    [
+        ("client_queue_us", b.client_queue_us),
+        ("wire_us", b.wire_us),
+        ("server_ack_us", b.server_ack_us),
+        ("fsync_us", b.fsync_us),
+        ("quorum_complete_us", b.quorum_complete_us),
+    ]
+    .into_iter()
+    .map(|(phase, us)| (format!("breakdown.{phase}.{}", run.name), us as f64))
+    .collect()
+}
+
+/// Runs the invocation's [`plan`] — every configuration through the one
+/// driver — then the shm register configs where they belong, and writes
+/// the gate input, the run summary and (with `--store`) the batch-size
+/// artifact.
+fn run_plan(cli: &Cli) -> ExitCode {
+    let seed = cli.seed;
+    let transport = cli.connect.as_ref().map_or("in-process", |a| a[0].kind());
+    let mode = match (cli.smoke, cli.store) {
+        (true, _) => "smoke",
+        (false, true) => "bench",
+        (false, false) => "soak",
+    };
+    println!(
+        "chaos: {mode} {} ({transport}){}, seed {seed:#x} (replay with --seed {seed})\n",
+        if cli.store {
+            "keyed store"
+        } else {
+            "register set"
+        },
         match cli.profile {
             Some(p) => format!(", fault profile {}", p.name()),
             None => String::new(),
@@ -1640,15 +1225,10 @@ fn main() -> ExitCode {
     let mut dirty: Vec<String> = Vec::new();
     let mut summaries: Vec<blunt_obs::Json> = Vec::new();
 
-    for (name, cfg) in abd_configs(&cli) {
+    for run in plan(cli) {
+        let name = &run.name;
         let t0 = Instant::now();
-        // An unusable fault shape (e.g. a --crash-len/--crash-period pair
-        // whose windows cannot stagger disjointly) is a usage error, not a
-        // soundness failure: echo the offending numbers and exit 2.
-        let report = match run_chaos(&cfg) {
-            Ok(r) => r,
-            Err(e) => usage_error(&e.to_string()),
-        };
+        let report = run.execute(cli);
         phases.push((name.clone(), t0.elapsed().as_secs_f64() * 1000.0));
         // Monitor-overhead phases for the bench gate: wall time inside
         // `observe` and the backlog high-water mark. Timing-dependent, so
@@ -1661,28 +1241,45 @@ fn main() -> ExitCode {
             format!("monitor_lag_ops.{name}"),
             report.monitor_overhead.lag_ops_hwm as f64,
         ));
-        print_abd(&name, &report);
+        if let Some(merged) = &report.merged_flight {
+            phases.extend(write_merged_flight(cli, merged, &run));
+        }
+        print_report(name, &report, &run);
+        if cli.store {
+            // Throughput and the batch-size distribution ride as phases
+            // too, and the full histogram as its own artifact.
+            let h = batch_histogram();
+            phases.push((format!("store_ops_per_sec.{name}"), report.ops_per_sec()));
+            phases.push((format!("store_batch_per_flush_p50.{name}"), h.p50() as f64));
+            phases.push((
+                format!("store_batch_per_flush_p99.{name}"),
+                h.percentile(0.99) as f64,
+            ));
+            phases.push((format!("store_batch_per_flush_mean.{name}"), h.mean()));
+            write_batch_hist(&cli.batch_hist_out, name, &report);
+        }
         record(
-            &name,
+            name,
             report.ops,
             report.monitor.violations.len() as u64,
             Some(report.recovery.recoveries),
-            Some(report.monitor_overhead.actions),
+            Some(report.monitor_actions),
         );
-        summaries.push(summary_entry(&name, &report, "in-process"));
+        summaries.push(summary_entry(name, &report, transport));
         if !report.monitor.clean() {
-            let lanes = (cfg.servers + cfg.clients + 1) as usize;
-            write_flight_artifacts(&cli.dump_dir, &name, &report, lanes);
-            dirty.push(name);
+            if let Some(dump) = &report.violation_dump {
+                write_flight_dump_files(&cli.dump_dir, name, dump, run.lanes());
+            }
+            dirty.push(name.clone());
         }
     }
-    if cli.profile.is_none() {
+    if !cli.store && cli.connect.is_none() && cli.profile.is_none() {
         for (name, cfg) in shm_configs(cli.smoke, seed) {
             let t0 = Instant::now();
             let report = run_shm_chaos(&cfg);
             phases.push((name.clone(), t0.elapsed().as_secs_f64() * 1000.0));
             println!(
-                "{name:<24} ops {:>7}  violations {}",
+                "{name:<24} ops {:>8}  violations {}",
                 report.ops,
                 report.monitor.violations.len()
             );
@@ -1717,7 +1314,6 @@ fn main() -> ExitCode {
     // seed, unlike e.g. the monitor's segment counts (cut placement is
     // scheduling-dependent) or the shared `lincheck.wgl.*` totals, which
     // would collide with the experiments baseline.
-    ensure_parent("--results-out", &cli.results_out);
     let mut results = BenchResults::from_snapshot(phases, &blunt_obs::snapshot());
     results
         .counters
@@ -1729,8 +1325,7 @@ fn main() -> ExitCode {
 
     // The machine-readable run summary: deterministic fields only (see
     // summary_entry), so replaying a seed reproduces it byte-for-byte.
-    let summary = summary_doc(seed, if cli.smoke { "smoke" } else { "soak" }, summaries);
-    ensure_parent("--summary-out", &cli.summary_out);
+    let summary = summary_doc(seed, mode, summaries);
     std::fs::write(&cli.summary_out, format!("{summary}\n")).expect("write run summary");
     println!("run summary written to {}", cli.summary_out.display());
 
@@ -1741,4 +1336,97 @@ fn main() -> ExitCode {
         eprintln!("verdict: VIOLATIONS in {}", dirty.join(", "));
         ExitCode::FAILURE
     }
+}
+
+/// The `--sweep N` driver: N consecutive seeds of one configuration — the
+/// smoke-sized register shape at `--k`, or the store with `--store` — run
+/// in parallel via [`parallel_map`], with a machine-readable per-seed
+/// pass/fail summary at `--summary-out`. Exit 1 if ANY seed fails.
+fn run_sweep(cli: &Cli, n: u64) -> ExitCode {
+    use blunt_obs::Json;
+    let k = cli.k();
+    let seeds: Vec<u64> = (0..n).map(|i| cli.seed.wrapping_add(i)).collect();
+    let threads = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(seeds.len());
+    let workload = if cli.store {
+        "store".to_string()
+    } else {
+        format!("abd_k{k}")
+    };
+    println!(
+        "chaos: sweeping {n} seed(s) from {:#x} on {threads} thread(s) ({workload})\n",
+        cli.seed
+    );
+    let reports: Vec<(u64, StoreReport)> = parallel_map(seeds, threads, |seed| {
+        let run = if cli.store {
+            store_run(cli, seed)
+        } else {
+            register_run(cli, "sweep", seed, k, true)
+        };
+        (seed, run.execute(cli))
+    });
+    let mut entries = Vec::with_capacity(reports.len());
+    let mut failed: u64 = 0;
+    for (seed, r) in &reports {
+        let violations = r.monitor.violations.len() as u64;
+        let pass = violations == 0;
+        failed += u64::from(!pass);
+        println!(
+            "seed {seed:#018x}  ops {:>7}  offered {:>8}  dropped {:>6}  \
+             recoveries {:>3}  violations {violations:>2}  {}",
+            r.ops,
+            r.stats.offered,
+            r.stats.dropped,
+            r.recovery.recoveries,
+            if pass { "pass" } else { "FAIL" },
+        );
+        entries.push(Json::Obj(vec![
+            ("seed".into(), Json::UInt(*seed)),
+            ("ops".into(), Json::UInt(r.ops)),
+            ("violations".into(), Json::UInt(violations)),
+            ("offered".into(), Json::UInt(r.stats.offered)),
+            ("dropped".into(), Json::UInt(r.stats.dropped)),
+            ("recoveries".into(), Json::UInt(r.recovery.recoveries)),
+            ("pass".into(), Json::Bool(pass)),
+        ]));
+    }
+    // Schema v2: per-run `recoveries` (docs/OBS_SCHEMA.md) — amnesia
+    // configs report how many crash-recoveries each seed exercised, so a
+    // sweep that never recovered is visible as hollow coverage.
+    let doc = Json::Obj(vec![
+        ("type".into(), Json::Str("chaos_sweep".into())),
+        ("schema_version".into(), Json::UInt(2)),
+        ("workload".into(), Json::Str(workload)),
+        ("base_seed".into(), Json::UInt(cli.seed)),
+        ("seeds".into(), Json::UInt(n)),
+        ("failed".into(), Json::UInt(failed)),
+        ("runs".into(), Json::Arr(entries)),
+    ]);
+    std::fs::write(&cli.summary_out, format!("{doc}\n")).expect("write sweep summary");
+    println!("\nsweep summary written to {}", cli.summary_out.display());
+    if failed == 0 {
+        println!("verdict: {n}/{n} seeds linearizable");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("verdict: {failed}/{n} seeds FAILED");
+        ExitCode::FAILURE
+    }
+}
+
+fn main() -> ExitCode {
+    let mut raw = std::env::args().skip(1).peekable();
+    if raw.peek().map(String::as_str) == Some("serve") {
+        raw.next();
+        return run_serve(raw);
+    }
+    drop(raw);
+    let cli = parse_cli();
+    if let Some(n) = cli.sweep {
+        return run_sweep(&cli, n);
+    }
+    if cli.demo_broken || cli.demo_amnesia {
+        return run_demo(&cli);
+    }
+    run_plan(&cli)
 }

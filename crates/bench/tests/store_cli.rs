@@ -1,7 +1,8 @@
 //! End-to-end tests of the `chaos` binary's keyed-store and sweep modes:
 //! the `--store --smoke` artifact set (bench results, run summary, batch
-//! histogram), the `--sweep N` machine-readable per-seed verdict, and the
-//! fail-fast usage errors guarding the new flags.
+//! histogram), the `--sweep N` machine-readable per-seed verdict, `--k` and
+//! the watch flags on store runs, and the fail-fast usage errors guarding
+//! the flags.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -56,7 +57,7 @@ fn store_smoke_writes_gated_counters_summary_and_batch_histogram() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(
-        stdout.contains("keyed store linearizable per shard"),
+        stdout.contains("verdict: all configurations linearizable"),
         "{stdout}"
     );
 
@@ -362,4 +363,94 @@ fn store_demo_broken_is_caught_by_the_per_shard_monitor() {
     let jsonl = dir.join("flight").join("smoke.store_light.flight.jsonl");
     let dump_text = std::fs::read_to_string(&jsonl).expect("flight dump written");
     assert!(blunt_obs::FlightDump::parse(&dump_text).is_ok());
+}
+
+#[test]
+fn store_runs_honour_the_watch_flags_and_k() {
+    let dir = tmp_dir("store-watch-k");
+    let watch = dir.join("watch.jsonl");
+    let summary = dir.join("SUM.json");
+    let results = dir.join("BENCH.json");
+    let out = chaos(&[
+        "--store",
+        "--smoke",
+        "--k",
+        "2",
+        "--seed",
+        "48879",
+        "--ops-per-client",
+        "150",
+        "--watch-out",
+        watch.to_str().unwrap(),
+        "--results-out",
+        results.to_str().unwrap(),
+        "--summary-out",
+        summary.to_str().unwrap(),
+        "--batch-hist-out",
+        dir.join("hist.json").to_str().unwrap(),
+        "--dump-dir",
+        dir.join("flight").to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "ABD² on the store stays clean:\n{}\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // `--k 2` ran ABD²: the config is named for it, and it is the run the
+    // gate counters describe.
+    let sum = read_json(&summary);
+    let configs = sum.get("configs").and_then(Json::as_arr).expect("configs");
+    assert_eq!(configs.len(), 1);
+    assert_eq!(
+        configs[0].get("name").and_then(Json::as_str),
+        Some("smoke.store_k2_light")
+    );
+    let ops = configs[0].get("ops").and_then(Json::as_u64).expect("ops");
+    assert_eq!(ops, 600);
+    let bench = blunt_trace::regress::BenchResults::from_json(&read_json(&results))
+        .expect("bench results parse");
+    assert_eq!(
+        bench.counter("runtime.chaos.smoke.store_k2_light.monitor_actions"),
+        Some(1_200)
+    );
+    // The monitor-overhead phases are emitted for store configs too.
+    assert!(bench.phase("monitor.smoke.store_k2_light").is_some());
+    assert!(bench
+        .phase("monitor_lag_ops.smoke.store_k2_light")
+        .is_some());
+
+    // `--watch-out` wrote its mirror: a `chaos_watch` header, then ticks,
+    // the last of which carries the run's total.
+    let text = std::fs::read_to_string(&watch).expect("watch mirror written");
+    let docs: Vec<Json> = text
+        .lines()
+        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("bad line `{l}`: {e}")))
+        .collect();
+    assert_eq!(
+        docs[0].get("type").and_then(Json::as_str),
+        Some("chaos_watch")
+    );
+    let ticks: Vec<&Json> = docs
+        .iter()
+        .filter(|d| d.get("type").and_then(Json::as_str) == Some("watch_tick"))
+        .collect();
+    assert_eq!(ticks.len(), docs.len() - 1, "a header, then only ticks");
+    let last = ticks.last().expect("at least one tick");
+    assert_eq!(last.get("ops").and_then(Json::as_u64), Some(ops));
+}
+
+#[test]
+fn an_explicit_k_on_the_side_by_side_register_set_is_a_usage_error() {
+    let out = chaos(&["--smoke", "--k", "2"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "the default set runs k = 1 and 2 itself; --k must not be silently dropped"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--k") && err.contains("--store"),
+        "the error names the flag and where it applies: {err}"
+    );
 }

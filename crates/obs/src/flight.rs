@@ -39,8 +39,7 @@ use crate::json::Json;
 /// per-event `span` (packed originating-op trace context, [`pack_span`]),
 /// `proc` (source process label in merged cross-process dumps), and `key`
 /// (target register in keyed-store runs) fields; all three are elided at
-/// their defaults, so [`FlightDump::parse`] still reads v1 dumps — and
-/// single-register dumps stay byte-identical to their pre-keyed form.
+/// their defaults, so [`FlightDump::parse`] still reads v1 dumps.
 pub const FLIGHT_SCHEMA_VERSION: u64 = 2;
 
 /// Oldest dump schema version [`FlightDump::parse`] accepts.
@@ -49,8 +48,8 @@ pub const FLIGHT_SCHEMA_MIN_VERSION: u64 = 1;
 /// The span word of an event not attributed to any client operation.
 pub const SPAN_NONE: u64 = u64::MAX;
 
-/// The key word of an event not attributed to a specific register — every
-/// event of a single-register run, and non-op events of keyed runs.
+/// The key word of an event not attributed to a specific register: every
+/// event that is not a client's op start or completion.
 pub const KEY_NONE: u64 = u64::MAX;
 
 /// Packs an originating-op trace context — client pid (24 bits) and
@@ -544,9 +543,9 @@ pub struct FlightEvent {
     /// when the event is not attributed to a client operation. Schema v2;
     /// v1 dumps parse with `SPAN_NONE`.
     pub span: u64,
-    /// The register a keyed-store op event targets; [`KEY_NONE`] for
-    /// non-op events and single-register runs. Elided at the default, so
-    /// dumps written before keyed stores parse with `KEY_NONE`.
+    /// The register an op event targets; [`KEY_NONE`] for non-op events.
+    /// Elided at the default, so dumps written before keyed stores parse
+    /// with `KEY_NONE`.
     pub key: u64,
     /// The process this event came from in a merged cross-process dump
     /// (e.g. `"s0"` for server process 0); empty for events recorded

@@ -9,9 +9,12 @@
 //! swappable [`blunt_net::Transport`] — the in-process message [`bus`] or
 //! the socket tier in `blunt_net` — whose [`fault`] injector — drop, delay,
 //! duplicate, reorder, partition, crash — follows a schedule that is a pure
-//! function of the run seed, so any run is replayable. A [`workload`] driver
-//! spawns client threads and records per-op latency into `blunt_obs`
-//! histograms. Crashes are more than blackouts: under
+//! function of the run seed, so any run is replayable. [`workload`] holds
+//! the replica ([`server_loop`]) and the run observers (shard monitor
+//! threads, live telemetry, the watch/watchdog thread); the client side —
+//! the one client loop, of which the single-register workload is the
+//! one-shard, one-key shape — is `blunt-store`, which depends on this crate.
+//! Crashes are more than blackouts: under
 //! [`recovery::RecoveryMode::Amnesia`] a server loses its volatile state
 //! and recovers from a per-server write-ahead log ([`storage`]) plus peer
 //! catch-up before serving again. The [`monitor`] consumes the concurrent
@@ -19,9 +22,9 @@
 //! through the Wing–Gong checker in `blunt_lincheck`, rendering any
 //! violation window through `blunt_trace`'s space-time diagram. [`shm`] does
 //! the same for the mutex-shared-memory register constructions. [`netrun`]
-//! is the multi-process entry: one `chaos serve` process per server plus a
-//! socket-connected client driver, same protocol loops, same seeded fault
-//! schedule pushed down to the socket layer.
+//! is the server half of multi-process runs: one `chaos serve` process per
+//! server, driven by the store's client driver over sockets — same protocol
+//! loops, same seeded fault schedule pushed down to the socket layer.
 //!
 //! The determinism/replay contract, the fault semantics, and the soundness
 //! argument for the monitor live in `docs/RUNTIME.md`; the transport tier
@@ -48,10 +51,10 @@ pub use bus::{Bus, BusStats, Envelope, Payload};
 pub use coverage::{Coverage, LinkCoverage};
 pub use fault::{Fate, FaultConfig, FaultConfigError, FaultPlan};
 pub use monitor::{MonitorReport, OnlineMonitor, Violation};
-pub use netrun::{run_chaos_net, run_net_server, NetChaosTopology, NetServeConfig, NetServeReport};
+pub use netrun::{run_net_server, NetServeConfig, NetServeReport};
 pub use recovery::{RecoveryMode, RecoverySink, RecoveryStats};
 pub use shm::{run_shm_chaos, ShmChaosConfig, ShmReport};
 pub use storage::{MultiWal, Wal, WalRecord};
 pub use workload::{
-    run_chaos, server_loop, ChaosReport, MonitorOverhead, RuntimeConfig, WATCH_SCHEMA_VERSION,
+    server_loop, spawn_monitor, watch_loop, MonitorOverhead, Telemetry, WATCH_SCHEMA_VERSION,
 };

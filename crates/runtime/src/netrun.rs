@@ -1,14 +1,14 @@
-//! Multi-process chaos runs over the socket transport.
+//! The server half of multi-process runs over the socket transport.
 //!
-//! The in-process [`crate::workload::run_chaos`] puts every node on a
-//! thread sharing one [`crate::bus::Bus`]. This module splits the same run
-//! across OS processes: each server runs [`run_net_server`] (the `chaos
-//! serve` subcommand) — the *same* `server_loop` step
-//! machine, WAL, and amnesia recovery, but its mailbox is fed by a socket
-//! listener and its replies leave through [`blunt_net::NetServer`] — while
-//! the driver process runs [`run_chaos_net`]: the same client loops,
-//! online monitor, flight recorder, and watchdog, sending through
-//! [`blunt_net::NetClient`].
+//! An in-process run puts every node on a thread sharing one
+//! [`crate::bus::Bus`]. A multi-process run splits the same run across OS
+//! processes: each server runs [`run_net_server`] (the `chaos serve`
+//! subcommand) — the *same* `server_loop` step machine, WAL, and amnesia
+//! recovery, but its mailbox is fed by a socket listener and its replies
+//! leave through [`blunt_net::NetServer`] — while the driver process runs
+//! the store's one client driver (`blunt_store::run_store_with`) over
+//! [`blunt_net::NetClient`]: the same client loop, shard monitors, flight
+//! recorder, and watchdog as in process.
 //!
 //! The seeded fault schedule is split by link direction: the driver's
 //! injector realizes client→server fates at its sockets, each server's
@@ -20,33 +20,24 @@
 //! mailbox deliveries); `docs/TRANSPORT.md` has the full comparison.
 //!
 //! Recovery counters live in the server processes; they come back to the
-//! driver in each server's `Goodbye` frame at shutdown and are aggregated
-//! into the report's [`RecoveryStats`]. WAL/state-query detail that never
-//! crosses the wire stays zero in the aggregate.
+//! driver in each server's `Goodbye` frame at shutdown. WAL/state-query
+//! detail that never crosses the wire stays zero in the driver's totals.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use blunt_core::history::Action;
 use blunt_core::ids::Pid;
-use blunt_net::{
-    Addr, NetClient, NetClientCfg, NetServer, NetServerCfg, ServerGoodbye, ServerTelemetry,
-    Transport,
-};
+use blunt_net::{Addr, NetServer, NetServerCfg, ServerGoodbye, ServerTelemetry, Transport};
 use blunt_obs::flight::{FlightDump, SPAN_NONE};
-use blunt_obs::{FlightKind, FlightRecorder, Histogram, QuantileSketch};
+use blunt_obs::{FlightKind, FlightRecorder, QuantileSketch};
 
-use crate::fault::{FaultConfig, FaultConfigError};
+use crate::fault::FaultConfig;
 use crate::recovery::{RecoveryMode, RecoverySink, RecoveryStats};
-use crate::workload::{
-    client_loop, server_loop, spawn_monitor, watch_loop, ChaosReport, MonitorOverhead,
-    RuntimeConfig, Telemetry,
-};
+use crate::workload::server_loop;
 
 /// Configuration for one server process (`chaos serve`).
 #[derive(Clone, Debug)]
@@ -271,192 +262,4 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
         coverage: srv.coverage(),
         recovery,
     })
-}
-
-/// Where the driver finds its servers.
-#[derive(Clone, Debug)]
-pub struct NetChaosTopology {
-    /// One listen address per server, index = server pid.
-    pub servers: Vec<Addr>,
-}
-
-/// How long the driver waits for server `Goodbye` stats after `Shutdown`.
-const GOODBYE_WAIT: Duration = Duration::from_secs(10);
-
-/// Runs the driver side of a multi-process chaos run: the same client
-/// loops, monitor, and watchdog as [`crate::workload::run_chaos`], but
-/// sending to external `chaos serve` processes at `topo.servers`.
-///
-/// # Errors
-///
-/// Returns a [`FaultConfigError`] when `cfg.faults` is unusable for this
-/// topology — same validation as the in-process run.
-///
-/// # Panics
-///
-/// Panics on degenerate configurations (no servers/clients/ops, burst
-/// violating the monitor window) and when `topo.servers` disagrees with
-/// `cfg.servers` — programmer errors.
-pub fn run_chaos_net(
-    cfg: &RuntimeConfig,
-    topo: &NetChaosTopology,
-) -> Result<ChaosReport, FaultConfigError> {
-    assert!(cfg.servers >= 1 && cfg.clients >= 1 && cfg.ops_per_client >= 1);
-    assert!(cfg.k >= 1, "ABD^k requires k ≥ 1");
-    assert!(cfg.burst >= 1);
-    assert!(
-        u64::from(cfg.clients) * cfg.burst <= 64,
-        "clients × burst must fit the monitor's 64-invocation window"
-    );
-    assert_eq!(
-        topo.servers.len(),
-        cfg.servers as usize,
-        "one server address per configured server"
-    );
-    let started = Instant::now();
-    let nodes = cfg.servers + cfg.clients;
-    let quorum = cfg.servers / 2 + 1;
-    let recorder = Arc::new(FlightRecorder::new(4096));
-    let ncfg = NetClientCfg {
-        seed: cfg.seed,
-        faults: cfg.faults,
-        servers: topo.servers.clone(),
-        clients: cfg.clients,
-        // The driver owns every client→server link, so crash-window exits —
-        // which the schedule ties to client-side sends — are signaled from
-        // here, as exempt frames ahead of the triggering frame.
-        signal_crashes: cfg.recovery.is_amnesia(),
-    };
-    let (net, receivers) = NetClient::connect(&ncfg, Arc::clone(&recorder))?;
-    let barrier = Arc::new(Barrier::new(cfg.clients as usize));
-    let retransmissions = Arc::new(AtomicU64::new(0));
-    // Recoveries happen in the server processes; this sink exists only so
-    // the watch line has something to read (it stays zero until goodbyes).
-    let recovery_sink = Arc::new(RecoverySink::default());
-    let latency = Histogram::unregistered();
-    let telemetry = Arc::new(Telemetry::new());
-
-    let (mon_tx, mon_rx) = mpsc::channel::<Action>();
-    let monitor = spawn_monitor(
-        Arc::clone(&recorder),
-        Arc::clone(&telemetry),
-        nodes as usize,
-        mon_rx,
-    );
-
-    let (watch_stop_tx, watch_stop_rx) = mpsc::channel::<()>();
-    let stalled = Arc::new(AtomicBool::new(false));
-    let watcher = if cfg.watch.is_some() || cfg.watch_out.is_some() || cfg.stall_after.is_some() {
-        let telemetry = Arc::clone(&telemetry);
-        let recorder = Arc::clone(&recorder);
-        let sink = Arc::clone(&recovery_sink);
-        let stalled = Arc::clone(&stalled);
-        let cfg = cfg.clone();
-        let watch_net = Arc::clone(&net);
-        Some(thread::spawn(move || {
-            // Live recovery counts come over the telemetry channel — the
-            // driver's own sink never sees a remote server's crashes.
-            let remote = || watch_net.remote_recoveries();
-            watch_loop(
-                &cfg,
-                started,
-                &telemetry,
-                &recorder,
-                &sink,
-                &stalled,
-                &watch_stop_rx,
-                Some(&remote),
-            );
-        }))
-    } else {
-        None
-    };
-
-    let mut clients = Vec::new();
-    for (c, rx) in receivers.into_iter().enumerate() {
-        let c = u32::try_from(c).expect("client index fits u32");
-        let net = Arc::clone(&net);
-        let barrier = Arc::clone(&barrier);
-        let retransmissions = Arc::clone(&retransmissions);
-        let latency = latency.clone();
-        let mon_tx = mon_tx.clone();
-        let recorder = Arc::clone(&recorder);
-        let telemetry = Arc::clone(&telemetry);
-        let cfg = cfg.clone();
-        clients.push(thread::spawn(move || {
-            client_loop(
-                c,
-                &cfg,
-                quorum,
-                rx,
-                net.as_ref(),
-                &barrier,
-                &mon_tx,
-                &retransmissions,
-                &latency,
-                &recorder,
-                &telemetry,
-            );
-        }));
-    }
-    drop(mon_tx);
-
-    for c in clients {
-        c.join().expect("client thread");
-    }
-    let goodbyes = net.shutdown(GOODBYE_WAIT);
-    net.flush();
-    let (monitor, observe_ns, lag_ops_hwm, violation_dump) =
-        monitor.join().expect("monitor thread");
-    drop(watch_stop_tx);
-    if let Some(w) = watcher {
-        w.join().expect("watch thread");
-    }
-
-    // Merge every server's goodbye-piggybacked dump into the driver's own,
-    // clock-aligned by the Hello/HelloAck offset estimates and labeled
-    // `s<pid>` — one cross-process space-time view of the whole run.
-    let remote_servers = net.remote_snapshot();
-    let mut merged = recorder.dump();
-    for (sid, r) in remote_servers.iter().enumerate() {
-        if let Some(d) = &r.dump {
-            merged.merge_remote(&format!("s{sid}"), r.offset_us, d);
-        }
-    }
-
-    let ops = u64::from(cfg.clients) * cfg.ops_per_client;
-    blunt_obs::static_counter!("runtime.ops.completed").add(ops);
-    Ok(ChaosReport {
-        ops,
-        bus: net.stats(),
-        coverage: net.coverage(),
-        monitor,
-        monitor_overhead: MonitorOverhead {
-            actions: telemetry.actions_seen(),
-            observe_ns,
-            lag_ops_hwm,
-        },
-        violation_dump,
-        stalled: stalled.load(Ordering::Relaxed),
-        recovery: aggregate_goodbyes(&goodbyes),
-        retransmissions: retransmissions.load(Ordering::Relaxed),
-        latency_us: latency.snapshot(),
-        elapsed: started.elapsed(),
-        remote_servers,
-        merged_flight: Some(merged),
-    })
-}
-
-/// Sums server `Goodbye` stats into the report's [`RecoveryStats`].
-/// Counters that never cross the wire (state queries, aborted catch-ups)
-/// stay zero; a server that died without a goodbye contributes nothing.
-fn aggregate_goodbyes(goodbyes: &[Option<ServerGoodbye>]) -> RecoveryStats {
-    let mut total = RecoveryStats::default();
-    for g in goodbyes.iter().flatten() {
-        total.crashes += g.crashes;
-        total.recoveries += g.recoveries;
-        total.wal_records_lost += g.wal_lost;
-        total.wal_records_replayed += g.wal_replayed;
-    }
-    total
 }

@@ -12,7 +12,7 @@
 //!
 //! [`RecoveryStats`] are accumulated across server threads through the
 //! shared atomics of `RecoverySink` and reported per run in
-//! `ChaosReport::recovery`. `crashes` and `recoveries` are deterministic
+//! `StoreReport::recovery`. `crashes` and `recoveries` are deterministic
 //! for a seed (they follow the bus's crash-event detection, which lives in
 //! link-index space); the WAL-shaped counters depend on flush timing and
 //! are excluded from regression gating (see `docs/OBS_SCHEMA.md`).

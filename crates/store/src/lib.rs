@@ -1,7 +1,11 @@
 //! blunt-store: a sharded, keyed multi-register store over ABD quorums.
 //!
-//! The runtime (`blunt_runtime`) drives one replicated register group; this
-//! crate composes *many* of them into a keyed store. A seed-deterministic
+//! The runtime (`blunt_runtime`) provides the replica, the bus and the run
+//! observers; this crate is the client side of every run — the one client
+//! driver ([`run_store_with`]) — and composes *many* replicated register
+//! groups into a keyed store. The classic single-register workload is the
+//! one-shard, one-key shape of it ([`StoreConfig::register`]), ABD^k is
+//! [`RunOpts::k`], and the tier is the transport the driver is handed. A seed-deterministic
 //! consistent-hash [`ring`] maps each key onto one of N independent ABD
 //! shards — disjoint slices of the server set, each running the unmodified
 //! [`blunt_runtime::server_loop`] over its own quorum. Clients are
@@ -14,9 +18,9 @@
 //! in send order, so batching amortizes syscalls without perturbing the
 //! seeded schedule.
 //!
-//! Safety is checked the same way the runtime checks it, sharded: one
-//! online linearizability monitor per shard consumes that shard's call /
-//! return stream. This is sound because linearizability of a keyed store
+//! Safety is checked sharded: one online linearizability monitor thread
+//! per shard ([`blunt_runtime::spawn_monitor`]) consumes that shard's call
+//! / return stream. This is sound because linearizability of a keyed store
 //! decomposes per key (the checker already treats each [`ObjId`] as an
 //! independent register), every operation on a key routes to exactly one
 //! shard, and each client sends its `Call` before the first message of the
@@ -36,4 +40,4 @@ pub mod run;
 
 pub use batch::BatchingTransport;
 pub use ring::{HashRing, VNODES};
-pub use run::{run_store, run_store_net, StoreConfig, StoreReport};
+pub use run::{run_store, run_store_net, run_store_with, RunOpts, StoreConfig, StoreReport};

@@ -1,26 +1,30 @@
-//! The store driver: sharded servers, per-shard monitors, pipelined
+//! The one client driver: sharded servers, per-shard monitors, pipelined
 //! batched clients — over the in-process bus or the socket tier.
 //!
-//! [`run_store`] is the single-process entry: it builds one
-//! [`blunt_runtime::Bus`] spanning every shard's servers plus the clients,
-//! spawns the unmodified [`server_loop`] per replica, and drives the keyed
-//! workload. [`run_store_net`] is the same client side pointed at already-
-//! listening `chaos serve` processes through a [`NetClient`]. Both share
-//! the same client loop, so the two tiers exercise identical protocol
-//! logic and differ only in transport.
+//! [`run_store_with`] is the single entry. In process it builds one
+//! [`blunt_runtime::Bus`] spanning every shard's servers plus the clients
+//! and spawns the unmodified [`server_loop`] per replica; given addresses it
+//! points the same client side at already-listening `chaos serve` processes
+//! through a [`NetClient`]. Either way the clients run
+//! `store_client_loop` — the only client loop in the workspace — so the two
+//! tiers exercise identical protocol logic and differ only in transport.
+//! The classic single-register workload is this driver at one shard, one
+//! key, depth 1, batch 1 ([`StoreConfig::register`]).
 //!
 //! Determinism contract: the per-client rng stream is a pure function of
-//! `(seed, client)` and is consumed in *program order* (key draw, then
-//! read/write draw, per op at burst setup) — never in reply-arrival order —
-//! so the draw sequence is schedule-independent. Pipelining changes only
+//! `(seed, client)` and is consumed in *program order* at burst setup — per
+//! op the key (skipped at `keys = 1`), read/write, then ABD^k's object
+//! random choice (iff `k > 1`) — never in reply-arrival order, so the draw
+//! sequence is schedule-independent. Pipelining changes only
 //! *when* messages leave relative to each other, and batching changes only
 //! how they are framed; fault fates are drawn per logical envelope in send
 //! order either way (see [`crate::batch`]).
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -31,12 +35,13 @@ use blunt_core::ids::{InvId, MethodId, ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::{
     Addr, Coverage, Envelope, FaultConfig, FaultConfigError, NetClient, NetClientCfg, Payload,
-    SpanCtx, Transport, TransportStats,
+    RemoteServer, SpanCtx, Transport, TransportStats,
 };
 use blunt_obs::flight::encode_val;
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Histogram, HistogramSnapshot};
 use blunt_runtime::{
-    server_loop, Bus, MonitorReport, OnlineMonitor, RecoveryMode, RecoverySink, RecoveryStats,
+    server_loop, spawn_monitor, watch_loop, Bus, MonitorOverhead, MonitorReport, RecoveryMode,
+    RecoverySink, RecoveryStats, Telemetry,
 };
 use blunt_sim::rng::{RandomSource, SplitMix64};
 
@@ -139,6 +144,31 @@ impl StoreConfig {
         }
     }
 
+    /// The single-register workload as a store shape: one shard × 3
+    /// replicas, one key, 4 sequential unbatched clients, the full chaos
+    /// fault mix.
+    #[must_use]
+    pub fn register(seed: u64) -> StoreConfig {
+        StoreConfig {
+            shards: 1,
+            servers_per_shard: 3,
+            clients: 4,
+            ops_per_client: 500,
+            keys: 1,
+            pipeline_depth: 1,
+            batch_max: 1,
+            burst: 8,
+            read_per_mille: 500,
+            seed,
+            faults: FaultConfig::chaos(),
+            broken_reads: false,
+            retransmit_after: Duration::from_millis(1),
+            retransmit_cap: Duration::from_millis(16),
+            recovery: RecoveryMode::Stable,
+            demo_shard: None,
+        }
+    }
+
     /// Total server processes: `shards × servers_per_shard`.
     #[must_use]
     pub fn servers_total(&self) -> u32 {
@@ -179,6 +209,42 @@ impl StoreConfig {
     }
 }
 
+/// What travels beside a [`StoreConfig`]: the preamble depth and the
+/// watch/watchdog settings. The default is plain ABD, unobserved.
+#[derive(Clone, Debug)]
+pub struct RunOpts {
+    /// Preamble iterations (`k = 1` is plain ABD; `k = 2` is O² of
+    /// Algorithm 2).
+    pub k: u32,
+    /// Emit a live progress snapshot to stderr every interval (`None` =
+    /// silent). Read-only observation: never perturbs the fault schedule.
+    pub watch: Option<Duration>,
+    /// Mirror the watch snapshots as machine-readable JSONL to this path
+    /// (schema-versioned; one `watch_tick` record per tick). Works with or
+    /// without the stderr `watch` line; ticks use the `watch` interval when
+    /// set, the default cadence otherwise.
+    pub watch_out: Option<PathBuf>,
+    /// Watchdog: if no operation completes for this long, mark the run
+    /// stalled and capture a flight dump (written under
+    /// [`RunOpts::flight_dump_dir`] when set).
+    pub stall_after: Option<Duration>,
+    /// Directory for watchdog stall dumps (`stall.flight.jsonl` plus a
+    /// rendered `stall.diagram.txt`). `None` keeps the stall in-memory only.
+    pub flight_dump_dir: Option<PathBuf>,
+}
+
+impl Default for RunOpts {
+    fn default() -> RunOpts {
+        RunOpts {
+            k: 1,
+            watch: None,
+            watch_out: None,
+            stall_after: None,
+            flight_dump_dir: None,
+        }
+    }
+}
+
 /// What one store run produced.
 #[derive(Clone, Debug)]
 pub struct StoreReport {
@@ -188,12 +254,20 @@ pub struct StoreReport {
     pub stats: TransportStats,
     /// Fault-schedule coverage actually exercised.
     pub coverage: Coverage,
-    /// The merged verdict across all per-shard monitors.
+    /// The merged verdict across all per-shard monitors, shard-major.
     pub monitor: MonitorReport,
-    /// Call/return actions consumed across all shard monitors.
+    /// Call/return actions consumed across all shard monitors
+    /// (= [`MonitorOverhead::actions`]).
     pub monitor_actions: u64,
-    /// Flight dump captured at the first violation anywhere, if any.
+    /// What the shard monitors cost (`actions` deterministic, times not):
+    /// observe time summed, backlog high-water mark maxed across shards.
+    pub monitor_overhead: MonitorOverhead,
+    /// The flight-recorder window captured when the monitor of
+    /// `monitor.violations[0]`'s shard first fired (`None` on clean runs).
     pub violation_dump: Option<FlightDump>,
+    /// `true` iff the watchdog saw no completed operation for
+    /// [`RunOpts::stall_after`].
+    pub stalled: bool,
     /// Client retransmissions (timeout recoveries).
     pub retransmissions: u64,
     /// Operations whose pipeline start was deferred because their shard
@@ -206,13 +280,21 @@ pub struct StoreReport {
     pub recovery: RecoveryStats,
     /// Per-shard `(crashes, recoveries)`, index = shard. Deterministic for
     /// a seed: crash windows live in link-index space and every crash runs
-    /// exactly one recovery. Empty when the tier cannot attribute them
-    /// (never — both tiers fill it; see `run_store` / `run_store_net`).
+    /// exactly one recovery. Both tiers fill it.
     pub shard_recoveries: Vec<(u64, u64)>,
     /// End-to-end per-op latency distribution (µs).
     pub latency_us: HistogramSnapshot,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
+    /// Per-server remote state — clock offset, last telemetry snapshot,
+    /// goodbye-piggybacked dump — in multi-process runs (index = server
+    /// pid). Empty for in-process runs, where no state is remote.
+    pub remote_servers: Vec<RemoteServer>,
+    /// The cross-process merged flight dump (driver events plus every
+    /// remote server's dump, clock-aligned and process-labeled).
+    /// `None` for in-process runs — the ordinary flight recorder already
+    /// sees every event there.
+    pub merged_flight: Option<FlightDump>,
 }
 
 impl StoreReport {
@@ -228,27 +310,151 @@ impl StoreReport {
     }
 }
 
-/// Runs one seeded store configuration on the in-process bus.
+/// [`run_store_with`] on the in-process bus with the default [`RunOpts`].
 ///
 /// # Errors
 ///
-/// Returns [`FaultConfigError`] if the fault probabilities are malformed.
+/// As [`run_store_with`].
+pub fn run_store(cfg: &StoreConfig) -> Result<StoreReport, FaultConfigError> {
+    run_store_with(cfg, &RunOpts::default(), None)
+}
+
+/// [`run_store_with`] against the replicas at `addrs` with the default
+/// [`RunOpts`].
+///
+/// # Errors
+///
+/// As [`run_store_with`].
+pub fn run_store_net(cfg: &StoreConfig, addrs: &[Addr]) -> Result<StoreReport, FaultConfigError> {
+    run_store_with(cfg, &RunOpts::default(), Some(addrs))
+}
+
+/// How long the driver waits for server `Goodbye` stats after `Shutdown`.
+const GOODBYE_WAIT: Duration = Duration::from_secs(10);
+
+/// Runs one seeded configuration to completion. With `remote = None` every
+/// replica is a [`server_loop`] thread on one in-process [`Bus`]; with
+/// `Some(addrs)` the client side runs against already-listening `chaos
+/// serve` processes, `addrs` listing every replica shard-major
+/// (`addrs[s·R..(s+1)·R]` is shard `s`'s replica set, matching pid order).
+///
+/// # Errors
+///
+/// Returns a [`FaultConfigError`] when `cfg.faults` is unusable for this
+/// topology (overlapping crash stagger, zero periods, oversubscribed
+/// rates) — the numbers are in the error.
 ///
 /// # Panics
 ///
-/// Panics on an invalid topology (see [`StoreConfig`] field docs) or if a
-/// worker thread dies.
-pub fn run_store(cfg: &StoreConfig) -> Result<StoreReport, FaultConfigError> {
+/// Panics on an invalid topology (see [`StoreConfig`] field docs), on
+/// `opts.k = 0`, if `addrs` doesn't match the topology, on connection
+/// failure, or if a worker thread dies.
+pub fn run_store_with(
+    cfg: &StoreConfig,
+    opts: &RunOpts,
+    remote: Option<&[Addr]>,
+) -> Result<StoreReport, FaultConfigError> {
     cfg.validate();
+    assert!(opts.k >= 1, "ABD^k requires k ≥ 1");
     let started = Instant::now();
-    let servers_total = cfg.servers_total();
-    let nodes = servers_total + cfg.clients;
     let recorder = Arc::new(FlightRecorder::new(4096));
+    let mut report = match remote {
+        None => run_on_bus(cfg, opts, started, recorder)?,
+        Some(addrs) => run_on_sockets(cfg, opts, addrs, started, recorder)?,
+    };
+    blunt_obs::static_counter!("store.recovery.crashes").add(report.recovery.crashes);
+    blunt_obs::static_counter!("store.recovery.recoveries").add(report.recovery.recoveries);
+    // Stamped last: on the socket tier the run's wall time includes bringing
+    // the tracing plane home, as it always has for register net runs.
+    report.elapsed = started.elapsed();
+    Ok(report)
+}
+
+/// The socket tier of [`run_store_with`].
+fn run_on_sockets(
+    cfg: &StoreConfig,
+    opts: &RunOpts,
+    addrs: &[Addr],
+    started: Instant,
+    recorder: Arc<FlightRecorder>,
+) -> Result<StoreReport, FaultConfigError> {
+    assert_eq!(
+        addrs.len(),
+        cfg.servers_total() as usize,
+        "one address per shard replica, shard-major"
+    );
+    let (net, client_rxs) = NetClient::connect(
+        &NetClientCfg {
+            seed: cfg.seed,
+            faults: cfg.faults,
+            servers: addrs.to_vec(),
+            clients: cfg.clients,
+            // The driver owns every client→server link, so crash-window
+            // exits are signaled from here as exempt frames ahead of the
+            // triggering frame — exactly as the in-process bus enqueues
+            // them.
+            signal_crashes: cfg.recovery.is_amnesia(),
+        },
+        Arc::clone(&recorder),
+    )?;
+    // Live recovery counts come over the telemetry channel: the crashes
+    // happen in the serve processes.
+    let watch_net = Arc::clone(&net);
+    let mut report = drive_clients(
+        cfg,
+        opts,
+        Arc::clone(&net) as Arc<dyn Transport>,
+        client_rxs,
+        Arc::clone(&recorder),
+        started,
+        Arc::new(move || watch_net.remote_recoveries()),
+    );
+    report.stats = net.stats();
+    report.coverage = net.coverage();
+    // The final counters come home in the servers' `Goodbye` frames. Pids
+    // are shard-major, so goodbye index / replicas-per-shard is the shard.
+    // Counters that never cross the wire (state queries, aborted
+    // catch-ups) stay zero; a server that died without a goodbye
+    // contributes nothing.
+    let goodbyes = net.shutdown(GOODBYE_WAIT);
+    for (pid, g) in goodbyes.iter().enumerate() {
+        if let Some(g) = g {
+            let shard = pid / cfg.servers_per_shard as usize;
+            report.shard_recoveries[shard].0 += g.crashes;
+            report.shard_recoveries[shard].1 += g.recoveries;
+            report.recovery.crashes += g.crashes;
+            report.recovery.recoveries += g.recoveries;
+            report.recovery.wal_records_lost += g.wal_lost;
+            report.recovery.wal_records_replayed += g.wal_replayed;
+        }
+    }
+    // Merge every server's goodbye-piggybacked dump into the driver's own,
+    // clock-aligned by the Hello/HelloAck offset estimates and labeled
+    // `s<pid>` — one cross-process space-time view of the whole run.
+    report.remote_servers = net.remote_snapshot();
+    let mut merged = recorder.dump();
+    for (sid, r) in report.remote_servers.iter().enumerate() {
+        if let Some(d) = &r.dump {
+            merged.merge_remote(&format!("s{sid}"), r.offset_us, d);
+        }
+    }
+    report.merged_flight = Some(merged);
+    Ok(report)
+}
+
+/// The in-process tier of [`run_store_with`].
+fn run_on_bus(
+    cfg: &StoreConfig,
+    opts: &RunOpts,
+    started: Instant,
+    recorder: Arc<FlightRecorder>,
+) -> Result<StoreReport, FaultConfigError> {
+    let servers_total = cfg.servers_total();
     let (bus, receivers) = Bus::new(
         cfg.seed,
         cfg.faults,
         servers_total,
-        nodes,
+        servers_total + cfg.clients,
         cfg.recovery.is_amnesia(),
         Arc::clone(&recorder),
     )?;
@@ -256,9 +462,8 @@ pub fn run_store(cfg: &StoreConfig) -> Result<StoreReport, FaultConfigError> {
     let stop = Arc::new(AtomicBool::new(false));
     // One sink per shard: crash/recovery counters stay attributable to the
     // shard whose replicas produced them.
-    let sinks: Vec<Arc<RecoverySink>> = (0..cfg.shards)
-        .map(|_| Arc::new(RecoverySink::default()))
-        .collect();
+    let sinks: Arc<Vec<RecoverySink>> =
+        Arc::new((0..cfg.shards).map(|_| RecoverySink::default()).collect());
 
     let mut rx_iter = receivers.into_iter();
     let mut servers = Vec::new();
@@ -267,12 +472,12 @@ pub fn run_store(cfg: &StoreConfig) -> Result<StoreReport, FaultConfigError> {
         let bus = Arc::clone(&bus);
         let stop = Arc::clone(&stop);
         let recorder = Arc::clone(&recorder);
+        let sinks = Arc::clone(&sinks);
         // The server loop is key-agnostic (its store is a per-key map), so
         // shard membership is purely a property of who clients address:
         // replica s serves shard s / servers_per_shard. Recovery catch-up
         // stays within the shard — only these replicas hold the keys.
         let shard = s / cfg.servers_per_shard;
-        let sink = Arc::clone(&sinks[shard as usize]);
         let group: Vec<Pid> = (shard * cfg.servers_per_shard..(shard + 1) * cfg.servers_per_shard)
             .map(Pid)
             .collect();
@@ -288,15 +493,22 @@ pub fn run_store(cfg: &StoreConfig) -> Result<StoreReport, FaultConfigError> {
                 rx,
                 bus.as_ref(),
                 &stop,
-                &sink,
+                &sinks[shard as usize],
                 &recorder,
             );
         }));
     }
-    let client_rxs: Vec<Receiver<Envelope>> = rx_iter.collect();
 
-    let transport: Arc<dyn Transport> = Arc::clone(&bus) as Arc<dyn Transport>;
-    let core = drive_clients(cfg, transport, client_rxs, Arc::clone(&recorder));
+    let watch_sinks = Arc::clone(&sinks);
+    let mut report = drive_clients(
+        cfg,
+        opts,
+        Arc::clone(&bus) as Arc<dyn Transport>,
+        rx_iter.collect(),
+        recorder,
+        started,
+        Arc::new(move || watch_sinks.iter().map(|s| s.snapshot().recoveries).sum()),
+    );
 
     // Every amnesia signal is enqueued synchronously inside a client's
     // send, so by this point (clients joined inside `drive_clients`) all
@@ -307,175 +519,82 @@ pub fn run_store(cfg: &StoreConfig) -> Result<StoreReport, FaultConfigError> {
         s.join().expect("server thread");
     }
     bus.flush();
-    let shard_recoveries: Vec<(u64, u64)> = sinks
-        .iter()
-        .map(|s| {
-            let r = s.snapshot();
-            (r.crashes, r.recoveries)
-        })
-        .collect();
-    let recovery = sum_recovery(sinks.iter().map(|s| s.snapshot()));
-    Ok(core.into_report(
-        bus.stats(),
-        bus.coverage(),
-        recovery,
-        shard_recoveries,
-        started.elapsed(),
-    ))
-}
-
-/// Folds per-shard recovery snapshots into one run-wide total, mirroring
-/// it into the `store.recovery.*` counters.
-fn sum_recovery(parts: impl Iterator<Item = RecoveryStats>) -> RecoveryStats {
-    let mut total = RecoveryStats::default();
-    for r in parts {
-        total.crashes += r.crashes;
-        total.recoveries += r.recoveries;
-        total.wal_records_lost += r.wal_records_lost;
-        total.wal_records_replayed += r.wal_records_replayed;
-        total.state_queries += r.state_queries;
-        total.catchup_aborted += r.catchup_aborted;
+    report.stats = bus.stats();
+    report.coverage = bus.coverage();
+    for (shard, sink) in sinks.iter().enumerate() {
+        let r = sink.snapshot();
+        report.shard_recoveries[shard] = (r.crashes, r.recoveries);
+        report.recovery.crashes += r.crashes;
+        report.recovery.recoveries += r.recoveries;
+        report.recovery.wal_records_lost += r.wal_records_lost;
+        report.recovery.wal_records_replayed += r.wal_records_replayed;
+        report.recovery.state_queries += r.state_queries;
+        report.recovery.catchup_aborted += r.catchup_aborted;
     }
-    blunt_obs::static_counter!("store.recovery.crashes").add(total.crashes);
-    blunt_obs::static_counter!("store.recovery.recoveries").add(total.recoveries);
-    total
+    Ok(report)
 }
 
-/// Runs the store's client side against already-listening `chaos serve`
-/// processes: `addrs` lists every replica, shard-major (`addrs[s·R..(s+1)·R]`
-/// is shard `s`'s replica set, matching pid order).
-///
-/// # Errors
-///
-/// Returns [`FaultConfigError`] if the fault probabilities are malformed.
-///
-/// # Panics
-///
-/// Panics if `addrs` doesn't match the topology, on connection failure, or
-/// if a worker thread dies.
-pub fn run_store_net(cfg: &StoreConfig, addrs: &[Addr]) -> Result<StoreReport, FaultConfigError> {
-    cfg.validate();
-    assert_eq!(
-        addrs.len(),
-        cfg.servers_total() as usize,
-        "one address per shard replica, shard-major"
-    );
-    let started = Instant::now();
-    let recorder = Arc::new(FlightRecorder::new(4096));
-    let (net, client_rxs) = NetClient::connect(
-        &NetClientCfg {
-            seed: cfg.seed,
-            faults: cfg.faults,
-            servers: addrs.to_vec(),
-            clients: cfg.clients,
-            // The driver owns every client→server link, so crash-window
-            // exits are signaled from here as exempt frames ahead of the
-            // triggering frame — exactly as the in-process bus enqueues
-            // them.
-            signal_crashes: cfg.recovery.is_amnesia(),
-        },
-        Arc::clone(&recorder),
-    )?;
-
-    let transport: Arc<dyn Transport> = Arc::clone(&net) as Arc<dyn Transport>;
-    let core = drive_clients(cfg, transport, client_rxs, Arc::clone(&recorder));
-
-    let stats = net.stats();
-    let coverage = net.coverage();
-    // Recoveries happen in the serve processes; their `Goodbye` frames
-    // carry the counters home. Pids are shard-major, so goodbye index /
-    // replicas-per-shard is the shard.
-    let goodbyes = net.shutdown(Duration::from_secs(10));
-    let mut shard_recoveries = vec![(0u64, 0u64); cfg.shards as usize];
-    let mut recovery = RecoveryStats::default();
-    for (pid, g) in goodbyes.iter().enumerate() {
-        if let Some(g) = g {
-            let shard = pid / cfg.servers_per_shard as usize;
-            shard_recoveries[shard].0 += g.crashes;
-            shard_recoveries[shard].1 += g.recoveries;
-            recovery.crashes += g.crashes;
-            recovery.recoveries += g.recoveries;
-            recovery.wal_records_lost += g.wal_lost;
-            recovery.wal_records_replayed += g.wal_replayed;
-        }
-    }
-    blunt_obs::static_counter!("store.recovery.crashes").add(recovery.crashes);
-    blunt_obs::static_counter!("store.recovery.recoveries").add(recovery.recoveries);
-    Ok(core.into_report(
-        stats,
-        coverage,
-        recovery,
-        shard_recoveries,
-        started.elapsed(),
-    ))
-}
-
-/// Everything the client side of a run produces, transport-agnostic.
-struct CoreOut {
-    ops: u64,
-    monitor: MonitorReport,
-    monitor_actions: u64,
-    violation_dump: Option<FlightDump>,
-    retransmissions: u64,
-    degraded_ops: u64,
-    latency: Histogram,
-}
-
-impl CoreOut {
-    fn into_report(
-        self,
-        stats: TransportStats,
-        coverage: Coverage,
-        recovery: RecoveryStats,
-        shard_recoveries: Vec<(u64, u64)>,
-        elapsed: Duration,
-    ) -> StoreReport {
-        StoreReport {
-            ops: self.ops,
-            stats,
-            coverage,
-            monitor: self.monitor,
-            monitor_actions: self.monitor_actions,
-            violation_dump: self.violation_dump,
-            retransmissions: self.retransmissions,
-            degraded_ops: self.degraded_ops,
-            recovery,
-            shard_recoveries,
-            latency_us: self.latency.snapshot(),
-            elapsed,
-        }
-    }
-}
-
-/// Spawns per-shard monitors and the client threads, joins them, and merges
-/// the shard verdicts. Shared by both tiers.
+/// Spawns the shard monitors, the watch/watchdog thread and the client
+/// threads, joins them, and merges the shard verdicts. Shared by both
+/// tiers, which fill in what only they know (`stats`, `coverage`, the
+/// recovery counters, the remote sections) afterwards; the entry stamps
+/// `elapsed` last.
 fn drive_clients(
     cfg: &StoreConfig,
+    opts: &RunOpts,
     transport: Arc<dyn Transport>,
     client_rxs: Vec<Receiver<Envelope>>,
     recorder: Arc<FlightRecorder>,
-) -> CoreOut {
+    started: Instant,
+    recoveries: Arc<dyn Fn() -> u64 + Send + Sync>,
+) -> StoreReport {
     assert_eq!(client_rxs.len(), cfg.clients as usize);
     let ring_map = Arc::new(HashRing::new(cfg.seed, cfg.shards));
     let nodes = (cfg.servers_total() + cfg.clients) as usize;
-    let actions = Arc::new(AtomicU64::new(0));
-    let dump_slot: Arc<Mutex<Option<FlightDump>>> = Arc::new(Mutex::new(None));
+    let telemetry = Arc::new(Telemetry::default());
 
     let mut mon_txs = Vec::with_capacity(cfg.shards as usize);
     let mut monitors = Vec::with_capacity(cfg.shards as usize);
     for shard in 0..cfg.shards {
         let (tx, rx) = mpsc::channel::<Action>();
         mon_txs.push(tx);
-        monitors.push(spawn_shard_monitor(
+        monitors.push(spawn_monitor(
             shard,
             Arc::clone(&recorder),
+            Arc::clone(&telemetry),
             nodes,
             rx,
-            Arc::clone(&actions),
-            Arc::clone(&dump_slot),
         ));
     }
     let mon_txs = Arc::new(mon_txs);
+
+    let (watch_stop_tx, watch_stop_rx) = mpsc::channel::<()>();
+    let stalled = Arc::new(AtomicBool::new(false));
+    let watcher = (opts.watch.is_some() || opts.watch_out.is_some() || opts.stall_after.is_some())
+        .then(|| {
+            let opts = opts.clone();
+            let seed = cfg.seed;
+            let lanes = nodes + cfg.shards as usize;
+            let telemetry = Arc::clone(&telemetry);
+            let recorder = Arc::clone(&recorder);
+            let stalled = Arc::clone(&stalled);
+            thread::spawn(move || {
+                watch_loop(
+                    opts.watch,
+                    opts.watch_out.as_deref(),
+                    opts.stall_after,
+                    opts.flight_dump_dir.as_deref(),
+                    seed,
+                    lanes,
+                    started,
+                    &telemetry,
+                    &recorder,
+                    recoveries.as_ref(),
+                    &stalled,
+                    &watch_stop_rx,
+                );
+            })
+        });
 
     let barrier = Arc::new(Barrier::new(cfg.clients as usize));
     let retransmissions = Arc::new(AtomicU64::new(0));
@@ -485,6 +604,7 @@ fn drive_clients(
     for (c, rx) in client_rxs.into_iter().enumerate() {
         let c = u32::try_from(c).expect("client count fits u32");
         let cfg = cfg.clone();
+        let k = opts.k;
         let ring_map = Arc::clone(&ring_map);
         let transport = Arc::clone(&transport);
         let barrier = Arc::clone(&barrier);
@@ -493,10 +613,12 @@ fn drive_clients(
         let degraded_ops = Arc::clone(&degraded_ops);
         let latency = latency.clone();
         let recorder = Arc::clone(&recorder);
+        let telemetry = Arc::clone(&telemetry);
         clients.push(thread::spawn(move || {
             store_client_loop(
                 c,
                 &cfg,
+                k,
                 &ring_map,
                 transport.as_ref(),
                 rx,
@@ -506,6 +628,7 @@ fn drive_clients(
                 &degraded_ops,
                 &latency,
                 &recorder,
+                &telemetry,
             );
         }));
     }
@@ -513,70 +636,48 @@ fn drive_clients(
     for h in clients {
         h.join().expect("store client thread");
     }
+    // Shard-major merge: `violations[0]` belongs to the first shard that
+    // flagged anything, and so does the dump kept.
     let mut monitor = MonitorReport::default();
+    let mut overhead = MonitorOverhead::default();
+    let mut violation_dump = None;
     for h in monitors {
-        let shard_report = h.join().expect("shard monitor thread");
+        let (shard_report, observe_ns, lag_hwm, dump) = h.join().expect("shard monitor thread");
         monitor.segments_ok += shard_report.segments_ok;
         monitor.violations.extend(shard_report.violations);
         monitor.overflowed |= shard_report.overflowed;
+        overhead.observe_ns += observe_ns;
+        overhead.lag_ops_hwm = overhead.lag_ops_hwm.max(lag_hwm);
+        violation_dump = violation_dump.or(dump);
+    }
+    overhead.actions = telemetry.actions_seen();
+    // Dropping the stop end makes the watcher write its last tick — after
+    // every op has completed, so that tick carries the run's totals.
+    drop(watch_stop_tx);
+    if let Some(w) = watcher {
+        w.join().expect("watch thread");
     }
 
     let ops = u64::from(cfg.clients) * cfg.ops_per_client;
     blunt_obs::static_counter!("store.ops.completed").add(ops);
-    let violation_dump = dump_slot.lock().expect("dump slot lock").take();
-    CoreOut {
+    StoreReport {
         ops,
+        stats: TransportStats::default(),
+        coverage: Coverage::default(),
         monitor,
-        monitor_actions: actions.load(Ordering::Relaxed),
+        monitor_actions: overhead.actions,
+        monitor_overhead: overhead,
         violation_dump,
+        stalled: stalled.load(Ordering::Relaxed),
         retransmissions: retransmissions.load(Ordering::Relaxed),
         degraded_ops: degraded_ops.load(Ordering::Relaxed),
-        latency,
+        recovery: RecoveryStats::default(),
+        shard_recoveries: vec![(0, 0); cfg.shards as usize],
+        latency_us: latency.snapshot(),
+        elapsed: Duration::ZERO,
+        remote_servers: Vec::new(),
+        merged_flight: None,
     }
-}
-
-/// One shard's monitor thread: consumes that shard's call/return stream
-/// through the incremental checker; the first violation *anywhere* captures
-/// one flight dump into the shared slot. Sound per shard because every op
-/// on a key routes to exactly one shard (see the crate docs).
-fn spawn_shard_monitor(
-    shard: u32,
-    recorder: Arc<FlightRecorder>,
-    lanes: usize,
-    rx: Receiver<Action>,
-    actions: Arc<AtomicU64>,
-    dump_slot: Arc<Mutex<Option<FlightDump>>>,
-) -> thread::JoinHandle<MonitorReport> {
-    thread::spawn(move || {
-        let ring = recorder.register_current(&format!("monitor-s{shard}"));
-        let mon_pid = u32::try_from(lanes).expect("node count fits u32") + shard;
-        let mut m = OnlineMonitor::new(Val::Nil, lanes);
-        let mut cuts: u64 = 0;
-        while let Ok(a) = rx.recv() {
-            let ok = m.observe(a);
-            actions.fetch_add(1, Ordering::Relaxed);
-            let checked = m.segments_checked();
-            if checked > cuts {
-                cuts = checked;
-                ring.record(FlightKind::MonitorCut, mon_pid, checked, 0);
-            }
-            if !ok {
-                ring.record(
-                    FlightKind::MonitorViolation,
-                    mon_pid,
-                    m.violations_found().saturating_sub(1),
-                    0,
-                );
-                let mut slot = dump_slot.lock().expect("dump slot lock");
-                if slot.is_none() {
-                    // Capture now, while the offending ops are still in
-                    // the clients' bounded rings.
-                    *slot = Some(recorder.dump());
-                }
-            }
-        }
-        m.finish()
-    })
 }
 
 /// One operation drawn at burst setup, before any message moves.
@@ -586,6 +687,9 @@ struct OpSpec {
     /// The key's shard, looked up once here rather than per fill pass.
     shard: u32,
     is_read: bool,
+    /// ABD^k's object random choice (which preamble iteration's result the
+    /// update phase uses); `0` and undrawn at `k = 1`.
+    choice: usize,
     /// Already counted toward `store.degraded_ops` (each deferred op
     /// counts once, however many fill passes skip it).
     deferred: bool,
@@ -659,6 +763,49 @@ struct InFlight {
     t0: Instant,
 }
 
+/// The per-client rng stream: a pure function of `(seed, client)`, one salt
+/// for every run shape.
+fn client_rng(seed: u64, c: u32) -> SplitMix64 {
+    SplitMix64::new(seed ^ 0x5704_E000_0000_0000 ^ u64::from(c).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Draws the next `n` ops of a client's program, in program order: per op
+/// the key (skipped at `keys = 1`), read/write, then the object random
+/// choice iff `k > 1`. Everything random about an op is fixed here, before
+/// any message moves, so the stream position never depends on reply
+/// scheduling — in particular the choice is *not* drawn when the last
+/// preamble quorum completes, which under pipelining happens in arrival
+/// order. The fault injector never sees the choice, so drawing it early is
+/// unobservable.
+fn draw_burst(
+    rng: &mut SplitMix64,
+    cfg: &StoreConfig,
+    k: u32,
+    ring_map: &HashRing,
+    first_idx: u64,
+    n: u64,
+) -> VecDeque<OpSpec> {
+    (first_idx..first_idx + n)
+        .map(|idx| {
+            let key = if cfg.keys > 1 {
+                ObjId(u32::try_from(rng.draw(cfg.keys as usize)).expect("key fits u32"))
+            } else {
+                ObjId(0)
+            };
+            let is_read = rng.draw(1000) < usize::from(cfg.read_per_mille);
+            let choice = if k > 1 { rng.draw(k as usize) } else { 0 };
+            OpSpec {
+                idx,
+                key,
+                shard: ring_map.shard_for(key),
+                is_read,
+                choice,
+                deferred: false,
+            }
+        })
+        .collect()
+}
+
 /// The pipelined client: draws a burst of op specs in program order, keeps
 /// up to `pipeline_depth` of them in flight (never two on the same key),
 /// and multiplexes every reply/ack back to its op by `sn`. All protocol
@@ -676,6 +823,7 @@ struct InFlight {
 fn store_client_loop(
     c: u32,
     cfg: &StoreConfig,
+    k: u32,
     ring_map: &HashRing,
     transport: &dyn Transport,
     rx: Receiver<Envelope>,
@@ -685,13 +833,12 @@ fn store_client_loop(
     degraded_ops: &AtomicU64,
     latency: &Histogram,
     recorder: &FlightRecorder,
+    telemetry: &Telemetry,
 ) {
     let servers_total = cfg.servers_total();
     let me = Pid(servers_total + c);
     let ring = recorder.register_current(&format!("client-{}", me.0));
-    let mut rng = SplitMix64::new(
-        cfg.seed ^ 0x5704_E000_0000_0000 ^ u64::from(c).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
+    let mut rng = client_rng(cfg.seed, c);
     let bt = BatchingTransport::new(transport, cfg.batch_max);
     let quorum = cfg.servers_per_shard / 2 + 1;
     let spr = cfg.servers_per_shard;
@@ -703,7 +850,6 @@ fn store_client_loop(
     let mut retrans: u64 = 0;
     let mut deferred: u64 = 0;
     let mut sn_counter: u32 = 0;
-    let mut op_idx: u64 = 0;
     let mut done: u64 = 0;
 
     while done < cfg.ops_per_client {
@@ -715,23 +861,7 @@ fn store_client_loop(
         // reply-tag retirement socket transports perform here is safe —
         // and the batching layer flushes first (see `BatchingTransport`).
         bt.on_op_start(me);
-        // All random draws happen here, in program order: two per op, so
-        // the rng stream position is independent of reply scheduling.
-        let mut pending: VecDeque<OpSpec> = (0..burst_n)
-            .map(|_| {
-                let idx = op_idx;
-                op_idx += 1;
-                let key = ObjId(u32::try_from(rng.draw(cfg.keys as usize)).expect("key fits u32"));
-                let is_read = rng.draw(1000) < usize::from(cfg.read_per_mille);
-                OpSpec {
-                    idx,
-                    key,
-                    shard: ring_map.shard_for(key),
-                    is_read,
-                    deferred: false,
-                }
-            })
-            .collect();
+        let mut pending = draw_burst(&mut rng, cfg, k, ring_map, done, burst_n);
         // BTreeMap keeps timeout retransmission order deterministic.
         let mut active: BTreeMap<u32, InFlight> = BTreeMap::new();
         let mut active_keys: HashSet<u32> = HashSet::new();
@@ -781,6 +911,7 @@ fn store_client_loop(
                         + i64::try_from(spec.idx).expect("op index fits i64");
                     (MethodId::WRITE, Val::Int(v))
                 };
+                telemetry.op_started();
                 let _ = mon_txs[shard as usize].send(Action::Call {
                     inv,
                     pid: me,
@@ -822,7 +953,7 @@ fn store_client_loop(
                     } else {
                         OpKind::Write(arg)
                     };
-                    let op = ActiveOp::start(inv, spec.key, kind, 1, sn);
+                    let op = ActiveOp::start(inv, spec.key, kind, k, sn);
                     bt.broadcast_span(me, dsts, &AbdMsg::Query { obj: spec.key, sn }, false, span);
                     Machine::Abd(op)
                 };
@@ -922,7 +1053,16 @@ fn store_client_loop(
                         }
                         match &mut fl.machine {
                             Machine::Broken { .. } => {
-                                complete_op(me, &fl, val, &local, &ring, mon_txs, &mut active_keys);
+                                complete_op(
+                                    me,
+                                    &fl,
+                                    val,
+                                    &local,
+                                    telemetry,
+                                    &ring,
+                                    mon_txs,
+                                    &mut active_keys,
+                                );
                                 let h = &mut health[fl.spec.shard as usize];
                                 h.in_flight -= 1;
                                 if h.in_flight == 0 {
@@ -930,7 +1070,9 @@ fn store_client_loop(
                                 }
                             }
                             Machine::Abd(op) => {
-                                match op.on_reply(
+                                // The exchange the reply moved the op into,
+                                // if any: its sn and opening broadcast.
+                                let next = match op.on_reply(
                                     env.src,
                                     msg_sn,
                                     &val,
@@ -939,47 +1081,35 @@ fn store_client_loop(
                                     me,
                                     &mut sn_counter,
                                 ) {
-                                    ReplyEffect::StartUpdate {
-                                        sn: new_sn,
-                                        val,
-                                        ts,
-                                        ..
-                                    } => {
-                                        bt.broadcast_span(
-                                            me,
-                                            &shard_servers[fl.spec.shard as usize],
-                                            &AbdMsg::Update {
-                                                obj,
-                                                sn: new_sn,
-                                                val,
-                                                ts,
-                                            },
-                                            false,
-                                            fl.span,
-                                        );
-                                        active.insert(new_sn, fl);
+                                    ReplyEffect::NextQuery { sn, .. } => {
+                                        Some((sn, AbdMsg::Query { obj, sn }))
                                     }
-                                    ReplyEffect::NextQuery { sn: new_sn, .. } => {
-                                        bt.broadcast_span(
-                                            me,
-                                            &shard_servers[fl.spec.shard as usize],
-                                            &AbdMsg::Query { obj, sn: new_sn },
-                                            false,
-                                            fl.span,
-                                        );
-                                        active.insert(new_sn, fl);
+                                    ReplyEffect::StartUpdate { sn, val, ts, .. } => {
+                                        Some((sn, AbdMsg::Update { obj, sn, val, ts }))
                                     }
                                     ReplyEffect::NeedChoice { .. } => {
-                                        // Drawing here would make the rng
-                                        // stream depend on arrival order;
-                                        // the store pins k = 1 so this
-                                        // state is unreachable.
-                                        unreachable!("ABD with k = 1 has no object random step")
+                                        // The object random step, drawn
+                                        // at burst setup (`draw_burst`).
+                                        let (sn, val, ts) =
+                                            op.choose(fl.spec.choice, me, &mut sn_counter);
+                                        Some((sn, AbdMsg::Update { obj, sn, val, ts }))
                                     }
-                                    ReplyEffect::Ignored | ReplyEffect::Counted => {
-                                        active.insert(msg_sn, fl);
+                                    ReplyEffect::Ignored | ReplyEffect::Counted => None,
+                                };
+                                let sn = match next {
+                                    Some((sn, msg)) => {
+                                        bt.broadcast_span(
+                                            me,
+                                            &shard_servers[fl.spec.shard as usize],
+                                            &msg,
+                                            false,
+                                            fl.span,
+                                        );
+                                        sn
                                     }
-                                }
+                                    None => msg_sn,
+                                };
+                                active.insert(sn, fl);
                             }
                         }
                     }
@@ -997,7 +1127,16 @@ fn store_client_loop(
                         };
                         match op.on_ack(env.src, msg_sn, quorum) {
                             AckEffect::Complete { ret } => {
-                                complete_op(me, &fl, ret, &local, &ring, mon_txs, &mut active_keys);
+                                complete_op(
+                                    me,
+                                    &fl,
+                                    ret,
+                                    &local,
+                                    telemetry,
+                                    &ring,
+                                    mon_txs,
+                                    &mut active_keys,
+                                );
                                 let h = &mut health[fl.spec.shard as usize];
                                 h.in_flight -= 1;
                                 if h.in_flight == 0 {
@@ -1030,49 +1169,39 @@ fn store_client_loop(
                     if fl.spec.shard != shard_u32 {
                         continue;
                     }
-                    match &fl.machine {
-                        Machine::Abd(op) => {
-                            if let Some(msg) = op.retransmission() {
-                                retrans += 1;
-                                blunt_obs::static_counter!("store.client.retransmissions").inc();
-                                ring.record_span(
-                                    FlightKind::OpRetransmit,
-                                    me.0,
-                                    u64::from(*sn),
-                                    0,
-                                    fl.span.flight_word(),
-                                );
-                                bt.broadcast_span(
-                                    me,
-                                    &shard_servers[fl.spec.shard as usize],
-                                    &msg,
-                                    true,
-                                    fl.span,
-                                );
-                            }
-                        }
-                        Machine::Broken { target } => {
-                            retrans += 1;
-                            ring.record_span(
-                                FlightKind::OpRetransmit,
-                                me.0,
-                                u64::from(*sn),
-                                0,
-                                fl.span.flight_word(),
-                            );
-                            bt.send(
-                                Envelope::abd(
-                                    me,
-                                    *target,
-                                    AbdMsg::Query {
-                                        obj: fl.spec.key,
-                                        sn: *sn,
-                                    },
-                                    true,
-                                )
-                                .with_span(fl.span),
-                            );
-                        }
+                    // A broken read re-asks its one replica; the quorum
+                    // machine rebroadcasts whatever exchange it is in.
+                    let (msg, target) = match &fl.machine {
+                        Machine::Abd(op) => (op.retransmission(), None),
+                        Machine::Broken { target } => (
+                            Some(AbdMsg::Query {
+                                obj: fl.spec.key,
+                                sn: *sn,
+                            }),
+                            Some(*target),
+                        ),
+                    };
+                    let Some(msg) = msg else {
+                        continue;
+                    };
+                    retrans += 1;
+                    blunt_obs::static_counter!("store.client.retransmissions").inc();
+                    ring.record_span(
+                        FlightKind::OpRetransmit,
+                        me.0,
+                        u64::from(*sn),
+                        0,
+                        fl.span.flight_word(),
+                    );
+                    match target {
+                        Some(t) => bt.send(Envelope::abd(me, t, msg, true).with_span(fl.span)),
+                        None => bt.broadcast_span(
+                            me,
+                            &shard_servers[fl.spec.shard as usize],
+                            &msg,
+                            true,
+                            fl.span,
+                        ),
                     }
                 }
                 h.strikes += 1;
@@ -1096,17 +1225,20 @@ fn store_client_loop(
 
 /// Seals one finished operation: latency, flight event, monitor `Return`,
 /// key release.
+#[allow(clippy::too_many_arguments)] // mirrors the thread context it runs in
 fn complete_op(
     me: Pid,
     fl: &InFlight,
     ret: Val,
     local: &Histogram,
+    telemetry: &Telemetry,
     ring: &FlightRing,
     mon_txs: &[Sender<Action>],
     active_keys: &mut HashSet<u32>,
 ) {
     let lat_us = u64::try_from(fl.t0.elapsed().as_micros()).unwrap_or(u64::MAX);
     local.record(lat_us);
+    telemetry.op_completed(lat_us);
     ring.record_span_key(
         if fl.spec.is_read {
             FlightKind::OpCompleteRead
@@ -1127,4 +1259,71 @@ fn complete_op(
         val: ret,
     });
     active_keys.remove(&fl.spec.key.0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn draws(cfg: &StoreConfig, k: u32, client: u32, bursts: &[u64]) -> Vec<(u32, bool, usize)> {
+        let ring_map = HashRing::new(cfg.seed, cfg.shards);
+        let mut rng = client_rng(cfg.seed, client);
+        let mut out = Vec::new();
+        let mut done = 0;
+        for &n in bursts {
+            let burst = draw_burst(&mut rng, cfg, k, &ring_map, done, n);
+            done += n;
+            out.extend(burst.iter().map(|s| (s.key.0, s.is_read, s.choice)));
+        }
+        out
+    }
+
+    #[test]
+    fn the_draw_order_is_key_then_read_write_then_choice() {
+        let cfg = StoreConfig::smoke(0x5709_D4A7);
+        // Pinned twice over — against the raw stream (a reordering of the
+        // three draws, or a fourth one, moves every later op of every seed)
+        // and against literals (so does a second salt).
+        let mut rng = client_rng(cfg.seed, 0);
+        let raw: Vec<(u32, bool, usize)> = (0..4)
+            .map(|_| {
+                let key = u32::try_from(rng.draw(64)).expect("key fits u32");
+                (key, rng.draw(1000) < 500, rng.draw(2))
+            })
+            .collect();
+        assert_eq!(draws(&cfg, 2, 0, &[4]), raw);
+        assert_eq!(
+            raw,
+            [(26, false, 1), (54, true, 0), (7, false, 0), (51, true, 1)]
+        );
+        // The same stream at any depth, however the program is cut into
+        // bursts, and for any client but only that client.
+        let mut deep = cfg.clone();
+        deep.pipeline_depth = 8;
+        let mut serial = cfg.clone();
+        serial.pipeline_depth = 1;
+        assert_eq!(
+            draws(&deep, 2, 3, &[8, 8]),
+            draws(&serial, 2, 3, &[3, 8, 5])
+        );
+        assert_ne!(draws(&cfg, 2, 3, &[16]), draws(&cfg, 2, 2, &[16]));
+    }
+
+    #[test]
+    fn a_draw_the_shape_does_not_need_is_not_taken() {
+        // k = 1 draws no choice: the k = 2 stream minus every third draw
+        // is a different stream, but its first op agrees on key and kind.
+        let cfg = StoreConfig::smoke(0x5709_D4A7);
+        let (k1, k2) = (draws(&cfg, 1, 0, &[4]), draws(&cfg, 2, 0, &[4]));
+        assert_eq!((k1[0].0, k1[0].1), (k2[0].0, k2[0].1));
+        assert!(k1.iter().all(|&(_, _, choice)| choice == 0));
+        // keys = 1 draws no key: every op lands on register 0, and the
+        // read/write draw is the stream's first.
+        let mut one = StoreConfig::register(0x5709_D4A7);
+        one.seed = cfg.seed;
+        let reg = draws(&one, 1, 0, &[4]);
+        assert!(reg.iter().all(|&(key, _, _)| key == 0));
+        let mut rng = client_rng(cfg.seed, 0);
+        assert_eq!(reg[0].1, rng.draw(1000) < 500);
+    }
 }

@@ -1,16 +1,21 @@
-//! Shared by the store's integration tests: a keyed run over loopback
-//! Unix sockets.
+//! Shared by the store's integration tests: a run over loopback Unix
+//! sockets.
 
 use std::thread;
 
 use blunt_net::Addr;
-use blunt_runtime::{run_net_server, NetServeConfig, RecoveryMode};
-use blunt_store::{run_store_net, StoreConfig, StoreReport};
+use blunt_runtime::{run_net_server, NetServeConfig, NetServeReport};
+use blunt_store::{run_store_with, RunOpts, StoreConfig, StoreReport};
 
 /// Runs `cfg` with every replica a `run_net_server` thread behind its own
-/// Unix socket (stable recovery); `tag` keeps concurrent tests' socket
-/// directories apart.
-pub fn run_over_uds(cfg: &StoreConfig, tag: &str) -> StoreReport {
+/// Unix socket, recovering as `cfg.recovery` says; `tag` keeps concurrent
+/// tests' socket directories apart. Returns the driver's report and every
+/// server's own, in pid order.
+pub fn run_over_uds(
+    cfg: &StoreConfig,
+    opts: &RunOpts,
+    tag: &str,
+) -> (StoreReport, Vec<NetServeReport>) {
     let total = cfg.servers_total();
     let dir = std::env::temp_dir().join(format!("blunt-store-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("socket dir");
@@ -27,18 +32,19 @@ pub fn run_over_uds(cfg: &StoreConfig, tag: &str) -> StoreReport {
                 peers: addrs.clone(),
                 seed: cfg.seed,
                 faults: cfg.faults,
-                recovery: RecoveryMode::Stable,
-                shard_size: None,
+                recovery: cfg.recovery,
+                shard_size: Some(cfg.servers_per_shard),
                 dump_dir: None,
             };
             thread::spawn(move || run_net_server(&scfg).expect("server run"))
         })
         .collect();
 
-    let report = run_store_net(cfg, &addrs).expect("valid fault config");
-    for s in servers {
-        s.join().expect("server thread");
-    }
+    let report = run_store_with(cfg, opts, Some(&addrs)).expect("valid fault config");
+    let served = servers
+        .into_iter()
+        .map(|s| s.join().expect("server thread"))
+        .collect();
     let _ = std::fs::remove_dir_all(&dir);
-    report
+    (report, served)
 }

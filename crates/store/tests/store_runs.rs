@@ -13,8 +13,10 @@
 
 mod common;
 
+use blunt_core::history::Action;
+use blunt_obs::FlightKind;
 use blunt_runtime::RecoveryMode;
-use blunt_store::{run_store, StoreConfig};
+use blunt_store::{run_store, RunOpts, StoreConfig};
 
 #[test]
 fn keyed_smoke_under_light_faults_zero_violations() {
@@ -117,10 +119,37 @@ fn broken_reads_on_the_keyed_store_are_caught() {
         "window rendering must show operation intervals:\n{}",
         v.rendered
     );
-    assert!(
-        report.violation_dump.is_some(),
-        "the first violation must capture a flight dump"
-    );
+    // The dump carries its own evidence: the shard's monitor replays the
+    // window it rejected into its own ring before capturing, so every
+    // invocation of the first reported window has its op events in the
+    // dump even when the clients' bounded rings have long since evicted
+    // them.
+    let dump = report
+        .violation_dump
+        .as_ref()
+        .expect("the first violation must capture a flight dump");
+    let has = |kinds: [FlightKind; 2], inv: u64| {
+        dump.events
+            .iter()
+            .any(|e| e.ring.starts_with("monitor-s") && kinds.contains(&e.kind) && e.a == inv)
+    };
+    for action in v.window.actions() {
+        match action {
+            Action::Call { inv, .. } => assert!(
+                has([FlightKind::OpStartRead, FlightKind::OpStartWrite], inv.0),
+                "no op_start event for invocation {} of the violation window",
+                inv.0
+            ),
+            Action::Return { inv, .. } => assert!(
+                has(
+                    [FlightKind::OpCompleteRead, FlightKind::OpCompleteWrite],
+                    inv.0
+                ),
+                "no op_complete event for invocation {} of the violation window",
+                inv.0
+            ),
+        }
+    }
 }
 
 #[test]
@@ -212,7 +241,7 @@ fn keyed_store_over_uds_sockets_zero_violations() {
     cfg.clients = 2;
     cfg.ops_per_client = 250;
     cfg.keys = 16;
-    let report = common::run_over_uds(&cfg, "net");
+    let (report, _) = common::run_over_uds(&cfg, &RunOpts::default(), "net");
     assert_eq!(report.ops, 500);
     assert!(
         report.monitor.clean(),
@@ -227,4 +256,15 @@ fn keyed_store_over_uds_sockets_zero_violations() {
     // Socket frames actually moved, and batches actually formed.
     assert!(blunt_obs::counter("net.frames_sent").get() > 0);
     assert!(blunt_obs::counter("store.batch.flushes").get() > 0);
+    // The tracing plane comes home on keyed runs too: one remote section
+    // per replica, and a merged dump with events from every one of them.
+    assert_eq!(report.remote_servers.len(), 6);
+    let merged = report.merged_flight.as_ref().expect("net runs merge dumps");
+    let jsonl = merged.to_jsonl();
+    for sid in 0..cfg.servers_total() {
+        assert!(
+            jsonl.contains(&format!("\"proc\":\"s{sid}\"")),
+            "merged dump has no event from replica process s{sid}"
+        );
+    }
 }

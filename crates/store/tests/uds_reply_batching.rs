@@ -5,7 +5,7 @@
 
 mod common;
 
-use blunt_store::StoreConfig;
+use blunt_store::{RunOpts, StoreConfig};
 
 #[test]
 fn pipelined_uds_run_coalesces_replies_and_stays_clean() {
@@ -17,7 +17,7 @@ fn pipelined_uds_run_coalesces_replies_and_stays_clean() {
     cfg.keys = 64;
     cfg.pipeline_depth = 8;
     cfg.batch_max = 16;
-    let report = common::run_over_uds(&cfg, "reply-batching");
+    let (report, _) = common::run_over_uds(&cfg, &RunOpts::default(), "reply-batching");
     assert_eq!(report.ops, 2_000);
     assert!(
         report.monitor.clean(),
