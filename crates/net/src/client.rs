@@ -16,7 +16,7 @@
 //! replies to retired tags count as `net.rpc.tag_mismatch_drops`.
 
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
@@ -103,6 +103,9 @@ struct Shared {
     /// One mailbox per client lane (lane = pid − servers).
     lanes: Vec<Sender<Envelope>>,
     goodbyes: Mutex<Vec<Option<ServerGoodbye>>>,
+    /// Signalled at every `Goodbye` stored; [`NetClient::shutdown`] waits
+    /// on it for the last.
+    goodbye_arrived: Condvar,
     /// Per-server remote state (index = server pid).
     remote: Mutex<Vec<RemoteServer>>,
     /// The driver's flight recorder — its clock is the reference frame for
@@ -203,6 +206,7 @@ impl Shared {
                         wal_replayed,
                         fsync_p99_us,
                     });
+                    self.goodbye_arrived.notify_all();
                 }
                 // Servers never send these to a driver.
                 Frame::Hello { .. } | Frame::Shutdown => {}
@@ -251,6 +255,7 @@ impl NetClient {
             router: ReplyRouter::new(cfg.clients as usize),
             lanes,
             goodbyes: Mutex::new(vec![None; cfg.servers.len()]),
+            goodbye_arrived: Condvar::new(),
             remote: Mutex::new(vec![RemoteServer::default(); cfg.servers.len()]),
             flight: Arc::clone(&flight),
         });
@@ -386,14 +391,18 @@ impl NetClient {
     pub fn shutdown(&self, wait: Duration) -> Vec<Option<ServerGoodbye>> {
         self.pool.broadcast(|_| Frame::Shutdown);
         let deadline = Instant::now() + wait;
+        let mut g = self.shared.goodbyes.lock().expect("goodbye lock");
         loop {
-            {
-                let g = self.shared.goodbyes.lock().expect("goodbye lock");
-                if g.iter().all(Option::is_some) || Instant::now() >= deadline {
-                    return g.clone();
-                }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if g.iter().all(Option::is_some) || left.is_zero() {
+                return g.clone();
             }
-            std::thread::sleep(Duration::from_millis(10));
+            g = self
+                .shared
+                .goodbye_arrived
+                .wait_timeout(g, left)
+                .expect("goodbye lock")
+                .0;
         }
     }
 }

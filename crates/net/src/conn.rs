@@ -125,6 +125,23 @@ impl Stream {
             Stream::Uds(s) => Ok(Stream::Uds(s.try_clone()?)),
         }
     }
+
+    /// Bounds every later `read` on this connection (all handles of it: the
+    /// timeout is the socket's): a read that gets no byte within `timeout`
+    /// fails with [`io::ErrorKind::WouldBlock`] or
+    /// [`io::ErrorKind::TimedOut`]. `None` blocks indefinitely, the
+    /// default.
+    ///
+    /// # Errors
+    ///
+    /// The underlying `setsockopt` error; a zero `timeout` is
+    /// [`io::ErrorKind::InvalidInput`].
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_read_timeout(timeout),
+            Stream::Uds(s) => s.set_read_timeout(timeout),
+        }
+    }
 }
 
 impl Read for Stream {

@@ -804,9 +804,41 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
+    /// The wrapped stream.
+    pub fn get_ref(&self) -> &R {
+        &self.r
+    }
+
+    /// How many buffered bytes the frame under way takes, header included
+    /// (4 until its header is whole), or the oversize-length error.
+    fn need(&self) -> io::Result<usize> {
+        if self.end - self.start < 4 {
+            return Ok(4);
+        }
+        let header = &self.buf[self.start..self.start + 4];
+        let len = u32::from_le_bytes(header.try_into().expect("4 bytes")) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(too_large(len));
+        }
+        Ok(4 + len)
+    }
+
+    /// Whether the next [`FrameReader::read`] returns without touching the
+    /// stream: a whole frame (or a refused length) is already buffered.
+    #[must_use]
+    pub fn has_frame(&self) -> bool {
+        self.need()
+            .map_or(true, |need| self.end - self.start >= need)
+    }
+
     /// Reads one frame, counting `net.frames_received`/`net.bytes_received`.
     /// Returns `Ok(None)` on a clean end of stream (EOF at a frame
     /// boundary).
+    ///
+    /// A stream with a read timeout may fail a `read` part-way through a
+    /// frame ([`io::ErrorKind::WouldBlock`]/[`io::ErrorKind::TimedOut`]):
+    /// the bytes that did arrive stay buffered, and a later call picks the
+    /// frame up where this one stopped.
     ///
     /// # Errors
     ///
@@ -814,16 +846,7 @@ impl<R: Read> FrameReader<R> {
     pub fn read(&mut self) -> io::Result<Option<Frame>> {
         loop {
             let have = self.end - self.start;
-            let need = if have < 4 {
-                4
-            } else {
-                let header = &self.buf[self.start..self.start + 4];
-                let len = u32::from_le_bytes(header.try_into().expect("4 bytes")) as usize;
-                if len > MAX_FRAME_LEN {
-                    return Err(too_large(len));
-                }
-                4 + len
-            };
+            let need = self.need()?;
             if have >= need {
                 let frame = decode_counted(&self.buf[self.start + 4..self.start + need])?;
                 self.start += need;
@@ -1606,6 +1629,126 @@ mod tests {
         assert_eq!(r.read().unwrap(), Some(big));
         assert_eq!(r.read().unwrap(), Some(Frame::Shutdown));
         assert_eq!(r.read().unwrap(), None);
+    }
+
+    /// [`Chunked`], except that a read starting at a cut first fails once
+    /// with a timeout — what a socket with a read timeout does when the
+    /// sender's bytes stop short there.
+    struct Stalling<'a> {
+        inner: Chunked<'a>,
+        stalled_at: Option<usize>,
+        stalls: usize,
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let at = self.inner.at;
+            if self.inner.cuts.contains(&at) && self.stalled_at != Some(at) {
+                self.stalled_at = Some(at);
+                self.stalls += 1;
+                self.inner.reads += 1;
+                // Linux reports an expired SO_RCVTIMEO as EAGAIN, other
+                // platforms as a timeout: both kinds must resume.
+                return Err(if self.stalls.is_multiple_of(2) {
+                    io::ErrorKind::WouldBlock.into()
+                } else {
+                    io::ErrorKind::TimedOut.into()
+                });
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    /// Reads `bytes` to the end through a reader that times out at every
+    /// cut, retrying each timeout. Returns the frames and how many reads
+    /// timed out; checks along the way that `has_frame` is true exactly
+    /// when the next `read` leaves the stream alone.
+    fn read_through_stalls(bytes: &[u8], cuts: &[usize]) -> (Vec<Frame>, usize) {
+        let mut r = FrameReader::new(Stalling {
+            inner: Chunked::new(bytes, cuts),
+            stalled_at: None,
+            stalls: 0,
+        });
+        let mut frames = Vec::new();
+        let mut timeouts = 0;
+        loop {
+            let buffered = r.has_frame();
+            let reads_before = r.r.inner.reads;
+            let got = r.read();
+            assert_eq!(
+                r.r.inner.reads == reads_before,
+                buffered,
+                "has_frame() said {buffered} before a read that came to {got:?}"
+            );
+            match got {
+                Ok(Some(f)) => frames.push(f),
+                Ok(None) => break,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    timeouts += 1;
+                }
+                Err(e) => panic!("cuts {cuts:?}: {e}"),
+            }
+        }
+        assert_eq!(timeouts, r.r.stalls, "every timeout reached the caller");
+        (frames, timeouts)
+    }
+
+    #[test]
+    fn buffered_reader_resumes_across_timed_out_reads() {
+        let (frames, bytes) = sample_stream();
+        // One timeout at every offset in turn — before the first byte,
+        // inside each 4-byte header, inside each body, before the EOF.
+        for cut in 0..=bytes.len() {
+            let (got, timeouts) = read_through_stalls(&bytes, &[cut]);
+            assert_eq!(got, frames, "one timeout at {cut}");
+            assert_eq!(timeouts, 1);
+        }
+        // A timeout between any two bytes of the stream.
+        let every: Vec<usize> = (0..=bytes.len()).collect();
+        let (got, timeouts) = read_through_stalls(&bytes, &every);
+        assert_eq!(got, frames);
+        assert_eq!(timeouts, every.len());
+
+        // A frame over 64 KiB: timeouts while the buffer regrows for it,
+        // with a small frame before (so the big one starts mid-buffer and
+        // is moved to the front) and one sharing its last read.
+        let big = Frame::Goodbye {
+            node: 1,
+            crashes: 0,
+            recoveries: 0,
+            wal_lost: 0,
+            wal_replayed: 0,
+            fsync_p99_us: 0,
+            dump: "x".repeat(3 * READ_BUF_LEN),
+        };
+        let frames = vec![Frame::Shutdown, big, Frame::Shutdown];
+        let mut bytes = Vec::new();
+        for f in &frames {
+            write_frame(&mut bytes, f).unwrap();
+        }
+        let cuts: Vec<usize> = (2..bytes.len()).step_by(10_007).collect();
+        let (got, timeouts) = read_through_stalls(&bytes, &cuts);
+        assert_eq!(got, frames);
+        assert_eq!(timeouts, cuts.len());
+    }
+
+    #[test]
+    fn has_frame_answers_for_a_refused_length_too() {
+        // `read` refuses an oversize length from the header alone, without
+        // touching the stream: by its contract the probe says so.
+        let header = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes();
+        let mut r = FrameReader::new(Chunked::new(&header, &[]));
+        assert!(!r.has_frame(), "nothing buffered yet");
+        assert!(r.read().is_err());
+        assert!(r.has_frame());
+        let reads = r.r.reads;
+        assert!(r.read().is_err());
+        assert_eq!(r.r.reads, reads);
     }
 
     /// The corruption fuzz again, as byte streams: each mutant goes through

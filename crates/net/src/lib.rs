@@ -24,6 +24,11 @@
 //!   (the driver process: client threads + monitor, owning the
 //!   client→server fault links) and [`NetServer`] (one `chaos serve`
 //!   process per server, owning its server→client links).
+//! - [`Inbox`] — what a replica thread receives from: the bus's plain
+//!   channel receiver in process, a [`ServerInbox`] in a server process,
+//!   where the replica thread reads the driver's socket itself and no
+//!   thread stands between a request on the wire and the step that
+//!   answers it.
 //!
 //! ## Counters
 //!
@@ -61,11 +66,47 @@ pub use coverage::{Coverage, LinkCoverage};
 pub use fault::{Fate, FaultConfig, FaultConfigError, FaultPlan};
 pub use frame::{Frame, FrameError, TaggedEnv, DRIVER_NODE, FRAME_VERSION, MAX_FRAME_LEN};
 pub use injector::{Injector, TransportStats};
-pub use server::{NetServer, NetServerCfg};
+pub use server::{NetServer, NetServerCfg, ServerInbox};
 pub use wire::{Envelope, Payload, SpanCtx};
+
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::time::Duration;
 
 use blunt_abd::msg::AbdMsg;
 use blunt_core::ids::Pid;
+
+/// What a replica thread receives its [`Envelope`]s from. The in-process
+/// bus hands every node a plain [`Receiver`]; a server process gets a
+/// [`ServerInbox`], which reads the driver's socket on the calling thread.
+/// The errors are the channel's own, with the channel's meanings:
+/// `Timeout`/`Empty` — nothing yet; `Disconnected` — nothing ever again.
+pub trait Inbox {
+    /// Waits up to `timeout` for the next envelope.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeoutError::Timeout`] when none arrived in time,
+    /// [`RecvTimeoutError::Disconnected`] at the end of input.
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Envelope, RecvTimeoutError>;
+
+    /// The next envelope that needs no waiting for.
+    ///
+    /// # Errors
+    ///
+    /// [`TryRecvError::Empty`] when taking one would block,
+    /// [`TryRecvError::Disconnected`] at the end of input.
+    fn try_recv(&mut self) -> Result<Envelope, TryRecvError>;
+}
+
+impl Inbox for Receiver<Envelope> {
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
+        Receiver::recv_timeout(self, timeout)
+    }
+
+    fn try_recv(&mut self) -> Result<Envelope, TryRecvError> {
+        Receiver::try_recv(self)
+    }
+}
 
 /// What the chaos runtime's server and client loops drive: any medium that
 /// can carry [`Envelope`]s under the seed-determined fault schedule.

@@ -1,7 +1,9 @@
 //! Regression test for dedup-window staleness across server recovery.
 //!
 //! The server's per-connection dedup window is volatile state: an amnesia
-//! crash must wipe it along with the register cache and pending acks.
+//! crash must wipe it along with the register cache and pending acks (the
+//! driver connection's window lives in the `ServerInbox`, which reads the
+//! socket on the calling thread).
 //! Before the fix, the window survived [`Transport::on_crash`], so a
 //! pre-crash client retransmitting an already-admitted tag was silently
 //! dropped as a duplicate — starving recovery of exactly the retries it
@@ -16,7 +18,7 @@ use std::time::Duration;
 use blunt_abd::msg::AbdMsg;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_net::frame::{write_frame, Frame, DRIVER_NODE};
-use blunt_net::{Addr, Envelope, FaultConfig, NetServer, NetServerCfg, Transport};
+use blunt_net::{Addr, Envelope, FaultConfig, Inbox, NetServer, NetServerCfg, Transport};
 use blunt_obs::FlightRecorder;
 
 #[test]
@@ -33,7 +35,7 @@ fn server_recovery_resets_the_dedup_window() {
         seed: 1,
         faults: FaultConfig::none(),
     };
-    let (server, mailbox) =
+    let (server, mut mailbox) =
         NetServer::bind(&cfg, Arc::new(FlightRecorder::new(256))).expect("bind UDS listener");
 
     // Dial in as the driver and speak the frame protocol directly, so we

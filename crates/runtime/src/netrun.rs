@@ -4,8 +4,10 @@
 //! [`crate::bus::Bus`]. A multi-process run splits the same run across OS
 //! processes: each server runs [`run_net_server`] (the `chaos serve`
 //! subcommand) — the *same* `server_loop` step machine, WAL, and amnesia
-//! recovery, but its mailbox is fed by a socket listener and its replies
-//! leave through [`blunt_net::NetServer`] — while the driver process runs
+//! recovery, but its inbox is a [`blunt_net::ServerInbox`] — the replica
+//! thread reads the driver's socket itself, peers' recovery traffic comes
+//! through a mailbox beside it — and its replies leave through
+//! [`blunt_net::NetServer`] — while the driver process runs
 //! the store's one client driver (`blunt_store::run_store_with`) over
 //! [`blunt_net::NetClient`]: the same client loop, shard monitors, flight
 //! recorder, and watchdog as in process.
@@ -175,7 +177,12 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
         seed: cfg.seed,
         faults: cfg.faults,
     };
-    let (srv, rx) = NetServer::bind(&ncfg, Arc::clone(&recorder))?;
+    let (srv, mut rx) = NetServer::bind(&ncfg, Arc::clone(&recorder))?;
+    if matches!(cfg.recovery, RecoveryMode::Stable) {
+        // Servers talk to each other only to catch up after an amnesia
+        // crash, and every server of a run recovers the same way.
+        rx.expect_no_peers();
+    }
     let stop = srv.stop_flag();
     let sink = Arc::new(RecoverySink::default());
 

@@ -48,7 +48,7 @@ use blunt_core::value::Val;
 use blunt_obs::flight::encode_val;
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, QuantileSketch};
 
-use blunt_net::{SpanCtx, Transport};
+use blunt_net::{Inbox, SpanCtx, Transport};
 
 use crate::bus::{Envelope, Payload};
 use crate::monitor::{MonitorReport, OnlineMonitor};
@@ -402,6 +402,13 @@ const DRAIN_PASS: usize = 64;
 /// exactly as fast as before: its pass ends as soon as the mailbox is
 /// empty.
 ///
+/// `rx` is any [`Inbox`]: the bus's `Receiver<Envelope>` in process, a
+/// `blunt_net::ServerInbox` in a server process — there the replica thread
+/// itself reads the driver's socket, "already queued" means whole in the
+/// read buffer, and a pass ends when the wire runs dry. The loop returns
+/// when the inbox reports the end of its input (every sender gone; the
+/// driver's `Shutdown` frame) or, at an idle timeout, when `stop` is set.
+///
 /// The replica is **keyed throughout** ([`StoreState`]/[`MultiWal`]): every
 /// ABD message names its [`ObjId`], so the same loop serves the classic
 /// single-register workload and a sharded keyed store (`blunt-store`)
@@ -417,7 +424,7 @@ pub fn server_loop(
     me: Pid,
     group: Vec<Pid>,
     mode: RecoveryMode,
-    rx: Receiver<Envelope>,
+    mut rx: impl Inbox,
     bus: &dyn Transport,
     stop: &AtomicBool,
     sink: &RecoverySink,
@@ -450,10 +457,10 @@ pub fn server_loop(
     loop {
         match rx.recv_timeout(Duration::from_millis(20)) {
             Ok(first) => {
-                srv.deliver(first, &rx);
+                srv.deliver(first, &mut rx);
                 for _ in 1..DRAIN_PASS {
                     match rx.try_recv() {
-                        Ok(env) => srv.deliver(env, &rx),
+                        Ok(env) => srv.deliver(env, &mut rx),
                         Err(_) => break,
                     }
                 }
@@ -478,7 +485,7 @@ pub fn server_loop(
 impl Server<'_> {
     /// One envelope off the mailbox: flight event, step, and (under
     /// amnesia) the group commit an exempt arrival asks for.
-    fn deliver(&mut self, env: Envelope, rx: &Receiver<Envelope>) {
+    fn deliver(&mut self, env: Envelope, rx: &mut impl Inbox) {
         let exempt = env.exempt;
         self.ring.record_span(
             FlightKind::BusDeliver,
@@ -516,7 +523,7 @@ impl Server<'_> {
             .send_batch(std::mem::replace(&mut self.replies, next));
     }
 
-    fn handle(&mut self, env: Envelope, rx: &Receiver<Envelope>) {
+    fn handle(&mut self, env: Envelope, rx: &mut impl Inbox) {
         match env.msg {
             Payload::Abd(msg) => self.handle_abd(env.src, msg, env.exempt, env.reply_to, env.span),
             Payload::Crash { .. } => self.handle_crash(rx),
@@ -675,7 +682,7 @@ impl Server<'_> {
     /// traffic that queued up behind the recovery. Crashes that land
     /// *during* a recovery's catch-up are counted and processed iteratively
     /// here rather than recursively.
-    fn handle_crash(&mut self, rx: &Receiver<Envelope>) {
+    fn handle_crash(&mut self, rx: &mut impl Inbox) {
         if !self.amnesia {
             // Stable-mode replicas keep their memory across crash windows;
             // a stray signal (e.g. a driver misconfigured relative to its
@@ -704,7 +711,7 @@ impl Server<'_> {
     /// One crash + recovery cycle. Returns the number of *further* crash
     /// signals that arrived while catching up; protocol envelopes received
     /// meanwhile are pushed to `buffered` in arrival order.
-    fn crash_and_recover(&mut self, rx: &Receiver<Envelope>, buffered: &mut Vec<Envelope>) -> u64 {
+    fn crash_and_recover(&mut self, rx: &mut impl Inbox, buffered: &mut Vec<Envelope>) -> u64 {
         // The crash: unsynced WAL suffix and all volatile state are gone.
         // Withheld acks die with their records — the clients retransmit and
         // the updates are re-logged.

@@ -1218,6 +1218,11 @@ fn store_client_loop(
         }
         done += burst_n;
     }
+    // An op completes at its quorum, which can be while the batch layer
+    // still holds its request to the last replica: that envelope is owed
+    // to the link like every other, or the link's offered count would
+    // depend on whether some later flush happened to carry it.
+    bt.flush_pending();
     latency.merge(&local);
     retransmissions.fetch_add(retrans, Ordering::Relaxed);
     degraded_ops.fetch_add(deferred, Ordering::Relaxed);

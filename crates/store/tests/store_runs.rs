@@ -2,14 +2,16 @@
 //!
 //! - keyed smoke under light faults: zero linearizability violations from
 //!   the per-shard monitors, with the fault mix actually firing;
-//! - same seed ⇒ identical transport stats and coverage, different seed ⇒
+//! - same seed ⇒ identical transport stats and coverage (one op at a time;
+//!   pipelined, identical request legs and crash counts), different seed ⇒
 //!   a genuinely different schedule;
 //! - batching is transport amortization only: any `batch_max` yields the
 //!   exact same fault schedule (stats AND coverage) as unbatched sends;
 //! - pipelining preserves per-key order: deep pipelines stay clean;
 //! - the intentionally-broken single-server read is caught by the
 //!   per-shard monitor on the keyed store, with a rendered window;
-//! - the same client loop over real sockets (UDS loopback) stays clean.
+//! - the same client loop over real sockets (UDS loopback) stays clean,
+//!   under amnesia crashes too, every crash recovered shard by shard.
 
 mod common;
 
@@ -43,17 +45,42 @@ fn keyed_smoke_under_light_faults_zero_violations() {
 
 #[test]
 fn same_seed_reproduces_the_schedule_different_seed_does_not() {
-    let run = |seed| run_store(&StoreConfig::smoke(seed)).expect("valid fault config");
-    let a = run(0x5709_5EED);
-    let b = run(0x5709_5EED);
-    // Fault fates live in per-link index space and client sends hit each
-    // link in program order, so the whole schedule is a pure function of
-    // the seed — retransmissions are exempt and can't perturb it.
+    let run = |seed, depth| {
+        let mut cfg = StoreConfig::smoke(seed);
+        cfg.pipeline_depth = depth;
+        run_store(&cfg).expect("valid fault config")
+    };
+    // Fault fates live in per-link index space and, one op at a time, every
+    // send hits its link in program order: the whole schedule is a pure
+    // function of the seed — retransmissions are exempt and can't perturb
+    // it.
+    let a = run(0x5709_5EED, 1);
+    let b = run(0x5709_5EED, 1);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.coverage, b.coverage);
     assert!(a.monitor.clean() && b.monitor.clean());
-    let c = run(0x5709_5EEE);
+    let c = run(0x5709_5EEE, 1);
     assert_ne!(a.stats, c.stats);
+
+    // Pipelined, the reply legs are the one documented exception (ROADMAP
+    // item 3: how many replies a server→client link is offered moves with
+    // timing). What the clients offer their links, and when servers crash,
+    // still repeats exactly.
+    let a = run(0x5709_5EED, 4);
+    let b = run(0x5709_5EED, 4);
+    let servers = StoreConfig::smoke(0).servers_total();
+    let requests = |r: &blunt_store::StoreReport| -> Vec<blunt_net::LinkCoverage> {
+        let links = r.coverage.links.iter();
+        links.filter(|l| l.src >= servers).cloned().collect()
+    };
+    assert_eq!(a.ops, b.ops);
+    assert_eq!(requests(&a), requests(&b));
+    assert!(!requests(&a).is_empty());
+    assert_eq!(a.stats.crash_events, b.stats.crash_events);
+    assert_eq!(a.recovery.crashes, b.recovery.crashes);
+    assert_eq!(a.shard_recoveries, b.shard_recoveries);
+    assert!(a.monitor.clean() && b.monitor.clean());
+    assert_ne!(requests(&a), requests(&run(0x5709_5EEE, 4)));
 }
 
 #[test]
@@ -232,6 +259,46 @@ fn a_shard_recovery_that_forgets_is_caught_by_that_shards_monitor() {
         caught,
         "a recovery that skips WAL replay and catch-up went unnoticed"
     );
+}
+
+#[test]
+fn keyed_amnesia_over_uds_recovers_every_crash_shard_by_shard() {
+    // Recovery over sockets is the one place server processes talk to each
+    // other: a recovering replica's `StateQuery` reaches its peers through
+    // their pump threads and mailboxes, beside the driver sockets the
+    // replica threads read themselves.
+    let mut cfg = StoreConfig::smoke(0x5709_A23E);
+    cfg.shards = 2;
+    cfg.recovery = RecoveryMode::amnesia();
+    cfg.faults.crash_len = 4;
+    cfg.faults.crash_period = 20 * u64::from(cfg.servers_total());
+    let (report, served) = common::run_over_uds(&cfg, &RunOpts::default(), "amnesia");
+    assert_eq!(report.ops, 2_000);
+    assert!(
+        report.monitor.clean(),
+        "amnesia violations over sockets: {:?}",
+        report
+            .monitor
+            .violations
+            .iter()
+            .map(|v| &v.rendered)
+            .collect::<Vec<_>>()
+    );
+    assert!(!report.stalled, "run stalled");
+    assert!(report.recovery.crashes >= 1, "{:?}", report.recovery);
+    for (shard, &(crashes, recoveries)) in report.shard_recoveries.iter().enumerate() {
+        assert_eq!(crashes, recoveries, "shard {shard}, by the goodbyes");
+        let replicas = served.chunks(cfg.servers_per_shard as usize).nth(shard);
+        let own: u64 = replicas
+            .expect("one report per replica")
+            .iter()
+            .map(|r| {
+                assert_eq!(r.recovery.crashes, r.recovery.recoveries);
+                r.recovery.crashes
+            })
+            .sum();
+        assert_eq!(own, crashes, "shard {shard}, by the servers' own reports");
+    }
 }
 
 #[test]
