@@ -979,14 +979,20 @@ fn run_serve(args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// The store run's batch-size histogram, from the global registry.
-fn batch_histogram() -> blunt_obs::HistogramSnapshot {
+/// The histogram named `name` in the global registry (empty if nothing
+/// recorded into it).
+fn global_histogram(name: &str) -> blunt_obs::HistogramSnapshot {
     blunt_obs::snapshot()
         .histograms
         .iter()
-        .find(|(n, _)| n == "store.batch.envelopes_per_flush")
+        .find(|(n, _)| n == name)
         .map(|(_, h)| h.clone())
         .unwrap_or_default()
+}
+
+/// The store run's batch-size histogram.
+fn batch_histogram() -> blunt_obs::HistogramSnapshot {
+    global_histogram("store.batch.envelopes_per_flush")
 }
 
 /// The CI batch-size artifact: the full per-flush histogram plus its
@@ -1257,6 +1263,14 @@ fn run_plan(cli: &Cli) -> ExitCode {
             ));
             phases.push((format!("store_batch_per_flush_mean.{name}"), h.mean()));
             write_batch_hist(&cli.batch_hist_out, name, &report);
+            // How long this process's amnesia replicas withheld acks for
+            // their covering fsync (none in stable mode or over sockets).
+            let parked = global_histogram("runtime.storage.ack_parked_us");
+            if parked.count > 0 {
+                phases.push((format!("ack_parked_us_p50.{name}"), parked.p50() as f64));
+                phases.push((format!("ack_parked_us_p90.{name}"), parked.p90() as f64));
+                phases.push((format!("ack_parked_us_mean.{name}"), parked.mean()));
+            }
         }
         record(
             name,

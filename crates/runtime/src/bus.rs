@@ -34,6 +34,16 @@
 //! resolves the pending window before entering the next. Hence
 //! `BusStats::crash_events` is replayable exactly.
 //!
+//! **Batches.** [`Bus::send_batch`] is its envelope sequence: fates are
+//! drawn per envelope in batch order, under one acquisition of the bus
+//! lock, so stats, coverage and crash signals are what the same
+//! [`Bus::send`]s would have produced. What changes is the hand-over: the
+//! batch's deliveries are grouped by destination — a stable partition, so
+//! every link keeps its order within a mailbox — and each mailbox gets its
+//! share as one contiguous run, which wakes a parked receiver once a batch
+//! rather than once an envelope. Both entry points realise a fate through
+//! one routine.
+//!
 //! `std::sync::mpsc` channels are per-sender FIFO and internally
 //! linearizable, which is what makes the per-link message indexing of
 //! [`blunt_net::fault::FaultPlan`] well defined.
@@ -47,7 +57,7 @@ use blunt_abd::msg::AbdMsg;
 use blunt_core::ids::Pid;
 use blunt_net::injector::Injector;
 use blunt_net::{Fate, FaultConfig, FaultConfigError, Transport};
-use blunt_obs::{FlightKind, FlightRecorder};
+use blunt_obs::{FlightKind, FlightRecorder, FlightRing};
 
 use crate::coverage::Coverage;
 
@@ -178,57 +188,26 @@ impl Bus {
         let _ = self.mailboxes[env.dst.index()].send(env);
     }
 
-    /// Sends `env`, applying the fault schedule to non-exempt envelopes.
-    pub fn send(&self, env: Envelope) {
+    /// Draws the fate of one non-exempt envelope and turns it into
+    /// deliveries — the single place a [`Fate`] is realised, shared by
+    /// [`Bus::send`] and [`Bus::send_batch`]. What goes to the
+    /// destination's mailbox at once is passed to `now`, in mailbox order:
+    /// the crash signal the envelope raised, the envelope itself (or the
+    /// held message it displaced), its duplicate, the held message it
+    /// overtook — four at most. A delayed envelope goes to `later` with
+    /// its delay in milliseconds. The fault decision is recorded on `ring`.
+    fn realise(
+        &self,
+        inner: &mut BusInner,
+        ring: &FlightRing,
+        env: Envelope,
+        now: &mut impl FnMut(Envelope),
+        later: &mut impl FnMut(u16, Envelope),
+    ) {
         let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-        let ring = self.flight.thread_ring();
-        ring.record(FlightKind::BusSend, src, u64::from(dst), label);
-        if env.exempt {
-            self.enqueue(env);
-            return;
-        }
-        /// What must happen once the lock is released.
-        enum Outcome {
-            Lost,
-            Deliver {
-                env: Envelope,
-                dup: bool,
-                /// A previously reorder-held message now overtaken.
-                released: Option<Envelope>,
-            },
-            Hold {
-                /// Displaced by the newly held message (two reorders in a
-                /// row: the first is released by the second taking its
-                /// place).
-                released: Option<Envelope>,
-            },
-            Delay {
-                env: Envelope,
-                ms: u16,
-            },
-        }
-        let (signal, fate, outcome) = {
-            let mut inner = self.inner.lock().unwrap();
-            // The shared fault-decision core: fate, stats, coverage, and
-            // crash-window bookkeeping, all under this one lock.
-            let (fate, signal) = inner.injector.decide(env.src, env.dst);
-            let slot = (env.src.0 * self.nodes + env.dst.0) as usize;
-            let outcome = match fate {
-                Fate::Drop | Fate::CrashDrop { .. } | Fate::PartitionDrop { .. } => Outcome::Lost,
-                Fate::Reorder => Outcome::Hold {
-                    released: inner.holds[slot].held.replace(env),
-                },
-                Fate::Deliver | Fate::Duplicate => Outcome::Deliver {
-                    env,
-                    dup: fate == Fate::Duplicate,
-                    released: inner.holds[slot].held.take(),
-                },
-                Fate::Delay(ms) => Outcome::Delay { env, ms },
-            };
-            (signal, fate, outcome)
-        };
-        // The fault decision, on the sender's ring (outside the lock; the
-        // event words were captured before `env` moved into the outcome).
+        // The shared fault-decision core: fate, stats, coverage, and
+        // crash-window bookkeeping, all under the caller's one lock.
+        let (fate, signal) = inner.injector.decide(env.src, env.dst);
         match fate {
             Fate::Deliver => {}
             Fate::Drop => ring.record(FlightKind::FaultDrop, src, u64::from(dst), label),
@@ -247,7 +226,7 @@ impl Bus {
         if let Some((dst, window)) = signal {
             // Before the triggering message: the server must crash and
             // recover before serving any post-window traffic.
-            self.enqueue(Envelope {
+            now(Envelope {
                 src: dst,
                 dst,
                 msg: Payload::Crash { window },
@@ -256,35 +235,109 @@ impl Bus {
                 span: SpanCtx::NONE,
             });
         }
-        match outcome {
-            Outcome::Lost => {
+        let held = &mut inner.holds[(src * self.nodes + dst) as usize].held;
+        match fate {
+            Fate::Drop | Fate::CrashDrop { .. } | Fate::PartitionDrop { .. } => {
                 blunt_obs::static_counter!("runtime.bus.lost").inc();
             }
-            Outcome::Hold { released } => {
-                if let Some(p) = released {
-                    self.enqueue(p);
-                }
+            Fate::Reorder => {
                 blunt_obs::static_counter!("runtime.bus.reordered").inc();
+                // Two reorders in a row: the first is released by the
+                // second taking its place.
+                held.replace(env).into_iter().for_each(now);
             }
-            Outcome::Deliver { env, dup, released } => {
-                self.enqueue(env.clone());
-                if dup {
-                    self.enqueue(env);
-                }
-                if let Some(h) = released {
-                    // The held message is overtaken: deliver after.
-                    self.enqueue(h);
-                }
+            Fate::Deliver | Fate::Duplicate => {
                 blunt_obs::static_counter!("runtime.bus.delivered").inc();
-            }
-            Outcome::Delay { env, ms } => {
-                blunt_obs::static_counter!("runtime.bus.delayed").inc();
-                let due = Instant::now() + Duration::from_millis(u64::from(ms));
-                let guard = self.delayer.lock().unwrap();
-                if let Some(tx) = guard.as_ref() {
-                    let _ = tx.send(DelayedMsg { due, env });
+                if fate == Fate::Duplicate {
+                    now(env.clone());
                 }
+                now(env);
+                // A held message is overtaken: it goes after.
+                held.take().into_iter().for_each(now);
             }
+            Fate::Delay(ms) => {
+                blunt_obs::static_counter!("runtime.bus.delayed").inc();
+                later(ms, env);
+            }
+        }
+    }
+
+    /// Hands delayed envelopes to the delayer thread: one clock read and
+    /// one lock acquisition however many there are.
+    fn delay(&self, later: impl IntoIterator<Item = (u16, Envelope)>) {
+        let now = Instant::now();
+        let guard = self.delayer.lock().unwrap();
+        if let Some(tx) = guard.as_ref() {
+            for (ms, env) in later {
+                let due = now + Duration::from_millis(u64::from(ms));
+                let _ = tx.send(DelayedMsg { due, env });
+            }
+        }
+    }
+
+    /// Sends `env`, applying the fault schedule to non-exempt envelopes: a
+    /// batch of one, its deliveries kept on the stack until the lock is
+    /// released.
+    pub fn send(&self, env: Envelope) {
+        let ring = self.flight.thread_ring();
+        let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
+        ring.record(FlightKind::BusSend, src, u64::from(dst), label);
+        if env.exempt {
+            return self.enqueue(env);
+        }
+        let mut now: [Option<Envelope>; 4] = [None, None, None, None];
+        let mut filled = 0;
+        let mut later = None;
+        self.realise(
+            &mut self.inner.lock().unwrap(),
+            &ring,
+            env,
+            &mut |e| {
+                now[filled] = Some(e);
+                filled += 1;
+            },
+            &mut |ms, e| later = Some((ms, e)),
+        );
+        now.into_iter().flatten().for_each(|e| self.enqueue(e));
+        if later.is_some() {
+            self.delay(later);
+        }
+    }
+
+    /// Sends `envs` as one batch: fates are drawn per envelope, in order,
+    /// under one acquisition of the bus lock (none for a batch of exempt
+    /// envelopes) — what the same `send`s one by one would have drawn —
+    /// and then every mailbox gets its deliveries as one contiguous run,
+    /// so a destination is woken once a batch instead of once an envelope.
+    pub fn send_batch(&self, envs: Vec<Envelope>) {
+        let ring = self.flight.thread_ring();
+        let mut now = Vec::with_capacity(envs.len());
+        let mut later = Vec::new();
+        let mut inner = None;
+        for env in envs {
+            let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
+            ring.record(FlightKind::BusSend, src, u64::from(dst), label);
+            if env.exempt {
+                now.push(env);
+                continue;
+            }
+            self.realise(
+                inner.get_or_insert_with(|| self.inner.lock().unwrap()),
+                &ring,
+                env,
+                &mut |e| now.push(e),
+                &mut |ms, e| later.push((ms, e)),
+            );
+        }
+        drop(inner);
+        // Stable, so a mailbox sees each link's deliveries in the order
+        // they were realised: a crash signal ahead of the message that
+        // raised it, a duplicate back to back, a held message after the
+        // one that overtook it.
+        now.sort_by_key(|e| e.dst);
+        now.into_iter().for_each(|e| self.enqueue(e));
+        if !later.is_empty() {
+            self.delay(later);
         }
     }
 
@@ -334,6 +387,10 @@ impl Bus {
 impl Transport for Bus {
     fn send(&self, env: Envelope) {
         Bus::send(self, env);
+    }
+
+    fn send_batch(&self, envs: Vec<Envelope>) {
+        Bus::send_batch(self, envs);
     }
 
     fn flush(&self) {

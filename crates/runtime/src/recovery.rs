@@ -28,7 +28,10 @@ pub enum RecoveryMode {
     /// Crashes erase volatile state; servers keep a WAL and run the
     /// recovery protocol on restart.
     Amnesia {
-        /// Group-commit batch size for the WAL (records per fsync).
+        /// Group-commit batch size for the WAL: the most records a replica
+        /// leaves unsynced inside a drain pass, i.e. the most a crash can
+        /// take. A pass also commits at its end, so the interval never
+        /// decides how long an ack waits.
         fsync_interval: u32,
         /// Broken mode: recovery skips both WAL replay and peer catch-up,
         /// serving from reset state — stale timestamps the monitor must

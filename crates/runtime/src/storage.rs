@@ -47,7 +47,8 @@ pub struct Wal {
     /// Appended but not yet fsynced; lost by [`Wal::lose_unsynced`].
     pending: Vec<WalRecord>,
     /// Group-commit batch size: the server flushes once this many records
-    /// are pending (plus on idle and on retransmission pressure).
+    /// are pending (and, whatever is pending, at the end of every drain
+    /// pass).
     fsync_interval: u32,
 }
 

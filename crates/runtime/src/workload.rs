@@ -14,10 +14,16 @@
 //! **Crash recovery.** Under [`RecoveryMode::Amnesia`] every server keeps a
 //! write-ahead log ([`MultiWal`]) and obeys the *write-ahead ack discipline*: an
 //! update is acknowledged only once a WAL record with a timestamp covering
-//! it is fsynced (group commit: a batch fills, the server goes idle, or an
-//! exempt retransmission applies pressure). When the bus raises the amnesia
+//! it is fsynced. The log is group-committed at two points: inside a drain
+//! pass whenever `fsync_interval` records are unsynced (what bounds the
+//! suffix a crash can take), and at the **end of every pass** — everything
+//! that queued while the replica was busy shares one fsync, and the sync is
+//! issued the moment the mailbox is empty, so the replica never waits with
+//! a record unsynced or an ack withheld. When the bus raises the amnesia
 //! signal ([`Payload::Crash`]) at a crash window's exit, the server erases
-//! its volatile state and its unsynced WAL suffix, then recovers — the
+//! its volatile state and its unsynced WAL suffix (the records the pass
+//! under way appended since its last commit; their withheld acks die with
+//! them), then recovers — the
 //! blackout window models the outage itself; the power loss materializes at
 //! the reboot, when peers are reachable again for catch-up and the
 //! recovered (or, under `--demo-amnesia`, unrecovered) state is actually
@@ -357,6 +363,8 @@ struct PendingAck {
     /// The update's trace context, echoed (as the reply hop) on the
     /// released ack so the exchange stays span-attributed end to end.
     span: SpanCtx,
+    /// When the ack was withheld (`runtime.storage.ack_parked_us`).
+    parked_at: Instant,
 }
 
 /// One ABD replica with its durable storage and recovery machinery.
@@ -394,13 +402,16 @@ const DRAIN_PASS: usize = 64;
 /// the triggering envelope's exemption so retransmitted exchanges complete
 /// without consuming fault indices.
 ///
-/// The loop **drains, then flushes**: it blocks for one envelope, takes
-/// whatever else is already queued (up to 64 envelopes a pass) without
-/// blocking, and hands the pass's protocol replies to the transport as one
-/// [`Transport::send_batch`] — one frame and one `write` on the socket
-/// tier, the plain send loop on the bus. A lone request is answered
-/// exactly as fast as before: its pass ends as soon as the mailbox is
-/// empty.
+/// The loop **drains, commits, then flushes**: it blocks for one envelope,
+/// takes whatever else is already queued (up to 64 envelopes a pass)
+/// without blocking, group-commits the WAL records the pass appended (the
+/// acks that releases join the pass's replies), and hands the replies to
+/// the transport as one [`Transport::send_batch`] — one frame and one
+/// `write` on the socket tier, one contiguous run per mailbox on the bus. A
+/// lone request is answered exactly as fast as before: its pass ends as
+/// soon as the mailbox is empty. The replica therefore never blocks — idle,
+/// waiting for catch-up answers, or for good — with a record unsynced, an
+/// ack withheld or a reply buffered.
 ///
 /// `rx` is any [`Inbox`]: the bus's `Receiver<Envelope>` in process, a
 /// `blunt_net::ServerInbox` in a server process — there the replica thread
@@ -455,6 +466,7 @@ pub fn server_loop(
         ring,
     };
     loop {
+        srv.debug_assert_nothing_held();
         match rx.recv_timeout(Duration::from_millis(20)) {
             Ok(first) => {
                 srv.deliver(first, &mut rx);
@@ -464,15 +476,13 @@ pub fn server_loop(
                         Err(_) => break,
                     }
                 }
+                // Pass end is the commit point: one fsync covers every
+                // record the pass left unsynced, and the acks it releases
+                // leave with the pass's other replies.
+                srv.flush_wal();
                 srv.flush_replies();
             }
             Err(RecvTimeoutError::Timeout) => {
-                if srv.amnesia {
-                    // Idle flush: no batch will fill soon, sync what's
-                    // pending so withheld acks go out.
-                    srv.flush_wal();
-                    srv.flush_replies();
-                }
                 if stop.load(Ordering::Relaxed) {
                     return;
                 }
@@ -483,10 +493,8 @@ pub fn server_loop(
 }
 
 impl Server<'_> {
-    /// One envelope off the mailbox: flight event, step, and (under
-    /// amnesia) the group commit an exempt arrival asks for.
+    /// One envelope off the mailbox: flight event, then the step.
     fn deliver(&mut self, env: Envelope, rx: &mut impl Inbox) {
-        let exempt = env.exempt;
         self.ring.record_span(
             FlightKind::BusDeliver,
             self.me.0,
@@ -495,12 +503,17 @@ impl Server<'_> {
             env.span.flight_word(),
         );
         self.handle(env, rx);
-        if exempt && self.amnesia {
-            // Retransmission pressure: an exempt arrival means some
-            // client is stuck waiting, plausibly on a withheld ack —
-            // group-commit now.
-            self.flush_wal();
-        }
+    }
+
+    /// What must hold wherever the replica is about to wait (idle, for
+    /// catch-up answers) or return: every appended record synced, every
+    /// ack released, every reply handed to the transport. A pass commits
+    /// and flushes at its end and a crash clears all three, so nothing can
+    /// sit here until a timer or the next arrival.
+    fn debug_assert_nothing_held(&self) {
+        debug_assert_eq!(self.wal.unsynced_len(), 0, "blocking on an unsynced record");
+        debug_assert!(self.pending_acks.is_empty(), "blocking on a withheld ack");
+        debug_assert!(self.replies.is_empty(), "blocking on a buffered reply");
     }
 
     /// Hands the buffered protocol replies to the transport as one batch,
@@ -602,6 +615,7 @@ impl Server<'_> {
                         sn,
                         re,
                         span,
+                        parked_at: Instant::now(),
                     });
                     if self.wal.batch_full() {
                         self.flush_wal();
@@ -619,24 +633,29 @@ impl Server<'_> {
     /// acknowledgment the new per-register durable frontiers cover —
     /// which is all of them, since each frontier is that register's max
     /// appended timestamp. The single fsync amortizes across keys: that
-    /// is the batched-WAL half of the store's group commit.
+    /// is the batched-WAL half of the store's group commit. Called at the
+    /// end of every pass, so a pass that appended nothing returns before
+    /// it touches the clock.
     fn flush_wal(&mut self) {
-        let t0 = Instant::now();
-        self.wal.fsync();
-        let fsync_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-        if self.pending_acks.is_empty() {
+        if self.wal.unsynced_len() == 0 && self.pending_acks.is_empty() {
             return;
         }
+        let t0 = Instant::now();
+        self.wal.fsync();
+        let synced = Instant::now();
+        let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
         self.ring.record(
             FlightKind::WalFlush,
             self.me.0,
             self.pending_acks.len() as u64,
-            fsync_us,
+            micros(synced.duration_since(t0)),
         );
+        let parked_us = blunt_obs::static_histogram!("runtime.storage.ack_parked_us");
         let mut i = 0;
         while i < self.pending_acks.len() {
             if self.pending_acks[i].ts <= self.wal.durable_ts(self.pending_acks[i].obj) {
                 let a = self.pending_acks.swap_remove(i);
+                parked_us.record(micros(synced.duration_since(a.parked_at)));
                 self.ring.record_span(
                     FlightKind::ServerAck,
                     self.me.0,
@@ -774,6 +793,7 @@ impl Server<'_> {
                 });
             }
             self.sink.on_state_queries(peers.len() as u64);
+            self.debug_assert_nothing_held();
             let mut got = 0usize;
             // Per-register freshest answer across the quorum of snapshots.
             let mut best: BTreeMap<ObjId, (Val, Ts)> = BTreeMap::new();

@@ -8,8 +8,10 @@
 //! replies arrive), or at an explicit flush. Over the socket tier the
 //! inner `send_batch` packs each destination's surviving envelopes into a
 //! single `EnvBatch` frame, amortizing framing and syscalls across a
-//! quorum round's fan-out; over the in-process bus it degenerates to the
-//! plain send loop.
+//! quorum round's fan-out; over the in-process bus it draws the batch's
+//! fates under one lock acquisition and hands each destination's mailbox
+//! its deliveries as one contiguous run, amortizing the lock and the
+//! receiver's wake-up.
 //!
 //! **Batching is transport amortization only.** `send_batch`'s contract
 //! (see [`Transport`]) draws fault fates per logical envelope in buffer

@@ -224,6 +224,53 @@ fn amnesia_recovery_on_the_keyed_store_is_clean_and_seed_deterministic() {
 }
 
 #[test]
+fn the_fsync_interval_bounds_what_a_crash_takes_not_how_long_an_ack_waits() {
+    let run = |fsync_interval| {
+        let mut cfg = StoreConfig::smoke(0x5709_A23E);
+        cfg.recovery = RecoveryMode::Amnesia {
+            fsync_interval,
+            demo_skip_recovery: false,
+        };
+        cfg.faults.crash_len = 4;
+        cfg.faults.crash_period = 20 * u64::from(cfg.servers_total());
+        let report = run_store(&cfg).expect("valid fault config");
+        assert!(
+            report.monitor.clean(),
+            "violations at fsync_interval {fsync_interval}: {:?}",
+            report
+                .monitor
+                .violations
+                .iter()
+                .map(|v| &v.rendered)
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(report.ops, 2_000);
+        report
+    };
+    // Interval 1 syncs every record as it is appended; at interval 64 no
+    // batch ever fills (4 clients × depth 4 offer a replica far fewer
+    // unsynced records than that), so every ack there is released by a
+    // pass-end commit. Were the interval still what releases acks, each of
+    // those writes would sit out a retransmission timeout first: ≈ 470
+    // retransmissions against the ≈ 17 that the dropped messages cost
+    // either run — that is what the bound tells apart. The additive slack
+    // is for the spurious 1 ms timeouts of a loaded box, which hit the two
+    // runs independently: alone in a release build they read 16–22 and
+    // 17–28 over 20 runs, in a debug build beside this file's nine other
+    // tests 19–53 and 27–65 over 10 — where a bare "twice the other run"
+    // failed 2 of the 10.
+    let (eager, lazy) = (run(1), run(64));
+    assert!(eager.recovery.crashes >= 1, "{:?}", eager.recovery);
+    assert_eq!(eager.shard_recoveries, lazy.shard_recoveries);
+    assert!(
+        lazy.retransmissions <= 2 * eager.retransmissions + lazy.ops / 20,
+        "interval 64 retransmitted {} times, interval 1 {} times",
+        lazy.retransmissions,
+        eager.retransmissions
+    );
+}
+
+#[test]
 fn a_shard_recovery_that_forgets_is_caught_by_that_shards_monitor() {
     // One shard's recovery skips WAL replay and quorum catch-up
     // (demo_shard); its per-shard monitor must be the one that fires.
