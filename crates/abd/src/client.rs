@@ -342,6 +342,16 @@ impl ActiveOp {
         }
     }
 
+    /// Bitmask (by [`Pid::index`]) of the servers that have answered the
+    /// exchange [`ActiveOp::current_sn`] names; `None` with it.
+    #[must_use]
+    pub fn responders(&self) -> Option<u64> {
+        match &self.phase {
+            Phase::Query { responders, .. } | Phase::Update { responders, .. } => Some(*responders),
+            Phase::AwaitChoice => None,
+        }
+    }
+
     /// The broadcast that would re-solicit the responses the operation is
     /// currently waiting on, if any.
     ///
@@ -458,6 +468,7 @@ mod tests {
         );
         assert_eq!(op.results.len(), 2);
         assert_eq!(op.current_sn(), None);
+        assert_eq!(op.responders(), None);
 
         // Choose the first iteration's result.
         let (sn, val, ts) = op.choose(0, ME, &mut ctr);
@@ -465,6 +476,7 @@ mod tests {
         assert_eq!(val, Val::Int(1));
         assert_eq!(ts, Ts::new(1, Pid(1)));
         assert_eq!(op.current_sn(), Some(2));
+        assert_eq!(op.responders(), Some(0), "a new exchange starts unanswered");
     }
 
     #[test]
@@ -490,6 +502,7 @@ mod tests {
         assert_eq!(op.on_ack(Pid(1), 4, QUORUM), AckEffect::Ignored);
         assert_eq!(op.on_ack(Pid(1), 5, QUORUM), AckEffect::Counted);
         assert_eq!(op.on_ack(Pid(1), 5, QUORUM), AckEffect::Ignored);
+        assert_eq!(op.responders(), Some(0b10));
         assert_eq!(
             op.on_ack(Pid(2), 5, QUORUM),
             AckEffect::Complete { ret: Val::Nil }

@@ -629,12 +629,13 @@ fn print_report(name: &str, r: &StoreReport, run: &Run) {
     let cfg = &run.cfg;
     println!(
         "{name:<24} ops {:>8}  {:>9.0} ops/s  lat p50/p99 {:>4}/{:>5} µs  \
-         retrans {:>6}  violations {}",
+         retrans {:>6} (gap {})  violations {}",
         r.ops,
         r.ops_per_sec(),
         r.latency_us.p50(),
         r.latency_us.percentile(0.99),
         r.retransmissions,
+        r.gap_retransmissions,
         r.monitor.violations.len(),
     );
     println!(
@@ -1270,6 +1271,19 @@ fn run_plan(cli: &Cli) -> ExitCode {
                 phases.push((format!("ack_parked_us_p50.{name}"), parked.p50() as f64));
                 phases.push((format!("ack_parked_us_p90.{name}"), parked.p90() as f64));
                 phases.push((format!("ack_parked_us_mean.{name}"), parked.mean()));
+            }
+            // How often the clients rebroadcast, and how many of those the
+            // reply gap sent ahead of the deadline. Timing-dependent, so
+            // phases and never summary fields (see `summary_entry`).
+            if report.retransmissions > 0 {
+                phases.push((
+                    format!("retransmissions.{name}"),
+                    report.retransmissions as f64,
+                ));
+                phases.push((
+                    format!("gap_retransmissions.{name}"),
+                    report.gap_retransmissions as f64,
+                ));
             }
         }
         record(

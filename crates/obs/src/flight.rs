@@ -81,8 +81,10 @@ pub enum FlightKind {
     /// A client started a write op; `a` = invocation id, `b` = encoded
     /// argument value ([`encode_val`]).
     OpStartWrite = 1,
-    /// A client re-broadcast after a quorum timeout; `a` = op sequence
-    /// number.
+    /// A client re-broadcast the exchange an op is waiting in; `a` = the
+    /// exchange's sequence number, `b` = what triggered it: `0` the shard's
+    /// silence deadline, `1` the reply gap (the replies proved the quorum out
+    /// of reach of first transmissions).
     OpRetransmit = 2,
     /// A read completed; `a` = invocation id, `b` = encoded return value.
     OpCompleteRead = 3,

@@ -98,8 +98,8 @@ impl Telemetry {
         self.actions_sent.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A client is about to send an op's `Return`, `lat_us` after its
-    /// `Call`.
+    /// An op completed `lat_us` after its `Call`; the client sends its
+    /// `Return` once its lane has run dry.
     pub fn op_completed(&self, lat_us: u64) {
         self.sketch.record(lat_us);
         self.ops.fetch_add(1, Ordering::Relaxed);

@@ -19,6 +19,16 @@
 //! *when* messages leave relative to each other, and batching changes only
 //! how they are framed; fault fates are drawn per logical envelope in send
 //! order either way (see [`crate::batch`]).
+//!
+//! Loss recovery has two triggers and one rebroadcast routine. The *deadline*
+//! fires when a whole shard has been silent for its backoff window
+//! (`ShardHealth`); the *reply gap* fires the moment the replies themselves
+//! prove an exchange's quorum out of reach (`quorum_out_of_reach`): links and
+//! replicas are FIFO, so a replica that has answered a later exchange of
+//! this client will never answer an earlier one from its first transmission.
+//! Either way the rebroadcast is exempt from fault fates, so neither can
+//! move the schedule, and safety rests on neither — handlers are idempotent
+//! per exchange.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::PathBuf;
@@ -268,8 +278,14 @@ pub struct StoreReport {
     /// `true` iff the watchdog saw no completed operation for
     /// [`RunOpts::stall_after`].
     pub stalled: bool,
-    /// Client retransmissions (timeout recoveries).
+    /// Client retransmissions, whichever trigger sent them: a shard silent
+    /// past its deadline, or the reply gap.
     pub retransmissions: u64,
+    /// The [`StoreReport::retransmissions`] the reply gap triggered: the
+    /// exchange's quorum was provably out of reach of first transmissions,
+    /// so it was rebroadcast without waiting for the deadline.
+    /// Timing-dependent, like the total.
+    pub gap_retransmissions: u64,
     /// Operations whose pipeline start was deferred because their shard
     /// was degraded (recovering) with its in-flight cap reached.
     /// Timing-dependent; excluded from regression gating.
@@ -466,38 +482,7 @@ fn run_on_bus(
         Arc::new((0..cfg.shards).map(|_| RecoverySink::default()).collect());
 
     let mut rx_iter = receivers.into_iter();
-    let mut servers = Vec::new();
-    for s in 0..servers_total {
-        let rx = rx_iter.next().expect("one receiver per node");
-        let bus = Arc::clone(&bus);
-        let stop = Arc::clone(&stop);
-        let recorder = Arc::clone(&recorder);
-        let sinks = Arc::clone(&sinks);
-        // The server loop is key-agnostic (its store is a per-key map), so
-        // shard membership is purely a property of who clients address:
-        // replica s serves shard s / servers_per_shard. Recovery catch-up
-        // stays within the shard — only these replicas hold the keys.
-        let shard = s / cfg.servers_per_shard;
-        let group: Vec<Pid> = (shard * cfg.servers_per_shard..(shard + 1) * cfg.servers_per_shard)
-            .map(Pid)
-            .collect();
-        let mode = match cfg.demo_shard {
-            Some(d) if d == shard => RecoveryMode::demo_amnesia(),
-            _ => cfg.recovery,
-        };
-        servers.push(thread::spawn(move || {
-            server_loop(
-                Pid(s),
-                group,
-                mode,
-                rx,
-                bus.as_ref(),
-                &stop,
-                &sinks[shard as usize],
-                &recorder,
-            );
-        }));
-    }
+    let servers = spawn_replicas(cfg, &bus, &mut rx_iter, &stop, &sinks, &recorder);
 
     let watch_sinks = Arc::clone(&sinks);
     let mut report = drive_clients(
@@ -532,6 +517,53 @@ fn run_on_bus(
         report.recovery.catchup_aborted += r.catchup_aborted;
     }
     Ok(report)
+}
+
+/// Spawns one [`server_loop`] thread per replica of `cfg`'s topology on
+/// `bus`, taking the first `servers_total` receivers (index = pid).
+fn spawn_replicas(
+    cfg: &StoreConfig,
+    bus: &Arc<Bus>,
+    receivers: &mut impl Iterator<Item = Receiver<Envelope>>,
+    stop: &Arc<AtomicBool>,
+    sinks: &Arc<Vec<RecoverySink>>,
+    recorder: &Arc<FlightRecorder>,
+) -> Vec<thread::JoinHandle<()>> {
+    (0..cfg.servers_total())
+        .map(|s| {
+            let rx = receivers.next().expect("one receiver per node");
+            let bus = Arc::clone(bus);
+            let stop = Arc::clone(stop);
+            let recorder = Arc::clone(recorder);
+            let sinks = Arc::clone(sinks);
+            // The server loop is key-agnostic (its store is a per-key map),
+            // so shard membership is purely a property of who clients
+            // address: replica s serves shard s / servers_per_shard.
+            // Recovery catch-up stays within the shard — only these
+            // replicas hold the keys.
+            let shard = s / cfg.servers_per_shard;
+            let group: Vec<Pid> = (shard * cfg.servers_per_shard
+                ..(shard + 1) * cfg.servers_per_shard)
+                .map(Pid)
+                .collect();
+            let mode = match cfg.demo_shard {
+                Some(d) if d == shard => RecoveryMode::demo_amnesia(),
+                _ => cfg.recovery,
+            };
+            thread::spawn(move || {
+                server_loop(
+                    Pid(s),
+                    group,
+                    mode,
+                    rx,
+                    bus.as_ref(),
+                    &stop,
+                    &sinks[shard as usize],
+                    &recorder,
+                );
+            })
+        })
+        .collect()
 }
 
 /// Spawns the shard monitors, the watch/watchdog thread and the client
@@ -597,9 +629,12 @@ fn drive_clients(
         });
 
     let barrier = Arc::new(Barrier::new(cfg.clients as usize));
-    let retransmissions = Arc::new(AtomicU64::new(0));
-    let degraded_ops = Arc::new(AtomicU64::new(0));
-    let latency = Histogram::unregistered();
+    let tallies = Arc::new(ClientTallies {
+        retransmissions: AtomicU64::new(0),
+        gap_retransmissions: AtomicU64::new(0),
+        degraded_ops: AtomicU64::new(0),
+        latency: Histogram::unregistered(),
+    });
     let mut clients = Vec::with_capacity(cfg.clients as usize);
     for (c, rx) in client_rxs.into_iter().enumerate() {
         let c = u32::try_from(c).expect("client count fits u32");
@@ -609,9 +644,7 @@ fn drive_clients(
         let transport = Arc::clone(&transport);
         let barrier = Arc::clone(&barrier);
         let mon_txs = Arc::clone(&mon_txs);
-        let retransmissions = Arc::clone(&retransmissions);
-        let degraded_ops = Arc::clone(&degraded_ops);
-        let latency = latency.clone();
+        let tallies = Arc::clone(&tallies);
         let recorder = Arc::clone(&recorder);
         let telemetry = Arc::clone(&telemetry);
         clients.push(thread::spawn(move || {
@@ -624,9 +657,7 @@ fn drive_clients(
                 rx,
                 &barrier,
                 &mon_txs,
-                &retransmissions,
-                &degraded_ops,
-                &latency,
+                &tallies,
                 &recorder,
                 &telemetry,
             );
@@ -669,15 +700,25 @@ fn drive_clients(
         monitor_overhead: overhead,
         violation_dump,
         stalled: stalled.load(Ordering::Relaxed),
-        retransmissions: retransmissions.load(Ordering::Relaxed),
-        degraded_ops: degraded_ops.load(Ordering::Relaxed),
+        retransmissions: tallies.retransmissions.load(Ordering::Relaxed),
+        gap_retransmissions: tallies.gap_retransmissions.load(Ordering::Relaxed),
+        degraded_ops: tallies.degraded_ops.load(Ordering::Relaxed),
         recovery: RecoveryStats::default(),
         shard_recoveries: vec![(0, 0); cfg.shards as usize],
-        latency_us: latency.snapshot(),
+        latency_us: tallies.latency.snapshot(),
         elapsed: Duration::ZERO,
         remote_servers: Vec::new(),
         merged_flight: None,
     }
+}
+
+/// What the client threads add up for the [`StoreReport`], each once, as it
+/// finishes.
+struct ClientTallies {
+    retransmissions: AtomicU64,
+    gap_retransmissions: AtomicU64,
+    degraded_ops: AtomicU64,
+    latency: Histogram,
 }
 
 /// One operation drawn at burst setup, before any message moves.
@@ -761,6 +802,43 @@ struct InFlight {
     span: SpanCtx,
     machine: Machine,
     t0: Instant,
+    /// The exchange the reply-gap rule has already rebroadcast: it fires
+    /// once per exchange, then the deadline is the backstop.
+    gap_sn: Option<u32>,
+}
+
+/// What sent a retransmission; the value is `OpRetransmit`'s `b` word.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Trigger {
+    /// The shard was silent for its whole backoff window.
+    Deadline = 0,
+    /// [`quorum_out_of_reach`] held.
+    Gap = 1,
+}
+
+/// The reply-gap rule: can `op`'s current exchange no longer gather `quorum`
+/// responses from first transmissions? `answered[r]` is the highest exchange
+/// number this client has seen any response to from replica `r` (indexed
+/// like the responder masks, by [`Pid::index`]).
+///
+/// A client sends its exchanges in `sn` order over FIFO links to replicas
+/// that answer in arrival order, so a replica of the op's shard that has
+/// answered a later exchange and not this one is *lost* to it: its response
+/// was dropped, is held by a delay fault, died with a crash, or was never
+/// solicited. The exchange is out of reach when the replicas not lost are
+/// fewer than a quorum. A replica that is merely silent counts as reachable
+/// — one proved loss beside a slow replica is a guess, and guesses wait for
+/// the deadline. Only precision rests on the FIFO argument, never safety:
+/// handlers are idempotent per exchange ([`ActiveOp::retransmission`]).
+fn quorum_out_of_reach(op: &ActiveOp, replicas: &[Pid], answered: &[u32], quorum: u32) -> bool {
+    let (Some(sn), Some(responders)) = (op.current_sn(), op.responders()) else {
+        return false; // awaiting its choice: nothing is in flight
+    };
+    let reachable = replicas
+        .iter()
+        .filter(|r| responders & (1u64 << r.index()) != 0 || answered[r.index()] <= sn)
+        .count();
+    reachable < quorum as usize
 }
 
 /// The per-client rng stream: a pure function of `(seed, client)`, one salt
@@ -810,7 +888,9 @@ fn draw_burst(
 /// up to `pipeline_depth` of them in flight (never two on the same key),
 /// and multiplexes every reply/ack back to its op by `sn`. All protocol
 /// sends go through a per-client [`BatchingTransport`], flushed only once
-/// the client has handled every reply already on its lane.
+/// the client has handled every reply already on its lane; the monitor
+/// hears of the pass's completions right after that flush, while the
+/// round trip is under way (`unreported` below).
 ///
 /// Liveness is **per shard** ([`ShardHealth`]): each shard has its own
 /// backoff clock, timeouts retransmit only that shard's stalled ops, and a
@@ -818,7 +898,10 @@ fn draw_burst(
 /// *degraded* — pipeline fill then keeps at most
 /// [`DEGRADED_INFLIGHT_CAP`] ops in flight there (counted as
 /// `store.degraded_ops` deferrals) so one recovering shard never
-/// head-of-line blocks the others.
+/// head-of-line blocks the others. A shard that *is* answering while one
+/// exchange's responses were lost never reaches that deadline: the
+/// reply-gap rule ([`quorum_out_of_reach`]) rebroadcasts the exchange at
+/// the end of the pass that proves the loss.
 #[allow(clippy::too_many_arguments)] // mirrors the thread context it runs in
 fn store_client_loop(
     c: u32,
@@ -829,9 +912,7 @@ fn store_client_loop(
     rx: Receiver<Envelope>,
     barrier: &Barrier,
     mon_txs: &[Sender<Action>],
-    retransmissions: &AtomicU64,
-    degraded_ops: &AtomicU64,
-    latency: &Histogram,
+    tallies: &ClientTallies,
     recorder: &FlightRecorder,
     telemetry: &Telemetry,
 ) {
@@ -848,9 +929,73 @@ fn store_client_loop(
     let local = Histogram::unregistered();
     let initial_wait = cfg.retransmit_after.min(cfg.retransmit_cap);
     let mut retrans: u64 = 0;
+    let mut gap_retrans: u64 = 0;
     let mut deferred: u64 = 0;
     let mut sn_counter: u32 = 0;
     let mut done: u64 = 0;
+    // Per replica, the highest exchange number any of its responses to this
+    // client has carried: the reply-gap rule's evidence. Exchange numbers
+    // only grow, so it outlives the bursts.
+    let mut answered = vec![0u32; servers_total as usize];
+    // Completions whose monitor has not heard of them yet, `(shard, Return)`.
+    // An op is complete the moment its quorum answers (`complete_op` takes
+    // its latency and frees its key there), but telling the monitor wakes
+    // another thread, and the replies behind it on the lane are waiting for
+    // this one. So the `Return`s wait until the lane has run dry and the
+    // pass's requests have left — the wake-ups then cost nothing the round
+    // trip was not already taking — or until this client's next `Call`,
+    // which they must precede: a `Return` reported late only widens the
+    // op's interval, which is sound (the monitor takes more ops for
+    // overlapping); one overtaken by the same client's next `Call` would
+    // lose program order on a key.
+    let mut unreported: Vec<(u32, Action)> = Vec::new();
+    let report = |unreported: &mut Vec<(u32, Action)>| {
+        for (shard, ret) in unreported.drain(..) {
+            let _ = mon_txs[shard as usize].send(ret);
+        }
+    };
+    // The one rebroadcast routine, whichever trigger calls it: exempt from
+    // fault fates, so recovery traffic never consumes schedule indices. A
+    // broken read re-asks its one replica; the quorum machine rebroadcasts
+    // whatever exchange it is in.
+    let mut rebroadcast = |sn: u32, fl: &InFlight, trigger: Trigger| {
+        let (msg, target) = match &fl.machine {
+            Machine::Abd(op) => (op.retransmission(), None),
+            Machine::Broken { target } => (
+                Some(AbdMsg::Query {
+                    obj: fl.spec.key,
+                    sn,
+                }),
+                Some(*target),
+            ),
+        };
+        let Some(msg) = msg else {
+            return;
+        };
+        retrans += 1;
+        blunt_obs::static_counter!("store.client.retransmissions").inc();
+        if trigger == Trigger::Gap {
+            gap_retrans += 1;
+            blunt_obs::static_counter!("store.client.gap_retransmissions").inc();
+        }
+        ring.record_span(
+            FlightKind::OpRetransmit,
+            me.0,
+            u64::from(sn),
+            trigger as u64,
+            fl.span.flight_word(),
+        );
+        match target {
+            Some(t) => bt.send(Envelope::abd(me, t, msg, true).with_span(fl.span)),
+            None => bt.broadcast_span(
+                me,
+                &shard_servers[fl.spec.shard as usize],
+                &msg,
+                true,
+                fl.span,
+            ),
+        }
+    };
 
     while done < cfg.ops_per_client {
         if done > 0 {
@@ -912,6 +1057,7 @@ fn store_client_loop(
                     (MethodId::WRITE, Val::Int(v))
                 };
                 telemetry.op_started();
+                report(&mut unreported);
                 let _ = mon_txs[shard as usize].send(Action::Call {
                     inv,
                     pid: me,
@@ -973,6 +1119,7 @@ fn store_client_loop(
                         span,
                         machine,
                         t0,
+                        gap_sn: None,
                     },
                 );
             }
@@ -995,6 +1142,7 @@ fn store_client_loop(
                     // The replies being waited on can't arrive until the
                     // requests actually leave.
                     bt.flush_pending();
+                    report(&mut unreported);
                     // Sleep until the earliest shard retransmission
                     // deadline; each shard's backoff runs on its own clock.
                     let timeout = health
@@ -1037,6 +1185,12 @@ fn store_client_loop(
                 let Payload::Abd(msg) = env.msg else {
                     continue; // control traffic never targets clients
                 };
+                // Every response is evidence for the reply-gap rule, a stale
+                // or duplicate one as much as any.
+                if let AbdMsg::Reply { sn, .. } | AbdMsg::Ack { sn, .. } = &msg {
+                    let seen = &mut answered[env.src.index()];
+                    *seen = (*seen).max(*sn);
+                }
                 match msg {
                     AbdMsg::Reply {
                         obj,
@@ -1060,7 +1214,7 @@ fn store_client_loop(
                                     &local,
                                     telemetry,
                                     &ring,
-                                    mon_txs,
+                                    &mut unreported,
                                     &mut active_keys,
                                 );
                                 let h = &mut health[fl.spec.shard as usize];
@@ -1134,7 +1288,7 @@ fn store_client_loop(
                                     &local,
                                     telemetry,
                                     &ring,
-                                    mon_txs,
+                                    &mut unreported,
                                     &mut active_keys,
                                 );
                                 let h = &mut health[fl.spec.shard as usize];
@@ -1151,12 +1305,28 @@ fn store_client_loop(
                     _ => {}
                 }
             }
-            // Retransmission sweep: every shard whose deadline passed gets
-            // its stalled ops rebroadcast — exempt from fault fates, so
-            // recovery traffic never consumes schedule indices — its
-            // backoff doubled, and a strike toward degraded status. Other
-            // shards' clocks are untouched: one silent shard no longer
-            // triggers retransmission storms across the healthy ones.
+            // Reply-gap sweep, now that the lane has run dry (a reordered
+            // or parked response lands within its batch, so a verdict per
+            // envelope would be early): an exchange whose quorum first
+            // transmissions can no longer complete is rebroadcast at once,
+            // and once — after that the deadline is its backstop. Not a
+            // strike, and the shard's `due` and `wait` stand: the shard is
+            // demonstrably answering.
+            for (&sn, fl) in &mut active {
+                let Machine::Abd(op) = &fl.machine else {
+                    continue;
+                };
+                let replicas = &shard_servers[fl.spec.shard as usize];
+                if fl.gap_sn != Some(sn) && quorum_out_of_reach(op, replicas, &answered, quorum) {
+                    fl.gap_sn = Some(sn);
+                    rebroadcast(sn, fl, Trigger::Gap);
+                }
+            }
+            // Deadline sweep: every shard whose deadline passed gets its
+            // stalled ops rebroadcast, its backoff doubled, and a strike
+            // toward degraded status. Other shards' clocks are untouched:
+            // one silent shard no longer triggers retransmission storms
+            // across the healthy ones.
             for (shard_idx, h) in health.iter_mut().enumerate() {
                 let Some(due) = h.due else {
                     continue;
@@ -1165,43 +1335,9 @@ fn store_client_loop(
                     continue;
                 }
                 let shard_u32 = u32::try_from(shard_idx).expect("shard index fits u32");
-                for (sn, fl) in &active {
-                    if fl.spec.shard != shard_u32 {
-                        continue;
-                    }
-                    // A broken read re-asks its one replica; the quorum
-                    // machine rebroadcasts whatever exchange it is in.
-                    let (msg, target) = match &fl.machine {
-                        Machine::Abd(op) => (op.retransmission(), None),
-                        Machine::Broken { target } => (
-                            Some(AbdMsg::Query {
-                                obj: fl.spec.key,
-                                sn: *sn,
-                            }),
-                            Some(*target),
-                        ),
-                    };
-                    let Some(msg) = msg else {
-                        continue;
-                    };
-                    retrans += 1;
-                    blunt_obs::static_counter!("store.client.retransmissions").inc();
-                    ring.record_span(
-                        FlightKind::OpRetransmit,
-                        me.0,
-                        u64::from(*sn),
-                        0,
-                        fl.span.flight_word(),
-                    );
-                    match target {
-                        Some(t) => bt.send(Envelope::abd(me, t, msg, true).with_span(fl.span)),
-                        None => bt.broadcast_span(
-                            me,
-                            &shard_servers[fl.spec.shard as usize],
-                            &msg,
-                            true,
-                            fl.span,
-                        ),
+                for (&sn, fl) in &active {
+                    if fl.spec.shard == shard_u32 {
+                        rebroadcast(sn, fl, Trigger::Deadline);
                     }
                 }
                 h.strikes += 1;
@@ -1216,6 +1352,8 @@ fn store_client_loop(
                 h.due = Some(now + h.wait);
             }
         }
+        // The burst's last completions: no pass follows to report them.
+        report(&mut unreported);
         done += burst_n;
     }
     // An op completes at its quorum, which can be while the batch layer
@@ -1223,13 +1361,19 @@ fn store_client_loop(
     // to the link like every other, or the link's offered count would
     // depend on whether some later flush happened to carry it.
     bt.flush_pending();
-    latency.merge(&local);
-    retransmissions.fetch_add(retrans, Ordering::Relaxed);
-    degraded_ops.fetch_add(deferred, Ordering::Relaxed);
+    tallies.latency.merge(&local);
+    tallies
+        .retransmissions
+        .fetch_add(retrans, Ordering::Relaxed);
+    tallies
+        .gap_retransmissions
+        .fetch_add(gap_retrans, Ordering::Relaxed);
+    tallies.degraded_ops.fetch_add(deferred, Ordering::Relaxed);
 }
 
-/// Seals one finished operation: latency, flight event, monitor `Return`,
-/// key release.
+/// Seals one finished operation: latency, flight event, key release. Its
+/// monitor `Return` joins `unreported`, which the client loop sends once the
+/// lane has run dry (see there).
 #[allow(clippy::too_many_arguments)] // mirrors the thread context it runs in
 fn complete_op(
     me: Pid,
@@ -1238,7 +1382,7 @@ fn complete_op(
     local: &Histogram,
     telemetry: &Telemetry,
     ring: &FlightRing,
-    mon_txs: &[Sender<Action>],
+    unreported: &mut Vec<(u32, Action)>,
     active_keys: &mut HashSet<u32>,
 ) {
     let lat_us = u64::try_from(fl.t0.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -1259,16 +1403,198 @@ fn complete_op(
         fl.span.flight_word(),
         u64::from(fl.spec.key.0),
     );
-    let _ = mon_txs[fl.spec.shard as usize].send(Action::Return {
-        inv: fl.inv,
-        val: ret,
-    });
+    unreported.push((
+        fl.spec.shard,
+        Action::Return {
+            inv: fl.inv,
+            val: ret,
+        },
+    ));
     active_keys.remove(&fl.spec.key.0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blunt_abd::client::OpKind;
+    use blunt_abd::ts::Ts;
+
+    /// A read in exchange `sn` that `responders` have answered (fed with a
+    /// quorum nobody reaches, so the exchange stays open).
+    fn op_in_exchange(sn: u32, responders: &[u32]) -> ActiveOp {
+        let mut op = ActiveOp::start(InvId(0), ObjId(0), OpKind::Read, 1, sn);
+        for &r in responders {
+            let effect = op.on_reply(Pid(r), sn, &Val::Nil, Ts::ZERO, 64, Pid(9), &mut 0);
+            assert_eq!(effect, ReplyEffect::Counted);
+        }
+        op
+    }
+
+    #[test]
+    fn the_reply_gap_rule_fires_on_proof_and_on_nothing_less() {
+        // Shard 1 of a 2 × 3 topology; the op is in exchange 10.
+        let shard: Vec<Pid> = (3..6).map(Pid).collect();
+        let rule = |responders: &[u32], answered: [u32; 6]| {
+            quorum_out_of_reach(&op_in_exchange(10, responders), &shard, &answered, 2)
+        };
+        // No evidence: nobody has answered anything later.
+        assert!(!rule(&[], [0; 6]));
+        assert!(!rule(&[], [0, 0, 0, 9, 10, 4]));
+        // Another shard's replicas are no evidence either.
+        assert!(!rule(&[], [50, 50, 50, 0, 0, 0]));
+        // One replica proved lost beside a merely silent one is a guess.
+        assert!(!rule(&[], [0, 0, 0, 11, 0, 0]));
+        assert!(!rule(&[5], [0, 0, 0, 11, 0, 10]));
+        // Two proved lost: the third alone is no quorum, answered or not.
+        assert!(rule(&[], [0, 0, 0, 11, 12, 0]));
+        assert!(rule(&[5], [0, 0, 0, 11, 12, 10]));
+        // A replica that answered this exchange is never lost, whatever
+        // else it answered since.
+        assert!(!rule(&[3], [0, 0, 0, 14, 12, 0]));
+        assert!(!rule(&[], [0, 0, 0, 10, 12, 0]));
+        // A quorum already met has nothing out of reach.
+        assert!(!rule(&[3, 4], [0, 0, 0, 14, 12, 13]));
+
+        // Five replicas, quorum 3: three must be proved lost.
+        let five: Vec<Pid> = (0..5).map(Pid).collect();
+        let op = op_in_exchange(10, &[0]);
+        assert!(!quorum_out_of_reach(&op, &five, &[10, 11, 12, 0, 0], 3));
+        assert!(quorum_out_of_reach(&op, &five, &[10, 11, 12, 13, 0], 3));
+
+        // The update exchange is held to the same rule; an op awaiting its
+        // object random choice has nothing in flight to lose.
+        let update = ActiveOp::start_sw_write(InvId(0), ObjId(0), Val::Int(1), Ts::ZERO, 10);
+        assert!(quorum_out_of_reach(
+            &update,
+            &shard,
+            &[0, 0, 0, 11, 12, 0],
+            2
+        ));
+        let mut choosing = ActiveOp::start(InvId(0), ObjId(0), OpKind::Read, 2, 9);
+        let mut sn_counter = 9;
+        for sn in [9, 10] {
+            for r in [3, 4] {
+                choosing.on_reply(Pid(r), sn, &Val::Nil, Ts::ZERO, 2, Pid(9), &mut sn_counter);
+            }
+        }
+        assert_eq!(choosing.current_sn(), None);
+        assert!(!quorum_out_of_reach(&choosing, &shard, &[99; 6], 2));
+    }
+
+    /// A fault-free bus that swallows the first transmissions `lose` picks
+    /// (by destination and message): scripted loss where the injector's is
+    /// drawn. Retransmissions are exempt from it as from any fate.
+    struct Lossy {
+        bus: Arc<Bus>,
+        lose: fn(Pid, &AbdMsg) -> bool,
+    }
+
+    impl Transport for Lossy {
+        fn send(&self, env: Envelope) {
+            let lost = match &env.msg {
+                Payload::Abd(msg) => !env.exempt && (self.lose)(env.dst, msg),
+                _ => false,
+            };
+            if !lost {
+                self.bus.send(env);
+            }
+        }
+
+        fn flush(&self) {
+            self.bus.flush();
+        }
+
+        fn stats(&self) -> TransportStats {
+            self.bus.stats()
+        }
+
+        fn coverage(&self) -> Coverage {
+            self.bus.coverage()
+        }
+    }
+
+    /// One client at depth 8 runs `ops` ops (one burst when `ops ≤ 8`)
+    /// against one shard of three `server_loop` replicas behind [`Lossy`];
+    /// `deadline` is the first retransmission timeout and its cap.
+    fn scripted(ops: u64, deadline: Duration, lose: fn(Pid, &AbdMsg) -> bool) -> StoreReport {
+        let mut cfg = StoreConfig::bench(0x6A9);
+        cfg.shards = 1;
+        cfg.clients = 1;
+        cfg.ops_per_client = ops;
+        cfg.retransmit_after = deadline;
+        cfg.retransmit_cap = deadline;
+        let recorder = Arc::new(FlightRecorder::new(4096));
+        let (bus, receivers) = Bus::new(cfg.seed, cfg.faults, 3, 4, false, Arc::clone(&recorder))
+            .expect("no faults to misconfigure");
+        let bus = Arc::new(bus);
+        let stop = Arc::new(AtomicBool::new(false));
+        let sinks = Arc::new(vec![RecoverySink::default()]);
+        let mut rxs = receivers.into_iter();
+        let servers = spawn_replicas(&cfg, &bus, &mut rxs, &stop, &sinks, &recorder);
+        let started = Instant::now();
+        let mut report = drive_clients(
+            &cfg,
+            &RunOpts::default(),
+            Arc::new(Lossy {
+                bus: Arc::clone(&bus),
+                lose,
+            }),
+            rxs.collect(),
+            recorder,
+            started,
+            Arc::new(|| 0),
+        );
+        report.elapsed = started.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        for s in servers {
+            s.join().expect("server thread");
+        }
+        assert!(
+            report.monitor.clean(),
+            "scripted loss broke linearizability"
+        );
+        assert_eq!(report.ops, ops);
+        report
+    }
+
+    /// The first op's opening query reaches replica 0 only.
+    fn first_query_reaches_one_replica(dst: Pid, msg: &AbdMsg) -> bool {
+        dst.0 != 0 && matches!(msg, AbdMsg::Query { sn: 1, .. })
+    }
+
+    #[test]
+    fn a_proved_loss_is_rebroadcast_at_once_not_at_the_deadline() {
+        // Seven later exchanges are in flight to the same replicas: the two
+        // that never heard exchange 1 answer those, which proves the loss
+        // one round trip after it happened. The 10 s deadline never runs.
+        let r = scripted(8, Duration::from_secs(10), first_query_reaches_one_replica);
+        assert_eq!((r.retransmissions, r.gap_retransmissions), (1, 1));
+        assert!(r.elapsed < Duration::from_secs(2), "took {:?}", r.elapsed);
+    }
+
+    #[test]
+    fn a_tail_exchange_has_no_successor_and_waits_for_the_deadline() {
+        let deadline = Duration::from_millis(30);
+        let r = scripted(1, deadline, first_query_reaches_one_replica);
+        assert_eq!((r.retransmissions, r.gap_retransmissions), (1, 0));
+        assert!(r.elapsed >= deadline, "took {:?}", r.elapsed);
+    }
+
+    #[test]
+    fn one_proved_loss_beside_a_silent_replica_waits_for_the_deadline() {
+        // Replica 2 hears no first transmission at all, so it answers
+        // nothing and proves nothing; replica 1 misses exchange 1 and its
+        // later answers prove that. One replica lost of three leaves a
+        // quorum in reach on paper: a rule that rebroadcast here would be
+        // guessing that the silent replica is gone rather than slow.
+        let deadline = Duration::from_millis(30);
+        let r = scripted(8, deadline, |dst, msg| {
+            dst.0 == 2 || first_query_reaches_one_replica(dst, msg)
+        });
+        assert_eq!(r.gap_retransmissions, 0);
+        assert!(r.retransmissions >= 1);
+        assert!(r.elapsed >= deadline, "took {:?}", r.elapsed);
+    }
 
     fn draws(cfg: &StoreConfig, k: u32, client: u32, bursts: &[u64]) -> Vec<(u32, bool, usize)> {
         let ring_map = HashRing::new(cfg.seed, cfg.shards);

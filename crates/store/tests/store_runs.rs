@@ -11,7 +11,9 @@
 //! - the intentionally-broken single-server read is caught by the
 //!   per-shard monitor on the keyed store, with a rendered window;
 //! - the same client loop over real sockets (UDS loopback) stays clean,
-//!   under amnesia crashes too, every crash recovered shard by shard.
+//!   under amnesia crashes too, every crash recovered shard by shard;
+//! - the reply-gap retransmission trigger never fires where nothing is
+//!   lost, on either tier, and does fire over sockets under the chaos mix.
 
 mod common;
 
@@ -348,6 +350,63 @@ fn keyed_amnesia_over_uds_recovers_every_crash_shard_by_shard() {
     }
 }
 
+/// The `bus_amnesia` benchmark shape at test size: 2 shards × 3 replicas,
+/// 2 clients at depth 8 and batch 16 — several ops per shard in flight at
+/// once, which is what gives a stalled exchange successors to expose it.
+fn deep_two_shard_shape(seed: u64) -> StoreConfig {
+    let mut cfg = StoreConfig::bench(seed);
+    cfg.shards = 2;
+    cfg.clients = 2;
+    cfg.ops_per_client = 1_000;
+    cfg
+}
+
+#[test]
+fn the_reply_gap_never_fires_where_nothing_is_lost_on_either_tier() {
+    // Fault-free, every link is FIFO and no response goes missing, so no
+    // replica ever answers a later exchange ahead of an earlier one: the
+    // rule is evaluated every pass and proves nothing. The deadline is a
+    // guess and may well fire (a 1 ms silence on a loaded box).
+    let cfg = deep_two_shard_shape(0x5709_6A90);
+    let bus = run_store(&cfg).expect("valid fault config");
+    let (uds, _) = common::run_over_uds(&cfg, &RunOpts::default(), "gap-quiet");
+    for (tier, report) in [("bus", bus), ("uds", uds)] {
+        assert_eq!(report.ops, 2_000, "{tier}");
+        assert!(report.monitor.clean(), "{tier}: violations on a quiet run");
+        assert_eq!(report.gap_retransmissions, 0, "{tier}");
+    }
+}
+
+#[test]
+fn the_reply_gap_fires_over_uds_under_chaos_and_amnesia() {
+    let mut cfg = deep_two_shard_shape(0x5709_6A91);
+    cfg.faults = blunt_net::FaultConfig::chaos();
+    cfg.faults.crash_len = 4;
+    cfg.faults.crash_period = 20 * u64::from(cfg.servers_total());
+    cfg.recovery = RecoveryMode::amnesia();
+    let (report, _) = common::run_over_uds(&cfg, &RunOpts::default(), "gap-amnesia");
+    assert_eq!(report.ops, 2_000);
+    assert!(
+        report.monitor.clean(),
+        "violations: {:?}",
+        report
+            .monitor
+            .violations
+            .iter()
+            .map(|v| &v.rendered)
+            .collect::<Vec<_>>()
+    );
+    assert!(!report.stalled, "run stalled");
+    assert!(report.recovery.crashes >= 1, "{:?}", report.recovery);
+    for (shard, &(crashes, recoveries)) in report.shard_recoveries.iter().enumerate() {
+        assert_eq!(crashes, recoveries, "shard {shard}");
+    }
+    // Sockets are per-link FIFO like mailboxes, so the evidence is as good
+    // here as on the bus — and every gap rebroadcast is a rebroadcast.
+    assert!(report.gap_retransmissions > 0, "the rule never fired");
+    assert!(report.gap_retransmissions <= report.retransmissions);
+}
+
 #[test]
 fn keyed_store_over_uds_sockets_zero_violations() {
     let mut cfg = StoreConfig::smoke(0x5709_4E75);
@@ -370,6 +429,9 @@ fn keyed_store_over_uds_sockets_zero_violations() {
     // Socket frames actually moved, and batches actually formed.
     assert!(blunt_obs::counter("net.frames_sent").get() > 0);
     assert!(blunt_obs::counter("store.batch.flushes").get() > 0);
+    // Under light faults either trigger may rebroadcast; the gap's are
+    // counted among the total, never beside it.
+    assert!(report.gap_retransmissions <= report.retransmissions);
     // The tracing plane comes home on keyed runs too: one remote section
     // per replica, and a merged dump with events from every one of them.
     assert_eq!(report.remote_servers.len(), 6);

@@ -87,7 +87,11 @@ fn raw_trace_event(e: &blunt_obs::FlightEvent) -> TraceEvent {
         },
         FlightKind::OpRetransmit => TraceEvent::Internal {
             pid,
-            label: format!("retransmit sn={}", e.a),
+            label: format!(
+                "retransmit sn={}{}",
+                e.a,
+                if e.b == 1 { " (gap)" } else { "" }
+            ),
         },
         FlightKind::BusSend => TraceEvent::Deliver {
             src: pid,
@@ -409,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn ack_and_delay_labels_are_readable() {
+    fn ack_delay_and_retransmit_labels_are_readable() {
         let dump = FlightDump {
             schema_version: blunt_obs::FLIGHT_SCHEMA_VERSION,
             events: vec![
@@ -423,11 +427,21 @@ mod tests {
                     0,
                     pack_msg(MSG_ACK, 9),
                 ),
+                ev("client-0", 1, 3, FlightKind::OpRetransmit, 0, 7, 1),
+                ev("client-0", 2, 4, FlightKind::OpRetransmit, 0, 8, 0),
             ],
         };
-        let s = flight_space_time(&dump, 3, &DiagramOptions::default());
+        let opts = DiagramOptions {
+            lane_width: 32,
+            ..DiagramOptions::default()
+        };
+        let s = flight_space_time(&dump, 3, &opts);
         assert!(s.contains("delay →p2 3ms"), "{s}");
         assert!(s.contains("recv ack#9"), "{s}");
+        // The trigger word: 1 is the reply gap, 0 (and every dump written
+        // before the word meant anything) the deadline.
+        assert!(s.contains("retransmit sn=7 (gap)\n"), "{s}");
+        assert!(s.contains("retransmit sn=8\n"), "{s}");
     }
 
     #[test]
