@@ -51,7 +51,9 @@
 //! `runtime.chaos.<cfg>.ops`, `.violations`, `.monitor_actions`, and (for
 //! message-passing configs) `.recoveries`; the full counter snapshot plus
 //! per-config wall-times — including the monitor-overhead phases
-//! `monitor.<cfg>` (time inside `observe`) and `monitor_lag_ops.<cfg>` —
+//! `monitor.<cfg>` (time inside `observe`), `monitor_lag_ops.<cfg>` and
+//! `monitor_wakeups.<cfg>` (how often a monitor thread was woken: the
+//! clients ring it once a burst, not once an action) —
 //! goes to the schema-versioned `BENCH_results.json` (default
 //! `target/chaos/BENCH_results.json`, `--results-out` to redirect) for the
 //! `bench-report` gate — the committed baseline pins every `violations`
@@ -103,7 +105,9 @@ const USAGE: &str = "usage: chaos [--smoke] [--seed N] [--results-out PATH] \
              [--recovery stable|amnesia] \\\n\
              [--fault-profile none|light|heavy|amnesia] [--crash-len N] [--crash-period N] \\\n\
              [--dump-dir DIR]\n\
-     ADDR is host:port (TCP) or a filesystem path (Unix-domain socket)";
+     ADDR is host:port (TCP) or a filesystem path (Unix-domain socket)\n\
+     --batch N caps what a client buffers per destination replica before a forced \
+     flush (1 = no batching); a flush carries every destination's envelopes";
 
 /// A named fault mix for `--fault-profile`. `Heavy` is the full chaos()
 /// mix; `Amnesia` is the same mix with volatile-state-losing crashes and
@@ -678,7 +682,7 @@ fn print_report(name: &str, r: &StoreReport, run: &Run) {
     }
     println!(
         "{:<24} coverage: fates [{}] over {} links  monitors: {} actions \
-         across {} shards, {:.1} ms observe, lag hwm {}",
+         across {} shards, {:.1} ms observe, lag hwm {}, {} wake-ups",
         "",
         r.coverage.fates_exercised().join(" "),
         r.coverage.links.len(),
@@ -686,6 +690,7 @@ fn print_report(name: &str, r: &StoreReport, run: &Run) {
         cfg.shards,
         r.monitor_overhead.observe_ns as f64 / 1e6,
         r.monitor_overhead.lag_ops_hwm,
+        r.monitor_overhead.wakeups,
     );
     if r.recovery.crashes > 0 {
         println!(
@@ -1238,8 +1243,9 @@ fn run_plan(cli: &Cli) -> ExitCode {
         let report = run.execute(cli);
         phases.push((name.clone(), t0.elapsed().as_secs_f64() * 1000.0));
         // Monitor-overhead phases for the bench gate: wall time inside
-        // `observe` and the backlog high-water mark. Timing-dependent, so
-        // informational unless bench-report runs with --strict-times.
+        // `observe`, the backlog high-water mark, and how often a monitor
+        // thread was woken. Timing-dependent, so informational unless
+        // bench-report runs with --strict-times.
         phases.push((
             format!("monitor.{name}"),
             report.monitor_overhead.observe_ns as f64 / 1e6,
@@ -1247,6 +1253,10 @@ fn run_plan(cli: &Cli) -> ExitCode {
         phases.push((
             format!("monitor_lag_ops.{name}"),
             report.monitor_overhead.lag_ops_hwm as f64,
+        ));
+        phases.push((
+            format!("monitor_wakeups.{name}"),
+            report.monitor_overhead.wakeups as f64,
         ));
         if let Some(merged) = &report.merged_flight {
             phases.extend(write_merged_flight(cli, merged, &run));

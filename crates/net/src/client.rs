@@ -272,7 +272,10 @@ impl NetClient {
             },
             move |peer, stream| {
                 let shared = Arc::clone(&reader_shared);
-                std::thread::spawn(move || shared.reader_loop(peer, stream));
+                std::thread::Builder::new()
+                    .name(format!("net-reader-{peer}"))
+                    .spawn(move || shared.reader_loop(peer, stream))
+                    .expect("spawn connection reader thread");
             },
         );
         let client = Arc::new(NetClient {
@@ -385,9 +388,12 @@ impl NetClient {
         }
     }
 
-    /// Tells every server to finish up, then waits up to `wait` for their
-    /// `Goodbye` stats. Missing goodbyes (a server that died hard) come
-    /// back as `None`.
+    /// Tells every server to finish up, waits up to `wait` for their
+    /// `Goodbye` stats, then shuts every connection down: the reader
+    /// threads hold clones of the pooled streams (and, through them, the
+    /// client lanes and the flight recorder), and must not outlive the run
+    /// because a server keeps its end open. Missing goodbyes (a server that
+    /// died hard) come back as `None`.
     pub fn shutdown(&self, wait: Duration) -> Vec<Option<ServerGoodbye>> {
         self.pool.broadcast(|_| Frame::Shutdown);
         let deadline = Instant::now() + wait;
@@ -395,7 +401,7 @@ impl NetClient {
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if g.iter().all(Option::is_some) || left.is_zero() {
-                return g.clone();
+                break;
             }
             g = self
                 .shared
@@ -404,6 +410,8 @@ impl NetClient {
                 .expect("goodbye lock")
                 .0;
         }
+        self.pool.pool().close();
+        g.clone()
     }
 }
 

@@ -7,7 +7,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -140,6 +140,22 @@ impl Stream {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(timeout),
             Stream::Uds(s) => s.set_read_timeout(timeout),
+        }
+    }
+
+    /// Shuts the connection down in both directions — for every handle of
+    /// it, clones included: a reader blocked on any of them sees the end
+    /// of the stream, and so does the peer. Closing one handle does neither
+    /// while a clone lives.
+    ///
+    /// # Errors
+    ///
+    /// The underlying `shutdown` error (a connection the peer has already
+    /// torn down may report `NotConnected`).
+    pub fn shutdown(&self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+            Stream::Uds(s) => s.shutdown(Shutdown::Both),
         }
     }
 }

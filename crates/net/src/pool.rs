@@ -7,7 +7,9 @@
 //! message, which the retransmission layer above already tolerates. Every
 //! fresh connection replays the pool's `Hello` frame and hands a reader
 //! handle to the `on_connect` callback so the owner can spawn its receive
-//! loop.
+//! loop. Those reader handles are clones of the pooled streams, so dropping
+//! the pool does not end them: an owner whose receive loops must exit when
+//! it is done calls [`ConnectionPool::close`].
 //!
 //! [`BroadcastPool`] is the quorum-facing view: fan one logical message out
 //! to every peer, building a distinct tagged frame per destination.
@@ -103,6 +105,18 @@ impl ConnectionPool {
             Err(e) => Err(e),
         }
     }
+
+    /// Shuts every open connection down and empties the pool. The reader
+    /// handles `on_connect` gave out are clones of these streams: they see
+    /// the end of their stream now, whatever the peer does. A later
+    /// [`ConnectionPool::send`] dials afresh.
+    pub fn close(&self) {
+        for slot in &self.slots {
+            if let Some(w) = slot.lock().expect("pool slot lock").take() {
+                let _ = w.get_ref().shutdown();
+            }
+        }
+    }
 }
 
 /// Quorum fan-out over a [`ConnectionPool`]: one distinct tagged frame per
@@ -183,6 +197,34 @@ mod tests {
             Some(Frame::Hello { node: 7, t_us: 0 }),
             "reconnected stream re-announces itself"
         );
+    }
+
+    #[test]
+    fn close_ends_the_reader_handles_while_the_peer_keeps_its_end_open() {
+        let addr = tmp_sock("c0.sock");
+        let listener = addr.listen().unwrap();
+        let (eof_tx, eof_rx) = mpsc::channel();
+        let pool = ConnectionPool::new(
+            vec![addr.clone()],
+            || Frame::Hello { node: 7, t_us: 0 },
+            move |_, mut reader| {
+                let eof_tx = eof_tx.clone();
+                std::thread::spawn(move || {
+                    // Blocks until the stream ends: the peer never writes.
+                    let end = read_frame(&mut reader);
+                    let _ = eof_tx.send(matches!(end, Ok(None)));
+                });
+            },
+        );
+        pool.send(0, &Frame::Shutdown).unwrap();
+        // The peer holds its end open for the whole test.
+        let _held = listener.accept().unwrap();
+        assert!(
+            eof_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "the reader ended on its own"
+        );
+        pool.close();
+        assert_eq!(eof_rx.recv_timeout(Duration::from_secs(5)), Ok(true));
     }
 
     #[test]

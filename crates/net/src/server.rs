@@ -21,7 +21,10 @@
 //!
 //! An inbound `Shutdown` on the driver connection raises the stop flag and
 //! ends the inbox's input; the runtime then reports the server's
-//! crash/recovery/WAL stats back with [`NetServer::goodbye`].
+//! crash/recovery/WAL stats back with [`NetServer::goodbye`] and takes the
+//! server off the network with [`NetServer::close`] — the acceptor blocks in
+//! `accept` and the driver's reader in `read`, and neither ends because a
+//! `NetServer` is dropped.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind};
@@ -90,6 +93,9 @@ struct DelayedFrame {
 pub struct NetServer {
     me: Pid,
     servers: u32,
+    /// Where the acceptor listens: [`NetServer::close`] dials it.
+    listen: Addr,
+    acceptor: Mutex<Option<JoinHandle<()>>>,
     injector: Mutex<Injector>,
     peers: ConnectionPool,
     tags: TagGen,
@@ -395,23 +401,35 @@ impl NetServer {
         let stop = Arc::new(AtomicBool::new(false));
         let dedup_epoch = Arc::new(AtomicU64::new(0));
         let me = cfg.me;
-        {
+        let acceptor = {
             let driver = Arc::clone(&driver);
             let flight = Arc::clone(&flight);
             let dedup_epoch = Arc::clone(&dedup_epoch);
-            std::thread::spawn(move || loop {
+            let stop = Arc::clone(&stop);
+            let accept = move || loop {
                 let Ok(stream) = listener.accept() else {
                     return;
                 };
+                // A stopped server takes no connection; the one that got
+                // `accept` to return may be `close`'s own.
+                if stop.load(Ordering::SeqCst) {
+                    return;
+                }
                 let mailbox = mailbox_tx.clone();
                 let driver = Arc::clone(&driver);
                 let flight = Arc::clone(&flight);
                 let dedup_epoch = Arc::clone(&dedup_epoch);
-                std::thread::spawn(move || {
-                    handshake(me, &flight, stream, &mailbox, &driver, &dedup_epoch);
-                });
-            });
-        }
+                let conn = move || handshake(me, &flight, stream, &mailbox, &driver, &dedup_epoch);
+                // A connection that gets no thread is a lost frame's worth
+                // of trouble for its dialer, not for this server.
+                let _ = std::thread::Builder::new()
+                    .name("net-conn".into())
+                    .spawn(conn);
+            };
+            std::thread::Builder::new()
+                .name("net-accept".into())
+                .spawn(accept)?
+        };
         let peers = ConnectionPool::new(
             cfg.peers.clone(),
             // Peer hellos carry no clock sample — only the driver estimates
@@ -437,6 +455,8 @@ impl NetServer {
         let server = Arc::new(NetServer {
             me,
             servers: cfg.servers,
+            listen: cfg.listen.clone(),
+            acceptor: Mutex::new(Some(acceptor)),
             injector: Mutex::new(injector),
             peers,
             tags: TagGen::new(),
@@ -457,7 +477,7 @@ impl NetServer {
     fn spawn_delayer(&self) {
         let (tx, rx) = mpsc::channel::<DelayedFrame>();
         let driver = Arc::clone(&self.driver);
-        let handle = std::thread::spawn(move || {
+        let delay = move || {
             let mut pending: Vec<DelayedFrame> = Vec::new();
             loop {
                 let timeout = pending
@@ -486,7 +506,11 @@ impl NetServer {
                     }
                 }
             }
-        });
+        };
+        let handle = std::thread::Builder::new()
+            .name("net-delayer".into())
+            .spawn(delay)
+            .expect("spawn delayer thread");
         *self.delayer.lock().expect("delayer lock") = Some(tx);
         *self.delayer_handle.lock().expect("delayer handle lock") = Some(handle);
     }
@@ -526,6 +550,28 @@ impl NetServer {
             fsync_p99_us: g.fsync_p99_us,
             dump,
         });
+    }
+
+    /// Takes the server off the network, for good: raises the stop flag,
+    /// shuts the driver connection down (everything written before —
+    /// the `Goodbye` — is still delivered; the driver's reader then sees
+    /// the end of the stream) and ends the acceptor, which drops the
+    /// listener. The acceptor is blocked in `accept` and safe `std` cannot
+    /// interrupt that, so one throw-away dial of the server's own address
+    /// returns it to the flag. Peer connections end with their dialers.
+    pub fn close(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(w) = self.driver.0.lock().expect("driver slot lock").take() {
+            let _ = w.get_ref().shutdown();
+        }
+        let Some(acceptor) = self.acceptor.lock().expect("acceptor lock").take() else {
+            return;
+        };
+        // If the dial fails the listener is either gone already (joined
+        // at once) or out of reach, and waiting for it would hang.
+        if self.listen.connect().is_ok() || acceptor.is_finished() {
+            let _ = acceptor.join();
+        }
     }
 
     /// Realizes one outbound envelope: draws its fate (exempt and peer

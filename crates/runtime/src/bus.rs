@@ -148,7 +148,7 @@ impl Bus {
     fn spawn_delayer(&self) {
         let (tx, rx) = mpsc::channel::<DelayedMsg>();
         let mailboxes = self.mailboxes.clone();
-        let handle = std::thread::spawn(move || {
+        let delay = move || {
             let mut pending: Vec<DelayedMsg> = Vec::new();
             loop {
                 let timeout = pending
@@ -177,7 +177,11 @@ impl Bus {
                     }
                 }
             }
-        });
+        };
+        let handle = std::thread::Builder::new()
+            .name("bus-delayer".into())
+            .spawn(delay)
+            .expect("spawn bus delayer thread");
         *self.delayer.lock().unwrap() = Some(tx);
         *self.delayer_handle.lock().unwrap() = Some(handle);
     }

@@ -56,5 +56,6 @@ pub use recovery::{RecoveryMode, RecoverySink, RecoveryStats};
 pub use shm::{run_shm_chaos, ShmChaosConfig, ShmReport};
 pub use storage::{MultiWal, Wal, WalRecord};
 pub use workload::{
-    server_loop, spawn_monitor, watch_loop, MonitorOverhead, Telemetry, WATCH_SCHEMA_VERSION,
+    server_loop, spawn_monitor, watch_loop, MonitorFeed, MonitorOverhead, Telemetry,
+    WATCH_SCHEMA_VERSION,
 };

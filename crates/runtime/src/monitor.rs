@@ -6,7 +6,11 @@
 //! the first protocol broadcast and `Return` *after* the quorum completes —
 //! so the observed interval of every operation contains its true interval,
 //! and any linearization of the observed history is a linearization of the
-//! true one: the monitor raises no false alarms.
+//! true one: the monitor raises no false alarms. The argument is about the
+//! order of the enqueues only, not about when they are consumed: the thread
+//! that runs this monitor is woken once a burst rather than once an action
+//! (`crate::workload::MonitorFeed`), and sees the same history a burst
+//! later.
 //!
 //! Long runs are checked incrementally by splitting each object's history
 //! at **cuts** — points where that object has no pending invocation. Cuts

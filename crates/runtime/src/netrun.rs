@@ -195,7 +195,7 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
         let srv = Arc::clone(&srv);
         let recorder = Arc::clone(&recorder);
         let sink = Arc::clone(&sink);
-        thread::spawn(move || {
+        let tick = move || {
             let mut agg = FlightAggregator::new();
             loop {
                 match tele_stop_rx.recv_timeout(TELEMETRY_TICK) {
@@ -205,7 +205,10 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
                 agg.absorb(&recorder.dump());
                 srv.telemetry(agg.snapshot(&sink));
             }
-        })
+        };
+        thread::Builder::new()
+            .name("net-telemetry".into())
+            .spawn(tick)?
     };
 
     let shard_size = match cfg.shard_size {
@@ -264,6 +267,10 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
         },
         dump.last_n(GOODBYE_DUMP_EVENTS).to_jsonl(),
     );
+    // Nothing follows the goodbye: without this the acceptor, its listener
+    // and the driver connection — and the driver's reader thread at the
+    // other end of it — would outlive the run.
+    srv.close();
     Ok(NetServeReport {
         stats: srv.stats(),
         coverage: srv.coverage(),

@@ -8,8 +8,10 @@
 //! workspace, and the classic single-register workload is that store at one
 //! shard and one key. The observers it drives stay here, next to
 //! `blunt-trace`: [`spawn_monitor`] (one [`OnlineMonitor`] thread per
-//! shard), the shared [`Telemetry`] counters, and [`watch_loop`] (progress
-//! line, JSONL mirror, stall watchdog).
+//! shard, fed through a [`MonitorFeed`]: enqueuing an action wakes nobody,
+//! the clients ring the monitor once a burst), the shared [`Telemetry`]
+//! counters, and [`watch_loop`] (progress line, JSONL mirror, stall
+//! watchdog).
 //!
 //! **Crash recovery.** Under [`RecoveryMode::Amnesia`] every server keeps a
 //! write-ahead log ([`MultiWal`]) and obeys the *write-ahead ack discipline*: an
@@ -40,9 +42,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use blunt_abd::msg::AbdMsg;
@@ -71,8 +73,14 @@ pub struct MonitorOverhead {
     pub observe_ns: u64,
     /// High-water mark of the monitor's backlog — actions enqueued by
     /// clients but not yet observed, i.e. how far the monitor ran behind
-    /// the frontier (timing-dependent).
+    /// the frontier (timing-dependent). A monitor is woken once a burst,
+    /// so about one burst's actions (`2 × clients × burst`) is the design
+    /// point, not a sign of trouble.
     pub lag_ops_hwm: u64,
+    /// Times a monitor's `park` returned: how often a monitor thread was
+    /// woken (timing-dependent, informational; at most one per ring of the
+    /// bell, see [`MonitorFeed::ring`]).
+    pub wakeups: u64,
 }
 
 /// Live counters the client threads, the shard monitors and the
@@ -98,18 +106,43 @@ impl Telemetry {
         self.actions_sent.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An op completed `lat_us` after its `Call`; the client sends its
-    /// `Return` once its lane has run dry.
+    /// An op completed `lat_us` after its `Call`; the client enqueues its
+    /// `Return` next.
     pub fn op_completed(&self, lat_us: u64) {
         self.sketch.record(lat_us);
         self.ops.fetch_add(1, Ordering::Relaxed);
         self.actions_sent.fetch_add(1, Ordering::Relaxed);
     }
+}
 
-    /// Actions the monitors have observed (for the report's overhead block).
-    #[must_use]
-    pub fn actions_seen(&self) -> u64 {
-        self.actions_seen.load(Ordering::Relaxed)
+/// A client's end of one shard monitor: the action channel and the bell.
+///
+/// **Enqueuing is not waking.** [`MonitorFeed::send`] pushes onto the
+/// shard's `mpsc` channel and returns — the monitor thread does not block in
+/// `recv`, so no futex is touched — and the order of the pushes is all the
+/// soundness argument needs (`crate::monitor`). The monitor drains its
+/// channel and parks when it is empty; it runs again when somebody
+/// [`MonitorFeed::ring`]s.
+#[derive(Clone)]
+pub struct MonitorFeed {
+    tx: Sender<Action>,
+    monitor: Thread,
+}
+
+impl MonitorFeed {
+    /// Enqueues `a` behind everything any client has enqueued so far. A
+    /// plain push: the monitor is not woken.
+    pub fn send(&self, a: Action) {
+        // A monitor that is gone has nothing left to check.
+        let _ = self.tx.send(a);
+    }
+
+    /// Wakes the monitor if it is parked; otherwise its next `park` returns
+    /// at once, so a ring is never lost and rings do not pile up. Clients
+    /// ring every shard's bell once a burst, after their last `Return` and
+    /// before they wait at the barrier.
+    pub fn ring(&self) {
+        self.monitor.unpark();
     }
 }
 
@@ -118,33 +151,58 @@ impl Telemetry {
 /// at its first violation. Sound per shard because every op on a key routes
 /// to exactly one shard (see the `blunt-store` crate docs). `lanes` is the
 /// run's node count: monitors take the flight pids after it, one per shard.
-/// Returns `(report, observe_ns, lag_hwm, dump)` on join.
+///
+/// Returns the clients' [`MonitorFeed`] and the thread, which ends — with
+/// `(report, overhead, dump)`, the overhead's counts this shard's alone —
+/// once every clone of the feed is dropped **and the thread is unparked one
+/// last time** (`JoinHandle::thread`): a parked monitor cannot see the
+/// channel disconnect.
+///
+/// # Panics
+///
+/// Panics if the thread cannot be spawned.
 pub fn spawn_monitor(
     shard: u32,
     recorder: Arc<FlightRecorder>,
     telemetry: Arc<Telemetry>,
     lanes: usize,
-    mon_rx: Receiver<Action>,
-) -> thread::JoinHandle<(MonitorReport, u64, u64, Option<FlightDump>)> {
-    thread::spawn(move || {
-        let ring = recorder.register_current(&format!("monitor-s{shard}"));
+) -> (
+    MonitorFeed,
+    thread::JoinHandle<(MonitorReport, MonitorOverhead, Option<FlightDump>)>,
+) {
+    let (tx, mon_rx) = mpsc::channel::<Action>();
+    let name = format!("monitor-s{shard}");
+    let spawned = thread::Builder::new().name(name.clone()).spawn(move || {
+        let ring = recorder.register_current(&name);
         let mon_pid = u32::try_from(lanes).expect("node count fits u32") + shard;
         let mut m = OnlineMonitor::new(Val::Nil, lanes);
-        let mut observe_ns: u64 = 0;
-        let mut lag_hwm: u64 = 0;
+        let mut overhead = MonitorOverhead::default();
         let mut cuts: u64 = 0;
         let mut dump: Option<FlightDump> = None;
-        while let Ok(a) = mon_rx.recv() {
+        loop {
+            let a = match mon_rx.try_recv() {
+                Ok(a) => a,
+                Err(TryRecvError::Empty) => {
+                    // Nothing to check until the bell rings: once a burst
+                    // per client, and once more when the senders are gone.
+                    thread::park();
+                    overhead.wakeups += 1;
+                    continue;
+                }
+                Err(TryRecvError::Disconnected) => break,
+            };
             let t0 = Instant::now();
             let ok = m.observe(a);
-            observe_ns = observe_ns
+            overhead.observe_ns = overhead
+                .observe_ns
                 .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            overhead.actions += 1;
             let seen = telemetry.actions_seen.fetch_add(1, Ordering::Relaxed) + 1;
             let lag = telemetry
                 .actions_sent
                 .load(Ordering::Relaxed)
                 .saturating_sub(seen);
-            lag_hwm = lag_hwm.max(lag);
+            overhead.lag_ops_hwm = overhead.lag_ops_hwm.max(lag);
             let checked = m.segments_checked();
             if checked > cuts {
                 cuts = checked;
@@ -173,8 +231,14 @@ pub fn spawn_monitor(
                 }
             }
         }
-        (m.finish(), observe_ns, lag_hwm, dump)
-    })
+        (m.finish(), overhead, dump)
+    });
+    let handle = spawned.expect("spawn shard monitor thread");
+    let feed = MonitorFeed {
+        tx,
+        monitor: handle.thread().clone(),
+    };
+    (feed, handle)
 }
 
 /// Re-records a violation window's actions into the monitor's ring,

@@ -20,6 +20,14 @@
 //! how they are framed; fault fates are drawn per logical envelope in send
 //! order either way (see [`crate::batch`]).
 //!
+//! The shard monitors hear of every `Call` and `Return` at the program point
+//! it happens — a push onto the shard's channel that wakes nobody — and are
+//! woken once a burst: each client rings every shard's bell after its last
+//! `Return` and before the burst barrier, and `drive_clients` rings once
+//! more when the clients are joined ([`MonitorFeed`]; `docs/STORE.md`
+//! § *Per-shard monitors*). The checker sees the same history in the same
+//! order, a burst later, and no client pays a thread wake-up per action.
+//!
 //! Loss recovery has two triggers and one rebroadcast routine. The *deadline*
 //! fires when a whole shard has been silent for its backoff window
 //! (`ShardHealth`); the *reply gap* fires the moment the replies themselves
@@ -33,7 +41,7 @@
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -50,8 +58,8 @@ use blunt_net::{
 use blunt_obs::flight::encode_val;
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Histogram, HistogramSnapshot};
 use blunt_runtime::{
-    server_loop, spawn_monitor, watch_loop, Bus, MonitorOverhead, MonitorReport, RecoveryMode,
-    RecoverySink, RecoveryStats, Telemetry,
+    server_loop, spawn_monitor, watch_loop, Bus, MonitorFeed, MonitorOverhead, MonitorReport,
+    RecoveryMode, RecoverySink, RecoveryStats, Telemetry,
 };
 use blunt_sim::rng::{RandomSource, SplitMix64};
 
@@ -73,8 +81,12 @@ pub struct StoreConfig {
     pub keys: u32,
     /// Max operations one client keeps in flight at once.
     pub pipeline_depth: u32,
-    /// Envelopes buffered per client before a forced flush
-    /// (`1` ⇒ batching off; see [`BatchingTransport`]).
+    /// Envelopes a client buffers **for one destination** before a forced
+    /// flush of everything it has buffered (`1` ⇒ batching off; see
+    /// [`BatchingTransport`]). Per destination because that is what a flush
+    /// produces — one frame, one mailbox run: a pipeline fill spread over
+    /// its replicas leaves as one flush, and a flush may carry more than
+    /// `batch_max` envelopes in all.
     pub batch_max: usize,
     /// Ops per burst between client barriers (bounds the monitor window:
     /// `clients × burst ≤ 64`).
@@ -269,8 +281,9 @@ pub struct StoreReport {
     /// Call/return actions consumed across all shard monitors
     /// (= [`MonitorOverhead::actions`]).
     pub monitor_actions: u64,
-    /// What the shard monitors cost (`actions` deterministic, times not):
-    /// observe time summed, backlog high-water mark maxed across shards.
+    /// What the shard monitors cost (`actions` deterministic, the rest
+    /// not): observe time and wake-ups summed, backlog high-water mark
+    /// maxed across shards.
     pub monitor_overhead: MonitorOverhead,
     /// The flight-recorder window captured when the monitor of
     /// `monitor.violations[0]`'s shard first fired (`None` on clean runs).
@@ -519,6 +532,17 @@ fn run_on_bus(
     Ok(report)
 }
 
+/// A run's threads carry their role as their name (`client-6`, `server-0`,
+/// `monitor-s1`, …; the kernel keeps 15 bytes), the same names as their
+/// flight rings, so a per-thread profile can tell the classes apart
+/// (`examples/thread_profile.rs`).
+fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> thread::JoinHandle<()> {
+    thread::Builder::new()
+        .name(name)
+        .spawn(f)
+        .expect("spawn a run thread")
+}
+
 /// Spawns one [`server_loop`] thread per replica of `cfg`'s topology on
 /// `bus`, taking the first `servers_total` receivers (index = pid).
 fn spawn_replicas(
@@ -550,7 +574,7 @@ fn spawn_replicas(
                 Some(d) if d == shard => RecoveryMode::demo_amnesia(),
                 _ => cfg.recovery,
             };
-            thread::spawn(move || {
+            let serve = move || {
                 server_loop(
                     Pid(s),
                     group,
@@ -561,7 +585,8 @@ fn spawn_replicas(
                     &sinks[shard as usize],
                     &recorder,
                 );
-            })
+            };
+            spawn_named(format!("server-{s}"), serve)
         })
         .collect()
 }
@@ -585,20 +610,10 @@ fn drive_clients(
     let nodes = (cfg.servers_total() + cfg.clients) as usize;
     let telemetry = Arc::new(Telemetry::default());
 
-    let mut mon_txs = Vec::with_capacity(cfg.shards as usize);
-    let mut monitors = Vec::with_capacity(cfg.shards as usize);
-    for shard in 0..cfg.shards {
-        let (tx, rx) = mpsc::channel::<Action>();
-        mon_txs.push(tx);
-        monitors.push(spawn_monitor(
-            shard,
-            Arc::clone(&recorder),
-            Arc::clone(&telemetry),
-            nodes,
-            rx,
-        ));
-    }
-    let mon_txs = Arc::new(mon_txs);
+    let (feeds, monitors): (Vec<MonitorFeed>, Vec<_>) = (0..cfg.shards)
+        .map(|shard| spawn_monitor(shard, Arc::clone(&recorder), Arc::clone(&telemetry), nodes))
+        .unzip();
+    let feeds = Arc::new(feeds);
 
     let (watch_stop_tx, watch_stop_rx) = mpsc::channel::<()>();
     let stalled = Arc::new(AtomicBool::new(false));
@@ -610,7 +625,7 @@ fn drive_clients(
             let telemetry = Arc::clone(&telemetry);
             let recorder = Arc::clone(&recorder);
             let stalled = Arc::clone(&stalled);
-            thread::spawn(move || {
+            let watch = move || {
                 watch_loop(
                     opts.watch,
                     opts.watch_out.as_deref(),
@@ -625,7 +640,8 @@ fn drive_clients(
                     &stalled,
                     &watch_stop_rx,
                 );
-            })
+            };
+            spawn_named("watch".into(), watch)
         });
 
     let barrier = Arc::new(Barrier::new(cfg.clients as usize));
@@ -638,16 +654,18 @@ fn drive_clients(
     let mut clients = Vec::with_capacity(cfg.clients as usize);
     for (c, rx) in client_rxs.into_iter().enumerate() {
         let c = u32::try_from(c).expect("client count fits u32");
+        // Named like the thread's flight ring: its pid, not its lane.
+        let name = format!("client-{}", cfg.servers_total() + c);
         let cfg = cfg.clone();
         let k = opts.k;
         let ring_map = Arc::clone(&ring_map);
         let transport = Arc::clone(&transport);
         let barrier = Arc::clone(&barrier);
-        let mon_txs = Arc::clone(&mon_txs);
+        let feeds = Arc::clone(&feeds);
         let tallies = Arc::clone(&tallies);
         let recorder = Arc::clone(&recorder);
         let telemetry = Arc::clone(&telemetry);
-        clients.push(thread::spawn(move || {
+        let client = move || {
             store_client_loop(
                 c,
                 &cfg,
@@ -656,16 +674,22 @@ fn drive_clients(
                 transport.as_ref(),
                 rx,
                 &barrier,
-                &mon_txs,
+                &feeds,
                 &tallies,
                 &recorder,
                 &telemetry,
             );
-        }));
+        };
+        clients.push(spawn_named(name, client));
     }
-    drop(mon_txs);
+    drop(feeds);
     for h in clients {
         h.join().expect("store client thread");
+    }
+    // The last ring: every sender is gone, so a monitor that wakes now
+    // drains what is left and finds its channel disconnected.
+    for m in &monitors {
+        m.thread().unpark();
     }
     // Shard-major merge: `violations[0]` belongs to the first shard that
     // flagged anything, and so does the dump kept.
@@ -673,15 +697,16 @@ fn drive_clients(
     let mut overhead = MonitorOverhead::default();
     let mut violation_dump = None;
     for h in monitors {
-        let (shard_report, observe_ns, lag_hwm, dump) = h.join().expect("shard monitor thread");
+        let (shard_report, shard_overhead, dump) = h.join().expect("shard monitor thread");
         monitor.segments_ok += shard_report.segments_ok;
         monitor.violations.extend(shard_report.violations);
         monitor.overflowed |= shard_report.overflowed;
-        overhead.observe_ns += observe_ns;
-        overhead.lag_ops_hwm = overhead.lag_ops_hwm.max(lag_hwm);
+        overhead.actions += shard_overhead.actions;
+        overhead.observe_ns += shard_overhead.observe_ns;
+        overhead.lag_ops_hwm = overhead.lag_ops_hwm.max(shard_overhead.lag_ops_hwm);
+        overhead.wakeups += shard_overhead.wakeups;
         violation_dump = violation_dump.or(dump);
     }
-    overhead.actions = telemetry.actions_seen();
     // Dropping the stop end makes the watcher write its last tick — after
     // every op has completed, so that tick carries the run's totals.
     drop(watch_stop_tx);
@@ -888,9 +913,12 @@ fn draw_burst(
 /// up to `pipeline_depth` of them in flight (never two on the same key),
 /// and multiplexes every reply/ack back to its op by `sn`. All protocol
 /// sends go through a per-client [`BatchingTransport`], flushed only once
-/// the client has handled every reply already on its lane; the monitor
-/// hears of the pass's completions right after that flush, while the
-/// round trip is under way (`unreported` below).
+/// the client has handled every reply already on its lane. Every `Call` and
+/// `Return` is enqueued on its shard's [`MonitorFeed`] at the program point
+/// it happens — a push that wakes nobody — and the client rings every
+/// shard's bell once per burst, after its last `Return` and before it waits
+/// at the barrier: whoever finishes a burst early rings while it would
+/// otherwise be idle.
 ///
 /// Liveness is **per shard** ([`ShardHealth`]): each shard has its own
 /// backoff clock, timeouts retransmit only that shard's stalled ops, and a
@@ -911,7 +939,7 @@ fn store_client_loop(
     transport: &dyn Transport,
     rx: Receiver<Envelope>,
     barrier: &Barrier,
-    mon_txs: &[Sender<Action>],
+    monitors: &[MonitorFeed],
     tallies: &ClientTallies,
     recorder: &FlightRecorder,
     telemetry: &Telemetry,
@@ -937,23 +965,6 @@ fn store_client_loop(
     // client has carried: the reply-gap rule's evidence. Exchange numbers
     // only grow, so it outlives the bursts.
     let mut answered = vec![0u32; servers_total as usize];
-    // Completions whose monitor has not heard of them yet, `(shard, Return)`.
-    // An op is complete the moment its quorum answers (`complete_op` takes
-    // its latency and frees its key there), but telling the monitor wakes
-    // another thread, and the replies behind it on the lane are waiting for
-    // this one. So the `Return`s wait until the lane has run dry and the
-    // pass's requests have left — the wake-ups then cost nothing the round
-    // trip was not already taking — or until this client's next `Call`,
-    // which they must precede: a `Return` reported late only widens the
-    // op's interval, which is sound (the monitor takes more ops for
-    // overlapping); one overtaken by the same client's next `Call` would
-    // lose program order on a key.
-    let mut unreported: Vec<(u32, Action)> = Vec::new();
-    let report = |unreported: &mut Vec<(u32, Action)>| {
-        for (shard, ret) in unreported.drain(..) {
-            let _ = mon_txs[shard as usize].send(ret);
-        }
-    };
     // The one rebroadcast routine, whichever trigger calls it: exempt from
     // fault fates, so recovery traffic never consumes schedule indices. A
     // broken read re-asks its one replica; the quorum machine rebroadcasts
@@ -1057,8 +1068,7 @@ fn store_client_loop(
                     (MethodId::WRITE, Val::Int(v))
                 };
                 telemetry.op_started();
-                report(&mut unreported);
-                let _ = mon_txs[shard as usize].send(Action::Call {
+                monitors[shard as usize].send(Action::Call {
                     inv,
                     pid: me,
                     obj: spec.key,
@@ -1142,7 +1152,6 @@ fn store_client_loop(
                     // The replies being waited on can't arrive until the
                     // requests actually leave.
                     bt.flush_pending();
-                    report(&mut unreported);
                     // Sleep until the earliest shard retransmission
                     // deadline; each shard's backoff runs on its own clock.
                     let timeout = health
@@ -1214,7 +1223,7 @@ fn store_client_loop(
                                     &local,
                                     telemetry,
                                     &ring,
-                                    &mut unreported,
+                                    monitors,
                                     &mut active_keys,
                                 );
                                 let h = &mut health[fl.spec.shard as usize];
@@ -1288,7 +1297,7 @@ fn store_client_loop(
                                     &local,
                                     telemetry,
                                     &ring,
-                                    &mut unreported,
+                                    monitors,
                                     &mut active_keys,
                                 );
                                 let h = &mut health[fl.spec.shard as usize];
@@ -1352,8 +1361,12 @@ fn store_client_loop(
                 h.due = Some(now + h.wait);
             }
         }
-        // The burst's last completions: no pass follows to report them.
-        report(&mut unreported);
+        // The bell, once a burst: everything this client enqueued since
+        // its last ring is checked while it waits at the barrier (or, for
+        // the last to arrive, while the next burst's requests are out).
+        for m in monitors {
+            m.ring();
+        }
         done += burst_n;
     }
     // An op completes at its quorum, which can be while the batch layer
@@ -1371,9 +1384,8 @@ fn store_client_loop(
     tallies.degraded_ops.fetch_add(deferred, Ordering::Relaxed);
 }
 
-/// Seals one finished operation: latency, flight event, key release. Its
-/// monitor `Return` joins `unreported`, which the client loop sends once the
-/// lane has run dry (see there).
+/// Seals one finished operation: latency, flight event, its `Return` to the
+/// shard's monitor, key release.
 #[allow(clippy::too_many_arguments)] // mirrors the thread context it runs in
 fn complete_op(
     me: Pid,
@@ -1382,7 +1394,7 @@ fn complete_op(
     local: &Histogram,
     telemetry: &Telemetry,
     ring: &FlightRing,
-    unreported: &mut Vec<(u32, Action)>,
+    monitors: &[MonitorFeed],
     active_keys: &mut HashSet<u32>,
 ) {
     let lat_us = u64::try_from(fl.t0.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -1403,13 +1415,10 @@ fn complete_op(
         fl.span.flight_word(),
         u64::from(fl.spec.key.0),
     );
-    unreported.push((
-        fl.spec.shard,
-        Action::Return {
-            inv: fl.inv,
-            val: ret,
-        },
-    ));
+    monitors[fl.spec.shard as usize].send(Action::Return {
+        inv: fl.inv,
+        val: ret,
+    });
     active_keys.remove(&fl.spec.key.0);
 }
 

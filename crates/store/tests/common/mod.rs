@@ -1,5 +1,5 @@
-//! Shared by the store's integration tests: a run over loopback Unix
-//! sockets.
+//! Shared by the store's integration tests (and the `thread_profile`
+//! example): a run over loopback Unix sockets.
 
 use std::thread;
 
@@ -36,7 +36,12 @@ pub fn run_over_uds(
                 shard_size: Some(cfg.servers_per_shard),
                 dump_dir: None,
             };
-            thread::spawn(move || run_net_server(&scfg).expect("server run"))
+            // Named like an in-process replica, so a per-thread profile
+            // files it under the same class.
+            thread::Builder::new()
+                .name(format!("server-{i}"))
+                .spawn(move || run_net_server(&scfg).expect("server run"))
+                .expect("spawn replica server thread")
         })
         .collect();
 
