@@ -2,14 +2,13 @@
 //! process; servers are reached over sockets.
 //!
 //! [`NetClient`] owns the **client→server** half of the fault schedule:
-//! every non-exempt request consults the shared [`Injector`] exactly like
-//! the in-process bus would, and the resulting fate is realized at the
-//! socket — `Drop` family skips the write, `Duplicate` writes the same
-//! tagged frame twice (the server's dedup window absorbs the copy), and
-//! crash-window exits inject the exempt amnesia signal *before* the
-//! triggering frame on the same FIFO connection. `Reorder`/`Delay` never
-//! occur on client→server links (the schedule restricts them to
-//! server→client), so the driver needs no hold-back machinery.
+//! every non-exempt request is realised by the shared [`Links`] exactly
+//! like the in-process bus's — `Drop` family skips the entry, `Duplicate`
+//! writes the same tagged entry twice (the server's dedup window absorbs
+//! the copy), and a crash-window exit puts the exempt amnesia signal
+//! directly ahead of the triggering entry in the server's `EnvBatch`.
+//! `Reorder`/`Delay` never occur on client→server links (the schedule
+//! restricts them to server→client), so the driver runs no delayer.
 //!
 //! Inbound frames are replies: each reader thread routes them to the
 //! issuing client's lane by the frame's `re` header via [`ReplyRouter`];
@@ -21,15 +20,15 @@ use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
 use blunt_obs::flight::FlightDump;
-use blunt_obs::{FlightKind, FlightRecorder, FlightRing};
+use blunt_obs::{FlightKind, FlightRecorder};
 
 use crate::conn::Addr;
-use crate::fault::{Fate, FaultConfig, FaultConfigError};
+use crate::fault::{FaultConfig, FaultConfigError};
 use crate::frame::{Frame, FrameReader, TaggedEnv, DRIVER_NODE};
-use crate::injector::{Injector, TransportStats};
+use crate::injector::{Injector, Links, TransportStats};
 use crate::pool::{BroadcastPool, ConnectionPool};
 use crate::rpc::{DedupWindow, ReplyRouter, TagGen};
-use crate::wire::{Envelope, Payload, SpanCtx};
+use crate::wire::Envelope;
 use crate::{Coverage, Transport};
 
 /// How a driver reaches its servers.
@@ -43,7 +42,8 @@ pub struct NetClientCfg {
     /// Number of client threads this driver runs.
     pub clients: u32,
     /// Whether crash-window exits raise the amnesia signal (sent to the
-    /// crashed server as an exempt [`Payload::Crash`] frame).
+    /// crashed server as an exempt [`Payload::Crash`](crate::Payload::Crash)
+    /// entry).
     pub signal_crashes: bool,
 }
 
@@ -114,6 +114,21 @@ struct Shared {
 }
 
 impl Shared {
+    /// One reply off the wire: past the connection's dedup window, to the
+    /// lane whose request tag it answers.
+    fn admit(&self, dedup: &mut DedupWindow, tag: u64, re: u64, env: Envelope) {
+        if !dedup.admit(tag) {
+            blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
+            return;
+        }
+        match self.router.route(re) {
+            Some(lane) => {
+                let _ = self.lanes[lane].send(env.in_reply_to(tag));
+            }
+            None => blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc(),
+        }
+    }
+
     fn reader_loop(&self, peer: usize, stream: crate::conn::Stream) {
         let mut reader = FrameReader::new(stream);
         let mut dedup = DedupWindow::new(1024);
@@ -123,38 +138,13 @@ impl Shared {
                 Ok(None) | Err(_) => return,
             };
             match frame {
-                Frame::Env { tag, re, env } => {
-                    if !dedup.admit(tag) {
-                        blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
-                        continue;
-                    }
-                    match self.router.route(re) {
-                        Some(lane) => {
-                            let _ = self.lanes[lane].send(env.in_reply_to(tag));
-                        }
-                        None => {
-                            blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc();
-                        }
-                    }
-                }
+                Frame::Env { tag, re, env } => self.admit(&mut dedup, tag, re, env),
+                // Unpacked in order: each entry is handled exactly as if it
+                // had arrived as its own `Env` frame, so batching is
+                // invisible above the framing layer.
                 Frame::EnvBatch { entries } => {
-                    // Unpack in order: each entry is handled exactly as if
-                    // it had arrived as its own `Env` frame (same dedup,
-                    // same lane routing), so batching is invisible above
-                    // the framing layer.
                     for e in entries {
-                        if !dedup.admit(e.tag) {
-                            blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
-                            continue;
-                        }
-                        match self.router.route(e.re) {
-                            Some(lane) => {
-                                let _ = self.lanes[lane].send(e.env.in_reply_to(e.tag));
-                            }
-                            None => {
-                                blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc();
-                            }
-                        }
+                        self.admit(&mut dedup, e.tag, e.re, e.env);
                     }
                 }
                 Frame::HelloAck { echo_t, t_us, .. } => {
@@ -219,9 +209,9 @@ impl Shared {
 /// client→server fault links, and reply routing back to client lanes.
 pub struct NetClient {
     servers: u32,
-    injector: Mutex<Injector>,
+    links: Mutex<Links<TaggedEnv>>,
     pool: BroadcastPool,
-    tags: TagGen,
+    tags: Arc<TagGen>,
     shared: Arc<Shared>,
     flight: Arc<FlightRecorder>,
 }
@@ -278,11 +268,17 @@ impl NetClient {
                     .expect("spawn connection reader thread");
             },
         );
+        let tags = Arc::new(TagGen::new());
+        let signal_tags = Arc::clone(&tags);
         let client = Arc::new(NetClient {
             servers,
-            injector: Mutex::new(injector),
+            links: Mutex::new(Links::new(injector, move |server, window| TaggedEnv {
+                tag: signal_tags.next(),
+                re: 0,
+                env: Envelope::crash(server, window),
+            })),
             pool: BroadcastPool::new(pool),
-            tags: TagGen::new(),
+            tags,
             shared,
             flight,
         });
@@ -328,64 +324,45 @@ impl NetClient {
         self.shared.remote.lock().expect("remote lock").clone()
     }
 
-    /// Draws one envelope's fate (exempt envelopes bypass the injector)
-    /// and realizes every side effect except the frame write itself:
-    /// fate flight events, and the exempt amnesia signal written *before*
-    /// the triggering frame on the same FIFO connection. Returns how many
-    /// copies of the envelope reach the wire (0 = dropped, 2 =
-    /// duplicated). Shared by [`Transport::send`] and
-    /// [`Transport::send_batch`], so a batched sender consumes exactly
-    /// the fault-schedule indices — in exactly the per-link order — that
-    /// the equivalent unbatched loop would.
-    fn fate_copies(&self, env: &Envelope, ring: &FlightRing) -> usize {
-        if env.exempt {
-            return 1;
-        }
-        let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-        let (fate, signal) = {
-            let mut inj = self.injector.lock().expect("injector lock");
-            inj.decide(env.src, env.dst)
+    /// Realises `envs`: fates drawn per envelope, in the caller's order,
+    /// under one lock — exactly the fault-schedule indices, in exactly the
+    /// per-link order, that sending them one by one would consume. Returns
+    /// the surviving entries grouped per destination server, in
+    /// first-delivery order, each group in wire order.
+    fn realise(&self, envs: Vec<Envelope>) -> Vec<(Pid, Vec<TaggedEnv>)> {
+        let ring = self.flight.thread_ring();
+        let mut per_dst: Vec<(Pid, Vec<TaggedEnv>)> = Vec::new();
+        let mut deliver = |e: TaggedEnv| {
+            let dst = e.env.dst;
+            match per_dst.iter_mut().find(|(d, _)| *d == dst) {
+                Some((_, entries)) => entries.push(e),
+                None => per_dst.push((dst, vec![e])),
+            }
         };
-        match fate {
-            Fate::Deliver => {}
-            Fate::Drop => ring.record(FlightKind::FaultDrop, src, u64::from(dst), label),
-            Fate::Duplicate => ring.record(FlightKind::FaultDuplicate, src, u64::from(dst), label),
-            Fate::Reorder => ring.record(FlightKind::FaultReorder, src, u64::from(dst), label),
-            Fate::Delay(ms) => {
-                ring.record(FlightKind::FaultDelay, src, u64::from(dst), u64::from(ms));
-            }
-            Fate::CrashDrop { window } => {
-                ring.record(FlightKind::FaultCrashDrop, src, u64::from(dst), window);
-            }
-            Fate::PartitionDrop { window } => {
-                ring.record(FlightKind::FaultPartitionDrop, src, u64::from(dst), window);
-            }
-        }
-        if let Some((crashed, window)) = signal {
-            // Before the triggering frame, on the same FIFO connection: the
-            // server must crash and recover before serving any post-window
-            // traffic.
-            let frame = Frame::Env {
-                tag: self.tags.next(),
-                re: 0,
-                env: Envelope {
-                    src: crashed,
-                    dst: crashed,
-                    msg: Payload::Crash { window },
-                    exempt: true,
-                    reply_to: 0,
-                    span: SpanCtx::NONE,
-                },
+        let mut links = None;
+        for env in envs {
+            let (src, dst, label) = (env.src, env.dst, env.msg.flight_label());
+            let span = env.span.flight_word();
+            ring.record_span(FlightKind::BusSend, src.0, u64::from(dst.0), label, span);
+            let entry = TaggedEnv {
+                tag: self.tag_for(src),
+                // Exempt frames keep their reply correlation; faulted
+                // traffic is always unsolicited from this endpoint.
+                re: if env.exempt { env.reply_to } else { 0 },
+                env: Envelope { reply_to: 0, ..env },
             };
-            self.write(crashed, &frame);
+            if entry.env.exempt {
+                deliver(entry);
+                continue;
+            }
+            links
+                .get_or_insert_with(|| self.links.lock().expect("links lock"))
+                .realise(src, dst, label, entry, &ring, &mut deliver, &mut |_, _| {
+                    unreachable!("the schedule restricts delays to server→client links")
+                });
         }
-        match fate {
-            // Reorder/Delay are schedule-restricted to server→client links
-            // and unreachable here; deliver defensively if they ever appear.
-            Fate::Deliver | Fate::Reorder | Fate::Delay(_) => 1,
-            Fate::Duplicate => 2,
-            Fate::Drop | Fate::CrashDrop { .. } | Fate::PartitionDrop { .. } => 0,
-        }
+        drop(links);
+        per_dst
     }
 
     /// Tells every server to finish up, waits up to `wait` for their
@@ -417,73 +394,17 @@ impl NetClient {
 
 impl Transport for NetClient {
     fn send(&self, env: Envelope) {
-        let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-        let ring = self.flight.thread_ring();
-        ring.record_span(
-            FlightKind::BusSend,
-            src,
-            u64::from(dst),
-            label,
-            env.span.flight_word(),
-        );
-        let tag = self.tag_for(env.src);
-        // Exempt frames keep their reply correlation; faulted traffic is
-        // always unsolicited from this endpoint.
-        let re = if env.exempt { env.reply_to } else { 0 };
-        let copies = self.fate_copies(&env, &ring);
-        let frame = Frame::Env {
-            tag,
-            re,
-            env: Envelope { reply_to: 0, ..env },
-        };
-        for _ in 0..copies {
+        for (dst, entries) in self.realise(vec![env]) {
             // A duplicate is the same tag twice: the wire sees two frames,
             // the receiver's dedup window absorbs the copy.
-            self.write(Pid(dst), &frame);
+            for e in entries {
+                self.write(dst, &Frame::from(e));
+            }
         }
     }
 
     fn send_batch(&self, envs: Vec<Envelope>) {
-        let ring = self.flight.thread_ring();
-        // Surviving entries grouped per destination, in first-appearance
-        // order. Fates are drawn per logical envelope, in the caller's
-        // order, BEFORE any batch frame is written — so the injector
-        // consumes the same per-link index sequence as the unbatched loop
-        // and crash signals still precede their triggering frames on the
-        // FIFO connection.
-        let mut per_dst: Vec<(Pid, Vec<TaggedEnv>)> = Vec::new();
-        for env in envs {
-            let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-            ring.record_span(
-                FlightKind::BusSend,
-                src,
-                u64::from(dst),
-                label,
-                env.span.flight_word(),
-            );
-            let tag = self.tag_for(env.src);
-            let re = if env.exempt { env.reply_to } else { 0 };
-            let copies = self.fate_copies(&env, &ring);
-            if copies == 0 {
-                continue;
-            }
-            let entry = TaggedEnv {
-                tag,
-                re,
-                env: Envelope { reply_to: 0, ..env },
-            };
-            let bucket = match per_dst.iter_mut().find(|(d, _)| *d == Pid(dst)) {
-                Some((_, b)) => b,
-                None => {
-                    per_dst.push((Pid(dst), Vec::new()));
-                    &mut per_dst.last_mut().expect("just pushed").1
-                }
-            };
-            for _ in 0..copies {
-                bucket.push(entry.clone());
-            }
-        }
-        for (dst, entries) in per_dst {
+        for (dst, entries) in self.realise(envs) {
             self.write(dst, &Frame::batch(entries));
         }
     }
@@ -497,14 +418,15 @@ impl Transport for NetClient {
     }
 
     fn flush(&self) {
-        // No hold-backs or delayers on client→server links.
+        // Nothing is held or delayed: the schedule restricts reorders and
+        // delays to server→client links.
     }
 
     fn stats(&self) -> TransportStats {
-        self.injector.lock().expect("injector lock").stats()
+        self.links.lock().expect("links lock").injector().stats()
     }
 
     fn coverage(&self) -> Coverage {
-        self.injector.lock().expect("injector lock").coverage()
+        self.links.lock().expect("links lock").injector().coverage()
     }
 }

@@ -10,10 +10,11 @@
 //!   flush stragglers, read the deterministic [`TransportStats`] and
 //!   [`Coverage`]. The in-process bus (in `blunt-runtime`) and the socket
 //!   backends here both implement it.
-//! - [`fault`] / [`injector`] — the seed-determined per-link fate streams
-//!   and the shared decision core ([`Injector::decide`]) both backends use
+//! - [`fault`] / [`injector`] — the seed-determined per-link fate streams,
+//!   the shared decision core ([`Injector::decide`]) both backends use
 //!   bit for bit, so fault counters are a pure function of
-//!   `(seed, config, topology)` regardless of transport.
+//!   `(seed, config, topology)` regardless of transport, and the one
+//!   realiser of a drawn fate ([`Links`], [`Delayer`]).
 //! - [`frame`] — the length-prefixed, versioned wire format (hand-rolled,
 //!   zero dependencies).
 //! - [`conn`] / [`pool`] — TCP / Unix-domain streams, per-peer connection
@@ -39,12 +40,14 @@
 //! ## Fault semantics across backends
 //!
 //! The *decision* (which fate, which counters) is shared and
-//! seed-deterministic. The *realization* differs where the medium does:
-//! the in-process bus enqueues a `Duplicate` twice, while a socket backend
-//! writes the same tagged frame twice and the receiver's dedup window
-//! absorbs the copy — exercising the retransmission-tolerance machinery a
-//! real stack needs. Drops simply skip the write; reorders and delays are
-//! realized at the writing endpoint before frames hit the connection.
+//! seed-deterministic, and so is the *realisation*: the bus, the driver
+//! and a serve process all hand their items to one [`Links`] table, which
+//! drops, duplicates, holds back for a reorder and signals crashes the
+//! same way for each, and give a `Delay` to one [`Delayer`]. Only the
+//! sink differs with the medium: the in-process bus enqueues a
+//! `Duplicate` twice, while a socket backend writes the same tagged entry
+//! twice and the receiver's dedup window absorbs the copy — exercising the
+//! retransmission-tolerance machinery a real stack needs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,7 +68,7 @@ pub use conn::{Addr, Listener, Stream};
 pub use coverage::{Coverage, LinkCoverage};
 pub use fault::{Fate, FaultConfig, FaultConfigError, FaultPlan};
 pub use frame::{Frame, FrameError, TaggedEnv, DRIVER_NODE, FRAME_VERSION, MAX_FRAME_LEN};
-pub use injector::{Injector, TransportStats};
+pub use injector::{Delayer, Injector, Links, TransportStats};
 pub use server::{NetServer, NetServerCfg, ServerInbox};
 pub use wire::{Envelope, Payload, SpanCtx};
 
@@ -136,12 +139,7 @@ pub trait Transport: Send + Sync {
     }
 
     /// Broadcasts the ABD message `msg` from `src` to every pid in `dsts`
-    /// (a quorum round's fan-out).
-    fn broadcast(&self, src: Pid, dsts: &[Pid], msg: &AbdMsg, exempt: bool) {
-        self.broadcast_span(src, dsts, msg, exempt, SpanCtx::NONE);
-    }
-
-    /// [`Transport::broadcast`] with every envelope stamped with trace
+    /// (a quorum round's fan-out), every envelope stamped with trace
     /// context `span`. The span is pure data (no transport branches on
     /// it), so span-stamped broadcasts consume exactly the same
     /// fault-schedule indices as unstamped ones.

@@ -2,22 +2,22 @@
 //!
 //! [`NetServer`] accepts the driver's connection plus peer-server
 //! connections (recovery traffic) and owns the **server→client** half of
-//! the fault schedule: replies consult the shared [`Injector`] and realize
-//! their fate at the socket — including `Reorder` (a per-link hold-back
-//! slot, released when the next reply on the same link overtakes it) and
-//! `Delay` (a delayer thread that writes the frame when its deadline
-//! passes), which the schedule restricts to these links. Whatever one
-//! [`Transport::send_batch`] call leaves deliverable reaches the driver
-//! as a single `EnvBatch` frame.
+//! the fault schedule: replies are realised by the shared [`Links`] —
+//! including `Reorder` (the link's hold-back slot, released when the next
+//! reply on the same link overtakes it) and `Delay` (the `net-delayer`
+//! thread, spawned by the first delay drawn, writes the entry as its own
+//! frame when it falls due), which the schedule restricts to these links.
+//! Whatever one [`Transport::send_batch`] call leaves deliverable reaches
+//! the driver as a single `EnvBatch` frame.
 //!
 //! Inbound, the replica thread reads its own driver socket through the
 //! [`ServerInbox`] that [`NetServer::bind`] returns: no thread stands
 //! between a request on the wire and the ABD step that answers it. The
 //! process's threads are the replica (whoever drives the inbox), the
-//! acceptor, the delayer, one short-lived handshake thread per accepted
-//! connection, and one pump per connected peer — none per driver
-//! connection. The driver connection's dedup window lives in the inbox,
-//! a peer connection's in its pump.
+//! acceptor, the delayer once a `Delay` is drawn, one short-lived
+//! handshake thread per accepted connection, and one pump per connected
+//! peer — none per driver connection. The driver connection's dedup
+//! window lives in the inbox, a peer connection's in its pump.
 //!
 //! An inbound `Shutdown` on the driver connection raises the stop flag and
 //! ends the inbox's input; the runtime then reports the server's
@@ -35,13 +35,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
-use blunt_obs::{FlightKind, FlightRecorder, FlightRing};
+use blunt_obs::{FlightKind, FlightRecorder};
 
 use crate::client::{ServerGoodbye, ServerTelemetry};
 use crate::conn::{Addr, Stream};
-use crate::fault::{Fate, FaultConfig};
+use crate::fault::FaultConfig;
 use crate::frame::{Frame, FrameReader, FrameWriter, TaggedEnv, DRIVER_NODE};
-use crate::injector::{Injector, TransportStats};
+use crate::injector::{Delayer, Injector, Links, TransportStats};
 use crate::pool::ConnectionPool;
 use crate::rpc::{DedupWindow, TagGen};
 use crate::wire::Envelope;
@@ -83,11 +83,6 @@ impl DriverSlot {
     }
 }
 
-struct DelayedFrame {
-    due: Instant,
-    frame: Frame,
-}
-
 /// The server-process transport: the driver/peer listener, the
 /// server→client fault links, and the peer pool for recovery traffic.
 pub struct NetServer {
@@ -96,14 +91,11 @@ pub struct NetServer {
     /// Where the acceptor listens: [`NetServer::close`] dials it.
     listen: Addr,
     acceptor: Mutex<Option<JoinHandle<()>>>,
-    injector: Mutex<Injector>,
+    links: Mutex<Links<TaggedEnv>>,
     peers: ConnectionPool,
     tags: TagGen,
     driver: Arc<DriverSlot>,
-    /// Reorder hold-back, one slot per client link (index = dst − servers).
-    holds: Vec<Mutex<Option<TaggedEnv>>>,
-    delayer: Mutex<Option<Sender<DelayedFrame>>>,
-    delayer_handle: Mutex<Option<JoinHandle<()>>>,
+    delayer: Delayer<TaggedEnv>,
     stop: Arc<AtomicBool>,
     flight: Arc<FlightRecorder>,
     /// Bumped by [`Transport::on_crash`] (an amnesia crash of this server
@@ -452,67 +444,27 @@ impl NetServer {
             stop: Arc::clone(&stop),
             dedup_epoch: Arc::clone(&dedup_epoch),
         };
+        let late = Arc::clone(&driver);
         let server = Arc::new(NetServer {
             me,
             servers: cfg.servers,
             listen: cfg.listen.clone(),
             acceptor: Mutex::new(Some(acceptor)),
-            injector: Mutex::new(injector),
+            // Built without `signal_crashes`: the driver raises them.
+            links: Mutex::new(Links::new(injector, |_, _| {
+                unreachable!("a serve process raises no crash signals")
+            })),
             peers,
             tags: TagGen::new(),
             driver,
-            holds: (0..cfg.clients).map(|_| Mutex::new(None)).collect(),
-            delayer: Mutex::new(None),
-            delayer_handle: Mutex::new(None),
+            delayer: Delayer::new("net-delayer", move |e: TaggedEnv| {
+                late.write(&Frame::from(e));
+            }),
             stop,
             flight,
             dedup_epoch,
         });
-        server.spawn_delayer();
         Ok((server, inbox))
-    }
-
-    /// The delayer thread: frames held by `Fate::Delay`, written to the
-    /// driver once due. Dropping the sender flushes the rest and exits.
-    fn spawn_delayer(&self) {
-        let (tx, rx) = mpsc::channel::<DelayedFrame>();
-        let driver = Arc::clone(&self.driver);
-        let delay = move || {
-            let mut pending: Vec<DelayedFrame> = Vec::new();
-            loop {
-                let timeout = pending
-                    .iter()
-                    .map(|d| d.due.saturating_duration_since(Instant::now()))
-                    .min()
-                    .unwrap_or(Duration::from_millis(50));
-                match rx.recv_timeout(timeout) {
-                    Ok(d) => pending.push(d),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        for d in pending.drain(..) {
-                            driver.write(&d.frame);
-                        }
-                        return;
-                    }
-                }
-                let now = Instant::now();
-                let mut i = 0;
-                while i < pending.len() {
-                    if pending[i].due <= now {
-                        let d = pending.swap_remove(i);
-                        driver.write(&d.frame);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        };
-        let handle = std::thread::Builder::new()
-            .name("net-delayer".into())
-            .spawn(delay)
-            .expect("spawn delayer thread");
-        *self.delayer.lock().expect("delayer lock") = Some(tx);
-        *self.delayer_handle.lock().expect("delayer handle lock") = Some(handle);
     }
 
     /// The stop flag, raised when the inbox reads the driver's `Shutdown`
@@ -573,82 +525,6 @@ impl NetServer {
             let _ = acceptor.join();
         }
     }
-
-    /// Realizes one outbound envelope: draws its fate (exempt and peer
-    /// traffic bypass the injector), and pushes whatever that leaves
-    /// deliverable to the driver *now* onto `out`, in wire order. Peer
-    /// frames and delayed replies leave on their own.
-    fn route(&self, env: Envelope, ring: &FlightRing, out: &mut Vec<TaggedEnv>) {
-        let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-        ring.record_span(
-            FlightKind::BusSend,
-            src,
-            u64::from(dst),
-            label,
-            env.span.flight_word(),
-        );
-        let entry = TaggedEnv {
-            tag: self.tags.next(),
-            re: env.reply_to,
-            env: Envelope { reply_to: 0, ..env },
-        };
-        if dst < self.servers {
-            // Peer traffic is recovery (always exempt): straight to the
-            // peer's listener, no fault schedule.
-            let _ = self.peers.send(dst as usize, &Frame::from(entry));
-            return;
-        }
-        if entry.env.exempt {
-            out.push(entry);
-            return;
-        }
-        let (fate, _signal) = {
-            let mut inj = self.injector.lock().expect("injector lock");
-            inj.decide(Pid(src), Pid(dst))
-        };
-        match fate {
-            Fate::Deliver => {}
-            Fate::Drop => ring.record(FlightKind::FaultDrop, src, u64::from(dst), label),
-            Fate::Duplicate => ring.record(FlightKind::FaultDuplicate, src, u64::from(dst), label),
-            Fate::Reorder => ring.record(FlightKind::FaultReorder, src, u64::from(dst), label),
-            Fate::Delay(ms) => {
-                ring.record(FlightKind::FaultDelay, src, u64::from(dst), u64::from(ms));
-            }
-            Fate::CrashDrop { window } => {
-                ring.record(FlightKind::FaultCrashDrop, src, u64::from(dst), window);
-            }
-            Fate::PartitionDrop { window } => {
-                ring.record(FlightKind::FaultPartitionDrop, src, u64::from(dst), window);
-            }
-        }
-        let slot = (dst - self.servers) as usize;
-        match fate {
-            Fate::Drop | Fate::CrashDrop { .. } | Fate::PartitionDrop { .. } => {}
-            Fate::Reorder => {
-                let displaced = self.holds[slot].lock().expect("hold lock").replace(entry);
-                out.extend(displaced);
-            }
-            Fate::Deliver | Fate::Duplicate => {
-                if fate == Fate::Duplicate {
-                    // Same tag twice; the driver's dedup window absorbs it.
-                    out.push(entry.clone());
-                }
-                out.push(entry);
-                // The held entry is overtaken: written after.
-                out.extend(self.holds[slot].lock().expect("hold lock").take());
-            }
-            Fate::Delay(ms) => {
-                let due = Instant::now() + Duration::from_millis(u64::from(ms));
-                let guard = self.delayer.lock().expect("delayer lock");
-                if let Some(tx) = guard.as_ref() {
-                    let _ = tx.send(DelayedFrame {
-                        due,
-                        frame: Frame::from(entry),
-                    });
-                }
-            }
-        }
-    }
 }
 
 impl Transport for NetServer {
@@ -657,16 +533,47 @@ impl Transport for NetServer {
     }
 
     fn send_batch(&self, envs: Vec<Envelope>) {
-        // Fates are drawn per logical envelope, in the caller's order —
-        // the injector cannot tell a batch from the unbatched loop.
+        // Fates are drawn per logical envelope, in the caller's order, under
+        // one lock — the injector cannot tell a batch from the unbatched
+        // loop. Peer traffic and exempt replies bypass it.
         let ring = self.flight.thread_ring();
         let mut out = Vec::with_capacity(envs.len());
+        let mut later = Vec::new();
+        let mut links = None;
         for env in envs {
-            self.route(env, &ring, &mut out);
+            let (src, dst, label) = (env.src, env.dst, env.msg.flight_label());
+            let span = env.span.flight_word();
+            ring.record_span(FlightKind::BusSend, src.0, u64::from(dst.0), label, span);
+            let entry = TaggedEnv {
+                tag: self.tags.next(),
+                re: env.reply_to,
+                env: Envelope { reply_to: 0, ..env },
+            };
+            if dst.0 < self.servers {
+                // Peer traffic is recovery (always exempt): straight to the
+                // peer's listener, no fault schedule.
+                let _ = self.peers.send(dst.index(), &Frame::from(entry));
+            } else if entry.env.exempt {
+                out.push(entry);
+            } else {
+                links
+                    .get_or_insert_with(|| self.links.lock().expect("links lock"))
+                    .realise(
+                        src,
+                        dst,
+                        label,
+                        entry,
+                        &ring,
+                        &mut |e| out.push(e),
+                        &mut |ms, e| later.push((ms, e)),
+                    );
+            }
         }
+        drop(links);
         if !out.is_empty() {
             self.driver.write(&Frame::batch(out));
         }
+        self.delayer.delay(later);
     }
 
     fn on_crash(&self) {
@@ -677,30 +584,18 @@ impl Transport for NetServer {
     }
 
     fn flush(&self) {
-        let held: Vec<TaggedEnv> = self
-            .holds
-            .iter()
-            .filter_map(|h| h.lock().expect("hold lock").take())
-            .collect();
+        let held = self.links.lock().expect("links lock").release();
         if !held.is_empty() {
             self.driver.write(&Frame::batch(held));
         }
-        *self.delayer.lock().expect("delayer lock") = None;
-        if let Some(h) = self
-            .delayer_handle
-            .lock()
-            .expect("delayer handle lock")
-            .take()
-        {
-            let _ = h.join();
-        }
+        self.delayer.close();
     }
 
     fn stats(&self) -> TransportStats {
-        self.injector.lock().expect("injector lock").stats()
+        self.links.lock().expect("links lock").injector().stats()
     }
 
     fn coverage(&self) -> Coverage {
-        self.injector.lock().expect("injector lock").coverage()
+        self.links.lock().expect("links lock").injector().coverage()
     }
 }

@@ -169,6 +169,20 @@ impl Envelope {
         }
     }
 
+    /// The amnesia signal for `server`'s crash window `window`: exempt, on
+    /// the server's link to itself, outside any span.
+    #[must_use]
+    pub fn crash(server: Pid, window: u64) -> Envelope {
+        Envelope {
+            src: server,
+            dst: server,
+            msg: Payload::Crash { window },
+            exempt: true,
+            reply_to: 0,
+            span: SpanCtx::NONE,
+        }
+    }
+
     /// The same envelope marked as answering the inbound frame tagged `re`.
     /// Socket transports route it back to the requester by that tag; the
     /// in-process bus ignores it.

@@ -2,17 +2,18 @@
 //! injector.
 //!
 //! Every node (server or client thread) owns one `mpsc::Receiver<Envelope>`;
-//! the bus holds the matching senders. A send first consults the shared
-//! fault-decision core ([`blunt_net::Injector`] — the same one the socket
-//! transports use, so fault counters are a pure function of the seed
-//! regardless of backend), then realizes the fate:
+//! the bus holds the matching senders. A send draws the fate of every
+//! non-exempt envelope and realises it through [`blunt_net::Links`] — the
+//! same decision core and the same realiser the socket transports use, so
+//! fault counters are a pure function of the seed regardless of backend,
+//! and a fate means the same thing on every backend:
 //!
 //! - `Drop`/`CrashDrop`/`PartitionDrop` — the envelope vanishes;
 //! - `Duplicate` — enqueued twice back to back;
 //! - `Reorder` — held in the link until the next message on the same link
-//!   overtakes it (flushed by [`Bus::flush`] if none ever comes);
-//! - `Delay(ms)` — handed to a dedicated delayer thread that sleeps until
-//!   the deadline and then enqueues it.
+//!   overtakes it (released by [`Bus::flush`] if none ever comes);
+//! - `Delay(ms)` — handed to the `bus-delayer` thread ([`blunt_net::Delayer`],
+//!   spawned by the first delay drawn), which enqueues it once due.
 //!
 //! **Crash events.** When constructed with `signal_crashes`, a crash
 //! blackout window additionally raises an *amnesia signal* at its **exit**:
@@ -34,15 +35,15 @@
 //! resolves the pending window before entering the next. Hence
 //! `BusStats::crash_events` is replayable exactly.
 //!
-//! **Batches.** [`Bus::send_batch`] is its envelope sequence: fates are
-//! drawn per envelope in batch order, under one acquisition of the bus
-//! lock, so stats, coverage and crash signals are what the same
-//! [`Bus::send`]s would have produced. What changes is the hand-over: the
-//! batch's deliveries are grouped by destination — a stable partition, so
-//! every link keeps its order within a mailbox — and each mailbox gets its
-//! share as one contiguous run, which wakes a parked receiver once a batch
-//! rather than once an envelope. Both entry points realise a fate through
-//! one routine.
+//! **Batches.** [`Bus::send_batch`] is its envelope sequence, and
+//! [`Bus::send`] is a batch of one: fates are drawn per envelope in batch
+//! order, under one acquisition of the bus lock, so stats, coverage and
+//! crash signals are what the same envelopes sent one by one would have
+//! produced. What batching changes is the hand-over: the batch's
+//! deliveries are grouped by destination — a stable partition, so every
+//! link keeps its order within a mailbox — and each mailbox gets its share
+//! as one contiguous run, which wakes a parked receiver once a batch
+//! rather than once an envelope.
 //!
 //! `std::sync::mpsc` channels are per-sender FIFO and internally
 //! linearizable, which is what makes the per-link message indexing of
@@ -50,14 +51,9 @@
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
-use blunt_abd::msg::AbdMsg;
-use blunt_core::ids::Pid;
-use blunt_net::injector::Injector;
-use blunt_net::{Fate, FaultConfig, FaultConfigError, Transport};
-use blunt_obs::{FlightKind, FlightRecorder, FlightRing};
+use blunt_net::{Delayer, FaultConfig, FaultConfigError, Injector, Links, Transport};
+use blunt_obs::{FlightKind, FlightRecorder};
 
 use crate::coverage::Coverage;
 
@@ -69,31 +65,13 @@ pub use blunt_net::wire::{Envelope, Payload, SpanCtx};
 /// spelling.)
 pub type BusStats = blunt_net::TransportStats;
 
-struct DelayedMsg {
-    due: Instant,
-    env: Envelope,
-}
-
-/// Per-link mutable state: the fate stream lives in the shared injector;
-/// this holds the reorder hold-back slot.
-struct LinkHold {
-    held: Option<Envelope>,
-}
-
-struct BusInner {
-    injector: Injector,
-    holds: Vec<LinkHold>,
-}
-
 /// The bus proper. Cloneable handles are not needed — threads share it via
 /// `Arc<Bus>`.
 pub struct Bus {
-    nodes: u32,
     flight: Arc<FlightRecorder>,
     mailboxes: Vec<Sender<Envelope>>,
-    inner: Mutex<BusInner>,
-    delayer: Mutex<Option<Sender<DelayedMsg>>>,
-    delayer_handle: Mutex<Option<JoinHandle<()>>>,
+    links: Mutex<Links<Envelope>>,
+    delayer: Delayer<Envelope>,
 }
 
 impl Bus {
@@ -118,72 +96,17 @@ impl Bus {
         flight: Arc<FlightRecorder>,
     ) -> Result<(Bus, Vec<Receiver<Envelope>>), FaultConfigError> {
         let injector = Injector::new(seed, cfg, servers, nodes, signal_crashes)?;
-        let mut senders = Vec::with_capacity(nodes as usize);
-        let mut receivers = Vec::with_capacity(nodes as usize);
-        for _ in 0..nodes {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        let (mailboxes, receivers): (Vec<_>, Vec<_>) = (0..nodes).map(|_| mpsc::channel()).unzip();
+        let late = mailboxes.clone();
         let bus = Bus {
-            nodes,
             flight,
-            mailboxes: senders,
-            inner: Mutex::new(BusInner {
-                injector,
-                holds: (0..nodes * nodes)
-                    .map(|_| LinkHold { held: None })
-                    .collect(),
+            links: Mutex::new(Links::new(injector, Envelope::crash)),
+            delayer: Delayer::new("bus-delayer", move |env: Envelope| {
+                let _ = late[env.dst.index()].send(env);
             }),
-            delayer: Mutex::new(None),
-            delayer_handle: Mutex::new(None),
+            mailboxes,
         };
-        bus.spawn_delayer();
         Ok((bus, receivers))
-    }
-
-    /// The delayer thread: a min-deadline buffer fed by `Fate::Delay`
-    /// messages, drained on deadline. Dropping the sender shuts it down
-    /// (remaining messages are flushed immediately).
-    fn spawn_delayer(&self) {
-        let (tx, rx) = mpsc::channel::<DelayedMsg>();
-        let mailboxes = self.mailboxes.clone();
-        let delay = move || {
-            let mut pending: Vec<DelayedMsg> = Vec::new();
-            loop {
-                let timeout = pending
-                    .iter()
-                    .map(|d| d.due.saturating_duration_since(Instant::now()))
-                    .min()
-                    .unwrap_or(Duration::from_millis(50));
-                match rx.recv_timeout(timeout) {
-                    Ok(d) => pending.push(d),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        for d in pending.drain(..) {
-                            let _ = mailboxes[d.env.dst.index()].send(d.env);
-                        }
-                        return;
-                    }
-                }
-                let now = Instant::now();
-                let mut i = 0;
-                while i < pending.len() {
-                    if pending[i].due <= now {
-                        let d = pending.swap_remove(i);
-                        let _ = mailboxes[d.env.dst.index()].send(d.env);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        };
-        let handle = std::thread::Builder::new()
-            .name("bus-delayer".into())
-            .spawn(delay)
-            .expect("spawn bus delayer thread");
-        *self.delayer.lock().unwrap() = Some(tx);
-        *self.delayer_handle.lock().unwrap() = Some(handle);
     }
 
     fn enqueue(&self, env: Envelope) {
@@ -192,120 +115,10 @@ impl Bus {
         let _ = self.mailboxes[env.dst.index()].send(env);
     }
 
-    /// Draws the fate of one non-exempt envelope and turns it into
-    /// deliveries — the single place a [`Fate`] is realised, shared by
-    /// [`Bus::send`] and [`Bus::send_batch`]. What goes to the
-    /// destination's mailbox at once is passed to `now`, in mailbox order:
-    /// the crash signal the envelope raised, the envelope itself (or the
-    /// held message it displaced), its duplicate, the held message it
-    /// overtook — four at most. A delayed envelope goes to `later` with
-    /// its delay in milliseconds. The fault decision is recorded on `ring`.
-    fn realise(
-        &self,
-        inner: &mut BusInner,
-        ring: &FlightRing,
-        env: Envelope,
-        now: &mut impl FnMut(Envelope),
-        later: &mut impl FnMut(u16, Envelope),
-    ) {
-        let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-        // The shared fault-decision core: fate, stats, coverage, and
-        // crash-window bookkeeping, all under the caller's one lock.
-        let (fate, signal) = inner.injector.decide(env.src, env.dst);
-        match fate {
-            Fate::Deliver => {}
-            Fate::Drop => ring.record(FlightKind::FaultDrop, src, u64::from(dst), label),
-            Fate::Duplicate => ring.record(FlightKind::FaultDuplicate, src, u64::from(dst), label),
-            Fate::Reorder => ring.record(FlightKind::FaultReorder, src, u64::from(dst), label),
-            Fate::Delay(ms) => {
-                ring.record(FlightKind::FaultDelay, src, u64::from(dst), u64::from(ms));
-            }
-            Fate::CrashDrop { window } => {
-                ring.record(FlightKind::FaultCrashDrop, src, u64::from(dst), window);
-            }
-            Fate::PartitionDrop { window } => {
-                ring.record(FlightKind::FaultPartitionDrop, src, u64::from(dst), window);
-            }
-        }
-        if let Some((dst, window)) = signal {
-            // Before the triggering message: the server must crash and
-            // recover before serving any post-window traffic.
-            now(Envelope {
-                src: dst,
-                dst,
-                msg: Payload::Crash { window },
-                exempt: true,
-                reply_to: 0,
-                span: SpanCtx::NONE,
-            });
-        }
-        let held = &mut inner.holds[(src * self.nodes + dst) as usize].held;
-        match fate {
-            Fate::Drop | Fate::CrashDrop { .. } | Fate::PartitionDrop { .. } => {
-                blunt_obs::static_counter!("runtime.bus.lost").inc();
-            }
-            Fate::Reorder => {
-                blunt_obs::static_counter!("runtime.bus.reordered").inc();
-                // Two reorders in a row: the first is released by the
-                // second taking its place.
-                held.replace(env).into_iter().for_each(now);
-            }
-            Fate::Deliver | Fate::Duplicate => {
-                blunt_obs::static_counter!("runtime.bus.delivered").inc();
-                if fate == Fate::Duplicate {
-                    now(env.clone());
-                }
-                now(env);
-                // A held message is overtaken: it goes after.
-                held.take().into_iter().for_each(now);
-            }
-            Fate::Delay(ms) => {
-                blunt_obs::static_counter!("runtime.bus.delayed").inc();
-                later(ms, env);
-            }
-        }
-    }
-
-    /// Hands delayed envelopes to the delayer thread: one clock read and
-    /// one lock acquisition however many there are.
-    fn delay(&self, later: impl IntoIterator<Item = (u16, Envelope)>) {
-        let now = Instant::now();
-        let guard = self.delayer.lock().unwrap();
-        if let Some(tx) = guard.as_ref() {
-            for (ms, env) in later {
-                let due = now + Duration::from_millis(u64::from(ms));
-                let _ = tx.send(DelayedMsg { due, env });
-            }
-        }
-    }
-
-    /// Sends `env`, applying the fault schedule to non-exempt envelopes: a
-    /// batch of one, its deliveries kept on the stack until the lock is
-    /// released.
+    /// Sends `env`, applying the fault schedule unless it is exempt: a
+    /// batch of one.
     pub fn send(&self, env: Envelope) {
-        let ring = self.flight.thread_ring();
-        let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-        ring.record(FlightKind::BusSend, src, u64::from(dst), label);
-        if env.exempt {
-            return self.enqueue(env);
-        }
-        let mut now: [Option<Envelope>; 4] = [None, None, None, None];
-        let mut filled = 0;
-        let mut later = None;
-        self.realise(
-            &mut self.inner.lock().unwrap(),
-            &ring,
-            env,
-            &mut |e| {
-                now[filled] = Some(e);
-                filled += 1;
-            },
-            &mut |ms, e| later = Some((ms, e)),
-        );
-        now.into_iter().flatten().for_each(|e| self.enqueue(e));
-        if later.is_some() {
-            self.delay(later);
-        }
+        self.send_batch(vec![env]);
     }
 
     /// Sends `envs` as one batch: fates are drawn per envelope, in order,
@@ -317,66 +130,48 @@ impl Bus {
         let ring = self.flight.thread_ring();
         let mut now = Vec::with_capacity(envs.len());
         let mut later = Vec::new();
-        let mut inner = None;
+        let mut links = None;
         for env in envs {
-            let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-            ring.record(FlightKind::BusSend, src, u64::from(dst), label);
+            let (src, dst, label) = (env.src, env.dst, env.msg.flight_label());
+            ring.record(FlightKind::BusSend, src.0, u64::from(dst.0), label);
             if env.exempt {
                 now.push(env);
                 continue;
             }
-            self.realise(
-                inner.get_or_insert_with(|| self.inner.lock().unwrap()),
-                &ring,
-                env,
-                &mut |e| now.push(e),
-                &mut |ms, e| later.push((ms, e)),
-            );
+            links
+                .get_or_insert_with(|| self.links.lock().expect("bus lock"))
+                .realise(
+                    src,
+                    dst,
+                    label,
+                    env,
+                    &ring,
+                    &mut |e| now.push(e),
+                    &mut |ms, e| later.push((ms, e)),
+                );
         }
-        drop(inner);
+        drop(links);
         // Stable, so a mailbox sees each link's deliveries in the order
         // they were realised: a crash signal ahead of the message that
         // raised it, a duplicate back to back, a held message after the
         // one that overtook it.
         now.sort_by_key(|e| e.dst);
         now.into_iter().for_each(|e| self.enqueue(e));
-        if !later.is_empty() {
-            self.delay(later);
-        }
-    }
-
-    /// Broadcasts the ABD message `msg` from `src` to every pid in `dsts`.
-    pub fn broadcast(&self, src: Pid, dsts: impl Iterator<Item = Pid>, msg: &AbdMsg, exempt: bool) {
-        for dst in dsts {
-            self.send(Envelope::abd(src, dst, msg.clone(), exempt));
-        }
+        self.delayer.delay(later);
     }
 
     /// Releases every reorder hold-back (end of run: nothing will overtake
     /// them anymore) and flushes the delayer.
     pub fn flush(&self) {
-        let held: Vec<Envelope> = {
-            let mut inner = self.inner.lock().unwrap();
-            inner
-                .holds
-                .iter_mut()
-                .filter_map(|h| h.held.take())
-                .collect()
-        };
-        for env in held {
-            self.enqueue(env);
-        }
-        // Dropping the delayer sender makes the thread flush and exit.
-        *self.delayer.lock().unwrap() = None;
-        if let Some(h) = self.delayer_handle.lock().unwrap().take() {
-            let _ = h.join();
-        }
+        let held = self.links.lock().expect("bus lock").release();
+        held.into_iter().for_each(|e| self.enqueue(e));
+        self.delayer.close();
     }
 
     /// The deterministic fault counters so far.
     #[must_use]
     pub fn stats(&self) -> BusStats {
-        self.inner.lock().unwrap().injector.stats()
+        self.links.lock().expect("bus lock").injector().stats()
     }
 
     /// The fault-schedule coverage so far: per-link fate tallies (links
@@ -384,7 +179,7 @@ impl Bus {
     /// for a seed, like [`Bus::stats`].
     #[must_use]
     pub fn coverage(&self) -> Coverage {
-        self.inner.lock().unwrap().injector.coverage()
+        self.links.lock().expect("bus lock").injector().coverage()
     }
 }
 
@@ -413,7 +208,9 @@ impl Transport for Bus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blunt_core::ids::ObjId;
+    use blunt_abd::msg::AbdMsg;
+    use blunt_core::ids::{ObjId, Pid};
+    use std::time::Duration;
 
     fn q(sn: u32) -> AbdMsg {
         AbdMsg::Query { obj: ObjId(0), sn }
