@@ -11,7 +11,9 @@
 //! ```
 //!
 //! Exit status: `0` clean (or `--check` not given), `1` when `--check` finds
-//! a regression past the threshold, `2` on unreadable or malformed input.
+//! a regression past the threshold, `2` on unreadable or malformed input —
+//! including a file of another type or schema version, which cannot be
+//! compared at all.
 
 use blunt_trace::regress::{compare, BenchResults, CompareOptions};
 use std::process::ExitCode;
@@ -19,8 +21,7 @@ use std::process::ExitCode;
 fn load(path: &str) -> Result<BenchResults, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let json = blunt_obs::Json::parse(&text).map_err(|e| format!("{path}: bad JSON: {e}"))?;
-    BenchResults::from_json(&json)
-        .ok_or_else(|| format!("{path}: not a bench_results record (see docs/OBS_SCHEMA.md)"))
+    BenchResults::from_json(&json).map_err(|e| format!("{path}: {e} (see docs/OBS_SCHEMA.md)"))
 }
 
 fn main() -> ExitCode {

@@ -41,7 +41,7 @@
 //! (bus sends, fault decisions, op boundaries, acks, WAL flushes, crashes,
 //! monitor cuts). On a monitor violation the window is captured *at the
 //! moment of detection* and written under `--dump-dir` (default
-//! `target/chaos/flight/`) as schema-versioned JSONL plus a rendered
+//! `target/chaos/flight/`) as JSONL plus a rendered
 //! space-time diagram; a stall (no completed op for 60 s) does the same.
 //! The demo modes emit `broken_fast_read.*` / `broken_amnesia.*` /
 //! `broken_store_amnesia.*` dumps (a keyed `--demo-broken` uses its config
@@ -54,7 +54,7 @@
 //! `monitor.<cfg>` (time inside `observe`), `monitor_lag_ops.<cfg>` and
 //! `monitor_wakeups.<cfg>` (how often a monitor thread was woken: the
 //! clients ring it once a burst, not once an action) —
-//! goes to the schema-versioned `BENCH_results.json` (default
+//! goes to `BENCH_results.json` (default
 //! `target/chaos/BENCH_results.json`, `--results-out` to redirect) for the
 //! `bench-report` gate — the committed baseline pins every `violations`
 //! counter at 0, so a single violation fails `--check`. A machine-readable
@@ -62,6 +62,11 @@
 //! `--summary-out` (default `target/chaos/RUN_summary.json`); it contains
 //! only seed-deterministic fields, so two same-seed runs write identical
 //! summaries.
+//!
+//! Every JSON file the binary writes — results, summary or sweep, batch
+//! histogram, watch mirror, flight dump — opens with the same header: its
+//! `type` and the one `blunt_obs::SCHEMA_VERSION`. They stay separate
+//! files because only the summary is byte-identical for a seed.
 //!
 //! Exit status: `0` when every configuration is violation-free (or, under
 //! the demo modes, when the intentionally-broken implementation IS caught);
@@ -760,7 +765,7 @@ fn write_flight_dump_files(
 /// `monitor_actions`, `recoveries`, `shard_recoveries`,
 /// `bus.crash_events`, and every client→server link.
 ///
-/// Socket runs add the `servers` sections (schema v3): their fsync p99 and
+/// Socket runs add the `servers` sections: their fsync p99 and
 /// clock offsets are timing-dependent, and net entries are already outside
 /// the byte-determinism contract (their transport timing is wall-clock
 /// state); in-process entries never carry the section.
@@ -811,8 +816,8 @@ fn summary_entry(name: &str, r: &StoreReport, transport: &str) -> blunt_obs::Jso
     Json::Obj(fields)
 }
 
-/// The per-server telemetry sections of a net-transport config entry
-/// (schema v3): one object per remote `chaos serve` process, carrying the
+/// The per-server telemetry sections of a net-transport config entry: one
+/// object per remote `chaos serve` process, carrying the
 /// tracing-plane counters it shipped back plus the driver's clock-offset
 /// estimate. The fsync p99 and clock offset are timing-dependent; net
 /// entries are already excluded from the byte-determinism contract (their
@@ -841,19 +846,17 @@ fn servers_json(remote: &[blunt_runtime::RemoteServer]) -> blunt_obs::Json {
     )
 }
 
-/// The `chaos_summary` envelope. Schema v3 (docs/OBS_SCHEMA.md): v2 plus
-/// per-server telemetry sections (`servers`) on net-transport entries;
-/// readers treat a missing `transport` label as `in-process` (every v1
-/// summary was) and a missing `servers` array as empty.
+/// The `chaos_summary` document (docs/OBS_SCHEMA.md).
 fn summary_doc(seed: u64, mode: &str, configs: Vec<blunt_obs::Json>) -> blunt_obs::Json {
     use blunt_obs::Json;
-    Json::Obj(vec![
-        ("type".into(), Json::Str("chaos_summary".into())),
-        ("schema_version".into(), Json::UInt(3)),
-        ("seed".into(), Json::UInt(seed)),
-        ("mode".into(), Json::Str(mode.into())),
-        ("configs".into(), Json::Arr(configs)),
-    ])
+    blunt_obs::json::doc(
+        "chaos_summary",
+        vec![
+            ("seed".into(), Json::UInt(seed)),
+            ("mode".into(), Json::Str(mode.into())),
+            ("configs".into(), Json::Arr(configs)),
+        ],
+    )
 }
 
 /// Parses `chaos serve ...` and runs one server process to completion.
@@ -1016,20 +1019,21 @@ fn write_batch_hist(path: &Path, name: &str, r: &StoreReport) {
             ])
         })
         .collect();
-    let doc = Json::Obj(vec![
-        ("type".into(), Json::Str("store_batch_histogram".into())),
-        ("schema_version".into(), Json::UInt(1)),
-        ("config".into(), Json::Str(name.into())),
-        ("flushes".into(), Json::UInt(h.count)),
-        ("envelopes".into(), Json::UInt(h.sum)),
-        ("per_flush_p50".into(), Json::UInt(h.p50())),
-        ("per_flush_p99".into(), Json::UInt(h.percentile(0.99))),
-        ("per_flush_max".into(), Json::UInt(h.max)),
-        ("per_flush_mean".into(), Json::Float(h.mean())),
-        ("ops".into(), Json::UInt(r.ops)),
-        ("ops_per_sec".into(), Json::Float(r.ops_per_sec())),
-        ("buckets".into(), Json::Arr(buckets)),
-    ]);
+    let doc = blunt_obs::json::doc(
+        "store_batch_histogram",
+        vec![
+            ("config".into(), Json::Str(name.into())),
+            ("flushes".into(), Json::UInt(h.count)),
+            ("envelopes".into(), Json::UInt(h.sum)),
+            ("per_flush_p50".into(), Json::UInt(h.p50())),
+            ("per_flush_p99".into(), Json::UInt(h.percentile(0.99))),
+            ("per_flush_max".into(), Json::UInt(h.max)),
+            ("per_flush_mean".into(), Json::Float(h.mean())),
+            ("ops".into(), Json::UInt(r.ops)),
+            ("ops_per_sec".into(), Json::Float(r.ops_per_sec())),
+            ("buckets".into(), Json::Arr(buckets)),
+        ],
+    );
     std::fs::write(path, format!("{doc}\n")).expect("write batch histogram artifact");
     println!("batch histogram written to {}", path.display());
 }
@@ -1346,7 +1350,7 @@ fn run_plan(cli: &Cli) -> ExitCode {
         }
     }
 
-    // The schema-versioned gate input (docs/OBS_SCHEMA.md): per-config
+    // The gate input (docs/OBS_SCHEMA.md): per-config
     // wall-times plus the `runtime.chaos.*` counters, seed echoed for
     // replay. Only those counters are kept — they are deterministic for a
     // seed, unlike e.g. the monitor's segment counts (cut placement is
@@ -1429,18 +1433,19 @@ fn run_sweep(cli: &Cli, n: u64) -> ExitCode {
             ("pass".into(), Json::Bool(pass)),
         ]));
     }
-    // Schema v2: per-run `recoveries` (docs/OBS_SCHEMA.md) — amnesia
-    // configs report how many crash-recoveries each seed exercised, so a
-    // sweep that never recovered is visible as hollow coverage.
-    let doc = Json::Obj(vec![
-        ("type".into(), Json::Str("chaos_sweep".into())),
-        ("schema_version".into(), Json::UInt(2)),
-        ("workload".into(), Json::Str(workload)),
-        ("base_seed".into(), Json::UInt(cli.seed)),
-        ("seeds".into(), Json::UInt(n)),
-        ("failed".into(), Json::UInt(failed)),
-        ("runs".into(), Json::Arr(entries)),
-    ]);
+    // Per-run `recoveries` (docs/OBS_SCHEMA.md): amnesia configs report
+    // how many crash-recoveries each seed exercised, so a sweep that never
+    // recovered is visible as hollow coverage.
+    let doc = blunt_obs::json::doc(
+        "chaos_sweep",
+        vec![
+            ("workload".into(), Json::Str(workload)),
+            ("base_seed".into(), Json::UInt(cli.seed)),
+            ("seeds".into(), Json::UInt(n)),
+            ("failed".into(), Json::UInt(failed)),
+            ("runs".into(), Json::Arr(entries)),
+        ],
+    );
     std::fs::write(&cli.summary_out, format!("{doc}\n")).expect("write sweep summary");
     println!("\nsweep summary written to {}", cli.summary_out.display());
     if failed == 0 {

@@ -218,164 +218,6 @@ impl Table {
     }
 }
 
-/// One remote server's telemetry section in a `chaos_summary` config entry
-/// (schema v3, net-transport entries only): the per-process tracing-plane
-/// counters the server shipped back over its driver connection, plus the
-/// driver's clock-offset estimate for that process.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChaosServerTelemetry {
-    /// Process label (`s0`, `s1`, …) — matches the `proc` field of merged
-    /// flight-dump events.
-    pub proc: String,
-    /// Crash recoveries the server completed.
-    pub recoveries: u64,
-    /// Crash events the server processed.
-    pub crashes: u64,
-    /// p99 WAL fsync latency at the server, in µs (timing-dependent).
-    pub fsync_p99_us: u64,
-    /// Flight events the server recorded that carry a trace span.
-    pub span_events: u64,
-    /// Flight events the server recorded, total.
-    pub events: u64,
-    /// Estimated offset of the server's flight clock relative to the
-    /// driver's, in µs (timing-dependent).
-    pub clock_offset_us: i64,
-}
-
-/// One config entry of a parsed `chaos_summary` document.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChaosSummaryConfig {
-    /// The configuration name (`smoke.abd_k1_chaos`, `net.abd_k1_light`, …).
-    pub name: String,
-    /// Which tier carried the run's messages: `in-process`, `tcp`, or
-    /// `uds`. Schema v1 predates the field; v1 entries read as
-    /// `in-process` (every v1 run was).
-    pub transport: String,
-    /// Operations completed.
-    pub ops: u64,
-    /// Linearizability violations (0 on a sound run).
-    pub violations: u64,
-    /// Crash recoveries completed (0 where the config has none).
-    pub recoveries: u64,
-    /// Per-server telemetry sections (schema v3, net entries only; empty
-    /// for in-process entries and pre-v3 documents).
-    pub servers: Vec<ChaosServerTelemetry>,
-}
-
-/// A parsed `chaos_summary` document (schema v1, v2, or v3).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChaosSummary {
-    /// The schema version the document was written with (1, 2, or 3).
-    pub schema_version: u64,
-    /// The run seed the summary is deterministic in.
-    pub seed: u64,
-    /// `smoke` or `soak`.
-    pub mode: String,
-    /// Per-configuration entries, in run order.
-    pub configs: Vec<ChaosSummaryConfig>,
-}
-
-/// Parses a `chaos_summary` JSON document, accepting schema v1 (no
-/// `transport` label — read as `in-process`), v2, and v3 (adds per-server
-/// telemetry sections on net entries) alike; later schemas are rejected
-/// rather than misread.
-///
-/// # Errors
-///
-/// A human-readable message naming the missing/malformed field.
-pub fn parse_chaos_summary(text: &str) -> Result<ChaosSummary, String> {
-    use blunt_obs::Json;
-    let doc = Json::parse(text.trim()).map_err(|e| e.to_string())?;
-    if doc.get("type").and_then(Json::as_str) != Some("chaos_summary") {
-        return Err("not a chaos_summary document".into());
-    }
-    let schema_version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| "chaos_summary missing schema_version".to_string())?;
-    if !(1..=3).contains(&schema_version) {
-        return Err(format!(
-            "chaos_summary schema v{schema_version}, this build reads v1–v3"
-        ));
-    }
-    let seed = doc
-        .get("seed")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| "chaos_summary missing seed".to_string())?;
-    let mode = doc
-        .get("mode")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "chaos_summary missing mode".to_string())?
-        .to_string();
-    let entries = doc
-        .get("configs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "chaos_summary missing configs".to_string())?;
-    let mut configs = Vec::with_capacity(entries.len());
-    for e in entries {
-        let name = e
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "config entry missing name".to_string())?
-            .to_string();
-        let transport = match e.get("transport") {
-            Some(t) => t
-                .as_str()
-                .ok_or_else(|| format!("config `{name}`: transport is not a string"))?
-                .to_string(),
-            // v1 had no transport tier; everything ran in process.
-            None => "in-process".to_string(),
-        };
-        let ops = e
-            .get("ops")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("config `{name}` missing ops"))?;
-        let violations = e
-            .get("violations")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("config `{name}` missing violations"))?;
-        let recoveries = e.get("recoveries").and_then(Json::as_u64).unwrap_or(0);
-        let mut servers = Vec::new();
-        if let Some(list) = e.get("servers").and_then(Json::as_arr) {
-            for s in list {
-                let proc = s
-                    .get("proc")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("config `{name}`: server entry missing proc"))?
-                    .to_string();
-                let field = |key: &str| -> Result<u64, String> {
-                    s.get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("config `{name}`: server `{proc}` missing {key}"))
-                };
-                servers.push(ChaosServerTelemetry {
-                    recoveries: field("recoveries")?,
-                    crashes: field("crashes")?,
-                    fsync_p99_us: field("fsync_p99_us")?,
-                    span_events: field("span_events")?,
-                    events: field("events")?,
-                    clock_offset_us: s.get("clock_offset_us").and_then(Json::as_i64).unwrap_or(0),
-                    proc,
-                });
-            }
-        }
-        configs.push(ChaosSummaryConfig {
-            name,
-            transport,
-            ops,
-            violations,
-            recoveries,
-            servers,
-        });
-    }
-    Ok(ChaosSummary {
-        schema_version,
-        seed,
-        mode,
-        configs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

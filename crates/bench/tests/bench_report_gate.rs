@@ -6,15 +6,30 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-const BASELINE: &str = r#"{"type":"bench_results","schema_version":1,
+use blunt_obs::{json, Json, SCHEMA_VERSION};
+
+const BASELINE: &str = r#"{
     "phases":[{"name":"e1","wall_ms":100.0}],
     "counters":[{"name":"sim.explore.states","value":1000}]}"#;
 
-const DOCTORED: &str = r#"{"type":"bench_results","schema_version":1,
+const DOCTORED: &str = r#"{
     "phases":[{"name":"e1","wall_ms":100.0}],
     "counters":[{"name":"sim.explore.states","value":2000}]}"#;
 
-fn write_fixture(name: &str, contents: &str) -> PathBuf {
+/// A `bench_results` file: the current header over `body`'s fields.
+fn results(body: &str) -> String {
+    let Json::Obj(fields) = Json::parse(body).expect("fixture body") else {
+        panic!("fixture body is an object");
+    };
+    json::doc("bench_results", fields).to_string()
+}
+
+/// Writes `body` under the current `bench_results` header.
+fn write_fixture(name: &str, body: &str) -> PathBuf {
+    write_raw(name, &results(body))
+}
+
+fn write_raw(name: &str, contents: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("blunt-bench-gate-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create fixture dir");
     let path = dir.join(name);
@@ -91,11 +106,38 @@ fn unreadable_input_exits_with_usage_error() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+#[test]
+fn another_schema_version_is_unreadable_not_a_regression() {
+    let baseline = write_fixture("ver-baseline.json", BASELINE);
+    let stamp = format!("\"schema_version\":{SCHEMA_VERSION}");
+    let old = SCHEMA_VERSION - 1;
+    let stale = write_raw(
+        "ver-stale.json",
+        &results(BASELINE).replace(&stamp, &format!("\"schema_version\":{old}")),
+    );
+    let out = bench_report(&[
+        "--check",
+        "--baseline",
+        baseline.to_str().unwrap(),
+        "--current",
+        stale.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "a file that cannot be compared");
+    assert!(out.stdout.is_empty(), "no delta table is printed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(stale.to_str().unwrap())
+            && stderr.contains(&format!("v{old}"))
+            && stderr.contains(&format!("v{SCHEMA_VERSION}")),
+        "the error names the file and both versions: {stderr}"
+    );
+}
+
 /// A baseline with the chaos runner's monitor-overhead quantities: the
 /// deterministic `monitor_actions` counter (blocking) and the
 /// timing-dependent `monitor.*` observe-time phase (gates only under
 /// `--strict-times`).
-const MONITOR_BASELINE: &str = r#"{"type":"bench_results","schema_version":1,
+const MONITOR_BASELINE: &str = r#"{
     "phases":[{"name":"smoke.abd_k1_chaos","wall_ms":400.0},
               {"name":"monitor.smoke.abd_k1_chaos","wall_ms":2.0},
               {"name":"monitor_lag_ops.smoke.abd_k1_chaos","wall_ms":40.0}],

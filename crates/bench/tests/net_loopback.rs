@@ -2,10 +2,10 @@
 //! three `chaos serve` processes on loopback Unix-domain sockets plus a
 //! `chaos --connect` driver, light faults with amnesia crash windows. The
 //! run must complete ≥ 10k operations with zero violations, survive
-//! server crashes and recoveries mid-run, and write a schema-v3 summary
-//! labeled with the socket transport and carrying per-server telemetry
-//! sections. The driver must also write the merged cross-process flight
-//! dump (span-attributed events from all three server processes) plus its
+//! server crashes and recoveries mid-run, and write a summary labeled with
+//! the socket transport and carrying per-server telemetry sections. The
+//! driver must also write the merged cross-process flight dump
+//! (span-attributed events from all three server processes) plus its
 //! rendered diagram, and each serve process must leave its own
 //! `serve-<id>.flight.jsonl` under `--dump-dir` at shutdown.
 //!
@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use blunt_bench::parse_chaos_summary;
+use blunt_obs::{json, Json};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("blunt-net-loop-{tag}-{}", std::process::id()));
@@ -101,35 +101,52 @@ fn three_serve_processes_and_a_driver_survive_crashes_with_zero_violations() {
         wait_with_timeout(s, &format!("server {i}"), Duration::from_secs(30));
     }
 
-    let summary = parse_chaos_summary(&std::fs::read_to_string(&summary_path).expect("summary"))
-        .expect("summary parses");
-    assert_eq!(summary.schema_version, 3);
-    assert_eq!(summary.seed, 48879);
-    assert_eq!(summary.configs.len(), 1);
-    let cfg = &summary.configs[0];
-    assert_eq!(cfg.name, "net.abd_k1_light");
-    assert_eq!(cfg.transport, "uds", "loopback sockets are labeled uds");
-    assert_eq!(cfg.ops, 10_400, "≥ 10k ops completed");
-    assert_eq!(cfg.violations, 0, "linearizable over real sockets");
+    let text = std::fs::read_to_string(&summary_path).expect("summary");
+    let doc = Json::parse(text.trim()).expect("summary is JSON");
+    let summary = json::open(&doc, "chaos_summary").expect("summary opens");
+    let u64_of = |j: &Json, key: &str| j.get(key).and_then(Json::as_u64);
+    let str_of = |j: &Json, key: &str| j.get(key).and_then(Json::as_str).map(str::to_owned);
+    assert_eq!(u64_of(summary, "seed"), Some(48879));
+    let configs = summary
+        .get("configs")
+        .and_then(Json::as_arr)
+        .expect("configs");
+    assert_eq!(configs.len(), 1);
+    let cfg = &configs[0];
+    assert_eq!(str_of(cfg, "name").as_deref(), Some("net.abd_k1_light"));
+    assert_eq!(
+        str_of(cfg, "transport").as_deref(),
+        Some("uds"),
+        "loopback sockets are labeled uds"
+    );
+    assert_eq!(u64_of(cfg, "ops"), Some(10_400), "≥ 10k ops completed");
+    assert_eq!(
+        u64_of(cfg, "violations"),
+        Some(0),
+        "linearizable over real sockets"
+    );
     assert!(
-        cfg.recoveries >= 1,
-        "at least one server crashed and recovered mid-run: {cfg:?}"
+        u64_of(cfg, "recoveries").is_some_and(|r| r >= 1),
+        "at least one server crashed and recovered mid-run: {cfg}"
     );
     assert!(stdout.contains("verdict: all configurations linearizable"));
 
-    // Schema v3: every server process shipped a telemetry section with
-    // span-attributed flight events.
-    assert_eq!(cfg.servers.len(), 3, "one telemetry section per server");
-    for s in &cfg.servers {
+    // Every server process shipped a telemetry section with span-attributed
+    // flight events.
+    let servers = cfg.get("servers").and_then(Json::as_arr).expect("servers");
+    assert_eq!(servers.len(), 3, "one telemetry section per server");
+    for s in servers {
+        let proc = str_of(s, "proc").expect("proc");
+        for key in ["recoveries", "crashes", "fsync_p99_us"] {
+            assert!(u64_of(s, key).is_some(), "server {proc} missing {key}");
+        }
         assert!(
-            s.events > 0,
-            "server {} telemetry counted no events",
-            s.proc
+            u64_of(s, "events").is_some_and(|n| n > 0),
+            "server {proc} telemetry counted no events"
         );
         assert!(
-            s.span_events > 0,
-            "server {} counted no span-attributed events",
-            s.proc
+            u64_of(s, "span_events").is_some_and(|n| n > 0),
+            "server {proc} counted no span-attributed events"
         );
     }
 

@@ -1,13 +1,13 @@
 //! End-to-end tests of the `chaos` binary's keyed-store and sweep modes:
 //! the `--store --smoke` artifact set (bench results, run summary, batch
-//! histogram), the `--sweep N` machine-readable per-seed verdict, `--k` and
-//! the watch flags on store runs, and the fail-fast usage errors guarding
-//! the flags.
+//! histogram, watch mirror, flight dump) and its one document header, the
+//! `--sweep N` machine-readable per-seed verdict, `--k` and the watch flags
+//! on store runs, and the fail-fast usage errors guarding the flags.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use blunt_obs::Json;
+use blunt_obs::{json, Json};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("blunt-store-cli-{tag}-{}", std::process::id()));
@@ -114,11 +114,7 @@ fn store_smoke_writes_gated_counters_summary_and_batch_histogram() {
     // and a flush never carries more than the configured maximum (smoke's
     // is 8) to any one of the 4 × 3 replicas.
     let h = read_json(&hist);
-    assert_eq!(
-        h.get("type").and_then(Json::as_str),
-        Some("store_batch_histogram")
-    );
-    assert_eq!(h.get("schema_version").and_then(Json::as_u64), Some(1));
+    json::open(&h, "store_batch_histogram").expect("batch histogram header");
     let flushes = h.get("flushes").and_then(Json::as_u64).expect("flushes");
     let envelopes = h
         .get("envelopes")
@@ -128,6 +124,64 @@ fn store_smoke_writes_gated_counters_summary_and_batch_histogram() {
     assert!(envelopes >= flushes, "each flush carries ≥ 1 envelope");
     assert!(h.get("per_flush_max").and_then(Json::as_u64).unwrap() <= 8 * 12);
     assert!(!h.get("buckets").and_then(Json::as_arr).unwrap().is_empty());
+}
+
+/// The first line of the JSON or JSONL file at `path`.
+fn header(path: &PathBuf) -> Json {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let first = text.lines().next().unwrap_or_default();
+    Json::parse(first).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()))
+}
+
+#[test]
+fn every_artifact_opens_under_the_one_schema_version() {
+    let dir = tmp_dir("one-header");
+    let artifact = |name: &str| dir.join(name);
+    let out = chaos(&[
+        "--store",
+        "--smoke",
+        "--ops-per-client",
+        "2000",
+        "--results-out",
+        artifact("BENCH_results.json").to_str().unwrap(),
+        "--summary-out",
+        artifact("SUM.json").to_str().unwrap(),
+        "--batch-hist-out",
+        artifact("hist.json").to_str().unwrap(),
+        "--watch-out",
+        artifact("watch.jsonl").to_str().unwrap(),
+        "--dump-dir",
+        artifact("flight").to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let demo = chaos(&[
+        "--store",
+        "--smoke",
+        "--demo-broken",
+        "--dump-dir",
+        artifact("demo").to_str().unwrap(),
+    ]);
+    assert!(
+        demo.status.success(),
+        "{}",
+        String::from_utf8_lossy(&demo.stdout)
+    );
+    for (file, ty) in [
+        ("BENCH_results.json", "bench_results"),
+        ("SUM.json", "chaos_summary"),
+        ("hist.json", "store_batch_histogram"),
+        ("watch.jsonl", "chaos_watch"),
+        ("demo/smoke.store_light.flight.jsonl", "flight_dump"),
+    ] {
+        if let Err(e) = json::open(&header(&artifact(file)), ty) {
+            panic!("{file}: {e}");
+        }
+    }
 }
 
 #[test]
@@ -154,8 +208,7 @@ fn sweep_small_n_reports_every_seed_and_passes() {
     assert!(stdout.contains("3/3 seeds linearizable"), "{stdout}");
 
     let doc = read_json(&summary);
-    assert_eq!(doc.get("type").and_then(Json::as_str), Some("chaos_sweep"));
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(2));
+    json::open(&doc, "chaos_sweep").expect("sweep header");
     assert_eq!(doc.get("workload").and_then(Json::as_str), Some("abd_k1"));
     assert_eq!(doc.get("base_seed").and_then(Json::as_u64), Some(11));
     assert_eq!(doc.get("seeds").and_then(Json::as_u64), Some(3));
@@ -235,8 +288,8 @@ fn sweep_accepts_amnesia_store_configs_and_reports_per_seed_recoveries() {
         String::from_utf8_lossy(&out.stderr)
     );
     let doc = read_json(&summary);
+    json::open(&doc, "chaos_sweep").expect("sweep header");
     assert_eq!(doc.get("workload").and_then(Json::as_str), Some("store"));
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(2));
     assert_eq!(doc.get("failed").and_then(Json::as_u64), Some(0));
     let runs = doc.get("runs").and_then(Json::as_arr).expect("runs array");
     assert_eq!(runs.len(), 2);

@@ -143,8 +143,8 @@ pub enum Frame {
         /// p99 WAL fsync latency in µs (timing-dependent; 0 when no fsync
         /// was timed).
         fsync_p99_us: u64,
-        /// A bounded flight-dump JSONL (schema v2, the server's most recent
-        /// events) piggybacked for the driver's merged cross-process dump;
+        /// A bounded flight-dump JSONL (the server's most recent events)
+        /// piggybacked for the driver's merged cross-process dump;
         /// empty when the server has nothing to report.
         dump: String,
     },
@@ -1009,7 +1009,7 @@ mod tests {
             wal_lost: 0,
             wal_replayed: 0,
             fsync_p99_us: 0,
-            dump: "{\"type\":\"flight_dump\",\"schema_version\":2,\"events\":0}\n".into(),
+            dump: blunt_obs::FlightDump::default().to_jsonl(),
         });
         roundtrip(&Frame::HelloAck {
             node: 0,
@@ -1365,7 +1365,7 @@ mod tests {
                 wal_lost: 2,
                 wal_replayed: 3,
                 fsync_p99_us: 99,
-                dump: "{\"type\":\"flight_dump\",\"schema_version\":2,\"events\":0}\n".into(),
+                dump: blunt_obs::FlightDump::default().to_jsonl(),
             },
             Frame::HelloAck {
                 node: 1,

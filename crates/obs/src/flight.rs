@@ -33,17 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json::Json;
-
-/// Schema version written into flight dump headers. v2 added the optional
-/// per-event `span` (packed originating-op trace context, [`pack_span`]),
-/// `proc` (source process label in merged cross-process dumps), and `key`
-/// (target register in keyed-store runs) fields; all three are elided at
-/// their defaults, so [`FlightDump::parse`] still reads v1 dumps.
-pub const FLIGHT_SCHEMA_VERSION: u64 = 2;
-
-/// Oldest dump schema version [`FlightDump::parse`] accepts.
-pub const FLIGHT_SCHEMA_MIN_VERSION: u64 = 1;
+use crate::json::{self, Json};
 
 /// The span word of an event not attributed to any client operation.
 pub const SPAN_NONE: u64 = u64::MAX;
@@ -503,10 +493,7 @@ impl FlightRecorder {
             ring.snapshot_into(&mut events);
         }
         sort_events(&mut events);
-        FlightDump {
-            schema_version: FLIGHT_SCHEMA_VERSION,
-            events,
-        }
+        FlightDump { events }
     }
 
     /// Microseconds elapsed on this recorder's clock — the timestamp the
@@ -542,16 +529,13 @@ pub struct FlightEvent {
     /// Second payload word (meaning fixed by `kind`).
     pub b: u64,
     /// Packed originating-op trace context ([`pack_span`]); [`SPAN_NONE`]
-    /// when the event is not attributed to a client operation. Schema v2;
-    /// v1 dumps parse with `SPAN_NONE`.
+    /// when the event is not attributed to a client operation.
     pub span: u64,
     /// The register an op event targets; [`KEY_NONE`] for non-op events.
-    /// Elided at the default, so dumps written before keyed stores parse
-    /// with `KEY_NONE`.
     pub key: u64,
     /// The process this event came from in a merged cross-process dump
     /// (e.g. `"s0"` for server process 0); empty for events recorded
-    /// locally. Schema v2; v1 dumps parse with `""`.
+    /// locally.
     pub proc: String,
 }
 
@@ -567,9 +551,9 @@ impl FlightEvent {
             ("a".into(), Json::UInt(self.a)),
             ("b".into(), Json::UInt(self.b)),
         ];
-        // Defaults are elided so unattributed local events keep their
-        // compact v1 shape and absent-field ↔ default stays a bijection
-        // (parse → serialize is the identity).
+        // Defaults are elided so unattributed local events stay compact
+        // and absent-field ↔ default stays a bijection (parse → serialize
+        // is the identity).
         if self.span != SPAN_NONE {
             pairs.push(("span".into(), Json::UInt(self.span)));
         }
@@ -618,10 +602,8 @@ impl FlightEvent {
 
 /// A drained flight recorder: the most recent events of every ring, merged
 /// in time order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlightDump {
-    /// The dump schema version ([`FLIGHT_SCHEMA_VERSION`]).
-    pub schema_version: u64,
     /// Events, ascending by `(t_us, ring, seq)`.
     pub events: Vec<FlightEvent>,
 }
@@ -645,7 +627,6 @@ impl FlightDump {
     pub fn last_n(&self, n: usize) -> FlightDump {
         let skip = self.events.len().saturating_sub(n);
         FlightDump {
-            schema_version: self.schema_version,
             events: self.events[skip..].to_vec(),
         }
     }
@@ -654,11 +635,10 @@ impl FlightDump {
     /// `flight_event` line per event.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let header = Json::Obj(vec![
-            ("type".into(), Json::Str("flight_dump".into())),
-            ("schema_version".into(), Json::UInt(self.schema_version)),
-            ("events".into(), Json::UInt(self.events.len() as u64)),
-        ]);
+        let header = json::doc(
+            "flight_dump",
+            vec![("events".into(), Json::UInt(self.events.len() as u64))],
+        );
         let mut out = header.to_string();
         out.push('\n');
         for e in &self.events {
@@ -669,36 +649,21 @@ impl FlightDump {
     }
 
     /// Parses a JSONL dump back. The first record must be a `flight_dump`
-    /// header with a matching schema version; records of other types are
-    /// skipped (dumps may be embedded in larger JSONL streams).
+    /// header ([`json::open`]); records of other types are skipped (dumps
+    /// may be embedded in larger JSONL streams).
     pub fn parse(text: &str) -> Result<FlightDump, String> {
         let records = crate::recorder::parse_jsonl(text).map_err(|e| e.to_string())?;
         let header = records
             .first()
             .ok_or_else(|| "empty flight dump".to_string())?;
-        if header.get("type").and_then(Json::as_str) != Some("flight_dump") {
-            return Err(format!("not a flight dump header: {header}"));
-        }
-        let version = header
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "flight_dump header missing schema_version".to_string())?;
-        if !(FLIGHT_SCHEMA_MIN_VERSION..=FLIGHT_SCHEMA_VERSION).contains(&version) {
-            return Err(format!(
-                "flight dump schema v{version}, this build reads \
-                 v{FLIGHT_SCHEMA_MIN_VERSION}–v{FLIGHT_SCHEMA_VERSION}"
-            ));
-        }
+        json::open(header, "flight_dump")?;
         let mut events = Vec::new();
         for r in &records[1..] {
             if r.get("type").and_then(Json::as_str) == Some("flight_event") {
                 events.push(FlightEvent::from_json(r)?);
             }
         }
-        Ok(FlightDump {
-            schema_version: version,
-            events,
-        })
+        Ok(FlightDump { events })
     }
 
     /// Merges a remote process's dump into this one: every event of `other`
@@ -706,8 +671,7 @@ impl FlightDump {
     /// from the remote clock onto this dump's clock by `clock_offset_us`
     /// (the estimate `remote_clock − local_clock` from the `Hello`
     /// handshake; shifted times saturate at 0), and the result is re-sorted
-    /// into the canonical `(t_us, proc, ring, seq)` order. The merged dump
-    /// is always schema v2.
+    /// into the canonical `(t_us, proc, ring, seq)` order.
     pub fn merge_remote(&mut self, proc: &str, clock_offset_us: i64, other: &FlightDump) {
         for e in &other.events {
             let t_us = if clock_offset_us >= 0 {
@@ -721,7 +685,6 @@ impl FlightDump {
                 ..e.clone()
             });
         }
-        self.schema_version = FLIGHT_SCHEMA_VERSION;
         sort_events(&mut self.events);
     }
 }
@@ -838,10 +801,17 @@ mod tests {
         assert_eq!(FlightDump::parse(&text).unwrap(), dump);
         assert!(FlightDump::parse("").is_err());
         assert!(FlightDump::parse("{\"type\":\"metric\"}\n").is_err());
-        let wrong = text.replacen("\"schema_version\":2", "\"schema_version\":9", 1);
+        let v = json::SCHEMA_VERSION;
+        let wrong = text.replacen(
+            &format!("\"schema_version\":{v}"),
+            &format!("\"schema_version\":{}", v + 1),
+            1,
+        );
         let err = FlightDump::parse(&wrong).unwrap_err();
-        assert!(err.contains("schema v9"), "{err}");
-        assert!(err.contains("v1–v2"), "{err}");
+        assert!(
+            err.contains(&format!("flight_dump schema v{}", v + 1)),
+            "{err}"
+        );
     }
 
     #[test]
@@ -853,7 +823,7 @@ mod tests {
     }
 
     #[test]
-    fn span_attributed_events_round_trip_and_v1_dumps_still_parse() {
+    fn span_attributed_events_round_trip() {
         let rec = FlightRecorder::new(8);
         let ring = rec.register_current("server-0");
         ring.record_span_at(5, FlightKind::ServerAck, 0, 3, 1, pack_span(3, 12));
@@ -864,16 +834,6 @@ mod tests {
         let text = dump.to_jsonl();
         assert!(text.contains("\"span\":"), "attributed events carry span");
         assert_eq!(FlightDump::parse(&text).unwrap(), dump);
-
-        // A v1 dump (no span/proc fields) parses with defaults.
-        let v1 = "{\"type\":\"flight_dump\",\"schema_version\":1,\"events\":1}\n\
-                  {\"type\":\"flight_event\",\"ring\":\"client-3\",\"seq\":0,\"t_us\":7,\
-                  \"kind\":\"bus_send\",\"pid\":3,\"a\":0,\"b\":1}\n";
-        let parsed = FlightDump::parse(v1).expect("v1 dumps stay readable");
-        assert_eq!(parsed.schema_version, 1);
-        assert_eq!(parsed.events[0].span, SPAN_NONE);
-        assert_eq!(parsed.events[0].key, KEY_NONE);
-        assert_eq!(parsed.events[0].proc, "");
     }
 
     #[test]
@@ -905,7 +865,6 @@ mod tests {
         let mut merged = rec.dump();
 
         let remote = FlightDump {
-            schema_version: FLIGHT_SCHEMA_VERSION,
             events: vec![FlightEvent {
                 ring: "server-0".into(),
                 seq: 0,
@@ -927,10 +886,7 @@ mod tests {
         assert_eq!(merged.events[1].span, pack_span(3, 1));
         // A remote clock *behind* ours shifts the other way; saturation at 0
         // keeps a large positive offset from wrapping.
-        let mut m2 = FlightDump {
-            schema_version: FLIGHT_SCHEMA_VERSION,
-            events: Vec::new(),
-        };
+        let mut m2 = FlightDump::default();
         m2.merge_remote("s1", -50, &remote);
         assert_eq!(m2.events[0].t_us, 1_200);
         m2.merge_remote("s2", i64::MAX, &remote);

@@ -6,8 +6,52 @@
 //! round-trip tests and report tooling. Integers are kept exact — `Int`
 //! and `UInt` variants are distinct from `Float` — so `u64` counters
 //! survive a round trip unchanged.
+//!
+//! Every document the workspace writes as an artifact starts with the same
+//! header, stamped by [`doc`] and checked by [`open`]: its `type` and the
+//! one [`SCHEMA_VERSION`].
 
 use std::fmt;
+
+/// The schema version of every artifact document (`bench_results`,
+/// `chaos_summary`, `chaos_sweep`, `chaos_watch`, `store_batch_histogram`,
+/// `flight_dump`). Bump it on any change a reader of the previous version
+/// would misread; [`open`] accepts this version only.
+pub const SCHEMA_VERSION: u64 = 4;
+
+/// A document of type `ty`: `type` and `schema_version` first, then
+/// `fields` in order.
+#[must_use]
+pub fn doc(ty: &str, fields: Vec<(String, Json)>) -> Json {
+    let mut pairs = Vec::with_capacity(fields.len() + 2);
+    pairs.push(("type".into(), Json::Str(ty.into())));
+    pairs.push(("schema_version".into(), Json::UInt(SCHEMA_VERSION)));
+    pairs.extend(fields);
+    Json::Obj(pairs)
+}
+
+/// Checks that `j` is a [`doc`] of type `ty` at [`SCHEMA_VERSION`] and
+/// returns it.
+///
+/// # Errors
+///
+/// A wrong `type`, a missing `schema_version`, or any version other than
+/// [`SCHEMA_VERSION`], named in one message.
+pub fn open<'a>(j: &'a Json, ty: &str) -> Result<&'a Json, String> {
+    let found = j.get("type").and_then(Json::as_str);
+    if found != Some(ty) {
+        return Err(format!("expected a {ty} document, found type {found:?}"));
+    }
+    match j.get("schema_version").and_then(Json::as_u64) {
+        Some(SCHEMA_VERSION) => Ok(j),
+        Some(v) => Err(format!(
+            "{ty} schema v{v}, this build reads v{SCHEMA_VERSION}"
+        )),
+        None => Err(format!(
+            "{ty} has no schema_version, this build reads v{SCHEMA_VERSION}"
+        )),
+    }
+}
 
 /// A JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -519,5 +563,40 @@ mod tests {
             Some(2)
         );
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn open_accepts_only_its_own_type_at_the_one_version() {
+        let d = doc("chaos_summary", vec![("seed".into(), Json::UInt(7))]);
+        let back = Json::parse(&d.to_string()).unwrap();
+        let opened = open(&back, "chaos_summary").expect("doc round-trips through open");
+        assert_eq!(opened.get("seed").and_then(Json::as_u64), Some(7));
+        assert!(d.to_string().starts_with(&format!(
+            "{{\"type\":\"chaos_summary\",\"schema_version\":{SCHEMA_VERSION},"
+        )));
+
+        let err = open(&back, "bench_results").unwrap_err();
+        assert!(
+            err.contains("bench_results") && err.contains("chaos_summary"),
+            "{err}"
+        );
+
+        let unversioned = Json::parse(r#"{"type":"chaos_summary","seed":7}"#).unwrap();
+        let err = open(&unversioned, "chaos_summary").unwrap_err();
+        assert!(err.contains("no schema_version"), "{err}");
+
+        for v in [SCHEMA_VERSION - 1, SCHEMA_VERSION + 1] {
+            let other = Json::parse(&format!(
+                r#"{{"type":"chaos_summary","schema_version":{v},"seed":7}}"#
+            ))
+            .unwrap();
+            let err = open(&other, "chaos_summary").unwrap_err();
+            assert!(
+                err.contains("chaos_summary")
+                    && err.contains(&format!("v{v}"))
+                    && err.contains(&format!("v{SCHEMA_VERSION}")),
+                "{err}"
+            );
+        }
     }
 }

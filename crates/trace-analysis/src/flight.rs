@@ -33,7 +33,7 @@ fn msg_label(w: u64) -> String {
 
 /// Suffixes a label with the event's trace context (when span-attributed)
 /// and prefixes it with the recording process (when remote). Events without
-/// span or proc — every pre-v2 dump — render exactly as before.
+/// span or proc render undecorated.
 fn decorate(e: &blunt_obs::FlightEvent, label: String) -> String {
     let mut label = label;
     if let Some((client, op)) = unpack_span(e.span) {
@@ -332,7 +332,6 @@ mod tests {
 
     fn fixture() -> FlightDump {
         FlightDump {
-            schema_version: blunt_obs::FLIGHT_SCHEMA_VERSION,
             events: vec![
                 ev(
                     "client-3",
@@ -403,10 +402,7 @@ mod tests {
 
     #[test]
     fn empty_dump_renders_header_and_footer_only() {
-        let dump = FlightDump {
-            schema_version: blunt_obs::FLIGHT_SCHEMA_VERSION,
-            events: vec![],
-        };
+        let dump = FlightDump::default();
         let s = flight_space_time(&dump, 2, &DiagramOptions::default());
         assert_eq!(s.lines().count(), 3, "{s}");
         assert!(s.contains("0 events"));
@@ -415,7 +411,6 @@ mod tests {
     #[test]
     fn ack_delay_and_retransmit_labels_are_readable() {
         let dump = FlightDump {
-            schema_version: blunt_obs::FLIGHT_SCHEMA_VERSION,
             events: vec![
                 ev("client-0", 0, 1, FlightKind::FaultDelay, 0, 2, 3),
                 ev(
@@ -448,7 +443,6 @@ mod tests {
     fn merged_dump_labels_carry_proc_and_span() {
         let w = pack_span(3, 41);
         let dump = FlightDump {
-            schema_version: blunt_obs::FLIGHT_SCHEMA_VERSION,
             events: vec![
                 span_ev(
                     "server-0",
@@ -565,10 +559,7 @@ mod tests {
             ),
         ];
         events.sort_by_key(|e| e.t_us);
-        let dump = FlightDump {
-            schema_version: blunt_obs::FLIGHT_SCHEMA_VERSION,
-            events,
-        };
+        let dump = FlightDump { events };
         let b = latency_breakdown(&dump);
         assert_eq!(b.ops, 2);
         // Phase samples: queue {4, 6}, wire {6, 4}, ack {9, 15},

@@ -20,7 +20,7 @@
 //!   `blunt_sim::explore::Solver`: the principal variation (the worst-case
 //!   schedule with its win probability after each move) and the recorded
 //!   expectimax game tree;
-//! - [`regress`] defines the schema-versioned `BENCH_results.json` format
+//! - [`regress`] defines the `BENCH_results.json` format
 //!   written by the `experiments` binary and the baseline comparison used by
 //!   the `bench-report` gate.
 //!
@@ -39,6 +39,4 @@ pub use diagram::{history_space_time, space_time, DiagramOptions};
 pub use flight::{flight_space_time, latency_breakdown, LatencyBreakdown};
 pub use hb::{analyze, HbAnalysis, HbReport, Race};
 pub use pv::{render_pv, render_tree};
-pub use regress::{
-    compare, BenchResults, CompareOptions, CompareReport, DeltaRow, RowKind, BENCH_SCHEMA_VERSION,
-};
+pub use regress::{compare, BenchResults, CompareOptions, CompareReport, DeltaRow, RowKind};

@@ -1,5 +1,5 @@
-//! The schema-versioned `BENCH_results.json` format and the baseline
-//! comparison behind the `bench-report` regression gate.
+//! The `BENCH_results.json` format and the baseline comparison behind the
+//! `bench-report` regression gate.
 //!
 //! The `experiments` binary writes a [`BenchResults`] snapshot (per-phase
 //! wall-clock times plus the final `blunt-obs` counter totals, which include
@@ -11,17 +11,11 @@
 
 use std::fmt::Write as _;
 
-use blunt_obs::{Json, Snapshot};
-
-/// Version stamp written into every `BENCH_results.json`. Bump on any
-/// incompatible change to the record shape; mismatching versions always gate.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+use blunt_obs::{json, Json, Snapshot};
 
 /// One benchmark run: phase wall-times and counter totals.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BenchResults {
-    /// The schema version the file was written with.
-    pub schema_version: u64,
     /// `(phase name, wall-clock milliseconds)`, in execution order.
     pub phases: Vec<(String, f64)>,
     /// `(counter name, total)`, sorted by name (as produced by
@@ -29,27 +23,14 @@ pub struct BenchResults {
     pub counters: Vec<(String, u64)>,
     /// The run seed, when the producing binary was seeded (`experiments
     /// --seed`, `chaos --seed`). Echoed for replay; never gated on.
-    /// Optional within schema v1 — absent in older files.
     pub seed: Option<u64>,
 }
 
 impl BenchResults {
-    /// An empty result set at the current schema version.
-    #[must_use]
-    pub fn new() -> BenchResults {
-        BenchResults {
-            schema_version: BENCH_SCHEMA_VERSION,
-            phases: Vec::new(),
-            counters: Vec::new(),
-            seed: None,
-        }
-    }
-
     /// Builds results from recorded phase times and a metrics snapshot.
     #[must_use]
     pub fn from_snapshot(phases: Vec<(String, f64)>, snap: &Snapshot) -> BenchResults {
         BenchResults {
-            schema_version: BENCH_SCHEMA_VERSION,
             phases,
             counters: snap.counters.clone(),
             seed: None,
@@ -95,25 +76,27 @@ impl BenchResults {
                 ])
             })
             .collect();
-        let mut fields = vec![
-            ("type".into(), Json::Str("bench_results".into())),
-            ("schema_version".into(), Json::UInt(self.schema_version)),
-        ];
+        let mut fields = Vec::new();
         if let Some(seed) = self.seed {
             fields.push(("seed".into(), Json::UInt(seed)));
         }
         fields.push(("phases".into(), Json::Arr(phases)));
         fields.push(("counters".into(), Json::Arr(counters)));
-        Json::Obj(fields)
+        json::doc("bench_results", fields)
     }
 
-    /// Parses a `bench_results` record; `None` on shape mismatch.
-    #[must_use]
-    pub fn from_json(j: &Json) -> Option<BenchResults> {
-        if j.get("type")?.as_str()? != "bench_results" {
-            return None;
-        }
-        let schema_version = j.get("schema_version")?.as_u64()?;
+    /// Parses a `bench_results` record.
+    ///
+    /// # Errors
+    ///
+    /// The [`json::open`] message for a wrong header, or a note that the
+    /// body does not have the `bench_results` shape.
+    pub fn from_json(j: &Json) -> Result<BenchResults, String> {
+        json::open(j, "bench_results")?;
+        BenchResults::body(j).ok_or_else(|| "malformed bench_results record".to_string())
+    }
+
+    fn body(j: &Json) -> Option<BenchResults> {
         let mut phases = Vec::new();
         for p in j.get("phases")?.as_arr()? {
             phases.push((
@@ -128,20 +111,12 @@ impl BenchResults {
                 c.get("value")?.as_u64()?,
             ));
         }
-        // `seed` is optional within schema v1: older files lack it.
         let seed = j.get("seed").and_then(Json::as_u64);
         Some(BenchResults {
-            schema_version,
             phases,
             counters,
             seed,
         })
-    }
-}
-
-impl Default for BenchResults {
-    fn default() -> BenchResults {
-        BenchResults::new()
     }
 }
 
@@ -209,9 +184,6 @@ impl DeltaRow {
 /// The outcome of [`compare`].
 #[derive(Clone, Debug, Default)]
 pub struct CompareReport {
-    /// True when the two files were written with different schema versions
-    /// (always gates).
-    pub schema_mismatch: bool,
     /// Per-quantity rows, phases first, then counters.
     pub rows: Vec<DeltaRow>,
     /// Names present in the baseline but absent from the current run
@@ -231,7 +203,7 @@ impl CompareReport {
     /// True when `bench-report --check` should exit nonzero.
     #[must_use]
     pub fn has_regressions(&self) -> bool {
-        self.schema_mismatch || self.rows.iter().any(|r| r.regressed)
+        self.rows.iter().any(|r| r.regressed)
     }
 
     /// Renders the aligned delta table plus a one-line verdict.
@@ -271,9 +243,6 @@ impl CompareReport {
                 if r.regressed { "  REGRESSED" } else { "" }
             );
         }
-        if self.schema_mismatch {
-            let _ = writeln!(s, "schema version mismatch — results not comparable");
-        }
         if !self.missing_in_current.is_empty() {
             let _ = writeln!(
                 s,
@@ -310,10 +279,7 @@ pub fn compare(
     current: &BenchResults,
     opts: &CompareOptions,
 ) -> CompareReport {
-    let mut report = CompareReport {
-        schema_mismatch: baseline.schema_version != current.schema_version,
-        ..CompareReport::default()
-    };
+    let mut report = CompareReport::default();
     for (name, base) in &baseline.phases {
         match current.phase(name) {
             Some(cur) => report.rows.push(DeltaRow {
@@ -358,11 +324,16 @@ pub fn compare(
 mod tests {
     use super::*;
 
-    fn parse(text: &str) -> BenchResults {
-        BenchResults::from_json(&Json::parse(text).expect("valid json")).expect("valid schema")
+    /// A `bench_results` record with the current header over `body`'s
+    /// fields.
+    fn parse(body: &str) -> BenchResults {
+        let Json::Obj(fields) = Json::parse(body).expect("valid json") else {
+            panic!("fixture body is an object");
+        };
+        BenchResults::from_json(&json::doc("bench_results", fields)).expect("valid schema")
     }
 
-    const BASELINE: &str = r#"{"type":"bench_results","schema_version":1,
+    const BASELINE: &str = r#"{
         "phases":[{"name":"e1_game_values","wall_ms":120.0}],
         "counters":[{"name":"sim.explore.states","value":1000},
                     {"name":"sim.kernel.steps","value":400}]}"#;
@@ -370,17 +341,16 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let r = parse(BASELINE);
-        assert_eq!(r.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(r.counter("sim.explore.states"), Some(1000));
         assert_eq!(r.phase("e1_game_values"), Some(120.0));
         let back = BenchResults::from_json(&Json::parse(&r.to_json().to_string()).unwrap());
-        assert_eq!(back.as_ref(), Some(&r));
+        assert_eq!(back, Ok(r));
     }
 
     #[test]
     fn seed_round_trips_and_never_gates() {
         // Seeded runs echo the seed (replay affordance); files without one
-        // still parse — `seed` is optional within schema v1.
+        // still parse — `seed` is optional.
         let mut seeded = parse(BASELINE);
         assert_eq!(seeded.seed, None);
         seeded.seed = Some(0x0B1D_5EED);
@@ -398,7 +368,7 @@ mod tests {
         // +25% threshold, so --check must fail.
         let baseline = parse(BASELINE);
         let doctored = parse(
-            r#"{"type":"bench_results","schema_version":1,
+            r#"{
                 "phases":[{"name":"e1_game_values","wall_ms":480.0}],
                 "counters":[{"name":"sim.explore.states","value":2000},
                             {"name":"sim.kernel.steps","value":400}]}"#,
@@ -444,13 +414,8 @@ mod tests {
     }
 
     #[test]
-    fn schema_mismatch_and_missing_counters_behave() {
+    fn missing_counters_are_listed_but_do_not_gate() {
         let baseline = parse(BASELINE);
-        let mut newer = baseline.clone();
-        newer.schema_version += 1;
-        assert!(compare(&baseline, &newer, &CompareOptions::default()).has_regressions());
-
-        // Retired counter: listed, but not a gate failure.
         let mut slimmer = baseline.clone();
         slimmer.counters.retain(|(k, _)| k != "sim.kernel.steps");
         let report = compare(&baseline, &slimmer, &CompareOptions::default());

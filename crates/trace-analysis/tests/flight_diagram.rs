@@ -4,14 +4,14 @@
 //! re-parse → render is byte-identical). Regenerate intentionally with
 //! `BLESS=1 cargo test -p blunt-trace --test flight_diagram`.
 
-use blunt_obs::FlightDump;
+use blunt_obs::{json, FlightDump, Json};
 use blunt_trace::{flight_space_time, DiagramOptions};
 
-/// Mirrors the `blunt-obs` golden fixture (`tests/golden/flight_dump.jsonl`
-/// there): one client op pair, bus traffic with every fault family, a
-/// server crash/recovery, and a monitor cut + violation over 8 lanes.
-const DUMP: &str = "\
-{\"type\":\"flight_dump\",\"schema_version\":1,\"events\":18}
+/// The events of the `blunt-obs` golden fixture
+/// (`tests/golden/flight_dump.jsonl` there): one client op pair, bus traffic
+/// with every fault family, a server crash/recovery, and a monitor cut +
+/// violation over 8 lanes.
+const EVENTS: &str = "\
 {\"type\":\"flight_event\",\"ring\":\"client-3\",\"seq\":0,\"t_us\":10,\"kind\":\"op_start_write\",\"pid\":3,\"a\":7,\"b\":42}
 {\"type\":\"flight_event\",\"ring\":\"client-3\",\"seq\":1,\"t_us\":11,\"kind\":\"bus_send\",\"pid\":3,\"a\":0,\"b\":8}
 {\"type\":\"flight_event\",\"ring\":\"client-3\",\"seq\":2,\"t_us\":12,\"kind\":\"fault_drop\",\"pid\":3,\"a\":1,\"b\":8}
@@ -32,6 +32,12 @@ const DUMP: &str = "\
 {\"type\":\"flight_event\",\"ring\":\"monitor\",\"seq\":1,\"t_us\":62,\"kind\":\"monitor_violation\",\"pid\":7,\"a\":1,\"b\":0}
 ";
 
+/// The fixture parsed under the current `flight_dump` header.
+fn dump() -> FlightDump {
+    let header = json::doc("flight_dump", vec![("events".into(), Json::UInt(18))]);
+    FlightDump::parse(&format!("{header}\n{EVENTS}")).expect("fixture parses")
+}
+
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/flight_diagram.txt"
@@ -39,7 +45,7 @@ const GOLDEN: &str = concat!(
 
 #[test]
 fn dump_renders_to_the_committed_golden_diagram() {
-    let dump = FlightDump::parse(DUMP).expect("fixture parses");
+    let dump = dump();
     let rendered = flight_space_time(&dump, 8, &DiagramOptions::default());
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(GOLDEN, &rendered).expect("bless golden diagram");
@@ -53,7 +59,7 @@ fn dump_renders_to_the_committed_golden_diagram() {
 
 #[test]
 fn round_trip_re_render_is_byte_identical() {
-    let dump = FlightDump::parse(DUMP).expect("fixture parses");
+    let dump = dump();
     let direct = flight_space_time(&dump, 8, &DiagramOptions::default());
     let reparsed = FlightDump::parse(&dump.to_jsonl()).expect("round trip");
     assert_eq!(
@@ -64,7 +70,7 @@ fn round_trip_re_render_is_byte_identical() {
 
 #[test]
 fn rendering_names_the_interesting_events() {
-    let dump = FlightDump::parse(DUMP).expect("fixture parses");
+    let dump = dump();
     let s = flight_space_time(&dump, 8, &DiagramOptions::default());
     for needle in [
         "call Write(42)",
