@@ -16,7 +16,20 @@
 //! cargo run --release -p blunt-bench --bin chaos -- --store --smoke --fault-profile amnesia
 //! cargo run --release -p blunt-bench --bin chaos -- --store --smoke --k 2
 //! cargo run --release -p blunt-bench --bin chaos -- --store --demo-amnesia
+//! chaos serve --listen s0.sock --server-id 0 --peers s0.sock,s1.sock,s2.sock \
+//!     --fault-profile light --seed 7 &      # … one per server, then:
+//! chaos --smoke --connect s0.sock,s1.sock,s2.sock --fault-profile light --seed 7
 //! ```
+//!
+//! **One command line.** The driver and `chaos serve` parse through one
+//! argument loop; a flag of the other mode is a usage error. Over sockets
+//! the driver realises the client→server half of the per-link fault
+//! schedule and each serve process the server→client half, and both
+//! resolve the seed and fault flags with the one
+//! `blunt_bench::FaultFlags::resolve` — the serve side from its
+//! `--peers` count and `--shard-size` — so identical flags give one
+//! schedule, the keyed store's amnesia windows included. `serve` requires
+//! `--fault-profile`: it has no run shape to take a default mix from.
 //!
 //! `--fault-profile none|light|heavy|amnesia` narrows the run to the two
 //! ABD shapes (k = 1, 2) under the named fault mix; `amnesia` additionally
@@ -81,7 +94,7 @@
 //! monitor's first violation window as a space-time diagram — the "show
 //! me it actually catches bugs" modes.
 
-use blunt_bench::parallel_map;
+use blunt_bench::{parallel_map, FaultFlags, FaultProfile};
 use blunt_runtime::{
     run_net_server, run_shm_chaos, Addr, FaultConfig, NetServeConfig, RecoveryMode, ShmChaosConfig,
 };
@@ -90,88 +103,46 @@ use blunt_trace::regress::BenchResults;
 use blunt_trace::{flight_space_time, DiagramOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: chaos [--smoke] [--seed N] [--results-out PATH] \
-     [--summary-out PATH] [--dump-dir DIR] [--watch DUR] [--watch-out PATH] \
-     [--ops-per-client N] \
-     [--fault-profile none|light|heavy|amnesia] [--crash-len N] [--crash-period N] \
-     [--connect ADDR,ADDR,...] [--k N] [--recovery stable|amnesia] \
-     [--demo-broken | --demo-amnesia]\n\
-       chaos --store [--smoke] [--keys N] [--shards N] [--pipeline-depth N] [--batch N] \\\n\
-             [--k N] [--watch DUR] [--watch-out PATH] \\\n\
-             [--ops-per-client N] [--fault-profile none|light|heavy|amnesia] [--seed N] \\\n\
-             [--recovery stable|amnesia] [--crash-len N] [--crash-period N] \\\n\
-             [--connect ADDR,...] [--batch-hist-out PATH] [--demo-broken | --demo-amnesia]\n\
-       chaos --sweep N [--store] [--smoke] [--seed BASE] [--k N] [--ops-per-client N] \\\n\
-             [--fault-profile ...] [--summary-out PATH]\n\
-       chaos serve --listen ADDR --server-id N --peers ADDR,ADDR,... \\\n\
-             [--servers N] [--clients N] [--shard-size N] [--seed N] \\\n\
-             [--recovery stable|amnesia] \\\n\
-             [--fault-profile none|light|heavy|amnesia] [--crash-len N] [--crash-period N] \\\n\
-             [--dump-dir DIR]\n\
-     ADDR is host:port (TCP) or a filesystem path (Unix-domain socket)\n\
-     --batch N caps what a client buffers per destination replica before a forced \
-     flush (1 = no batching); a flush carries every destination's envelopes";
+const USAGE: &str =
+    "usage: chaos [--smoke] [--store] [--sweep N] [--demo-broken | --demo-amnesia] [FLAGS]
+       chaos serve --listen ADDR --server-id N --peers ADDR,... --fault-profile P [FLAGS]
+  both:   --seed N  --fault-profile none|light|heavy|amnesia  --crash-len N  --crash-period N
+          --recovery stable|amnesia  --dump-dir DIR
+  driver: --results-out PATH  --summary-out PATH  --watch DUR  --watch-out PATH
+          --ops-per-client N  --connect ADDR,...  --k N
+  store:  --keys N  --shards N  --pipeline-depth N  --batch N  --batch-hist-out PATH
+  serve:  --clients N  --shard-size N
+ADDR is host:port (TCP) or a filesystem path (Unix-domain socket); a serve process takes the
+driver's seed and fault flags verbatim. --batch N caps what a client buffers per destination
+replica before a forced flush (1 = no batching); a flush carries every destination's envelopes";
 
-/// A named fault mix for `--fault-profile`. `Heavy` is the full chaos()
-/// mix; `Amnesia` is the same mix with volatile-state-losing crashes and
-/// WAL + peer-catch-up recovery.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum FaultProfile {
-    None,
-    Light,
-    Heavy,
-    Amnesia,
-}
+const DEFAULT_DUMP_DIR: &str = "target/chaos/flight";
 
-impl FaultProfile {
-    fn parse(s: &str) -> Option<FaultProfile> {
-        match s {
-            "none" => Some(FaultProfile::None),
-            "light" => Some(FaultProfile::Light),
-            "heavy" => Some(FaultProfile::Heavy),
-            "amnesia" => Some(FaultProfile::Amnesia),
-            _ => None,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            FaultProfile::None => "none",
-            FaultProfile::Light => "light",
-            FaultProfile::Heavy => "heavy",
-            FaultProfile::Amnesia => "amnesia",
-        }
-    }
-
-    fn faults(self) -> FaultConfig {
-        match self {
-            FaultProfile::None => FaultConfig::none(),
-            FaultProfile::Light => FaultConfig::light(),
-            FaultProfile::Heavy | FaultProfile::Amnesia => FaultConfig::chaos(),
-        }
-    }
-}
-
-/// Parsed command line. Overrides apply on top of whatever fault mix the
-/// selected configurations carry.
+/// Parsed command line, driver and `serve` alike. The fault flags apply on
+/// top of whatever fault mix the selected configurations carry.
+#[derive(Default)]
 struct Cli {
+    /// `chaos serve`: host one server process for a `--connect` driver.
+    serve: bool,
     smoke: bool,
     demo_broken: bool,
     demo_amnesia: bool,
     seed: u64,
     results_out: PathBuf,
     summary_out: PathBuf,
-    dump_dir: PathBuf,
+    /// `--dump-dir`. The driver defaults to [`DEFAULT_DUMP_DIR`]; a serve
+    /// process without it writes no local flight dump.
+    dump_dir: Option<PathBuf>,
     watch: Option<Duration>,
     /// `--watch-out p`: mirror the watch snapshots as schema-versioned
     /// JSONL to `p`, independent of whether `--watch` streams to stderr.
     watch_out: Option<PathBuf>,
     ops_per_client: Option<u64>,
-    profile: Option<FaultProfile>,
-    crash_len: Option<u64>,
-    crash_period: Option<u64>,
+    /// `--fault-profile`, `--crash-len`, `--crash-period`, `--recovery`.
+    faults: FaultFlags,
     /// `--connect a,b,c`: drive external `chaos serve` processes at these
     /// addresses instead of in-process server threads.
     connect: Option<Vec<Addr>>,
@@ -179,10 +150,6 @@ struct Cli {
     /// `--store`, `--connect`, `--sweep`, the demos. The default register
     /// set runs k = 1 and 2 side by side and rejects it.
     k: Option<u32>,
-    /// `--recovery stable|amnesia`: crash semantics override, applied after
-    /// `--fault-profile`. In `--connect` mode this MUST match what the
-    /// `chaos serve` processes were started with.
-    recovery: Option<RecoveryMode>,
     /// `--store`: run the sharded keyed store (`blunt-store`) instead of
     /// the single-register sets.
     store: bool,
@@ -197,6 +164,16 @@ struct Cli {
     /// `--batch-hist-out p`: where the store run writes its batch-size
     /// histogram artifact.
     batch_hist_out: PathBuf,
+    /// The serve process's own address, pid, and every server's address
+    /// (index = pid; their count is the run's server count).
+    listen: Option<Addr>,
+    server_id: Option<u32>,
+    peers: Option<Vec<Addr>>,
+    /// Client threads the driver runs.
+    clients: u32,
+    /// Replicas per shard of a keyed (`--store`) run; its presence marks
+    /// the serve process as sharded.
+    shard_size: Option<u32>,
 }
 
 impl Cli {
@@ -204,6 +181,12 @@ impl Cli {
     /// ABD.
     fn k(&self) -> u32 {
         self.k.unwrap_or(1)
+    }
+
+    fn dump_dir(&self) -> &Path {
+        self.dump_dir
+            .as_deref()
+            .unwrap_or(Path::new(DEFAULT_DUMP_DIR))
     }
 }
 
@@ -213,34 +196,61 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// A comma-separated address list: `host:port` or socket paths, one per
-/// server, index = server pid.
-fn parse_addr_list(flag: &str, v: &str) -> Vec<Addr> {
-    let addrs: Vec<Addr> = v
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(Addr::parse)
-        .collect();
-    if addrs.is_empty() {
-        usage_error(&format!("{flag}: `{v}` has no addresses"));
-    }
-    addrs
-}
+/// The argument stream, read one flag value at a time.
+struct Args(std::iter::Skip<std::vec::IntoIter<String>>);
 
-/// `1s`, `250ms`, or a bare number of seconds.
-fn parse_duration(flag: &str, v: &str) -> Duration {
-    let parsed = if let Some(ms) = v.strip_suffix("ms") {
-        ms.parse().ok().map(Duration::from_millis)
-    } else if let Some(s) = v.strip_suffix('s') {
-        s.parse().ok().map(Duration::from_secs)
-    } else {
-        v.parse().ok().map(Duration::from_secs)
-    };
-    match parsed.filter(|d| !d.is_zero()) {
-        Some(d) => d,
-        None => usage_error(&format!(
-            "{flag}: `{v}` is not a duration (try `1s` or `250ms`)"
-        )),
+impl Args {
+    fn value(&mut self, flag: &str) -> String {
+        self.0
+            .next()
+            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+    }
+
+    /// The next value as a `T` that `ok` accepts, or a usage error naming
+    /// the flag, the value and `what` it should have been.
+    fn parse<T: FromStr>(&mut self, flag: &str, what: &str, ok: impl Fn(&T) -> bool) -> T {
+        let v = self.value(flag);
+        v.parse()
+            .ok()
+            .filter(ok)
+            .unwrap_or_else(|| usage_error(&format!("{flag}: `{v}` is not {what}")))
+    }
+
+    /// A positive integer.
+    fn positive<T: FromStr + PartialOrd + From<u8>>(&mut self, flag: &str) -> T {
+        self.parse(flag, "a positive integer", |n| *n > T::from(0))
+    }
+
+    /// A comma-separated address list: `host:port` or socket paths, one
+    /// per server, index = server pid.
+    fn addrs(&mut self, flag: &str) -> Vec<Addr> {
+        let v = self.value(flag);
+        let addrs: Vec<Addr> = v
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(Addr::parse)
+            .collect();
+        if addrs.is_empty() {
+            usage_error(&format!("{flag}: `{v}` has no addresses"));
+        }
+        addrs
+    }
+
+    /// `1s`, `250ms`, or a bare number of seconds.
+    fn duration(&mut self, flag: &str) -> Duration {
+        let v = self.value(flag);
+        let parsed = if let Some(ms) = v.strip_suffix("ms") {
+            ms.parse().ok().map(Duration::from_millis)
+        } else if let Some(s) = v.strip_suffix('s') {
+            s.parse().ok().map(Duration::from_secs)
+        } else {
+            v.parse().ok().map(Duration::from_secs)
+        };
+        parsed.filter(|d| !d.is_zero()).unwrap_or_else(|| {
+            usage_error(&format!(
+                "{flag}: `{v}` is not a duration (try `1s` or `250ms`)"
+            ))
+        })
     }
 }
 
@@ -259,141 +269,100 @@ fn ensure_parent(flag: &str, file: &Path) {
     }
 }
 
+/// The one argument loop: `chaos [flags]` and `chaos serve [flags]` fill
+/// the same [`Cli`]; a flag of the other mode is a usage error.
 fn parse_cli() -> Cli {
     let mut cli = Cli {
-        smoke: false,
-        demo_broken: false,
-        demo_amnesia: false,
         seed: 0x0B1D_5EED,
         results_out: PathBuf::from("target/chaos/BENCH_results.json"),
         summary_out: PathBuf::from("target/chaos/RUN_summary.json"),
-        dump_dir: PathBuf::from("target/chaos/flight"),
-        watch: None,
-        watch_out: None,
-        ops_per_client: None,
-        profile: None,
-        crash_len: None,
-        crash_period: None,
-        connect: None,
-        k: None,
-        recovery: None,
-        store: false,
-        sweep: None,
-        keys: None,
-        shards: None,
-        pipeline_depth: None,
-        batch: None,
         batch_hist_out: PathBuf::from("target/chaos/store_batch_hist.json"),
+        clients: 4,
+        ..Cli::default()
     };
-    fn value(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
-        args.next()
-            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-    }
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    cli.serve = argv.first().is_some_and(|a| a == "serve");
+    let mut args = Args(argv.into_iter().skip(usize::from(cli.serve)));
+    while let Some(a) = args.0.next() {
+        let flag = a.as_str();
+        match flag {
             "--smoke" => cli.smoke = true,
             "--demo-broken" => cli.demo_broken = true,
             "--demo-amnesia" => cli.demo_amnesia = true,
-            "--seed" => {
-                let v = value("--seed", &mut args);
-                cli.seed = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("--seed: `{v}` is not a u64")));
-            }
-            "--results-out" => cli.results_out = value("--results-out", &mut args).into(),
-            "--summary-out" => cli.summary_out = value("--summary-out", &mut args).into(),
-            "--dump-dir" => cli.dump_dir = value("--dump-dir", &mut args).into(),
-            "--watch" => {
-                let v = value("--watch", &mut args);
-                cli.watch = Some(parse_duration("--watch", &v));
-            }
-            "--watch-out" => cli.watch_out = Some(value("--watch-out", &mut args).into()),
-            "--ops-per-client" => {
-                let v = value("--ops-per-client", &mut args);
-                cli.ops_per_client = Some(v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
-                    usage_error(&format!("--ops-per-client: `{v}` is not a positive u64"))
-                }));
-            }
+            "--store" => cli.store = true,
+            "--seed" => cli.seed = args.parse(flag, "a u64", |_| true),
+            "--results-out" => cli.results_out = args.value(flag).into(),
+            "--summary-out" => cli.summary_out = args.value(flag).into(),
+            "--dump-dir" => cli.dump_dir = Some(args.value(flag).into()),
+            "--batch-hist-out" => cli.batch_hist_out = args.value(flag).into(),
+            "--watch-out" => cli.watch_out = Some(args.value(flag).into()),
+            "--watch" => cli.watch = Some(args.duration(flag)),
+            "--ops-per-client" => cli.ops_per_client = Some(args.positive(flag)),
             "--fault-profile" => {
-                let v = value("--fault-profile", &mut args);
-                cli.profile = Some(FaultProfile::parse(&v).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "--fault-profile: `{v}` is not one of none|light|heavy|amnesia"
-                    ))
-                }));
+                cli.faults.profile =
+                    Some(args.parse(flag, "one of none|light|heavy|amnesia", |_| true));
             }
-            "--crash-len" => {
-                let v = value("--crash-len", &mut args);
-                cli.crash_len =
-                    Some(v.parse().unwrap_or_else(|_| {
-                        usage_error(&format!("--crash-len: `{v}` is not a u64"))
-                    }));
-            }
-            "--crash-period" => {
-                let v = value("--crash-period", &mut args);
-                cli.crash_period = Some(v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--crash-period: `{v}` is not a u64"))
-                }));
-            }
-            "--connect" => {
-                let v = value("--connect", &mut args);
-                cli.connect = Some(parse_addr_list("--connect", &v));
-            }
-            "--k" => {
-                let v = value("--k", &mut args);
-                cli.k = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|n| (1..=4).contains(n))
-                        .unwrap_or_else(|| {
-                            usage_error(&format!("--k: `{v}` is not an integer in 1..=4"))
-                        }),
-                );
-            }
+            "--crash-len" => cli.faults.crash_len = Some(args.parse(flag, "a u64", |_| true)),
+            "--crash-period" => cli.faults.crash_period = Some(args.parse(flag, "a u64", |_| true)),
             "--recovery" => {
-                let v = value("--recovery", &mut args);
-                cli.recovery = Some(match v.as_str() {
+                let v = args.value(flag);
+                cli.faults.recovery = Some(match v.as_str() {
                     "stable" => RecoveryMode::Stable,
                     "amnesia" => RecoveryMode::amnesia(),
                     _ => usage_error(&format!("--recovery: `{v}` is not one of stable|amnesia")),
                 });
             }
-            "--store" => cli.store = true,
-            "--sweep" => {
-                let v = value("--sweep", &mut args);
-                cli.sweep = Some(v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
-                    usage_error(&format!("--sweep: `{v}` is not a positive seed count"))
-                }));
+            "--connect" => cli.connect = Some(args.addrs(flag)),
+            "--k" => {
+                cli.k =
+                    Some(args.parse(flag, "an integer in 1..=4", |n: &u32| (1..=4).contains(n)));
             }
-            "--keys" => {
-                let v = value("--keys", &mut args);
-                cli.keys = Some(v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
-                    usage_error(&format!("--keys: `{v}` is not a positive u32"))
-                }));
-            }
-            "--shards" => {
-                let v = value("--shards", &mut args);
-                cli.shards = Some(v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
-                    usage_error(&format!("--shards: `{v}` is not a positive u32"))
-                }));
-            }
-            "--pipeline-depth" => {
-                let v = value("--pipeline-depth", &mut args);
-                cli.pipeline_depth = Some(v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
-                    usage_error(&format!("--pipeline-depth: `{v}` is not a positive u32"))
-                }));
-            }
-            "--batch" => {
-                let v = value("--batch", &mut args);
-                cli.batch = Some(v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
-                    usage_error(&format!("--batch: `{v}` is not a positive batch size"))
-                }));
-            }
-            "--batch-hist-out" => cli.batch_hist_out = value("--batch-hist-out", &mut args).into(),
+            "--sweep" => cli.sweep = Some(args.positive(flag)),
+            "--keys" => cli.keys = Some(args.positive(flag)),
+            "--shards" => cli.shards = Some(args.positive(flag)),
+            "--pipeline-depth" => cli.pipeline_depth = Some(args.positive(flag)),
+            "--batch" => cli.batch = Some(args.positive(flag)),
+            "--listen" => cli.listen = Some(Addr::parse(&args.value(flag))),
+            "--server-id" => cli.server_id = Some(args.parse(flag, "a u32", |_| true)),
+            "--peers" => cli.peers = Some(args.addrs(flag)),
+            "--clients" => cli.clients = args.positive(flag),
+            "--shard-size" => cli.shard_size = Some(args.positive(flag)),
             other => usage_error(&format!("unknown flag {other}")),
         }
+        // The seed and fault flags fix one per-link schedule across
+        // processes, so both modes take them; every other flag is one mode's.
+        let shared = matches!(
+            flag,
+            "--seed"
+                | "--fault-profile"
+                | "--crash-len"
+                | "--crash-period"
+                | "--recovery"
+                | "--dump-dir"
+        );
+        let serve_only = matches!(
+            flag,
+            "--listen" | "--server-id" | "--peers" | "--clients" | "--shard-size"
+        );
+        if !shared && serve_only != cli.serve {
+            usage_error(&if serve_only {
+                format!("{flag} only applies to `chaos serve`")
+            } else {
+                format!("{flag} does not apply to `chaos serve`")
+            });
+        }
     }
+    if cli.serve {
+        check_serve(&cli);
+    } else {
+        check_driver(&cli);
+    }
+    cli
+}
+
+/// The driver's cross-flag rules, then every output path, before the first
+/// run starts.
+fn check_driver(cli: &Cli) {
     if cli.demo_broken && cli.demo_amnesia {
         usage_error("--demo-broken and --demo-amnesia are mutually exclusive");
     }
@@ -425,17 +394,46 @@ fn parse_cli() -> Cli {
              --k applies with --store, --connect, --sweep or a demo mode",
         );
     }
-    // Validate every output path before the first run starts.
     ensure_parent("--results-out", &cli.results_out);
     ensure_parent("--summary-out", &cli.summary_out);
-    ensure_dir("--dump-dir", &cli.dump_dir);
+    ensure_dir("--dump-dir", cli.dump_dir());
     if let Some(p) = &cli.watch_out {
         ensure_parent("--watch-out", p);
     }
     if cli.store {
         ensure_parent("--batch-hist-out", &cli.batch_hist_out);
     }
-    cli
+}
+
+/// A serve process's required flags and topology. `--fault-profile` is
+/// required: the driver's default mix depends on its run shape, which a
+/// serve process cannot see.
+fn check_serve(cli: &Cli) {
+    for (flag, set) in [
+        ("--listen", cli.listen.is_some()),
+        ("--server-id", cli.server_id.is_some()),
+        ("--peers", cli.peers.is_some()),
+        ("--fault-profile", cli.faults.profile.is_some()),
+    ] {
+        if !set {
+            usage_error(&format!("serve needs {flag}"));
+        }
+    }
+    let servers = u32::try_from(cli.peers.as_ref().map_or(0, Vec::len)).unwrap_or(u32::MAX);
+    let id = cli.server_id.unwrap_or_default();
+    if id >= servers {
+        usage_error(&format!(
+            "--server-id: {id} is not in 0..{servers} (one server per --peers address)"
+        ));
+    }
+    if let Some(s) = cli.shard_size.filter(|s| !servers.is_multiple_of(*s)) {
+        usage_error(&format!(
+            "--shard-size: {s} does not evenly divide {servers} servers"
+        ));
+    }
+    if let Some(dir) = &cli.dump_dir {
+        ensure_dir("--dump-dir", dir);
+    }
 }
 
 /// One named run: the configuration and what travels beside it.
@@ -469,54 +467,22 @@ fn run_opts(cli: &Cli, k: u32) -> RunOpts {
         watch: cli.watch,
         watch_out: cli.watch_out.clone(),
         stall_after: Some(Duration::from_secs(60)),
-        flight_dump_dir: Some(cli.dump_dir.clone()),
+        flight_dump_dir: Some(cli.dump_dir().to_path_buf()),
     }
 }
 
-/// Finishes a run from its base shape: the fault profile and every
-/// override flag applied on top, the watch/watchdog settings beside it.
-fn finish_run(cli: &Cli, name: String, mut cfg: StoreConfig, k: u32) -> Run {
-    if let Some(p) = cli.profile {
-        cfg.faults = p.faults();
-        if p == FaultProfile::Amnesia {
-            cfg.recovery = RecoveryMode::amnesia();
-        }
-    }
-    // `parse_cli` rejects the four shape flags without --store.
-    if let Some(n) = cli.keys {
-        cfg.keys = n;
-    }
-    if let Some(n) = cli.shards {
-        cfg.shards = n;
-    }
-    if let Some(n) = cli.pipeline_depth {
-        cfg.pipeline_depth = n;
-    }
-    if let Some(n) = cli.batch {
-        cfg.batch_max = n;
-    }
-    if let Some(n) = cli.ops_per_client {
-        cfg.ops_per_client = n;
-    }
-    if cli.store && cli.profile == Some(FaultProfile::Amnesia) {
-        // The register shapes' amnesia windows (8 in every 200 link events)
-        // assume a handful of servers; a sharded topology runs dozens, and
-        // crash windows must stagger disjointly across ALL of them. Scale
-        // the period with the server count (and shorten the blackout) so
-        // every store shape admits a valid window layout; --crash-len /
-        // --crash-period below still override the scaled defaults.
-        cfg.faults.crash_len = 4;
-        cfg.faults.crash_period = 20 * u64::from(cfg.servers_total());
-    }
-    if let Some(r) = cli.recovery {
-        cfg.recovery = r;
-    }
-    if let Some(len) = cli.crash_len {
-        cfg.faults.crash_len = len;
-    }
-    if let Some(period) = cli.crash_period {
-        cfg.faults.crash_period = period;
-    }
+/// Finishes a run from its base shape: the shape flags applied on top, the
+/// faults resolved by the same [`FaultFlags::resolve`] a serve process
+/// calls (`default` is the shape's own mix), the watch/watchdog settings
+/// beside it.
+fn finish_run(cli: &Cli, name: String, mut cfg: StoreConfig, k: u32, default: FaultProfile) -> Run {
+    // `check_driver` rejects the four shape flags without --store.
+    cfg.keys = cli.keys.unwrap_or(cfg.keys);
+    cfg.shards = cli.shards.unwrap_or(cfg.shards);
+    cfg.pipeline_depth = cli.pipeline_depth.unwrap_or(cfg.pipeline_depth);
+    cfg.batch_max = cli.batch.unwrap_or(cfg.batch_max);
+    cfg.ops_per_client = cli.ops_per_client.unwrap_or(cfg.ops_per_client);
+    (cfg.faults, cfg.recovery) = cli.faults.resolve(default, cfg.servers_total(), cli.store);
     // Turn the config asserts that a CLI user can actually trip into
     // usage errors naming the offending numbers.
     if u64::from(cfg.pipeline_depth) > cfg.burst {
@@ -540,9 +506,10 @@ fn finish_run(cli: &Cli, name: String, mut cfg: StoreConfig, k: u32) -> Run {
     }
 }
 
-/// The register shape — the store at one shard and one key. `smoke` picks
-/// the CI-sized one; the acceptance soak shape is ≥ 8 clients and ≥ 100k
-/// total ops. Over `--connect` the one shard is exactly the servers listed.
+/// The register shape — the store at one shard and one key, under the
+/// heavy mix by default. `smoke` picks the CI-sized one; the acceptance
+/// soak shape is ≥ 8 clients and ≥ 100k total ops. Over `--connect` the
+/// one shard is exactly the servers listed.
 fn register_shape(cli: &Cli, seed: u64, smoke: bool) -> StoreConfig {
     let mut cfg = StoreConfig::register(seed);
     if !smoke {
@@ -558,28 +525,41 @@ fn register_shape(cli: &Cli, seed: u64, smoke: bool) -> StoreConfig {
 
 /// A register run at preamble depth `k`, named `<prefix>.abd_k<k>_<profile>`.
 fn register_run(cli: &Cli, prefix: &str, seed: u64, k: u32, smoke: bool) -> Run {
-    let suffix = cli.profile.map_or("chaos", FaultProfile::name);
+    let suffix = cli.faults.profile.map_or("chaos", FaultProfile::name);
     let name = format!("{prefix}.abd_k{k}_{suffix}");
-    finish_run(cli, name, register_shape(cli, seed, smoke), k)
+    finish_run(
+        cli,
+        name,
+        register_shape(cli, seed, smoke),
+        k,
+        FaultProfile::Heavy,
+    )
 }
 
-/// The keyed-store run: the CI smoke shape or the 1M-op bench shape, named
-/// `smoke.store_light`, `bench.store_none`, … — with a `k<N>` infix when
-/// `--k` asks for ABD^k beyond plain ABD.
+/// The keyed-store run: the CI smoke shape (light faults by default) or the
+/// 1M-op bench shape (fault-free), named `smoke.store_light`,
+/// `bench.store_none`, … — with a `k<N>` infix when `--k` asks for ABD^k
+/// beyond plain ABD.
 fn store_run(cli: &Cli, seed: u64) -> Run {
     let k = cli.k();
-    let (mode, cfg, default_profile) = if cli.smoke {
-        ("smoke", StoreConfig::smoke(seed), "light")
+    let (mode, cfg, default) = if cli.smoke {
+        ("smoke", StoreConfig::smoke(seed), FaultProfile::Light)
     } else {
-        ("bench", StoreConfig::bench(seed), "none")
+        ("bench", StoreConfig::bench(seed), FaultProfile::None)
     };
-    let suffix = cli.profile.map_or(default_profile, FaultProfile::name);
+    let suffix = cli.faults.profile.unwrap_or(default).name();
     let infix = if k == 1 {
         String::new()
     } else {
         format!("k{k}_")
     };
-    finish_run(cli, format!("{mode}.store_{infix}{suffix}"), cfg, k)
+    finish_run(
+        cli,
+        format!("{mode}.store_{infix}{suffix}"),
+        cfg,
+        k,
+        default,
+    )
 }
 
 /// What this invocation runs. `--store` and `--connect` run one
@@ -600,11 +580,11 @@ fn plan(cli: &Cli) -> Vec<Run> {
         .into_iter()
         .map(|k| register_run(cli, mode, cli.seed ^ u64::from(k), k, cli.smoke))
         .collect();
-    if cli.profile.is_none() {
+    if cli.faults.profile.is_none() {
         // The protocol under nothing but thread nondeterminism.
-        let mut quiet = register_shape(cli, cli.seed ^ 0x71, cli.smoke);
-        quiet.faults = FaultConfig::none();
-        runs.push(finish_run(cli, format!("{mode}.abd_k1_quiet"), quiet, 1));
+        let quiet = register_shape(cli, cli.seed ^ 0x71, cli.smoke);
+        let name = format!("{mode}.abd_k1_quiet");
+        runs.push(finish_run(cli, name, quiet, 1, FaultProfile::None));
     }
     runs
 }
@@ -623,19 +603,44 @@ fn shm_configs(smoke: bool, seed: u64) -> Vec<(String, ShmChaosConfig)> {
         .collect()
 }
 
-fn record(name: &str, ops: u64, violations: u64, recoveries: Option<u64>, actions: Option<u64>) {
-    blunt_obs::counter(&format!("runtime.chaos.{name}.ops")).add(ops);
-    blunt_obs::counter(&format!("runtime.chaos.{name}.violations")).add(violations);
-    if let Some(r) = recoveries {
-        blunt_obs::counter(&format!("runtime.chaos.{name}.recoveries")).add(r);
+/// The summary fields that are also gated counters: each one an entry
+/// carries is recorded as `runtime.chaos.<name>.<field>`.
+const GATED: [&str; 4] = ["ops", "violations", "monitor_actions", "recoveries"];
+
+/// Records one configuration's outcome — the gated counters, read off its
+/// summary entry — and appends the entry to the run summary.
+fn record(entry: blunt_obs::Json, summaries: &mut Vec<blunt_obs::Json>) {
+    let name = entry
+        .get("name")
+        .and_then(blunt_obs::Json::as_str)
+        .expect("entry name");
+    for field in GATED {
+        if let Some(n) = entry.get(field).and_then(blunt_obs::Json::as_u64) {
+            blunt_obs::counter(&format!("runtime.chaos.{name}.{field}")).add(n);
+        }
     }
-    if let Some(a) = actions {
-        blunt_obs::counter(&format!("runtime.chaos.{name}.monitor_actions")).add(a);
-    }
+    summaries.push(entry);
+}
+
+/// The fields every summary entry opens with, shm configs included.
+fn entry_head(
+    name: &str,
+    transport: &str,
+    ops: u64,
+    violations: usize,
+) -> Vec<(String, blunt_obs::Json)> {
+    use blunt_obs::Json;
+    vec![
+        ("name".into(), Json::Str(name.into())),
+        ("transport".into(), Json::Str(transport.into())),
+        ("ops".into(), Json::UInt(ops)),
+        ("violations".into(), Json::UInt(violations as u64)),
+    ]
 }
 
 fn print_report(name: &str, r: &StoreReport, run: &Run) {
     let cfg = &run.cfg;
+    let pad = "";
     println!(
         "{name:<24} ops {:>8}  {:>9.0} ops/s  lat p50/p99 {:>4}/{:>5} µs  \
          retrans {:>6} (gap {})  violations {}",
@@ -648,9 +653,8 @@ fn print_report(name: &str, r: &StoreReport, run: &Run) {
         r.monitor.violations.len(),
     );
     println!(
-        "{:<24} shape: ABD^{}, {} shards × {} replicas, {} keys, {} clients, \
+        "{pad:<24} shape: ABD^{}, {} shards × {} replicas, {} keys, {} clients, \
          pipeline {}, batch {}",
-        "",
         run.opts.k,
         cfg.shards,
         cfg.servers_per_shard,
@@ -660,9 +664,8 @@ fn print_report(name: &str, r: &StoreReport, run: &Run) {
         cfg.batch_max,
     );
     println!(
-        "{:<24} net: offered {} dropped {} dup {} reorder {} delayed {} \
+        "{pad:<24} net: offered {} dropped {} dup {} reorder {} delayed {} \
          crash {} partition {}",
-        "",
         r.stats.offered,
         r.stats.dropped,
         r.stats.duplicated,
@@ -674,9 +677,8 @@ fn print_report(name: &str, r: &StoreReport, run: &Run) {
     if cfg.batch_max > 1 {
         let h = batch_histogram();
         println!(
-            "{:<24} batching: {} flushes carried {} envelopes — per-flush \
+            "{pad:<24} batching: {} flushes carried {} envelopes — per-flush \
              p50/p99/max {}/{}/{} (mean {:.1})",
-            "",
             h.count,
             h.sum,
             h.p50(),
@@ -686,9 +688,8 @@ fn print_report(name: &str, r: &StoreReport, run: &Run) {
         );
     }
     println!(
-        "{:<24} coverage: fates [{}] over {} links  monitors: {} actions \
+        "{pad:<24} coverage: fates [{}] over {} links  monitors: {} actions \
          across {} shards, {:.1} ms observe, lag hwm {}, {} wake-ups",
-        "",
         r.coverage.fates_exercised().join(" "),
         r.coverage.links.len(),
         r.monitor_overhead.actions,
@@ -699,9 +700,8 @@ fn print_report(name: &str, r: &StoreReport, run: &Run) {
     );
     if r.recovery.crashes > 0 {
         println!(
-            "{:<24} recovery: crashes {} recovered {} wal lost/replayed {}/{} \
+            "{pad:<24} recovery: crashes {} recovered {} wal lost/replayed {}/{} \
              state queries {}  degraded ops {}",
-            "",
             r.recovery.crashes,
             r.recovery.recoveries,
             r.recovery.wal_records_lost,
@@ -715,22 +715,19 @@ fn print_report(name: &str, r: &StoreReport, run: &Run) {
             .enumerate()
             .map(|(s, (c, rec))| format!("s{s} {c}/{rec}"))
             .collect();
-        println!(
-            "{:<24} per-shard crashes/recoveries: {}",
-            "",
-            per.join("  ")
-        );
+        println!("{pad:<24} per-shard crashes/recoveries: {}", per.join("  "));
     }
 }
 
-/// Writes one flight dump (JSONL + rendered diagram) under `dump_dir`;
-/// shared by the register and store drivers.
+/// Writes one flight dump (JSONL + rendered diagram) under `dump_dir`:
+/// a violation or demo capture, or a socket run's merged dump.
 fn write_flight_dump_files(
     dump_dir: &Path,
     stem: &str,
     dump: &blunt_obs::FlightDump,
     lanes: usize,
-) -> PathBuf {
+    opts: &DiagramOptions,
+) {
     let _ = std::fs::create_dir_all(dump_dir);
     // Process-unique stem: a second dump under the same name (e.g. two
     // dirty configs in one run, or a demo retried across seeds) gets a
@@ -738,7 +735,7 @@ fn write_flight_dump_files(
     let stem = blunt_obs::flight::unique_dump_stem(stem);
     let jsonl = dump_dir.join(format!("{stem}.flight.jsonl"));
     let diagram = dump_dir.join(format!("{stem}.diagram.txt"));
-    let rendered = flight_space_time(&dump.last_n(800), lanes, &DiagramOptions::default());
+    let rendered = flight_space_time(&dump.last_n(800), lanes, opts);
     std::fs::write(&jsonl, dump.to_jsonl()).expect("write flight dump");
     std::fs::write(&diagram, rendered).expect("write flight diagram");
     println!(
@@ -746,7 +743,6 @@ fn write_flight_dump_files(
         jsonl.display(),
         diagram.display()
     );
-    diagram
 }
 
 /// One config's deterministic summary entry. Timing-dependent numbers
@@ -781,14 +777,8 @@ fn summary_entry(name: &str, r: &StoreReport, transport: &str) -> blunt_obs::Jso
             ])
         })
         .collect();
-    let mut fields = vec![
-        ("name".into(), Json::Str(name.into())),
-        ("transport".into(), Json::Str(transport.into())),
-        ("ops".into(), Json::UInt(r.ops)),
-        (
-            "violations".into(),
-            Json::UInt(r.monitor.violations.len() as u64),
-        ),
+    let mut fields = entry_head(name, transport, r.ops, r.monitor.violations.len());
+    fields.extend([
         ("monitor_actions".into(), Json::UInt(r.monitor_actions)),
         ("recoveries".into(), Json::UInt(r.recovery.recoveries)),
         ("shard_recoveries".into(), Json::Arr(shard_recoveries)),
@@ -809,7 +799,7 @@ fn summary_entry(name: &str, r: &StoreReport, transport: &str) -> blunt_obs::Jso
             ]),
         ),
         ("coverage".into(), r.coverage.to_json()),
-    ];
+    ]);
     if !r.remote_servers.is_empty() {
         fields.push(("servers".into(), servers_json(&r.remote_servers)));
     }
@@ -846,128 +836,32 @@ fn servers_json(remote: &[blunt_runtime::RemoteServer]) -> blunt_obs::Json {
     )
 }
 
-/// The `chaos_summary` document (docs/OBS_SCHEMA.md).
-fn summary_doc(seed: u64, mode: &str, configs: Vec<blunt_obs::Json>) -> blunt_obs::Json {
-    use blunt_obs::Json;
-    blunt_obs::json::doc(
-        "chaos_summary",
-        vec![
-            ("seed".into(), Json::UInt(seed)),
-            ("mode".into(), Json::Str(mode.into())),
-            ("configs".into(), Json::Arr(configs)),
-        ],
-    )
-}
-
-/// Parses `chaos serve ...` and runs one server process to completion.
-/// The seed, fault profile, and crash-window overrides MUST match the
-/// driver's — both sides realize halves of the same per-link schedule.
-fn run_serve(args: impl Iterator<Item = String>) -> ExitCode {
-    let mut listen: Option<Addr> = None;
-    let mut server_id: Option<u32> = None;
-    let mut servers: u32 = 3;
-    let mut shard_size: Option<u32> = None;
-    let mut clients: u32 = 4;
-    let mut peers: Option<Vec<Addr>> = None;
-    let mut seed: u64 = 0x0B1D_5EED;
-    let mut profile = FaultProfile::Heavy;
-    let mut crash_len: Option<u64> = None;
-    let mut crash_period: Option<u64> = None;
-    let mut recovery: Option<RecoveryMode> = None;
-    let mut dump_dir: Option<PathBuf> = None;
-    fn value(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
-        args.next()
-            .unwrap_or_else(|| usage_error(&format!("serve {flag} needs a value")))
-    }
-    fn int<T: std::str::FromStr>(flag: &str, v: &str) -> T {
-        v.parse()
-            .unwrap_or_else(|_| usage_error(&format!("serve {flag}: `{v}` is not an integer")))
-    }
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--listen" => listen = Some(Addr::parse(&value("--listen", &mut args))),
-            "--server-id" => server_id = Some(int("--server-id", &value("--server-id", &mut args))),
-            "--servers" => servers = int("--servers", &value("--servers", &mut args)),
-            "--shard-size" => {
-                shard_size = Some(int("--shard-size", &value("--shard-size", &mut args)));
-            }
-            "--clients" => clients = int("--clients", &value("--clients", &mut args)),
-            "--peers" => peers = Some(parse_addr_list("--peers", &value("--peers", &mut args))),
-            "--seed" => seed = int("--seed", &value("--seed", &mut args)),
-            "--fault-profile" => {
-                let v = value("--fault-profile", &mut args);
-                profile = FaultProfile::parse(&v).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "serve --fault-profile: `{v}` is not one of none|light|heavy|amnesia"
-                    ))
-                });
-            }
-            "--crash-len" => crash_len = Some(int("--crash-len", &value("--crash-len", &mut args))),
-            "--crash-period" => {
-                crash_period = Some(int("--crash-period", &value("--crash-period", &mut args)));
-            }
-            "--recovery" => {
-                let v = value("--recovery", &mut args);
-                recovery = Some(match v.as_str() {
-                    "stable" => RecoveryMode::Stable,
-                    "amnesia" => RecoveryMode::amnesia(),
-                    _ => usage_error(&format!(
-                        "serve --recovery: `{v}` is not one of stable|amnesia"
-                    )),
-                });
-            }
-            "--dump-dir" => dump_dir = Some(value("--dump-dir", &mut args).into()),
-            other => usage_error(&format!("serve: unknown flag {other}")),
-        }
-    }
-    let listen = listen.unwrap_or_else(|| usage_error("serve needs --listen"));
-    let server_id = server_id.unwrap_or_else(|| usage_error("serve needs --server-id"));
-    let peers = peers.unwrap_or_else(|| usage_error("serve needs --peers"));
-    if peers.len() != servers as usize {
-        usage_error(&format!(
-            "serve --peers: {} addresses for {servers} servers",
-            peers.len()
-        ));
-    }
-    if server_id >= servers {
-        usage_error(&format!(
-            "serve --server-id: {server_id} is not in 0..{servers}"
-        ));
-    }
-    if let Some(s) = shard_size {
-        if s == 0 || s > servers || !servers.is_multiple_of(s) {
-            usage_error(&format!(
-                "serve --shard-size: {s} does not evenly divide {servers} servers"
-            ));
-        }
-    }
-    let mut faults = profile.faults();
-    if let Some(len) = crash_len {
-        faults.crash_len = len;
-    }
-    if let Some(period) = crash_period {
-        faults.crash_period = period;
-    }
-    let recovery = recovery.unwrap_or(if profile == FaultProfile::Amnesia {
-        RecoveryMode::amnesia()
-    } else {
-        RecoveryMode::Stable
-    });
-    if let Some(dir) = &dump_dir {
-        ensure_dir("serve --dump-dir", dir);
-    }
+/// Runs one `chaos serve` process to completion. Its faults come from
+/// the same [`FaultFlags::resolve`] the driver calls, fed this process's
+/// view of the topology — one server per `--peers` address, sharded iff
+/// `--shard-size` is given — so identical seed and fault flags give both
+/// sides halves of one per-link schedule.
+fn run_serve(cli: &Cli) -> ExitCode {
+    // `check_serve` made these present and consistent.
+    let peers = cli.peers.clone().expect("--peers");
+    let servers = u32::try_from(peers.len()).expect("server count fits u32");
+    let server_id = cli.server_id.expect("--server-id");
+    let profile = cli.faults.profile.expect("--fault-profile");
+    let seed = cli.seed;
+    let (faults, recovery) = cli
+        .faults
+        .resolve(profile, servers, cli.shard_size.is_some());
     let cfg = NetServeConfig {
-        listen,
+        listen: cli.listen.clone().expect("--listen"),
         server_id,
         servers,
-        shard_size,
-        clients,
+        shard_size: cli.shard_size,
+        clients: cli.clients,
         peers,
         seed,
         faults,
         recovery,
-        dump_dir,
+        dump_dir: cli.dump_dir.clone(),
     };
     eprintln!(
         "chaos serve: server {server_id}/{servers} on {}, seed {seed:#x}",
@@ -988,20 +882,9 @@ fn run_serve(args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// The histogram named `name` in the global registry (empty if nothing
-/// recorded into it).
-fn global_histogram(name: &str) -> blunt_obs::HistogramSnapshot {
-    blunt_obs::snapshot()
-        .histograms
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, h)| h.clone())
-        .unwrap_or_default()
-}
-
 /// The store run's batch-size histogram.
 fn batch_histogram() -> blunt_obs::HistogramSnapshot {
-    global_histogram("store.batch.envelopes_per_flush")
+    blunt_obs::histogram("store.batch.envelopes_per_flush").snapshot()
 }
 
 /// The CI batch-size artifact: the full per-flush histogram plus its
@@ -1036,29 +919,6 @@ fn write_batch_hist(path: &Path, name: &str, r: &StoreReport) {
     );
     std::fs::write(path, format!("{doc}\n")).expect("write batch histogram artifact");
     println!("batch histogram written to {}", path.display());
-}
-
-/// Print the first violation window; exit 0 iff the monitor caught the
-/// intentionally-broken implementation.
-fn report_demo_catch(what: &str, report: &StoreReport) -> ExitCode {
-    match report.monitor.violations.first() {
-        Some(v) => {
-            println!(
-                "\nfirst violation window (object {:?}, segment {}):\n",
-                v.obj, v.segment
-            );
-            println!("{}", v.rendered);
-            println!(
-                "the monitor caught {what}: {} violation window(s) total",
-                report.monitor.violations.len()
-            );
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!("\nchaos: {what} was NOT caught — monitor bug");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// The run a demo mode makes at `seed`, named after its flight-dump stem.
@@ -1162,9 +1022,24 @@ fn run_demo(cli: &Cli) -> ExitCode {
     }
     let (run, report) = last.expect("at least one attempt runs");
     if let Some(dump) = &report.violation_dump {
-        write_flight_dump_files(&cli.dump_dir, &run.name, dump, run.lanes());
+        let opts = DiagramOptions::default();
+        write_flight_dump_files(cli.dump_dir(), &run.name, dump, run.lanes(), &opts);
     }
-    report_demo_catch(what, &report)
+    // Print the first violation window; exit 0 iff the monitor caught the
+    // intentionally-broken implementation.
+    let Some(v) = report.monitor.violations.first() else {
+        eprintln!("\nchaos: {what} was NOT caught — monitor bug");
+        return ExitCode::FAILURE;
+    };
+    println!(
+        "\nfirst violation window (object {:?}, segment {}):\n\n{}",
+        v.obj, v.segment, v.rendered
+    );
+    println!(
+        "the monitor caught {what}: {} violation window(s) total",
+        report.monitor.violations.len()
+    );
+    ExitCode::SUCCESS
 }
 
 /// The cross-process tracing artifacts of a socket run: the merged dump —
@@ -1175,23 +1050,11 @@ fn run_demo(cli: &Cli) -> ExitCode {
 /// per-op latency phase medians from the span-attributed timeline as
 /// informational bench phases (timing-dependent, never gated).
 fn write_merged_flight(cli: &Cli, merged: &blunt_obs::FlightDump, run: &Run) -> Vec<(String, f64)> {
-    let jsonl = cli.dump_dir.join("net.merged.flight.jsonl");
-    let diagram = cli.dump_dir.join("net.merged.diagram.txt");
     let opts = DiagramOptions {
         lane_width: 40,
         ..DiagramOptions::default()
     };
-    std::fs::write(&jsonl, merged.to_jsonl()).expect("write merged flight dump");
-    std::fs::write(
-        &diagram,
-        flight_space_time(&merged.last_n(800), run.lanes(), &opts),
-    )
-    .expect("write merged flight diagram");
-    println!(
-        "merged flight dump written to {} (+ {})",
-        jsonl.display(),
-        diagram.display()
-    );
+    write_flight_dump_files(cli.dump_dir(), "net.merged", merged, run.lanes(), &opts);
     let b = blunt_trace::latency_breakdown(merged);
     if b.ops == 0 {
         return Vec::new();
@@ -1225,17 +1088,17 @@ fn run_plan(cli: &Cli) -> ExitCode {
         (false, true) => "bench",
         (false, false) => "soak",
     };
+    let what = if cli.store {
+        "keyed store"
+    } else {
+        "register set"
+    };
+    let profile = cli
+        .faults
+        .profile
+        .map_or(String::new(), |p| format!(", fault profile {}", p.name()));
     println!(
-        "chaos: {mode} {} ({transport}){}, seed {seed:#x} (replay with --seed {seed})\n",
-        if cli.store {
-            "keyed store"
-        } else {
-            "register set"
-        },
-        match cli.profile {
-            Some(p) => format!(", fault profile {}", p.name()),
-            None => String::new(),
-        }
+        "chaos: {mode} {what} ({transport}){profile}, seed {seed:#x} (replay with --seed {seed})\n"
     );
     let mut phases: Vec<(String, f64)> = Vec::new();
     let mut dirty: Vec<String> = Vec::new();
@@ -1250,100 +1113,66 @@ fn run_plan(cli: &Cli) -> ExitCode {
         // `observe`, the backlog high-water mark, and how often a monitor
         // thread was woken. Timing-dependent, so informational unless
         // bench-report runs with --strict-times.
-        phases.push((
-            format!("monitor.{name}"),
-            report.monitor_overhead.observe_ns as f64 / 1e6,
-        ));
-        phases.push((
-            format!("monitor_lag_ops.{name}"),
-            report.monitor_overhead.lag_ops_hwm as f64,
-        ));
-        phases.push((
-            format!("monitor_wakeups.{name}"),
-            report.monitor_overhead.wakeups as f64,
-        ));
-        if let Some(merged) = &report.merged_flight {
-            phases.extend(write_merged_flight(cli, merged, &run));
-        }
+        let m = &report.monitor_overhead;
+        let mut extra = vec![
+            ("monitor", m.observe_ns as f64 / 1e6),
+            ("monitor_lag_ops", m.lag_ops_hwm as f64),
+            ("monitor_wakeups", m.wakeups as f64),
+        ];
         print_report(name, &report, &run);
         if cli.store {
             // Throughput and the batch-size distribution ride as phases
             // too, and the full histogram as its own artifact.
             let h = batch_histogram();
-            phases.push((format!("store_ops_per_sec.{name}"), report.ops_per_sec()));
-            phases.push((format!("store_batch_per_flush_p50.{name}"), h.p50() as f64));
-            phases.push((
-                format!("store_batch_per_flush_p99.{name}"),
-                h.percentile(0.99) as f64,
-            ));
-            phases.push((format!("store_batch_per_flush_mean.{name}"), h.mean()));
+            extra.extend([
+                ("store_ops_per_sec", report.ops_per_sec()),
+                ("store_batch_per_flush_p50", h.p50() as f64),
+                ("store_batch_per_flush_p99", h.percentile(0.99) as f64),
+                ("store_batch_per_flush_mean", h.mean()),
+            ]);
             write_batch_hist(&cli.batch_hist_out, name, &report);
             // How long this process's amnesia replicas withheld acks for
             // their covering fsync (none in stable mode or over sockets).
-            let parked = global_histogram("runtime.storage.ack_parked_us");
+            let parked = blunt_obs::histogram("runtime.storage.ack_parked_us").snapshot();
             if parked.count > 0 {
-                phases.push((format!("ack_parked_us_p50.{name}"), parked.p50() as f64));
-                phases.push((format!("ack_parked_us_p90.{name}"), parked.p90() as f64));
-                phases.push((format!("ack_parked_us_mean.{name}"), parked.mean()));
+                extra.extend([
+                    ("ack_parked_us_p50", parked.p50() as f64),
+                    ("ack_parked_us_p90", parked.p90() as f64),
+                    ("ack_parked_us_mean", parked.mean()),
+                ]);
             }
             // How often the clients rebroadcast, and how many of those the
             // reply gap sent ahead of the deadline. Timing-dependent, so
             // phases and never summary fields (see `summary_entry`).
             if report.retransmissions > 0 {
-                phases.push((
-                    format!("retransmissions.{name}"),
-                    report.retransmissions as f64,
-                ));
-                phases.push((
-                    format!("gap_retransmissions.{name}"),
-                    report.gap_retransmissions as f64,
-                ));
+                extra.extend([
+                    ("retransmissions", report.retransmissions as f64),
+                    ("gap_retransmissions", report.gap_retransmissions as f64),
+                ]);
             }
         }
-        record(
-            name,
-            report.ops,
-            report.monitor.violations.len() as u64,
-            Some(report.recovery.recoveries),
-            Some(report.monitor_actions),
-        );
-        summaries.push(summary_entry(name, &report, transport));
+        phases.extend(extra.into_iter().map(|(k, v)| (format!("{k}.{name}"), v)));
+        if let Some(merged) = &report.merged_flight {
+            phases.extend(write_merged_flight(cli, merged, &run));
+        }
+        record(summary_entry(name, &report, transport), &mut summaries);
         if !report.monitor.clean() {
             if let Some(dump) = &report.violation_dump {
-                write_flight_dump_files(&cli.dump_dir, name, dump, run.lanes());
+                let opts = DiagramOptions::default();
+                write_flight_dump_files(cli.dump_dir(), name, dump, run.lanes(), &opts);
             }
             dirty.push(name.clone());
         }
     }
-    if !cli.store && cli.connect.is_none() && cli.profile.is_none() {
+    if !cli.store && cli.connect.is_none() && cli.faults.profile.is_none() {
         for (name, cfg) in shm_configs(cli.smoke, seed) {
             let t0 = Instant::now();
             let report = run_shm_chaos(&cfg);
             phases.push((name.clone(), t0.elapsed().as_secs_f64() * 1000.0));
-            println!(
-                "{name:<24} ops {:>8}  violations {}",
-                report.ops,
-                report.monitor.violations.len()
-            );
-            record(
-                &name,
-                report.ops,
-                report.monitor.violations.len() as u64,
-                None,
-                None,
-            );
-            summaries.push(blunt_obs::Json::Obj(vec![
-                ("name".into(), blunt_obs::Json::Str(name.clone())),
-                (
-                    "transport".into(),
-                    blunt_obs::Json::Str("in-process".into()),
-                ),
-                ("ops".into(), blunt_obs::Json::UInt(report.ops)),
-                (
-                    "violations".into(),
-                    blunt_obs::Json::UInt(report.monitor.violations.len() as u64),
-                ),
-            ]));
+            let violations = report.monitor.violations.len();
+            println!("{name:<24} ops {:>8}  violations {violations}", report.ops);
+            let head = entry_head(&name, "in-process", report.ops, violations);
+            record(blunt_obs::Json::Obj(head), &mut summaries);
             if !report.monitor.clean() {
                 dirty.push(name);
             }
@@ -1365,9 +1194,17 @@ fn run_plan(cli: &Cli) -> ExitCode {
         .expect("write BENCH_results.json");
     println!("\nbench results written to {}", cli.results_out.display());
 
-    // The machine-readable run summary: deterministic fields only (see
-    // summary_entry), so replaying a seed reproduces it byte-for-byte.
-    let summary = summary_doc(seed, mode, summaries);
+    // The machine-readable `chaos_summary` run summary: deterministic
+    // fields only (see summary_entry), so replaying a seed reproduces it
+    // byte-for-byte.
+    let summary = blunt_obs::json::doc(
+        "chaos_summary",
+        vec![
+            ("seed".into(), blunt_obs::Json::UInt(seed)),
+            ("mode".into(), blunt_obs::Json::Str(mode.into())),
+            ("configs".into(), blunt_obs::Json::Arr(summaries)),
+        ],
+    );
     std::fs::write(&cli.summary_out, format!("{summary}\n")).expect("write run summary");
     println!("run summary written to {}", cli.summary_out.display());
 
@@ -1458,13 +1295,10 @@ fn run_sweep(cli: &Cli, n: u64) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut raw = std::env::args().skip(1).peekable();
-    if raw.peek().map(String::as_str) == Some("serve") {
-        raw.next();
-        return run_serve(raw);
-    }
-    drop(raw);
     let cli = parse_cli();
+    if cli.serve {
+        return run_serve(&cli);
+    }
     if let Some(n) = cli.sweep {
         return run_sweep(&cli, n);
     }

@@ -11,6 +11,7 @@
 
 use blunt_core::history::History;
 use blunt_core::ids::ObjId;
+use blunt_runtime::{FaultConfig, RecoveryMode};
 use blunt_sim::kernel::{run, RunReport};
 use blunt_sim::rng::SplitMix64;
 use blunt_sim::sched::RandomScheduler;
@@ -87,6 +88,106 @@ where
         .into_iter()
         .map(|r| r.expect("every slot filled"))
         .collect()
+}
+
+/// A named fault mix for `chaos --fault-profile`. `Heavy` is the full
+/// [`FaultConfig::chaos`] mix; `Amnesia` is the same mix with
+/// volatile-state-losing crashes and WAL + peer-catch-up recovery.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum FaultProfile {
+    /// [`FaultConfig::none`].
+    None,
+    /// [`FaultConfig::light`].
+    Light,
+    /// [`FaultConfig::chaos`].
+    Heavy,
+    /// [`FaultConfig::chaos`] under [`RecoveryMode::amnesia`].
+    Amnesia,
+}
+
+impl FaultProfile {
+    /// Every profile, in `--fault-profile` order.
+    pub const ALL: [FaultProfile; 4] = [
+        FaultProfile::None,
+        FaultProfile::Light,
+        FaultProfile::Heavy,
+        FaultProfile::Amnesia,
+    ];
+
+    /// The `--fault-profile` value naming this profile.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultProfile::None => "none",
+            FaultProfile::Light => "light",
+            FaultProfile::Heavy => "heavy",
+            FaultProfile::Amnesia => "amnesia",
+        }
+    }
+}
+
+impl std::str::FromStr for FaultProfile {
+    type Err = String;
+
+    /// The profile a `--fault-profile` value names.
+    fn from_str(s: &str) -> Result<FaultProfile, String> {
+        FaultProfile::ALL
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| format!("`{s}` is not a fault profile"))
+    }
+}
+
+/// The fault flags `chaos` and `chaos serve` share: `--fault-profile`,
+/// `--crash-len`, `--crash-period` and `--recovery`. Over sockets the
+/// driver realises the client→server half of the per-link schedule and
+/// every serve process the server→client half, so both sides resolve these
+/// flags through the one [`FaultFlags::resolve`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct FaultFlags {
+    /// `--fault-profile`; `None` leaves the run shape's default mix.
+    pub profile: Option<FaultProfile>,
+    /// `--crash-len`: crash-window length override.
+    pub crash_len: Option<u64>,
+    /// `--crash-period`: crash-cycle period override.
+    pub crash_period: Option<u64>,
+    /// `--recovery`: crash-semantics override, applied after the profile.
+    pub recovery: Option<RecoveryMode>,
+}
+
+impl FaultFlags {
+    /// The fault mix and crash semantics of a run over `servers` server
+    /// processes: the profile (`default` when `--fault-profile` is absent),
+    /// then — for a `sharded` keyed store under `amnesia` — crash windows
+    /// scaled to the topology, then the explicit overrides.
+    ///
+    /// The register shapes' amnesia windows (8 in every 200 link events)
+    /// assume a handful of servers; a sharded topology runs dozens, and
+    /// crash windows must stagger disjointly across all of them. So the
+    /// store's amnesia period grows with the server count (and its
+    /// blackout shortens) until every store shape admits a valid layout.
+    #[must_use]
+    pub fn resolve(
+        &self,
+        default: FaultProfile,
+        servers: u32,
+        sharded: bool,
+    ) -> (FaultConfig, RecoveryMode) {
+        let profile = self.profile.unwrap_or(default);
+        let (mut faults, recovery) = match profile {
+            FaultProfile::None => (FaultConfig::none(), RecoveryMode::Stable),
+            FaultProfile::Light => (FaultConfig::light(), RecoveryMode::Stable),
+            FaultProfile::Heavy => (FaultConfig::chaos(), RecoveryMode::Stable),
+            FaultProfile::Amnesia => (FaultConfig::chaos(), RecoveryMode::amnesia()),
+        };
+        if sharded && profile == FaultProfile::Amnesia {
+            faults.crash_len = 4;
+            faults.crash_period = 20 * u64::from(servers);
+        }
+        faults.crash_len = self.crash_len.unwrap_or(faults.crash_len);
+        faults.crash_period = self.crash_period.unwrap_or(faults.crash_period);
+        (faults, self.recovery.unwrap_or(recovery))
+    }
 }
 
 /// A minimal self-contained wall-clock benchmark harness.
@@ -261,6 +362,90 @@ mod tests {
             .collect();
         let par = parallel_map(seeds, 3, |s| seeded_run(weakener_abd(1), s, 100_000).steps);
         assert_eq!(par, seq);
+    }
+
+    #[test]
+    fn fault_profiles_round_trip_their_names() {
+        for p in FaultProfile::ALL {
+            assert_eq!(p.name().parse(), Ok(p));
+        }
+        assert!("chaos".parse::<FaultProfile>().is_err());
+    }
+
+    /// The driver resolves from its run shape (`--store` ⇒ sharded, the
+    /// shape's server count); a serve process from its own flags (`--shard-size`
+    /// given ⇒ sharded, one server per `--peers` address). Identical fault
+    /// flags must give both sides one schedule.
+    #[test]
+    fn driver_and_serve_resolve_identical_flags_to_one_schedule() {
+        use blunt_store::StoreConfig;
+        let overrides = [
+            FaultFlags::default(),
+            FaultFlags {
+                crash_len: Some(6),
+                crash_period: Some(600),
+                ..FaultFlags::default()
+            },
+            FaultFlags {
+                recovery: Some(RecoveryMode::amnesia()),
+                crash_len: Some(2),
+                ..FaultFlags::default()
+            },
+        ];
+        for profile in FaultProfile::ALL {
+            for base in overrides {
+                let flags = FaultFlags {
+                    profile: Some(profile),
+                    ..base
+                };
+                for store in [false, true] {
+                    for shards in [1u32, 4, 8] {
+                        let mut cfg = if store {
+                            StoreConfig::smoke(0)
+                        } else {
+                            StoreConfig::register(0)
+                        };
+                        cfg.shards = shards;
+                        let driver = flags.resolve(FaultProfile::Light, cfg.servers_total(), store);
+                        let peers = vec!["s.sock"; (shards * cfg.servers_per_shard) as usize];
+                        let shard_size = store.then_some(cfg.servers_per_shard);
+                        let serve = flags.resolve(
+                            profile,
+                            u32::try_from(peers.len()).unwrap(),
+                            shard_size.is_some(),
+                        );
+                        assert_eq!(driver, serve, "{flags:?}, store {store}, {shards} shards");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn store_amnesia_admits_every_sharded_topology() {
+        let flags = FaultFlags {
+            profile: Some(FaultProfile::Amnesia),
+            ..FaultFlags::default()
+        };
+        // 8 shards × 3 replicas: the register windows (8 in 200) need 216.
+        let (faults, recovery) = flags.resolve(FaultProfile::None, 24, true);
+        assert_eq!((faults.crash_len, faults.crash_period), (4, 480));
+        assert!(recovery.is_amnesia());
+        assert_eq!(faults.validate(24), Ok(()));
+        assert!(flags
+            .resolve(FaultProfile::None, 24, false)
+            .0
+            .validate(24)
+            .is_err());
+        for servers in 1..=64 {
+            assert_eq!(
+                flags
+                    .resolve(FaultProfile::None, servers, true)
+                    .0
+                    .validate(servers),
+                Ok(())
+            );
+        }
     }
 
     #[test]

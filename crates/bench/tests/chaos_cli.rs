@@ -172,6 +172,46 @@ fn zero_ops_per_client_is_a_usage_error_naming_the_flag() {
     );
 }
 
+/// A serve process has no run shape to take a default fault mix from, so
+/// it must be given the driver's `--fault-profile` verbatim; and the one
+/// argument loop keeps each mode's flags to that mode.
+#[test]
+fn serve_flags_and_driver_flags_stay_in_their_own_mode() {
+    let dir = tmp_dir("serve-flags");
+    let sock = dir.join("s0.sock");
+    let sock = sock.to_str().unwrap();
+    let serve = [
+        "serve",
+        "--listen",
+        sock,
+        "--server-id",
+        "0",
+        "--peers",
+        sock,
+    ];
+    for (args, flag) in [
+        (serve.to_vec(), "--fault-profile"),
+        (
+            [&serve[..], &["--fault-profile", "light", "--smoke"]].concat(),
+            "--smoke",
+        ),
+        (
+            [&serve[..], &["--fault-profile", "light", "--servers", "1"]].concat(),
+            "--servers",
+        ),
+        (vec!["--smoke", "--peers", sock], "--peers"),
+        (vec!["--smoke", "--shard-size", "3"], "--shard-size"),
+    ] {
+        let out = chaos(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag),
+            "{args:?}: error names {flag}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn demo_broken_emits_a_flight_dump_whose_diagram_contains_the_violating_ops() {
     let dir = tmp_dir("demo-broken");

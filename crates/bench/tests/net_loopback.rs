@@ -69,7 +69,7 @@ fn three_serve_processes_and_a_driver_survive_crashes_with_zero_violations() {
                 .arg("serve")
                 .args(["--listen", &socks[i]])
                 .args(["--server-id", &i.to_string()])
-                .args(["--servers", "3", "--clients", "4"])
+                .args(["--clients", "4"])
                 .args(["--peers", &peers])
                 .args(["--dump-dir", serve_dumps.to_str().unwrap()])
                 .args(fault_args)
