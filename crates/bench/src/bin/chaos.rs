@@ -823,8 +823,8 @@ fn servers_json(remote: &[blunt_runtime::RemoteServer]) -> blunt_obs::Json {
                 let t = r.telemetry.unwrap_or_default();
                 Json::Obj(vec![
                     ("proc".into(), Json::Str(format!("s{sid}"))),
-                    ("recoveries".into(), Json::UInt(t.recoveries)),
-                    ("crashes".into(), Json::UInt(t.crashes)),
+                    ("recoveries".into(), Json::UInt(t.recovery.recoveries)),
+                    ("crashes".into(), Json::UInt(t.recovery.crashes)),
                     ("fsync_count".into(), Json::UInt(t.fsync_count)),
                     ("fsync_p99_us".into(), Json::UInt(t.fsync_p99_us)),
                     ("span_events".into(), Json::UInt(t.span_events)),

@@ -14,6 +14,7 @@
 //! issuing client's lane by the frame's `re` header via [`ReplyRouter`];
 //! replies to retired tags count as `net.rpc.tag_mismatch_drops`.
 
+use std::ops::AddAssign;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -26,7 +27,7 @@ use crate::conn::Addr;
 use crate::fault::{FaultConfig, FaultConfigError};
 use crate::frame::{Frame, FrameReader, TaggedEnv, DRIVER_NODE};
 use crate::injector::{Injector, Links, TransportStats};
-use crate::pool::{BroadcastPool, ConnectionPool};
+use crate::pool::ConnectionPool;
 use crate::rpc::{DedupWindow, ReplyRouter, TagGen};
 use crate::wire::Envelope;
 use crate::{Coverage, Transport};
@@ -47,31 +48,52 @@ pub struct NetClientCfg {
     pub signal_crashes: bool,
 }
 
-/// A server's parting stats, reported in its `Goodbye` frame at shutdown.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerGoodbye {
-    /// Crash events the server processed.
+/// Crash-recovery counters, of one replica or summed over several (also
+/// exported as the `runtime.recovery.*` metrics in `blunt_obs`). The
+/// runtime's recovery sink accumulates them; a serve process ships its own
+/// in every [`ServerTelemetry`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct RecoveryStats {
+    /// Crash events suffered by servers (deterministic for a seed — one
+    /// per crash-event signal).
     pub crashes: u64,
-    /// Recoveries it completed.
+    /// Recovery protocol runs completed (deterministic; equals `crashes`
+    /// in sound modes — every crash is recovered from, even if the
+    /// catch-up phase was truncated by shutdown).
     pub recoveries: u64,
-    /// WAL records it lost to crashes.
-    pub wal_lost: u64,
-    /// WAL records it replayed during recoveries.
-    pub wal_replayed: u64,
-    /// p99 WAL fsync latency (µs) over the server's whole run.
-    pub fsync_p99_us: u64,
+    /// WAL records lost to crashes (timing-dependent: depends on where
+    /// group-commit flushes landed).
+    pub wal_records_lost: u64,
+    /// Recoveries that restored a durable checkpoint by WAL replay
+    /// (timing-dependent).
+    pub wal_records_replayed: u64,
+    /// State-transfer queries sent during peer catch-up
+    /// (timing-dependent).
+    pub state_queries: u64,
+    /// Catch-up phases truncated because the run was shutting down
+    /// (timing-dependent; the replayed checkpoint still stands).
+    pub catchup_aborted: u64,
 }
 
-/// A server's cumulative telemetry snapshot, shipped periodically over the
-/// driver connection as a `Telemetry` frame. Last-writer-wins on the
-/// driver side, so a server that dies before its `Goodbye` still leaves
-/// its most recent counters behind.
+impl AddAssign for RecoveryStats {
+    fn add_assign(&mut self, r: RecoveryStats) {
+        self.crashes += r.crashes;
+        self.recoveries += r.recoveries;
+        self.wal_records_lost += r.wal_records_lost;
+        self.wal_records_replayed += r.wal_records_replayed;
+        self.state_queries += r.state_queries;
+        self.catchup_aborted += r.catchup_aborted;
+    }
+}
+
+/// A server's cumulative report, shipped periodically over the driver
+/// connection as a `Telemetry` frame and once more, complete, right before
+/// its `Goodbye`. Last-writer-wins on the driver side, so a server that
+/// dies before its `Goodbye` still leaves its most recent counters behind.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerTelemetry {
-    /// Recoveries completed so far.
-    pub recoveries: u64,
-    /// Crash events processed so far.
-    pub crashes: u64,
+    /// Every crash-recovery counter so far.
+    pub recovery: RecoveryStats,
     /// WAL fsyncs performed so far.
     pub fsync_count: u64,
     /// Running p99 WAL fsync latency (µs).
@@ -92,8 +114,9 @@ pub struct RemoteServer {
     pub offset_us: i64,
     /// The most recent `Telemetry` snapshot, if any arrived.
     pub telemetry: Option<ServerTelemetry>,
-    /// The bounded flight dump piggybacked on the server's `Goodbye`, if
-    /// one arrived and parsed.
+    /// The bounded flight dump piggybacked on the server's `Goodbye`:
+    /// `None` until the goodbye arrives, empty if it carried no dump (or
+    /// one that did not parse).
     pub dump: Option<FlightDump>,
 }
 
@@ -102,7 +125,6 @@ struct Shared {
     router: ReplyRouter,
     /// One mailbox per client lane (lane = pid − servers).
     lanes: Vec<Sender<Envelope>>,
-    goodbyes: Mutex<Vec<Option<ServerGoodbye>>>,
     /// Signalled at every `Goodbye` stored; [`NetClient::shutdown`] waits
     /// on it for the last.
     goodbye_arrived: Condvar,
@@ -156,46 +178,12 @@ impl Shared {
                     let offset = t_us as i64 - (echo_t + rtt / 2) as i64;
                     self.remote.lock().expect("remote lock")[peer].offset_us = offset;
                 }
-                Frame::Telemetry {
-                    recoveries,
-                    crashes,
-                    fsync_count,
-                    fsync_p99_us,
-                    span_events,
-                    events,
-                    ..
-                } => {
-                    self.remote.lock().expect("remote lock")[peer].telemetry =
-                        Some(ServerTelemetry {
-                            recoveries,
-                            crashes,
-                            fsync_count,
-                            fsync_p99_us,
-                            span_events,
-                            events,
-                        });
+                Frame::Telemetry { report, .. } => {
+                    self.remote.lock().expect("remote lock")[peer].telemetry = Some(report);
                 }
-                Frame::Goodbye {
-                    crashes,
-                    recoveries,
-                    wal_lost,
-                    wal_replayed,
-                    fsync_p99_us,
-                    ref dump,
-                    ..
-                } => {
-                    if !dump.is_empty() {
-                        if let Ok(parsed) = FlightDump::parse(dump) {
-                            self.remote.lock().expect("remote lock")[peer].dump = Some(parsed);
-                        }
-                    }
-                    self.goodbyes.lock().expect("goodbye lock")[peer] = Some(ServerGoodbye {
-                        crashes,
-                        recoveries,
-                        wal_lost,
-                        wal_replayed,
-                        fsync_p99_us,
-                    });
+                Frame::Goodbye { dump, .. } => {
+                    let dump = FlightDump::parse(&dump).unwrap_or_default();
+                    self.remote.lock().expect("remote lock")[peer].dump = Some(dump);
                     self.goodbye_arrived.notify_all();
                 }
                 // Servers never send these to a driver.
@@ -210,7 +198,7 @@ impl Shared {
 pub struct NetClient {
     servers: u32,
     links: Mutex<Links<TaggedEnv>>,
-    pool: BroadcastPool,
+    pool: ConnectionPool,
     tags: Arc<TagGen>,
     shared: Arc<Shared>,
     flight: Arc<FlightRecorder>,
@@ -244,7 +232,6 @@ impl NetClient {
         let shared = Arc::new(Shared {
             router: ReplyRouter::new(cfg.clients as usize),
             lanes,
-            goodbyes: Mutex::new(vec![None; cfg.servers.len()]),
             goodbye_arrived: Condvar::new(),
             remote: Mutex::new(vec![RemoteServer::default(); cfg.servers.len()]),
             flight: Arc::clone(&flight),
@@ -277,7 +264,7 @@ impl NetClient {
                 re: 0,
                 env: Envelope::crash(server, window),
             })),
-            pool: BroadcastPool::new(pool),
+            pool,
             tags,
             shared,
             flight,
@@ -300,7 +287,7 @@ impl NetClient {
     fn write(&self, dst: Pid, frame: &Frame) {
         // A send failure is a lost frame; retransmission recovers, exactly
         // as with any other drop on the path.
-        let _ = self.pool.pool().send(dst.index(), frame);
+        let _ = self.pool.send(dst.index(), frame);
     }
 
     /// Total recoveries across all servers' latest telemetry snapshots —
@@ -312,16 +299,8 @@ impl NetClient {
             .lock()
             .expect("remote lock")
             .iter()
-            .filter_map(|r| r.telemetry.map(|t| t.recoveries))
+            .filter_map(|r| r.telemetry.map(|t| t.recovery.recoveries))
             .sum()
-    }
-
-    /// A snapshot of every server's remote state (index = server pid):
-    /// clock offset, last telemetry, and the flight dump its `Goodbye`
-    /// piggybacked, for cross-process merging.
-    #[must_use]
-    pub fn remote_snapshot(&self) -> Vec<RemoteServer> {
-        self.shared.remote.lock().expect("remote lock").clone()
     }
 
     /// Realises `envs`: fates drawn per envelope, in the caller's order,
@@ -366,29 +345,35 @@ impl NetClient {
     }
 
     /// Tells every server to finish up, waits up to `wait` for their
-    /// `Goodbye` stats, then shuts every connection down: the reader
-    /// threads hold clones of the pooled streams (and, through them, the
-    /// client lanes and the flight recorder), and must not outlive the run
-    /// because a server keeps its end open. Missing goodbyes (a server that
-    /// died hard) come back as `None`.
-    pub fn shutdown(&self, wait: Duration) -> Vec<Option<ServerGoodbye>> {
-        self.pool.broadcast(|_| Frame::Shutdown);
+    /// `Goodbye`s, then shuts every connection down: the reader threads
+    /// hold clones of the pooled streams (and, through them, the client
+    /// lanes and the flight recorder), and must not outlive the run because
+    /// a server keeps its end open. Returns every server's remote state
+    /// (index = server pid): a server sends its final telemetry right
+    /// before its goodbye, so one that said goodbye reports its whole run;
+    /// one that died hard keeps its last telemetry and a `None` dump.
+    pub fn shutdown(&self, wait: Duration) -> Vec<RemoteServer> {
+        // A send failure is a lost frame: one dead server must not keep
+        // the others from hearing it.
+        for peer in 0..self.pool.len() {
+            let _ = self.pool.send(peer, &Frame::Shutdown);
+        }
         let deadline = Instant::now() + wait;
-        let mut g = self.shared.goodbyes.lock().expect("goodbye lock");
+        let mut remote = self.shared.remote.lock().expect("remote lock");
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
-            if g.iter().all(Option::is_some) || left.is_zero() {
+            if remote.iter().all(|r| r.dump.is_some()) || left.is_zero() {
                 break;
             }
-            g = self
+            remote = self
                 .shared
                 .goodbye_arrived
-                .wait_timeout(g, left)
-                .expect("goodbye lock")
+                .wait_timeout(remote, left)
+                .expect("remote lock")
                 .0;
         }
-        self.pool.pool().close();
-        g.clone()
+        self.pool.close();
+        remote.clone()
     }
 }
 

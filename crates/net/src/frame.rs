@@ -8,14 +8,14 @@
 //! kind 1    := Env      tag:u64le re:u64le src:u32le dst:u32le exempt:u8
 //!                       span payload
 //! kind 2    := Shutdown
-//! kind 3    := Goodbye  node:u32le crashes:u64le recoveries:u64le
-//!                       wal_lost:u64le wal_replayed:u64le
-//!                       fsync_p99_us:u64le dump_len:u32le dump:utf8
+//! kind 3    := Goodbye  node:u32le dump_len:u32le dump:utf8
 //! kind 4    := HelloAck node:u32le echo_t:u64le t_us:u64le
-//! kind 5    := Telemetry node:u32le recoveries:u64le crashes:u64le
-//!                       fsync_count:u64le fsync_p99_us:u64le
-//!                       span_events:u64le events:u64le
+//! kind 5    := Telemetry node:u32le recovery fsync_count:u64le
+//!                       fsync_p99_us:u64le span_events:u64le events:u64le
 //! kind 6    := EnvBatch n:u32le entry*n
+//! recovery  := crashes:u64le recoveries:u64le wal_lost:u64le
+//!              wal_replayed:u64le state_queries:u64le
+//!              catchup_aborted:u64le
 //! entry     := tag:u64le re:u64le src:u32le dst:u32le exempt:u8
 //!              span payload
 //! span      := client:u32le op:u64le hop:u8
@@ -57,6 +57,10 @@
 //! decodes to exactly the envelope sequence its entries would produce as
 //! individual `Env` frames, and fault fates are drawn per logical envelope
 //! before batching, so the fault schedule cannot tell the difference.
+//!
+//! Version 4 made the last `Telemetry` a serve process's one report: it
+//! carries every crash-recovery counter, and `Goodbye` carries only the
+//! flight-dump tail, so no counter crosses the wire twice.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -66,11 +70,12 @@ use blunt_abd::ts::Ts;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_core::value::Val;
 
+use crate::client::{RecoveryStats, ServerTelemetry};
 use crate::wire::{Envelope, Payload, SpanCtx};
 
 /// The wire-format version this build speaks. A peer announcing any other
 /// version is rejected with [`FrameError::BadVersion`].
-pub const FRAME_VERSION: u8 = 3;
+pub const FRAME_VERSION: u8 = 4;
 
 /// Upper bound on an encoded frame body, in bytes. Bounds the allocation a
 /// reader performs on behalf of a peer.
@@ -128,21 +133,11 @@ pub enum Frame {
     /// The driver is done: finish pending work, send a [`Frame::Goodbye`],
     /// and exit.
     Shutdown,
-    /// A server's parting stats, aggregated into the driver's run report.
+    /// A server's last frame: it has sent its final [`Frame::Telemetry`]
+    /// and is leaving.
     Goodbye {
         /// The departing server's pid.
         node: u32,
-        /// Crash events it processed.
-        crashes: u64,
-        /// Recoveries it completed.
-        recoveries: u64,
-        /// WAL records lost to crashes (timing-dependent).
-        wal_lost: u64,
-        /// WAL records replayed during recoveries (timing-dependent).
-        wal_replayed: u64,
-        /// p99 WAL fsync latency in µs (timing-dependent; 0 when no fsync
-        /// was timed).
-        fsync_p99_us: u64,
         /// A bounded flight-dump JSONL (the server's most recent events)
         /// piggybacked for the driver's merged cross-process dump;
         /// empty when the server has nothing to report.
@@ -160,26 +155,16 @@ pub enum Frame {
         /// The server's flight-recorder clock when it sent this ack (µs).
         t_us: u64,
     },
-    /// A server's periodic in-run telemetry snapshot (server → driver,
-    /// cumulative since start; outside the fault schedule). Feeds the
-    /// driver's `--watch` line and survives as last-known state if the
-    /// server dies before its `Goodbye`.
+    /// A server's cumulative report (server → driver, outside the fault
+    /// schedule): sent periodically, and a last time right before its
+    /// `Goodbye`, which makes that last one the server's report of its
+    /// whole run. Feeds the driver's `--watch` line and survives as
+    /// last-known state if the server dies before its `Goodbye`.
     Telemetry {
         /// The reporting server's pid.
         node: u32,
-        /// Recoveries completed so far.
-        recoveries: u64,
-        /// Crash events processed so far.
-        crashes: u64,
-        /// WAL fsyncs timed so far.
-        fsync_count: u64,
-        /// p99 WAL fsync latency in µs so far (0 when no fsync was timed).
-        fsync_p99_us: u64,
-        /// Flight events recorded so far that carry a span (attributable
-        /// to a client op).
-        span_events: u64,
-        /// Flight events recorded so far in total.
-        events: u64,
+        /// Its counters so far.
+        report: ServerTelemetry,
     },
     /// Several tagged envelopes in one frame: the batched-quorum-I/O
     /// amortization. Semantically identical to sending each entry as its
@@ -553,22 +538,9 @@ impl Frame {
                 put_tagged_env(out, *tag, *re, env);
             }
             Frame::Shutdown => out.push(2),
-            Frame::Goodbye {
-                node,
-                crashes,
-                recoveries,
-                wal_lost,
-                wal_replayed,
-                fsync_p99_us,
-                dump,
-            } => {
+            Frame::Goodbye { node, dump } => {
                 out.push(3);
                 put_u32(out, *node);
-                put_u64(out, *crashes);
-                put_u64(out, *recoveries);
-                put_u64(out, *wal_lost);
-                put_u64(out, *wal_replayed);
-                put_u64(out, *fsync_p99_us);
                 put_u32(out, dump.len() as u32);
                 out.extend_from_slice(dump.as_bytes());
             }
@@ -578,23 +550,24 @@ impl Frame {
                 put_u64(out, *echo_t);
                 put_u64(out, *t_us);
             }
-            Frame::Telemetry {
-                node,
-                recoveries,
-                crashes,
-                fsync_count,
-                fsync_p99_us,
-                span_events,
-                events,
-            } => {
+            Frame::Telemetry { node, report: t } => {
                 out.push(5);
                 put_u32(out, *node);
-                put_u64(out, *recoveries);
-                put_u64(out, *crashes);
-                put_u64(out, *fsync_count);
-                put_u64(out, *fsync_p99_us);
-                put_u64(out, *span_events);
-                put_u64(out, *events);
+                let r = &t.recovery;
+                for v in [
+                    r.crashes,
+                    r.recoveries,
+                    r.wal_records_lost,
+                    r.wal_records_replayed,
+                    r.state_queries,
+                    r.catchup_aborted,
+                    t.fsync_count,
+                    t.fsync_p99_us,
+                    t.span_events,
+                    t.events,
+                ] {
+                    put_u64(out, v);
+                }
             }
             Frame::EnvBatch { entries } => {
                 out.push(6);
@@ -643,11 +616,6 @@ impl Frame {
             2 => Frame::Shutdown,
             3 => Frame::Goodbye {
                 node: c.u32()?,
-                crashes: c.u64()?,
-                recoveries: c.u64()?,
-                wal_lost: c.u64()?,
-                wal_replayed: c.u64()?,
-                fsync_p99_us: c.u64()?,
                 dump: c.string()?,
             },
             4 => Frame::HelloAck {
@@ -657,12 +625,20 @@ impl Frame {
             },
             5 => Frame::Telemetry {
                 node: c.u32()?,
-                recoveries: c.u64()?,
-                crashes: c.u64()?,
-                fsync_count: c.u64()?,
-                fsync_p99_us: c.u64()?,
-                span_events: c.u64()?,
-                events: c.u64()?,
+                report: ServerTelemetry {
+                    recovery: RecoveryStats {
+                        crashes: c.u64()?,
+                        recoveries: c.u64()?,
+                        wal_records_lost: c.u64()?,
+                        wal_records_replayed: c.u64()?,
+                        state_queries: c.u64()?,
+                        catchup_aborted: c.u64()?,
+                    },
+                    fsync_count: c.u64()?,
+                    fsync_p99_us: c.u64()?,
+                    span_events: c.u64()?,
+                    events: c.u64()?,
+                },
             },
             6 => {
                 let n = c.u32()? as usize;
@@ -995,20 +971,10 @@ mod tests {
         roundtrip(&Frame::Shutdown);
         roundtrip(&Frame::Goodbye {
             node: 1,
-            crashes: 3,
-            recoveries: 3,
-            wal_lost: 17,
-            wal_replayed: 9,
-            fsync_p99_us: 840,
             dump: String::new(),
         });
         roundtrip(&Frame::Goodbye {
             node: 2,
-            crashes: 0,
-            recoveries: 0,
-            wal_lost: 0,
-            wal_replayed: 0,
-            fsync_p99_us: 0,
             dump: blunt_obs::FlightDump::default().to_jsonl(),
         });
         roundtrip(&Frame::HelloAck {
@@ -1018,13 +984,51 @@ mod tests {
         });
         roundtrip(&Frame::Telemetry {
             node: 2,
-            recoveries: 4,
-            crashes: 4,
-            fsync_count: 900,
-            fsync_p99_us: 310,
-            span_events: 12_000,
-            events: 15_000,
+            report: ServerTelemetry::default(),
         });
+        // Every field distinct, so a swapped pair cannot round-trip.
+        roundtrip(&Frame::Telemetry {
+            node: 2,
+            report: ServerTelemetry {
+                recovery: RecoveryStats {
+                    crashes: 4,
+                    recoveries: 3,
+                    wal_records_lost: 17,
+                    wal_records_replayed: 9,
+                    state_queries: 22,
+                    catchup_aborted: 1,
+                },
+                fsync_count: 900,
+                fsync_p99_us: 310,
+                span_events: 12_000,
+                events: 15_000,
+            },
+        });
+    }
+
+    #[test]
+    fn telemetry_fields_sit_where_the_grammar_says() {
+        let report = ServerTelemetry {
+            recovery: RecoveryStats {
+                crashes: 1,
+                recoveries: 2,
+                wal_records_lost: 3,
+                wal_records_replayed: 4,
+                state_queries: 5,
+                catchup_aborted: 6,
+            },
+            fsync_count: 7,
+            fsync_p99_us: 8,
+            span_events: 9,
+            events: 10,
+        };
+        let bytes = Frame::Telemetry { node: 0, report }.encode().unwrap();
+        // len, version, kind, node, then ten u64 words in grammar order.
+        let words: Vec<u64> = bytes[10..]
+            .chunks(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(words, (1..=10).collect::<Vec<u64>>());
     }
 
     /// The batching invariant at the codec layer: an `EnvBatch` round-trips,
@@ -1110,11 +1114,6 @@ mod tests {
     fn non_utf8_goodbye_dumps_are_rejected() {
         let mut bytes = Frame::Goodbye {
             node: 1,
-            crashes: 0,
-            recoveries: 0,
-            wal_lost: 0,
-            wal_replayed: 0,
-            fsync_p99_us: 0,
             dump: "ab".into(),
         }
         .encode()
@@ -1360,11 +1359,6 @@ mod tests {
             Frame::Shutdown,
             Frame::Goodbye {
                 node: 0,
-                crashes: 1,
-                recoveries: 1,
-                wal_lost: 2,
-                wal_replayed: 3,
-                fsync_p99_us: 99,
                 dump: blunt_obs::FlightDump::default().to_jsonl(),
             },
             Frame::HelloAck {
@@ -1374,12 +1368,20 @@ mod tests {
             },
             Frame::Telemetry {
                 node: 2,
-                recoveries: 1,
-                crashes: 1,
-                fsync_count: 5,
-                fsync_p99_us: 7,
-                span_events: 100,
-                events: 120,
+                report: ServerTelemetry {
+                    recovery: RecoveryStats {
+                        crashes: 1,
+                        recoveries: 1,
+                        wal_records_lost: 2,
+                        wal_records_replayed: 3,
+                        state_queries: 4,
+                        catchup_aborted: 0,
+                    },
+                    fsync_count: 5,
+                    fsync_p99_us: 7,
+                    span_events: 100,
+                    events: 120,
+                },
             },
         ]
         .iter()
@@ -1610,11 +1612,6 @@ mod tests {
     fn buffered_reader_grows_for_a_frame_larger_than_its_buffer() {
         let big = Frame::Goodbye {
             node: 1,
-            crashes: 0,
-            recoveries: 0,
-            wal_lost: 0,
-            wal_replayed: 0,
-            fsync_p99_us: 0,
             dump: "x".repeat(3 * READ_BUF_LEN),
         };
         let mut bytes = Vec::new();
@@ -1719,11 +1716,6 @@ mod tests {
         // is moved to the front) and one sharing its last read.
         let big = Frame::Goodbye {
             node: 1,
-            crashes: 0,
-            recoveries: 0,
-            wal_lost: 0,
-            wal_replayed: 0,
-            fsync_p99_us: 0,
             dump: "x".repeat(3 * READ_BUF_LEN),
         };
         let frames = vec![Frame::Shutdown, big, Frame::Shutdown];

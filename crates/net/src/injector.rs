@@ -1,10 +1,10 @@
 //! The shared fault core: the decision, and the one realiser that turns a
 //! decision into deliveries.
 //!
-//! [`Injector`] is one seed-determined [`FaultPlan`] plus the stats,
-//! coverage, and crash-signal bookkeeping that every transport updates
-//! *atomically with* each fate decision, so the resulting
-//! [`TransportStats`] and [`Coverage`] are pure functions of the seed.
+//! [`Injector`] is one seed-determined [`FaultPlan`] plus the coverage
+//! and crash-signal bookkeeping that every transport updates *atomically
+//! with* each fate decision, so the resulting [`Coverage`] — and the
+//! [`TransportStats`] summed from it — are pure functions of the seed.
 //!
 //! [`Links`] realises the fate [`Injector::decide`] drew, for any item
 //! type: it owns the injector and one reorder hold-back slot per directed
@@ -56,17 +56,16 @@ pub struct TransportStats {
 
 /// The fault-decision state of one transport endpoint: the per-link fate
 /// streams plus everything that must update under the same lock as a fate
-/// decision (stats, coverage tallies, pending-crash windows, signaled
-/// sets). Transports hold it inside a [`Links`], under one lock with the
-/// reorder hold-back slots.
+/// decision (coverage tallies, pending-crash windows, signaled sets).
+/// Transports hold it inside a [`Links`], under one lock with the reorder
+/// hold-back slots.
 pub struct Injector {
     plan: FaultPlan,
     cfg: FaultConfig,
     nodes: u32,
     signal_crashes: bool,
-    stats: TransportStats,
-    /// Per-link fate tallies for the coverage report, updated with the
-    /// decision (so coverage is seed-deterministic).
+    /// Per-link fate tallies, updated with the decision (so coverage is
+    /// seed-deterministic): the one ledger of every fate drawn.
     coverage: Vec<LinkCoverage>,
     /// Per-link: the crash window the link's latest first-transmission fell
     /// into, awaiting its exit (the next non-`CrashDrop` index).
@@ -99,7 +98,6 @@ impl Injector {
             cfg,
             nodes,
             signal_crashes,
-            stats: TransportStats::default(),
             coverage: (0..nodes * nodes)
                 .map(|i| LinkCoverage {
                     src: i / nodes,
@@ -113,8 +111,8 @@ impl Injector {
     }
 
     /// Decides the fate of the next first-transmission message on
-    /// `src → dst`, updating stats, coverage, and the crash-window exit
-    /// bookkeeping in the same step. Returns the fate plus, at most once
+    /// `src → dst`, updating coverage and the crash-window exit bookkeeping
+    /// in the same step. Returns the fate plus, at most once
     /// per `(server, window)` pair, the crash signal the caller must
     /// deliver (as an exempt [`Payload::Crash`](crate::Payload::Crash)
     /// envelope) *before* realizing the triggering message's fate.
@@ -122,7 +120,6 @@ impl Injector {
     /// Exempt envelopes must never be passed through here — they consume no
     /// fault-schedule indices.
     pub fn decide(&mut self, src: Pid, dst: Pid) -> (Fate, Option<(Pid, u64)>) {
-        self.stats.offered += 1;
         let fate = self.plan.fate(src, dst);
         let slot = (src.0 * self.nodes + dst.0) as usize;
         // Crash-window exit detection: a CrashDrop marks the link as
@@ -136,7 +133,6 @@ impl Injector {
                 self.pending_crash[slot] = Some(window);
             } else if let Some(w) = self.pending_crash[slot].take() {
                 if self.signaled[dst.index()].insert(w) {
-                    self.stats.crash_events += 1;
                     signal = Some((dst, w));
                 }
             }
@@ -158,22 +154,27 @@ impl Injector {
                 cov.partition_windows.insert(window);
             }
         }
-        match fate {
-            Fate::Drop => self.stats.dropped += 1,
-            Fate::Duplicate => self.stats.duplicated += 1,
-            Fate::Reorder => self.stats.reordered += 1,
-            Fate::Delay(_) => self.stats.delayed += 1,
-            Fate::CrashDrop { .. } => self.stats.crash_dropped += 1,
-            Fate::PartitionDrop { .. } => self.stats.partition_dropped += 1,
-            Fate::Deliver => {}
-        }
         (fate, signal)
     }
 
-    /// The deterministic fault counters so far.
+    /// The deterministic fault counters so far: the per-link tallies of
+    /// [`Injector::coverage`] summed, plus the crash events signaled.
     #[must_use]
     pub fn stats(&self) -> TransportStats {
-        self.stats
+        let mut s = TransportStats {
+            crash_events: self.signaled.iter().map(|w| w.len() as u64).sum(),
+            ..TransportStats::default()
+        };
+        for l in &self.coverage {
+            s.offered += l.offered;
+            s.dropped += l.dropped;
+            s.duplicated += l.duplicated;
+            s.reordered += l.reordered;
+            s.delayed += l.delayed;
+            s.crash_dropped += l.crash_dropped;
+            s.partition_dropped += l.partition_dropped;
+        }
+        s
     }
 
     /// The fault-schedule coverage so far: per-link fate tallies (links
@@ -418,19 +419,40 @@ mod tests {
     fn stats_and_coverage_are_reproducible_for_a_seed() {
         let run = || {
             let mut inj = Injector::new(42, FaultConfig::chaos(), 3, 6, true).unwrap();
+            let mut signals = 0;
             for _ in 0..400 {
                 for dst in 0..3 {
-                    inj.decide(Pid(4), Pid(dst));
+                    signals += u64::from(inj.decide(Pid(4), Pid(dst)).1.is_some());
                 }
-                inj.decide(Pid(0), Pid(4));
+                signals += u64::from(inj.decide(Pid(0), Pid(4)).1.is_some());
             }
-            (inj.stats(), inj.coverage())
+            (inj.stats(), inj.coverage(), signals)
         };
-        let (s1, c1) = run();
-        let (s2, c2) = run();
+        let (s1, c1, signals) = run();
+        let (s2, c2, _) = run();
         assert_eq!(s1, s2);
         assert_eq!(c1.to_json().to_string(), c2.to_json().to_string());
         assert!(s1.crash_events > 0);
+        // The stats are the coverage summed over links, plus the signals.
+        let fates: std::collections::BTreeMap<_, _> = c1.fate_totals().into_iter().collect();
+        assert_eq!(
+            s1,
+            TransportStats {
+                offered: c1.links.iter().map(|l| l.offered).sum(),
+                dropped: fates["drop"],
+                duplicated: fates["duplicate"],
+                reordered: fates["reorder"],
+                delayed: fates["delay"],
+                crash_dropped: fates["crash_drop"],
+                partition_dropped: fates["partition_drop"],
+                crash_events: signals,
+            }
+        );
+        assert_eq!(s1.offered, 1_600);
+        assert!(
+            fates.values().filter(|&&n| n > 0).count() >= 5,
+            "the chaos mix exercises most fates: {fates:?}"
+        );
     }
 
     /// What a [`Links`] sink received, in the order it received it.

@@ -17,8 +17,8 @@
 //!   realiser of a drawn fate ([`Links`], [`Delayer`]).
 //! - [`frame`] — the length-prefixed, versioned wire format (hand-rolled,
 //!   zero dependencies).
-//! - [`conn`] / [`pool`] — TCP / Unix-domain streams, per-peer connection
-//!   pools with single-redial self-healing, and quorum broadcast fan-out.
+//! - [`conn`] / [`pool`] — TCP / Unix-domain streams and per-peer
+//!   connection pools with single-redial self-healing.
 //! - [`rpc`] — monotonic frame tags, reply-to-lane routing, and
 //!   per-connection duplicate suppression (retransmission-aware dedup).
 //! - [`client`] / [`server`] — the two socket endpoints: [`NetClient`]
@@ -63,7 +63,7 @@ pub mod rpc;
 pub mod server;
 pub mod wire;
 
-pub use client::{NetClient, NetClientCfg, RemoteServer, ServerGoodbye, ServerTelemetry};
+pub use client::{NetClient, NetClientCfg, RecoveryStats, RemoteServer, ServerTelemetry};
 pub use conn::{Addr, Listener, Stream};
 pub use coverage::{Coverage, LinkCoverage};
 pub use fault::{Fate, FaultConfig, FaultConfigError, FaultPlan};

@@ -1,4 +1,4 @@
-//! Per-peer connection pools and quorum broadcast fan-out.
+//! Per-peer connection pools.
 //!
 //! A [`ConnectionPool`] owns one lazily-dialed, mutex-guarded connection
 //! per peer. On a write error it drops the connection and redials once
@@ -10,9 +10,6 @@
 //! loop. Those reader handles are clones of the pooled streams, so dropping
 //! the pool does not end them: an owner whose receive loops must exit when
 //! it is done calls [`ConnectionPool::close`].
-//!
-//! [`BroadcastPool`] is the quorum-facing view: fan one logical message out
-//! to every peer, building a distinct tagged frame per destination.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -119,36 +116,6 @@ impl ConnectionPool {
     }
 }
 
-/// Quorum fan-out over a [`ConnectionPool`]: one distinct tagged frame per
-/// destination.
-pub struct BroadcastPool {
-    pool: ConnectionPool,
-}
-
-impl BroadcastPool {
-    /// Wraps `pool` for broadcasting.
-    #[must_use]
-    pub fn new(pool: ConnectionPool) -> BroadcastPool {
-        BroadcastPool { pool }
-    }
-
-    /// The underlying pool, for unicast sends.
-    #[must_use]
-    pub fn pool(&self) -> &ConnectionPool {
-        &self.pool
-    }
-
-    /// Sends `make(peer)`'s frame to every peer. Per-peer send failures are
-    /// swallowed (the frame is "lost"; retransmission recovers) — a quorum
-    /// protocol must not let one dead peer poison the whole round.
-    pub fn broadcast(&self, mut make: impl FnMut(usize) -> Frame) {
-        for peer in 0..self.pool.len() {
-            let frame = make(peer);
-            let _ = self.pool.send(peer, &frame);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,34 +192,5 @@ mod tests {
         );
         pool.close();
         assert_eq!(eof_rx.recv_timeout(Duration::from_secs(5)), Ok(true));
-    }
-
-    #[test]
-    fn broadcast_reaches_every_peer_with_its_own_frame() {
-        let addrs = [tmp_sock("b0.sock"), tmp_sock("b1.sock")];
-        let listeners: Vec<_> = addrs.iter().map(|a| a.listen().unwrap()).collect();
-        let pool = BroadcastPool::new(ConnectionPool::new(
-            addrs.to_vec(),
-            || Frame::Hello { node: 1, t_us: 0 },
-            |_, _| {},
-        ));
-        pool.broadcast(|peer| Frame::Hello {
-            node: peer as u32 + 100,
-            t_us: 0,
-        });
-        for (i, l) in listeners.iter().enumerate() {
-            let mut conn = l.accept().unwrap();
-            assert_eq!(
-                read_frame(&mut conn).unwrap(),
-                Some(Frame::Hello { node: 1, t_us: 0 })
-            );
-            assert_eq!(
-                read_frame(&mut conn).unwrap(),
-                Some(Frame::Hello {
-                    node: i as u32 + 100,
-                    t_us: 0
-                })
-            );
-        }
     }
 }

@@ -20,9 +20,10 @@
 //! window lives in the inbox, a peer connection's in its pump.
 //!
 //! An inbound `Shutdown` on the driver connection raises the stop flag and
-//! ends the inbox's input; the runtime then reports the server's
-//! crash/recovery/WAL stats back with [`NetServer::goodbye`] and takes the
-//! server off the network with [`NetServer::close`] — the acceptor blocks in
+//! ends the inbox's input; the runtime then sends the server's final
+//! counters with [`NetServer::telemetry`], its flight-dump tail with
+//! [`NetServer::goodbye`], and takes the server off the network with
+//! [`NetServer::close`] — the acceptor blocks in
 //! `accept` and the driver's reader in `read`, and neither ends because a
 //! `NetServer` is dropped.
 
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant};
 use blunt_core::ids::Pid;
 use blunt_obs::{FlightKind, FlightRecorder};
 
-use crate::client::{ServerGoodbye, ServerTelemetry};
+use crate::client::ServerTelemetry;
 use crate::conn::{Addr, Stream};
 use crate::fault::FaultConfig;
 use crate::frame::{Frame, FrameReader, FrameWriter, TaggedEnv, DRIVER_NODE};
@@ -478,28 +479,19 @@ impl NetServer {
     /// Ships a cumulative telemetry snapshot to the driver. Best-effort:
     /// if the driver connection is down the snapshot is lost and the next
     /// periodic tick resends fresher numbers.
-    pub fn telemetry(&self, t: ServerTelemetry) {
+    pub fn telemetry(&self, report: ServerTelemetry) {
         self.driver.write(&Frame::Telemetry {
             node: self.me.0,
-            recoveries: t.recoveries,
-            crashes: t.crashes,
-            fsync_count: t.fsync_count,
-            fsync_p99_us: t.fsync_p99_us,
-            span_events: t.span_events,
-            events: t.events,
+            report,
         });
     }
 
-    /// Reports this server's parting stats to the driver, piggybacking a
-    /// bounded flight dump (JSONL; empty string = no dump).
-    pub fn goodbye(&self, g: ServerGoodbye, dump: String) {
+    /// Says goodbye to the driver with a bounded flight dump (JSONL; empty
+    /// string = no dump). The counters went ahead in the last
+    /// [`NetServer::telemetry`].
+    pub fn goodbye(&self, dump: String) {
         self.driver.write(&Frame::Goodbye {
             node: self.me.0,
-            crashes: g.crashes,
-            recoveries: g.recoveries,
-            wal_lost: g.wal_lost,
-            wal_replayed: g.wal_replayed,
-            fsync_p99_us: g.fsync_p99_us,
             dump,
         });
     }

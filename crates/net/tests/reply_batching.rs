@@ -17,8 +17,8 @@ use blunt_core::ids::{ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::frame::{Frame, FrameReader, FrameWriter, DRIVER_NODE};
 use blunt_net::{
-    Addr, Envelope, Fate, FaultConfig, Injector, NetServer, NetServerCfg, Payload, ServerGoodbye,
-    Transport, TransportStats,
+    Addr, Envelope, Fate, FaultConfig, Injector, NetServer, NetServerCfg, Payload, Transport,
+    TransportStats,
 };
 use blunt_obs::FlightRecorder;
 
@@ -172,7 +172,7 @@ fn drive(chunk: Option<usize>) -> Outcome {
     // Releases the reorder holds and joins the delayer, so every reply
     // that will ever be written is written before the goodbye.
     server.flush();
-    server.goodbye(ServerGoodbye::default(), String::new());
+    server.goodbye(String::new());
     let frames = wire.join().expect("wire reader");
     let _ = std::fs::remove_dir_all(&dir);
     Outcome {

@@ -666,24 +666,30 @@ impl FlightDump {
         Ok(FlightDump { events })
     }
 
-    /// Merges a remote process's dump into this one: every event of `other`
-    /// is stamped with the process label `proc`, its timestamp is shifted
-    /// from the remote clock onto this dump's clock by `clock_offset_us`
-    /// (the estimate `remote_clock − local_clock` from the `Hello`
-    /// handshake; shifted times saturate at 0), and the result is re-sorted
-    /// into the canonical `(t_us, proc, ring, seq)` order.
-    pub fn merge_remote(&mut self, proc: &str, clock_offset_us: i64, other: &FlightDump) {
-        for e in &other.events {
-            let t_us = if clock_offset_us >= 0 {
-                e.t_us.saturating_sub(clock_offset_us.unsigned_abs())
-            } else {
-                e.t_us.saturating_add(clock_offset_us.unsigned_abs())
-            };
-            self.events.push(FlightEvent {
-                t_us,
-                proc: proc.to_string(),
-                ..e.clone()
-            });
+    /// Merges remote processes' dumps into this one. For each
+    /// `(proc, clock_offset_us, dump)`, every event of `dump` is stamped
+    /// with the process label `proc` and its timestamp is shifted from the
+    /// remote clock onto this dump's clock by `clock_offset_us` (the
+    /// estimate `remote_clock − local_clock` from the `Hello` handshake;
+    /// shifted times saturate at 0). The result is sorted once, into the
+    /// canonical `(t_us, proc, ring, seq)` order.
+    pub fn merge_remotes<'a>(
+        &mut self,
+        remotes: impl IntoIterator<Item = (String, i64, &'a FlightDump)>,
+    ) {
+        for (proc, clock_offset_us, dump) in remotes {
+            for e in &dump.events {
+                let t_us = if clock_offset_us >= 0 {
+                    e.t_us.saturating_sub(clock_offset_us.unsigned_abs())
+                } else {
+                    e.t_us.saturating_add(clock_offset_us.unsigned_abs())
+                };
+                self.events.push(FlightEvent {
+                    t_us,
+                    proc: proc.clone(),
+                    ..e.clone()
+                });
+            }
         }
         sort_events(&mut self.events);
     }
@@ -857,29 +863,34 @@ mod tests {
         assert!(!rec2.dump().to_jsonl().contains("\"key\""));
     }
 
+    /// A remote server's event at `t_us` on its own clock.
+    fn remote_event(ring: &str, seq: u64, t_us: u64) -> FlightEvent {
+        FlightEvent {
+            ring: ring.into(),
+            seq,
+            t_us,
+            kind: FlightKind::ServerAck,
+            pid: 0,
+            a: 3,
+            b: 1,
+            span: pack_span(3, seq),
+            key: KEY_NONE,
+            proc: String::new(),
+        }
+    }
+
     #[test]
-    fn merge_remote_aligns_clocks_and_labels_processes() {
+    fn merge_remotes_aligns_clocks_and_labels_processes() {
         let rec = FlightRecorder::new(8);
         let ring = rec.register_current("client-3");
         ring.record_at(100, FlightKind::OpStartWrite, 3, 1, encode_val(Some(9)));
         let mut merged = rec.dump();
 
         let remote = FlightDump {
-            events: vec![FlightEvent {
-                ring: "server-0".into(),
-                seq: 0,
-                t_us: 1_150,
-                kind: FlightKind::ServerAck,
-                pid: 0,
-                a: 3,
-                b: 1,
-                span: pack_span(3, 1),
-                key: KEY_NONE,
-                proc: String::new(),
-            }],
+            events: vec![remote_event("server-0", 1, 1_150)],
         };
         // Remote clock runs 1000µs ahead of ours: its t=1150 is our t=150.
-        merged.merge_remote("s0", 1_000, &remote);
+        merged.merge_remotes([("s0".to_string(), 1_000, &remote)]);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged.events[1].t_us, 150);
         assert_eq!(merged.events[1].proc, "s0");
@@ -887,13 +898,43 @@ mod tests {
         // A remote clock *behind* ours shifts the other way; saturation at 0
         // keeps a large positive offset from wrapping.
         let mut m2 = FlightDump::default();
-        m2.merge_remote("s1", -50, &remote);
+        m2.merge_remotes([("s1".to_string(), -50, &remote)]);
         assert_eq!(m2.events[0].t_us, 1_200);
-        m2.merge_remote("s2", i64::MAX, &remote);
+        m2.merge_remotes([("s2".to_string(), i64::MAX, &remote)]);
         assert_eq!(m2.events[0].t_us, 0, "saturates, resorted to front");
         // Round trip: proc fields survive JSONL.
         let reparsed = FlightDump::parse(&merged.to_jsonl()).unwrap();
         assert_eq!(reparsed, merged);
+    }
+
+    #[test]
+    fn merging_every_server_at_once_equals_merging_them_one_by_one() {
+        let rec = FlightRecorder::new(64);
+        let ring = rec.register_current("client-6");
+        for t in (0..400).step_by(37) {
+            ring.record_at(t, FlightKind::BusSend, 6, t, 0);
+        }
+        let local = rec.dump();
+        // Three servers whose windows interleave with the local one, and
+        // whose clock offsets make their shifted times equal across
+        // processes, so the order also rests on the tie-breaks.
+        let remotes: Vec<(String, i64, FlightDump)> = (0..3u64)
+            .map(|s| {
+                let events = (0..20)
+                    .map(|i| remote_event(&format!("server-{s}"), i, 1_000 + s * 7 + i * 19))
+                    .collect();
+                (format!("s{s}"), 900 + 7 * s as i64, FlightDump { events })
+            })
+            .collect();
+
+        let mut at_once = local.clone();
+        at_once.merge_remotes(remotes.iter().map(|(p, off, d)| (p.clone(), *off, d)));
+        let mut one_by_one = local.clone();
+        for (p, off, d) in &remotes {
+            one_by_one.merge_remotes([(p.clone(), *off, d)]);
+        }
+        assert_eq!(at_once.len(), local.len() + 60);
+        assert_eq!(at_once.events, one_by_one.events);
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //! detail (a socket duplicate is two frames absorbed by dedup, not two
 //! mailbox deliveries); `docs/TRANSPORT.md` has the full comparison.
 //!
-//! Recovery counters live in the server processes; they come back to the
-//! driver in each server's `Goodbye` frame at shutdown. WAL/state-query
-//! detail that never crosses the wire stays zero in the driver's totals.
+//! Recovery counters live in the server processes. Each one sends all of
+//! them, with its fsync and flight-event counts, in every `Telemetry`
+//! frame; the last one goes right before its `Goodbye`, so the driver
+//! folds each server's final telemetry into its totals, every counter
+//! included. The `Goodbye` carries only the flight-dump tail.
 
 use std::collections::HashMap;
 use std::io;
@@ -33,7 +35,7 @@ use std::thread;
 use std::time::Duration;
 
 use blunt_core::ids::Pid;
-use blunt_net::{Addr, NetServer, NetServerCfg, ServerGoodbye, ServerTelemetry, Transport};
+use blunt_net::{Addr, NetServer, NetServerCfg, ServerTelemetry, Transport};
 use blunt_obs::flight::{FlightDump, SPAN_NONE};
 use blunt_obs::{FlightKind, FlightRecorder, QuantileSketch};
 
@@ -125,10 +127,8 @@ impl FlightAggregator {
     }
 
     fn snapshot(&self, sink: &RecoverySink) -> ServerTelemetry {
-        let r = sink.snapshot();
         ServerTelemetry {
-            recoveries: r.recoveries,
-            crashes: r.crashes,
+            recovery: sink.snapshot(),
             fsync_count: self.fsync_count,
             fsync_p99_us: self.fsync.quantile(0.99),
             span_events: self.span_events,
@@ -145,7 +145,7 @@ pub struct NetServeReport {
     /// Fault-pattern coverage of those links.
     pub coverage: crate::coverage::Coverage,
     /// This server's crash-recovery counters (also sent to the driver in
-    /// the `Goodbye` frame).
+    /// its final `Telemetry` frame).
     pub recovery: RecoveryStats,
 }
 
@@ -251,22 +251,12 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
             dump.to_jsonl(),
         );
     }
-    // Final snapshot before the goodbye on the same FIFO connection: the
-    // driver stores it before it sees the goodbye, so summary telemetry is
-    // complete even though the periodic tick is best-effort.
-    let final_telemetry = agg.snapshot(&sink);
-    srv.telemetry(final_telemetry);
-    let recovery = sink.snapshot();
-    srv.goodbye(
-        ServerGoodbye {
-            crashes: recovery.crashes,
-            recoveries: recovery.recoveries,
-            wal_lost: recovery.wal_records_lost,
-            wal_replayed: recovery.wal_records_replayed,
-            fsync_p99_us: final_telemetry.fsync_p99_us,
-        },
-        dump.last_n(GOODBYE_DUMP_EVENTS).to_jsonl(),
-    );
+    // The server's one report, before the goodbye on the same FIFO
+    // connection: the driver stores it before it sees the goodbye, so its
+    // totals are complete even though the periodic tick is best-effort.
+    let report = agg.snapshot(&sink);
+    srv.telemetry(report);
+    srv.goodbye(dump.last_n(GOODBYE_DUMP_EVENTS).to_jsonl());
     // Nothing follows the goodbye: without this the acceptor, its listener
     // and the driver connection — and the driver's reader thread at the
     // other end of it — would outlive the run.
@@ -274,6 +264,6 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
     Ok(NetServeReport {
         stats: srv.stats(),
         coverage: srv.coverage(),
-        recovery,
+        recovery: report.recovery,
     })
 }

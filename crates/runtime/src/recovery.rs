@@ -68,30 +68,8 @@ impl RecoveryMode {
     }
 }
 
-/// Per-run crash-recovery counters (also exported as the
-/// `runtime.recovery.*` metrics in `blunt_obs`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct RecoveryStats {
-    /// Crash events suffered by servers (deterministic for a seed — one
-    /// per bus crash-event signal).
-    pub crashes: u64,
-    /// Recovery protocol runs completed (deterministic; equals `crashes`
-    /// in sound modes — every crash is recovered from, even if the
-    /// catch-up phase was truncated by shutdown).
-    pub recoveries: u64,
-    /// WAL records lost to crashes (timing-dependent: depends on where
-    /// group-commit flushes landed).
-    pub wal_records_lost: u64,
-    /// Recoveries that restored a durable checkpoint by WAL replay
-    /// (timing-dependent).
-    pub wal_records_replayed: u64,
-    /// State-transfer queries sent during peer catch-up
-    /// (timing-dependent).
-    pub state_queries: u64,
-    /// Catch-up phases truncated because the run was shutting down
-    /// (timing-dependent; the replayed checkpoint still stands).
-    pub catchup_aborted: u64,
-}
+// Defined in `blunt-net` because a serve process sends it in `Telemetry` frames.
+pub use blunt_net::RecoveryStats;
 
 /// The shared accumulation point: server threads add to these atomics, the
 /// workload driver snapshots them into a [`RecoveryStats`] at the end.
@@ -192,6 +170,32 @@ mod tests {
                 wal_records_replayed: 1,
                 state_queries: 2,
                 catchup_aborted: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn stats_add_field_by_field() {
+        let one = RecoveryStats {
+            crashes: 1,
+            recoveries: 2,
+            wal_records_lost: 3,
+            wal_records_replayed: 4,
+            state_queries: 5,
+            catchup_aborted: 6,
+        };
+        let mut total = one;
+        total += one;
+        total += RecoveryStats::default();
+        assert_eq!(
+            total,
+            RecoveryStats {
+                crashes: 2,
+                recoveries: 4,
+                wal_records_lost: 6,
+                wal_records_replayed: 8,
+                state_queries: 10,
+                catchup_aborted: 12,
             }
         );
     }

@@ -358,7 +358,7 @@ pub fn run_store_net(cfg: &StoreConfig, addrs: &[Addr]) -> Result<StoreReport, F
     run_store_with(cfg, &RunOpts::default(), Some(addrs))
 }
 
-/// How long the driver waits for server `Goodbye` stats after `Shutdown`.
+/// How long the driver waits for server `Goodbye`s after `Shutdown`.
 const GOODBYE_WAIT: Duration = Duration::from_secs(10);
 
 /// Runs one seeded configuration to completion. With `remote = None` every
@@ -440,35 +440,47 @@ fn run_on_sockets(
     );
     report.stats = net.stats();
     report.coverage = net.coverage();
-    // The final counters come home in the servers' `Goodbye` frames. Pids
-    // are shard-major, so goodbye index / replicas-per-shard is the shard.
-    // Counters that never cross the wire (state queries, aborted
-    // catch-ups) stay zero; a server that died without a goodbye
-    // contributes nothing.
-    let goodbyes = net.shutdown(GOODBYE_WAIT);
-    for (pid, g) in goodbyes.iter().enumerate() {
-        if let Some(g) = g {
-            let shard = pid / cfg.servers_per_shard as usize;
-            report.shard_recoveries[shard].0 += g.crashes;
-            report.shard_recoveries[shard].1 += g.recoveries;
-            report.recovery.crashes += g.crashes;
-            report.recovery.recoveries += g.recoveries;
-            report.recovery.wal_records_lost += g.wal_lost;
-            report.recovery.wal_records_replayed += g.wal_replayed;
-        }
-    }
+    // Each server's last telemetry, sent right before its goodbye, is its
+    // report of the whole run; one that died without a goodbye leaves its
+    // last periodic one. Pids are shard-major, so pid / replicas-per-shard
+    // is the shard.
+    let remote = net.shutdown(GOODBYE_WAIT);
+    let per_shard = cfg.servers_per_shard as usize;
+    fold_recoveries(
+        &mut report,
+        remote
+            .iter()
+            .enumerate()
+            .filter_map(|(pid, r)| Some((pid / per_shard, r.telemetry?.recovery))),
+    );
     // Merge every server's goodbye-piggybacked dump into the driver's own,
     // clock-aligned by the Hello/HelloAck offset estimates and labeled
     // `s<pid>` — one cross-process space-time view of the whole run.
-    report.remote_servers = net.remote_snapshot();
     let mut merged = recorder.dump();
-    for (sid, r) in report.remote_servers.iter().enumerate() {
-        if let Some(d) = &r.dump {
-            merged.merge_remote(&format!("s{sid}"), r.offset_us, d);
-        }
-    }
+    merged.merge_remotes(
+        remote
+            .iter()
+            .enumerate()
+            .filter_map(|(pid, r)| Some((format!("s{pid}"), r.offset_us, r.dump.as_ref()?))),
+    );
     report.merged_flight = Some(merged);
+    report.remote_servers = remote;
     Ok(report)
+}
+
+/// Adds each `(shard, counters)` pair into the run's totals and into its
+/// shard's `(crashes, recoveries)`: how both tiers fill
+/// [`StoreReport::recovery`] and [`StoreReport::shard_recoveries`].
+fn fold_recoveries(
+    report: &mut StoreReport,
+    per_shard: impl IntoIterator<Item = (usize, RecoveryStats)>,
+) {
+    for (shard, r) in per_shard {
+        report.recovery += r;
+        let (crashes, recoveries) = &mut report.shard_recoveries[shard];
+        *crashes += r.crashes;
+        *recoveries += r.recoveries;
+    }
 }
 
 /// The in-process tier of [`run_store_with`].
@@ -519,16 +531,10 @@ fn run_on_bus(
     bus.flush();
     report.stats = bus.stats();
     report.coverage = bus.coverage();
-    for (shard, sink) in sinks.iter().enumerate() {
-        let r = sink.snapshot();
-        report.shard_recoveries[shard] = (r.crashes, r.recoveries);
-        report.recovery.crashes += r.crashes;
-        report.recovery.recoveries += r.recoveries;
-        report.recovery.wal_records_lost += r.wal_records_lost;
-        report.recovery.wal_records_replayed += r.wal_records_replayed;
-        report.recovery.state_queries += r.state_queries;
-        report.recovery.catchup_aborted += r.catchup_aborted;
-    }
+    fold_recoveries(
+        &mut report,
+        sinks.iter().map(RecoverySink::snapshot).enumerate(),
+    );
     Ok(report)
 }
 

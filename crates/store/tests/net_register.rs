@@ -13,7 +13,7 @@ mod common;
 
 use std::time::Duration;
 
-use blunt_runtime::RecoveryMode;
+use blunt_runtime::{RecoveryMode, RecoveryStats};
 use blunt_store::{RunOpts, StoreConfig};
 
 #[test]
@@ -26,8 +26,12 @@ fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
         ..RunOpts::default()
     };
     let (report, served) = common::run_over_uds(&cfg, &opts, "register-amnesia");
-    let server_crashes: u64 = served.iter().map(|r| r.recovery.crashes).sum();
-    let server_recoveries: u64 = served.iter().map(|r| r.recovery.recoveries).sum();
+    let mut server_total = RecoveryStats::default();
+    for r in &served {
+        server_total += r.recovery;
+    }
+    let server_crashes = server_total.crashes;
+    let server_recoveries = server_total.recoveries;
 
     assert_eq!(report.ops, 10_000);
     assert!(
@@ -51,9 +55,9 @@ fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
         server_recoveries, server_crashes,
         "every amnesia crash must run a recovery"
     );
-    // The goodbye aggregation carried the same counters back to the driver.
-    assert_eq!(report.recovery.crashes, server_crashes);
-    assert_eq!(report.recovery.recoveries, server_recoveries);
+    // The servers' final telemetry carried every counter back to the
+    // driver, field for field.
+    assert_eq!(report.recovery, server_total);
     assert_eq!(
         report.shard_recoveries,
         vec![(server_crashes, server_recoveries)]
@@ -70,6 +74,7 @@ fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
         let t = r
             .telemetry
             .unwrap_or_else(|| panic!("server {sid} sent no telemetry"));
+        assert_eq!(t.recovery, served[sid].recovery, "server {sid}");
         assert!(t.events > 0, "server {sid} telemetry counted no events");
         assert!(
             t.span_events > 0,

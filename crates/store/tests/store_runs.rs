@@ -19,7 +19,7 @@ mod common;
 
 use blunt_core::history::Action;
 use blunt_obs::FlightKind;
-use blunt_runtime::RecoveryMode;
+use blunt_runtime::{RecoveryMode, RecoveryStats};
 use blunt_store::{run_store, RunOpts, StoreConfig};
 
 #[test]
@@ -335,18 +335,30 @@ fn keyed_amnesia_over_uds_recovers_every_crash_shard_by_shard() {
     );
     assert!(!report.stalled, "run stalled");
     assert!(report.recovery.crashes >= 1, "{:?}", report.recovery);
-    for (shard, &(crashes, recoveries)) in report.shard_recoveries.iter().enumerate() {
-        assert_eq!(crashes, recoveries, "shard {shard}, by the goodbyes");
-        let replicas = served.chunks(cfg.servers_per_shard as usize).nth(shard);
-        let own: u64 = replicas
-            .expect("one report per replica")
-            .iter()
-            .map(|r| {
-                assert_eq!(r.recovery.crashes, r.recovery.recoveries);
-                r.recovery.crashes
-            })
-            .sum();
-        assert_eq!(own, crashes, "shard {shard}, by the servers' own reports");
+    // The driver's totals are the servers' own counters summed, every
+    // field of them — the WAL and catch-up ones included.
+    let mut server_total = RecoveryStats::default();
+    for r in &served {
+        server_total += r.recovery;
+    }
+    assert_eq!(report.recovery, server_total);
+    let replicas = served.chunks(cfg.servers_per_shard as usize);
+    assert_eq!(replicas.len(), report.shard_recoveries.len());
+    for (shard, (&(crashes, recoveries), replicas)) in
+        report.shard_recoveries.iter().zip(replicas).enumerate()
+    {
+        assert_eq!(crashes, recoveries, "shard {shard}, by the driver");
+        for s in replicas {
+            assert_eq!(s.recovery.crashes, s.recovery.recoveries, "shard {shard}");
+        }
+        let own = replicas.iter().fold((0, 0), |(c, r), s| {
+            (c + s.recovery.crashes, r + s.recovery.recoveries)
+        });
+        assert_eq!(
+            own,
+            (crashes, recoveries),
+            "shard {shard}, by the servers' own reports"
+        );
     }
 }
 

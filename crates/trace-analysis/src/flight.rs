@@ -213,7 +213,7 @@ fn median(xs: &mut [u64]) -> u64 {
 /// Span-attributed events from the driver process (`proc == ""`) supply the
 /// client-side stamps; events merged in from remote server processes
 /// (`proc != ""`, already shifted onto the driver clock by
-/// [`FlightDump::merge_remote`]) supply the server-side stamps. Clock skew
+/// [`FlightDump::merge_remotes`]) supply the server-side stamps. Clock skew
 /// that survives offset estimation is clamped to zero per phase rather than
 /// wrapping.
 #[must_use]
