@@ -97,6 +97,7 @@
 use blunt_bench::{parallel_map, FaultFlags, FaultProfile};
 use blunt_runtime::{
     run_net_server, run_shm_chaos, Addr, FaultConfig, NetServeConfig, RecoveryMode, ShmChaosConfig,
+    MAX_OPS_PER_CLIENT,
 };
 use blunt_store::{run_store_with, RunOpts, StoreConfig, StoreReport};
 use blunt_trace::regress::BenchResults;
@@ -297,7 +298,11 @@ fn parse_cli() -> Cli {
             "--batch-hist-out" => cli.batch_hist_out = args.value(flag).into(),
             "--watch-out" => cli.watch_out = Some(args.value(flag).into()),
             "--watch" => cli.watch = Some(args.duration(flag)),
-            "--ops-per-client" => cli.ops_per_client = Some(args.positive(flag)),
+            "--ops-per-client" => {
+                let what = format!("an integer in 1..={MAX_OPS_PER_CLIENT}");
+                let ok = |n: &u64| (1..=MAX_OPS_PER_CLIENT).contains(n);
+                cli.ops_per_client = Some(args.parse(flag, &what, ok));
+            }
             "--fault-profile" => {
                 cli.faults.profile =
                     Some(args.parse(flag, "one of none|light|heavy|amnesia", |_| true));

@@ -159,17 +159,21 @@ fn zero_watch_is_a_usage_error_naming_the_flag() {
 
 #[test]
 fn zero_ops_per_client_is_a_usage_error_naming_the_flag() {
-    let out = chaos(&["--smoke", "--ops-per-client", "0"]);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "--ops-per-client 0 is a usage error, not a degenerate run"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--ops-per-client"),
-        "error names the flag: {stderr}"
-    );
+    // Past 10⁶ ops per client, client 0's last write value would be
+    // client 1's first.
+    for n in ["0", "1000001"] {
+        let out = chaos(&["--smoke", "--ops-per-client", n]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--ops-per-client {n} is a usage error, not a degenerate run"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--ops-per-client"),
+            "error names the flag: {stderr}"
+        );
+    }
 }
 
 /// A serve process has no run shape to take a default fault mix from, so

@@ -57,4 +57,5 @@ pub use shm::{run_shm_chaos, ShmChaosConfig, ShmReport};
 pub use storage::{MultiWal, Wal, WalRecord};
 pub use workload::{
     server_loop, spawn_monitor, watch_loop, MonitorFeed, MonitorOverhead, Telemetry,
+    MAX_OPS_PER_CLIENT,
 };

@@ -27,6 +27,7 @@ use blunt_registers::{IteratedOp, Shm, ShmLayout};
 use blunt_sim::rng::{RandomSource, SplitMix64};
 
 use crate::monitor::{MonitorReport, OnlineMonitor};
+use crate::workload::MAX_OPS_PER_CLIENT;
 
 /// Configuration of a threaded shared-memory chaos run.
 #[derive(Clone, Copy, Debug)]
@@ -89,11 +90,16 @@ fn va_layout(n: usize) -> ShmLayout {
 ///
 /// # Panics
 ///
-/// Panics on a degenerate configuration or if `threads × burst` exceeds the
-/// monitor's 64-invocation window bound.
+/// Panics on a degenerate configuration, on more than
+/// [`MAX_OPS_PER_CLIENT`] ops per thread, or if `threads × burst` exceeds
+/// the monitor's 64-invocation window bound.
 #[must_use]
 pub fn run_shm_chaos(cfg: &ShmChaosConfig) -> ShmReport {
     assert!(cfg.threads >= 1 && cfg.ops_per_thread >= 1 && cfg.k >= 1 && cfg.burst >= 1);
+    assert!(
+        cfg.ops_per_thread <= MAX_OPS_PER_CLIENT,
+        "write values stay unique only up to MAX_OPS_PER_CLIENT ops per thread"
+    );
     assert!(
         u64::from(cfg.threads) * cfg.burst <= 64,
         "threads × burst must fit the monitor's 64-invocation window"
@@ -151,13 +157,16 @@ fn worker_loop(
         if op_idx > 0 && op_idx % cfg.burst == 0 {
             barrier.wait();
         }
-        let inv = InvId(u64::from(t) * 10_000_000 + op_idx);
+        let inv = InvId(u64::from(t) * (10 * MAX_OPS_PER_CLIENT) + op_idx);
         let is_read = rng.draw(1000) < usize::from(cfg.read_per_mille);
         let (method, arg) = if is_read {
             (MethodId::READ, Val::Nil)
         } else {
-            let v = i64::from(t) * 1_000_000 + i64::try_from(op_idx).expect("op index fits i64");
-            (MethodId::WRITE, Val::Int(v))
+            let v = u64::from(t) * MAX_OPS_PER_CLIENT + op_idx;
+            (
+                MethodId::WRITE,
+                Val::Int(i64::try_from(v).expect("write value fits i64")),
+            )
         };
         let _ = mon_tx.send(Action::Call {
             inv,

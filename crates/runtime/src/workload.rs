@@ -1,9 +1,13 @@
 //! The replica and the run observers: what every chaos run is built from,
 //! whatever drives it.
 //!
-//! [`server_loop`] is one ABD replica on a real OS thread behind a
+//! [`server_loop`] runs one ABD replica on a real OS thread behind a
 //! fault-injecting [`Transport`] (the in-process [`crate::Bus`] or the
-//! socket tier — see `crate::netrun`). The client side lives in
+//! socket tier — see `crate::netrun`). The replica itself is a state
+//! machine that never blocks (`Replica`: one dispatch per envelope, one
+//! commit-and-flush per pass); the loop is its thread driver, which only
+//! waits on the inbox and tells the machine when a pass ends or the run
+//! stops. The client side lives in
 //! `blunt-store`: its pipelined loop is the only client loop in the
 //! workspace, and the classic single-register workload is that store at one
 //! shard and one key. The observers it drives stay here, next to
@@ -32,7 +36,10 @@
 //! observable by clients. Recovery: replay the durable checkpoint, then
 //! catch up from `quorum − 1` peers via exempt [`Payload::StateQuery`]
 //! state transfer (mirroring the ABD read phase) before serving buffered
-//! traffic. The discipline makes replay alone sound — every *acked* update
+//! traffic. The catch-up is a state of the replica, not a loop: while it
+//! is open, ABD traffic is buffered and a further crash signal is counted,
+//! to crash the replica again once this catch-up ends. The discipline
+//! makes replay alone sound — every *acked* update
 //! is durable, and unacked state a reader observed is re-made durable by
 //! that reader's own write-back quorum — so concurrent recoveries need no
 //! coordination; the catch-up phase only restores freshness. The argument
@@ -62,6 +69,13 @@ use crate::bus::{Envelope, Payload};
 use crate::monitor::{MonitorReport, OnlineMonitor};
 use crate::recovery::{RecoveryMode, RecoverySink};
 use crate::storage::MultiWal;
+
+/// The most operations one client of a chaos run — a store client, a VA
+/// worker thread — may perform. Client `c`'s `idx`-th write stores the
+/// value `c × MAX_OPS_PER_CLIENT + idx` and pid `p`'s invocation ids are
+/// `p × 10 × MAX_OPS_PER_CLIENT + idx`; past this bound two clients' writes
+/// would share a value, and the checker could no longer tell them apart.
+pub const MAX_OPS_PER_CLIENT: u64 = 1_000_000;
 
 /// What the online monitor cost this run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -425,8 +439,12 @@ struct PendingAck {
     parked_at: Instant,
 }
 
-/// One ABD replica with its durable storage and recovery machinery.
-struct Server<'a> {
+/// One ABD replica's whole state between two steps: its registers, its
+/// durable storage, what the pass under way has produced, and — while it
+/// recovers — its catch-up. It never blocks: [`server_loop`] hands it one
+/// envelope at a time and ends each pass, and the sends go through the
+/// [`Transport`] it was given.
+struct Replica<'a> {
     me: Pid,
     /// The replica group `me` belongs to (including `me`): recovery
     /// catch-up queries exactly these peers, and the catch-up quorum is
@@ -434,20 +452,42 @@ struct Server<'a> {
     /// servers; in the sharded store it is one shard's replicas.
     group: Vec<Pid>,
     bus: &'a dyn Transport,
-    stop: &'a AtomicBool,
     sink: &'a RecoverySink,
     state: StoreState,
     wal: MultiWal,
     pending_acks: Vec<PendingAck>,
     /// Protocol replies of the drain pass under way, in send order; they
-    /// leave together in [`Server::flush_replies`].
+    /// leave together in [`Replica::flush_replies`].
     replies: Vec<Envelope>,
     amnesia: bool,
     demo_skip: bool,
     /// Exchange counter for recovery state transfer, scoped to this server.
     catchup_sn: u64,
+    /// The recovery under way, if any: while it is `Some`, ABD traffic
+    /// waits in it and crash signals are counted by it.
+    catch_up: Option<CatchUp>,
     /// This thread's flight-recorder ring (`server-<pid>`).
     ring: Arc<FlightRing>,
+}
+
+/// A recovery's peer catch-up, mirroring the ABD read phase: the replica
+/// has replayed its WAL and asked every peer for its state in exchange
+/// `sn`; it adopts the freshest register values once `needed` peers
+/// (`quorum − 1`: self completes the majority) have answered.
+struct CatchUp {
+    sn: u64,
+    needed: usize,
+    got: usize,
+    /// Per-register freshest answer across the snapshots so far.
+    best: BTreeMap<ObjId, (Val, Ts)>,
+    /// ABD traffic that arrived meanwhile, in arrival order: served once
+    /// the last recovery ends.
+    buffered: Vec<Envelope>,
+    /// Crash signals that arrived meanwhile: each crashes the replica
+    /// again once this catch-up ends.
+    crashes: u64,
+    /// When the crash that started this recovery happened.
+    t0: Instant,
 }
 
 /// Most envelopes one drain pass takes off the mailbox before its replies
@@ -460,14 +500,16 @@ const DRAIN_PASS: usize = 64;
 /// the triggering envelope's exemption so retransmitted exchanges complete
 /// without consuming fault indices.
 ///
-/// The loop **drains, commits, then flushes**: it blocks for one envelope,
-/// takes whatever else is already queued (up to 64 envelopes a pass)
-/// without blocking, group-commits the WAL records the pass appended (the
-/// acks that releases join the pass's replies), and hands the replies to
-/// the transport as one [`Transport::send_batch`] — one frame and one
-/// `write` on the socket tier, one contiguous run per mailbox on the bus. A
-/// lone request is answered exactly as fast as before: its pass ends as
-/// soon as the mailbox is empty. The replica therefore never blocks — idle,
+/// This is the replica's thread driver: every protocol decision is the
+/// replica machine's, the loop only waits. Each pass **drains, commits,
+/// then flushes**: it blocks for one envelope, takes whatever else is
+/// already queued (up to 64 envelopes a pass) without blocking, and ends
+/// the pass — the WAL records the pass appended are group-committed (the
+/// acks that releases join the pass's replies), and the replies go to the
+/// transport as one [`Transport::send_batch`]: one frame and one `write`
+/// on the socket tier, one contiguous run per mailbox on the bus. A lone
+/// request waits for nothing: its pass ends as soon as the mailbox is
+/// empty. The replica therefore never blocks — idle,
 /// waiting for catch-up answers, or for good — with a record unsynced, an
 /// ack withheld or a reply buffered.
 ///
@@ -476,7 +518,8 @@ const DRAIN_PASS: usize = 64;
 /// itself reads the driver's socket, "already queued" means whole in the
 /// read buffer, and a pass ends when the wire runs dry. The loop returns
 /// when the inbox reports the end of its input (every sender gone; the
-/// driver's `Shutdown` frame) or, at an idle timeout, when `stop` is set.
+/// driver's `Shutdown` frame) or, at an idle timeout, when `stop` is set;
+/// either one first aborts a catch-up under way.
 ///
 /// The replica is **keyed throughout** ([`StoreState`]/[`MultiWal`]): every
 /// ABD message names its [`ObjId`], so the same loop serves the classic
@@ -508,11 +551,10 @@ pub fn server_loop(
             demo_skip_recovery,
         } => (true, fsync_interval, demo_skip_recovery),
     };
-    let mut srv = Server {
+    let mut replica = Replica {
         me,
         group,
         bus,
-        stop,
         sink,
         state: StoreState::new(Val::Nil),
         wal: MultiWal::new(fsync_interval),
@@ -521,38 +563,49 @@ pub fn server_loop(
         amnesia,
         demo_skip,
         catchup_sn: 0,
+        catch_up: None,
         ring,
     };
     loop {
-        srv.debug_assert_nothing_held();
-        match rx.recv_timeout(Duration::from_millis(20)) {
+        replica.debug_assert_nothing_held();
+        // A catch-up looks at `stop` sooner than an idle replica: its
+        // peers may already be gone.
+        let poll_ms = if replica.catch_up.is_some() { 5 } else { 20 };
+        match rx.recv_timeout(Duration::from_millis(poll_ms)) {
             Ok(first) => {
-                srv.deliver(first, &mut rx);
+                replica.on_envelope(first);
                 for _ in 1..DRAIN_PASS {
                     match rx.try_recv() {
-                        Ok(env) => srv.deliver(env, &mut rx),
+                        Ok(env) => replica.on_envelope(env),
                         Err(_) => break,
                     }
                 }
-                // Pass end is the commit point: one fsync covers every
-                // record the pass left unsynced, and the acks it releases
-                // leave with the pass's other replies.
-                srv.flush_wal();
-                srv.flush_replies();
             }
+            // Shutdown: an idle replica is done; a recovering one gives up
+            // its catch-up first (peers may already be gone) and serves
+            // what it buffered.
             Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::Relaxed) {
+                if stop.load(Ordering::Relaxed) && !replica.end_catch_up(true) {
                     return;
                 }
             }
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Disconnected) => {
+                while replica.end_catch_up(true) {}
+                replica.end_pass();
+                return;
+            }
         }
+        replica.end_pass();
     }
 }
 
-impl Server<'_> {
-    /// One envelope off the mailbox: flight event, then the step.
-    fn deliver(&mut self, env: Envelope, rx: &mut impl Inbox) {
+impl Replica<'_> {
+    /// One envelope off the mailbox: flight event, then the replica's one
+    /// dispatch. During a catch-up, ABD traffic waits and crash signals
+    /// are counted; state transfer is served either way — another server
+    /// recovering concurrently needs an answer, or the two recoveries
+    /// deadlock.
+    fn on_envelope(&mut self, env: Envelope) {
         self.ring.record_span(
             FlightKind::BusDeliver,
             self.me.0,
@@ -560,7 +613,31 @@ impl Server<'_> {
             env.msg.flight_label(),
             env.span.flight_word(),
         );
-        self.handle(env, rx);
+        match (&env.msg, &mut self.catch_up) {
+            (Payload::Abd(_), Some(c)) => c.buffered.push(env),
+            (Payload::Crash { .. }, Some(c)) => c.crashes += 1,
+            _ => match env.msg {
+                Payload::Abd(msg) => {
+                    self.handle_abd(env.src, msg, env.exempt, env.reply_to, env.span);
+                }
+                // Stable-mode replicas keep their memory across crash
+                // windows; a stray signal (e.g. a driver misconfigured
+                // relative to its servers in multi-process mode) is
+                // ignorable, not fatal.
+                Payload::Crash { .. } if !self.amnesia => {}
+                Payload::Crash { .. } => self.crash(Vec::new(), 0),
+                Payload::StateQuery { sn } => self.answer_state_query(env.src, sn, env.reply_to),
+                Payload::StateReply { sn, snap } => self.on_state_reply(sn, snap),
+            },
+        }
+    }
+
+    /// Pass end is the commit point: one fsync covers every record the
+    /// pass left unsynced, and the acks it releases leave with the pass's
+    /// other replies.
+    fn end_pass(&mut self) {
+        self.flush_wal();
+        self.flush_replies();
     }
 
     /// What must hold wherever the replica is about to wait (idle, for
@@ -592,17 +669,6 @@ impl Server<'_> {
         let next = Vec::with_capacity(self.replies.len());
         self.bus
             .send_batch(std::mem::replace(&mut self.replies, next));
-    }
-
-    fn handle(&mut self, env: Envelope, rx: &mut impl Inbox) {
-        match env.msg {
-            Payload::Abd(msg) => self.handle_abd(env.src, msg, env.exempt, env.reply_to, env.span),
-            Payload::Crash { .. } => self.handle_crash(rx),
-            Payload::StateQuery { sn } => self.answer_state_query(env.src, sn, env.reply_to),
-            // A reply to a catch-up exchange that already completed (or was
-            // aborted): stale, ignorable.
-            Payload::StateReply { .. } => {}
-        }
     }
 
     fn handle_abd(&mut self, src: Pid, msg: AbdMsg, exempt: bool, re: u64, span: SpanCtx) {
@@ -755,40 +821,14 @@ impl Server<'_> {
         });
     }
 
-    /// The amnesia signal arrived: crash, recover, and only then serve the
-    /// traffic that queued up behind the recovery. Crashes that land
-    /// *during* a recovery's catch-up are counted and processed iteratively
-    /// here rather than recursively.
-    fn handle_crash(&mut self, rx: &mut impl Inbox) {
-        if !self.amnesia {
-            // Stable-mode replicas keep their memory across crash windows;
-            // a stray signal (e.g. a driver misconfigured relative to its
-            // servers in multi-process mode) is ignorable, not fatal.
-            return;
-        }
+    /// The amnesia signal: crash, then recover — replay the WAL and start a
+    /// catch-up, which ends here at once when the group has no peer to
+    /// ask. `buffered` and `crashes` are what the catch-up this crash
+    /// interrupted had collected: the new one inherits them.
+    fn crash(&mut self, buffered: Vec<Envelope>, crashes: u64) {
         // Replies produced before the signal left before the crash when
         // each had its own send; they still do.
         self.flush_replies();
-        let mut crashes: u64 = 1;
-        let mut buffered: Vec<Envelope> = Vec::new();
-        while crashes > 0 {
-            crashes -= 1;
-            crashes += self.crash_and_recover(rx, &mut buffered);
-        }
-        // FIFO-replay the protocol traffic that arrived mid-recovery.
-        for env in buffered {
-            let re = env.reply_to;
-            let span = env.span;
-            if let Payload::Abd(msg) = env.msg {
-                self.handle_abd(env.src, msg, env.exempt, re, span);
-            }
-        }
-    }
-
-    /// One crash + recovery cycle. Returns the number of *further* crash
-    /// signals that arrived while catching up; protocol envelopes received
-    /// meanwhile are pushed to `buffered` in arrival order.
-    fn crash_and_recover(&mut self, rx: &mut impl Inbox, buffered: &mut Vec<Envelope>) -> u64 {
         // The crash: unsynced WAL suffix and all volatile state are gone.
         // Withheld acks die with their records — the clients retransmit and
         // the updates are re-logged.
@@ -808,7 +848,7 @@ impl Server<'_> {
             // blank and immediately serves timestamp (0, 0). The monitor
             // must flag the stale reads this produces.
             self.wal.wipe();
-            return 0;
+            return;
         }
         let t0 = Instant::now();
 
@@ -824,89 +864,84 @@ impl Server<'_> {
             self.sink.on_replay();
         }
 
-        // Phase 2 — peer catch-up, mirroring the ABD read phase: ask every
-        // peer, wait for quorum−1 answers (self completes the majority),
-        // adopt the newest. Exempt traffic: recovery never perturbs the
+        // Phase 2 — peer catch-up: ask every peer, adopt the newest of
+        // `quorum − 1` answers. Exempt traffic: recovery never perturbs the
         // fault schedule.
-        let mut nested: u64 = 0;
-        let peers: Vec<Pid> = self
-            .group
-            .iter()
-            .copied()
-            .filter(|p| *p != self.me)
-            .collect();
-        let quorum = u32::try_from(self.group.len()).expect("group fits u32") / 2 + 1;
-        let needed = (quorum.saturating_sub(1) as usize).min(peers.len());
+        let needed = self.group.len() / 2;
         if needed > 0 {
             self.catchup_sn += 1;
-            let sn = self.catchup_sn;
-            for p in &peers {
+            for &peer in self.group.iter().filter(|&&p| p != self.me) {
                 self.bus.send(Envelope {
                     src: self.me,
-                    dst: *p,
-                    msg: Payload::StateQuery { sn },
+                    dst: peer,
+                    msg: Payload::StateQuery {
+                        sn: self.catchup_sn,
+                    },
                     exempt: true,
                     reply_to: 0,
                     span: SpanCtx::NONE,
                 });
             }
-            self.sink.on_state_queries(peers.len() as u64);
-            self.debug_assert_nothing_held();
-            let mut got = 0usize;
-            // Per-register freshest answer across the quorum of snapshots.
-            let mut best: BTreeMap<ObjId, (Val, Ts)> = BTreeMap::new();
-            while got < needed {
-                match rx.recv_timeout(Duration::from_millis(5)) {
-                    Ok(env) => match env.msg {
-                        Payload::StateReply { sn: rsn, snap } if rsn == sn => {
-                            got += 1;
-                            for (obj, val, ts) in snap {
-                                match best.entry(obj) {
-                                    std::collections::btree_map::Entry::Vacant(e) => {
-                                        e.insert((val, ts));
-                                    }
-                                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                                        if ts > e.get().1 {
-                                            e.insert((val, ts));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        Payload::StateReply { .. } => {}
-                        // Another server recovering concurrently: answer
-                        // inline or the two recoveries deadlock.
-                        Payload::StateQuery { sn: qsn } => {
-                            self.answer_state_query(env.src, qsn, env.reply_to);
-                        }
-                        Payload::Crash { .. } => nested += 1,
-                        Payload::Abd(_) => buffered.push(env),
-                    },
-                    Err(RecvTimeoutError::Timeout) => {
-                        if self.stop.load(Ordering::Relaxed) {
-                            // Shutdown: peers may already be gone. The
-                            // replayed checkpoint stands — truncating
-                            // catch-up costs freshness, never soundness.
-                            self.sink.on_catchup_aborted();
-                            break;
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.sink.on_catchup_aborted();
-                        break;
-                    }
-                }
-            }
-            for (obj, (val, ts)) in best {
-                // Freshness only: install iff newer than the replayed
-                // checkpoint (absorb's own rule), register by register.
-                self.state.absorb(obj, val, ts);
+            self.sink.on_state_queries(self.group.len() as u64 - 1);
+        }
+        self.catch_up = Some(CatchUp {
+            sn: self.catchup_sn,
+            needed,
+            got: 0,
+            best: BTreeMap::new(),
+            buffered,
+            crashes,
+            t0,
+        });
+        self.end_catch_up(false);
+    }
+
+    /// A peer's answer to catch-up exchange `sn`. One to an exchange that
+    /// already ended (or was aborted) is stale, ignorable.
+    fn on_state_reply(&mut self, sn: u64, snap: Vec<(ObjId, Val, Ts)>) {
+        let Some(c) = self.catch_up.as_mut().filter(|c| c.sn == sn) else {
+            return;
+        };
+        c.got += 1;
+        for (obj, val, ts) in snap {
+            if c.best.get(&obj).is_none_or(|(_, best)| ts > *best) {
+                c.best.insert(obj, (val, ts));
             }
         }
-        let recovery_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.end_catch_up(false);
+    }
+
+    /// Ends the catch-up under way once `needed` peers have answered — or
+    /// at once when `abort`: the replayed checkpoint stands, and truncating
+    /// catch-up costs freshness, never soundness. The recovery is then
+    /// complete. A crash signal that arrived meanwhile crashes the replica
+    /// again, handing the buffered traffic on; otherwise that traffic is
+    /// served, in arrival order. Returns whether a catch-up ended.
+    fn end_catch_up(&mut self, abort: bool) -> bool {
+        let Some(c) = self.catch_up.take_if(|c| abort || c.got >= c.needed) else {
+            return false;
+        };
+        if abort {
+            self.sink.on_catchup_aborted();
+        }
+        for (obj, (val, ts)) in c.best {
+            // Freshness only: install iff newer than the replayed
+            // checkpoint (absorb's own rule), register by register.
+            self.state.absorb(obj, val, ts);
+        }
+        let recovery_us = u64::try_from(c.t0.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.sink.on_recovery(recovery_us);
         self.ring
             .record(FlightKind::ServerRecover, self.me.0, recovery_us, 0);
-        nested
+        if c.crashes > 0 {
+            self.crash(c.buffered, c.crashes - 1);
+        } else {
+            for env in c.buffered {
+                if let Payload::Abd(msg) = env.msg {
+                    self.handle_abd(env.src, msg, env.exempt, env.reply_to, env.span);
+                }
+            }
+        }
+        true
     }
 }

@@ -267,6 +267,48 @@ fn a_crash_mid_pass_takes_the_records_the_pass_had_not_committed() {
 }
 
 #[test]
+fn a_crash_during_catch_up_finishes_that_catch_up_then_crashes_again() {
+    // The second crash lands while the first catch-up is waiting for peer
+    // state: it is honoured after that catch-up ends (here: aborted, no
+    // peer answers), and the ABD traffic around it waits for the last
+    // recovery, then is served in arrival order.
+    let served = serve(true, vec![update(0), crash(), query(1), crash(), update(2)]);
+    let r = served.recovery;
+    assert_eq!((r.crashes, r.recoveries), (2, 2));
+    assert_eq!(r.catchup_aborted, 2);
+    assert_eq!(r.state_queries, 4);
+    assert_eq!(r.wal_records_lost, 1, "update(0)'s uncommitted record");
+
+    let seen = &served.seen;
+    let state_queries: Vec<(u32, u64)> = seen
+        .iter()
+        .filter_map(|e| match e.msg {
+            Payload::StateQuery { sn } => Some((e.dst.0, sn)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        state_queries,
+        vec![(1, 1), (2, 1), (1, 2), (2, 2)],
+        "one StateQuery per peer per crash, a fresh exchange each time"
+    );
+    assert!(
+        matches!(seen[0].msg, Payload::StateQuery { .. }),
+        "update(0)'s ack died with its record: {:?}",
+        seen[0]
+    );
+    let served_after: Vec<(&str, u32)> = seen[state_queries.len()..]
+        .iter()
+        .map(|e| match &e.msg {
+            Payload::Abd(AbdMsg::Reply { sn, .. }) => ("reply", *sn),
+            Payload::Abd(AbdMsg::Ack { sn, .. }) => ("ack", *sn),
+            other => panic!("only the buffered traffic's answers follow, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(served_after, vec![("reply", 1), ("ack", 2)]);
+}
+
+#[test]
 fn a_stable_replica_acks_as_it_absorbs_and_never_syncs() {
     let served = serve(false, (0..3).map(update).collect());
     assert_eq!(served.commits, Vec::<u64>::new());

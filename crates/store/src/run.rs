@@ -5,9 +5,13 @@
 //! [`blunt_runtime::Bus`] spanning every shard's servers plus the clients
 //! and spawns the unmodified [`server_loop`] per replica; given addresses it
 //! points the same client side at already-listening `chaos serve` processes
-//! through a [`NetClient`]. Either way the clients run
-//! `store_client_loop` — the only client loop in the workspace — so the two
-//! tiers exercise identical protocol logic and differ only in transport.
+//! through a [`NetClient`]. Either way every client is a `StoreClient` —
+//! the only client in the workspace — so the two tiers exercise identical
+//! protocol logic and differ only in transport. The client is a state
+//! machine that never blocks and takes its deadline decisions at a `now`
+//! it is handed; `store_client_loop` is its thread driver, which owns the
+//! lane, the bell and the barrier and returns the client's tallies through
+//! its `JoinHandle`.
 //! The classic single-register workload is this driver at one shard, one
 //! key, depth 1, batch 1 ([`StoreConfig::register`]).
 //!
@@ -40,8 +44,8 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -59,7 +63,7 @@ use blunt_obs::flight::encode_val;
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Histogram, HistogramSnapshot};
 use blunt_runtime::{
     server_loop, spawn_monitor, watch_loop, Bus, MonitorFeed, MonitorOverhead, MonitorReport,
-    RecoveryMode, RecoverySink, RecoveryStats, Telemetry,
+    RecoveryMode, RecoverySink, RecoveryStats, Telemetry, MAX_OPS_PER_CLIENT,
 };
 use blunt_sim::rng::{RandomSource, SplitMix64};
 
@@ -205,6 +209,10 @@ impl StoreConfig {
             "server pids must fit the 64-bit responder masks"
         );
         assert!(self.clients >= 1 && self.ops_per_client >= 1);
+        assert!(
+            self.ops_per_client <= MAX_OPS_PER_CLIENT,
+            "write values stay unique only up to MAX_OPS_PER_CLIENT ops per client"
+        );
         assert!(self.keys >= 1, "the store needs at least one key");
         assert!(
             self.pipeline_depth >= 1,
@@ -542,7 +550,10 @@ fn run_on_bus(
 /// `monitor-s1`, …; the kernel keeps 15 bytes), the same names as their
 /// flight rings, so a per-thread profile can tell the classes apart
 /// (`examples/thread_profile.rs`).
-fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> thread::JoinHandle<()> {
+fn spawn_named<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> thread::JoinHandle<T> {
     thread::Builder::new()
         .name(name)
         .spawn(f)
@@ -612,7 +623,6 @@ fn drive_clients(
     recoveries: Arc<dyn Fn() -> u64 + Send + Sync>,
 ) -> StoreReport {
     assert_eq!(client_rxs.len(), cfg.clients as usize);
-    let ring_map = Arc::new(HashRing::new(cfg.seed, cfg.shards));
     let nodes = (cfg.servers_total() + cfg.clients) as usize;
     let telemetry = Arc::new(Telemetry::default());
 
@@ -651,12 +661,6 @@ fn drive_clients(
         });
 
     let barrier = Arc::new(Barrier::new(cfg.clients as usize));
-    let tallies = Arc::new(ClientTallies {
-        retransmissions: AtomicU64::new(0),
-        gap_retransmissions: AtomicU64::new(0),
-        degraded_ops: AtomicU64::new(0),
-        latency: Histogram::unregistered(),
-    });
     let mut clients = Vec::with_capacity(cfg.clients as usize);
     for (c, rx) in client_rxs.into_iter().enumerate() {
         let c = u32::try_from(c).expect("client count fits u32");
@@ -664,33 +668,26 @@ fn drive_clients(
         let name = format!("client-{}", cfg.servers_total() + c);
         let cfg = cfg.clone();
         let k = opts.k;
-        let ring_map = Arc::clone(&ring_map);
         let transport = Arc::clone(&transport);
         let barrier = Arc::clone(&barrier);
         let feeds = Arc::clone(&feeds);
-        let tallies = Arc::clone(&tallies);
         let recorder = Arc::clone(&recorder);
         let telemetry = Arc::clone(&telemetry);
         let client = move || {
-            store_client_loop(
-                c,
-                &cfg,
-                k,
-                &ring_map,
-                transport.as_ref(),
-                rx,
-                &barrier,
-                &feeds,
-                &tallies,
-                &recorder,
-                &telemetry,
-            );
+            let client = StoreClient::new(c, &cfg, k, &*transport, &feeds, &telemetry, &recorder);
+            store_client_loop(client, &rx, &barrier)
         };
         clients.push(spawn_named(name, client));
     }
     drop(feeds);
+    let latency = Histogram::unregistered();
+    let (mut retransmissions, mut gap_retransmissions, mut degraded_ops) = (0, 0, 0);
     for h in clients {
-        h.join().expect("store client thread");
+        let (lat, retrans, gap, deferred) = h.join().expect("store client thread");
+        latency.merge(&lat);
+        retransmissions += retrans;
+        gap_retransmissions += gap;
+        degraded_ops += deferred;
     }
     // The last ring: every sender is gone, so a monitor that wakes now
     // drains what is left and finds its channel disconnected.
@@ -731,25 +728,16 @@ fn drive_clients(
         monitor_overhead: overhead,
         violation_dump,
         stalled: stalled.load(Ordering::Relaxed),
-        retransmissions: tallies.retransmissions.load(Ordering::Relaxed),
-        gap_retransmissions: tallies.gap_retransmissions.load(Ordering::Relaxed),
-        degraded_ops: tallies.degraded_ops.load(Ordering::Relaxed),
+        retransmissions,
+        gap_retransmissions,
+        degraded_ops,
         recovery: RecoveryStats::default(),
         shard_recoveries: vec![(0, 0); cfg.shards as usize],
-        latency_us: tallies.latency.snapshot(),
+        latency_us: latency.snapshot(),
         elapsed: Duration::ZERO,
         remote_servers: Vec::new(),
         merged_flight: None,
     }
-}
-
-/// What the client threads add up for the [`StoreReport`], each once, as it
-/// finishes.
-struct ClientTallies {
-    retransmissions: AtomicU64,
-    gap_retransmissions: AtomicU64,
-    degraded_ops: AtomicU64,
-    latency: Histogram,
 }
 
 /// One operation drawn at burst setup, before any message moves.
@@ -816,6 +804,21 @@ impl ShardHealth {
         self.strikes = 0;
         self.degraded = false;
         self.due = (self.in_flight > 0).then(|| now + self.wait);
+    }
+
+    /// The shard was silent for its whole window: a strike toward
+    /// degraded status, and the window doubles up to `cap`.
+    fn on_silence(&mut self, cap: Duration, now: Instant) {
+        self.strikes += 1;
+        if self.strikes >= DEGRADED_AFTER_STRIKES {
+            self.degraded = true;
+        }
+        let next = self.wait.saturating_mul(2).min(cap);
+        if next == cap && self.wait < cap {
+            blunt_obs::static_counter!("store.client.backoff_max_reached").inc();
+        }
+        self.wait = next;
+        self.due = Some(now + self.wait);
     }
 }
 
@@ -915,16 +918,13 @@ fn draw_burst(
         .collect()
 }
 
-/// The pipelined client: draws a burst of op specs in program order, keeps
-/// up to `pipeline_depth` of them in flight (never two on the same key),
-/// and multiplexes every reply/ack back to its op by `sn`. All protocol
-/// sends go through a per-client [`BatchingTransport`], flushed only once
-/// the client has handled every reply already on its lane. Every `Call` and
-/// `Return` is enqueued on its shard's [`MonitorFeed`] at the program point
-/// it happens — a push that wakes nobody — and the client rings every
-/// shard's bell once per burst, after its last `Return` and before it waits
-/// at the barrier: whoever finishes a burst early rings while it would
-/// otherwise be idle.
+/// One pipelined client's whole state between two steps. It draws a burst
+/// of op specs in program order, keeps up to `pipeline_depth` of them in
+/// flight (never two on the same key), and multiplexes every reply/ack back
+/// to its op by `sn`. All protocol sends go through a per-client
+/// [`BatchingTransport`]. Every `Call` and `Return` is enqueued on its
+/// shard's [`MonitorFeed`] at the program point it happens — a push that
+/// wakes nobody.
 ///
 /// Liveness is **per shard** ([`ShardHealth`]): each shard has its own
 /// backoff clock, timeouts retransmit only that shard's stalled ops, and a
@@ -936,46 +936,392 @@ fn draw_burst(
 /// exchange's responses were lost never reaches that deadline: the
 /// reply-gap rule ([`quorum_out_of_reach`]) rebroadcasts the exchange at
 /// the end of the pass that proves the loss.
-#[allow(clippy::too_many_arguments)] // mirrors the thread context it runs in
-fn store_client_loop(
+///
+/// The machine never blocks and takes every deadline decision at a `now`
+/// it is handed, so a test can step it through a fake [`Transport`] with
+/// no thread and no wall clock; [`store_client_loop`] is its thread
+/// driver. Only an op's latency reads the clock, at completion.
+struct StoreClient<'a> {
     c: u32,
-    cfg: &StoreConfig,
+    me: Pid,
+    cfg: &'a StoreConfig,
     k: u32,
-    ring_map: &HashRing,
-    transport: &dyn Transport,
-    rx: Receiver<Envelope>,
-    barrier: &Barrier,
-    monitors: &[MonitorFeed],
-    tallies: &ClientTallies,
-    recorder: &FlightRecorder,
-    telemetry: &Telemetry,
-) {
-    let servers_total = cfg.servers_total();
-    let me = Pid(servers_total + c);
-    let ring = recorder.register_current(&format!("client-{}", me.0));
-    let mut rng = client_rng(cfg.seed, c);
-    let bt = BatchingTransport::new(transport, cfg.batch_max);
-    let quorum = cfg.servers_per_shard / 2 + 1;
-    let spr = cfg.servers_per_shard;
-    let shard_servers: Vec<Vec<Pid>> = (0..cfg.shards)
-        .map(|s| (s * spr..(s + 1) * spr).map(Pid).collect())
-        .collect();
-    let local = Histogram::unregistered();
-    let initial_wait = cfg.retransmit_after.min(cfg.retransmit_cap);
-    let mut retrans: u64 = 0;
-    let mut gap_retrans: u64 = 0;
-    let mut deferred: u64 = 0;
-    let mut sn_counter: u32 = 0;
-    let mut done: u64 = 0;
-    // Per replica, the highest exchange number any of its responses to this
-    // client has carried: the reply-gap rule's evidence. Exchange numbers
-    // only grow, so it outlives the bursts.
-    let mut answered = vec![0u32; servers_total as usize];
-    // The one rebroadcast routine, whichever trigger calls it: exempt from
-    // fault fates, so recovery traffic never consumes schedule indices. A
-    // broken read re-asks its one replica; the quorum machine rebroadcasts
-    // whatever exchange it is in.
-    let mut rebroadcast = |sn: u32, fl: &InFlight, trigger: Trigger| {
+    ring_map: HashRing,
+    monitors: &'a [MonitorFeed],
+    telemetry: &'a Telemetry,
+    /// This client's flight ring (`client-<pid>`).
+    ring: Arc<FlightRing>,
+    rng: SplitMix64,
+    bt: BatchingTransport<'a>,
+    quorum: u32,
+    shard_servers: Vec<Vec<Pid>>,
+    initial_wait: Duration,
+    sn_counter: u32,
+    /// Ops drawn so far: the next burst's first op index.
+    drawn: u64,
+    /// Per replica, the highest exchange number any of its responses to
+    /// this client has carried: the reply-gap rule's evidence. Exchange
+    /// numbers only grow, so it outlives the bursts.
+    answered: Vec<u32>,
+    pending: VecDeque<OpSpec>,
+    /// The ops in flight by their current `sn`; ordered, so timeout
+    /// retransmission order is deterministic.
+    active: BTreeMap<u32, InFlight>,
+    active_keys: HashSet<u32>,
+    health: Vec<ShardHealth>,
+    latency: Histogram,
+    retransmissions: u64,
+    gap_retransmissions: u64,
+    degraded_ops: u64,
+}
+
+impl<'a> StoreClient<'a> {
+    fn new(
+        c: u32,
+        cfg: &'a StoreConfig,
+        k: u32,
+        transport: &'a dyn Transport,
+        monitors: &'a [MonitorFeed],
+        telemetry: &'a Telemetry,
+        recorder: &FlightRecorder,
+    ) -> StoreClient<'a> {
+        let spr = cfg.servers_per_shard;
+        let me = Pid(cfg.servers_total() + c);
+        StoreClient {
+            c,
+            me,
+            cfg,
+            k,
+            ring_map: HashRing::new(cfg.seed, cfg.shards),
+            monitors,
+            telemetry,
+            ring: recorder.register_current(&format!("client-{}", me.0)),
+            rng: client_rng(cfg.seed, c),
+            bt: BatchingTransport::new(transport, cfg.batch_max),
+            quorum: spr / 2 + 1,
+            shard_servers: (0..cfg.shards)
+                .map(|s| (s * spr..(s + 1) * spr).map(Pid).collect())
+                .collect(),
+            initial_wait: cfg.retransmit_after.min(cfg.retransmit_cap),
+            sn_counter: 0,
+            drawn: 0,
+            answered: vec![0; cfg.servers_total() as usize],
+            pending: VecDeque::new(),
+            active: BTreeMap::new(),
+            active_keys: HashSet::new(),
+            health: Vec::new(),
+            latency: Histogram::unregistered(),
+            retransmissions: 0,
+            gap_retransmissions: 0,
+            degraded_ops: 0,
+        }
+    }
+
+    /// Draws the next burst, every shard's backoff clock fresh. Nothing is
+    /// in flight across a burst boundary, so the wholesale reply-tag
+    /// retirement socket transports perform here is safe — and the
+    /// batching layer flushes first (see `BatchingTransport`).
+    fn start_burst(&mut self) {
+        let n = self.cfg.burst.min(self.cfg.ops_per_client - self.drawn);
+        self.bt.on_op_start(self.me);
+        self.pending = draw_burst(
+            &mut self.rng,
+            self.cfg,
+            self.k,
+            &self.ring_map,
+            self.drawn,
+            n,
+        );
+        self.drawn += n;
+        self.health = (0..self.cfg.shards)
+            .map(|_| ShardHealth::new(self.initial_wait))
+            .collect();
+    }
+
+    /// Fills the pipeline: first startable spec front-to-back, skipping
+    /// keys already in flight and shards that are degraded with their
+    /// in-flight cap reached. A skipped spec's key stays pending, and any
+    /// later same-key spec shares both its key-active and shard-degraded
+    /// status — per-key program order holds. Returns whether any op is in
+    /// flight: `false` ends the burst.
+    fn fill(&mut self) -> bool {
+        while self.active.len() < self.cfg.pipeline_depth as usize {
+            let startable = self.pending.iter_mut().position(|s| {
+                let h = &self.health[s.shard as usize];
+                if self.active_keys.contains(&s.key.0) {
+                    return false;
+                }
+                if h.degraded && h.in_flight >= DEGRADED_INFLIGHT_CAP {
+                    if !s.deferred {
+                        s.deferred = true;
+                        self.degraded_ops += 1;
+                        blunt_obs::static_counter!("store.degraded_ops").inc();
+                    }
+                    return false;
+                }
+                true
+            });
+            let Some(pos) = startable else {
+                break;
+            };
+            let spec = self.pending.remove(pos).expect("position from this deque");
+            self.start(spec);
+        }
+        debug_assert!(
+            !self.active.is_empty() || self.pending.is_empty(),
+            "startable ops exist while idle"
+        );
+        !self.active.is_empty()
+    }
+
+    /// Starts one op: its `Call` to the shard monitor, its first exchange
+    /// to the shard's replicas.
+    fn start(&mut self, spec: OpSpec) {
+        self.sn_counter += 1;
+        let sn = self.sn_counter;
+        let me = self.me;
+        let inv = InvId(u64::from(me.0) * (10 * MAX_OPS_PER_CLIENT) + spec.idx);
+        let (method, arg) = if spec.is_read {
+            (MethodId::READ, Val::Nil)
+        } else {
+            // Unique write values keep the checker's search shallow and
+            // make stale reads unambiguous.
+            let v = u64::from(self.c) * MAX_OPS_PER_CLIENT + spec.idx;
+            (
+                MethodId::WRITE,
+                Val::Int(i64::try_from(v).expect("write value fits i64")),
+            )
+        };
+        self.telemetry.op_started();
+        self.monitors[spec.shard as usize].send(Action::Call {
+            inv,
+            pid: me,
+            obj: spec.key,
+            method,
+            arg: arg.clone(),
+        });
+        let span = SpanCtx::request(me.0, inv.0);
+        self.ring.record_span_key(
+            if spec.is_read {
+                FlightKind::OpStartRead
+            } else {
+                FlightKind::OpStartWrite
+            },
+            me.0,
+            inv.0,
+            encode_val(match &arg {
+                Val::Int(v) => Some(*v),
+                _ => None,
+            }),
+            span.flight_word(),
+            u64::from(spec.key.0),
+        );
+        let t0 = Instant::now();
+        let dsts = &self.shard_servers[spec.shard as usize];
+        let machine = if self.cfg.broken_reads && spec.is_read {
+            // The broken read queries ONE replica (rotating) and returns
+            // its value with no write-back — the per-shard monitor must
+            // flag the resulting inversions.
+            let target = dsts[usize::try_from(spec.idx).expect("op index") % dsts.len()];
+            self.bt.send(
+                Envelope::abd(me, target, AbdMsg::Query { obj: spec.key, sn }, false)
+                    .with_span(span),
+            );
+            Machine::Broken { target }
+        } else {
+            let kind = if spec.is_read {
+                OpKind::Read
+            } else {
+                OpKind::Write(arg)
+            };
+            let op = ActiveOp::start(inv, spec.key, kind, self.k, sn);
+            self.bt
+                .broadcast_span(me, dsts, &AbdMsg::Query { obj: spec.key, sn }, false, span);
+            Machine::Abd(op)
+        };
+        self.active_keys.insert(spec.key.0);
+        let h = &mut self.health[spec.shard as usize];
+        h.in_flight += 1;
+        if h.due.is_none() {
+            h.due = Some(t0 + h.wait);
+        }
+        self.active.insert(
+            sn,
+            InFlight {
+                spec,
+                inv,
+                span,
+                machine,
+                t0,
+                gap_sn: None,
+            },
+        );
+    }
+
+    /// One envelope off the lane, handled at the pass's `now`: progress for
+    /// its shard, evidence for the reply-gap rule, and a step of the op
+    /// whose exchange it answers — which completes the op, or moves it to
+    /// its next exchange, or leaves it waiting.
+    fn on_envelope(&mut self, env: Envelope, now: Instant) {
+        self.ring.record_span(
+            FlightKind::BusDeliver,
+            self.me.0,
+            u64::from(env.src.0),
+            env.msg.flight_label(),
+            env.span.flight_word(),
+        );
+        // Any frame from a shard's replica is progress: reset that shard's
+        // backoff and clear its degraded flag.
+        if env.src.0 < self.cfg.servers_total() {
+            let shard = env.src.0 / self.cfg.servers_per_shard;
+            self.health[shard as usize].on_message(self.initial_wait, now);
+        }
+        let Payload::Abd(msg) = env.msg else {
+            return; // control traffic never targets clients
+        };
+        let (AbdMsg::Reply { obj, sn, .. } | AbdMsg::Ack { obj, sn }) = &msg else {
+            return;
+        };
+        let (obj, sn) = (*obj, *sn);
+        // Every response is evidence for the reply-gap rule, a stale or
+        // duplicate one as much as any.
+        let seen = &mut self.answered[env.src.index()];
+        *seen = (*seen).max(sn);
+        let Some(mut fl) = self.active.remove(&sn) else {
+            return; // stale round, already finished
+        };
+        let mut key = sn;
+        let ret = match (msg, &mut fl.machine) {
+            _ if fl.spec.key != obj => None,
+            (AbdMsg::Reply { val, .. }, Machine::Broken { .. }) => Some(val),
+            (AbdMsg::Reply { val, ts, .. }, Machine::Abd(op)) => {
+                // The exchange the reply moved the op into, if any: its sn
+                // and opening broadcast.
+                let next = match op.on_reply(
+                    env.src,
+                    sn,
+                    &val,
+                    ts,
+                    self.quorum,
+                    self.me,
+                    &mut self.sn_counter,
+                ) {
+                    ReplyEffect::NextQuery { sn, .. } => Some((sn, AbdMsg::Query { obj, sn })),
+                    ReplyEffect::StartUpdate { sn, val, ts, .. } => {
+                        Some((sn, AbdMsg::Update { obj, sn, val, ts }))
+                    }
+                    ReplyEffect::NeedChoice { .. } => {
+                        // The object random step, drawn at burst setup
+                        // (`draw_burst`).
+                        let (sn, val, ts) =
+                            op.choose(fl.spec.choice, self.me, &mut self.sn_counter);
+                        Some((sn, AbdMsg::Update { obj, sn, val, ts }))
+                    }
+                    ReplyEffect::Ignored | ReplyEffect::Counted => None,
+                };
+                if let Some((sn, msg)) = next {
+                    let dsts = &self.shard_servers[fl.spec.shard as usize];
+                    self.bt.broadcast_span(self.me, dsts, &msg, false, fl.span);
+                    key = sn;
+                }
+                None
+            }
+            (AbdMsg::Ack { .. }, Machine::Abd(op)) => match op.on_ack(env.src, sn, self.quorum) {
+                AckEffect::Complete { ret } => Some(ret),
+                AckEffect::Ignored | AckEffect::Counted => None,
+            },
+            _ => None,
+        };
+        match ret {
+            Some(ret) => self.complete(&fl, ret),
+            None => {
+                self.active.insert(key, fl);
+            }
+        }
+    }
+
+    /// Seals one finished operation: latency, flight event, its `Return`
+    /// to the shard's monitor, key and shard slot released.
+    fn complete(&mut self, fl: &InFlight, ret: Val) {
+        let lat_us = u64::try_from(fl.t0.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.latency.record(lat_us);
+        self.telemetry.op_completed(lat_us);
+        self.ring.record_span_key(
+            if fl.spec.is_read {
+                FlightKind::OpCompleteRead
+            } else {
+                FlightKind::OpCompleteWrite
+            },
+            self.me.0,
+            fl.inv.0,
+            encode_val(match &ret {
+                Val::Int(v) => Some(*v),
+                _ => None,
+            }),
+            fl.span.flight_word(),
+            u64::from(fl.spec.key.0),
+        );
+        self.monitors[fl.spec.shard as usize].send(Action::Return {
+            inv: fl.inv,
+            val: ret,
+        });
+        self.active_keys.remove(&fl.spec.key.0);
+        let h = &mut self.health[fl.spec.shard as usize];
+        h.in_flight -= 1;
+        if h.in_flight == 0 {
+            h.due = None;
+        }
+    }
+
+    /// The end of a pass, once the lane has run dry: both rebroadcast
+    /// triggers, judged at the pass's `now`.
+    ///
+    /// Reply gap first (a reordered or parked response lands within its
+    /// batch, so a verdict per envelope would be early): an exchange whose
+    /// quorum first transmissions can no longer complete is rebroadcast at
+    /// once, and once — after that the deadline is its backstop. Not a
+    /// strike, and the shard's `due` and `wait` stand: the shard is
+    /// demonstrably answering.
+    ///
+    /// Then the deadline: every shard whose `due` is not after `now` gets
+    /// its stalled ops rebroadcast, its backoff doubled, and a strike
+    /// toward degraded status. Other shards' clocks are untouched: one
+    /// silent shard never triggers retransmission storms across the
+    /// healthy ones.
+    fn sweep(&mut self, now: Instant) {
+        let mut active = std::mem::take(&mut self.active);
+        for (&sn, fl) in &mut active {
+            let Machine::Abd(op) = &fl.machine else {
+                continue;
+            };
+            let replicas = &self.shard_servers[fl.spec.shard as usize];
+            if fl.gap_sn != Some(sn)
+                && quorum_out_of_reach(op, replicas, &self.answered, self.quorum)
+            {
+                fl.gap_sn = Some(sn);
+                self.rebroadcast(sn, fl, Trigger::Gap);
+            }
+        }
+        for shard in 0..self.health.len() {
+            let h = &self.health[shard];
+            if h.in_flight == 0 || h.due.is_none_or(|due| due > now) {
+                continue;
+            }
+            for (&sn, fl) in &active {
+                if fl.spec.shard as usize == shard {
+                    self.rebroadcast(sn, fl, Trigger::Deadline);
+                }
+            }
+            self.health[shard].on_silence(self.cfg.retransmit_cap, now);
+        }
+        self.active = active;
+    }
+
+    /// The one rebroadcast routine, whichever trigger calls it: exempt from
+    /// fault fates, so recovery traffic never consumes schedule indices. A
+    /// broken read re-asks its one replica; the quorum machine rebroadcasts
+    /// whatever exchange it is in.
+    fn rebroadcast(&mut self, sn: u32, fl: &InFlight, trigger: Trigger) {
         let (msg, target) = match &fl.machine {
             Machine::Abd(op) => (op.retransmission(), None),
             Machine::Broken { target } => (
@@ -989,443 +1335,109 @@ fn store_client_loop(
         let Some(msg) = msg else {
             return;
         };
-        retrans += 1;
+        self.retransmissions += 1;
         blunt_obs::static_counter!("store.client.retransmissions").inc();
         if trigger == Trigger::Gap {
-            gap_retrans += 1;
+            self.gap_retransmissions += 1;
             blunt_obs::static_counter!("store.client.gap_retransmissions").inc();
         }
-        ring.record_span(
+        self.ring.record_span(
             FlightKind::OpRetransmit,
-            me.0,
+            self.me.0,
             u64::from(sn),
             trigger as u64,
             fl.span.flight_word(),
         );
         match target {
-            Some(t) => bt.send(Envelope::abd(me, t, msg, true).with_span(fl.span)),
-            None => bt.broadcast_span(
-                me,
-                &shard_servers[fl.spec.shard as usize],
+            Some(t) => self
+                .bt
+                .send(Envelope::abd(self.me, t, msg, true).with_span(fl.span)),
+            None => self.bt.broadcast_span(
+                self.me,
+                &self.shard_servers[fl.spec.shard as usize],
                 &msg,
                 true,
                 fl.span,
             ),
         }
-    };
+    }
 
-    while done < cfg.ops_per_client {
-        if done > 0 {
+    /// When the driver must step the client even if nothing arrives: the
+    /// earliest shard retransmission deadline — each shard's backoff runs
+    /// on its own clock.
+    fn next_deadline(&self, now: Instant) -> Instant {
+        self.health
+            .iter()
+            .filter_map(|h| h.due)
+            .min()
+            .unwrap_or(now + self.initial_wait)
+    }
+}
+
+/// A client's thread driver: steps its [`StoreClient`] burst by burst and
+/// returns its tallies — latency, retransmissions, gap retransmissions,
+/// degraded-op deferrals.
+///
+/// Each pass **drains, then flushes**: it handles every reply already on
+/// the lane, and only with the lane empty flushes and blocks, until the
+/// next reply or the client's next deadline. Requests produced while
+/// draining share one flush, so batches fill toward `batch_max`; nothing
+/// is delayed, because a request buffered here could not have been
+/// answered before the lane ran dry anyway. At depth 1 the lane is always
+/// empty at that point and the loop flushes and blocks exactly as it would
+/// without the drain. One clock reading serves the whole pass: backoff
+/// deadlines are milliseconds, a pass is microseconds.
+///
+/// The client rings every shard's bell once a burst, after its last
+/// `Return` and before it waits at the barrier: whoever finishes a burst
+/// early rings while it would otherwise be idle.
+fn store_client_loop(
+    mut client: StoreClient<'_>,
+    rx: &Receiver<Envelope>,
+    barrier: &Barrier,
+) -> (Histogram, u64, u64, u64) {
+    while client.drawn < client.cfg.ops_per_client {
+        if client.drawn > 0 {
             barrier.wait();
         }
-        let burst_n = cfg.burst.min(cfg.ops_per_client - done);
-        // Nothing is in flight across a burst boundary, so the wholesale
-        // reply-tag retirement socket transports perform here is safe —
-        // and the batching layer flushes first (see `BatchingTransport`).
-        bt.on_op_start(me);
-        let mut pending = draw_burst(&mut rng, cfg, k, ring_map, done, burst_n);
-        // BTreeMap keeps timeout retransmission order deterministic.
-        let mut active: BTreeMap<u32, InFlight> = BTreeMap::new();
-        let mut active_keys: HashSet<u32> = HashSet::new();
-        let mut health: Vec<ShardHealth> = (0..cfg.shards)
-            .map(|_| ShardHealth::new(initial_wait))
-            .collect();
-
-        loop {
-            // Fill the pipeline: first startable spec front-to-back,
-            // skipping keys already in flight and shards that are degraded
-            // with their in-flight cap reached. A skipped spec's key stays
-            // pending, and any later same-key spec shares both its
-            // key-active and shard-degraded status — per-key program order
-            // holds.
-            while active.len() < cfg.pipeline_depth as usize {
-                let mut pos = None;
-                for (i, s) in pending.iter_mut().enumerate() {
-                    if active_keys.contains(&s.key.0) {
-                        continue;
-                    }
-                    let h = &health[s.shard as usize];
-                    if h.degraded && h.in_flight >= DEGRADED_INFLIGHT_CAP {
-                        if !s.deferred {
-                            s.deferred = true;
-                            deferred += 1;
-                            blunt_obs::static_counter!("store.degraded_ops").inc();
-                        }
-                        continue;
-                    }
-                    pos = Some(i);
-                    break;
-                }
-                let Some(pos) = pos else {
-                    break;
-                };
-                let spec = pending.remove(pos).expect("position from this deque");
-                sn_counter += 1;
-                let sn = sn_counter;
-                let inv = InvId(u64::from(me.0) * 10_000_000 + spec.idx);
-                let shard = spec.shard;
-                let (method, arg) = if spec.is_read {
-                    (MethodId::READ, Val::Nil)
-                } else {
-                    // Unique write values keep the checker's search shallow
-                    // and make stale reads unambiguous.
-                    let v = i64::from(c) * 1_000_000
-                        + i64::try_from(spec.idx).expect("op index fits i64");
-                    (MethodId::WRITE, Val::Int(v))
-                };
-                telemetry.op_started();
-                monitors[shard as usize].send(Action::Call {
-                    inv,
-                    pid: me,
-                    obj: spec.key,
-                    method,
-                    arg: arg.clone(),
-                });
-                let span = SpanCtx::request(me.0, inv.0);
-                ring.record_span_key(
-                    if spec.is_read {
-                        FlightKind::OpStartRead
-                    } else {
-                        FlightKind::OpStartWrite
-                    },
-                    me.0,
-                    inv.0,
-                    encode_val(match &arg {
-                        Val::Int(v) => Some(*v),
-                        _ => None,
-                    }),
-                    span.flight_word(),
-                    u64::from(spec.key.0),
-                );
-                let t0 = Instant::now();
-                let dsts = &shard_servers[shard as usize];
-                let machine = if cfg.broken_reads && spec.is_read {
-                    // The broken read queries ONE replica (rotating) and
-                    // returns its value with no write-back — the per-shard
-                    // monitor must flag the resulting inversions.
-                    let target = dsts[usize::try_from(spec.idx).expect("op index") % dsts.len()];
-                    bt.send(
-                        Envelope::abd(me, target, AbdMsg::Query { obj: spec.key, sn }, false)
-                            .with_span(span),
-                    );
-                    Machine::Broken { target }
-                } else {
-                    let kind = if spec.is_read {
-                        OpKind::Read
-                    } else {
-                        OpKind::Write(arg)
-                    };
-                    let op = ActiveOp::start(inv, spec.key, kind, k, sn);
-                    bt.broadcast_span(me, dsts, &AbdMsg::Query { obj: spec.key, sn }, false, span);
-                    Machine::Abd(op)
-                };
-                active_keys.insert(spec.key.0);
-                {
-                    let h = &mut health[shard as usize];
-                    h.in_flight += 1;
-                    if h.due.is_none() {
-                        h.due = Some(t0 + h.wait);
-                    }
-                }
-                active.insert(
-                    sn,
-                    InFlight {
-                        spec,
-                        inv,
-                        span,
-                        machine,
-                        t0,
-                        gap_sn: None,
-                    },
-                );
-            }
-            if active.is_empty() {
-                debug_assert!(pending.is_empty(), "startable ops exist while idle");
-                break;
-            }
-            // Drain, then flush: handle every reply already on the lane, and
-            // only with the lane empty flush and block. Requests produced
-            // while draining share one flush, so batches fill toward
-            // `batch_max`; nothing is delayed, because a request buffered
-            // here could not have been answered before the lane ran dry
-            // anyway. At depth 1 the lane is always empty at this point and
-            // the loop flushes and blocks exactly as it would without the
-            // drain.
+        client.start_burst();
+        while client.fill() {
             let mut now = Instant::now();
-            let mut head = match rx.try_recv() {
-                Ok(env) => Some(env),
-                Err(TryRecvError::Empty) => {
-                    // The replies being waited on can't arrive until the
-                    // requests actually leave.
-                    bt.flush_pending();
-                    // Sleep until the earliest shard retransmission
-                    // deadline; each shard's backoff runs on its own clock.
-                    let timeout = health
-                        .iter()
-                        .filter_map(|h| h.due)
-                        .map(|d| d.saturating_duration_since(now))
-                        .min()
-                        .unwrap_or(initial_wait);
-                    let woken = match rx.recv_timeout(timeout) {
-                        Ok(env) => Some(env),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            panic!("transport closed while store operations were in flight")
-                        }
-                    };
-                    now = Instant::now();
-                    woken
-                }
-                Err(TryRecvError::Disconnected) => {
-                    panic!("transport closed while store operations were in flight")
-                }
-            };
-            // One clock reading serves the whole pass: backoff deadlines
-            // are milliseconds, a pass is microseconds.
+            let mut head = rx.try_recv().ok();
+            if head.is_none() {
+                // The replies being waited on can't arrive until the
+                // requests actually leave.
+                client.bt.flush_pending();
+                let wait = client.next_deadline(now).saturating_duration_since(now);
+                head = match rx.recv_timeout(wait) {
+                    Ok(env) => Some(env),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => {
+                        panic!("transport closed while store operations were in flight")
+                    }
+                };
+                now = Instant::now();
+            }
             while let Some(env) = head.take().or_else(|| rx.try_recv().ok()) {
-                let src_shard =
-                    (env.src.0 < servers_total).then(|| env.src.0 / cfg.servers_per_shard);
-                ring.record_span(
-                    FlightKind::BusDeliver,
-                    me.0,
-                    u64::from(env.src.0),
-                    env.msg.flight_label(),
-                    env.span.flight_word(),
-                );
-                // Any frame from a shard's replica is progress: reset
-                // that shard's backoff and clear its degraded flag.
-                if let Some(s) = src_shard {
-                    health[s as usize].on_message(initial_wait, now);
-                }
-                let Payload::Abd(msg) = env.msg else {
-                    continue; // control traffic never targets clients
-                };
-                // Every response is evidence for the reply-gap rule, a stale
-                // or duplicate one as much as any.
-                if let AbdMsg::Reply { sn, .. } | AbdMsg::Ack { sn, .. } = &msg {
-                    let seen = &mut answered[env.src.index()];
-                    *seen = (*seen).max(*sn);
-                }
-                match msg {
-                    AbdMsg::Reply {
-                        obj,
-                        sn: msg_sn,
-                        val,
-                        ts,
-                    } => {
-                        let Some(mut fl) = active.remove(&msg_sn) else {
-                            continue; // stale round, already finished
-                        };
-                        if fl.spec.key != obj {
-                            active.insert(msg_sn, fl);
-                            continue;
-                        }
-                        match &mut fl.machine {
-                            Machine::Broken { .. } => {
-                                complete_op(
-                                    me,
-                                    &fl,
-                                    val,
-                                    &local,
-                                    telemetry,
-                                    &ring,
-                                    monitors,
-                                    &mut active_keys,
-                                );
-                                let h = &mut health[fl.spec.shard as usize];
-                                h.in_flight -= 1;
-                                if h.in_flight == 0 {
-                                    h.due = None;
-                                }
-                            }
-                            Machine::Abd(op) => {
-                                // The exchange the reply moved the op into,
-                                // if any: its sn and opening broadcast.
-                                let next = match op.on_reply(
-                                    env.src,
-                                    msg_sn,
-                                    &val,
-                                    ts,
-                                    quorum,
-                                    me,
-                                    &mut sn_counter,
-                                ) {
-                                    ReplyEffect::NextQuery { sn, .. } => {
-                                        Some((sn, AbdMsg::Query { obj, sn }))
-                                    }
-                                    ReplyEffect::StartUpdate { sn, val, ts, .. } => {
-                                        Some((sn, AbdMsg::Update { obj, sn, val, ts }))
-                                    }
-                                    ReplyEffect::NeedChoice { .. } => {
-                                        // The object random step, drawn
-                                        // at burst setup (`draw_burst`).
-                                        let (sn, val, ts) =
-                                            op.choose(fl.spec.choice, me, &mut sn_counter);
-                                        Some((sn, AbdMsg::Update { obj, sn, val, ts }))
-                                    }
-                                    ReplyEffect::Ignored | ReplyEffect::Counted => None,
-                                };
-                                let sn = match next {
-                                    Some((sn, msg)) => {
-                                        bt.broadcast_span(
-                                            me,
-                                            &shard_servers[fl.spec.shard as usize],
-                                            &msg,
-                                            false,
-                                            fl.span,
-                                        );
-                                        sn
-                                    }
-                                    None => msg_sn,
-                                };
-                                active.insert(sn, fl);
-                            }
-                        }
-                    }
-                    AbdMsg::Ack { obj, sn: msg_sn } => {
-                        let Some(mut fl) = active.remove(&msg_sn) else {
-                            continue;
-                        };
-                        if fl.spec.key != obj {
-                            active.insert(msg_sn, fl);
-                            continue;
-                        }
-                        let Machine::Abd(op) = &mut fl.machine else {
-                            active.insert(msg_sn, fl);
-                            continue;
-                        };
-                        match op.on_ack(env.src, msg_sn, quorum) {
-                            AckEffect::Complete { ret } => {
-                                complete_op(
-                                    me,
-                                    &fl,
-                                    ret,
-                                    &local,
-                                    telemetry,
-                                    &ring,
-                                    monitors,
-                                    &mut active_keys,
-                                );
-                                let h = &mut health[fl.spec.shard as usize];
-                                h.in_flight -= 1;
-                                if h.in_flight == 0 {
-                                    h.due = None;
-                                }
-                            }
-                            AckEffect::Ignored | AckEffect::Counted => {
-                                active.insert(msg_sn, fl);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
+                client.on_envelope(env, now);
             }
-            // Reply-gap sweep, now that the lane has run dry (a reordered
-            // or parked response lands within its batch, so a verdict per
-            // envelope would be early): an exchange whose quorum first
-            // transmissions can no longer complete is rebroadcast at once,
-            // and once — after that the deadline is its backstop. Not a
-            // strike, and the shard's `due` and `wait` stand: the shard is
-            // demonstrably answering.
-            for (&sn, fl) in &mut active {
-                let Machine::Abd(op) = &fl.machine else {
-                    continue;
-                };
-                let replicas = &shard_servers[fl.spec.shard as usize];
-                if fl.gap_sn != Some(sn) && quorum_out_of_reach(op, replicas, &answered, quorum) {
-                    fl.gap_sn = Some(sn);
-                    rebroadcast(sn, fl, Trigger::Gap);
-                }
-            }
-            // Deadline sweep: every shard whose deadline passed gets its
-            // stalled ops rebroadcast, its backoff doubled, and a strike
-            // toward degraded status. Other shards' clocks are untouched:
-            // one silent shard no longer triggers retransmission storms
-            // across the healthy ones.
-            for (shard_idx, h) in health.iter_mut().enumerate() {
-                let Some(due) = h.due else {
-                    continue;
-                };
-                if due > now || h.in_flight == 0 {
-                    continue;
-                }
-                let shard_u32 = u32::try_from(shard_idx).expect("shard index fits u32");
-                for (&sn, fl) in &active {
-                    if fl.spec.shard == shard_u32 {
-                        rebroadcast(sn, fl, Trigger::Deadline);
-                    }
-                }
-                h.strikes += 1;
-                if h.strikes >= DEGRADED_AFTER_STRIKES {
-                    h.degraded = true;
-                }
-                let next = h.wait.saturating_mul(2).min(cfg.retransmit_cap);
-                if next == cfg.retransmit_cap && h.wait < cfg.retransmit_cap {
-                    blunt_obs::static_counter!("store.client.backoff_max_reached").inc();
-                }
-                h.wait = next;
-                h.due = Some(now + h.wait);
-            }
+            client.sweep(now);
         }
-        // The bell, once a burst: everything this client enqueued since
-        // its last ring is checked while it waits at the barrier (or, for
-        // the last to arrive, while the next burst's requests are out).
-        for m in monitors {
+        for m in client.monitors {
             m.ring();
         }
-        done += burst_n;
     }
     // An op completes at its quorum, which can be while the batch layer
     // still holds its request to the last replica: that envelope is owed
     // to the link like every other, or the link's offered count would
     // depend on whether some later flush happened to carry it.
-    bt.flush_pending();
-    tallies.latency.merge(&local);
-    tallies
-        .retransmissions
-        .fetch_add(retrans, Ordering::Relaxed);
-    tallies
-        .gap_retransmissions
-        .fetch_add(gap_retrans, Ordering::Relaxed);
-    tallies.degraded_ops.fetch_add(deferred, Ordering::Relaxed);
-}
-
-/// Seals one finished operation: latency, flight event, its `Return` to the
-/// shard's monitor, key release.
-#[allow(clippy::too_many_arguments)] // mirrors the thread context it runs in
-fn complete_op(
-    me: Pid,
-    fl: &InFlight,
-    ret: Val,
-    local: &Histogram,
-    telemetry: &Telemetry,
-    ring: &FlightRing,
-    monitors: &[MonitorFeed],
-    active_keys: &mut HashSet<u32>,
-) {
-    let lat_us = u64::try_from(fl.t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-    local.record(lat_us);
-    telemetry.op_completed(lat_us);
-    ring.record_span_key(
-        if fl.spec.is_read {
-            FlightKind::OpCompleteRead
-        } else {
-            FlightKind::OpCompleteWrite
-        },
-        me.0,
-        fl.inv.0,
-        encode_val(match &ret {
-            Val::Int(v) => Some(*v),
-            _ => None,
-        }),
-        fl.span.flight_word(),
-        u64::from(fl.spec.key.0),
-    );
-    monitors[fl.spec.shard as usize].send(Action::Return {
-        inv: fl.inv,
-        val: ret,
-    });
-    active_keys.remove(&fl.spec.key.0);
+    client.bt.flush_pending();
+    (
+        client.latency,
+        client.retransmissions,
+        client.gap_retransmissions,
+        client.degraded_ops,
+    )
 }
 
 #[cfg(test)]
@@ -1609,6 +1621,122 @@ mod tests {
         assert_eq!(r.gap_retransmissions, 0);
         assert!(r.retransmissions >= 1);
         assert!(r.elapsed >= deadline, "took {:?}", r.elapsed);
+    }
+
+    /// Keeps what a client hands its transport, for the test to take.
+    #[derive(Default)]
+    struct Sent(std::sync::Mutex<Vec<Envelope>>);
+
+    impl Sent {
+        /// `(dst, sn, exempt)` of every query sent since the last take.
+        fn queries(&self) -> Vec<(u32, u32, bool)> {
+            let sent = std::mem::take(&mut *self.0.lock().unwrap());
+            sent.into_iter()
+                .map(|e| match e.msg {
+                    Payload::Abd(AbdMsg::Query { sn, .. }) => (e.dst.0, sn, e.exempt),
+                    other => panic!("expected a query, got {other:?}"),
+                })
+                .collect()
+        }
+    }
+
+    impl Transport for Sent {
+        fn send(&self, env: Envelope) {
+            self.0.lock().unwrap().push(env);
+        }
+
+        fn flush(&self) {}
+
+        fn stats(&self) -> TransportStats {
+            TransportStats::default()
+        }
+
+        fn coverage(&self) -> Coverage {
+            Coverage::default()
+        }
+    }
+
+    #[test]
+    fn a_deadline_fires_at_due_not_a_nanosecond_before_and_once_per_window() {
+        // One client, one op, one shard of three; windows of 1 ms doubling
+        // to a 4 ms cap. The client is stepped by hand: no server threads,
+        // and every deadline decision is taken at a `now` the test picks.
+        let mut cfg = StoreConfig::register(0xDEAD);
+        cfg.clients = 1;
+        cfg.ops_per_client = 1;
+        cfg.retransmit_after = Duration::from_millis(1);
+        cfg.retransmit_cap = Duration::from_millis(4);
+        let recorder = Arc::new(FlightRecorder::new(256));
+        let telemetry = Arc::new(Telemetry::default());
+        // The shard monitor's thread parks until the end of the test.
+        let (feed, monitor) = spawn_monitor(0, Arc::clone(&recorder), Arc::clone(&telemetry), 4);
+        let feeds = [feed];
+        let sent = Sent::default();
+        let mut client = StoreClient::new(0, &cfg, 1, &sent, &feeds, &telemetry, &recorder);
+        client.start_burst();
+        assert!(client.fill());
+        let first: Vec<_> = (0..3).map(|r| (r, 1, false)).collect();
+        assert_eq!(sent.queries(), first, "the opening query, fated");
+        let rebroadcast: Vec<_> = (0..3).map(|r| (r, 1, true)).collect();
+
+        let ns = Duration::from_nanos(1);
+        let mut due = client.next_deadline(Instant::now());
+        for (fired, window_ms) in (1..=4).zip([2, 4, 4, 4]) {
+            client.sweep(due - ns);
+            assert_eq!(sent.queries(), [], "fired a nanosecond early");
+            client.sweep(due);
+            assert_eq!(sent.queries(), rebroadcast, "exempt, to the whole shard");
+            client.sweep(due);
+            assert_eq!(sent.queries(), [], "fired twice in one window");
+            assert_eq!(client.retransmissions, fired);
+            let next = client.next_deadline(due);
+            assert_eq!(next - due, Duration::from_millis(window_ms), "backoff");
+            due = next;
+        }
+        assert_eq!(client.gap_retransmissions, 0);
+
+        // A reply from one replica is progress: the window starts over at
+        // 1 ms from the pass that carried it.
+        let reply = |src: u32, now: Instant, client: &mut StoreClient<'_>| {
+            let msg = AbdMsg::Reply {
+                obj: ObjId(0),
+                sn: 1,
+                val: Val::Nil,
+                ts: Ts::ZERO,
+            };
+            client.on_envelope(Envelope::abd(Pid(src), Pid(3), msg, false), now);
+        };
+        let now = due - Duration::from_millis(3);
+        reply(0, now, &mut client);
+        assert_eq!(client.next_deadline(now), now + Duration::from_millis(1));
+        client.sweep(now + Duration::from_millis(1) - ns);
+        assert_eq!(sent.queries(), []);
+
+        // A second reply completes the query phase; the op moves on to its
+        // update exchange, and a quorum of acks completes it.
+        reply(1, now, &mut client);
+        let updates = std::mem::take(&mut *sent.0.lock().unwrap());
+        assert_eq!(updates.len(), 3);
+        assert!(updates
+            .iter()
+            .all(|e| matches!(e.msg, Payload::Abd(AbdMsg::Update { sn: 2, .. }))));
+        for src in [2, 0] {
+            let ack = AbdMsg::Ack {
+                obj: ObjId(0),
+                sn: 2,
+            };
+            client.on_envelope(Envelope::abd(Pid(src), Pid(3), ack, false), now);
+        }
+        assert!(!client.fill(), "the op completed");
+        assert_eq!(client.latency.snapshot().count, 1);
+        assert_eq!(client.next_deadline(now), now + Duration::from_millis(1));
+
+        drop(client);
+        drop(feeds);
+        monitor.thread().unpark();
+        let (report, overhead, _) = monitor.join().unwrap();
+        assert!(report.clean());
+        assert_eq!(overhead.actions, 2);
     }
 
     fn draws(cfg: &StoreConfig, k: u32, client: u32, bursts: &[u64]) -> Vec<(u32, bool, usize)> {
