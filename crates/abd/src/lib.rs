@@ -17,11 +17,16 @@
 //!   `k` times and one result is chosen uniformly at random. `k = 1`
 //!   reproduces the untransformed algorithm exactly (no object random step
 //!   is taken);
-//! - [`system::AbdSystem`] — a complete [`blunt_sim::System`] composing a
+//! - [`system::AbdLayer`] — the message-passing object layer of the one
+//!   program host [`blunt_programs::host::Composed`]: the network, the
+//!   replicas and the in-flight operations. [`system::AbdSystem`] is that
+//!   host over this layer, a complete [`blunt_sim::System`] composing a
 //!   [`blunt_programs::ProgramDef`] with a set of registers, each configured
 //!   as atomic, `ABD^k`, or single-writer `ABD^k`, over one shared network.
 //!   The same program text therefore runs against `P(O_a)`, `P(O)`, and
 //!   `P(O^k)`, which is how the paper's probability comparisons are made.
+//!   The host, not this crate, runs the atomic registers and emits each
+//!   operation's `Call`/`PreamblePassed`/`ObjectRandom`/`Return` events.
 //!
 //! Effect-freedom of the preamble is visible in the code: the server's query
 //! handler is [`server::ServerState::reply`], which takes `&self` — a query
@@ -49,5 +54,5 @@ pub use client::{ActiveOp, OpKind, Phase};
 pub use config::{ObjectConfig, ObjectKind};
 pub use msg::AbdMsg;
 pub use server::{ServerState, StoreState};
-pub use system::{AbdEvent, AbdSystem, AbdSystemDef};
+pub use system::{AbdEvent, AbdLayer, AbdSystem, AbdSystemDef};
 pub use ts::Ts;

@@ -2,11 +2,17 @@
 //! set of registers (atomic / `ABD^k` / single-writer `ABD^k`) on one shared
 //! network.
 //!
-//! [`AbdSystem`] implements [`blunt_sim::System`], so it can be driven by
-//! any scheduler (including the scripted Figure 1 adversary) and explored
-//! exhaustively for exact worst-case probabilities. Every process plays two
-//! roles, exactly as in the paper's model: it executes its program code
-//! *and* acts as a server replica for every ABD register.
+//! [`AbdSystem`] is the program host [`blunt_programs::host::Composed`] over
+//! the [`AbdLayer`], so it can be driven by any scheduler (including the
+//! scripted Figure 1 adversary) and explored exhaustively for exact
+//! worst-case probabilities. The host runs the program, the atomic
+//! registers and every operation's lifecycle trace events; this layer owns
+//! the network, the replicas and the in-flight `ABD^k` operations. Every
+//! process plays two roles, exactly as in the paper's model: it executes its
+//! program code *and* acts as a server replica for every ABD register.
+//!
+//! The enabled events are all program steps (by process), then every
+//! deliverable network slot ([`Event::Obj`]) in canonical order.
 //!
 //! # State-space reductions (soundness-preserving)
 //!
@@ -27,11 +33,11 @@ use crate::msg::AbdMsg;
 use crate::server::ServerState;
 use crate::ts::Ts;
 use blunt_core::ids::{InvId, MethodId, ObjId, Pid};
-use blunt_core::outcome::Outcome;
 use blunt_core::value::Val;
-use blunt_programs::{ProgCmd, ProgState, ProgramDef};
+use blunt_programs::host::{Atomic, Composed, Event, IterEffect, ObjectLayer};
+use blunt_programs::{ProgState, ProgramDef};
 use blunt_sim::network::Network;
-use blunt_sim::system::{Effects, RandomKind, Status, System};
+use blunt_sim::system::Effects;
 use blunt_sim::trace::TraceEvent;
 use std::rc::Rc;
 
@@ -72,108 +78,30 @@ impl AbdSystemDef {
     }
 }
 
-/// Whose `random(V)` instruction the system is suspended at.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum Awaiting {
-    /// A program random step (e.g. the weakener's coin flip).
-    Program { pid: Pid, choices: usize },
-    /// An object random step (`j := random([1..k])` in `ABD^k`).
-    Object { pid: Pid, choices: usize },
-}
+/// The composed message-passing system.
+pub type AbdSystem = Composed<AbdLayer>;
 
-/// A schedulable event of the composed system.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum AbdEvent {
-    /// Process `pid` takes its next program step (invocation, termination).
-    Prog(Pid),
-    /// Deliver the in-flight message at the given network slot.
-    Deliver(usize),
-}
+/// A schedulable event of [`AbdSystem`]: a program step, or
+/// `Obj(slot)` — deliver the in-flight message at that network slot.
+pub type AbdEvent = Event<usize>;
 
-/// The composed system state.
+/// The message-passing object layer: the network, the replicas and the
+/// in-flight `ABD^k` operations.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct AbdSystem {
+pub struct AbdLayer {
     def: Rc<AbdSystemDef>,
-    prog: ProgState,
     net: Network<AbdMsg>,
     /// `servers[obj][pid]` — replica state (empty for atomic objects).
     servers: Vec<Vec<ServerState>>,
-    /// State of atomic objects (`Val::Nil` placeholder for ABD objects).
-    atomics: Vec<Val>,
     /// At most one in-flight register operation per process.
     clients: Vec<Option<ActiveOp>>,
     /// Per-process exchange-number allocators.
     sn_counters: Vec<u32>,
     /// Per-object local sequence counters for single-writer writes.
     writer_seqs: Vec<i64>,
-    awaiting: Option<Awaiting>,
-    /// Per-process invocation counters. Invocation ids are
-    /// `pid << 32 | counter`: numbering is local to each process, so states
-    /// reached along different interleavings of *other* processes' steps
-    /// still hash equal — a prerequisite for memoization to merge them.
-    inv_counters: Vec<u32>,
 }
 
-impl AbdSystem {
-    /// Builds the initial state of a composed system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program invokes an object id with no configuration, or
-    /// uses a method other than `Read`/`Write` (registers only here; see
-    /// `blunt-registers` for snapshots).
-    #[must_use]
-    pub fn new(def: AbdSystemDef) -> AbdSystem {
-        let n = def.n();
-        // Validate the program's object references.
-        for p in 0..n {
-            for instr in def.program.code(Pid(p as u32)) {
-                if let blunt_programs::Instr::Invoke { obj, method, .. } = instr {
-                    assert!(
-                        obj.index() < def.objects.len(),
-                        "program invokes unconfigured object {obj}"
-                    );
-                    assert!(
-                        *method == MethodId::READ || *method == MethodId::WRITE,
-                        "AbdSystem implements registers; got method {method}"
-                    );
-                }
-            }
-        }
-        let servers = def
-            .objects
-            .iter()
-            .map(|cfg| match cfg.kind {
-                ObjectKind::Atomic => Vec::new(),
-                ObjectKind::Abd { .. } => (0..n)
-                    .map(|_| ServerState::new(cfg.initial.clone()))
-                    .collect(),
-            })
-            .collect();
-        let atomics = def
-            .objects
-            .iter()
-            .map(|cfg| match cfg.kind {
-                ObjectKind::Atomic => cfg.initial.clone(),
-                ObjectKind::Abd { .. } => Val::Nil,
-            })
-            .collect();
-        let prog = ProgState::new(&def.program);
-        let objects = def.objects.len();
-        AbdSystem {
-            def: Rc::new(def),
-            prog,
-            net: Network::new(n),
-            servers,
-            atomics,
-            clients: vec![None; n],
-            sn_counters: vec![0; n],
-            writer_seqs: vec![0; objects],
-            awaiting: None,
-            inv_counters: vec![0; n],
-        }
-    }
-
+impl AbdLayer {
     /// The system definition.
     #[must_use]
     pub fn def(&self) -> &AbdSystemDef {
@@ -186,29 +114,17 @@ impl AbdSystem {
         &self.net
     }
 
-    /// The program state (for assertions in tests).
+    /// Returns `true` if process `pid`'s active operation is in some query
+    /// phase (its preamble), i.e. its linearization point is not yet fixed.
     #[must_use]
-    pub fn prog(&self) -> &ProgState {
-        &self.prog
-    }
-
-    /// Crashes process `pid`: it takes no further steps, messages to it are
-    /// never delivered, and any operation it had in flight is abandoned.
-    ///
-    /// ABD tolerates any minority of crashes; tests drive this directly
-    /// (crashes are not adversary events during exploration).
-    pub fn crash(&mut self, pid: Pid, fx: &mut Effects) {
-        self.prog.crash(pid);
-        self.net.crash(pid);
-        self.clients[pid.index()] = None;
-        fx.push(TraceEvent::Crash { pid });
-        self.purge();
-    }
-
-    fn fresh_inv(&mut self, pid: Pid) -> InvId {
-        let c = &mut self.inv_counters[pid.index()];
-        *c += 1;
-        InvId((u64::from(pid.0) << 32) | u64::from(*c))
+    pub fn in_preamble(&self, pid: Pid) -> bool {
+        matches!(
+            &self.clients[pid.index()],
+            Some(ActiveOp {
+                phase: Phase::Query { .. } | Phase::AwaitChoice,
+                ..
+            })
+        )
     }
 
     fn fresh_sn(&mut self, pid: Pid) -> u32 {
@@ -245,130 +161,7 @@ impl AbdSystem {
         });
     }
 
-    fn handle_invoke(
-        &mut self,
-        pid: Pid,
-        obj: ObjId,
-        method: MethodId,
-        arg: Val,
-        site: blunt_core::ids::CallSite,
-        fx: &mut Effects,
-    ) {
-        let inv = self.fresh_inv(pid);
-        // Aggregated over every explorer branch (global registry; see
-        // `blunt_sim::network` for the rationale).
-        blunt_obs::static_counter!("abd.ops.started").inc();
-        fx.push_with(|| TraceEvent::Call {
-            inv,
-            pid,
-            obj,
-            method,
-            arg: arg.clone(),
-            site,
-        });
-        let cfg = self.def.objects[obj.index()].clone();
-        match cfg.kind {
-            ObjectKind::Atomic => {
-                // Atomic objects execute in a single indivisible step: the
-                // invocation returns before any other event is scheduled.
-                let ret = match method {
-                    MethodId::READ => self.atomics[obj.index()].clone(),
-                    MethodId::WRITE => {
-                        self.atomics[obj.index()] = arg;
-                        Val::Nil
-                    }
-                    other => panic!("atomic register: unsupported method {other}"),
-                };
-                fx.push_with(|| TraceEvent::Return {
-                    inv,
-                    pid,
-                    val: ret.clone(),
-                });
-                self.prog.on_return(pid, ret);
-            }
-            ObjectKind::Abd { k, writer } => match method {
-                MethodId::WRITE if writer == Some(pid) => {
-                    // Single-writer fast path: empty preamble; stamp with the
-                    // local sequence counter and go straight to the update
-                    // phase.
-                    self.writer_seqs[obj.index()] += 1;
-                    let ts = Ts::new(self.writer_seqs[obj.index()], pid);
-                    let sn = self.fresh_sn(pid);
-                    let op = ActiveOp::start_sw_write(inv, obj, arg.clone(), ts, sn);
-                    self.clients[pid.index()] = Some(op);
-                    self.net.broadcast(
-                        pid,
-                        AbdMsg::Update {
-                            obj,
-                            sn,
-                            val: arg,
-                            ts,
-                        },
-                    );
-                }
-                MethodId::WRITE if writer.is_some() => {
-                    panic!(
-                        "process {pid} writes single-writer register {obj} owned by {:?}",
-                        writer
-                    )
-                }
-                MethodId::READ | MethodId::WRITE => {
-                    let kind = if method == MethodId::READ {
-                        OpKind::Read
-                    } else {
-                        OpKind::Write(arg)
-                    };
-                    let sn = self.fresh_sn(pid);
-                    let op = ActiveOp::start(inv, obj, kind, k, sn);
-                    self.clients[pid.index()] = Some(op);
-                    self.net.broadcast(pid, AbdMsg::Query { obj, sn });
-                }
-                other => panic!("ABD register: unsupported method {other}"),
-            },
-        }
-    }
-
-    fn handle_prog_step(&mut self, pid: Pid, fx: &mut Effects) {
-        let def = Rc::clone(&self.def);
-        match self.prog.step(&def.program, pid) {
-            ProgCmd::Invoke {
-                site,
-                obj,
-                method,
-                arg,
-            } => self.handle_invoke(pid, obj, method, arg, site, fx),
-            ProgCmd::Random { choices } => {
-                self.awaiting = Some(Awaiting::Program { pid, choices });
-            }
-            ProgCmd::Halted => {
-                fx.push(TraceEvent::Internal {
-                    pid,
-                    label: "halt".into(),
-                });
-            }
-            ProgCmd::Looping => {
-                fx.push(TraceEvent::Internal {
-                    pid,
-                    label: "loop forever".into(),
-                });
-            }
-        }
-    }
-
-    fn complete_op(&mut self, pid: Pid, ret: Val, fx: &mut Effects) {
-        let op = self.clients[pid.index()]
-            .take()
-            .expect("completing without an active op");
-        blunt_obs::static_counter!("abd.ops.completed").inc();
-        fx.push_with(|| TraceEvent::Return {
-            inv: op.inv,
-            pid,
-            val: ret.clone(),
-        });
-        self.prog.on_return(pid, ret);
-    }
-
-    fn handle_deliver(&mut self, slot: usize, fx: &mut Effects) {
+    fn deliver(&mut self, slot: usize, fx: &mut Effects) -> Option<(Pid, InvId, IterEffect)> {
         let env = self.net.take(slot);
         let (src, dst) = (env.src, env.dst);
         fx.push_with(|| TraceEvent::Deliver {
@@ -387,46 +180,41 @@ impl AbdSystem {
         match env.msg {
             AbdMsg::Query { obj, sn } => {
                 let reply = self.servers[obj.index()][dst.index()].reply(obj, sn);
-                if self.def.fused_rpc {
-                    // The response travels back in the same adversary event.
-                    let AbdMsg::Reply { obj, sn, val, ts } = reply else {
-                        unreachable!("server replies with Reply");
-                    };
-                    fx.push_with(|| TraceEvent::Deliver {
-                        src: dst,
-                        dst: src,
-                        label: format!("reply#{sn}[{obj}] (fused)"),
-                    });
-                    self.handle_reply(src, dst, obj, sn, &val, ts, fx);
-                } else {
+                if !self.def.fused_rpc {
                     self.net.send(dst, src, reply);
+                    return None;
                 }
+                // The response travels back in the same adversary event.
+                let AbdMsg::Reply { obj, sn, val, ts } = reply else {
+                    unreachable!("server replies with Reply");
+                };
+                fx.push_with(|| TraceEvent::Deliver {
+                    src: dst,
+                    dst: src,
+                    label: format!("reply#{sn}[{obj}] (fused)"),
+                });
+                self.on_reply(src, dst, obj, sn, &val, ts)
             }
-            AbdMsg::Reply { obj, sn, val, ts } => {
-                self.handle_reply(dst, src, obj, sn, &val, ts, fx);
-            }
+            AbdMsg::Reply { obj, sn, val, ts } => self.on_reply(dst, src, obj, sn, &val, ts),
             AbdMsg::Update { obj, sn, val, ts } => {
                 self.servers[obj.index()][dst.index()].absorb(val, ts);
-                if self.def.fused_rpc {
-                    fx.push_with(|| TraceEvent::Deliver {
-                        src: dst,
-                        dst: src,
-                        label: format!("ack#{sn}[{obj}] (fused)"),
-                    });
-                    self.handle_ack(src, dst, obj, sn, fx);
-                } else {
+                if !self.def.fused_rpc {
                     self.net.send(dst, src, AbdMsg::Ack { obj, sn });
+                    return None;
                 }
+                fx.push_with(|| TraceEvent::Deliver {
+                    src: dst,
+                    dst: src,
+                    label: format!("ack#{sn}[{obj}] (fused)"),
+                });
+                self.on_ack(src, dst, obj, sn)
             }
-            AbdMsg::Ack { obj, sn } => {
-                self.handle_ack(dst, src, obj, sn, fx);
-            }
+            AbdMsg::Ack { obj, sn } => self.on_ack(dst, src, obj, sn),
         }
     }
 
     /// Feeds a query reply (from `server`) to the client at `client`.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_reply(
+    fn on_reply(
         &mut self,
         client: Pid,
         server: Pid,
@@ -434,16 +222,13 @@ impl AbdSystem {
         sn: u32,
         val: &Val,
         ts: Ts,
-        fx: &mut Effects,
-    ) {
+    ) -> Option<(Pid, InvId, IterEffect)> {
         let quorum = self.def.quorum();
-        let Some(op) = self.clients[client.index()].as_mut() else {
-            return;
-        };
-        if op.obj != obj {
-            return;
-        }
-        let effect = op.on_reply(
+        let op = self.clients[client.index()]
+            .as_mut()
+            .filter(|op| op.obj == obj)?;
+        let inv = op.inv;
+        let effect = match op.on_reply(
             server,
             sn,
             val,
@@ -451,33 +236,14 @@ impl AbdSystem {
             quorum,
             client,
             &mut self.sn_counters[client.index()],
-        );
-        let inv = op.inv;
-        if !matches!(effect, ReplyEffect::Ignored | ReplyEffect::Counted) {
-            // Every non-trivial effect marks a completed query quorum — one
-            // preamble round-trip of the paper's `ABD^k`.
-            blunt_obs::static_counter!("abd.quorum.query_rounds").inc();
-        }
-        match effect {
-            ReplyEffect::Ignored | ReplyEffect::Counted => {}
+        ) {
+            ReplyEffect::Ignored | ReplyEffect::Counted => return None,
             ReplyEffect::NextQuery { iteration, sn } => {
-                fx.push(TraceEvent::PreamblePassed {
-                    inv,
-                    pid: client,
-                    iteration,
-                });
                 self.net.broadcast(client, AbdMsg::Query { obj, sn });
+                IterEffect::PreamblePassed { iteration }
             }
             ReplyEffect::NeedChoice { iteration, choices } => {
-                fx.push(TraceEvent::PreamblePassed {
-                    inv,
-                    pid: client,
-                    iteration,
-                });
-                self.awaiting = Some(Awaiting::Object {
-                    pid: client,
-                    choices: choices as usize,
-                });
+                IterEffect::NeedChoice { choices, iteration }
             }
             ReplyEffect::StartUpdate {
                 iteration,
@@ -485,133 +251,182 @@ impl AbdSystem {
                 val,
                 ts,
             } => {
-                fx.push(TraceEvent::PreamblePassed {
-                    inv,
-                    pid: client,
-                    iteration,
-                });
                 self.net
                     .broadcast(client, AbdMsg::Update { obj, sn, val, ts });
+                IterEffect::PreamblePassed { iteration }
             }
-        }
+        };
+        // Every non-trivial effect marks a completed query quorum — one
+        // preamble round-trip of the paper's `ABD^k`.
+        blunt_obs::static_counter!("abd.quorum.query_rounds").inc();
+        Some((client, inv, effect))
     }
 
     /// Feeds an update ack (from `server`) to the client at `client`.
-    fn handle_ack(&mut self, client: Pid, server: Pid, obj: ObjId, sn: u32, fx: &mut Effects) {
+    fn on_ack(
+        &mut self,
+        client: Pid,
+        server: Pid,
+        obj: ObjId,
+        sn: u32,
+    ) -> Option<(Pid, InvId, IterEffect)> {
         let quorum = self.def.quorum();
-        let Some(op) = self.clients[client.index()].as_mut() else {
-            return;
+        let slot = &mut self.clients[client.index()];
+        let op = slot.as_mut().filter(|op| op.obj == obj)?;
+        let AckEffect::Complete { ret } = op.on_ack(server, sn, quorum) else {
+            return None;
         };
-        if op.obj != obj {
-            return;
-        }
-        match op.on_ack(server, sn, quorum) {
-            AckEffect::Ignored | AckEffect::Counted => {}
-            AckEffect::Complete { ret } => {
-                blunt_obs::static_counter!("abd.quorum.update_rounds").inc();
-                self.complete_op(client, ret, fx);
-            }
-        }
-    }
-
-    /// Returns `true` if process `pid`'s active operation is in some query
-    /// phase (its preamble), i.e. its linearization point is not yet fixed.
-    #[must_use]
-    pub fn in_preamble(&self, pid: Pid) -> bool {
-        matches!(
-            &self.clients[pid.index()],
-            Some(ActiveOp {
-                phase: Phase::Query { .. } | Phase::AwaitChoice,
-                ..
-            })
-        )
+        let inv = op.inv;
+        *slot = None;
+        blunt_obs::static_counter!("abd.quorum.update_rounds").inc();
+        blunt_obs::static_counter!("abd.ops.completed").inc();
+        Some((client, inv, IterEffect::Complete(ret)))
     }
 }
 
-impl System for AbdSystem {
-    type Event = AbdEvent;
+impl ObjectLayer for AbdLayer {
+    type Def = AbdSystemDef;
+    type Step = usize;
 
-    fn process_count(&self) -> usize {
-        self.def.n()
+    /// # Panics
+    ///
+    /// Panics if the program invokes an object id with no configuration, or
+    /// uses a method other than `Read`/`Write` (registers only here; see
+    /// `blunt-registers` for snapshots).
+    fn build(def: AbdSystemDef) -> (AbdLayer, Vec<Option<Atomic>>) {
+        let n = def.n();
+        // Validate the program's object references.
+        for p in 0..n {
+            for instr in def.program.code(Pid(p as u32)) {
+                if let blunt_programs::Instr::Invoke { obj, method, .. } = instr {
+                    assert!(
+                        obj.index() < def.objects.len(),
+                        "program invokes unconfigured object {obj}"
+                    );
+                    assert!(
+                        *method == MethodId::READ || *method == MethodId::WRITE,
+                        "AbdSystem implements registers; got method {method}"
+                    );
+                }
+            }
+        }
+        let servers = def
+            .objects
+            .iter()
+            .map(|cfg| match cfg.kind {
+                ObjectKind::Atomic => Vec::new(),
+                ObjectKind::Abd { .. } => (0..n)
+                    .map(|_| ServerState::new(cfg.initial.clone()))
+                    .collect(),
+            })
+            .collect();
+        let atomics = def
+            .objects
+            .iter()
+            .map(|cfg| {
+                cfg.is_atomic()
+                    .then(|| Atomic::Register(cfg.initial.clone()))
+            })
+            .collect();
+        let objects = def.objects.len();
+        let layer = AbdLayer {
+            def: Rc::new(def),
+            net: Network::new(n),
+            servers,
+            clients: vec![None; n],
+            sn_counters: vec![0; n],
+            writer_seqs: vec![0; objects],
+        };
+        (layer, atomics)
     }
 
-    fn enabled(&self, out: &mut Vec<AbdEvent>) {
-        out.clear();
-        if self.status() != Status::Running {
-            return;
-        }
+    fn program(&self) -> &ProgramDef {
+        &self.def.program
+    }
+
+    fn ops_started() -> &'static blunt_obs::Counter {
+        blunt_obs::static_counter!("abd.ops.started")
+    }
+
+    fn enabled(&self, prog: &ProgState, out: &mut Vec<AbdEvent>) {
         for p in 0..self.def.n() {
             let pid = Pid(p as u32);
-            if self.prog.can_step(pid) {
-                out.push(AbdEvent::Prog(pid));
+            if prog.can_step(pid) {
+                out.push(Event::Prog(pid));
             }
         }
-        for slot in self.net.deliverable() {
-            out.push(AbdEvent::Deliver(slot));
-        }
+        out.extend(self.net.deliverable().into_iter().map(Event::Obj));
     }
 
-    fn apply(&mut self, ev: &AbdEvent, fx: &mut Effects) {
-        debug_assert_eq!(self.status(), Status::Running);
-        match ev {
-            AbdEvent::Prog(pid) => self.handle_prog_step(*pid, fx),
-            AbdEvent::Deliver(slot) => self.handle_deliver(*slot, fx),
+    fn start(&mut self, pid: Pid, inv: InvId, obj: ObjId, method: MethodId, arg: Val) {
+        let ObjectKind::Abd { k, writer } = self.def.objects[obj.index()].kind else {
+            unreachable!("the host executes atomic registers");
+        };
+        match method {
+            MethodId::WRITE if writer == Some(pid) => {
+                // Single-writer fast path: empty preamble; stamp with the
+                // local sequence counter and go straight to the update
+                // phase.
+                self.writer_seqs[obj.index()] += 1;
+                let ts = Ts::new(self.writer_seqs[obj.index()], pid);
+                let sn = self.fresh_sn(pid);
+                let op = ActiveOp::start_sw_write(inv, obj, arg.clone(), ts, sn);
+                self.clients[pid.index()] = Some(op);
+                self.net.broadcast(
+                    pid,
+                    AbdMsg::Update {
+                        obj,
+                        sn,
+                        val: arg,
+                        ts,
+                    },
+                );
+            }
+            MethodId::WRITE if writer.is_some() => {
+                panic!(
+                    "process {pid} writes single-writer register {obj} owned by {:?}",
+                    writer
+                )
+            }
+            MethodId::READ | MethodId::WRITE => {
+                let kind = if method == MethodId::READ {
+                    OpKind::Read
+                } else {
+                    OpKind::Write(arg)
+                };
+                let sn = self.fresh_sn(pid);
+                let op = ActiveOp::start(inv, obj, kind, k, sn);
+                self.clients[pid.index()] = Some(op);
+                self.net.broadcast(pid, AbdMsg::Query { obj, sn });
+            }
+            other => panic!("ABD register: unsupported method {other}"),
         }
+        // The broadcast's copies to crashed processes are stale at once.
         self.purge();
     }
 
-    fn supply_random(&mut self, choice: usize, fx: &mut Effects) {
-        match self.awaiting.take() {
-            Some(Awaiting::Program { pid, choices }) => {
-                assert!(choice < choices, "random choice out of range");
-                fx.push(TraceEvent::ProgramRandom {
-                    pid,
-                    choices,
-                    chosen: choice,
-                });
-                self.prog.on_random(pid, choice);
-            }
-            Some(Awaiting::Object { pid, choices }) => {
-                assert!(choice < choices, "random choice out of range");
-                let op = self.clients[pid.index()]
-                    .as_mut()
-                    .expect("object random step without an active op");
-                let inv = op.inv;
-                let obj = op.obj;
-                fx.push(TraceEvent::ObjectRandom {
-                    pid,
-                    inv,
-                    choices,
-                    chosen: choice,
-                });
-                let (sn, val, ts) = op.choose(choice, pid, &mut self.sn_counters[pid.index()]);
-                self.net.broadcast(pid, AbdMsg::Update { obj, sn, val, ts });
-            }
-            None => panic!("supply_random while not awaiting randomness"),
-        }
+    fn step(&mut self, slot: usize, fx: &mut Effects) -> Option<(Pid, InvId, IterEffect)> {
+        let progress = self.deliver(slot, fx);
         self.purge();
+        progress
     }
 
-    fn status(&self) -> Status {
-        if self.prog.is_done(&self.def.program) {
-            return Status::Done;
-        }
-        match self.awaiting {
-            Some(Awaiting::Program { pid, choices }) => Status::AwaitingRandom {
-                pid,
-                choices,
-                kind: RandomKind::Program,
-            },
-            Some(Awaiting::Object { pid, choices }) => Status::AwaitingRandom {
-                pid,
-                choices,
-                kind: RandomKind::Object,
-            },
-            None => Status::Running,
-        }
+    fn choose(&mut self, pid: Pid, choice: usize) -> InvId {
+        let op = self.clients[pid.index()]
+            .as_mut()
+            .expect("object random step without an active op");
+        let (inv, obj) = (op.inv, op.obj);
+        let (sn, val, ts) = op.choose(choice, pid, &mut self.sn_counters[pid.index()]);
+        self.net.broadcast(pid, AbdMsg::Update { obj, sn, val, ts });
+        self.purge();
+        inv
     }
 
-    fn outcome(&self) -> Outcome {
-        self.prog.outcome()
+    /// Messages to `pid` are never delivered again; ABD tolerates any
+    /// minority of crashes.
+    fn crash(&mut self, pid: Pid) {
+        self.net.crash(pid);
+        self.clients[pid.index()] = None;
+        self.purge();
     }
 }

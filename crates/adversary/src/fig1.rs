@@ -110,9 +110,9 @@ impl Scheduler<AbdSystem> for AbdScript {
                     kind,
                     obj,
                 },
-                AbdEvent::Deliver(slot),
+                AbdEvent::Obj(slot),
             ) => {
-                let env = sys.net().peek(*slot);
+                let env = sys.layer().net().peek(*slot);
                 env.src == src && env.dst == dst && env.msg.obj() == obj && kind.matches(&env.msg)
             }
             _ => false,
@@ -125,8 +125,8 @@ impl Scheduler<AbdSystem> for AbdScript {
                     .iter()
                     .map(|e| match e {
                         AbdEvent::Prog(p) => format!("Prog({p})"),
-                        AbdEvent::Deliver(s) => {
-                            let env = sys.net().peek(*s);
+                        AbdEvent::Obj(s) => {
+                            let env = sys.layer().net().peek(*s);
                             format!("Deliver({}→{}: {})", env.src, env.dst, env.msg)
                         }
                     })

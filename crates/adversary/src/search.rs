@@ -90,8 +90,8 @@ pub fn certain_win_unfused(
 pub fn abd_label(sys: &AbdSystem, ev: &AbdEvent) -> String {
     match ev {
         AbdEvent::Prog(pid) => format!("Prog({pid})"),
-        AbdEvent::Deliver(slot) => {
-            let env = sys.net().peek(*slot);
+        AbdEvent::Obj(slot) => {
+            let env = sys.layer().net().peek(*slot);
             format!("Deliver({}→{}: {})", env.src, env.dst, env.msg)
         }
     }

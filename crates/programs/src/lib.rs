@@ -9,11 +9,16 @@
 //! Representing programs as data rather than as Rust control flow has two
 //! payoffs:
 //!
-//! 1. the composed systems in `blunt-abd` / `blunt-registers` stay `Clone +
-//!    Eq + Hash`, which the exact adversary explorer requires;
+//! 1. the composed systems stay `Clone + Eq + Hash`, which the exact
+//!    adversary explorer requires;
 //! 2. the *same* program text runs unchanged against atomic objects,
 //!    linearizable objects, and preamble-iterated objects — the paper's
 //!    substitution setup (`P(O₁)` vs `P(O₂)` for equivalent objects).
+//!
+//! [`host::Composed`] is the one composed system: it runs a program over an
+//! [`host::ObjectLayer`] — the message-passing ABD layer of `blunt-abd` or
+//! the shared-memory layer of `blunt-registers` — and emits every
+//! operation's lifecycle trace events.
 //!
 //! The concrete programs of the paper live here too:
 //!
@@ -30,6 +35,7 @@
 pub mod def;
 pub mod expr;
 pub mod ghw;
+pub mod host;
 pub mod instr;
 pub mod round_based;
 pub mod state;

@@ -24,9 +24,13 @@
 //! random, run the tail — "the transformation is mechanical, once the
 //! preamble is identified" (Section 7).
 //!
-//! [`system::ShmSystem`] composes a randomized program with a set of these
-//! objects (or their atomic baselines) into a [`blunt_sim::System`] for
-//! scheduling, adversary search, and exhaustive exploration.
+//! [`system::ShmLayer`] is the shared-memory object layer of the one program
+//! host [`blunt_programs::host::Composed`]; [`system::ShmSystem`], the host
+//! over this layer, composes a randomized program with a set of these
+//! objects (or their atomic baselines, which the host executes) into a
+//! [`blunt_sim::System`] for scheduling, adversary search, and exhaustive
+//! exploration. The host emits each operation's lifecycle trace events from
+//! the [`twophase::IterEffect`]s this layer reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,5 +44,5 @@ pub mod twophase;
 pub mod vitanyi_awerbuch;
 
 pub use shm::{CellId, Shm, ShmLayout};
-pub use system::{ShmEvent, ShmObjectConfig, ShmSystem, ShmSystemDef};
+pub use system::{ShmEvent, ShmLayer, ShmObjectConfig, ShmSystem, ShmSystemDef};
 pub use twophase::{IteratedOp, PreambleStatus, ShmOp};

@@ -1,11 +1,17 @@
 //! The composed shared-memory system: a randomized program over a set of
 //! register/snapshot objects (atomic baselines or the step-machine
-//! constructions of this crate), implementing [`blunt_sim::System`].
+//! constructions of this crate).
+//!
+//! [`ShmSystem`] is the program host [`blunt_programs::host::Composed`]
+//! over the [`ShmLayer`]: the host runs the program, the atomic baselines
+//! and every operation's lifecycle trace events; this layer owns the base
+//! registers ([`Shm`]) and each process's [`IteratedOp`].
 //!
 //! Scheduling granularity is one base-register access per adversary event
 //! (`Obj(pid)` steps process `pid`'s active operation by one access), which
 //! is exactly the interleaving power the paper's adversary has over
-//! shared-memory implementations.
+//! shared-memory implementations. The enabled events are, process by
+//! process, its program step and then its object step.
 
 use crate::israeli_li::{self, IlOp};
 use crate::shm::{CellSpec, Shm, ShmLayout};
@@ -13,10 +19,10 @@ use crate::snapshot::{self, SnapshotOp};
 use crate::twophase::{IterEffect, IteratedOp};
 use crate::vitanyi_awerbuch::{self, VaOp};
 use blunt_core::ids::{InvId, MethodId, ObjId, Pid};
-use blunt_core::outcome::Outcome;
 use blunt_core::value::Val;
-use blunt_programs::{ProgCmd, ProgState, ProgramDef};
-use blunt_sim::system::{Effects, RandomKind, Status, System};
+use blunt_programs::host::{update_arg, Atomic, Composed, Event, ObjectLayer};
+use blunt_programs::{ProgState, ProgramDef};
+use blunt_sim::system::Effects;
 use blunt_sim::trace::TraceEvent;
 use std::rc::Rc;
 
@@ -80,25 +86,16 @@ pub struct ShmSystemDef {
 struct Built {
     def: ShmSystemDef,
     layout: ShmLayout,
-    /// First cell of each object's region (`usize::MAX` for atomic objects).
+    /// First cell of each object's region (an empty one for atomic objects).
     bases: Vec<usize>,
 }
 
-/// A schedulable event.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ShmEvent {
-    /// Process `pid` takes its next program step.
-    Prog(Pid),
-    /// Process `pid` executes one base access of its active operation.
-    Obj(Pid),
-}
+/// The composed shared-memory system.
+pub type ShmSystem = Composed<ShmLayer>;
 
-/// Whose random instruction the system is suspended at.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum Awaiting {
-    Program { pid: Pid, choices: usize },
-    Object { pid: Pid, choices: usize },
-}
+/// A schedulable event of [`ShmSystem`]: a program step, or `Obj(pid)` —
+/// one base access of `pid`'s active operation.
+pub type ShmEvent = Event<Pid>;
 
 /// An active operation at a process.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -134,55 +131,58 @@ impl OpImpl {
     }
 }
 
+/// The shared-memory object layer: the base registers and each process's
+/// active operation.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct Client {
-    inv: InvId,
-    obj: ObjId,
-    op: OpImpl,
-}
-
-/// The composed shared-memory system state.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct ShmSystem {
+pub struct ShmLayer {
     built: Rc<Built>,
-    prog: ProgState,
     shm: Shm,
-    /// State of atomic registers (`Val::Nil` placeholder otherwise).
-    atomic_regs: Vec<Val>,
-    /// State of atomic snapshots (empty otherwise).
-    atomic_snaps: Vec<Vec<Val>>,
-    clients: Vec<Option<Client>>,
+    /// At most one active operation per process, with its invocation id.
+    clients: Vec<Option<(InvId, OpImpl)>>,
     /// Per-object per-process sequence counters (snapshot updaters, the
     /// Israeli–Li writer).
     seqs: Vec<Vec<i64>>,
-    awaiting: Option<Awaiting>,
-    inv_counters: Vec<u32>,
 }
 
-impl ShmSystem {
-    /// Builds the initial state.
-    ///
+impl ShmLayer {
+    /// Returns `true` if `pid`'s active operation is still in its preamble.
+    #[must_use]
+    pub fn in_preamble(&self, pid: Pid) -> bool {
+        self.clients[pid.index()]
+            .as_ref()
+            .is_some_and(|(_, op)| op.in_preamble())
+    }
+}
+
+impl ObjectLayer for ShmLayer {
+    type Def = ShmSystemDef;
+    type Step = Pid;
+
     /// # Panics
     ///
     /// Panics if the program references an unconfigured object, a
     /// non-writer writes an Israeli–Li register at runtime, or a snapshot
     /// component is out of range at runtime.
-    #[must_use]
-    pub fn new(def: ShmSystemDef) -> ShmSystem {
+    fn build(def: ShmSystemDef) -> (ShmLayer, Vec<Option<Atomic>>) {
         let n = def.program.process_count();
         let mut layout = ShmLayout::new();
         let mut bases = Vec::with_capacity(def.objects.len());
+        let mut atomics = Vec::with_capacity(def.objects.len());
         for (oid, cfg) in def.objects.iter().enumerate() {
-            match cfg {
-                ShmObjectConfig::AtomicRegister { .. } | ShmObjectConfig::AtomicSnapshot { .. } => {
-                    bases.push(usize::MAX)
+            bases.push(layout.len());
+            atomics.push(match cfg {
+                ShmObjectConfig::AtomicRegister { initial } => {
+                    Some(Atomic::Register(initial.clone()))
                 }
+                ShmObjectConfig::AtomicSnapshot {
+                    components,
+                    initial,
+                } => Some(Atomic::Snapshot(vec![initial.clone(); *components])),
                 ShmObjectConfig::Snapshot {
                     components,
                     initial,
                     ..
                 } => {
-                    let base = layout.len();
                     for i in 0..*components {
                         layout.push(CellSpec::single_writer(
                             Pid(i as u32),
@@ -195,10 +195,9 @@ impl ShmSystem {
                             format!("S{oid}.M[{i}]"),
                         ));
                     }
-                    bases.push(base);
+                    None
                 }
                 ShmObjectConfig::VitanyiAwerbuch { initial, .. } => {
-                    let base = layout.len();
                     for i in 0..n {
                         layout.push(CellSpec::single_writer(
                             Pid(i as u32),
@@ -207,12 +206,11 @@ impl ShmSystem {
                             format!("R{oid}.Val[{i}]"),
                         ));
                     }
-                    bases.push(base);
+                    None
                 }
                 ShmObjectConfig::IsraeliLi {
                     writer, initial, ..
                 } => {
-                    let base = layout.len();
                     for i in 0..n {
                         layout.push(CellSpec::single_reader(
                             *writer,
@@ -231,111 +229,45 @@ impl ShmSystem {
                             ));
                         }
                     }
-                    bases.push(base);
+                    None
                 }
-            }
+            });
         }
-        let atomic_regs = def
-            .objects
-            .iter()
-            .map(|c| match c {
-                ShmObjectConfig::AtomicRegister { initial } => initial.clone(),
-                _ => Val::Nil,
-            })
-            .collect();
-        let atomic_snaps = def
-            .objects
-            .iter()
-            .map(|c| match c {
-                ShmObjectConfig::AtomicSnapshot {
-                    components,
-                    initial,
-                } => vec![initial.clone(); *components],
-                _ => Vec::new(),
-            })
-            .collect();
-        let prog = ProgState::new(&def.program);
         let objects = def.objects.len();
         let shm = layout.initial_memory();
-        ShmSystem {
+        let layer = ShmLayer {
             built: Rc::new(Built { def, layout, bases }),
-            prog,
             shm,
-            atomic_regs,
-            atomic_snaps,
             clients: vec![None; n],
             seqs: vec![vec![0; n]; objects],
-            awaiting: None,
-            inv_counters: vec![0; n],
+        };
+        (layer, atomics)
+    }
+
+    fn program(&self) -> &ProgramDef {
+        &self.built.def.program
+    }
+
+    fn ops_started() -> &'static blunt_obs::Counter {
+        blunt_obs::static_counter!("shm.ops.started")
+    }
+
+    fn enabled(&self, prog: &ProgState, out: &mut Vec<ShmEvent>) {
+        for (p, client) in self.clients.iter().enumerate() {
+            let pid = Pid(p as u32);
+            if prog.can_step(pid) {
+                out.push(Event::Prog(pid));
+            }
+            if client.is_some() {
+                out.push(Event::Obj(pid));
+            }
         }
     }
 
-    /// The program state (for assertions in tests).
-    #[must_use]
-    pub fn prog(&self) -> &ProgState {
-        &self.prog
-    }
-
-    /// Returns `true` if `pid`'s active operation is still in its preamble.
-    #[must_use]
-    pub fn in_preamble(&self, pid: Pid) -> bool {
-        self.clients[pid.index()]
-            .as_ref()
-            .is_some_and(|c| c.op.in_preamble())
-    }
-
-    fn fresh_inv(&mut self, pid: Pid) -> InvId {
-        let c = &mut self.inv_counters[pid.index()];
-        *c += 1;
-        InvId((u64::from(pid.0) << 32) | u64::from(*c))
-    }
-
-    fn handle_invoke(
-        &mut self,
-        pid: Pid,
-        obj: ObjId,
-        method: MethodId,
-        arg: Val,
-        site: blunt_core::ids::CallSite,
-        fx: &mut Effects,
-    ) {
-        let inv = self.fresh_inv(pid);
-        // Aggregated over every explorer branch (global registry; see
-        // `blunt_sim::network` for the rationale).
-        blunt_obs::static_counter!("shm.ops.started").inc();
-        fx.push_with(|| TraceEvent::Call {
-            inv,
-            pid,
-            obj,
-            method,
-            arg: arg.clone(),
-            site,
-        });
+    fn start(&mut self, pid: Pid, inv: InvId, obj: ObjId, method: MethodId, arg: Val) {
         let n = self.built.def.program.process_count();
-        let cfg = self.built.def.objects[obj.index()].clone();
         let base = self.built.bases[obj.index()];
-        let op = match (&cfg, method) {
-            (ShmObjectConfig::AtomicRegister { .. }, MethodId::READ) => {
-                let v = self.atomic_regs[obj.index()].clone();
-                self.finish_atomic(pid, inv, v, fx);
-                return;
-            }
-            (ShmObjectConfig::AtomicRegister { .. }, MethodId::WRITE) => {
-                self.atomic_regs[obj.index()] = arg;
-                self.finish_atomic(pid, inv, Val::Nil, fx);
-                return;
-            }
-            (ShmObjectConfig::AtomicSnapshot { .. }, MethodId::SCAN) => {
-                let v = Val::Tuple(self.atomic_snaps[obj.index()].clone());
-                self.finish_atomic(pid, inv, v, fx);
-                return;
-            }
-            (ShmObjectConfig::AtomicSnapshot { components, .. }, MethodId::UPDATE) => {
-                let (idx, v) = parse_update_arg(&arg, *components);
-                self.atomic_snaps[obj.index()][idx] = v;
-                self.finish_atomic(pid, inv, Val::Nil, fx);
-                return;
-            }
+        let op = match (&self.built.def.objects[obj.index()], method) {
             (ShmObjectConfig::Snapshot { k, components, .. }, MethodId::SCAN) => OpImpl::Snap(
                 IteratedOp::new(SnapshotOp::scan(pid, base, *components), *k),
             ),
@@ -348,7 +280,7 @@ impl ShmSystem {
                 },
                 MethodId::UPDATE,
             ) => {
-                let (idx, v) = parse_update_arg(&arg, *components);
+                let (idx, v) = update_arg(&arg, *components);
                 let seq = &mut self.seqs[obj.index()][pid.index()];
                 *seq += 1;
                 OpImpl::Snap(IteratedOp::new(
@@ -376,176 +308,40 @@ impl ShmSystem {
             }
             (cfg, m) => panic!("object {obj} ({cfg:?}) does not implement {m}"),
         };
-        self.clients[pid.index()] = Some(Client { inv, obj, op });
+        self.clients[pid.index()] = Some((inv, op));
     }
 
-    fn finish_atomic(&mut self, pid: Pid, inv: InvId, ret: Val, fx: &mut Effects) {
-        fx.push_with(|| TraceEvent::Return {
-            inv,
-            pid,
-            val: ret.clone(),
-        });
-        self.prog.on_return(pid, ret);
-    }
-
-    fn handle_prog_step(&mut self, pid: Pid, fx: &mut Effects) {
-        let built = Rc::clone(&self.built);
-        match self.prog.step(&built.def.program, pid) {
-            ProgCmd::Invoke {
-                site,
-                obj,
-                method,
-                arg,
-            } => self.handle_invoke(pid, obj, method, arg, site, fx),
-            ProgCmd::Random { choices } => {
-                self.awaiting = Some(Awaiting::Program { pid, choices });
-            }
-            ProgCmd::Halted => fx.push(TraceEvent::Internal {
-                pid,
-                label: "halt".into(),
-            }),
-            ProgCmd::Looping => fx.push(TraceEvent::Internal {
-                pid,
-                label: "loop forever".into(),
-            }),
-        }
-    }
-
-    fn handle_obj_step(&mut self, pid: Pid, fx: &mut Effects) {
-        let built = Rc::clone(&self.built);
-        let client = self.clients[pid.index()]
+    fn step(&mut self, pid: Pid, fx: &mut Effects) -> Option<(Pid, InvId, IterEffect)> {
+        let slot = &mut self.clients[pid.index()];
+        let (inv, op) = slot
             .as_mut()
             .expect("Obj event without an active operation");
-        let inv = client.inv;
+        let inv = *inv;
         blunt_obs::static_counter!("shm.base_steps").inc();
-        match client.op.step(&mut self.shm, &built.layout) {
-            IterEffect::Continue => {
-                fx.push_with(|| TraceEvent::Internal {
-                    pid,
-                    label: "base access".into(),
-                });
-            }
-            IterEffect::PreamblePassed { iteration } => {
-                fx.push(TraceEvent::PreamblePassed {
-                    inv,
-                    pid,
-                    iteration,
-                });
-            }
-            IterEffect::NeedChoice { choices, iteration } => {
-                fx.push(TraceEvent::PreamblePassed {
-                    inv,
-                    pid,
-                    iteration,
-                });
-                self.awaiting = Some(Awaiting::Object {
-                    pid,
-                    choices: choices as usize,
-                });
-            }
-            IterEffect::Complete(ret) => {
+        let effect = op.step(&mut self.shm, &self.built.layout);
+        match effect {
+            IterEffect::Continue => fx.push_with(|| TraceEvent::Internal {
+                pid,
+                label: "base access".into(),
+            }),
+            IterEffect::Complete(_) => {
                 blunt_obs::static_counter!("shm.ops.completed").inc();
-                fx.push_with(|| TraceEvent::Return {
-                    inv,
-                    pid,
-                    val: ret.clone(),
-                });
-                self.clients[pid.index()] = None;
-                self.prog.on_return(pid, ret);
+                *slot = None;
             }
+            IterEffect::PreamblePassed { .. } | IterEffect::NeedChoice { .. } => {}
         }
-    }
-}
-
-fn parse_update_arg(arg: &Val, components: usize) -> (usize, Val) {
-    let (idx, v) = arg
-        .as_pair()
-        .expect("Update takes a (component, value) pair");
-    let i = usize::try_from(idx.as_int().expect("component index is an integer"))
-        .expect("component index is non-negative");
-    assert!(i < components, "component {i} out of range");
-    (i, v.clone())
-}
-
-impl System for ShmSystem {
-    type Event = ShmEvent;
-
-    fn process_count(&self) -> usize {
-        self.built.def.program.process_count()
+        Some((pid, inv, effect))
     }
 
-    fn enabled(&self, out: &mut Vec<ShmEvent>) {
-        out.clear();
-        if self.status() != Status::Running {
-            return;
-        }
-        for p in 0..self.process_count() {
-            let pid = Pid(p as u32);
-            if self.prog.can_step(pid) {
-                out.push(ShmEvent::Prog(pid));
-            }
-            if self.clients[p].is_some() {
-                out.push(ShmEvent::Obj(pid));
-            }
-        }
+    fn choose(&mut self, pid: Pid, choice: usize) -> InvId {
+        let (inv, op) = self.clients[pid.index()]
+            .as_mut()
+            .expect("object random step without an active operation");
+        op.choose(choice);
+        *inv
     }
 
-    fn apply(&mut self, ev: &ShmEvent, fx: &mut Effects) {
-        debug_assert_eq!(self.status(), Status::Running);
-        match ev {
-            ShmEvent::Prog(pid) => self.handle_prog_step(*pid, fx),
-            ShmEvent::Obj(pid) => self.handle_obj_step(*pid, fx),
-        }
-    }
-
-    fn supply_random(&mut self, choice: usize, fx: &mut Effects) {
-        match self.awaiting.take() {
-            Some(Awaiting::Program { pid, choices }) => {
-                assert!(choice < choices, "random choice out of range");
-                fx.push(TraceEvent::ProgramRandom {
-                    pid,
-                    choices,
-                    chosen: choice,
-                });
-                self.prog.on_random(pid, choice);
-            }
-            Some(Awaiting::Object { pid, choices }) => {
-                assert!(choice < choices, "random choice out of range");
-                let client = self.clients[pid.index()]
-                    .as_mut()
-                    .expect("object random step without an active operation");
-                fx.push(TraceEvent::ObjectRandom {
-                    pid,
-                    inv: client.inv,
-                    choices,
-                    chosen: choice,
-                });
-                client.op.choose(choice);
-            }
-            None => panic!("supply_random while not awaiting randomness"),
-        }
-    }
-
-    fn status(&self) -> Status {
-        if self.prog.is_done(&self.built.def.program) {
-            return Status::Done;
-        }
-        match self.awaiting {
-            Some(Awaiting::Program { pid, choices }) => Status::AwaitingRandom {
-                pid,
-                choices,
-                kind: RandomKind::Program,
-            },
-            Some(Awaiting::Object { pid, choices }) => Status::AwaitingRandom {
-                pid,
-                choices,
-                kind: RandomKind::Object,
-            },
-            None => Status::Running,
-        }
-    }
-
-    fn outcome(&self) -> Outcome {
-        self.prog.outcome()
+    fn crash(&mut self, pid: Pid) {
+        self.clients[pid.index()] = None;
     }
 }

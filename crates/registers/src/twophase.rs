@@ -15,6 +15,10 @@ use std::hash::Hash;
 
 use blunt_core::value::Val;
 
+/// What stepping an [`IteratedOp`] reports: the program host's lifecycle
+/// effect, shared by every construction.
+pub use blunt_programs::host::IterEffect;
+
 /// Result of one preamble step.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PreambleStatus<L> {
@@ -78,28 +82,6 @@ pub enum IterStage {
     AwaitChoice,
     /// Running the tail.
     Tail,
-}
-
-/// What the composed system must do after stepping an [`IteratedOp`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum IterEffect {
-    /// Keep scheduling steps.
-    Continue,
-    /// Preamble iteration `iteration` just completed (emit the
-    /// `PreamblePassed` marker); keep scheduling steps.
-    PreamblePassed {
-        /// The completed iteration (1-based).
-        iteration: u32,
-    },
-    /// All iterations done: request `random([0..k))` (only when `k > 1`).
-    NeedChoice {
-        /// Number of alternatives (= `k`).
-        choices: u32,
-        /// The final iteration that just completed.
-        iteration: u32,
-    },
-    /// The operation completed with this return value.
-    Complete(Val),
 }
 
 /// Algorithm 2: the preamble-iterated version `M^k` of a two-phase

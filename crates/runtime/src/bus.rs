@@ -33,7 +33,7 @@
 //! separated by at least one non-window index (`validate` guarantees
 //! `crash_len < crash_period`), so a link that keeps sending always
 //! resolves the pending window before entering the next. Hence
-//! `BusStats::crash_events` is replayable exactly.
+//! `TransportStats::crash_events` is replayable exactly.
 //!
 //! **Batches.** [`Bus::send_batch`] is its envelope sequence, and
 //! [`Bus::send`] is a batch of one: fates are drawn per envelope in batch
@@ -52,18 +52,12 @@
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 
-use blunt_net::{Delayer, FaultConfig, FaultConfigError, Injector, Links, Transport};
+use blunt_net::{
+    Coverage, Delayer, FaultConfig, FaultConfigError, Injector, Links, Transport, TransportStats,
+};
 use blunt_obs::{FlightKind, FlightRecorder};
 
-use crate::coverage::Coverage;
-
 pub use blunt_net::wire::{Envelope, Payload, SpanCtx};
-
-/// Deterministic fault counters accumulated by a run; equal across runs
-/// with the same seed and configuration. (The transport-agnostic name is
-/// [`blunt_net::TransportStats`]; this alias keeps the original in-process
-/// spelling.)
-pub type BusStats = blunt_net::TransportStats;
 
 /// The bus proper. Cloneable handles are not needed — threads share it via
 /// `Arc<Bus>`.
@@ -170,7 +164,7 @@ impl Bus {
 
     /// The deterministic fault counters so far.
     #[must_use]
-    pub fn stats(&self) -> BusStats {
+    pub fn stats(&self) -> TransportStats {
         self.links.lock().expect("bus lock").injector().stats()
     }
 
@@ -196,7 +190,7 @@ impl Transport for Bus {
         Bus::flush(self);
     }
 
-    fn stats(&self) -> BusStats {
+    fn stats(&self) -> TransportStats {
         Bus::stats(self)
     }
 
@@ -345,7 +339,7 @@ mod tests {
         assert_eq!(c, d);
         assert!(c.crash_events > 0);
         assert_eq!(
-            BusStats {
+            TransportStats {
                 crash_events: 0,
                 ..c
             },

@@ -7,7 +7,7 @@
 //! ABD client/server machines (`blunt_abd`) and shared-memory register
 //! constructions (`blunt_registers`) execute on threads connected by a
 //! swappable [`blunt_net::Transport`] — the in-process message [`bus`] or
-//! the socket tier in `blunt_net` — whose [`fault`] injector — drop, delay,
+//! the socket tier in `blunt_net` — whose [`blunt_net::fault`] injector — drop, delay,
 //! duplicate, reorder, partition, crash — follows a schedule that is a pure
 //! function of the run seed, so any run is replayable. [`workload`] holds
 //! the replica ([`server_loop`]) and the run observers (shard monitor
@@ -41,20 +41,16 @@ pub mod shm;
 pub mod storage;
 pub mod workload;
 
-// The fault schedule and coverage report moved to the transport tier
-// (`blunt-net`) so socket backends share them; these module re-exports keep
-// the original `blunt_runtime::fault` / `blunt_runtime::coverage` paths.
-pub use blunt_net::{coverage, fault};
-
-pub use blunt_net::{Addr, RemoteServer, ServerTelemetry};
-pub use bus::{Bus, BusStats, Envelope, Payload};
-pub use coverage::{Coverage, LinkCoverage};
-pub use fault::{Fate, FaultConfig, FaultConfigError, FaultPlan};
+pub use blunt_net::{
+    Addr, Coverage, Fate, FaultConfig, FaultConfigError, FaultPlan, LinkCoverage, RecoveryStats,
+    RemoteServer, ServerTelemetry,
+};
+pub use bus::{Bus, Envelope, Payload};
 pub use monitor::{MonitorReport, OnlineMonitor, Violation};
 pub use netrun::{run_net_server, NetServeConfig, NetServeReport};
-pub use recovery::{RecoveryMode, RecoverySink, RecoveryStats};
+pub use recovery::{RecoveryMode, RecoverySink};
 pub use shm::{run_shm_chaos, ShmChaosConfig, ShmReport};
-pub use storage::{MultiWal, Wal, WalRecord};
+pub use storage::MultiWal;
 pub use workload::{
     server_loop, spawn_monitor, watch_loop, MonitorFeed, MonitorOverhead, Telemetry,
     MAX_OPS_PER_CLIENT,

@@ -35,12 +35,14 @@ use std::thread;
 use std::time::Duration;
 
 use blunt_core::ids::Pid;
-use blunt_net::{Addr, NetServer, NetServerCfg, ServerTelemetry, Transport};
+use blunt_net::{
+    Addr, Coverage, FaultConfig, NetServer, NetServerCfg, RecoveryStats, ServerTelemetry,
+    Transport, TransportStats,
+};
 use blunt_obs::flight::{FlightDump, SPAN_NONE};
 use blunt_obs::{FlightKind, FlightRecorder, QuantileSketch};
 
-use crate::fault::FaultConfig;
-use crate::recovery::{RecoveryMode, RecoverySink, RecoveryStats};
+use crate::recovery::{RecoveryMode, RecoverySink};
 use crate::workload::server_loop;
 
 /// Configuration for one server process (`chaos serve`).
@@ -141,9 +143,9 @@ impl FlightAggregator {
 #[derive(Debug)]
 pub struct NetServeReport {
     /// Deterministic fault counters for this server's outbound links.
-    pub stats: crate::bus::BusStats,
+    pub stats: TransportStats,
     /// Fault-pattern coverage of those links.
-    pub coverage: crate::coverage::Coverage,
+    pub coverage: Coverage,
     /// This server's crash-recovery counters (also sent to the driver in
     /// its final `Telemetry` frame).
     pub recovery: RecoveryStats,

@@ -19,6 +19,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+// Defined in `blunt-net` because a serve process sends it in `Telemetry` frames.
+use blunt_net::RecoveryStats;
+
 /// What happens to a server's state when its crash window fires.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RecoveryMode {
@@ -67,9 +70,6 @@ impl RecoveryMode {
         matches!(self, RecoveryMode::Amnesia { .. })
     }
 }
-
-// Defined in `blunt-net` because a serve process sends it in `Telemetry` frames.
-pub use blunt_net::RecoveryStats;
 
 /// The shared accumulation point: server threads add to these atomics, the
 /// workload driver snapshots them into a [`RecoveryStats`] at the end.

@@ -1,28 +1,30 @@
 //! The simulated durable-storage layer: a per-server, checkpointing
-//! write-ahead log with explicit fsync points.
+//! write-ahead log with explicit fsync points, shared by every register the
+//! server hosts.
 //!
 //! Real crash-recovery hinges on one distinction the message-blackout crash
 //! model erases: state that has reached stable storage survives a crash,
-//! state that has not does not. [`Wal`] models exactly that boundary. A
-//! server [`Wal::append`]s every update it absorbs; records accumulate in a
-//! volatile *pending* suffix until [`Wal::fsync`] folds them into the
-//! durable checkpoint. On an amnesia crash the fault layer calls
-//! [`Wal::lose_unsynced`] — the pending suffix vanishes, the checkpoint
-//! survives — and recovery calls [`Wal::replay`] to reload the newest
-//! durable `(value, timestamp)` pair.
+//! state that has not does not. [`MultiWal`] models exactly that boundary.
+//! A server [`MultiWal::append`]s every update it absorbs; records from all
+//! its registers accumulate in one volatile *pending* suffix until
+//! [`MultiWal::fsync`] folds them into the durable per-object checkpoints.
+//! On an amnesia crash the fault layer calls [`MultiWal::lose_unsynced`] —
+//! the pending suffix vanishes, the checkpoints survive — and recovery calls
+//! [`MultiWal::replay`] to reload each register's newest durable
+//! `(value, timestamp)` pair.
 //!
 //! Because an ABD register's recoverable state is fully described by its
 //! maximum-timestamp record, the log self-compacts: `fsync` keeps only the
-//! newest durable record rather than the full history, so replay is O(1)
-//! and memory stays bounded over arbitrarily long runs. This is the
-//! checkpoint form of a WAL, not a departure from one — a full log replayed
-//! from the start would reach the same `(value, timestamp)` pair.
+//! newest durable record per object rather than the full history, so replay
+//! is O(objects) and memory stays bounded over arbitrarily long runs. This
+//! is the checkpoint form of a WAL, not a departure from one — a full log
+//! replayed from the start would reach the same pairs.
 //!
 //! The soundness contract consumed by `workload.rs` is the **write-ahead
-//! ack discipline**: a server may acknowledge an update with timestamp `t`
-//! only once [`Wal::durable_ts`] `≥ t`. Then every *acknowledged* update
-//! survives any crash by replay alone, which is what makes recovery sound
-//! without coordination (see `docs/RUNTIME.md`).
+//! ack discipline**: a server may acknowledge an update on `obj` with
+//! timestamp `t` only once [`MultiWal::durable_ts`]`(obj) ≥ t`. Then every
+//! *acknowledged* update survives any crash by replay alone, which is what
+//! makes recovery sound without coordination (see `docs/RUNTIME.md`).
 
 use blunt_abd::ts::Ts;
 use blunt_core::ids::ObjId;
@@ -31,133 +33,27 @@ use std::collections::BTreeMap;
 
 /// One logged update: the `(value, timestamp)` pair a server absorbed.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct WalRecord {
-    /// The written value.
-    pub val: Val,
-    /// Its ABD timestamp.
-    pub ts: Ts,
+struct WalRecord {
+    val: Val,
+    ts: Ts,
 }
 
-/// A per-server write-ahead log with explicit fsync points and
-/// checkpoint-style self-compaction.
+/// A per-server write-ahead log: **per-object checkpoints** and a single
+/// volatile pending suffix. Appends from all shards interleave in one
+/// suffix, so a single [`MultiWal::fsync`] group-commits across shards —
+/// the amortization the keyed store's write path relies on.
 #[derive(Debug)]
-pub struct Wal {
-    /// The newest record covered by an fsync; survives crashes.
-    checkpoint: Option<WalRecord>,
-    /// Appended but not yet fsynced; lost by [`Wal::lose_unsynced`].
-    pending: Vec<WalRecord>,
+pub struct MultiWal {
+    /// Newest durable record per object; survives crashes.
+    checkpoints: BTreeMap<ObjId, WalRecord>,
+    /// Appended but not yet fsynced, across all objects; lost by
+    /// [`MultiWal::lose_unsynced`].
+    pending: Vec<(ObjId, WalRecord)>,
     /// Group-commit batch size: the server flushes once this many records
     /// are pending (and, whatever is pending, at the end of every drain
     /// pass).
     fsync_interval: u32,
 }
-
-impl Wal {
-    /// An empty log that group-commits every `fsync_interval` appends
-    /// (clamped to ≥ 1).
-    #[must_use]
-    pub fn new(fsync_interval: u32) -> Wal {
-        Wal {
-            checkpoint: None,
-            pending: Vec::new(),
-            fsync_interval: fsync_interval.max(1),
-        }
-    }
-
-    /// The configured group-commit batch size.
-    #[must_use]
-    pub fn fsync_interval(&self) -> u32 {
-        self.fsync_interval
-    }
-
-    /// Appends one record to the volatile suffix.
-    pub fn append(&mut self, val: Val, ts: Ts) {
-        self.pending.push(WalRecord { val, ts });
-        blunt_obs::static_counter!("runtime.storage.wal_appends").inc();
-    }
-
-    /// Number of appended-but-unsynced records.
-    #[must_use]
-    pub fn unsynced_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether the pending suffix has reached the group-commit batch size.
-    #[must_use]
-    pub fn batch_full(&self) -> bool {
-        self.pending.len() >= self.fsync_interval as usize
-    }
-
-    /// An explicit fsync point: every pending record becomes durable,
-    /// compacted into the maximum-timestamp checkpoint. Returns the number
-    /// of records made durable (0 for a no-op fsync, which is not counted).
-    pub fn fsync(&mut self) -> usize {
-        let n = self.pending.len();
-        if n == 0 {
-            return 0;
-        }
-        for rec in self.pending.drain(..) {
-            match &self.checkpoint {
-                Some(cp) if cp.ts >= rec.ts => {}
-                _ => self.checkpoint = Some(rec),
-            }
-        }
-        blunt_obs::static_counter!("runtime.storage.fsyncs").inc();
-        n
-    }
-
-    /// The largest timestamp known durable — the write-ahead ack
-    /// discipline's threshold. `Ts::ZERO` for an empty log (the initial
-    /// value needs no logging: every replica is constructed with it).
-    #[must_use]
-    pub fn durable_ts(&self) -> Ts {
-        self.checkpoint.as_ref().map_or(Ts::ZERO, |cp| cp.ts)
-    }
-
-    /// The crash: the unsynced suffix is gone. Returns how many records
-    /// were lost.
-    pub fn lose_unsynced(&mut self) -> usize {
-        let n = self.pending.len();
-        self.pending.clear();
-        blunt_obs::static_counter!("runtime.storage.records_lost").add(n as u64);
-        n
-    }
-
-    /// Recovery replay: the newest durable `(value, timestamp)` pair, if
-    /// any update ever reached an fsync point.
-    #[must_use]
-    pub fn replay(&self) -> Option<(Val, Ts)> {
-        self.checkpoint.as_ref().map(|cp| (cp.val.clone(), cp.ts))
-    }
-
-    /// Total storage loss — checkpoint and suffix both gone. Used by the
-    /// `--demo-amnesia` broken mode to model a server whose recovery
-    /// ignores durable state entirely.
-    pub fn wipe(&mut self) {
-        self.checkpoint = None;
-        self.pending.clear();
-    }
-}
-
-/// The multi-register form of [`Wal`]: one storage file per server shared
-/// by every register it hosts, with **per-object checkpoints** and a single
-/// volatile pending suffix. Appends from all shards interleave in one
-/// suffix, so a single [`MultiWal::fsync`] group-commits across shards —
-/// the amortization the keyed store's write path relies on. The write-ahead
-/// ack discipline becomes per-object: an update on `obj` with timestamp `t`
-/// may be acknowledged once [`MultiWal::durable_ts`]`(obj) ≥ t`.
-///
-/// For a store hosting a single register this degenerates to [`Wal`]
-/// exactly: same append/fsync cadence, same counters, same recovery.
-#[derive(Debug)]
-pub struct MultiWal {
-    /// Newest durable record per object; survives crashes.
-    checkpoints: BTreeMap<ObjId, WalRecord>,
-    /// Appended but not yet fsynced, across all objects.
-    pending: Vec<(ObjId, WalRecord)>,
-    fsync_interval: u32,
-}
-
 impl MultiWal {
     /// An empty log that group-commits every `fsync_interval` appends
     /// (clamped to ≥ 1), counting appends across all objects.
@@ -254,84 +150,98 @@ mod tests {
     use super::*;
     use blunt_core::ids::Pid;
 
+    const R: ObjId = ObjId(0);
+
     fn ts(n: i64) -> Ts {
         Ts::new(n, Pid(0))
     }
 
     #[test]
     fn fresh_log_is_empty_and_at_ts_zero() {
-        let wal = Wal::new(4);
+        let wal = MultiWal::new(4);
         assert_eq!(wal.unsynced_len(), 0);
-        assert_eq!(wal.durable_ts(), Ts::ZERO);
-        assert_eq!(wal.replay(), None);
+        assert_eq!(wal.durable_ts(R), Ts::ZERO);
+        assert_eq!(wal.replay(), vec![]);
         assert!(!wal.batch_full());
     }
 
     #[test]
     fn appends_stay_volatile_until_fsync() {
-        let mut wal = Wal::new(4);
-        wal.append(Val::Int(1), ts(1));
-        wal.append(Val::Int(2), ts(2));
+        let mut wal = MultiWal::new(4);
+        wal.append(R, Val::Int(1), ts(1));
+        wal.append(R, Val::Int(2), ts(2));
         assert_eq!(wal.unsynced_len(), 2);
-        assert_eq!(wal.durable_ts(), Ts::ZERO, "nothing synced yet");
+        assert_eq!(wal.durable_ts(R), Ts::ZERO, "nothing synced yet");
         assert_eq!(wal.fsync(), 2);
         assert_eq!(wal.unsynced_len(), 0);
-        assert_eq!(wal.durable_ts(), ts(2));
-        assert_eq!(wal.replay(), Some((Val::Int(2), ts(2))));
+        assert_eq!(wal.durable_ts(R), ts(2));
+        assert_eq!(wal.replay(), vec![(R, Val::Int(2), ts(2))]);
     }
 
     #[test]
     fn crash_loses_exactly_the_unsynced_suffix() {
-        let mut wal = Wal::new(8);
-        wal.append(Val::Int(1), ts(1));
+        let mut wal = MultiWal::new(8);
+        wal.append(R, Val::Int(1), ts(1));
         wal.fsync();
-        wal.append(Val::Int(2), ts(2));
-        wal.append(Val::Int(3), ts(3));
+        wal.append(R, Val::Int(2), ts(2));
+        wal.append(R, Val::Int(3), ts(3));
         assert_eq!(wal.lose_unsynced(), 2);
         assert_eq!(wal.unsynced_len(), 0);
         // The synced prefix survives: replay recovers ts 1, not ts 3.
-        assert_eq!(wal.replay(), Some((Val::Int(1), ts(1))));
-        assert_eq!(wal.durable_ts(), ts(1));
+        assert_eq!(wal.replay(), vec![(R, Val::Int(1), ts(1))]);
+        assert_eq!(wal.durable_ts(R), ts(1));
     }
 
     #[test]
     fn checkpoint_keeps_the_max_timestamp_record() {
         // Out-of-order and duplicate appends (retransmitted updates) must
         // not regress the checkpoint.
-        let mut wal = Wal::new(8);
-        wal.append(Val::Int(3), ts(3));
-        wal.append(Val::Int(1), ts(1));
+        let mut wal = MultiWal::new(8);
+        wal.append(R, Val::Int(3), ts(3));
+        wal.append(R, Val::Int(1), ts(1));
         wal.fsync();
-        assert_eq!(wal.replay(), Some((Val::Int(3), ts(3))));
-        wal.append(Val::Int(2), ts(2));
+        assert_eq!(wal.replay(), vec![(R, Val::Int(3), ts(3))]);
+        wal.append(R, Val::Int(2), ts(2));
         wal.fsync();
-        assert_eq!(wal.replay(), Some((Val::Int(3), ts(3))), "no regression");
-        wal.append(Val::Int(4), ts(4));
+        assert_eq!(wal.replay(), vec![(R, Val::Int(3), ts(3))], "no regression");
+        wal.append(R, Val::Int(4), ts(4));
         wal.fsync();
-        assert_eq!(wal.replay(), Some((Val::Int(4), ts(4))));
+        assert_eq!(wal.replay(), vec![(R, Val::Int(4), ts(4))]);
     }
 
     #[test]
     fn batch_full_tracks_the_interval_and_clamps_zero() {
-        let mut wal = Wal::new(2);
-        wal.append(Val::Int(1), ts(1));
+        let mut wal = MultiWal::new(2);
+        wal.append(R, Val::Int(1), ts(1));
         assert!(!wal.batch_full());
-        wal.append(Val::Int(2), ts(2));
+        wal.append(R, Val::Int(2), ts(2));
         assert!(wal.batch_full());
 
-        let zero = Wal::new(0);
+        let zero = MultiWal::new(0);
         assert_eq!(zero.fsync_interval(), 1, "interval clamps to ≥ 1");
     }
 
     #[test]
     fn empty_fsync_is_a_no_op() {
-        let mut wal = Wal::new(4);
+        let mut wal = MultiWal::new(4);
         assert_eq!(wal.fsync(), 0);
-        wal.append(Val::Int(1), ts(1));
+        wal.append(R, Val::Int(1), ts(1));
         wal.fsync();
         let before = wal.replay();
         assert_eq!(wal.fsync(), 0);
         assert_eq!(wal.replay(), before);
+    }
+
+    #[test]
+    fn wipe_loses_everything() {
+        let mut wal = MultiWal::new(4);
+        wal.append(R, Val::Int(1), ts(1));
+        wal.fsync();
+        wal.append(R, Val::Int(2), ts(2));
+        wal.wipe();
+        assert_eq!(wal.replay(), vec![]);
+        assert_eq!(wal.durable_ts(R), Ts::ZERO);
+        assert_eq!(wal.unsynced_len(), 0);
     }
 
     #[test]
@@ -381,22 +291,6 @@ mod tests {
         wal.append(ObjId(4), Val::Int(1), ts(1));
         wal.fsync();
         assert_eq!(wal.replay(), vec![(ObjId(4), Val::Int(9), ts(9))]);
-    }
-
-    #[test]
-    fn multiwal_single_object_matches_wal() {
-        let mut mw = MultiWal::new(2);
-        let mut w = Wal::new(2);
-        let script = [(Val::Int(3), 3), (Val::Int(1), 1), (Val::Int(5), 5)];
-        for (v, t) in script {
-            mw.append(ObjId(0), v.clone(), ts(t));
-            w.append(v, ts(t));
-        }
-        assert_eq!(mw.batch_full(), w.batch_full());
-        assert_eq!(mw.fsync(), w.fsync());
-        assert_eq!(mw.durable_ts(ObjId(0)), w.durable_ts());
-        let (wv, wt) = w.replay().unwrap();
-        assert_eq!(mw.replay(), vec![(ObjId(0), wv, wt)]);
     }
 
     #[test]
@@ -496,17 +390,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn wipe_loses_everything() {
-        let mut wal = Wal::new(4);
-        wal.append(Val::Int(1), ts(1));
-        wal.fsync();
-        wal.append(Val::Int(2), ts(2));
-        wal.wipe();
-        assert_eq!(wal.replay(), None);
-        assert_eq!(wal.durable_ts(), Ts::ZERO);
-        assert_eq!(wal.unsynced_len(), 0);
     }
 }

@@ -706,7 +706,7 @@ impl Replica<'_> {
                 // an ack's timing — and, when a crash clears a withheld
                 // ack, its very existence — depend on flush scheduling, so
                 // routing acks through the per-link schedule would make
-                // `BusStats::offered` timing-dependent and break replay.
+                // `TransportStats::offered` timing-dependent and break replay.
                 // The injector still exercises this exchange through the
                 // update leg, which drives the same retransmission path.
                 self.state.absorb(obj, val.clone(), ts);

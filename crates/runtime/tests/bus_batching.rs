@@ -16,8 +16,9 @@ use blunt_abd::ts::Ts;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::Injector;
+use blunt_net::TransportStats;
 use blunt_obs::FlightRecorder;
-use blunt_runtime::{Bus, BusStats, Envelope, Fate, FaultConfig, Payload};
+use blunt_runtime::{Bus, Envelope, Fate, FaultConfig, Payload};
 
 const SEED: u64 = 48_879;
 const SERVERS: u32 = 3;
@@ -92,7 +93,7 @@ struct Outcome {
     settled: Vec<Vec<Envelope>>,
     /// Per mailbox, the `sn`s of the delayed envelopes it held, sorted.
     late: Vec<Vec<u32>>,
-    stats: BusStats,
+    stats: TransportStats,
     coverage: String,
 }
 
