@@ -444,7 +444,17 @@ impl FlightRecorder {
     /// caches it in thread-local storage, replacing any prior ring this
     /// thread had with this recorder.
     pub fn register_current(&self, label: &str) -> Arc<FlightRing> {
-        let ring = Arc::new(FlightRing::new(label, self.capacity, self.start));
+        self.register_current_lanes(label, 1)
+    }
+
+    /// [`register_current`](FlightRecorder::register_current) for a thread
+    /// that records for `lanes` participants — a host running several
+    /// replicas: its ring holds `lanes` rings' worth of events (rounded up
+    /// to a power of two), so a dump keeps at least as much history per
+    /// participant as one ring each would have.
+    pub fn register_current_lanes(&self, label: &str, lanes: usize) -> Arc<FlightRing> {
+        let capacity = (self.capacity * lanes.max(1)).next_power_of_two();
+        let ring = Arc::new(FlightRing::new(label, capacity, self.start));
         self.rings.lock().unwrap().push(Arc::clone(&ring));
         TLS_RINGS.with(|tls| {
             let mut v = tls.borrow_mut();
@@ -756,6 +766,31 @@ mod tests {
         let seqs: Vec<u64> = dump.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (12..20).collect::<Vec<_>>());
         assert!(dump.events.iter().all(|e| e.a == e.seq));
+    }
+
+    #[test]
+    fn a_ring_for_several_lanes_keeps_each_lane_a_whole_ring_of_history() {
+        // Three lanes interleaved on one thread: the ring holds at least
+        // three rings' worth, so each lane keeps its last 8 events.
+        let rec = FlightRecorder::new(8);
+        let ring = rec.register_current_lanes("server-s0", 3);
+        for i in 0..60u64 {
+            ring.record_at(i, FlightKind::BusDeliver, (i % 3) as u32, i, 0);
+        }
+        let dump = rec.dump();
+        assert_eq!(dump.len(), 32, "3 × 8 rounded up to a power of two");
+        for lane in 0..3 {
+            let kept = dump.events.iter().filter(|e| e.pid == lane).count();
+            assert!(kept >= 8, "lane {lane} kept {kept} events");
+        }
+        assert!(dump.events.iter().all(|e| e.ring == "server-s0"));
+        // One lane is a plain ring.
+        let one = FlightRecorder::new(8);
+        let ring = one.register_current_lanes("server-0", 1);
+        for i in 0..20u64 {
+            ring.record_at(i, FlightKind::BusDeliver, 0, i, 0);
+        }
+        assert_eq!(one.dump().len(), 8);
     }
 
     #[test]

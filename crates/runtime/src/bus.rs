@@ -1,8 +1,12 @@
 //! The in-process message bus: per-node mpsc queues plus the fault
 //! injector.
 //!
-//! Every node (server or client thread) owns one `mpsc::Receiver<Envelope>`;
-//! the bus holds the matching senders. A send draws the fate of every
+//! Every node (server replica or client thread) reads one mailbox, an
+//! `mpsc::Receiver<Envelope>`, and the bus holds the matching senders,
+//! indexed by pid. A mailbox may be shared: [`Bus::hosted`] gives every
+//! replica of a shard its host's mailbox, so one thread reads the whole
+//! shard's traffic and tells its replicas apart by `dst`; [`Bus::new`]
+//! gives every node its own. A send draws the fate of every
 //! non-exempt envelope and realises it through [`blunt_net::Links`] — the
 //! same decision core and the same realiser the socket transports use, so
 //! fault counters are a pure function of the seed regardless of backend,
@@ -63,6 +67,7 @@ pub use blunt_net::wire::{Envelope, Payload, SpanCtx};
 /// `Arc<Bus>`.
 pub struct Bus {
     flight: Arc<FlightRecorder>,
+    /// Index = pid: the sender of the mailbox that pid reads.
     mailboxes: Vec<Sender<Envelope>>,
     links: Mutex<Links<Envelope>>,
     delayer: Delayer<Envelope>,
@@ -89,8 +94,33 @@ impl Bus {
         signal_crashes: bool,
         flight: Arc<FlightRecorder>,
     ) -> Result<(Bus, Vec<Receiver<Envelope>>), FaultConfigError> {
+        let own: Vec<usize> = (0..nodes as usize).collect();
+        Bus::hosted(seed, cfg, servers, &own, signal_crashes, flight)
+    }
+
+    /// [`Bus::new`] over shared mailboxes: node `pid` reads mailbox
+    /// `mailbox_of[pid]`, so there are `mailbox_of.len()` nodes, and the
+    /// bus returns one receiver per mailbox (index = mailbox). Fates are
+    /// still drawn per link and every link stays FIFO; which thread drains
+    /// a destination is the only thing a shared mailbox changes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Bus::new`].
+    pub fn hosted(
+        seed: u64,
+        cfg: FaultConfig,
+        servers: u32,
+        mailbox_of: &[usize],
+        signal_crashes: bool,
+        flight: Arc<FlightRecorder>,
+    ) -> Result<(Bus, Vec<Receiver<Envelope>>), FaultConfigError> {
+        let nodes = u32::try_from(mailbox_of.len()).expect("node count fits u32");
         let injector = Injector::new(seed, cfg, servers, nodes, signal_crashes)?;
-        let (mailboxes, receivers): (Vec<_>, Vec<_>) = (0..nodes).map(|_| mpsc::channel()).unzip();
+        let count = mailbox_of.iter().max().map_or(0, |&m| m + 1);
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..count).map(|_| mpsc::channel()).unzip();
+        let mailboxes: Vec<Sender<Envelope>> =
+            mailbox_of.iter().map(|&m| senders[m].clone()).collect();
         let late = mailboxes.clone();
         let bus = Bus {
             flight,
@@ -253,6 +283,28 @@ mod tests {
         bus.flush();
         drop(bus);
         assert_eq!(drain(&rxs[0]), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_shared_mailbox_carries_each_link_in_order_addressed_to_its_pid() {
+        // Servers 0 and 1 share mailbox 0; the client (pid 2) reads
+        // mailbox 1. The host sees both links, each in send order, and
+        // tells them apart by `dst`.
+        let (bus, rxs) =
+            Bus::hosted(0, FaultConfig::none(), 2, &[0, 0, 1], false, flight()).unwrap();
+        assert_eq!(rxs.len(), 2);
+        bus.send_batch((0..6).map(|sn| env(2, sn % 2, sn, false)).collect());
+        bus.send(env(0, 2, 9, false));
+        bus.flush();
+        drop(bus);
+        let mut by_dst: [Vec<u32>; 2] = Default::default();
+        while let Ok(e) = rxs[0].recv_timeout(Duration::from_millis(200)) {
+            if let Payload::Abd(m) = e.msg {
+                by_dst[e.dst.index()].push(m.sn());
+            }
+        }
+        assert_eq!(by_dst, [vec![0, 2, 4], vec![1, 3, 5]]);
+        assert_eq!(drain(&rxs[1]), vec![9]);
     }
 
     #[test]

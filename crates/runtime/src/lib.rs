@@ -10,7 +10,8 @@
 //! the socket tier in `blunt_net` — whose [`blunt_net::fault`] injector — drop, delay,
 //! duplicate, reorder, partition, crash — follows a schedule that is a pure
 //! function of the run seed, so any run is replayable. [`workload`] holds
-//! the replica ([`server_loop`]) and the run observers (shard monitor
+//! the replica's drivers ([`server_loop`] for one, [`host_loop`] for a
+//! shard's replicas on one thread) and the run observers (shard monitor
 //! threads, live telemetry, the watch/watchdog thread); the client side —
 //! the one client loop, of which the single-register workload is the
 //! one-shard, one-key shape — is `blunt-store`, which depends on this crate.
@@ -52,6 +53,6 @@ pub use recovery::{RecoveryMode, RecoverySink};
 pub use shm::{run_shm_chaos, ShmChaosConfig, ShmReport};
 pub use storage::MultiWal;
 pub use workload::{
-    server_loop, spawn_monitor, watch_loop, MonitorFeed, MonitorOverhead, Telemetry,
+    host_loop, server_loop, spawn_monitor, watch_loop, MonitorFeed, MonitorOverhead, Telemetry,
     MAX_OPS_PER_CLIENT,
 };

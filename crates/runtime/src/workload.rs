@@ -2,12 +2,14 @@
 //! whatever drives it.
 //!
 //! [`server_loop`] runs one ABD replica on a real OS thread behind a
-//! fault-injecting [`Transport`] (the in-process [`crate::Bus`] or the
-//! socket tier — see `crate::netrun`). The replica itself is a state
-//! machine that never blocks (`Replica`: one dispatch per envelope, one
-//! commit-and-flush per pass); the loop is its thread driver, which only
-//! waits on the inbox and tells the machine when a pass ends or the run
-//! stops. The client side lives in
+//! fault-injecting [`Transport`] (the socket tier — see `crate::netrun` —
+//! or the in-process [`crate::Bus`]); [`host_loop`], which it calls, runs
+//! several on one thread over one inbox, as the bus does with every
+//! shard's replicas. The replica itself is a state machine that never
+//! blocks (`Replica`: one dispatch per envelope, one commit-and-flush per
+//! pass); the loop is its thread driver, which only waits on the inbox,
+//! hands each envelope to the replica it is addressed to and tells the
+//! machines when a pass ends or the run stops. The client side lives in
 //! `blunt-store`: its pipelined loop is the only client loop in the
 //! workspace, and the classic single-register workload is that store at one
 //! shard and one key. The observers it drives stay here, next to
@@ -441,7 +443,7 @@ struct PendingAck {
 
 /// One ABD replica's whole state between two steps: its registers, its
 /// durable storage, what the pass under way has produced, and — while it
-/// recovers — its catch-up. It never blocks: [`server_loop`] hands it one
+/// recovers — its catch-up. It never blocks: [`host_loop`] hands it one
 /// envelope at a time and ends each pass, and the sends go through the
 /// [`Transport`] it was given.
 struct Replica<'a> {
@@ -466,7 +468,8 @@ struct Replica<'a> {
     /// The recovery under way, if any: while it is `Some`, ABD traffic
     /// waits in it and crash signals are counted by it.
     catch_up: Option<CatchUp>,
-    /// This thread's flight-recorder ring (`server-<pid>`).
+    /// Its host thread's flight-recorder ring (`server-<pid>` for a lone
+    /// replica), shared with the replicas hosted beside it.
     ring: Arc<FlightRing>,
 }
 
@@ -490,9 +493,10 @@ struct CatchUp {
     t0: Instant,
 }
 
-/// Most envelopes one drain pass takes off the mailbox before its replies
-/// are flushed: bounds both how long the first reply of a pass waits for
-/// the last and how many envelopes share one `EnvBatch` frame.
+/// Most envelopes one drain pass takes off the mailbox per hosted replica
+/// before its replies are flushed: bounds both how long the first reply of
+/// a pass waits for the last and how many envelopes share one `EnvBatch`
+/// frame.
 const DRAIN_PASS: usize = 64;
 
 /// One ABD replica: replies to queries, absorbs updates, and (under
@@ -500,18 +504,18 @@ const DRAIN_PASS: usize = 64;
 /// the triggering envelope's exemption so retransmitted exchanges complete
 /// without consuming fault indices.
 ///
-/// This is the replica's thread driver: every protocol decision is the
-/// replica machine's, the loop only waits. Each pass **drains, commits,
-/// then flushes**: it blocks for one envelope, takes whatever else is
-/// already queued (up to 64 envelopes a pass) without blocking, and ends
-/// the pass — the WAL records the pass appended are group-committed (the
-/// acks that releases join the pass's replies), and the replies go to the
-/// transport as one [`Transport::send_batch`]: one frame and one `write`
-/// on the socket tier, one contiguous run per mailbox on the bus. A lone
-/// request waits for nothing: its pass ends as soon as the mailbox is
-/// empty. The replica therefore never blocks — idle,
-/// waiting for catch-up answers, or for good — with a record unsynced, an
-/// ack withheld or a reply buffered.
+/// This is the [`host_loop`] of one replica — the replica's thread driver:
+/// every protocol decision is the replica machine's, the loop only waits.
+/// Each pass **drains, commits, then flushes**: it blocks for one envelope,
+/// takes whatever else is already queued (up to 64 envelopes a pass)
+/// without blocking, and ends the pass — the WAL records the pass appended
+/// are group-committed (the acks that releases join the pass's replies),
+/// and the replies go to the transport as one [`Transport::send_batch`]:
+/// one frame and one `write` on the socket tier, one contiguous run per
+/// mailbox on the bus. A lone request waits for nothing: its pass ends as
+/// soon as the mailbox is empty. The replica therefore never blocks —
+/// idle, waiting for catch-up answers, or for good — with a record
+/// unsynced, an ack withheld or a reply buffered.
 ///
 /// `rx` is any [`Inbox`]: the bus's `Receiver<Envelope>` in process, a
 /// `blunt_net::ServerInbox` in a server process — there the replica thread
@@ -536,14 +540,53 @@ pub fn server_loop(
     me: Pid,
     group: Vec<Pid>,
     mode: RecoveryMode,
+    rx: impl Inbox,
+    bus: &dyn Transport,
+    stop: &AtomicBool,
+    sink: &RecoverySink,
+    recorder: &FlightRecorder,
+) {
+    let name = format!("server-{}", me.0);
+    host_loop(&name, &[me], &group, mode, rx, bus, stop, sink, recorder);
+}
+
+/// Runs the replicas `hosted` of one replica `group` on the calling thread,
+/// over one inbox that carries all of their traffic: [`server_loop`]'s
+/// passes, with the replica an envelope is for picked by its `dst`.
+///
+/// Which thread runs a replica's step is the scheduler's business, not
+/// ABD's: the replicas share nothing but the thread, each keeps its own
+/// state, WAL and catch-up, and state transfer between two of them goes
+/// through the transport and back into this inbox like any peer's. A pass
+/// takes up to 64 envelopes per hosted replica, then ends every replica's
+/// pass (commit, then flush); the inbox is polled every 5 ms while any of
+/// them is catching up, and `stop` or the end of input aborts every
+/// catch-up under way. The thread records into one flight ring labeled
+/// `name`, sized for `hosted.len()` rings' worth of events; its events
+/// carry the replica's pid, so lanes stay per replica.
+///
+/// # Panics
+///
+/// Panics if `hosted` is empty or names a pid outside `group`, and on an
+/// envelope for none of them.
+#[allow(clippy::too_many_arguments)] // a thread entry point, not an API
+pub fn host_loop(
+    name: &str,
+    hosted: &[Pid],
+    group: &[Pid],
+    mode: RecoveryMode,
     mut rx: impl Inbox,
     bus: &dyn Transport,
     stop: &AtomicBool,
     sink: &RecoverySink,
     recorder: &FlightRecorder,
 ) {
-    assert!(group.contains(&me), "a replica group includes its own pid");
-    let ring = recorder.register_current(&format!("server-{}", me.0));
+    assert!(!hosted.is_empty(), "a host runs at least one replica");
+    assert!(
+        hosted.iter().all(|me| group.contains(me)),
+        "a replica group includes its own pid"
+    );
+    let ring = recorder.register_current_lanes(name, hosted.len());
     let (amnesia, fsync_interval, demo_skip) = match mode {
         RecoveryMode::Stable => (false, 1, false),
         RecoveryMode::Amnesia {
@@ -551,51 +594,70 @@ pub fn server_loop(
             demo_skip_recovery,
         } => (true, fsync_interval, demo_skip_recovery),
     };
-    let mut replica = Replica {
-        me,
-        group,
-        bus,
-        sink,
-        state: StoreState::new(Val::Nil),
-        wal: MultiWal::new(fsync_interval),
-        pending_acks: Vec::new(),
-        replies: Vec::new(),
-        amnesia,
-        demo_skip,
-        catchup_sn: 0,
-        catch_up: None,
-        ring,
+    let mut replicas: Vec<Replica<'_>> = hosted
+        .iter()
+        .map(|&me| Replica {
+            me,
+            group: group.to_vec(),
+            bus,
+            sink,
+            state: StoreState::new(Val::Nil),
+            wal: MultiWal::new(fsync_interval),
+            pending_acks: Vec::new(),
+            replies: Vec::new(),
+            amnesia,
+            demo_skip,
+            catchup_sn: 0,
+            catch_up: None,
+            ring: Arc::clone(&ring),
+        })
+        .collect();
+    let at = |dst: Pid| {
+        hosted
+            .iter()
+            .position(|&p| p == dst)
+            .expect("a host's inbox carries only its replicas' envelopes")
     };
+    let pass = DRAIN_PASS * hosted.len();
     loop {
-        replica.debug_assert_nothing_held();
-        // A catch-up looks at `stop` sooner than an idle replica: its
-        // peers may already be gone.
-        let poll_ms = if replica.catch_up.is_some() { 5 } else { 20 };
+        replicas.iter().for_each(Replica::debug_assert_nothing_held);
+        // A catch-up looks at `stop` sooner than an idle host: its peers
+        // may already be gone.
+        let catching_up = replicas.iter().any(|r| r.catch_up.is_some());
+        let poll_ms = if catching_up { 5 } else { 20 };
         match rx.recv_timeout(Duration::from_millis(poll_ms)) {
             Ok(first) => {
-                replica.on_envelope(first);
-                for _ in 1..DRAIN_PASS {
+                replicas[at(first.dst)].on_envelope(first);
+                for _ in 1..pass {
                     match rx.try_recv() {
-                        Ok(env) => replica.on_envelope(env),
+                        Ok(env) => replicas[at(env.dst)].on_envelope(env),
                         Err(_) => break,
                     }
                 }
             }
-            // Shutdown: an idle replica is done; a recovering one gives up
-            // its catch-up first (peers may already be gone) and serves
-            // what it buffered.
+            // Shutdown: an idle host is done; recovering replicas give up
+            // their catch-ups first (peers may already be gone) and serve
+            // what they buffered.
             Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::Relaxed) && !replica.end_catch_up(true) {
-                    return;
+                if stop.load(Ordering::Relaxed) {
+                    let mut aborted = false;
+                    for r in &mut replicas {
+                        aborted |= r.end_catch_up(true);
+                    }
+                    if !aborted {
+                        return;
+                    }
                 }
             }
             Err(RecvTimeoutError::Disconnected) => {
-                while replica.end_catch_up(true) {}
-                replica.end_pass();
+                for r in &mut replicas {
+                    while r.end_catch_up(true) {}
+                    r.end_pass();
+                }
                 return;
             }
         }
-        replica.end_pass();
+        replicas.iter_mut().for_each(Replica::end_pass);
     }
 }
 

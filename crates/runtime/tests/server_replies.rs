@@ -6,10 +6,16 @@
 //! everything in it: queries *and* the crash signal behind them (the exact
 //! shape in which a buffered reply could be held over the crash and the
 //! catch-up wait), or a handful of updates too few to fill a WAL batch.
+//!
+//! `host_loop` runs a whole replica group over one mailbox: there a
+//! recovering replica's peers share its thread, so its catch-up must
+//! complete through the transport and back into that mailbox, for one
+//! crash and for two at once.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Mutex;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use blunt_abd::msg::AbdMsg;
@@ -18,7 +24,9 @@ use blunt_core::ids::{ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::{Coverage, SpanCtx, Transport, TransportStats};
 use blunt_obs::{FlightKind, FlightRecorder};
-use blunt_runtime::{server_loop, Envelope, Payload, RecoveryMode, RecoverySink, RecoveryStats};
+use blunt_runtime::{
+    host_loop, server_loop, Envelope, Payload, RecoveryMode, RecoverySink, RecoveryStats,
+};
 
 /// Records every envelope in the order the transport is handed it, and
 /// the size and time of each `send_batch` call.
@@ -54,6 +62,8 @@ impl Transport for Probe {
 
 const ME: Pid = Pid(0);
 const CLIENT: Pid = Pid(3);
+/// `ME`'s replica group.
+const GROUP: [Pid; 3] = [Pid(0), Pid(1), Pid(2)];
 
 fn query(sn: u32) -> Envelope {
     let msg = AbdMsg::Query {
@@ -118,6 +128,12 @@ impl Served {
     }
 }
 
+/// Amnesia with WAL batches of four.
+const AMNESIA: RecoveryMode = RecoveryMode::Amnesia {
+    fsync_interval: 4,
+    demo_skip_recovery: false,
+};
+
 /// Runs one replica (WAL batches of four) over `inbound`, all of it in the
 /// mailbox before the loop starts and none of it exempt unless it says so:
 /// no retransmission ever prods the replica. The mailbox's sender stays
@@ -127,10 +143,7 @@ impl Served {
 /// by then never will.
 fn serve(amnesia: bool, inbound: Vec<Envelope>) -> Served {
     let mode = if amnesia {
-        RecoveryMode::Amnesia {
-            fsync_interval: 4,
-            demo_skip_recovery: false,
-        }
+        AMNESIA
     } else {
         RecoveryMode::Stable
     };
@@ -145,7 +158,7 @@ fn serve(amnesia: bool, inbound: Vec<Envelope>) -> Served {
     let entered = Instant::now();
     server_loop(
         ME,
-        vec![Pid(0), Pid(1), Pid(2)],
+        GROUP.to_vec(),
         mode,
         rx,
         &probe,
@@ -318,4 +331,139 @@ fn a_stable_replica_acks_as_it_absorbs_and_never_syncs() {
         "inheriting the updates' exemption"
     );
     assert_eq!(served.batch_sizes(), vec![3]);
+}
+
+/// `env`, addressed to replica `dst` instead.
+fn to(dst: Pid, env: Envelope) -> Envelope {
+    Envelope { dst, ..env }
+}
+
+/// The transport of a host running `hosted` of [`GROUP`]: envelopes for a
+/// hosted replica go back into the host's mailbox, everything else — the
+/// client's answers, a query to a replica hosted nowhere — to the
+/// [`Probe`].
+struct Loopback<'a> {
+    hosted: &'a [Pid],
+    mailbox: Sender<Envelope>,
+    out: Probe,
+}
+
+impl Transport for Loopback<'_> {
+    fn send(&self, env: Envelope) {
+        self.send_batch(vec![env]);
+    }
+
+    fn send_batch(&self, envs: Vec<Envelope>) {
+        let (home, out): (Vec<_>, Vec<_>) =
+            envs.into_iter().partition(|e| self.hosted.contains(&e.dst));
+        home.into_iter()
+            .for_each(|e| self.mailbox.send(e).expect("the host reads its mailbox"));
+        if !out.is_empty() {
+            self.out.send_batch(out);
+        }
+    }
+
+    fn flush(&self) {}
+
+    fn stats(&self) -> TransportStats {
+        TransportStats::default()
+    }
+
+    fn coverage(&self) -> Coverage {
+        Coverage::default()
+    }
+}
+
+/// Runs `hosted` of [`GROUP`] on one host under amnesia over `inbound`,
+/// preloaded like [`serve`]'s, until `recoveries` recoveries have completed
+/// (or 5 s have passed); only then is `stop` raised, so no catch-up can
+/// have been cut short by it. Returns what left the host, in order, and
+/// the host's recovery counters.
+fn host(hosted: &[Pid], inbound: Vec<Envelope>, recoveries: u64) -> (Vec<Envelope>, RecoveryStats) {
+    let (tx, rx) = mpsc::channel();
+    for env in inbound {
+        tx.send(env).unwrap();
+    }
+    let stop = AtomicBool::new(false);
+    let transport = Loopback {
+        hosted,
+        mailbox: tx,
+        out: Probe::default(),
+    };
+    let sink = RecoverySink::default();
+    let recorder = FlightRecorder::new(256);
+    thread::scope(|s| {
+        s.spawn(|| {
+            host_loop(
+                "server-s0",
+                hosted,
+                &GROUP,
+                AMNESIA,
+                rx,
+                &transport,
+                &stop,
+                &sink,
+                &recorder,
+            );
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while sink.snapshot().recoveries < recoveries && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    let seen = transport.out.seen.into_inner().unwrap();
+    (seen, sink.snapshot())
+}
+
+#[test]
+fn a_hosted_replica_catches_up_from_the_replicas_on_its_own_thread() {
+    // Replica 0 crashes with ABD traffic behind the signal; its two peers
+    // run on the same thread and answer its StateQuery through the
+    // mailbox they share, so the catch-up completes — nothing aborts it —
+    // and the buffered traffic is then served in arrival order.
+    let inbound = vec![update(0), crash(), query(1), update(2)];
+    let (seen, r) = host(&GROUP, inbound, 1);
+    assert_eq!((r.crashes, r.recoveries), (1, 1));
+    assert_eq!(r.state_queries, 2, "one StateQuery per peer");
+    assert_eq!(r.catchup_aborted, 0, "the peers on its thread answered");
+    assert_eq!(r.wal_records_lost, 1, "update(0)'s uncommitted record");
+    let answered: Vec<(&str, u32)> = seen
+        .iter()
+        .map(|e| match &e.msg {
+            Payload::Abd(AbdMsg::Reply { sn, .. }) => ("reply", *sn),
+            Payload::Abd(AbdMsg::Ack { sn, .. }) => ("ack", *sn),
+            other => panic!("only the client's answers leave the group, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(answered, vec![("reply", 1), ("ack", 2)]);
+    assert!(seen.iter().all(|e| e.src == ME && e.dst == CLIENT));
+}
+
+#[test]
+fn two_hosted_replicas_crashed_in_one_pass_both_recover_without_stop() {
+    // Replicas 0 and 1 crash in the same pass, so each asks the other
+    // while both are catching up. With replica 2 on the host, it alone
+    // could answer both; hosted without it, each catch-up can only end
+    // with the other's answer: state transfer is served during a
+    // catch-up, or the two recoveries would wait on each other until
+    // `stop` aborted them.
+    let inbound = || vec![crash(), to(Pid(1), crash()), query(1), to(Pid(1), query(2))];
+    for hosted in [&GROUP[..], &GROUP[..2]] {
+        let (seen, r) = host(hosted, inbound(), 2);
+        assert_eq!((r.crashes, r.recoveries), (2, 2), "hosting {hosted:?}");
+        assert_eq!(r.state_queries, 4);
+        assert_eq!(r.catchup_aborted, 0, "a recovery waited for `stop`");
+        let mut replied: Vec<(u32, u32)> = seen
+            .iter()
+            .filter_map(|e| match &e.msg {
+                Payload::Abd(AbdMsg::Reply { sn, .. }) => Some((e.src.0, *sn)),
+                // The query to the replica hosted nowhere.
+                Payload::StateQuery { .. } => None,
+                other => panic!("only query replies leave the host, got {other:?}"),
+            })
+            .collect();
+        replied.sort_unstable();
+        assert_eq!(replied, vec![(0, 1), (1, 2)], "hosting {hosted:?}");
+    }
 }

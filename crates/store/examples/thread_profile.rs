@@ -4,8 +4,9 @@
 //! bursts of 8) in a shape given on the command line, while the main thread
 //! samples `/proc/self/task/*/{comm,schedstat,status}` every 10 ms. A run's
 //! threads are spawned for it and named for their role (`client-6`,
-//! `server-0`, `monitor-s1`, `net-reader-3`, `bus-delayer`, `net-accept`, …),
-//! so a thread's last sample is what it cost and its name says what it was.
+//! `server-s0` for a bus shard's host, `server-0` for a socket replica,
+//! `monitor-s1`, `net-reader-3`, `bus-delayer`, `net-accept`, …), so a
+//! thread's last sample is what it cost and its name says what it was.
 //! Printed per class: CPU µs per op, voluntary context switches per op (the
 //! thread slept: a futex wait, a blocking read), involuntary ones (it was
 //! preempted) and run-queue wait µs per op (runnable, no CPU to run on).

@@ -8,7 +8,9 @@
 //! [`RunOpts::k`], and the tier is the transport the driver is handed. A seed-deterministic
 //! consistent-hash [`ring`] maps each key onto one of N independent ABD
 //! shards — disjoint slices of the server set, each running the unmodified
-//! [`blunt_runtime::server_loop`] over its own quorum. Clients are
+//! replica machine over its own quorum (in process, all of a shard's
+//! replicas on one [`blunt_runtime::host_loop`] thread; over sockets, one
+//! [`blunt_runtime::server_loop`] per serve process). Clients are
 //! *pipelined*: each keeps up to `pipeline_depth` operations in flight at
 //! once (per-key program order preserved — two ops on the same key never
 //! overlap from one client), and their quorum fan-out is *batched*: a

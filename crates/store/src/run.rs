@@ -3,9 +3,10 @@
 //!
 //! [`run_store_with`] is the single entry. In process it builds one
 //! [`blunt_runtime::Bus`] spanning every shard's servers plus the clients
-//! and spawns the unmodified [`server_loop`] per replica; given addresses it
-//! points the same client side at already-listening `chaos serve` processes
-//! through a [`NetClient`]. Either way every client is a `StoreClient` —
+//! and spawns one [`host_loop`] thread per shard, which runs the shard's
+//! unmodified replica machines over the shard's one mailbox; given
+//! addresses it points the same client side at already-listening `chaos
+//! serve` processes through a [`NetClient`]. Either way every client is a `StoreClient` —
 //! the only client in the workspace — so the two tiers exercise identical
 //! protocol logic and differ only in transport. The client is a state
 //! machine that never blocks and takes its deadline decisions at a `now`
@@ -62,7 +63,7 @@ use blunt_net::{
 use blunt_obs::flight::encode_val;
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Histogram, HistogramSnapshot};
 use blunt_runtime::{
-    server_loop, spawn_monitor, watch_loop, Bus, MonitorFeed, MonitorOverhead, MonitorReport,
+    host_loop, spawn_monitor, watch_loop, Bus, MonitorFeed, MonitorOverhead, MonitorReport,
     RecoveryMode, RecoverySink, RecoveryStats, Telemetry, MAX_OPS_PER_CLIENT,
 };
 use blunt_sim::rng::{RandomSource, SplitMix64};
@@ -369,11 +370,12 @@ pub fn run_store_net(cfg: &StoreConfig, addrs: &[Addr]) -> Result<StoreReport, F
 /// How long the driver waits for server `Goodbye`s after `Shutdown`.
 const GOODBYE_WAIT: Duration = Duration::from_secs(10);
 
-/// Runs one seeded configuration to completion. With `remote = None` every
-/// replica is a [`server_loop`] thread on one in-process [`Bus`]; with
-/// `Some(addrs)` the client side runs against already-listening `chaos
-/// serve` processes, `addrs` listing every replica shard-major
-/// (`addrs[s·R..(s+1)·R]` is shard `s`'s replica set, matching pid order).
+/// Runs one seeded configuration to completion. With `remote = None` each
+/// shard's replicas run on one [`host_loop`] thread, all on one in-process
+/// [`Bus`]; with `Some(addrs)` the client side runs against
+/// already-listening `chaos serve` processes, `addrs` listing every
+/// replica shard-major (`addrs[s·R..(s+1)·R]` is shard `s`'s replica set,
+/// matching pid order).
 ///
 /// # Errors
 ///
@@ -498,15 +500,7 @@ fn run_on_bus(
     started: Instant,
     recorder: Arc<FlightRecorder>,
 ) -> Result<StoreReport, FaultConfigError> {
-    let servers_total = cfg.servers_total();
-    let (bus, receivers) = Bus::new(
-        cfg.seed,
-        cfg.faults,
-        servers_total,
-        servers_total + cfg.clients,
-        cfg.recovery.is_amnesia(),
-        Arc::clone(&recorder),
-    )?;
+    let (bus, receivers) = shard_bus(cfg, &recorder)?;
     let bus = Arc::new(bus);
     let stop = Arc::new(AtomicBool::new(false));
     // One sink per shard: crash/recovery counters stay attributable to the
@@ -546,7 +540,7 @@ fn run_on_bus(
     Ok(report)
 }
 
-/// A run's threads carry their role as their name (`client-6`, `server-0`,
+/// A run's threads carry their role as their name (`client-6`, `server-s0`,
 /// `monitor-s1`, …; the kernel keeps 15 bytes), the same names as their
 /// flight rings, so a per-thread profile can tell the classes apart
 /// (`examples/thread_profile.rs`).
@@ -560,8 +554,31 @@ fn spawn_named<T: Send + 'static>(
         .expect("spawn a run thread")
 }
 
-/// Spawns one [`server_loop`] thread per replica of `cfg`'s topology on
-/// `bus`, taking the first `servers_total` receivers (index = pid).
+/// The in-process bus for `cfg`'s topology, with one mailbox per shard —
+/// read by the shard's host, shared by its replicas — then one per
+/// client: the receivers come shards first, then clients (mailbox `shards
+/// + c` is client `c`'s).
+fn shard_bus(
+    cfg: &StoreConfig,
+    recorder: &Arc<FlightRecorder>,
+) -> Result<(Bus, Vec<Receiver<Envelope>>), FaultConfigError> {
+    let servers_total = cfg.servers_total();
+    let hosts = (0..servers_total).map(|s| (s / cfg.servers_per_shard) as usize);
+    let clients = (0..cfg.clients).map(|c| (cfg.shards + c) as usize);
+    let mailbox_of: Vec<usize> = hosts.chain(clients).collect();
+    Bus::hosted(
+        cfg.seed,
+        cfg.faults,
+        servers_total,
+        &mailbox_of,
+        cfg.recovery.is_amnesia(),
+        Arc::clone(recorder),
+    )
+}
+
+/// Spawns one [`host_loop`] thread per shard of `cfg`'s topology on `bus`
+/// (named `server-s<shard>`), running the shard's replicas over the
+/// shard's mailbox: the first `shards` receivers of [`shard_bus`].
 fn spawn_replicas(
     cfg: &StoreConfig,
     bus: &Arc<Bus>,
@@ -570,19 +587,18 @@ fn spawn_replicas(
     sinks: &Arc<Vec<RecoverySink>>,
     recorder: &Arc<FlightRecorder>,
 ) -> Vec<thread::JoinHandle<()>> {
-    (0..cfg.servers_total())
-        .map(|s| {
-            let rx = receivers.next().expect("one receiver per node");
+    (0..cfg.shards)
+        .map(|shard| {
+            let rx = receivers.next().expect("one mailbox per shard");
             let bus = Arc::clone(bus);
             let stop = Arc::clone(stop);
             let recorder = Arc::clone(recorder);
             let sinks = Arc::clone(sinks);
-            // The server loop is key-agnostic (its store is a per-key map),
-            // so shard membership is purely a property of who clients
+            // The replica is key-agnostic (its store is a per-key map), so
+            // shard membership is purely a property of who clients
             // address: replica s serves shard s / servers_per_shard.
             // Recovery catch-up stays within the shard — only these
-            // replicas hold the keys.
-            let shard = s / cfg.servers_per_shard;
+            // replicas hold the keys — and the host runs exactly them.
             let group: Vec<Pid> = (shard * cfg.servers_per_shard
                 ..(shard + 1) * cfg.servers_per_shard)
                 .map(Pid)
@@ -591,10 +607,12 @@ fn spawn_replicas(
                 Some(d) if d == shard => RecoveryMode::demo_amnesia(),
                 _ => cfg.recovery,
             };
-            let serve = move || {
-                server_loop(
-                    Pid(s),
-                    group,
+            let name = format!("server-s{shard}");
+            spawn_named(name.clone(), move || {
+                host_loop(
+                    &name,
+                    &group,
+                    &group,
                     mode,
                     rx,
                     bus.as_ref(),
@@ -602,8 +620,7 @@ fn spawn_replicas(
                     &sinks[shard as usize],
                     &recorder,
                 );
-            };
-            spawn_named(format!("server-{s}"), serve)
+            })
         })
         .collect()
 }
@@ -1541,7 +1558,7 @@ mod tests {
     }
 
     /// One client at depth 8 runs `ops` ops (one burst when `ops ≤ 8`)
-    /// against one shard of three `server_loop` replicas behind [`Lossy`];
+    /// against one shard of three replicas on one host behind [`Lossy`];
     /// `deadline` is the first retransmission timeout and its cap.
     fn scripted(ops: u64, deadline: Duration, lose: fn(Pid, &AbdMsg) -> bool) -> StoreReport {
         let mut cfg = StoreConfig::bench(0x6A9);
@@ -1551,8 +1568,7 @@ mod tests {
         cfg.retransmit_after = deadline;
         cfg.retransmit_cap = deadline;
         let recorder = Arc::new(FlightRecorder::new(4096));
-        let (bus, receivers) = Bus::new(cfg.seed, cfg.faults, 3, 4, false, Arc::clone(&recorder))
-            .expect("no faults to misconfigure");
+        let (bus, receivers) = shard_bus(&cfg, &recorder).expect("no faults to misconfigure");
         let bus = Arc::new(bus);
         let stop = Arc::new(AtomicBool::new(false));
         let sinks = Arc::new(vec![RecoverySink::default()]);

@@ -1,10 +1,12 @@
-//! A run that draws no `Delay` starts no delayer thread.
+//! A run starts the threads its shape needs and no others.
 //!
 //! The bus and every serve process realise `Delay` fates through one
 //! `Delayer`, whose thread is spawned by the first delay drawn. A
 //! fault-free run — on the bus, and over sockets with every replica a
 //! `run_net_server` — must therefore never show a `*-delayer` thread, while
-//! a bus run under faults that delay does. A sampler thread reads
+//! a bus run under faults that delay does. On the bus a shard's replicas
+//! share one host thread (`server-s<shard>`); over sockets each replica is
+//! its own `server-<pid>` thread. A sampler thread reads
 //! `/proc/self/task/*/comm` every millisecond while the runs go; this file
 //! holds the one test so that no other test's threads are seen.
 
@@ -67,6 +69,12 @@ fn delayers(names: &BTreeSet<String>) -> Vec<&String> {
     names.iter().filter(|n| n.ends_with("-delayer")).collect()
 }
 
+/// The server-class threads: what a per-thread profile counts as servers.
+fn servers(names: &BTreeSet<String>) -> Vec<&str> {
+    let servers = names.iter().filter(|n| n.starts_with("server-"));
+    servers.map(String::as_str).collect()
+}
+
 #[test]
 fn fault_free_runs_start_no_delayer_thread() {
     let opts = RunOpts::default();
@@ -74,9 +82,11 @@ fn fault_free_runs_start_no_delayer_thread() {
         let report = run_store_with(&shape(FaultConfig::none()), &opts, None).expect("valid");
         assert!(report.monitor.clean());
     });
-    assert!(
-        bus.contains("server-0") && bus.contains("client-6"),
-        "{bus:?}"
+    assert!(bus.contains("client-6"), "{bus:?}");
+    assert_eq!(
+        servers(&bus),
+        ["server-s0", "server-s1"],
+        "one host thread per shard on the bus"
     );
     assert_eq!(delayers(&bus), Vec::<&String>::new(), "fault-free bus run");
 
@@ -85,6 +95,11 @@ fn fault_free_runs_start_no_delayer_thread() {
         assert!(report.monitor.clean());
     });
     assert!(uds.contains("net-accept"), "{uds:?}");
+    assert_eq!(
+        servers(&uds),
+        (0..6).map(|i| format!("server-{i}")).collect::<Vec<_>>(),
+        "one server thread per replica over sockets"
+    );
     assert_eq!(
         delayers(&uds),
         Vec::<&String>::new(),
