@@ -520,7 +520,6 @@ fn register_shape(cli: &Cli, seed: u64, smoke: bool) -> StoreConfig {
     if !smoke {
         cfg.clients = 8;
         cfg.ops_per_client = 13_000;
-        cfg.burst = 4;
     }
     if let Some(addrs) = &cli.connect {
         cfg.servers_per_shard = u32::try_from(addrs.len()).expect("server count fits u32");
@@ -1037,8 +1036,8 @@ fn run_demo(cli: &Cli) -> ExitCode {
         return ExitCode::FAILURE;
     };
     println!(
-        "\nfirst violation window (object {:?}, segment {}):\n\n{}",
-        v.obj, v.segment, v.rendered
+        "\nfirst violation window (object {:?}, action {}):\n\n{}",
+        v.obj, v.at, v.rendered
     );
     println!(
         "the monitor caught {what}: {} violation window(s) total",
@@ -1187,9 +1186,8 @@ fn run_plan(cli: &Cli) -> ExitCode {
     // The gate input (docs/OBS_SCHEMA.md): per-config
     // wall-times plus the `runtime.chaos.*` counters, seed echoed for
     // replay. Only those counters are kept — they are deterministic for a
-    // seed, unlike e.g. the monitor's segment counts (cut placement is
-    // scheduling-dependent) or the shared `lincheck.wgl.*` totals, which
-    // would collide with the experiments baseline.
+    // seed, unlike e.g. the client retransmission counts, and they cannot
+    // collide with the experiments baseline's shared `lincheck.*` totals.
     let mut results = BenchResults::from_snapshot(phases, &blunt_obs::snapshot());
     results
         .counters

@@ -32,5 +32,5 @@ pub mod wsl;
 
 pub use strong::check_strong;
 pub use tree::{ExecTree, NodeId};
-pub use wgl::{check_linearizable, check_linearizable_from, feasible_final_states, LinResult};
+pub use wgl::{check_linearizable, LinResult};
 pub use wsl::check_wsl;

@@ -102,52 +102,6 @@ impl<'a, S: SequentialSpec> Search<'a, S> {
         false
     }
 
-    /// Exhaustive variant of [`Search::go`]: explores *every* linearization
-    /// (the visited set deduplicates subtrees) and collects each object
-    /// state reachable when all invocations are placed or dropped.
-    fn go_all(
-        &mut self,
-        linearized: u64,
-        dropped: u64,
-        state: &S::State,
-        finals: &mut Vec<S::State>,
-    ) {
-        let done = linearized | dropped;
-        self.states += 1;
-        if done == (1u64 << self.ops.len()) - 1 {
-            if !finals.contains(state) {
-                finals.push(state.clone());
-            }
-            return;
-        }
-        if !self.seen.insert((linearized, dropped, state.clone())) {
-            // Already explored from this node; its reachable finals are in
-            // the set.
-            self.memo_prunes += 1;
-            return;
-        }
-        let frontier = self.frontier(done);
-        for i in 0..self.ops.len() {
-            let bit = 1u64 << i;
-            if done & bit != 0 || self.ops[i].call_pos > frontier {
-                continue;
-            }
-            let op = &self.ops[i];
-            if let Some((next, val)) = self.spec.apply(state, op.rec.method, &op.rec.arg) {
-                let matches = match &op.rec.ret {
-                    Some(actual) => *actual == val,
-                    None => true,
-                };
-                if matches {
-                    self.go_all(linearized | bit, dropped, &next, finals);
-                }
-            }
-            if self.ops[i].ret_pos.is_none() {
-                self.go_all(linearized, dropped | bit, state, finals);
-            }
-        }
-    }
-
     /// The linearization frontier: the earliest return position among
     /// unplaced completed ops. An op whose call is after that return cannot
     /// be linearized next (the completed op must precede it).
@@ -170,29 +124,6 @@ impl<'a, S: SequentialSpec> Search<'a, S> {
 /// invocations (the bitmask width; far beyond any history produced here).
 #[must_use]
 pub fn check_linearizable<S: SequentialSpec>(history: &History, spec: &S) -> LinResult {
-    check_linearizable_from(history, spec, spec.init())
-}
-
-/// Checks whether `history` is linearizable w.r.t. `spec` started from an
-/// explicit object state instead of [`SequentialSpec::init`].
-///
-/// This is the segmented form used by incremental monitors (see
-/// `blunt_runtime::monitor`): a long history is split at *cuts* — points
-/// with no pending invocation — and each segment is checked from the state
-/// reached by the witness linearization of the previous one. Cuts respect
-/// real-time order, so the concatenation of segment witnesses is a witness
-/// for the whole history.
-///
-/// # Panics
-///
-/// Panics if the history is not well-formed or has more than 64
-/// invocations.
-#[must_use]
-pub fn check_linearizable_from<S: SequentialSpec>(
-    history: &History,
-    spec: &S,
-    initial: S::State,
-) -> LinResult {
     let mut search = Search {
         spec,
         ops: build_ops(history),
@@ -201,46 +132,13 @@ pub fn check_linearizable_from<S: SequentialSpec>(
         memo_prunes: 0,
     };
     let mut witness = Vec::new();
-    let ok = search.go(0, 0, &initial, &mut witness);
+    let ok = search.go(0, 0, &spec.init(), &mut witness);
     flush_counters(search.states, search.memo_prunes);
     if ok {
         LinResult::Linearizable(witness)
     } else {
         LinResult::NotLinearizable
     }
-}
-
-/// Returns every object state reachable as the final state of *some*
-/// linearization of `history` started from `initial`. The result is empty
-/// iff the history is not linearizable from that state.
-///
-/// This is what an incremental monitor must thread across segment cuts:
-/// a history split at cuts is linearizable iff there is a **chain** of
-/// feasible states through the segments, so committing a single witness's
-/// final state (when overlapping operations admit several) would reject
-/// correct continuations. See `blunt_runtime::monitor`.
-///
-/// # Panics
-///
-/// Panics if the history is not well-formed or has more than 64
-/// invocations.
-#[must_use]
-pub fn feasible_final_states<S: SequentialSpec>(
-    history: &History,
-    spec: &S,
-    initial: S::State,
-) -> Vec<S::State> {
-    let mut search = Search {
-        spec,
-        ops: build_ops(history),
-        seen: HashSet::new(),
-        states: 0,
-        memo_prunes: 0,
-    };
-    let mut finals = Vec::new();
-    search.go_all(0, 0, &initial, &mut finals);
-    flush_counters(search.states, search.memo_prunes);
-    finals
 }
 
 fn build_ops(history: &History) -> Vec<Op> {
@@ -467,117 +365,6 @@ mod tests {
             }
             LinResult::NotLinearizable => panic!("must be linearizable"),
         }
-    }
-
-    #[test]
-    fn explicit_initial_state_shifts_the_verdict() {
-        // A lone read of 7 is NOT linearizable from the default ⊥ ...
-        let h: History = vec![call(0, 0, MethodId::READ, Val::Nil), ret(0, Val::Int(7))]
-            .into_iter()
-            .collect();
-        assert_eq!(check_linearizable(&h, &reg()), LinResult::NotLinearizable);
-        // ... but IS from a committed state of 7 — the segmented-monitor
-        // contract.
-        assert!(check_linearizable_from(&h, &reg(), Val::Int(7)).is_ok());
-        assert_eq!(
-            check_linearizable_from(&h, &reg(), Val::Int(8)),
-            LinResult::NotLinearizable
-        );
-    }
-
-    #[test]
-    fn segment_concatenation_equals_whole_history_check() {
-        // Split a history at a cut and thread the witness state through:
-        // both halves accept iff the whole does.
-        let whole: History = vec![
-            call(0, 0, MethodId::WRITE, Val::Int(3)),
-            ret(0, Val::Nil),
-            call(1, 1, MethodId::READ, Val::Nil),
-            ret(1, Val::Int(3)),
-        ]
-        .into_iter()
-        .collect();
-        assert!(check_linearizable(&whole, &reg()).is_ok());
-
-        let first = whole.prefix(2);
-        let spec = reg();
-        let LinResult::Linearizable(w) = check_linearizable(&first, &spec) else {
-            panic!("prefix must be linearizable");
-        };
-        // Apply the witness to compute the committed state at the cut.
-        let mut state = spec.init();
-        for inv in w {
-            let rec = first
-                .invocations()
-                .into_iter()
-                .find(|r| r.inv == inv)
-                .unwrap();
-            state = spec.apply(&state, rec.method, &rec.arg).unwrap().0;
-        }
-        let second: History = whole.actions()[2..].iter().cloned().collect();
-        assert!(check_linearizable_from(&second, &spec, state).is_ok());
-    }
-
-    #[test]
-    fn overlapping_writes_admit_both_final_states() {
-        // W(1) ∥ W(2), both completed: either order linearizes, so both 1
-        // and 2 are feasible final states — a segmented monitor must keep
-        // both alive, not commit one witness's choice.
-        let h: History = vec![
-            call(0, 0, MethodId::WRITE, Val::Int(1)),
-            call(1, 1, MethodId::WRITE, Val::Int(2)),
-            ret(0, Val::Nil),
-            ret(1, Val::Nil),
-        ]
-        .into_iter()
-        .collect();
-        let mut finals = feasible_final_states(&h, &reg(), Val::Nil);
-        finals.sort();
-        assert_eq!(finals, vec![Val::Int(1), Val::Int(2)]);
-    }
-
-    #[test]
-    fn sequential_writes_admit_exactly_one_final_state() {
-        let h: History = vec![
-            call(0, 0, MethodId::WRITE, Val::Int(1)),
-            ret(0, Val::Nil),
-            call(1, 1, MethodId::WRITE, Val::Int(2)),
-            ret(1, Val::Nil),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(
-            feasible_final_states(&h, &reg(), Val::Nil),
-            vec![Val::Int(2)]
-        );
-    }
-
-    #[test]
-    fn feasible_finals_is_empty_iff_not_linearizable() {
-        let h: History = vec![
-            call(0, 0, MethodId::WRITE, Val::Int(1)),
-            ret(0, Val::Nil),
-            call(1, 1, MethodId::READ, Val::Nil),
-            ret(1, Val::Nil), // stale
-        ]
-        .into_iter()
-        .collect();
-        assert!(feasible_final_states(&h, &reg(), Val::Nil).is_empty());
-        // An empty segment keeps the incoming state.
-        assert_eq!(
-            feasible_final_states(&History::new(), &reg(), Val::Int(7)),
-            vec![Val::Int(7)]
-        );
-    }
-
-    #[test]
-    fn a_pending_write_yields_both_took_effect_and_dropped_states() {
-        let h: History = vec![call(0, 0, MethodId::WRITE, Val::Int(5))]
-            .into_iter()
-            .collect();
-        let mut finals = feasible_final_states(&h, &reg(), Val::Nil);
-        finals.sort();
-        assert_eq!(finals, vec![Val::Nil, Val::Int(5)]);
     }
 
     #[test]

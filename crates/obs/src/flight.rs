@@ -114,11 +114,11 @@ pub enum FlightKind {
     /// A server finished recovery and resumed serving; `a` = recovery
     /// duration in microseconds.
     ServerRecover = 16,
-    /// The online monitor closed a segment cleanly; `a` = segments checked
-    /// so far.
+    /// The online monitor drained its channel: every action enqueued so far
+    /// is checked; `a` = actions checked so far.
     MonitorCut = 17,
-    /// The online monitor flagged a non-linearizable segment; `a` = index
-    /// of the violating segment.
+    /// The online monitor flagged a return that broke linearizability;
+    /// `a` = index of the violation.
     MonitorViolation = 18,
 }
 

@@ -18,10 +18,10 @@
 //! Crashes are more than blackouts: under
 //! [`recovery::RecoveryMode::Amnesia`] a server loses its volatile state
 //! and recovers from a per-server write-ahead log ([`storage`]) plus peer
-//! catch-up before serving again. The [`monitor`] consumes the concurrent
-//! history incrementally
-//! through the Wing–Gong checker in `blunt_lincheck`, rendering any
-//! violation window through `blunt_trace`'s space-time diagram. [`shm`] does
+//! catch-up before serving again. The [`monitor`] checks the concurrent
+//! history as it streams in, with a zone check for registers whose write
+//! values are unique, rendering any violation window through
+//! `blunt_trace`'s space-time diagram. [`shm`] does
 //! the same for the mutex-shared-memory register constructions. [`netrun`]
 //! is the server half of multi-process runs: one `chaos serve` process per
 //! server, driven by the store's client driver over sockets — same protocol

@@ -14,7 +14,7 @@
 //! must flag.
 
 use std::sync::mpsc::Sender;
-use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 use blunt_core::history::Action;
@@ -38,8 +38,6 @@ pub struct ShmChaosConfig {
     pub ops_per_thread: u64,
     /// Preamble iterations for the O^k transformation.
     pub k: u32,
-    /// Ops per thread between barriers (`threads × burst ≤ 64`).
-    pub burst: u64,
     /// ‰ of operations that are reads.
     pub read_per_mille: u16,
     /// Run seed (op mix and object random choices).
@@ -56,7 +54,6 @@ impl ShmChaosConfig {
             threads: 4,
             ops_per_thread: 400,
             k,
-            burst: 8,
             read_per_mille: 500,
             seed,
             broken_reads: false,
@@ -90,24 +87,18 @@ fn va_layout(n: usize) -> ShmLayout {
 ///
 /// # Panics
 ///
-/// Panics on a degenerate configuration, on more than
-/// [`MAX_OPS_PER_CLIENT`] ops per thread, or if `threads × burst` exceeds
-/// the monitor's 64-invocation window bound.
+/// Panics on a degenerate configuration or on more than
+/// [`MAX_OPS_PER_CLIENT`] ops per thread.
 #[must_use]
 pub fn run_shm_chaos(cfg: &ShmChaosConfig) -> ShmReport {
-    assert!(cfg.threads >= 1 && cfg.ops_per_thread >= 1 && cfg.k >= 1 && cfg.burst >= 1);
+    assert!(cfg.threads >= 1 && cfg.ops_per_thread >= 1 && cfg.k >= 1);
     assert!(
         cfg.ops_per_thread <= MAX_OPS_PER_CLIENT,
         "write values stay unique only up to MAX_OPS_PER_CLIENT ops per thread"
     );
-    assert!(
-        u64::from(cfg.threads) * cfg.burst <= 64,
-        "threads × burst must fit the monitor's 64-invocation window"
-    );
     let n = cfg.threads as usize;
     let layout = Arc::new(va_layout(n));
     let shm = Arc::new(Mutex::new(layout.initial_memory()));
-    let barrier = Arc::new(Barrier::new(n));
     let (mon_tx, mon_rx) = mpsc::channel::<Action>();
     let monitor = thread::spawn(move || {
         let mut m = OnlineMonitor::new(Val::Nil, n);
@@ -121,11 +112,10 @@ pub fn run_shm_chaos(cfg: &ShmChaosConfig) -> ShmReport {
     for t in 0..cfg.threads {
         let layout = Arc::clone(&layout);
         let shm = Arc::clone(&shm);
-        let barrier = Arc::clone(&barrier);
         let mon_tx = mon_tx.clone();
         let cfg = *cfg;
         workers.push(thread::spawn(move || {
-            worker_loop(t, &cfg, &layout, &shm, &barrier, &mon_tx);
+            worker_loop(t, &cfg, &layout, &shm, &mon_tx);
         }));
     }
     drop(mon_tx);
@@ -144,7 +134,6 @@ fn worker_loop(
     cfg: &ShmChaosConfig,
     layout: &ShmLayout,
     shm: &Mutex<Shm>,
-    barrier: &Barrier,
     mon_tx: &Sender<Action>,
 ) {
     let me = Pid(t);
@@ -154,9 +143,6 @@ fn worker_loop(
         cfg.seed ^ 0x5348_4D00_0000_0000 ^ u64::from(t).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     );
     for op_idx in 0..cfg.ops_per_thread {
-        if op_idx > 0 && op_idx % cfg.burst == 0 {
-            barrier.wait();
-        }
         let inv = InvId(u64::from(t) * (10 * MAX_OPS_PER_CLIENT) + op_idx);
         let is_read = rng.draw(1000) < usize::from(cfg.read_per_mille);
         let (method, arg) = if is_read {

@@ -89,9 +89,9 @@ pub struct MonitorOverhead {
     pub observe_ns: u64,
     /// High-water mark of the monitor's backlog — actions enqueued by
     /// clients but not yet observed, i.e. how far the monitor ran behind
-    /// the frontier (timing-dependent). A monitor is woken once a burst,
-    /// so about one burst's actions (`2 × clients × burst`) is the design
-    /// point, not a sign of trouble.
+    /// the frontier (timing-dependent). A monitor is woken each time a
+    /// client finishes a burst, so about one burst's actions per client
+    /// (`2 × clients × burst`) is the design point, not a sign of trouble.
     pub lag_ops_hwm: u64,
     /// Times a monitor's `park` returned: how often a monitor thread was
     /// woken (timing-dependent, informational; at most one per ring of the
@@ -156,14 +156,14 @@ impl MonitorFeed {
     /// Wakes the monitor if it is parked; otherwise its next `park` returns
     /// at once, so a ring is never lost and rings do not pile up. Clients
     /// ring every shard's bell once a burst, after their last `Return` and
-    /// before they wait at the barrier.
+    /// before they draw the next burst.
     pub fn ring(&self) {
         self.monitor.unpark();
     }
 }
 
 /// Spawns shard `shard`'s online-monitor thread: it consumes that shard's
-/// action stream, feeds the incremental checker, and captures a flight dump
+/// action stream, feeds the streaming checker, and captures a flight dump
 /// at its first violation. Sound per shard because every op on a key routes
 /// to exactly one shard (see the `blunt-store` crate docs). `lanes` is the
 /// run's node count: monitors take the flight pids after it, one per shard.
@@ -199,6 +199,11 @@ pub fn spawn_monitor(
             let a = match mon_rx.try_recv() {
                 Ok(a) => a,
                 Err(TryRecvError::Empty) => {
+                    // Every action enqueued so far is checked: a cut.
+                    if overhead.actions > cuts {
+                        cuts = overhead.actions;
+                        ring.record(FlightKind::MonitorCut, mon_pid, cuts, 0);
+                    }
                     // Nothing to check until the bell rings: once a burst
                     // per client, and once more when the senders are gone.
                     thread::park();
@@ -219,11 +224,6 @@ pub fn spawn_monitor(
                 .load(Ordering::Relaxed)
                 .saturating_sub(seen);
             overhead.lag_ops_hwm = overhead.lag_ops_hwm.max(lag);
-            let checked = m.segments_checked();
-            if checked > cuts {
-                cuts = checked;
-                ring.record(FlightKind::MonitorCut, mon_pid, checked, 0);
-            }
             if !ok {
                 if dump.is_none() {
                     // A lagging monitor may flag a window whose op
@@ -234,12 +234,8 @@ pub fn spawn_monitor(
                         replay_window(&ring, v.window.actions());
                     }
                 }
-                ring.record(
-                    FlightKind::MonitorViolation,
-                    mon_pid,
-                    m.violations_found().saturating_sub(1),
-                    0,
-                );
+                let index = m.violations().len() as u64 - 1;
+                ring.record(FlightKind::MonitorViolation, mon_pid, index, 0);
                 if dump.is_none() {
                     // Capture now, while the offending ops are still
                     // in the rings.
@@ -259,10 +255,11 @@ pub fn spawn_monitor(
 
 /// Re-records a violation window's actions into the monitor's ring,
 /// attributed to their original client pids. By the time a lagging monitor
-/// closes and rejects a segment, the clients may have recorded thousands
-/// of newer events — enough to evict the offending ops from their bounded
-/// rings — so the dump taken at detection replays the window itself
-/// (≤ 64 invocations) immediately before the `monitor_violation` marker.
+/// flags a return, the clients may have recorded thousands of newer events
+/// — enough to evict the offending ops and their witnesses from their
+/// bounded rings — so the dump taken at detection replays the window
+/// itself (≤ 7 operations) immediately before the `monitor_violation`
+/// marker.
 fn replay_window(ring: &FlightRing, actions: &[Action]) {
     let mut invs: HashMap<InvId, (u32, bool)> = HashMap::new();
     for action in actions {

@@ -25,7 +25,6 @@ fn assert_sound(report: &StoreReport) {
             .map(|v| &v.rendered)
             .collect::<Vec<_>>()
     );
-    assert!(!report.monitor.overflowed, "a monitor window overflowed");
     assert_eq!(report.ops, 2_000);
     assert_eq!(report.monitor_actions, 2 * report.ops);
 }

@@ -11,6 +11,9 @@
 //!   no WAL replay, no peer catch-up) are both caught by the monitor with
 //!   a rendered violation window.
 
+use blunt_core::spec::RegisterSpec;
+use blunt_core::value::Val;
+use blunt_lincheck::check_linearizable;
 use blunt_net::FaultConfigError;
 use blunt_runtime::RecoveryMode;
 use blunt_store::{run_store, run_store_with, RunOpts, StoreConfig, StoreReport};
@@ -21,13 +24,27 @@ fn soak(seed: u64, k: u32, recovery: RecoveryMode) -> StoreReport {
     let mut cfg = StoreConfig::register(seed);
     cfg.clients = 8;
     cfg.ops_per_client = 13_000;
-    cfg.burst = 4;
     cfg.recovery = recovery;
     let opts = RunOpts {
         k,
         ..RunOpts::default()
     };
     run_store_with(&cfg, &opts, None).expect("valid fault config")
+}
+
+/// Every window the monitor flagged is small and fails the exhaustive
+/// checker on its own.
+fn assert_windows_stand_alone(report: &StoreReport) {
+    for v in &report.monitor.violations {
+        let ops = v.window.invocations().len();
+        assert!(ops <= 7, "a window of {ops} ops:\n{}", v.rendered);
+        let spec = RegisterSpec::new(Val::Nil);
+        assert!(
+            !check_linearizable(&v.window, &spec).is_ok(),
+            "the exhaustive checker accepts this window:\n{}",
+            v.rendered
+        );
+    }
 }
 
 fn rendered(report: &StoreReport) -> Vec<&String> {
@@ -107,9 +124,8 @@ fn same_seed_reproduces_fault_schedule_and_counters() {
     let a = run(0x5EED);
     let b = run(0x5EED);
     // The fault schedule is a pure function of the seed: every
-    // deterministic counter matches exactly across runs. (Where the monitor
-    // places its segment cuts is scheduling-dependent, so `segments_ok` is
-    // NOT asserted — the verdict is.)
+    // deterministic counter matches exactly across runs, and so does the
+    // verdict.
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.ops, b.ops);
     assert_eq!(a.monitor.violations.len(), b.monitor.violations.len());
@@ -161,6 +177,7 @@ fn broken_fast_read_is_caught_with_a_rendered_window() {
         v.rendered
     );
     assert!(!v.window.is_empty());
+    assert_windows_stand_alone(&report);
 }
 
 #[test]
@@ -219,6 +236,7 @@ fn broken_amnesia_recovery_is_caught_with_a_rendered_window() {
         "window rendering must show operation intervals:\n{}",
         v.rendered
     );
+    assert_windows_stand_alone(&report);
 }
 
 #[test]

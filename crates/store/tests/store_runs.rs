@@ -8,6 +8,9 @@
 //! - batching is transport amortization only: any `batch_max` yields the
 //!   exact same fault schedule (stats AND coverage) as unbatched sends;
 //! - pipelining preserves per-key order: deep pipelines stay clean;
+//! - the monitor needs no quiescent point: 8 clients × bursts of 16 on two
+//!   keys (128 ops drawn at once, past the exhaustive checker's 64) stay
+//!   clean on both tiers, and broken reads at that shape are still caught;
 //! - the intentionally-broken single-server read is caught by the
 //!   per-shard monitor on the keyed store, with a rendered window;
 //! - the same client loop over real sockets (UDS loopback) stays clean,
@@ -18,9 +21,27 @@
 mod common;
 
 use blunt_core::history::Action;
+use blunt_core::spec::RegisterSpec;
+use blunt_core::value::Val;
+use blunt_lincheck::check_linearizable;
 use blunt_obs::FlightKind;
 use blunt_runtime::{RecoveryMode, RecoveryStats};
-use blunt_store::{run_store, RunOpts, StoreConfig};
+use blunt_store::{run_store, RunOpts, StoreConfig, StoreReport};
+
+/// Every window the monitor flagged is small and fails the exhaustive
+/// checker on its own.
+fn assert_windows_stand_alone(report: &StoreReport) {
+    for v in &report.monitor.violations {
+        let ops = v.window.invocations().len();
+        assert!(ops <= 7, "a window of {ops} ops:\n{}", v.rendered);
+        let spec = RegisterSpec::new(Val::Nil);
+        assert!(
+            !check_linearizable(&v.window, &spec).is_ok(),
+            "the exhaustive checker accepts this window:\n{}",
+            v.rendered
+        );
+    }
+}
 
 #[test]
 fn keyed_smoke_under_light_faults_zero_violations() {
@@ -41,7 +62,8 @@ fn keyed_smoke_under_light_faults_zero_violations() {
     // Every op produced one Call and one Return into some shard monitor.
     assert_eq!(report.monitor_actions, 2 * report.ops);
     assert_eq!(report.latency_us.count, report.ops);
-    assert!(report.monitor.segments_ok > 0);
+    // Every return was checked and accepted.
+    assert_eq!(report.monitor.checked, report.ops);
     assert!(report.ops_per_sec() > 0.0);
 }
 
@@ -128,6 +150,50 @@ fn deep_pipelines_preserve_per_key_order() {
     }
 }
 
+/// 8 clients × bursts of 16 at depth 8 on two keys, light faults: up to 16
+/// ops in flight on each register and no client waiting for another, so
+/// neither register need ever be quiescent.
+fn wide_hot_shape(seed: u64) -> StoreConfig {
+    let mut cfg = StoreConfig::smoke(seed);
+    cfg.shards = 2;
+    cfg.clients = 8;
+    cfg.ops_per_client = 400;
+    cfg.burst = 16;
+    cfg.pipeline_depth = 8;
+    cfg.keys = 2;
+    cfg
+}
+
+#[test]
+fn eight_clients_by_sixteen_on_two_keys_check_clean_on_both_tiers() {
+    let cfg = wide_hot_shape(0x5709_80B0);
+    let bus = run_store(&cfg).expect("valid fault config");
+    let (uds, _) = common::run_over_uds(&cfg, &RunOpts::default(), "wide");
+    for (tier, r) in [("bus", &bus), ("uds", &uds)] {
+        assert_eq!(r.ops, 3_200, "{tier}");
+        assert!(
+            r.monitor.clean(),
+            "{tier}: {:?}",
+            r.monitor
+                .violations
+                .iter()
+                .map(|v| &v.rendered)
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(r.monitor_actions, 2 * r.ops, "{tier}");
+        assert_eq!(r.monitor.checked, r.ops, "{tier}");
+    }
+    // And the same shape still catches the single-server fast read.
+    let mut broken = wide_hot_shape(0x5709_80B1);
+    broken.broken_reads = true;
+    let r = run_store(&broken).expect("valid fault config");
+    assert!(
+        !r.monitor.violations.is_empty(),
+        "the unsafe fast read went unnoticed at 8 × 16"
+    );
+    assert_windows_stand_alone(&r);
+}
+
 #[test]
 fn broken_reads_on_the_keyed_store_are_caught() {
     let mut cfg = StoreConfig::smoke(0x5709_0BAD);
@@ -142,6 +208,7 @@ fn broken_reads_on_the_keyed_store_are_caught() {
         !report.monitor.violations.is_empty(),
         "the unsafe fast read went unnoticed on the keyed store"
     );
+    assert_windows_stand_alone(&report);
     let v = &report.monitor.violations[0];
     assert!(
         v.rendered.contains('┌') && v.rendered.contains('└'),
@@ -300,6 +367,7 @@ fn a_shard_recovery_that_forgets_is_caught_by_that_shards_monitor() {
             "demo config is inert: no crash windows fired"
         );
         if !report.monitor.violations.is_empty() {
+            assert_windows_stand_alone(&report);
             caught = true;
             break;
         }
