@@ -11,8 +11,11 @@
 //! restricts them to server→client), so the driver runs no delayer.
 //!
 //! Inbound frames are replies: each reader thread routes them to the
-//! issuing client's lane by the frame's `re` header via [`ReplyRouter`];
-//! replies to retired tags count as `net.rpc.tag_mismatch_drops`.
+//! issuing client's lane by the lane bits of the frame's `re` header
+//! ([`rpc::lane_of`](crate::rpc::lane_of)). A reply to a finished exchange
+//! reaches its lane like any other and the client refuses it by `sn`, as
+//! on the bus; only a reply with no lane counts as
+//! `net.rpc.tag_mismatch_drops`.
 
 use std::ops::AddAssign;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -28,7 +31,7 @@ use crate::fault::{FaultConfig, FaultConfigError};
 use crate::frame::{Frame, FrameReader, TaggedEnv, DRIVER_NODE};
 use crate::injector::{Injector, Links, TransportStats};
 use crate::pool::ConnectionPool;
-use crate::rpc::{DedupWindow, ReplyRouter, TagGen};
+use crate::rpc::{lane_of, DedupWindow, TagGen, MAX_LANES};
 use crate::wire::Envelope;
 use crate::{Coverage, Transport};
 
@@ -122,7 +125,6 @@ pub struct RemoteServer {
 
 /// State the per-connection reader threads share with the send path.
 struct Shared {
-    router: ReplyRouter,
     /// One mailbox per client lane (lane = pid − servers).
     lanes: Vec<Sender<Envelope>>,
     /// Signalled at every `Goodbye` stored; [`NetClient::shutdown`] waits
@@ -143,9 +145,9 @@ impl Shared {
             blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
             return;
         }
-        match self.router.route(re) {
-            Some(lane) => {
-                let _ = self.lanes[lane].send(env.in_reply_to(tag));
+        match lane_of(re).and_then(|lane| self.lanes.get(lane)) {
+            Some(mailbox) => {
+                let _ = mailbox.send(env.in_reply_to(tag));
             }
             None => blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc(),
         }
@@ -219,6 +221,11 @@ impl NetClient {
         cfg: &NetClientCfg,
         flight: Arc<FlightRecorder>,
     ) -> Result<(Arc<NetClient>, Vec<Receiver<Envelope>>), FaultConfigError> {
+        assert!(
+            u64::from(cfg.clients) <= MAX_LANES,
+            "{} clients do not fit the tag's lane bits",
+            cfg.clients
+        );
         let servers = cfg.servers.len() as u32;
         let nodes = servers + cfg.clients;
         let injector = Injector::new(cfg.seed, cfg.faults, servers, nodes, cfg.signal_crashes)?;
@@ -230,7 +237,6 @@ impl NetClient {
             receivers.push(rx);
         }
         let shared = Arc::new(Shared {
-            router: ReplyRouter::new(cfg.clients as usize),
             lanes,
             goodbye_arrived: Condvar::new(),
             remote: Mutex::new(vec![RemoteServer::default(); cfg.servers.len()]),
@@ -272,16 +278,13 @@ impl NetClient {
         Ok((client, receivers))
     }
 
-    /// A fresh tag for an outbound frame, registered for reply routing when
-    /// the sender is a client lane.
+    /// A fresh tag for an outbound frame, stamped with the sender's lane
+    /// when the sender is a client.
     fn tag_for(&self, src: Pid) -> u64 {
-        let tag = self.tags.next();
-        if src.0 >= self.servers {
-            self.shared
-                .router
-                .register((src.0 - self.servers) as usize, tag);
+        match src.0.checked_sub(self.servers) {
+            Some(lane) => self.tags.next_for(lane as usize),
+            None => self.tags.next(),
         }
-        tag
     }
 
     fn write(&self, dst: Pid, frame: &Frame) {
@@ -391,14 +394,6 @@ impl Transport for NetClient {
     fn send_batch(&self, envs: Vec<Envelope>) {
         for (dst, entries) in self.realise(envs) {
             self.write(dst, &Frame::batch(entries));
-        }
-    }
-
-    fn on_op_start(&self, client: Pid) {
-        if client.0 >= self.servers {
-            self.shared
-                .router
-                .begin_op((client.0 - self.servers) as usize);
         }
     }
 

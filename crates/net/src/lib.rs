@@ -19,8 +19,9 @@
 //!   zero dependencies).
 //! - [`conn`] / [`pool`] — TCP / Unix-domain streams and per-peer
 //!   connection pools with single-redial self-healing.
-//! - [`rpc`] — monotonic frame tags, reply-to-lane routing, and
-//!   per-connection duplicate suppression (retransmission-aware dedup).
+//! - [`rpc`] — monotonic frame tags with the issuing lane in their high
+//!   bits (a reply is routed to its lane by a shift), and per-connection
+//!   duplicate suppression (retransmission-aware dedup).
 //! - [`client`] / [`server`] — the two socket endpoints: [`NetClient`]
 //!   (the driver process: client threads + monitor, owning the
 //!   client→server fault links) and [`NetServer`] (one `chaos serve`
@@ -149,9 +150,11 @@ pub trait Transport: Send + Sync {
         }
     }
 
-    /// Marks the start of a new operation by `client`. Socket transports
-    /// retire the client's outstanding reply routes here; the in-process
-    /// bus needs no such bookkeeping.
+    /// Marks the start of a new operation by `client`.
+    ///
+    /// Retired: nothing under `crates/` overrides or calls it since reply
+    /// tags carry their lane. It stays only because the benchmark's replay
+    /// probe (`benchmark/src/replay.rs`) calls it.
     fn on_op_start(&self, client: Pid) {
         let _ = client;
     }

@@ -5,22 +5,38 @@
 //! that usable under fault injection:
 //!
 //! - [`TagGen`]: the per-process tag source (never issues 0 — `re = 0`
-//!   means "unsolicited").
-//! - [`ReplyRouter`]: maps outstanding request tags to the client lane that
-//!   issued them, so a server's reply frame can be routed to the right
-//!   client mailbox no matter which connection it arrived on. Tags are
-//!   retired wholesale at each operation boundary ([`ReplyRouter::begin_op`])
-//!   — straggler replies to a finished operation then miss the table and
-//!   are dropped, counted as `net.rpc.tag_mismatch_drops`.
+//!   means "unsolicited"). A client lane's request tags carry the lane
+//!   ([`TagGen::next_for`]), so a reply is routed to its lane by a shift
+//!   ([`lane_of`]) no matter which connection it arrived on. Which
+//!   operation a reply answers is the protocol's business: the client
+//!   refuses a reply whose `sn` is no longer in flight, on every tier.
+//!   A reply with no lane is dropped, counted as
+//!   `net.rpc.tag_mismatch_drops`.
 //! - [`DedupWindow`]: per-connection duplicate suppression. The socket
 //!   tier realizes a `Duplicate` fate by writing the same tagged frame
 //!   twice, so the *receiver* must be the one to observe-and-drop, counted
 //!   as `net.rpc.dedup_drops` — mirroring how a real stack would absorb a
 //!   retransmitted datagram.
+//! - [`ReplyRouter`]: the retired tag → lane table, kept only for the
+//!   benchmark's replay probe.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// Where a tag keeps its issuing lane: bits `LANE_SHIFT..64` hold
+/// `lane + 1`, so a tag whose high bits are 0 has no lane.
+pub const LANE_SHIFT: u32 = 48;
+
+/// How many client lanes the tag layout can tell apart.
+pub const MAX_LANES: u64 = (1 << (64 - LANE_SHIFT)) - 1;
+
+/// The lane whose request tag `re` is; `None` for a tag with no lane
+/// (crash signals, `re = 0`).
+#[must_use]
+pub fn lane_of(re: u64) -> Option<usize> {
+    (re >> LANE_SHIFT).checked_sub(1).map(|l| l as usize)
+}
 
 /// Monotonic frame-tag source; process-local, starts at 1 (0 is the
 /// "unsolicited" sentinel in `re` headers).
@@ -34,9 +50,19 @@ impl TagGen {
         TagGen(AtomicU64::new(1))
     }
 
-    /// The next tag.
+    /// The next tag, with no lane.
     pub fn next(&self) -> u64 {
         self.0.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The next tag, stamped with the client `lane` that issues it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` does not fit the tag's lane bits.
+    pub fn next_for(&self, lane: usize) -> u64 {
+        assert!((lane as u64) < MAX_LANES, "lane {lane} overflows");
+        (lane as u64 + 1) << LANE_SHIFT | self.next()
     }
 }
 
@@ -48,6 +74,10 @@ impl Default for TagGen {
 
 /// Routes reply frames (by their `re` header) back to the client lane
 /// whose request they answer.
+///
+/// Retired: no code under `crates/` uses it since request tags carry
+/// their lane ([`TagGen::next_for`], [`lane_of`]). It stays only because
+/// the benchmark's replay probe (`benchmark/src/replay.rs`) constructs it.
 pub struct ReplyRouter {
     /// Outstanding request tag → client lane index.
     map: Mutex<HashMap<u64, usize>>,
@@ -156,6 +186,43 @@ mod tests {
         let a = g.next();
         let b = g.next();
         assert_eq!((a, b), (1, 2));
+    }
+
+    #[test]
+    fn a_lane_tag_routes_back_to_its_lane() {
+        let g = TagGen::new();
+        let last = (MAX_LANES - 1) as usize;
+        for lane in [0, 1, last] {
+            assert_eq!(lane_of(g.next_for(lane)), Some(lane), "lane {lane}");
+        }
+    }
+
+    #[test]
+    fn a_tag_with_no_lane_routes_nowhere() {
+        let g = TagGen::new();
+        assert_eq!(lane_of(0), None, "re = 0 is unsolicited");
+        assert_eq!(lane_of(g.next()), None, "crash signals carry no lane");
+        assert_eq!(lane_of((1 << LANE_SHIFT) - 1), None);
+    }
+
+    #[test]
+    fn tags_stay_unique_and_non_zero_across_lanes() {
+        let g = TagGen::new();
+        let tags: Vec<u64> = (0..64)
+            .map(|i| match i % 5 {
+                0 => g.next(),
+                _ => g.next_for(i % 3),
+            })
+            .collect();
+        assert!(tags.iter().all(|&t| t != 0));
+        let unique: HashSet<u64> = tags.iter().copied().collect();
+        assert_eq!(unique.len(), tags.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn a_lane_past_the_lane_bits_is_refused() {
+        let _ = TagGen::new().next_for(MAX_LANES as usize);
     }
 
     #[test]

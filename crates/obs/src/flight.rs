@@ -271,7 +271,10 @@ pub struct FlightRing {
     label: String,
     start: Instant,
     mask: u64,
+    /// Events recorded so far: the next event's seq.
     head: AtomicU64,
+    /// Events recorded so far that carry a span.
+    spans: AtomicU64,
     slots: Vec<Slot>,
 }
 
@@ -282,6 +285,7 @@ impl FlightRing {
             start,
             mask: capacity as u64 - 1,
             head: AtomicU64::new(0),
+            spans: AtomicU64::new(0),
             slots: (0..capacity)
                 .map(|_| Slot {
                     version: AtomicU64::new(0),
@@ -359,6 +363,10 @@ impl FlightRing {
         slot.key.store(key, Ordering::Relaxed);
         slot.version.store(seq * 2 + 2, Ordering::Release);
         self.head.store(seq + 1, Ordering::Release);
+        if span != SPAN_NONE {
+            let spans = self.spans.load(Ordering::Relaxed);
+            self.spans.store(spans + 1, Ordering::Relaxed);
+        }
     }
 
     fn snapshot_into(&self, out: &mut Vec<FlightEvent>) {
@@ -504,6 +512,16 @@ impl FlightRecorder {
         }
         sort_events(&mut events);
         FlightDump { events }
+    }
+
+    /// How many events every ring has recorded so far, and how many of
+    /// them carry a span: exact counts, however often the rings lapped.
+    #[must_use]
+    pub fn recorded(&self) -> (u64, u64) {
+        let rings = self.rings.lock().unwrap();
+        let events = rings.iter().map(|r| r.head.load(Ordering::Acquire));
+        let spans = rings.iter().map(|r| r.spans.load(Ordering::Relaxed));
+        (events.sum(), spans.sum())
     }
 
     /// Microseconds elapsed on this recorder's clock — the timestamp the
@@ -766,6 +784,21 @@ mod tests {
         let seqs: Vec<u64> = dump.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (12..20).collect::<Vec<_>>());
         assert!(dump.events.iter().all(|e| e.a == e.seq));
+    }
+
+    #[test]
+    fn recorded_counts_every_event_a_lapped_ring_evicted() {
+        let rec = FlightRecorder::new(8);
+        let client = rec.register_current("client-0");
+        for i in 0..20u64 {
+            client.record_span_at(i, FlightKind::BusSend, 0, i, 0, pack_span(0, i % 2));
+        }
+        let other = rec.register_current("server-0");
+        for i in 0..5u64 {
+            other.record_at(i, FlightKind::BusDeliver, 1, i, 0);
+        }
+        assert_eq!(rec.dump().len(), 8 + 5, "the rings keep their tails");
+        assert_eq!(rec.recorded(), (25, 20), "the counts keep everything");
     }
 
     #[test]

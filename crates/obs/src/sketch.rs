@@ -53,6 +53,7 @@ pub fn sketch_lower_bound(i: usize) -> u64 {
     }
 }
 
+#[derive(Debug)]
 struct SketchCore {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
@@ -65,7 +66,7 @@ struct SketchCore {
 /// error on reported bucket lower bounds; exact below 8).
 ///
 /// Cloning shares the underlying buckets, like the registry metric handles.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct QuantileSketch(Arc<SketchCore>);
 
 impl Default for QuantileSketch {

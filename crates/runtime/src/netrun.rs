@@ -27,7 +27,6 @@
 //! folds each server's final telemetry into its totals, every counter
 //! included. The `Goodbye` carries only the flight-dump tail.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
@@ -39,8 +38,7 @@ use blunt_net::{
     Addr, Coverage, FaultConfig, NetServer, NetServerCfg, RecoveryStats, ServerTelemetry,
     Transport, TransportStats,
 };
-use blunt_obs::flight::{FlightDump, SPAN_NONE};
-use blunt_obs::{FlightKind, FlightRecorder, QuantileSketch};
+use blunt_obs::FlightRecorder;
 
 use crate::recovery::{RecoveryMode, RecoverySink};
 use crate::workload::server_loop;
@@ -85,57 +83,17 @@ const TELEMETRY_TICK: Duration = Duration::from_millis(500);
 /// `Goodbye` frame (bounded so a goodbye stays one modest frame).
 const GOODBYE_DUMP_EVENTS: usize = 1024;
 
-/// Folds successive flight-recorder snapshots into cumulative telemetry:
-/// per-ring high-water seq marks make each event count once even though
-/// snapshots overlap, and `WalFlush` events feed the fsync-latency sketch
-/// (their `b` word is the fsync duration in µs).
-struct FlightAggregator {
-    /// Next unseen seq per ring (rings are bounded: eviction may skip
-    /// seqs forward, which the high-water mark absorbs).
-    seen: HashMap<String, u64>,
-    fsync: QuantileSketch,
-    fsync_count: u64,
-    span_events: u64,
-    events: u64,
-}
-
-impl FlightAggregator {
-    fn new() -> FlightAggregator {
-        FlightAggregator {
-            seen: HashMap::new(),
-            fsync: QuantileSketch::new(),
-            fsync_count: 0,
-            span_events: 0,
-            events: 0,
-        }
-    }
-
-    fn absorb(&mut self, dump: &FlightDump) {
-        for e in &dump.events {
-            let next = self.seen.entry(e.ring.clone()).or_insert(0);
-            if e.seq < *next {
-                continue;
-            }
-            *next = e.seq + 1;
-            self.events += 1;
-            if e.span != SPAN_NONE {
-                self.span_events += 1;
-            }
-            if e.kind == FlightKind::WalFlush {
-                self.fsync_count += 1;
-                self.fsync.record(e.b);
-            }
-        }
-    }
-
-    fn snapshot(&self, sink: &RecoverySink) -> ServerTelemetry {
-        ServerTelemetry {
-            recovery: sink.snapshot(),
-            fsync_count: self.fsync_count,
-            fsync_p99_us: self.fsync.quantile(0.99),
-            span_events: self.span_events,
-            events: self.events,
-        }
+/// The server's cumulative report so far, every number counted where it
+/// happens: flight events at their rings, fsyncs where the WAL syncs.
+fn telemetry(sink: &RecoverySink, recorder: &FlightRecorder) -> ServerTelemetry {
+    let (events, span_events) = recorder.recorded();
+    let (fsync_count, fsync_p99_us) = sink.fsyncs();
+    ServerTelemetry {
+        recovery: sink.snapshot(),
+        fsync_count,
+        fsync_p99_us,
+        span_events,
+        events,
     }
 }
 
@@ -188,24 +146,19 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
     let stop = srv.stop_flag();
     let sink = Arc::new(RecoverySink::default());
 
-    // The telemetry thread: every tick, fold the recorder's current window
-    // into the cumulative aggregate and ship a snapshot to the driver so
+    // The telemetry thread: every tick, ship a snapshot to the driver so
     // `--watch` sees live server-side numbers. Read-only observation — it
     // never touches the serve loop or the fault schedule.
     let (tele_stop_tx, tele_stop_rx) = mpsc::channel::<()>();
-    let telemetry = {
+    let ticker = {
         let srv = Arc::clone(&srv);
         let recorder = Arc::clone(&recorder);
         let sink = Arc::clone(&sink);
         let tick = move || {
-            let mut agg = FlightAggregator::new();
-            loop {
-                match tele_stop_rx.recv_timeout(TELEMETRY_TICK) {
-                    Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => return agg,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                }
-                agg.absorb(&recorder.dump());
-                srv.telemetry(agg.snapshot(&sink));
+            while let Err(mpsc::RecvTimeoutError::Timeout) =
+                tele_stop_rx.recv_timeout(TELEMETRY_TICK)
+            {
+                srv.telemetry(telemetry(&sink, &recorder));
             }
         };
         thread::Builder::new()
@@ -238,14 +191,13 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
     srv.flush();
 
     let _ = tele_stop_tx.send(());
-    let mut agg = telemetry.join().expect("telemetry thread");
+    ticker.join().expect("telemetry thread");
 
     // Drain the flight rings NOW, whatever ended the serve loop — the
     // driver's `Shutdown` or a lost driver connection mid-window. The full
-    // dump goes to the local file (when configured), a bounded tail rides
-    // the `Goodbye`, and the final telemetry numbers cover every event.
+    // dump goes to the local file (when configured) and a bounded tail
+    // rides the `Goodbye`.
     let dump = recorder.dump();
-    agg.absorb(&dump);
     if let Some(dir) = &cfg.dump_dir {
         let _ = std::fs::create_dir_all(dir);
         let _ = std::fs::write(
@@ -256,7 +208,7 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
     // The server's one report, before the goodbye on the same FIFO
     // connection: the driver stores it before it sees the goodbye, so its
     // totals are complete even though the periodic tick is best-effort.
-    let report = agg.snapshot(&sink);
+    let report = telemetry(&sink, &recorder);
     srv.telemetry(report);
     srv.goodbye(dump.last_n(GOODBYE_DUMP_EVENTS).to_jsonl());
     // Nothing follows the goodbye: without this the acceptor, its listener

@@ -12,12 +12,16 @@
 //!
 //! [`RecoveryStats`] are accumulated across server threads through the
 //! shared atomics of `RecoverySink` and reported per run in
-//! `StoreReport::recovery`. `crashes` and `recoveries` are deterministic
-//! for a seed (they follow the bus's crash-event detection, which lives in
-//! link-index space); the WAL-shaped counters depend on flush timing and
-//! are excluded from regression gating (see `docs/OBS_SCHEMA.md`).
+//! `StoreReport::recovery`. The sink also counts WAL fsyncs and their
+//! latency, which a serve process ships in its telemetry. `crashes` and
+//! `recoveries` are deterministic for a seed (they follow the bus's
+//! crash-event detection, which lives in link-index space); the
+//! WAL-shaped counters depend on flush timing and are excluded from
+//! regression gating (see `docs/OBS_SCHEMA.md`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use blunt_obs::QuantileSketch;
 
 // Defined in `blunt-net` because a serve process sends it in `Telemetry` frames.
 use blunt_net::RecoveryStats;
@@ -83,6 +87,8 @@ pub struct RecoverySink {
     wal_records_replayed: AtomicU64,
     state_queries: AtomicU64,
     catchup_aborted: AtomicU64,
+    /// Every WAL fsync's latency (µs); its count is the fsync count.
+    fsyncs: QuantileSketch,
 }
 
 impl RecoverySink {
@@ -117,6 +123,17 @@ impl RecoverySink {
         self.recoveries.fetch_add(1, Ordering::Relaxed);
         blunt_obs::static_counter!("runtime.recovery.recoveries").inc();
         blunt_obs::histogram("runtime.recovery.latency_us").record(elapsed_us);
+    }
+
+    /// A WAL fsync that made records durable took `us` microseconds.
+    pub fn on_fsync(&self, us: u64) {
+        self.fsyncs.record(us);
+    }
+
+    /// WAL fsyncs so far and their p99 latency (µs).
+    #[must_use]
+    pub fn fsyncs(&self) -> (u64, u64) {
+        (self.fsyncs.count(), self.fsyncs.quantile(0.99))
     }
 
     /// The accumulated counters as a value snapshot.
@@ -160,6 +177,9 @@ mod tests {
         sink.on_recovery(17);
         sink.on_recovery(21);
         sink.on_catchup_aborted();
+        sink.on_fsync(5);
+        sink.on_fsync(7);
+        assert_eq!(sink.fsyncs(), (2, 7));
         let s = sink.snapshot();
         assert_eq!(
             s,

@@ -824,14 +824,18 @@ impl Replica<'_> {
             return;
         }
         let t0 = Instant::now();
-        self.wal.fsync();
+        let durable = self.wal.fsync();
         let synced = Instant::now();
         let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        let took = micros(synced.duration_since(t0));
+        if durable > 0 {
+            self.sink.on_fsync(took);
+        }
         self.ring.record(
             FlightKind::WalFlush,
             self.me.0,
             self.pending_acks.len() as u64,
-            micros(synced.duration_since(t0)),
+            took,
         );
         let parked_us = blunt_obs::static_histogram!("runtime.storage.ack_parked_us");
         let mut i = 0;

@@ -31,7 +31,6 @@
 
 use std::sync::Mutex;
 
-use blunt_core::ids::Pid;
 use blunt_net::{Coverage, Envelope, Transport, TransportStats};
 
 /// A per-client batching layer over a shared [`Transport`].
@@ -42,7 +41,8 @@ pub struct BatchingTransport<'a> {
 }
 
 /// The unflushed envelopes, in send order, and how many of them go to each
-/// destination (index = [`Pid::index`], grown on demand).
+/// destination (index = [`Pid::index`](blunt_core::ids::Pid::index), grown
+/// on demand).
 #[derive(Default)]
 struct Buffer {
     envs: Vec<Envelope>,
@@ -117,14 +117,6 @@ impl Transport for BatchingTransport<'_> {
         }
     }
 
-    fn on_op_start(&self, client: Pid) {
-        // The inner transport may retire outstanding reply routes here —
-        // anything still buffered must be on the wire (and its routes
-        // registered) before that happens.
-        self.flush_pending();
-        self.inner.on_op_start(client);
-    }
-
     fn flush(&self) {
         self.flush_pending();
         self.inner.flush();
@@ -143,7 +135,7 @@ impl Transport for BatchingTransport<'_> {
 mod tests {
     use super::*;
     use blunt_abd::msg::AbdMsg;
-    use blunt_core::ids::ObjId;
+    use blunt_core::ids::{ObjId, Pid};
     use blunt_net::Payload;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -153,7 +145,6 @@ mod tests {
         batches: Mutex<Vec<usize>>,
         /// `(dst, sn)` of every batched envelope, in arrival order.
         order: Mutex<Vec<(u32, u32)>>,
-        op_starts: AtomicUsize,
         flushes: AtomicUsize,
     }
 
@@ -173,10 +164,6 @@ mod tests {
                 };
                 order.push((env.dst.0, *sn));
             }
-        }
-
-        fn on_op_start(&self, _client: Pid) {
-            self.op_starts.fetch_add(1, Ordering::Relaxed);
         }
 
         fn flush(&self) {
@@ -304,17 +291,13 @@ mod tests {
     }
 
     #[test]
-    fn op_start_and_flush_drain_the_buffer_first() {
+    fn flush_drains_the_buffer_before_flushing_the_inner_transport() {
         let probe = Probe::default();
         let bt = BatchingTransport::new(&probe, 100);
         bt.send(env(0));
         bt.send(env(1));
-        bt.on_op_start(Pid(9));
-        assert_eq!(*probe.batches.lock().unwrap(), vec![2]);
-        assert_eq!(probe.op_starts.load(Ordering::Relaxed), 1);
-        bt.send(env(2));
         bt.flush();
-        assert_eq!(*probe.batches.lock().unwrap(), vec![2, 1]);
+        assert_eq!(*probe.batches.lock().unwrap(), vec![2]);
         assert_eq!(probe.flushes.load(Ordering::Relaxed), 1);
     }
 

@@ -985,6 +985,8 @@ struct StoreClient<'a> {
     retransmissions: u64,
     gap_retransmissions: u64,
     degraded_ops: u64,
+    /// Replies refused because their `sn` names no exchange in flight.
+    stale_replies: u64,
 }
 
 impl<'a> StoreClient<'a> {
@@ -1026,16 +1028,13 @@ impl<'a> StoreClient<'a> {
             retransmissions: 0,
             gap_retransmissions: 0,
             degraded_ops: 0,
+            stale_replies: 0,
         }
     }
 
-    /// Draws the next burst, every shard's backoff clock fresh. Nothing is
-    /// in flight across a burst boundary, so the wholesale reply-tag
-    /// retirement socket transports perform here is safe — and the
-    /// batching layer flushes first (see `BatchingTransport`).
+    /// Draws the next burst, every shard's backoff clock fresh.
     fn start_burst(&mut self) {
         let n = self.cfg.burst.min(self.cfg.ops_per_client - self.drawn);
-        self.bt.on_op_start(self.me);
         self.pending = draw_burst(
             &mut self.rng,
             self.cfg,
@@ -1200,7 +1199,10 @@ impl<'a> StoreClient<'a> {
         let seen = &mut self.answered[env.src.index()];
         *seen = (*seen).max(sn);
         let Some(mut fl) = self.active.remove(&sn) else {
-            return; // stale round, already finished
+            // A stale round, already finished: on a fault-free op, the
+            // last replica's answer in each exchange.
+            self.stale_replies += 1;
+            return;
         };
         let mut key = sn;
         let ret = match (msg, &mut fl.machine) {
@@ -1439,6 +1441,7 @@ fn store_client_loop(
     // to the link like every other, or the link's offered count would
     // depend on whether some later flush happened to carry it.
     client.bt.flush_pending();
+    blunt_obs::static_counter!("store.client.stale_replies").add(client.stale_replies);
     (
         client.latency,
         client.retransmissions,

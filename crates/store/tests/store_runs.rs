@@ -183,14 +183,17 @@ fn eight_clients_by_sixteen_on_two_keys_check_clean_on_both_tiers() {
         assert_eq!(r.monitor_actions, 2 * r.ops, "{tier}");
         assert_eq!(r.monitor.checked, r.ops, "{tier}");
     }
-    // And the same shape still catches the single-server fast read.
-    let mut broken = wide_hot_shape(0x5709_80B1);
-    broken.broken_reads = true;
-    let r = run_store(&broken).expect("valid fault config");
-    assert!(
-        !r.monitor.violations.is_empty(),
-        "the unsafe fast read went unnoticed at 8 × 16"
-    );
+    // And the same shape still catches the single-server fast read. Like
+    // `--demo-amnesia`, the catch is scheduling-sensitive (one seed of 20
+    // consecutive ones from here missed), so the first catch must come
+    // within 3 consecutive seeds.
+    let caught = (0..3).find_map(|i| {
+        let mut broken = wide_hot_shape(0x5709_80B1 + i);
+        broken.broken_reads = true;
+        let r = run_store(&broken).expect("valid fault config");
+        (!r.monitor.violations.is_empty()).then_some(r)
+    });
+    let r = caught.expect("the unsafe fast read went unnoticed at 8 × 16 across 3 seeds");
     assert_windows_stand_alone(&r);
 }
 
