@@ -17,18 +17,19 @@
 //! cargo run --release -p blunt-bench --bin chaos -- --store --smoke --k 2
 //! cargo run --release -p blunt-bench --bin chaos -- --store --demo-amnesia
 //! chaos serve --listen s0.sock --server-id 0 --peers s0.sock,s1.sock,s2.sock \
-//!     --fault-profile light --seed 7 &      # … one per server, then:
+//!     --fault-profile light &               # … one per server, then:
 //! chaos --smoke --connect s0.sock,s1.sock,s2.sock --fault-profile light --seed 7
 //! ```
 //!
 //! **One command line.** The driver and `chaos serve` parse through one
 //! argument loop; a flag of the other mode is a usage error. Over sockets
-//! the driver realises the client→server half of the per-link fault
-//! schedule and each serve process the server→client half, and both
-//! resolve the seed and fault flags with the one
-//! `blunt_bench::FaultFlags::resolve` — the serve side from its
-//! `--peers` count and `--shard-size` — so identical flags give one
-//! schedule, the keyed store's amnesia windows included. `serve` requires
+//! the driver draws every fate of the run — requests' as it sends them,
+//! replies' as its readers take them off the wire — and a serve process
+//! holds no fault schedule: it takes only the flags that decide the
+//! recovery mode (`--fault-profile`, `--recovery`), and both sides read
+//! that mode through the one `blunt_bench::FaultFlags::recovery_mode`, so the
+//! same two flags agree on it. `--seed`, `--crash-len` and
+//! `--crash-period` are the driver's alone. `serve` requires
 //! `--fault-profile`: it has no run shape to take a default mix from.
 //!
 //! `--fault-profile none|light|heavy|amnesia` narrows the run to the two
@@ -110,14 +111,13 @@ use std::time::{Duration, Instant};
 const USAGE: &str =
     "usage: chaos [--smoke] [--store] [--sweep N] [--demo-broken | --demo-amnesia] [FLAGS]
        chaos serve --listen ADDR --server-id N --peers ADDR,... --fault-profile P [FLAGS]
-  both:   --seed N  --fault-profile none|light|heavy|amnesia  --crash-len N  --crash-period N
-          --recovery stable|amnesia  --dump-dir DIR
-  driver: --results-out PATH  --summary-out PATH  --watch DUR  --watch-out PATH
-          --ops-per-client N  --connect ADDR,...  --k N
+  both:   --fault-profile none|light|heavy|amnesia  --recovery stable|amnesia  --dump-dir DIR
+  driver: --seed N  --crash-len N  --crash-period N  --results-out PATH  --summary-out PATH
+          --watch DUR  --watch-out PATH  --ops-per-client N  --connect ADDR,...  --k N
   store:  --keys N  --shards N  --pipeline-depth N  --batch N  --batch-hist-out PATH
-  serve:  --clients N  --shard-size N
-ADDR is host:port (TCP) or a filesystem path (Unix-domain socket); a serve process takes the
-driver's seed and fault flags verbatim. --batch N caps what a client buffers per destination
+  serve:  --shard-size N
+ADDR is host:port (TCP) or a filesystem path (Unix-domain socket); the driver draws every fate,
+and a serve process takes only the flags that decide the recovery mode. --batch N caps what a client buffers per destination
 replica before a forced flush (1 = no batching); a flush carries every destination's envelopes";
 
 const DEFAULT_DUMP_DIR: &str = "target/chaos/flight";
@@ -170,8 +170,6 @@ struct Cli {
     listen: Option<Addr>,
     server_id: Option<u32>,
     peers: Option<Vec<Addr>>,
-    /// Client threads the driver runs.
-    clients: u32,
     /// Replicas per shard of a keyed (`--store`) run; its presence marks
     /// the serve process as sharded.
     shard_size: Option<u32>,
@@ -278,7 +276,6 @@ fn parse_cli() -> Cli {
         results_out: PathBuf::from("target/chaos/BENCH_results.json"),
         summary_out: PathBuf::from("target/chaos/RUN_summary.json"),
         batch_hist_out: PathBuf::from("target/chaos/store_batch_hist.json"),
-        clients: 4,
         ..Cli::default()
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -330,24 +327,16 @@ fn parse_cli() -> Cli {
             "--listen" => cli.listen = Some(Addr::parse(&args.value(flag))),
             "--server-id" => cli.server_id = Some(args.parse(flag, "a u32", |_| true)),
             "--peers" => cli.peers = Some(args.addrs(flag)),
-            "--clients" => cli.clients = args.positive(flag),
             "--shard-size" => cli.shard_size = Some(args.positive(flag)),
             other => usage_error(&format!("unknown flag {other}")),
         }
-        // The seed and fault flags fix one per-link schedule across
-        // processes, so both modes take them; every other flag is one mode's.
-        let shared = matches!(
-            flag,
-            "--seed"
-                | "--fault-profile"
-                | "--crash-len"
-                | "--crash-period"
-                | "--recovery"
-                | "--dump-dir"
-        );
+        // Both modes take the flags that decide the recovery mode, so the
+        // two sides of a socket run agree on it; every other flag is one
+        // mode's.
+        let shared = matches!(flag, "--fault-profile" | "--recovery" | "--dump-dir");
         let serve_only = matches!(
             flag,
-            "--listen" | "--server-id" | "--peers" | "--clients" | "--shard-size"
+            "--listen" | "--server-id" | "--peers" | "--shard-size"
         );
         if !shared && serve_only != cli.serve {
             usage_error(&if serve_only {
@@ -477,9 +466,9 @@ fn run_opts(cli: &Cli, k: u32) -> RunOpts {
 }
 
 /// Finishes a run from its base shape: the shape flags applied on top, the
-/// faults resolved by the same [`FaultFlags::resolve`] a serve process
-/// calls (`default` is the shape's own mix), the watch/watchdog settings
-/// beside it.
+/// faults resolved by [`FaultFlags::resolve`] (`default` is the shape's
+/// own mix; its recovery half is the one a serve process reads), the
+/// watch/watchdog settings beside it.
 fn finish_run(cli: &Cli, name: String, mut cfg: StoreConfig, k: u32, default: FaultProfile) -> Run {
     // `check_driver` rejects the four shape flags without --store.
     cfg.keys = cli.keys.unwrap_or(cfg.keys);
@@ -840,42 +829,39 @@ fn servers_json(remote: &[blunt_runtime::RemoteServer]) -> blunt_obs::Json {
     )
 }
 
-/// Runs one `chaos serve` process to completion. Its faults come from
-/// the same [`FaultFlags::resolve`] the driver calls, fed this process's
-/// view of the topology — one server per `--peers` address, sharded iff
-/// `--shard-size` is given — so identical seed and fault flags give both
-/// sides halves of one per-link schedule.
+/// Runs one `chaos serve` process to completion. The driver draws every
+/// fate of the run, so the serve process reads only the recovery mode its
+/// fault flags name, through the same [`FaultFlags::recovery_mode`] the
+/// driver's [`FaultFlags::resolve`] calls.
 fn run_serve(cli: &Cli) -> ExitCode {
     // `check_serve` made these present and consistent.
     let peers = cli.peers.clone().expect("--peers");
     let servers = u32::try_from(peers.len()).expect("server count fits u32");
     let server_id = cli.server_id.expect("--server-id");
-    let profile = cli.faults.profile.expect("--fault-profile");
-    let seed = cli.seed;
-    let (faults, recovery) = cli
-        .faults
-        .resolve(profile, servers, cli.shard_size.is_some());
     let cfg = NetServeConfig {
         listen: cli.listen.clone().expect("--listen"),
         server_id,
         servers,
         shard_size: cli.shard_size,
-        clients: cli.clients,
         peers,
-        seed,
-        faults,
-        recovery,
+        recovery: cli
+            .faults
+            .recovery_mode(cli.faults.profile.expect("--fault-profile")),
         dump_dir: cli.dump_dir.clone(),
+        // Unread by `run_net_server`; see their doc comments.
+        clients: 0,
+        seed: 0,
+        faults: FaultConfig::none(),
     };
     eprintln!(
-        "chaos serve: server {server_id}/{servers} on {}, seed {seed:#x}",
+        "chaos serve: server {server_id}/{servers} on {}",
         cfg.listen
     );
     match run_net_server(&cfg) {
         Ok(r) => {
             eprintln!(
-                "chaos serve: server {server_id} done — offered {} crashes {} recoveries {}",
-                r.stats.offered, r.recovery.crashes, r.recovery.recoveries
+                "chaos serve: server {server_id} done — crashes {} recoveries {}",
+                r.recovery.crashes, r.recovery.recoveries
             );
             ExitCode::SUCCESS
         }

@@ -138,11 +138,11 @@ impl std::str::FromStr for FaultProfile {
     }
 }
 
-/// The fault flags `chaos` and `chaos serve` share: `--fault-profile`,
-/// `--crash-len`, `--crash-period` and `--recovery`. Over sockets the
-/// driver realises the client→server half of the per-link schedule and
-/// every serve process the server→client half, so both sides resolve these
-/// flags through the one [`FaultFlags::resolve`].
+/// The fault flags of `chaos`: `--fault-profile`, `--crash-len`,
+/// `--crash-period` and `--recovery`. Over sockets the driver draws every
+/// fate of the run, and `chaos serve` takes only the two flags that decide
+/// the recovery mode; both sides read that mode through the one
+/// [`FaultFlags::recovery_mode`], so they agree on it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FaultFlags {
     /// `--fault-profile`; `None` leaves the run shape's default mix.
@@ -174,11 +174,10 @@ impl FaultFlags {
         sharded: bool,
     ) -> (FaultConfig, RecoveryMode) {
         let profile = self.profile.unwrap_or(default);
-        let (mut faults, recovery) = match profile {
-            FaultProfile::None => (FaultConfig::none(), RecoveryMode::Stable),
-            FaultProfile::Light => (FaultConfig::light(), RecoveryMode::Stable),
-            FaultProfile::Heavy => (FaultConfig::chaos(), RecoveryMode::Stable),
-            FaultProfile::Amnesia => (FaultConfig::chaos(), RecoveryMode::amnesia()),
+        let mut faults = match profile {
+            FaultProfile::None => FaultConfig::none(),
+            FaultProfile::Light => FaultConfig::light(),
+            FaultProfile::Heavy | FaultProfile::Amnesia => FaultConfig::chaos(),
         };
         if sharded && profile == FaultProfile::Amnesia {
             faults.crash_len = 4;
@@ -186,7 +185,20 @@ impl FaultFlags {
         }
         faults.crash_len = self.crash_len.unwrap_or(faults.crash_len);
         faults.crash_period = self.crash_period.unwrap_or(faults.crash_period);
-        (faults, self.recovery.unwrap_or(recovery))
+        (faults, self.recovery_mode(default))
+    }
+
+    /// What a crash means under these flags: `--recovery`, else amnesia
+    /// for the `amnesia` profile (`default` when `--fault-profile` is
+    /// absent) and stable storage for the rest. It is all a serve process
+    /// reads of its flags.
+    #[must_use]
+    pub fn recovery_mode(&self, default: FaultProfile) -> RecoveryMode {
+        let profile_mode = match self.profile.unwrap_or(default) {
+            FaultProfile::Amnesia => RecoveryMode::amnesia(),
+            _ => RecoveryMode::Stable,
+        };
+        self.recovery.unwrap_or(profile_mode)
     }
 }
 

@@ -177,8 +177,9 @@ fn zero_ops_per_client_is_a_usage_error_naming_the_flag() {
 }
 
 /// A serve process has no run shape to take a default fault mix from, so
-/// it must be given the driver's `--fault-profile` verbatim; and the one
-/// argument loop keeps each mode's flags to that mode.
+/// it must be given the driver's `--fault-profile` verbatim; it holds no
+/// fault schedule, so the schedule's flags are the driver's alone; and the
+/// one argument loop keeps each mode's flags to that mode.
 #[test]
 fn serve_flags_and_driver_flags_stay_in_their_own_mode() {
     let dir = tmp_dir("serve-flags");
@@ -202,6 +203,30 @@ fn serve_flags_and_driver_flags_stay_in_their_own_mode() {
         (
             [&serve[..], &["--fault-profile", "light", "--servers", "1"]].concat(),
             "--servers",
+        ),
+        (
+            [&serve[..], &["--fault-profile", "light", "--clients", "4"]].concat(),
+            "--clients",
+        ),
+        (
+            [&serve[..], &["--fault-profile", "light", "--seed", "7"]].concat(),
+            "--seed",
+        ),
+        (
+            [
+                &serve[..],
+                &["--fault-profile", "light", "--crash-len", "6"],
+            ]
+            .concat(),
+            "--crash-len",
+        ),
+        (
+            [
+                &serve[..],
+                &["--fault-profile", "light", "--crash-period", "60"],
+            ]
+            .concat(),
+            "--crash-period",
         ),
         (vec!["--smoke", "--peers", sock], "--peers"),
         (vec!["--smoke", "--shard-size", "3"], "--shard-size"),

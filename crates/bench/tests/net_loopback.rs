@@ -49,15 +49,14 @@ fn three_serve_processes_and_a_driver_survive_crashes_with_zero_violations() {
         .map(|i| dir.join(format!("s{i}.sock")).to_str().unwrap().to_string())
         .collect();
     let peers = socks.join(",");
-    let fault_args = [
-        "--fault-profile",
-        "light",
+    // The driver draws every fate; a serve process takes only the flags
+    // that decide the recovery mode.
+    let recovery_args = ["--fault-profile", "light", "--recovery", "amnesia"];
+    let schedule_args = [
         "--crash-len",
         "6",
         "--crash-period",
         "60",
-        "--recovery",
-        "amnesia",
         "--seed",
         "48879",
     ];
@@ -69,10 +68,9 @@ fn three_serve_processes_and_a_driver_survive_crashes_with_zero_violations() {
                 .arg("serve")
                 .args(["--listen", &socks[i]])
                 .args(["--server-id", &i.to_string()])
-                .args(["--clients", "4"])
                 .args(["--peers", &peers])
                 .args(["--dump-dir", serve_dumps.to_str().unwrap()])
-                .args(fault_args)
+                .args(recovery_args)
                 .stdout(Stdio::null())
                 .stderr(Stdio::null())
                 .spawn()
@@ -83,7 +81,8 @@ fn three_serve_processes_and_a_driver_survive_crashes_with_zero_violations() {
     let summary_path = dir.join("SUM.json");
     let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
         .args(["--smoke", "--connect", &peers])
-        .args(fault_args)
+        .args(recovery_args)
+        .args(schedule_args)
         .args(["--ops-per-client", "2600"]) // 4 clients × 2 600 = 10 400 ops
         .args(["--summary-out", summary_path.to_str().unwrap()])
         .args(["--results-out", dir.join("BENCH.json").to_str().unwrap()])

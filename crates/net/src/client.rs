@@ -1,23 +1,38 @@
 //! The driver endpoint: client threads and the monitor live in this
 //! process; servers are reached over sockets.
 //!
-//! [`NetClient`] owns the **client→server** half of the fault schedule:
-//! every non-exempt request is realised by the shared [`Links`] exactly
-//! like the in-process bus's — `Drop` family skips the entry, `Duplicate`
-//! writes the same tagged entry twice (the server's dedup window absorbs
-//! the copy), and a crash-window exit puts the exempt amnesia signal
-//! directly ahead of the triggering entry in the server's `EnvBatch`.
-//! `Reorder`/`Delay` never occur on client→server links (the schedule
-//! restricts them to server→client), so the driver runs no delayer.
+//! [`NetClient`] owns the **whole** fault schedule of a socket run, as the
+//! bus owns an in-process run's: every fate is drawn in this process, so a
+//! serve process needs no seed or fault flags.
 //!
-//! Inbound frames are replies: each reader thread routes them to the
-//! issuing client's lane by the lane bits of the frame's `re` header
-//! ([`rpc::lane_of`](crate::rpc::lane_of)). A reply to a finished exchange
-//! reaches its lane like any other and the client refuses it by `sn`, as
-//! on the bus; only a reply with no lane counts as
-//! `net.rpc.tag_mismatch_drops`.
+//! - **Client→server.** Every non-exempt request is realised by one
+//!   [`Links`] on the send path: `Drop` family skips the entry,
+//!   `Duplicate` writes the same tagged entry twice (the server's dedup
+//!   window absorbs the copy), and a crash-window exit puts the exempt
+//!   amnesia signal directly ahead of the triggering entry in the server's
+//!   `EnvBatch`. The schedule gives these links no `Reorder` or `Delay`.
+//! - **Server→client.** Inbound frames are replies. Each server's reader
+//!   thread passes them through the connection's dedup window, then draws
+//!   their fates on that server's own [`Links`] (no other reader takes its
+//!   lock), and routes what is deliverable to the issuing client's lane by
+//!   the lane bits of the entry's `re` header
+//!   ([`rpc::lane_of`](crate::rpc::lane_of)). A `Reorder` waits in the
+//!   link's hold-back slot, a `Delay` in the `net-delayer` thread (spawned
+//!   by the first delay drawn), whose sink is the lanes too;
+//!   [`Transport::flush`] releases both.
+//!
+//! A reply to a finished exchange reaches its lane like any other and the
+//! client refuses it by `sn`, as on the bus; only a reply with no lane
+//! counts as `net.rpc.tag_mismatch_drops`. [`Transport::stats`] and
+//! [`Transport::coverage`] cover both directions: they are final once
+//! every server's `Goodbye` has arrived ([`NetClient::shutdown`]) and the
+//! holds are released, because a server writes all its replies ahead of
+//! its goodbye on the one FIFO connection. A server that sent no goodbye
+//! (it died, or missed the deadline) leaves its reply links partial: what
+//! its reader drew before [`Transport::flush`] counts, and nothing after.
 
 use std::ops::AddAssign;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -29,7 +44,7 @@ use blunt_obs::{FlightKind, FlightRecorder};
 use crate::conn::Addr;
 use crate::fault::{FaultConfig, FaultConfigError};
 use crate::frame::{Frame, FrameReader, TaggedEnv, DRIVER_NODE};
-use crate::injector::{Injector, Links, TransportStats};
+use crate::injector::{Delayer, Injector, Links, TransportStats};
 use crate::pool::ConnectionPool;
 use crate::rpc::{lane_of, DedupWindow, TagGen, MAX_LANES};
 use crate::wire::Envelope;
@@ -37,9 +52,9 @@ use crate::{Coverage, Transport};
 
 /// How a driver reaches its servers.
 pub struct NetClientCfg {
-    /// Fault-schedule seed (shared with the servers' own injectors).
+    /// Fault-schedule seed.
     pub seed: u64,
-    /// Fault configuration (shared likewise).
+    /// Fault configuration.
     pub faults: FaultConfig,
     /// One listen address per server, index = server pid.
     pub servers: Vec<Addr>,
@@ -123,10 +138,27 @@ pub struct RemoteServer {
     pub dump: Option<FlightDump>,
 }
 
+/// Hands a deliverable reply to the lane whose request tag it answers.
+fn route(lanes: &[Sender<Envelope>], e: TaggedEnv) {
+    match lane_of(e.re).and_then(|lane| lanes.get(lane)) {
+        Some(mailbox) => {
+            let _ = mailbox.send(e.env.in_reply_to(e.tag));
+        }
+        None => blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc(),
+    }
+}
+
 /// State the per-connection reader threads share with the send path.
 struct Shared {
     /// One mailbox per client lane (lane = pid − servers).
     lanes: Vec<Sender<Envelope>>,
+    /// The server→client links, one table per server (index = server pid),
+    /// each drawn from by that server's reader alone.
+    replies: Vec<Mutex<Links<TaggedEnv>>>,
+    /// Where a delayed reply waits for its lane.
+    delayer: Delayer<TaggedEnv>,
+    /// Set by [`Transport::flush`]: from then on a reader draws no fate.
+    flushed: AtomicBool,
     /// Signalled at every `Goodbye` stored; [`NetClient::shutdown`] waits
     /// on it for the last.
     goodbye_arrived: Condvar,
@@ -138,22 +170,42 @@ struct Shared {
 }
 
 impl Shared {
-    /// One reply off the wire: past the connection's dedup window, to the
-    /// lane whose request tag it answers.
-    fn admit(&self, dedup: &mut DedupWindow, tag: u64, re: u64, env: Envelope) {
-        if !dedup.admit(tag) {
-            blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
-            return;
-        }
-        match lane_of(re).and_then(|lane| self.lanes.get(lane)) {
-            Some(mailbox) => {
-                let _ = mailbox.send(env.in_reply_to(tag));
+    /// One frame's replies from server `peer`, in wire order: past the
+    /// connection's dedup window, through the server's reply links (fates
+    /// drawn per entry under one lock, as the bus draws a batch's), to
+    /// their lanes. Each entry is handled exactly as if it had arrived as
+    /// its own `Env` frame, so batching is invisible above the framing
+    /// layer.
+    ///
+    /// The lock is held to the end, so a flush waits for this frame's
+    /// draws and delays; a faulted reply read after the flush (from a
+    /// server that sent no `Goodbye`) is dropped undrawn, and the counters
+    /// stay as the flush left them.
+    fn admit(&self, peer: usize, dedup: &mut DedupWindow, entries: Vec<TaggedEnv>) {
+        let ring = self.flight.thread_ring();
+        let (mut now, mut later) = (Vec::with_capacity(entries.len()), Vec::new());
+        let mut deliver = |e: TaggedEnv| now.push(e);
+        let mut delay = |ms, e| later.push((ms, e));
+        let mut links = None;
+        for e in entries {
+            if !dedup.admit(e.tag) {
+                blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
+            } else if e.env.exempt {
+                deliver(e);
+            } else {
+                let (src, dst, label) = (e.env.src, e.env.dst, e.env.msg.flight_label());
+                let links = links.get_or_insert_with(|| self.replies[peer].lock().expect("links"));
+                if !self.flushed.load(Ordering::Relaxed) {
+                    links.realise(src, dst, label, e, &ring, &mut deliver, &mut delay);
+                }
             }
-            None => blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc(),
         }
+        now.into_iter().for_each(|e| route(&self.lanes, e));
+        self.delayer.delay(later);
     }
 
     fn reader_loop(&self, peer: usize, stream: crate::conn::Stream) {
+        self.flight.register_current(&format!("net-reader-{peer}"));
         let mut reader = FrameReader::new(stream);
         let mut dedup = DedupWindow::new(1024);
         loop {
@@ -162,15 +214,10 @@ impl Shared {
                 Ok(None) | Err(_) => return,
             };
             match frame {
-                Frame::Env { tag, re, env } => self.admit(&mut dedup, tag, re, env),
-                // Unpacked in order: each entry is handled exactly as if it
-                // had arrived as its own `Env` frame, so batching is
-                // invisible above the framing layer.
-                Frame::EnvBatch { entries } => {
-                    for e in entries {
-                        self.admit(&mut dedup, e.tag, e.re, e.env);
-                    }
+                Frame::Env { tag, re, env } => {
+                    self.admit(peer, &mut dedup, vec![TaggedEnv { tag, re, env }]);
                 }
+                Frame::EnvBatch { entries } => self.admit(peer, &mut dedup, entries),
                 Frame::HelloAck { echo_t, t_us, .. } => {
                     // Cristian's algorithm: assume the reply took half the
                     // round trip, so the server stamped `t_us` at roughly
@@ -195,8 +242,8 @@ impl Shared {
     }
 }
 
-/// The driver-process transport: sockets to every server, the
-/// client→server fault links, and reply routing back to client lanes.
+/// The driver-process transport: sockets to every server, the fault links
+/// of both directions, and reply routing back to client lanes.
 pub struct NetClient {
     servers: u32,
     links: Mutex<Links<TaggedEnv>>,
@@ -228,16 +275,21 @@ impl NetClient {
         );
         let servers = cfg.servers.len() as u32;
         let nodes = servers + cfg.clients;
-        let injector = Injector::new(cfg.seed, cfg.faults, servers, nodes, cfg.signal_crashes)?;
-        let mut lanes = Vec::with_capacity(cfg.clients as usize);
-        let mut receivers = Vec::with_capacity(cfg.clients as usize);
-        for _ in 0..cfg.clients {
-            let (tx, rx) = mpsc::channel();
-            lanes.push(tx);
-            receivers.push(rx);
-        }
+        let injector = |signal| Injector::new(cfg.seed, cfg.faults, servers, nodes, signal);
+        let requests = injector(cfg.signal_crashes)?;
+        // Replies go to clients, never into a crash window: no signals.
+        let replies = (0..servers)
+            .map(|_| Links::new(injector(false).expect("validated"), |_, _| unreachable!()))
+            .map(Mutex::new)
+            .collect();
+        let (lanes, receivers): (Vec<_>, Vec<_>) =
+            (0..cfg.clients).map(|_| mpsc::channel()).unzip();
+        let late = lanes.clone();
         let shared = Arc::new(Shared {
             lanes,
+            replies,
+            delayer: Delayer::new("net-delayer", move |e| route(&late, e)),
+            flushed: AtomicBool::new(false),
             goodbye_arrived: Condvar::new(),
             remote: Mutex::new(vec![RemoteServer::default(); cfg.servers.len()]),
             flight: Arc::clone(&flight),
@@ -265,7 +317,7 @@ impl NetClient {
         let signal_tags = Arc::clone(&tags);
         let client = Arc::new(NetClient {
             servers,
-            links: Mutex::new(Links::new(injector, move |server, window| TaggedEnv {
+            links: Mutex::new(Links::new(requests, move |server, window| TaggedEnv {
                 tag: signal_tags.next(),
                 re: 0,
                 env: Envelope::crash(server, window),
@@ -398,15 +450,31 @@ impl Transport for NetClient {
     }
 
     fn flush(&self) {
-        // Nothing is held or delayed: the schedule restricts reorders and
-        // delays to server→client links.
+        // Set before any lock is taken: a reader that takes one after this
+        // flush has released it sees the flag.
+        self.shared.flushed.store(true, Ordering::Relaxed);
+        for links in &self.shared.replies {
+            let held = links.lock().expect("links").release();
+            held.into_iter().for_each(|e| route(&self.shared.lanes, e));
+        }
+        self.shared.delayer.close();
     }
 
     fn stats(&self) -> TransportStats {
-        self.links.lock().expect("links lock").injector().stats()
+        let mut stats = self.links.lock().expect("links lock").injector().stats();
+        for links in &self.shared.replies {
+            stats += links.lock().expect("links").injector().stats();
+        }
+        stats
     }
 
     fn coverage(&self) -> Coverage {
-        self.links.lock().expect("links lock").injector().coverage()
+        let mut coverage = self.links.lock().expect("links lock").injector().coverage();
+        for links in &self.shared.replies {
+            let replies = links.lock().expect("links").injector().coverage();
+            coverage.links.extend(replies.links);
+        }
+        coverage.links.sort_by_key(|l| (l.src, l.dst));
+        coverage
     }
 }

@@ -10,16 +10,18 @@
 //! type: it owns the injector and one reorder hold-back slot per directed
 //! link, and hands what the fate leaves deliverable to two sinks its
 //! caller supplies — `now`, in delivery order, and `later` for a `Delay`.
-//! [`Delayer`] is the one min-deadline buffer behind `later`. The three
-//! endpoints differ only in their sinks:
+//! [`Delayer`] is the one min-deadline buffer behind `later`. Every fate of
+//! a run is drawn in one process — the bus's, or the socket driver's — and
+//! the realisers differ only in their sinks:
 //!
-//! | endpoint | item | `now` | `later` |
+//! | realiser | item | `now` | `later` |
 //! |---|---|---|---|
 //! | the in-process bus | `Envelope` | the destination's mailbox | `bus-delayer`, then the mailbox |
-//! | [`NetClient`](crate::NetClient) | [`TaggedEnv`](crate::TaggedEnv) | the server's `EnvBatch` | — (schedule-restricted) |
-//! | [`NetServer`](crate::NetServer) | [`TaggedEnv`](crate::TaggedEnv) | the driver's `EnvBatch` | `net-delayer`, then a lone `Env` frame |
+//! | [`NetClient`](crate::NetClient), requests | [`TaggedEnv`](crate::TaggedEnv) | the server's `EnvBatch` | — (schedule-restricted) |
+//! | [`NetClient`](crate::NetClient), replies (one table per server) | [`TaggedEnv`](crate::TaggedEnv) | the client's lane | `net-delayer`, then the lane |
 
 use std::collections::HashSet;
+use std::ops::AddAssign;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -52,6 +54,19 @@ pub struct TransportStats {
     /// Distinct `(server, window)` crash events signaled (0 unless the
     /// transport was built with `signal_crashes`).
     pub crash_events: u64,
+}
+
+impl AddAssign for TransportStats {
+    fn add_assign(&mut self, s: TransportStats) {
+        self.offered += s.offered;
+        self.dropped += s.dropped;
+        self.duplicated += s.duplicated;
+        self.reordered += s.reordered;
+        self.delayed += s.delayed;
+        self.crash_dropped += s.crash_dropped;
+        self.partition_dropped += s.partition_dropped;
+        self.crash_events += s.crash_events;
+    }
 }
 
 /// The fault-decision state of one transport endpoint: the per-link fate

@@ -23,9 +23,10 @@
 //!   bits (a reply is routed to its lane by a shift), and per-connection
 //!   duplicate suppression (retransmission-aware dedup).
 //! - [`client`] / [`server`] — the two socket endpoints: [`NetClient`]
-//!   (the driver process: client threads + monitor, owning the
-//!   client→server fault links) and [`NetServer`] (one `chaos serve`
-//!   process per server, owning its server→client links).
+//!   (the driver process: client threads + monitor, owning every fault
+//!   link of the run, replies' included) and [`NetServer`] (one `chaos
+//!   serve` process per server, a plain replica host with no fault
+//!   schedule).
 //! - [`Inbox`] — what a replica thread receives from: the bus's plain
 //!   channel receiver in process, a [`ServerInbox`] in a server process,
 //!   where the replica thread reads the driver's socket itself and no
@@ -41,14 +42,16 @@
 //! ## Fault semantics across backends
 //!
 //! The *decision* (which fate, which counters) is shared and
-//! seed-deterministic, and so is the *realisation*: the bus, the driver
-//! and a serve process all hand their items to one [`Links`] table, which
-//! drops, duplicates, holds back for a reorder and signals crashes the
-//! same way for each, and give a `Delay` to one [`Delayer`]. Only the
-//! sink differs with the medium: the in-process bus enqueues a
-//! `Duplicate` twice, while a socket backend writes the same tagged entry
-//! twice and the receiver's dedup window absorbs the copy — exercising the
-//! retransmission-tolerance machinery a real stack needs.
+//! seed-deterministic, and so is the *realisation*. Every fate of a run
+//! is drawn in one process: the bus's, or the socket driver's — requests'
+//! on its send path, replies' on each server's reader thread. Each hands
+//! its items to a [`Links`] table, which drops, duplicates, holds back for
+//! a reorder and signals crashes the same way for each, and gives a
+//! `Delay` to a [`Delayer`]. Only the sink differs with the medium: the
+//! in-process bus enqueues a request `Duplicate` twice, while the driver
+//! writes the same tagged entry twice and the server's dedup window
+//! absorbs the copy — exercising the retransmission-tolerance machinery a
+//! real stack needs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -116,7 +119,8 @@ impl Inbox for Receiver<Envelope> {
 /// can carry [`Envelope`]s under the seed-determined fault schedule.
 ///
 /// Implementations: the in-process bus (`blunt_runtime::Bus`), the driver
-/// endpoint [`NetClient`], and the server endpoint [`NetServer`]. The
+/// endpoint [`NetClient`], and the server endpoint [`NetServer`], which
+/// draws no fates (the driver draws its replies'). The
 /// protocol state machines in `blunt-abd` never see this trait — they are
 /// pure step functions — so a transport swap cannot change protocol
 /// decisions, only message timing and loss.

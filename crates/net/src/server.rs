@@ -1,23 +1,22 @@
 //! The server endpoint: one `chaos serve` process per server pid.
 //!
-//! [`NetServer`] accepts the driver's connection plus peer-server
-//! connections (recovery traffic) and owns the **server→client** half of
-//! the fault schedule: replies are realised by the shared [`Links`] —
-//! including `Reorder` (the link's hold-back slot, released when the next
-//! reply on the same link overtakes it) and `Delay` (the `net-delayer`
-//! thread, spawned by the first delay drawn, writes the entry as its own
-//! frame when it falls due), which the schedule restricts to these links.
-//! Whatever one [`Transport::send_batch`] call leaves deliverable reaches
-//! the driver as a single `EnvBatch` frame.
+//! [`NetServer`] is a plain replica host: it accepts the driver's
+//! connection plus peer-server connections (recovery traffic) and holds no
+//! fault schedule. The driver draws the fate of every message of the run,
+//! replies included, when its reader takes them off this server's
+//! connection ([`NetClient`](crate::NetClient)). So every reply one
+//! [`Transport::send_batch`] call makes reaches the driver in a single
+//! `EnvBatch` frame, in the caller's order, and a serve process needs no
+//! seed or fault flags.
 //!
 //! Inbound, the replica thread reads its own driver socket through the
 //! [`ServerInbox`] that [`NetServer::bind`] returns: no thread stands
 //! between a request on the wire and the ABD step that answers it. The
 //! process's threads are the replica (whoever drives the inbox), the
-//! acceptor, the delayer once a `Delay` is drawn, one short-lived
-//! handshake thread per accepted connection, and one pump per connected
-//! peer — none per driver connection. The driver connection's dedup
-//! window lives in the inbox, a peer connection's in its pump.
+//! acceptor, one short-lived handshake thread per accepted connection,
+//! and one pump per connected peer — none per driver connection. The
+//! driver connection's dedup window lives in the inbox, a peer
+//! connection's in its pump.
 //!
 //! An inbound `Shutdown` on the driver connection raises the stop flag and
 //! ends the inbox's input; the runtime then sends the server's final
@@ -40,9 +39,8 @@ use blunt_obs::{FlightKind, FlightRecorder};
 
 use crate::client::ServerTelemetry;
 use crate::conn::{Addr, Stream};
-use crate::fault::FaultConfig;
 use crate::frame::{Frame, FrameReader, FrameWriter, TaggedEnv, DRIVER_NODE};
-use crate::injector::{Delayer, Injector, Links, TransportStats};
+use crate::injector::TransportStats;
 use crate::pool::ConnectionPool;
 use crate::rpc::{DedupWindow, TagGen};
 use crate::wire::Envelope;
@@ -56,15 +54,9 @@ pub struct NetServerCfg {
     pub me: Pid,
     /// Total number of servers in the run.
     pub servers: u32,
-    /// Number of client threads the driver runs.
-    pub clients: u32,
     /// Every server's listen address, index = pid (recovery traffic dials
     /// peers directly; this server's own entry is never dialed).
     pub peers: Vec<Addr>,
-    /// Fault-schedule seed, shared with the driver.
-    pub seed: u64,
-    /// Fault configuration, shared with the driver.
-    pub faults: FaultConfig,
 }
 
 /// The single writer handle back to the driver process, replaced whenever
@@ -84,19 +76,17 @@ impl DriverSlot {
     }
 }
 
-/// The server-process transport: the driver/peer listener, the
-/// server→client fault links, and the peer pool for recovery traffic.
+/// The server-process transport: the driver/peer listener, the writer back
+/// to the driver, and the peer pool for recovery traffic.
 pub struct NetServer {
     me: Pid,
     servers: u32,
     /// Where the acceptor listens: [`NetServer::close`] dials it.
     listen: Addr,
     acceptor: Mutex<Option<JoinHandle<()>>>,
-    links: Mutex<Links<TaggedEnv>>,
     peers: ConnectionPool,
     tags: TagGen,
     driver: Arc<DriverSlot>,
-    delayer: Delayer<TaggedEnv>,
     stop: Arc<AtomicBool>,
     flight: Arc<FlightRecorder>,
     /// Bumped by [`Transport::on_crash`] (an amnesia crash of this server
@@ -379,15 +369,11 @@ impl NetServer {
     ///
     /// # Errors
     ///
-    /// Bind errors, and unusable fault configurations (as
-    /// [`io::ErrorKind::InvalidInput`]).
+    /// Bind errors.
     pub fn bind(
         cfg: &NetServerCfg,
         flight: Arc<FlightRecorder>,
     ) -> io::Result<(Arc<NetServer>, ServerInbox)> {
-        let nodes = cfg.servers + cfg.clients;
-        let injector = Injector::new(cfg.seed, cfg.faults, cfg.servers, nodes, false)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let listener = cfg.listen.listen()?;
         let (mailbox_tx, mailbox_rx) = mpsc::channel();
         let driver = Arc::new(DriverSlot(Mutex::new(None)));
@@ -445,22 +431,14 @@ impl NetServer {
             stop: Arc::clone(&stop),
             dedup_epoch: Arc::clone(&dedup_epoch),
         };
-        let late = Arc::clone(&driver);
         let server = Arc::new(NetServer {
             me,
             servers: cfg.servers,
             listen: cfg.listen.clone(),
             acceptor: Mutex::new(Some(acceptor)),
-            // Built without `signal_crashes`: the driver raises them.
-            links: Mutex::new(Links::new(injector, |_, _| {
-                unreachable!("a serve process raises no crash signals")
-            })),
             peers,
             tags: TagGen::new(),
             driver,
-            delayer: Delayer::new("net-delayer", move |e: TaggedEnv| {
-                late.write(&Frame::from(e));
-            }),
             stop,
             flight,
             dedup_epoch,
@@ -525,13 +503,8 @@ impl Transport for NetServer {
     }
 
     fn send_batch(&self, envs: Vec<Envelope>) {
-        // Fates are drawn per logical envelope, in the caller's order, under
-        // one lock — the injector cannot tell a batch from the unbatched
-        // loop. Peer traffic and exempt replies bypass it.
         let ring = self.flight.thread_ring();
         let mut out = Vec::with_capacity(envs.len());
-        let mut later = Vec::new();
-        let mut links = None;
         for env in envs {
             let (src, dst, label) = (env.src, env.dst, env.msg.flight_label());
             let span = env.span.flight_word();
@@ -545,27 +518,14 @@ impl Transport for NetServer {
                 // Peer traffic is recovery (always exempt): straight to the
                 // peer's listener, no fault schedule.
                 let _ = self.peers.send(dst.index(), &Frame::from(entry));
-            } else if entry.env.exempt {
-                out.push(entry);
             } else {
-                links
-                    .get_or_insert_with(|| self.links.lock().expect("links lock"))
-                    .realise(
-                        src,
-                        dst,
-                        label,
-                        entry,
-                        &ring,
-                        &mut |e| out.push(e),
-                        &mut |ms, e| later.push((ms, e)),
-                    );
+                // The driver draws the reply's fate as it reads it.
+                out.push(entry);
             }
         }
-        drop(links);
         if !out.is_empty() {
             self.driver.write(&Frame::batch(out));
         }
-        self.delayer.delay(later);
     }
 
     fn on_crash(&self) {
@@ -575,19 +535,16 @@ impl Transport for NetServer {
         self.dedup_epoch.fetch_add(1, Ordering::SeqCst);
     }
 
-    fn flush(&self) {
-        let held = self.links.lock().expect("links lock").release();
-        if !held.is_empty() {
-            self.driver.write(&Frame::batch(held));
-        }
-        self.delayer.close();
-    }
+    /// Nothing to release: a serve process holds and delays nothing.
+    fn flush(&self) {}
 
+    /// Empty: the driver counts every fate of the run.
     fn stats(&self) -> TransportStats {
-        self.links.lock().expect("links lock").injector().stats()
+        TransportStats::default()
     }
 
+    /// Empty: the driver keeps every link's coverage.
     fn coverage(&self) -> Coverage {
-        self.links.lock().expect("links lock").injector().coverage()
+        Coverage::default()
     }
 }

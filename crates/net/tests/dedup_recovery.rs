@@ -18,7 +18,7 @@ use std::time::Duration;
 use blunt_abd::msg::AbdMsg;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_net::frame::{write_frame, Frame, DRIVER_NODE};
-use blunt_net::{Addr, Envelope, FaultConfig, Inbox, NetServer, NetServerCfg, Transport};
+use blunt_net::{Addr, Envelope, Inbox, NetServer, NetServerCfg, Transport};
 use blunt_obs::FlightRecorder;
 
 #[test]
@@ -30,10 +30,7 @@ fn server_recovery_resets_the_dedup_window() {
         listen: listen.clone(),
         me: Pid(0),
         servers: 1,
-        clients: 1,
         peers: vec![listen.clone()],
-        seed: 1,
-        faults: FaultConfig::none(),
     };
     let (server, mut mailbox) =
         NetServer::bind(&cfg, Arc::new(FlightRecorder::new(256))).expect("bind UDS listener");

@@ -11,9 +11,7 @@ use std::time::{Duration, Instant};
 use blunt_abd::msg::AbdMsg;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_net::frame::{Frame, DRIVER_NODE};
-use blunt_net::{
-    Addr, Envelope, FaultConfig, Inbox, NetServer, NetServerCfg, Payload, ServerInbox, Stream,
-};
+use blunt_net::{Addr, Envelope, Inbox, NetServer, NetServerCfg, Payload, ServerInbox, Stream};
 use blunt_obs::FlightRecorder;
 
 const LONG: Duration = Duration::from_secs(5);
@@ -28,10 +26,7 @@ fn bind(tag: &str) -> (Arc<NetServer>, ServerInbox, Addr) {
         listen: listen.clone(),
         me: Pid(0),
         servers: 1,
-        clients: 1,
         peers: vec![listen.clone()],
-        seed: 1,
-        faults: FaultConfig::none(),
     };
     let (server, inbox) =
         NetServer::bind(&cfg, Arc::new(FlightRecorder::new(256))).expect("bind UDS listener");

@@ -1,12 +1,16 @@
-//! `NetServer::send_batch` is its envelope sequence.
+//! The driver draws a reply's fate as its reader takes the reply off the
+//! wire, and how the server framed its replies does not matter.
 //!
-//! One fixed reply sequence under `FaultConfig::chaos()` goes through a
-//! real `NetServer` four ways — `send` one by one, and `send_batch` in
-//! chunks of 1, 3 and 16 — with the test dialed in as the driver and
-//! reading the wire. Batching may change only how replies share frames:
-//! stats, coverage and what each client's lane would decode must not move.
+//! The test plays server 0 of a chaos run: it accepts a real `NetClient`'s
+//! connection and writes one fixed reply sequence under
+//! `FaultConfig::chaos()` to it four ways — as lone `Env` frames, and as
+//! `EnvBatch` chunks of 1, 3 and 16. Each client lane's decoded sequence,
+//! `stats()` and `coverage()` must agree across the four, and with the fates
+//! an injector built like the driver's schedules for the same sequence.
+//! Once the driver has flushed, a reply it still reads draws no fate.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -16,25 +20,28 @@ use blunt_abd::ts::Ts;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::frame::{Frame, FrameReader, FrameWriter, DRIVER_NODE};
+use blunt_net::rpc::LANE_SHIFT;
 use blunt_net::{
-    Addr, Envelope, Fate, FaultConfig, Injector, NetServer, NetServerCfg, Payload, Transport,
-    TransportStats,
+    Addr, Envelope, Fate, FaultConfig, Injector, NetClient, NetClientCfg, Payload, TaggedEnv,
+    Transport, TransportStats,
 };
 use blunt_obs::FlightRecorder;
 
 const SEED: u64 = 48_879;
-const SERVERS: u32 = 3;
+const SERVERS: u32 = 1;
 const CLIENTS: u32 = 4;
 const ME: Pid = Pid(0);
 const REPLIES: u32 = 1_600;
+const LONG: Duration = Duration::from_secs(10);
 
-/// The reply sequence: server 0 answering the four clients in a fixed
-/// scramble, every fifth envelope an exempt ack between faulted replies.
-/// `sn` numbers the envelopes, so a decoded payload names its position.
-fn replies() -> Vec<Envelope> {
+/// The reply sequence as server 0 writes it: the four clients answered in
+/// a fixed scramble, every fifth entry an exempt ack between faulted
+/// replies. `sn` numbers the entries, so a decoded payload names its
+/// position; the tag is `sn + 1` and `re` carries the client's lane.
+fn replies() -> Vec<TaggedEnv> {
     (0..REPLIES)
         .map(|i| {
-            let dst = Pid(SERVERS + (i * 7 + i / 5) % CLIENTS);
+            let lane = (i * 7 + i / 5) % CLIENTS;
             let (msg, exempt) = if i % 5 == 4 {
                 (
                     AbdMsg::Ack {
@@ -57,7 +64,11 @@ fn replies() -> Vec<Envelope> {
                     false,
                 )
             };
-            Envelope::abd(ME, dst, msg, exempt).in_reply_to(u64::from(i) + 100)
+            TaggedEnv {
+                tag: u64::from(i) + 1,
+                re: (u64::from(lane) + 1) << LANE_SHIFT | (u64::from(i) + 100),
+                env: Envelope::abd(ME, Pid(SERVERS + lane), msg, exempt),
+            }
         })
         .collect()
 }
@@ -69,53 +80,23 @@ fn sn_of(env: &Envelope) -> u32 {
     }
 }
 
-/// One decoded entry as a client lane would see it, plus whether it had a
-/// frame to itself.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Seen {
-    tag: u64,
-    re: u64,
-    env: Envelope,
-    alone: bool,
-}
-
 struct Outcome {
-    /// Every envelope-bearing frame the driver connection carried.
-    frames: Vec<Frame>,
+    /// Per client lane, the envelopes it received, in order.
+    lanes: Vec<Vec<Envelope>>,
     stats: TransportStats,
     coverage: String,
 }
 
-impl Outcome {
-    /// Per client, the entries in wire order.
-    fn per_client(&self) -> Vec<Vec<Seen>> {
-        let mut lanes = vec![Vec::new(); CLIENTS as usize];
-        let mut push = |tag, re, env: &Envelope, alone| {
-            lanes[(env.dst.0 - SERVERS) as usize].push(Seen {
-                tag,
-                re,
-                env: env.clone(),
-                alone,
-            });
-        };
-        for f in &self.frames {
-            match f {
-                Frame::Env { tag, re, env } => push(*tag, *re, env, true),
-                Frame::EnvBatch { entries } => {
-                    for e in entries {
-                        push(e.tag, e.re, &e.env, false);
-                    }
-                }
-                other => panic!("unexpected frame on the reply path: {other:?}"),
-            }
-        }
-        lanes
-    }
+/// A fresh `NetClient` connected to this test playing server 0.
+struct Server {
+    client: Arc<NetClient>,
+    lanes: Vec<Receiver<Envelope>>,
+    writer: FrameWriter<blunt_net::Stream>,
+    drain: thread::JoinHandle<()>,
+    dir: std::path::PathBuf,
 }
 
-/// Runs the sequence through a fresh `NetServer`: `chunk = None` is
-/// `send` per envelope, `Some(n)` is `send_batch` in chunks of `n`.
-fn drive(chunk: Option<usize>) -> Outcome {
+fn accept_driver() -> Server {
     static RUN: AtomicU32 = AtomicU32::new(0);
     let dir = std::env::temp_dir().join(format!(
         "blunt-reply-batching-{}-{}",
@@ -124,67 +105,106 @@ fn drive(chunk: Option<usize>) -> Outcome {
     ));
     std::fs::create_dir_all(&dir).expect("socket dir");
     let listen = Addr::parse(dir.join("s0.sock").to_str().expect("utf-8 path"));
-    let cfg = NetServerCfg {
-        listen: listen.clone(),
-        me: ME,
-        servers: SERVERS,
-        clients: CLIENTS,
-        peers: vec![listen.clone(); SERVERS as usize],
-        seed: SEED,
-        faults: FaultConfig::chaos(),
-    };
-    let (server, _mailbox) =
-        NetServer::bind(&cfg, Arc::new(FlightRecorder::new(256))).expect("bind UDS listener");
+    let listener = listen.listen().expect("bind UDS listener");
+    let (client, lanes) = NetClient::connect(
+        &NetClientCfg {
+            seed: SEED,
+            faults: FaultConfig::chaos(),
+            servers: vec![listen],
+            clients: CLIENTS,
+            signal_crashes: false,
+        },
+        Arc::new(FlightRecorder::new(256)),
+    )
+    .expect("chaos is a valid fault config here");
 
-    let stream = listen.connect_retry(Duration::from_secs(5)).expect("dial");
+    // The driver dials on its first send; an exempt one draws no fate.
+    let hello_sent = Envelope::abd(
+        Pid(SERVERS),
+        ME,
+        AbdMsg::Ack {
+            obj: ObjId(0),
+            sn: 0,
+        },
+        true,
+    );
+    client.send(hello_sent);
+    let stream = listener.accept().expect("the driver dials");
     let mut writer = FrameWriter::new(stream.try_clone().expect("clone stream"));
     let mut reader = FrameReader::new(stream);
-    writer
-        .write(&Frame::Hello {
+    assert!(matches!(
+        reader.read().expect("hello"),
+        Some(Frame::Hello {
             node: DRIVER_NODE,
+            ..
+        })
+    ));
+    // Keep the driver's writes drained, so its `Shutdown` never blocks.
+    let drain = thread::spawn(move || while let Ok(Some(_)) = reader.read() {});
+    writer
+        .write(&Frame::HelloAck {
+            node: ME.0,
+            echo_t: 0,
             t_us: 0,
         })
-        .expect("hello");
-    // The ack proves the server holds our connection as its driver slot;
-    // a reply sent before that would be written nowhere.
-    assert!(matches!(
-        reader.read().expect("hello ack"),
-        Some(Frame::HelloAck { .. })
-    ));
-    // Read while the server writes: the replies need not fit a socket
-    // buffer.
-    let wire = thread::spawn(move || {
-        let mut frames = Vec::new();
-        loop {
-            match reader.read().expect("driver connection") {
-                Some(Frame::Goodbye { .. }) => return frames,
-                Some(f) => frames.push(f),
-                None => panic!("server hung up before its goodbye"),
-            }
-        }
-    });
-
-    let envs = replies();
-    match chunk {
-        None => envs.into_iter().for_each(|env| server.send(env)),
-        Some(n) => envs.chunks(n).for_each(|c| server.send_batch(c.to_vec())),
-    }
-    // Releases the reorder holds and joins the delayer, so every reply
-    // that will ever be written is written before the goodbye.
-    server.flush();
-    server.goodbye(String::new());
-    let frames = wire.join().expect("wire reader");
-    let _ = std::fs::remove_dir_all(&dir);
-    Outcome {
-        frames,
-        stats: server.stats(),
-        coverage: server.coverage().to_json().to_string(),
+        .expect("hello ack");
+    Server {
+        client,
+        lanes,
+        writer,
+        drain,
+        dir,
     }
 }
 
-/// The fate each faulted reply draws, from an injector built exactly like
-/// the server's: index = the envelope's `sn`.
-fn scheduled_fates() -> Vec<Option<Fate>> {
+/// Writes the sequence to a fresh `NetClient` as server 0: `chunk = None`
+/// is one `Env` frame per entry, `Some(n)` an `EnvBatch` per `n` entries.
+fn drive(chunk: Option<usize>) -> Outcome {
+    let Server {
+        client,
+        lanes,
+        mut writer,
+        drain,
+        dir,
+    } = accept_driver();
+    let entries = replies();
+    match chunk {
+        None => entries
+            .into_iter()
+            .for_each(|e| writer.write(&Frame::from(e)).expect("env frame")),
+        Some(n) => entries.chunks(n).for_each(|c| {
+            let frame = Frame::EnvBatch {
+                entries: c.to_vec(),
+            };
+            writer.write(&frame).expect("batch frame");
+        }),
+    }
+    writer
+        .write(&Frame::Goodbye {
+            node: ME.0,
+            dump: String::new(),
+        })
+        .expect("goodbye");
+    // Every reply precedes the goodbye on the connection, so once it is in
+    // every fate is drawn; the flush releases the holds and the delays.
+    let remote = client.shutdown(LONG);
+    assert!(remote[0].dump.is_some(), "the goodbye never arrived");
+    client.flush();
+    drop(writer);
+    drain.join().expect("drain thread");
+    let _ = std::fs::remove_dir_all(&dir);
+    let received = |lane: &Receiver<Envelope>| lane.try_iter().collect();
+    Outcome {
+        lanes: lanes.iter().map(received).collect(),
+        stats: client.stats(),
+        coverage: client.coverage().to_json().to_string(),
+    }
+}
+
+/// The fate each faulted reply draws from an injector built like the
+/// driver's reply links (index = the entry's `sn`), and that injector's
+/// stats and coverage once it has drawn them all.
+fn scheduled_fates() -> (Vec<Option<Fate>>, TransportStats, String) {
     let mut inj = Injector::new(
         SEED,
         FaultConfig::chaos(),
@@ -193,116 +213,188 @@ fn scheduled_fates() -> Vec<Option<Fate>> {
         false,
     )
     .expect("chaos is a valid fault config here");
-    replies()
+    let fates = replies()
         .iter()
-        .map(|env| (!env.exempt).then(|| inj.decide(env.src, env.dst).0))
-        .collect()
+        .map(|e| (!e.env.exempt).then(|| inj.decide(e.env.src, e.env.dst).0))
+        .collect();
+    (fates, inj.stats(), inj.coverage().to_json().to_string())
 }
 
 #[test]
-fn send_batch_is_equivalent_to_send_at_every_chunk_size() {
-    let fates = scheduled_fates();
-    let delayed = |s: &Seen| matches!(fates[sn_of(&s.env) as usize], Some(Fate::Delay(_)));
+fn lone_frames_and_batches_of_every_size_draw_the_same_fates() {
+    let (fates, stats, coverage) = scheduled_fates();
     for want in ["duplicate", "reorder", "delay", "drop"] {
         assert!(
             fates.iter().flatten().any(|f| match f {
                 Fate::Duplicate => want == "duplicate",
                 Fate::Reorder => want == "reorder",
                 Fate::Delay(_) => want == "delay",
-                Fate::Drop => want == "drop",
+                Fate::Drop | Fate::PartitionDrop { .. } => want == "drop",
                 _ => false,
             }),
             "seed {SEED} never schedules a {want} on these links"
         );
     }
-
-    let unbatched = drive(None);
-    let base = unbatched.per_client();
-    // Delayed replies are written by the delayer thread whenever they fall
-    // due, so their place among the others is timing; everything else has
-    // one wire order per client.
-    let project = |lanes: &[Vec<Seen>], want_delayed: bool| -> Vec<Vec<(u64, u64, Envelope)>> {
-        lanes
+    let fate = |env: &Envelope| fates[sn_of(env) as usize];
+    let delayed = |env: &Envelope| matches!(fate(env), Some(Fate::Delay(_)));
+    // Delayed replies reach their lane whenever they fall due, so their
+    // place among the others is timing; everything else has one order per
+    // lane.
+    let settled = |o: &Outcome| -> Vec<Vec<Envelope>> {
+        o.lanes
+            .iter()
+            .map(|lane| lane.iter().filter(|e| !delayed(e)).cloned().collect())
+            .collect()
+    };
+    let late = |o: &Outcome| -> Vec<Vec<u32>> {
+        o.lanes
             .iter()
             .map(|lane| {
-                let mut picked: Vec<_> = lane
-                    .iter()
-                    .filter(|s| delayed(s) == want_delayed)
-                    .map(|s| (s.tag, s.re, s.env.clone()))
-                    .collect();
-                if want_delayed {
-                    picked.sort_by_key(|(tag, ..)| *tag);
-                }
-                picked
+                let mut sns: Vec<u32> = lane.iter().filter(|e| delayed(e)).map(sn_of).collect();
+                sns.sort_unstable();
+                sns
             })
             .collect()
     };
-    let settled = |lanes: &[Vec<Seen>]| project(lanes, false);
-    let late = |lanes: &[Vec<Seen>]| project(lanes, true);
-    assert!(late(&base).iter().any(|l| !l.is_empty()));
+
+    let lone = drive(None);
+    assert_eq!(lone.stats, stats, "the driver drew the scheduled fates");
+    assert_eq!(lone.coverage, coverage, "coverage of the scheduled fates");
+    // Every reply reached its own lane, answering its own tag, as often as
+    // its fate says.
+    let mut copies = vec![0u32; REPLIES as usize];
+    for (lane, received) in lone.lanes.iter().enumerate() {
+        for env in received {
+            let sn = sn_of(env);
+            copies[sn as usize] += 1;
+            assert_eq!(
+                env.dst,
+                Pid(SERVERS + lane as u32),
+                "sn {sn} in lane {lane}"
+            );
+            assert_eq!(env.reply_to, u64::from(sn) + 1, "sn {sn} answers its tag");
+        }
+    }
+    for (sn, (&got, fate)) in copies.iter().zip(&fates).enumerate() {
+        let want = match fate {
+            Some(Fate::Drop | Fate::CrashDrop { .. } | Fate::PartitionDrop { .. }) => 0,
+            Some(Fate::Duplicate) => 2,
+            _ => 1,
+        };
+        assert_eq!(got, want, "sn {sn}, fate {fate:?}");
+    }
+    // A reordered reply reaches its lane after the next one on its link
+    // that overtook it.
+    assert!(
+        settled(&lone).iter().any(|lane| lane
+            .windows(2)
+            .any(|w| fate(&w[1]) == Some(Fate::Reorder) && sn_of(&w[0]) > sn_of(&w[1]))),
+        "no reordered reply was overtaken"
+    );
+    assert!(late(&lone).iter().any(|l| !l.is_empty()));
 
     for chunk in [1, 3, 16] {
         let batched = drive(Some(chunk));
-        assert_eq!(batched.stats, unbatched.stats, "stats at chunk {chunk}");
+        assert_eq!(batched.stats, lone.stats, "stats at chunk {chunk}");
+        assert_eq!(batched.coverage, lone.coverage, "coverage at chunk {chunk}");
         assert_eq!(
-            batched.coverage, unbatched.coverage,
-            "coverage JSON at chunk {chunk}"
-        );
-        let lanes = batched.per_client();
-        assert_eq!(
-            settled(&lanes),
-            settled(&base),
-            "wire order at chunk {chunk}"
+            settled(&batched),
+            settled(&lone),
+            "lane order at chunk {chunk}"
         );
         assert_eq!(
-            late(&lanes),
-            late(&base),
+            late(&batched),
+            late(&lone),
             "delayed replies at chunk {chunk}"
         );
-        for s in lanes.iter().flatten() {
-            // Delay: leaves alone, through the delayer. Everything else
-            // shares its call's one `EnvBatch`.
-            assert_eq!(s.alone, delayed(s), "framing of {s:?} at chunk {chunk}");
+    }
+}
+
+/// Writes `entries` as lone `Env` frames, then an exempt ack to lane 0
+/// (its own tag, or the dedup window would absorb it), and waits for it: the reader handles a connection's frames in order,
+/// so every entry before it has reached its lane by then. Returns what the
+/// lanes received, the ack left out.
+fn write_and_sync(server: &mut Server, entries: &[TaggedEnv]) -> Vec<Envelope> {
+    let mark_sn = REPLIES + sn_of(&entries[0].env);
+    for e in entries {
+        server
+            .writer
+            .write(&Frame::from(e.clone()))
+            .expect("env frame");
+    }
+    let mark = TaggedEnv {
+        tag: u64::from(mark_sn) + 1,
+        re: 1 << LANE_SHIFT,
+        env: Envelope::abd(
+            ME,
+            Pid(SERVERS),
+            AbdMsg::Ack {
+                obj: ObjId(0),
+                sn: mark_sn,
+            },
+            true,
+        ),
+    };
+    server.writer.write(&Frame::from(mark)).expect("mark frame");
+    let mut received = Vec::new();
+    loop {
+        let env = server.lanes[0]
+            .recv_timeout(LONG)
+            .expect("the mark arrives");
+        if sn_of(&env) == mark_sn {
+            break;
         }
+        received.push(env);
+    }
+    received.extend(server.lanes.iter().flat_map(Receiver::try_iter));
+    received
+}
+
+/// A server that never says goodbye keeps its reader reading past the
+/// driver's flush; what it reads then draws no fate, so the counters stay
+/// as the flush left them and no faulted reply reaches a lane.
+#[test]
+fn a_reply_read_after_the_flush_draws_no_fate() {
+    let mut server = accept_driver();
+    let mut first = replies();
+    let rest = first.split_off(REPLIES as usize / 2);
+    write_and_sync(&mut server, &first);
+    server.client.flush();
+    let (stats, coverage) = (server.client.stats(), server.client.coverage());
+    let faulted = first.iter().filter(|e| !e.env.exempt).count();
+    assert_eq!(stats.offered, faulted as u64, "the first half was drawn");
+
+    // What the flush released belongs to the first half.
+    server
+        .lanes
+        .iter()
+        .for_each(|lane| lane.try_iter().for_each(drop));
+    let late = write_and_sync(&mut server, &rest);
+    assert_eq!(
+        server.client.stats(),
+        stats,
+        "no fate drawn after the flush"
+    );
+    assert_eq!(
+        server.client.coverage().to_json().to_string(),
+        coverage.to_json().to_string()
+    );
+    let exempt = rest.iter().filter(|e| e.env.exempt).count();
+    assert_eq!(
+        late.len(),
+        exempt,
+        "only the exempt acks pass the flushed reader"
+    );
+    for env in &late {
+        let sn = sn_of(env);
         assert!(
-            batched.frames.len()
-                <= (REPLIES as usize).div_ceil(chunk) + late(&lanes).concat().len() + 1,
-            "chunk {chunk} wrote {} frames",
-            batched.frames.len()
+            rest[(sn - REPLIES / 2) as usize].env.exempt,
+            "faulted sn {sn} reached a lane"
         );
     }
 
-    // The cases that must have happened *inside* one batch at chunk 16.
-    let batched = drive(Some(16));
-    let batches: Vec<&Vec<_>> = batched
-        .frames
-        .iter()
-        .filter_map(|f| match f {
-            Frame::EnvBatch { entries } => Some(entries),
-            _ => None,
-        })
-        .collect();
-    assert!(
-        batches
-            .iter()
-            .any(|b| b.windows(2).any(|w| w[0].tag == w[1].tag)),
-        "no Duplicate (same tag twice, back to back) inside a batch"
-    );
-    assert!(
-        batches
-            .iter()
-            .any(|b| b.iter().enumerate().any(|(i, held)| {
-                fates[sn_of(&held.env) as usize] == Some(Fate::Reorder)
-                    && b[..i]
-                        .iter()
-                        .any(|o| o.env.dst == held.env.dst && o.tag > held.tag)
-            })),
-        "no Reorder released after its overtaker inside a batch"
-    );
-    assert!(
-        batches
-            .iter()
-            .any(|b| b.iter().any(|e| e.env.exempt) && b.iter().any(|e| !e.env.exempt)),
-        "no batch mixes exempt acks with faulted replies"
-    );
+    server.client.shutdown(Duration::ZERO);
+    drop(server.writer);
+    server.drain.join().expect("drain thread");
+    let _ = std::fs::remove_dir_all(&server.dir);
 }

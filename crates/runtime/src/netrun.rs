@@ -12,14 +12,15 @@
 //! [`blunt_net::NetClient`]: the same client loop, shard monitors, flight
 //! recorder, and watchdog as in process.
 //!
-//! The seeded fault schedule is split by link direction: the driver's
-//! injector realizes client→server fates at its sockets, each server's
-//! injector realizes server→client fates at its own, and both consume the
-//! same per-link SplitMix64 streams they would in process — so a seed
-//! exercises the same fault pattern whether the run is threaded or
+//! A serve process holds no fault schedule. The driver draws every fate of
+//! the run, as the bus does in process: a request's as it sends it, a
+//! reply's as its reader takes it off the server's connection. Both
+//! consume the same per-link SplitMix64 streams they would in process, so
+//! a seed exercises the same fault pattern whether the run is threaded or
 //! distributed. What is *not* preserved across the boundary is realization
-//! detail (a socket duplicate is two frames absorbed by dedup, not two
-//! mailbox deliveries); `docs/TRANSPORT.md` has the full comparison.
+//! detail (a socket duplicate of a request is two frames absorbed by the
+//! server's dedup window, not two mailbox deliveries); `docs/TRANSPORT.md`
+//! has the full comparison.
 //!
 //! Recovery counters live in the server processes. Each one sends all of
 //! them, with its fsync and flight-event counts, in every `Telemetry`
@@ -34,10 +35,7 @@ use std::thread;
 use std::time::Duration;
 
 use blunt_core::ids::Pid;
-use blunt_net::{
-    Addr, Coverage, FaultConfig, NetServer, NetServerCfg, RecoveryStats, ServerTelemetry,
-    Transport, TransportStats,
-};
+use blunt_net::{Addr, FaultConfig, NetServer, NetServerCfg, RecoveryStats, ServerTelemetry};
 use blunt_obs::FlightRecorder;
 
 use crate::recovery::{RecoveryMode, RecoverySink};
@@ -52,13 +50,14 @@ pub struct NetServeConfig {
     pub server_id: u32,
     /// Total number of servers in the run.
     pub servers: u32,
-    /// Number of client threads the driver runs.
+    /// Unread: the driver draws every fate. Kept only because the
+    /// benchmark's struct literal names it.
     pub clients: u32,
     /// Every server's listen address, index = pid (for peer catch-up).
     pub peers: Vec<Addr>,
-    /// The run seed, shared with the driver.
+    /// Unread, like `clients`, and kept for the same reason.
     pub seed: u64,
-    /// The fault mix, shared with the driver.
+    /// Unread, like `clients`, and kept for the same reason.
     pub faults: FaultConfig,
     /// What a crash means for this server's state.
     pub recovery: RecoveryMode,
@@ -100,10 +99,6 @@ fn telemetry(sink: &RecoverySink, recorder: &FlightRecorder) -> ServerTelemetry 
 /// What one server process did, reported after its driver says `Shutdown`.
 #[derive(Debug)]
 pub struct NetServeReport {
-    /// Deterministic fault counters for this server's outbound links.
-    pub stats: TransportStats,
-    /// Fault-pattern coverage of those links.
-    pub coverage: Coverage,
     /// This server's crash-recovery counters (also sent to the driver in
     /// its final `Telemetry` frame).
     pub recovery: RecoveryStats,
@@ -114,9 +109,7 @@ pub struct NetServeReport {
 ///
 /// # Errors
 ///
-/// I/O errors from binding the listen address; fault-config validation
-/// errors surface as [`io::ErrorKind::InvalidInput`] (the driver validates
-/// the same config and reports the detailed error).
+/// I/O errors from binding the listen address.
 pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
     assert!(
         cfg.server_id < cfg.servers,
@@ -132,10 +125,7 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
         listen: cfg.listen.clone(),
         me: Pid(cfg.server_id),
         servers: cfg.servers,
-        clients: cfg.clients,
         peers: cfg.peers.clone(),
-        seed: cfg.seed,
-        faults: cfg.faults,
     };
     let (srv, mut rx) = NetServer::bind(&ncfg, Arc::clone(&recorder))?;
     if matches!(cfg.recovery, RecoveryMode::Stable) {
@@ -148,7 +138,7 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
 
     // The telemetry thread: every tick, ship a snapshot to the driver so
     // `--watch` sees live server-side numbers. Read-only observation — it
-    // never touches the serve loop or the fault schedule.
+    // never touches the serve loop.
     let (tele_stop_tx, tele_stop_rx) = mpsc::channel::<()>();
     let ticker = {
         let srv = Arc::clone(&srv);
@@ -188,7 +178,6 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
         &sink,
         &recorder,
     );
-    srv.flush();
 
     let _ = tele_stop_tx.send(());
     ticker.join().expect("telemetry thread");
@@ -216,8 +205,6 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
     // other end of it — would outlive the run.
     srv.close();
     Ok(NetServeReport {
-        stats: srv.stats(),
-        coverage: srv.coverage(),
         recovery: report.recovery,
     })
 }

@@ -446,13 +446,17 @@ fn run_on_sockets(
         started,
         Arc::new(move || watch_net.remote_recoveries()),
     );
-    report.stats = net.stats();
-    report.coverage = net.coverage();
     // Each server's last telemetry, sent right before its goodbye, is its
     // report of the whole run; one that died without a goodbye leaves its
     // last periodic one. Pids are shard-major, so pid / replicas-per-shard
     // is the shard.
     let remote = net.shutdown(GOODBYE_WAIT);
+    // A server's replies all precede its goodbye on one FIFO connection,
+    // so every reply fate is drawn by now: released, the counters are
+    // final, as on the bus after `bus.flush()`.
+    net.flush();
+    report.stats = net.stats();
+    report.coverage = net.coverage();
     let per_shard = cfg.servers_per_shard as usize;
     fold_recoveries(
         &mut report,

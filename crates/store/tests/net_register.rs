@@ -45,7 +45,7 @@ fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
             .collect::<Vec<_>>()
     );
     assert!(!report.stalled, "run stalled");
-    // The fault mix really fired at the socket layer (client→server half).
+    // The fault mix really fired at the socket layer.
     assert!(report.stats.dropped > 0, "{:?}", report.stats);
     assert!(report.stats.crash_events > 0, "{:?}", report.stats);
     // At least one server crashed with amnesia and recovered mid-run, and

@@ -1,7 +1,7 @@
 //! A run starts the threads its shape needs and no others.
 //!
-//! The bus and every serve process realise `Delay` fates through one
-//! `Delayer`, whose thread is spawned by the first delay drawn. A
+//! The bus and the socket driver realise `Delay` fates through one
+//! `Delayer` each, whose thread is spawned by the first delay drawn. A
 //! fault-free run — on the bus, and over sockets with every replica a
 //! `run_net_server` — must therefore never show a `*-delayer` thread, while
 //! a bus run under faults that delay does. On the bus a shard's replicas

@@ -38,10 +38,23 @@ fn pipelined_uds_run_coalesces_replies_and_stays_clean() {
         envelopes > flushes && flushes > 0,
         "{envelopes} reply envelopes in {flushes} flushes: no pass ever coalesced"
     );
-    // The server side keeps out of the client's per-op batching numbers.
+    // The server side keeps out of the client's per-op batching numbers:
+    // they count the requests the clients offered on their links, plus the
+    // rebroadcasts, and none of the reply legs the stats count beside them.
+    let requests: u64 = report
+        .coverage
+        .links
+        .iter()
+        .filter(|l| l.src >= cfg.servers_total())
+        .map(|l| l.offered)
+        .sum();
+    assert!(
+        requests < report.stats.offered,
+        "reply legs are counted too"
+    );
     assert_eq!(
         blunt_obs::counter("store.batch.envelopes").get(),
-        report.stats.offered + report.retransmissions * u64::from(cfg.servers_per_shard),
+        requests + report.retransmissions * u64::from(cfg.servers_per_shard),
         "store.batch.* counts exactly what the clients sent"
     );
 }
