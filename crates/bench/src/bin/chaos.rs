@@ -16,7 +16,7 @@
 //! cargo run --release -p blunt-bench --bin chaos -- --store --smoke --fault-profile amnesia
 //! cargo run --release -p blunt-bench --bin chaos -- --store --smoke --k 2
 //! cargo run --release -p blunt-bench --bin chaos -- --store --demo-amnesia
-//! chaos serve --listen s0.sock --server-id 0 --peers s0.sock,s1.sock,s2.sock \
+//! chaos serve --listen s0.sock --server-id 0 --servers 3 \
 //!     --fault-profile light &               # … one per server, then:
 //! chaos --smoke --connect s0.sock,s1.sock,s2.sock --fault-profile light --seed 7
 //! ```
@@ -110,7 +110,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str =
     "usage: chaos [--smoke] [--store] [--sweep N] [--demo-broken | --demo-amnesia] [FLAGS]
-       chaos serve --listen ADDR --server-id N --peers ADDR,... --fault-profile P [FLAGS]
+       chaos serve --listen ADDR --server-id N --servers N --fault-profile P [FLAGS]
   both:   --fault-profile none|light|heavy|amnesia  --recovery stable|amnesia  --dump-dir DIR
   driver: --seed N  --crash-len N  --crash-period N  --results-out PATH  --summary-out PATH
           --watch DUR  --watch-out PATH  --ops-per-client N  --connect ADDR,...  --k N
@@ -165,11 +165,10 @@ struct Cli {
     /// `--batch-hist-out p`: where the store run writes its batch-size
     /// histogram artifact.
     batch_hist_out: PathBuf,
-    /// The serve process's own address, pid, and every server's address
-    /// (index = pid; their count is the run's server count).
+    /// The serve process's own address, pid, and the run's server count.
     listen: Option<Addr>,
     server_id: Option<u32>,
-    peers: Option<Vec<Addr>>,
+    servers: Option<u32>,
     /// Replicas per shard of a keyed (`--store`) run; its presence marks
     /// the serve process as sharded.
     shard_size: Option<u32>,
@@ -326,7 +325,7 @@ fn parse_cli() -> Cli {
             "--batch" => cli.batch = Some(args.positive(flag)),
             "--listen" => cli.listen = Some(Addr::parse(&args.value(flag))),
             "--server-id" => cli.server_id = Some(args.parse(flag, "a u32", |_| true)),
-            "--peers" => cli.peers = Some(args.addrs(flag)),
+            "--servers" => cli.servers = Some(args.positive(flag)),
             "--shard-size" => cli.shard_size = Some(args.positive(flag)),
             other => usage_error(&format!("unknown flag {other}")),
         }
@@ -336,7 +335,7 @@ fn parse_cli() -> Cli {
         let shared = matches!(flag, "--fault-profile" | "--recovery" | "--dump-dir");
         let serve_only = matches!(
             flag,
-            "--listen" | "--server-id" | "--peers" | "--shard-size"
+            "--listen" | "--server-id" | "--servers" | "--shard-size"
         );
         if !shared && serve_only != cli.serve {
             usage_error(&if serve_only {
@@ -406,19 +405,17 @@ fn check_serve(cli: &Cli) {
     for (flag, set) in [
         ("--listen", cli.listen.is_some()),
         ("--server-id", cli.server_id.is_some()),
-        ("--peers", cli.peers.is_some()),
+        ("--servers", cli.servers.is_some()),
         ("--fault-profile", cli.faults.profile.is_some()),
     ] {
         if !set {
             usage_error(&format!("serve needs {flag}"));
         }
     }
-    let servers = u32::try_from(cli.peers.as_ref().map_or(0, Vec::len)).unwrap_or(u32::MAX);
+    let servers = cli.servers.unwrap_or_default();
     let id = cli.server_id.unwrap_or_default();
     if id >= servers {
-        usage_error(&format!(
-            "--server-id: {id} is not in 0..{servers} (one server per --peers address)"
-        ));
+        usage_error(&format!("--server-id: {id} is not in 0..{servers}"));
     }
     if let Some(s) = cli.shard_size.filter(|s| !servers.is_multiple_of(*s)) {
         usage_error(&format!(
@@ -835,20 +832,19 @@ fn servers_json(remote: &[blunt_runtime::RemoteServer]) -> blunt_obs::Json {
 /// driver's [`FaultFlags::resolve`] calls.
 fn run_serve(cli: &Cli) -> ExitCode {
     // `check_serve` made these present and consistent.
-    let peers = cli.peers.clone().expect("--peers");
-    let servers = u32::try_from(peers.len()).expect("server count fits u32");
+    let servers = cli.servers.expect("--servers");
     let server_id = cli.server_id.expect("--server-id");
     let cfg = NetServeConfig {
         listen: cli.listen.clone().expect("--listen"),
         server_id,
         servers,
         shard_size: cli.shard_size,
-        peers,
         recovery: cli
             .faults
             .recovery_mode(cli.faults.profile.expect("--fault-profile")),
         dump_dir: cli.dump_dir.clone(),
         // Unread by `run_net_server`; see their doc comments.
+        peers: Vec::new(),
         clients: 0,
         seed: 0,
         faults: FaultConfig::none(),
@@ -860,8 +856,8 @@ fn run_serve(cli: &Cli) -> ExitCode {
     match run_net_server(&cfg) {
         Ok(r) => {
             eprintln!(
-                "chaos serve: server {server_id} done — crashes {} recoveries {}",
-                r.recovery.crashes, r.recovery.recoveries
+                "chaos serve: server {server_id} done — crashes {} recoveries {} aborted {}",
+                r.recovery.crashes, r.recovery.recoveries, r.recovery.catchup_aborted
             );
             ExitCode::SUCCESS
         }

@@ -384,12 +384,12 @@ mod tests {
         assert!("chaos".parse::<FaultProfile>().is_err());
     }
 
-    /// The driver resolves from its run shape (`--store` ⇒ sharded, the
-    /// shape's server count); a serve process from its own flags (`--shard-size`
-    /// given ⇒ sharded, one server per `--peers` address). Identical fault
-    /// flags must give both sides one schedule.
+    /// The driver resolves its whole schedule from its run shape; a serve
+    /// process reads only the recovery mode, from the `--fault-profile` it
+    /// must be given. Identical fault flags must give both sides one
+    /// recovery mode, whatever the shape.
     #[test]
-    fn driver_and_serve_resolve_identical_flags_to_one_schedule() {
+    fn driver_and_serve_read_identical_flags_as_one_recovery_mode() {
         use blunt_store::StoreConfig;
         let overrides = [
             FaultFlags::default(),
@@ -401,6 +401,10 @@ mod tests {
             FaultFlags {
                 recovery: Some(RecoveryMode::amnesia()),
                 crash_len: Some(2),
+                ..FaultFlags::default()
+            },
+            FaultFlags {
+                recovery: Some(RecoveryMode::Stable),
                 ..FaultFlags::default()
             },
         ];
@@ -418,14 +422,9 @@ mod tests {
                             StoreConfig::register(0)
                         };
                         cfg.shards = shards;
-                        let driver = flags.resolve(FaultProfile::Light, cfg.servers_total(), store);
-                        let peers = vec!["s.sock"; (shards * cfg.servers_per_shard) as usize];
-                        let shard_size = store.then_some(cfg.servers_per_shard);
-                        let serve = flags.resolve(
-                            profile,
-                            u32::try_from(peers.len()).unwrap(),
-                            shard_size.is_some(),
-                        );
+                        let (_, driver) =
+                            flags.resolve(FaultProfile::Light, cfg.servers_total(), store);
+                        let serve = flags.recovery_mode(profile);
                         assert_eq!(driver, serve, "{flags:?}, store {store}, {shards} shards");
                     }
                 }

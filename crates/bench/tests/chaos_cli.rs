@@ -178,8 +178,10 @@ fn zero_ops_per_client_is_a_usage_error_naming_the_flag() {
 
 /// A serve process has no run shape to take a default fault mix from, so
 /// it must be given the driver's `--fault-profile` verbatim; it holds no
-/// fault schedule, so the schedule's flags are the driver's alone; and the
-/// one argument loop keeps each mode's flags to that mode.
+/// fault schedule, so the schedule's flags are the driver's alone; it talks
+/// only to the driver, so it takes the server count, not its peers'
+/// addresses; and the one argument loop keeps each mode's flags to that
+/// mode.
 #[test]
 fn serve_flags_and_driver_flags_stay_in_their_own_mode() {
     let dir = tmp_dir("serve-flags");
@@ -191,8 +193,8 @@ fn serve_flags_and_driver_flags_stay_in_their_own_mode() {
         sock,
         "--server-id",
         "0",
-        "--peers",
-        sock,
+        "--servers",
+        "1",
     ];
     for (args, flag) in [
         (serve.to_vec(), "--fault-profile"),
@@ -201,8 +203,8 @@ fn serve_flags_and_driver_flags_stay_in_their_own_mode() {
             "--smoke",
         ),
         (
-            [&serve[..], &["--fault-profile", "light", "--servers", "1"]].concat(),
-            "--servers",
+            [&serve[..], &["--fault-profile", "light", "--peers", sock]].concat(),
+            "--peers",
         ),
         (
             [&serve[..], &["--fault-profile", "light", "--clients", "4"]].concat(),
@@ -228,7 +230,7 @@ fn serve_flags_and_driver_flags_stay_in_their_own_mode() {
             .concat(),
             "--crash-period",
         ),
-        (vec!["--smoke", "--peers", sock], "--peers"),
+        (vec!["--smoke", "--servers", "3"], "--servers"),
         (vec!["--smoke", "--shard-size", "3"], "--shard-size"),
     ] {
         let out = chaos(&args);

@@ -48,7 +48,7 @@ fn three_serve_processes_and_a_driver_survive_crashes_with_zero_violations() {
     let socks: Vec<String> = (0..3)
         .map(|i| dir.join(format!("s{i}.sock")).to_str().unwrap().to_string())
         .collect();
-    let peers = socks.join(",");
+    let connect = socks.join(",");
     // The driver draws every fate; a serve process takes only the flags
     // that decide the recovery mode.
     let recovery_args = ["--fault-profile", "light", "--recovery", "amnesia"];
@@ -68,7 +68,7 @@ fn three_serve_processes_and_a_driver_survive_crashes_with_zero_violations() {
                 .arg("serve")
                 .args(["--listen", &socks[i]])
                 .args(["--server-id", &i.to_string()])
-                .args(["--peers", &peers])
+                .args(["--servers", "3"])
                 .args(["--dump-dir", serve_dumps.to_str().unwrap()])
                 .args(recovery_args)
                 .stdout(Stdio::null())
@@ -80,7 +80,7 @@ fn three_serve_processes_and_a_driver_survive_crashes_with_zero_violations() {
 
     let summary_path = dir.join("SUM.json");
     let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
-        .args(["--smoke", "--connect", &peers])
+        .args(["--smoke", "--connect", &connect])
         .args(recovery_args)
         .args(schedule_args)
         .args(["--ops-per-client", "2600"]) // 4 clients × 2 600 = 10 400 ops

@@ -20,6 +20,18 @@
 //!   link's hold-back slot, a `Delay` in the `net-delayer` thread (spawned
 //!   by the first delay drawn), whose sink is the lanes too;
 //!   [`Transport::flush`] releases both.
+//! - **Server→server.** The driver is the hub of a socket run: servers
+//!   hold no connection to each other. An entry a reader takes off a
+//!   server's connection for another server (catch-up traffic, always
+//!   exempt) passes the dedup window like a reply, draws no fate, counts
+//!   in neither [`Transport::stats`] nor [`Transport::coverage`], and is
+//!   relayed to its server as a lone `Env` frame under a driver tag, as
+//!   the bus delivers exempt server→server envelopes. A reader never
+//!   writes to a socket — two readers relaying to each other's servers,
+//!   while both servers block writing to the driver, would deadlock — so
+//!   the relay is the `net-delayer`'s, with no delay. A relay read after
+//!   [`Transport::flush`], or one that would follow a server's `Shutdown`,
+//!   is dropped.
 //!
 //! A reply to a finished exchange reaches its lane like any other and the
 //! client refuses it by `sn`, as on the bus; only a reply with no lane
@@ -34,7 +46,7 @@
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
@@ -150,12 +162,19 @@ fn route(lanes: &[Sender<Envelope>], e: TaggedEnv) {
 
 /// State the per-connection reader threads share with the send path.
 struct Shared {
+    /// Server pids are `0..servers`: an entry for one is relayed.
+    servers: u32,
+    /// One connection per server: the send path's, the relays' and the
+    /// `Shutdown`'s.
+    pool: ConnectionPool,
+    tags: TagGen,
     /// One mailbox per client lane (lane = pid − servers).
     lanes: Vec<Sender<Envelope>>,
     /// The server→client links, one table per server (index = server pid),
     /// each drawn from by that server's reader alone.
     replies: Vec<Mutex<Links<TaggedEnv>>>,
-    /// Where a delayed reply waits for its lane.
+    /// Where a delayed reply waits for its lane, and a relay for its
+    /// server ([`Shared::hand_on`]).
     delayer: Delayer<TaggedEnv>,
     /// Set by [`Transport::flush`]: from then on a reader draws no fate.
     flushed: AtomicBool,
@@ -170,17 +189,18 @@ struct Shared {
 }
 
 impl Shared {
-    /// One frame's replies from server `peer`, in wire order: past the
-    /// connection's dedup window, through the server's reply links (fates
-    /// drawn per entry under one lock, as the bus draws a batch's), to
-    /// their lanes. Each entry is handled exactly as if it had arrived as
-    /// its own `Env` frame, so batching is invisible above the framing
-    /// layer.
+    /// One frame's entries from server `peer`, in wire order: past the
+    /// connection's dedup window, then replies through the server's reply
+    /// links (fates drawn per entry under one lock, as the bus draws a
+    /// batch's) to their lanes, and entries for a server to the delayer,
+    /// due at once, to be relayed. Each entry is handled exactly as if it
+    /// had arrived as its own `Env` frame, so batching is invisible above
+    /// the framing layer.
     ///
     /// The lock is held to the end, so a flush waits for this frame's
-    /// draws and delays; a faulted reply read after the flush (from a
-    /// server that sent no `Goodbye`) is dropped undrawn, and the counters
-    /// stay as the flush left them.
+    /// draws, delays and relays; a faulted reply or a relay read after the
+    /// flush (from a server that sent no `Goodbye`) is dropped, and the
+    /// counters stay as the flush left them.
     fn admit(&self, peer: usize, dedup: &mut DedupWindow, entries: Vec<TaggedEnv>) {
         let ring = self.flight.thread_ring();
         let (mut now, mut later) = (Vec::with_capacity(entries.len()), Vec::new());
@@ -190,6 +210,13 @@ impl Shared {
         for e in entries {
             if !dedup.admit(e.tag) {
                 blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
+            } else if e.env.dst.0 < self.servers {
+                // Under the lock too, so no relay is scheduled after the
+                // flush has closed the delayer.
+                links.get_or_insert_with(|| self.replies[peer].lock().expect("links"));
+                if !self.flushed.load(Ordering::Relaxed) {
+                    delay(0, e);
+                }
             } else if e.env.exempt {
                 deliver(e);
             } else {
@@ -202,6 +229,23 @@ impl Shared {
         }
         now.into_iter().for_each(|e| route(&self.lanes, e));
         self.delayer.delay(later);
+    }
+
+    /// The delayer's sink: a relay to its server, as a lone `Env` frame
+    /// under a fresh driver tag; a reply to its lane.
+    fn hand_on(&self, e: TaggedEnv) {
+        let dst = e.env.dst;
+        if dst.0 >= self.servers {
+            route(&self.lanes, e);
+            return;
+        }
+        blunt_obs::static_counter!("net.relays").inc();
+        let relay = TaggedEnv {
+            tag: self.tags.next(),
+            ..e
+        };
+        // A failed write is a lost frame, as on any other path.
+        let _ = self.pool.send(dst.index(), &Frame::from(relay));
     }
 
     fn reader_loop(&self, peer: usize, stream: crate::conn::Stream) {
@@ -247,8 +291,6 @@ impl Shared {
 pub struct NetClient {
     servers: u32,
     links: Mutex<Links<TaggedEnv>>,
-    pool: ConnectionPool,
-    tags: Arc<TagGen>,
     shared: Arc<Shared>,
     flight: Arc<FlightRecorder>,
 }
@@ -284,46 +326,55 @@ impl NetClient {
             .collect();
         let (lanes, receivers): (Vec<_>, Vec<_>) =
             (0..cfg.clients).map(|_| mpsc::channel()).unzip();
-        let late = lanes.clone();
-        let shared = Arc::new(Shared {
-            lanes,
-            replies,
-            delayer: Delayer::new("net-delayer", move |e| route(&late, e)),
-            flushed: AtomicBool::new(false),
-            goodbye_arrived: Condvar::new(),
-            remote: Mutex::new(vec![RemoteServer::default(); cfg.servers.len()]),
-            flight: Arc::clone(&flight),
+        // The pool's readers and the delayer's sink reach back into the
+        // `Shared` that owns both, so neither holds it strongly.
+        let shared = Arc::new_cyclic(|me: &Weak<Shared>| {
+            let (reader_shared, sink) = (me.clone(), me.clone());
+            let hello_flight = Arc::clone(&flight);
+            let pool = ConnectionPool::new(
+                cfg.servers.clone(),
+                // Fresh clock sample per dial: the server echoes `t_us` in
+                // its `HelloAck`, giving the reader loop one offset
+                // estimate per (re)connection.
+                move || Frame::Hello {
+                    node: DRIVER_NODE,
+                    t_us: hello_flight.now_us(),
+                },
+                move |peer, stream| {
+                    let Some(shared) = reader_shared.upgrade() else {
+                        return;
+                    };
+                    std::thread::Builder::new()
+                        .name(format!("net-reader-{peer}"))
+                        .spawn(move || shared.reader_loop(peer, stream))
+                        .expect("spawn connection reader thread");
+                },
+            );
+            Shared {
+                servers,
+                pool,
+                tags: TagGen::new(),
+                lanes,
+                replies,
+                delayer: Delayer::new("net-delayer", move |e| {
+                    if let Some(shared) = sink.upgrade() {
+                        shared.hand_on(e);
+                    }
+                }),
+                flushed: AtomicBool::new(false),
+                goodbye_arrived: Condvar::new(),
+                remote: Mutex::new(vec![RemoteServer::default(); cfg.servers.len()]),
+                flight: Arc::clone(&flight),
+            }
         });
-        let reader_shared = Arc::clone(&shared);
-        let hello_flight = Arc::clone(&flight);
-        let pool = ConnectionPool::new(
-            cfg.servers.clone(),
-            // Fresh clock sample per dial: the server echoes `t_us` in its
-            // `HelloAck`, giving the reader loop one offset estimate per
-            // (re)connection.
-            move || Frame::Hello {
-                node: DRIVER_NODE,
-                t_us: hello_flight.now_us(),
-            },
-            move |peer, stream| {
-                let shared = Arc::clone(&reader_shared);
-                std::thread::Builder::new()
-                    .name(format!("net-reader-{peer}"))
-                    .spawn(move || shared.reader_loop(peer, stream))
-                    .expect("spawn connection reader thread");
-            },
-        );
-        let tags = Arc::new(TagGen::new());
-        let signal_tags = Arc::clone(&tags);
+        let signal_shared = Arc::clone(&shared);
         let client = Arc::new(NetClient {
             servers,
             links: Mutex::new(Links::new(requests, move |server, window| TaggedEnv {
-                tag: signal_tags.next(),
+                tag: signal_shared.tags.next(),
                 re: 0,
                 env: Envelope::crash(server, window),
             })),
-            pool,
-            tags,
             shared,
             flight,
         });
@@ -334,15 +385,15 @@ impl NetClient {
     /// when the sender is a client.
     fn tag_for(&self, src: Pid) -> u64 {
         match src.0.checked_sub(self.servers) {
-            Some(lane) => self.tags.next_for(lane as usize),
-            None => self.tags.next(),
+            Some(lane) => self.shared.tags.next_for(lane as usize),
+            None => self.shared.tags.next(),
         }
     }
 
     fn write(&self, dst: Pid, frame: &Frame) {
         // A send failure is a lost frame; retransmission recovers, exactly
         // as with any other drop on the path.
-        let _ = self.pool.send(dst.index(), frame);
+        let _ = self.shared.pool.send(dst.index(), frame);
     }
 
     /// Total recoveries across all servers' latest telemetry snapshots —
@@ -409,9 +460,12 @@ impl NetClient {
     /// one that died hard keeps its last telemetry and a `None` dump.
     pub fn shutdown(&self, wait: Duration) -> Vec<RemoteServer> {
         // A send failure is a lost frame: one dead server must not keep
-        // the others from hearing it.
-        for peer in 0..self.pool.len() {
-            let _ = self.pool.send(peer, &Frame::Shutdown);
+        // the others from hearing it. A relay that would follow the
+        // `Shutdown` is never read, and its server may be gone: none is
+        // written.
+        let pool = &self.shared.pool;
+        for peer in 0..pool.len() {
+            let _ = pool.send_last(peer, &Frame::Shutdown);
         }
         let deadline = Instant::now() + wait;
         let mut remote = self.shared.remote.lock().expect("remote lock");
@@ -427,7 +481,7 @@ impl NetClient {
                 .expect("remote lock")
                 .0;
         }
-        self.pool.close();
+        pool.close();
         remote.clone()
     }
 }

@@ -107,15 +107,14 @@ pub struct TaggedEnv {
 /// shutdown-protocol control message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// First frame on every connection: who is dialing. `node` is a server
-    /// pid or [`DRIVER_NODE`]; the accepting side uses it to register the
-    /// connection as the route back to that node.
+    /// First frame on every connection: who is dialing. A server serves
+    /// only [`DRIVER_NODE`]: it closes a connection whose `Hello` names any
+    /// other node.
     Hello {
         /// The dialing node's id.
         node: u32,
         /// The dialer's flight-recorder clock at send time (µs), echoed in
-        /// [`Frame::HelloAck`] for clock-offset estimation. `0` from
-        /// dialers that don't estimate offsets (server↔server peers).
+        /// [`Frame::HelloAck`] for clock-offset estimation.
         t_us: u64,
     },
     /// A protocol envelope with its RPC correlation header.

@@ -17,8 +17,9 @@
 //!   realiser of a drawn fate ([`Links`], [`Delayer`]).
 //! - [`frame`] — the length-prefixed, versioned wire format (hand-rolled,
 //!   zero dependencies).
-//! - [`conn`] / [`pool`] — TCP / Unix-domain streams and per-peer
-//!   connection pools with single-redial self-healing.
+//! - [`conn`] / [`pool`] — TCP / Unix-domain streams and the driver's
+//!   connection pool (one connection per server) with single-redial
+//!   self-healing.
 //! - [`rpc`] — monotonic frame tags with the issuing lane in their high
 //!   bits (a reply is routed to its lane by a shift), and per-connection
 //!   duplicate suppression (retransmission-aware dedup).
@@ -26,7 +27,10 @@
 //!   (the driver process: client threads + monitor, owning every fault
 //!   link of the run, replies' included) and [`NetServer`] (one `chaos
 //!   serve` process per server, a plain replica host with no fault
-//!   schedule).
+//!   schedule). A socket run is a star: a server's one connection is the
+//!   driver's, and the driver relays the catch-up traffic servers send
+//!   each other, so every message of the run crosses the process that
+//!   owns its fates.
 //! - [`Inbox`] — what a replica thread receives from: the bus's plain
 //!   channel receiver in process, a [`ServerInbox`] in a server process,
 //!   where the replica thread reads the driver's socket itself and no
@@ -37,7 +41,9 @@
 //!
 //! The socket tier feeds the `net.*` counter family: `net.frames_sent`,
 //! `net.frames_received`, `net.bytes_sent`, `net.bytes_received`,
-//! `net.reconnects`, `net.rpc.tag_mismatch_drops`, `net.rpc.dedup_drops`.
+//! `net.reconnects`, `net.rpc.tag_mismatch_drops`, `net.rpc.dedup_drops`,
+//! and `net.relays` (envelopes the driver relayed from one server to
+//! another).
 //!
 //! ## Fault semantics across backends
 //!

@@ -1,4 +1,4 @@
-//! Per-peer connection pools.
+//! The driver's connection pool: one connection per server.
 //!
 //! A [`ConnectionPool`] owns one lazily-dialed, mutex-guarded connection
 //! per peer. On a write error it drops the connection and redials once
@@ -11,6 +11,7 @@
 //! the pool does not end them: an owner whose receive loops must exit when
 //! it is done calls [`ConnectionPool::close`].
 
+use std::io::{self, ErrorKind};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -21,11 +22,19 @@ use crate::frame::{Frame, FrameWriter};
 /// generous enough to cover servers that are still binding at startup.
 pub const DIAL_RETRY_WINDOW: Duration = Duration::from_secs(10);
 
+/// One peer's connection, if it is open, and whether the peer has had its
+/// last frame ([`ConnectionPool::send_last`]).
+#[derive(Default)]
+struct Slot {
+    writer: Option<FrameWriter<Stream>>,
+    done: bool,
+}
+
 /// One lazily-dialed outbound connection per peer, self-healing across a
 /// single redial per write.
 pub struct ConnectionPool {
     peers: Vec<Addr>,
-    slots: Vec<Mutex<Option<FrameWriter<Stream>>>>,
+    slots: Vec<Mutex<Slot>>,
     /// Builds the session handshake sent first on every (re)connected
     /// stream. A closure rather than a stored frame so dialers that sample
     /// a clock into their `Hello` (clock-offset estimation) get a fresh
@@ -44,7 +53,7 @@ impl ConnectionPool {
         hello: impl Fn() -> Frame + Send + Sync + 'static,
         on_connect: impl Fn(usize, Stream) + Send + Sync + 'static,
     ) -> ConnectionPool {
-        let slots = peers.iter().map(|_| Mutex::new(None)).collect();
+        let slots = peers.iter().map(|_| Mutex::default()).collect();
         ConnectionPool {
             peers,
             slots,
@@ -65,7 +74,7 @@ impl ConnectionPool {
         self.peers.is_empty()
     }
 
-    fn dial(&self, peer: usize) -> std::io::Result<FrameWriter<Stream>> {
+    fn dial(&self, peer: usize) -> io::Result<FrameWriter<Stream>> {
         let mut w = FrameWriter::new(self.peers[peer].connect_retry(DIAL_RETRY_WINDOW)?);
         w.write(&(self.hello)())?;
         (self.on_connect)(peer, w.get_ref().try_clone()?);
@@ -79,37 +88,62 @@ impl ConnectionPool {
     ///
     /// The I/O error of the second attempt; the connection slot is left
     /// empty so the next write dials fresh. Callers treat the frame as
-    /// lost — the retransmission layer above absorbs it.
-    pub fn send(&self, peer: usize, frame: &Frame) -> std::io::Result<()> {
+    /// lost — the retransmission layer above absorbs it. `NotConnected`,
+    /// without a dial, once `peer` has had its last frame.
+    pub fn send(&self, peer: usize, frame: &Frame) -> io::Result<()> {
         let mut slot = self.slots[peer].lock().expect("pool slot lock");
-        if slot.is_none() {
-            *slot = Some(self.dial(peer)?);
+        self.write(&mut slot, peer, frame)
+    }
+
+    /// [`ConnectionPool::send`], and the last frame `peer` gets: a later
+    /// send to it fails at once, without a dial. A peer that has read its
+    /// last frame may close, and dialing it then would retry refusals for
+    /// the whole [`DIAL_RETRY_WINDOW`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ConnectionPool::send`].
+    pub fn send_last(&self, peer: usize, frame: &Frame) -> io::Result<()> {
+        let mut slot = self.slots[peer].lock().expect("pool slot lock");
+        let sent = self.write(&mut slot, peer, frame);
+        slot.done = true;
+        sent
+    }
+
+    fn write(&self, slot: &mut Slot, peer: usize, frame: &Frame) -> io::Result<()> {
+        if slot.done {
+            return Err(ErrorKind::NotConnected.into());
         }
-        let first = slot.as_mut().expect("dialed above").write(frame);
-        if first.is_ok() {
+        if slot.writer.is_none() {
+            slot.writer = Some(self.dial(peer)?);
+        }
+        if slot
+            .writer
+            .as_mut()
+            .expect("dialed above")
+            .write(frame)
+            .is_ok()
+        {
             return Ok(());
         }
         // One reconnect attempt: the peer may have restarted (crash
         // recovery) or the connection idled out.
-        *slot = None;
+        slot.writer = None;
         blunt_obs::static_counter!("net.reconnects").inc();
         let mut fresh = self.dial(peer)?;
-        match fresh.write(frame) {
-            Ok(()) => {
-                *slot = Some(fresh);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        fresh.write(frame)?;
+        slot.writer = Some(fresh);
+        Ok(())
     }
 
     /// Shuts every open connection down and empties the pool. The reader
     /// handles `on_connect` gave out are clones of these streams: they see
     /// the end of their stream now, whatever the peer does. A later
-    /// [`ConnectionPool::send`] dials afresh.
+    /// [`ConnectionPool::send`] dials afresh, unless the peer has had its
+    /// last frame.
     pub fn close(&self) {
         for slot in &self.slots {
-            if let Some(w) = slot.lock().expect("pool slot lock").take() {
+            if let Some(w) = slot.lock().expect("pool slot lock").writer.take() {
                 let _ = w.get_ref().shutdown();
             }
         }
@@ -192,5 +226,31 @@ mod tests {
         );
         pool.close();
         assert_eq!(eof_rx.recv_timeout(Duration::from_secs(5)), Ok(true));
+    }
+
+    #[test]
+    fn a_peer_past_its_last_frame_is_never_dialed_again() {
+        let addr = tmp_sock("l0.sock");
+        let listener = addr.listen().unwrap();
+        let (connected_tx, connected_rx) = mpsc::channel();
+        let pool = ConnectionPool::new(
+            vec![addr.clone()],
+            || Frame::Hello { node: 7, t_us: 0 },
+            move |peer, _reader| connected_tx.send(peer).unwrap(),
+        );
+        pool.send_last(0, &Frame::Shutdown).unwrap();
+        let mut conn = listener.accept().unwrap();
+        assert_eq!(
+            read_frame(&mut conn).unwrap(),
+            Some(Frame::Hello { node: 7, t_us: 0 })
+        );
+        assert_eq!(read_frame(&mut conn).unwrap(), Some(Frame::Shutdown));
+        let late = pool.send(0, &Frame::Shutdown).unwrap_err();
+        assert_eq!(late.kind(), ErrorKind::NotConnected, "open, but done");
+        pool.close();
+        assert_eq!(read_frame(&mut conn).unwrap(), None, "closed");
+        let late = pool.send(0, &Frame::Shutdown).unwrap_err();
+        assert_eq!(late.kind(), ErrorKind::NotConnected, "no redial");
+        assert_eq!(connected_rx.try_iter().count(), 1, "the first dial only");
     }
 }

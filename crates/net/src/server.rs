@@ -1,22 +1,22 @@
 //! The server endpoint: one `chaos serve` process per server pid.
 //!
-//! [`NetServer`] is a plain replica host: it accepts the driver's
-//! connection plus peer-server connections (recovery traffic) and holds no
-//! fault schedule. The driver draws the fate of every message of the run,
-//! replies included, when its reader takes them off this server's
-//! connection ([`NetClient`](crate::NetClient)). So every reply one
-//! [`Transport::send_batch`] call makes reaches the driver in a single
-//! `EnvBatch` frame, in the caller's order, and a serve process needs no
-//! seed or fault flags.
+//! [`NetServer`] is a plain replica host with one connection: the
+//! driver's. It holds no fault schedule. The driver draws the fate of
+//! every message of the run, replies included, when its reader takes them
+//! off this server's connection ([`NetClient`](crate::NetClient)). So
+//! every reply one [`Transport::send_batch`] call makes reaches the driver
+//! in a single `EnvBatch` frame, in the caller's order, and a serve
+//! process needs no seed or fault flags. Catch-up traffic for a peer
+//! (`StateQuery`/`StateReply`) goes to the driver too, each on its own
+//! `Env` frame, and the driver relays it: servers never dial each other.
 //!
 //! Inbound, the replica thread reads its own driver socket through the
 //! [`ServerInbox`] that [`NetServer::bind`] returns: no thread stands
 //! between a request on the wire and the ABD step that answers it. The
 //! process's threads are the replica (whoever drives the inbox), the
-//! acceptor, one short-lived handshake thread per accepted connection,
-//! and one pump per connected peer — none per driver connection. The
-//! driver connection's dedup window lives in the inbox, a peer
-//! connection's in its pump.
+//! acceptor, and one short-lived handshake thread per accepted connection
+//! — none per driver connection. A connection whose `Hello` is not the
+//! driver's is closed at once.
 //!
 //! An inbound `Shutdown` on the driver connection raises the stop flag and
 //! ends the inbox's input; the runtime then sends the server's final
@@ -41,7 +41,6 @@ use crate::client::ServerTelemetry;
 use crate::conn::{Addr, Stream};
 use crate::frame::{Frame, FrameReader, FrameWriter, TaggedEnv, DRIVER_NODE};
 use crate::injector::TransportStats;
-use crate::pool::ConnectionPool;
 use crate::rpc::{DedupWindow, TagGen};
 use crate::wire::Envelope;
 use crate::{Coverage, Inbox, Transport};
@@ -54,9 +53,6 @@ pub struct NetServerCfg {
     pub me: Pid,
     /// Total number of servers in the run.
     pub servers: u32,
-    /// Every server's listen address, index = pid (recovery traffic dials
-    /// peers directly; this server's own entry is never dialed).
-    pub peers: Vec<Addr>,
 }
 
 /// The single writer handle back to the driver process, replaced whenever
@@ -76,69 +72,140 @@ impl DriverSlot {
     }
 }
 
-/// The server-process transport: the driver/peer listener, the writer back
-/// to the driver, and the peer pool for recovery traffic.
+/// The server-process transport: the listener and the writer back to the
+/// driver.
 pub struct NetServer {
     me: Pid,
     servers: u32,
     /// Where the acceptor listens: [`NetServer::close`] dials it.
     listen: Addr,
     acceptor: Mutex<Option<JoinHandle<()>>>,
-    peers: ConnectionPool,
     tags: TagGen,
     driver: Arc<DriverSlot>,
     stop: Arc<AtomicBool>,
     flight: Arc<FlightRecorder>,
     /// Bumped by [`Transport::on_crash`] (an amnesia crash of this server
-    /// process); every connection's reader — the inbox for the driver's, a
-    /// pump for a peer's — compares against its last-seen value and resets
-    /// its dedup window when it lags: dedup state is volatile and must not
-    /// survive the crash.
+    /// process); the inbox compares it against its last-seen value and
+    /// resets the driver connection's dedup window when it lags: dedup
+    /// state is volatile and must not survive the crash.
     dedup_epoch: Arc<AtomicU64>,
 }
 
-/// What the acceptor's threads send the replica thread.
-enum Inbound {
-    /// A driver connection past its handshake: the read half, with
-    /// whatever the handshake's `read` buffered behind the `Hello`.
-    Driver(FrameReader<Stream>),
-    /// One admitted envelope off a peer connection.
-    Peer(Envelope),
+/// One accepted connection. The driver's gets its writer installed and its
+/// `HelloAck`, then its read half goes to the replica thread and this
+/// thread exits: the replica reads its own driver socket. Any other
+/// connection is closed as this thread returns.
+fn handshake(
+    me: Pid,
+    flight: &FlightRecorder,
+    stream: Stream,
+    mailbox: &Sender<FrameReader<Stream>>,
+    driver: &DriverSlot,
+) {
+    let writer = stream.try_clone();
+    let mut reader = FrameReader::new(stream);
+    let Ok(Some(Frame::Hello {
+        node: DRIVER_NODE,
+        t_us: hello_t,
+    })) = reader.read()
+    else {
+        return;
+    };
+    if let Ok(writer) = writer {
+        *driver.0.lock().expect("driver slot lock") = Some(FrameWriter::new(writer));
+    }
+    // Echo the driver's timestamp with our own flight clock — the same
+    // clock stamping this process's flight events — so the driver can
+    // estimate this process's clock offset from the round trip.
+    driver.write(&Frame::HelloAck {
+        node: me.0,
+        echo_t: hello_t,
+        t_us: flight.now_us(),
+    });
+    let _ = mailbox.send(reader);
 }
 
-/// One connection's duplicate suppression: its window, and the crash epoch
-/// the window was last wiped at.
-struct Admission {
+/// The driver connection as the replica thread holds it, with its
+/// duplicate suppression: the window, and the crash epoch the window was
+/// last wiped at.
+struct DriverConn {
+    reader: FrameReader<Stream>,
     window: DedupWindow,
     seen_epoch: u64,
+    /// The read timeout the socket carries now (`None`: as accepted,
+    /// blocking), so it is set again only when it has to change.
+    read_timeout: Option<Duration>,
 }
 
-impl Admission {
-    fn new(dedup_epoch: &AtomicU64) -> Admission {
-        Admission {
+/// The replica thread's inbox in a server process. Requests are read off
+/// the driver's socket **by the calling thread** — frame decode, dedup
+/// window and all — so a request costs no thread hand-off on its way in.
+/// A read blocks for at most the caller's timeout; the mailbox beside the
+/// socket carries only the hand-over of a fresh driver connection, and the
+/// inbox looks at it before every read.
+///
+/// A `Shutdown` frame raises the server's stop flag and ends the input:
+/// every later call reports `Disconnected`. The driver connection ending
+/// any other way (EOF, an I/O or framing error) leaves the inbox waiting
+/// for the driver to redial. The newest driver connection always wins: a
+/// redial replaces the reader, its dedup window, and whatever sat undecoded
+/// in the old buffer — a lost frame, which retransmission absorbs.
+pub struct ServerInbox {
+    mailbox: Receiver<FrameReader<Stream>>,
+    driver: Option<DriverConn>,
+    /// Admitted envelopes nobody has taken yet: the rest of the frame read
+    /// last.
+    ready: VecDeque<Envelope>,
+    shut: bool,
+    stop: Arc<AtomicBool>,
+    dedup_epoch: Arc<AtomicU64>,
+}
+
+impl ServerInbox {
+    fn take(&mut self, reader: FrameReader<Stream>) {
+        self.driver = Some(DriverConn {
+            reader,
             window: DedupWindow::new(1024),
-            seen_epoch: dedup_epoch.load(Ordering::SeqCst),
-        }
+            seen_epoch: self.dedup_epoch.load(Ordering::SeqCst),
+            read_timeout: None,
+        });
     }
 
-    /// Passes `frame`'s envelopes to `out` in wire order, each handled
-    /// exactly as if it had arrived as its own `Env` frame; frames that
-    /// carry no envelope pass nothing.
-    fn unpack(&mut self, frame: Frame, dedup_epoch: &AtomicU64, mut out: impl FnMut(Envelope)) {
+    /// One frame off the driver connection into `ready`, its envelopes in
+    /// wire order, each handled exactly as if it had arrived as its own
+    /// `Env` frame. Blocks for at most the socket's read timeout, and not
+    /// at all when the frame is already buffered.
+    fn read_driver(&mut self) {
+        let Some(conn) = self.driver.as_mut() else {
+            return;
+        };
+        let frame = match conn.reader.read() {
+            Ok(Some(Frame::Shutdown)) => {
+                self.stop.store(true, Ordering::SeqCst);
+                self.shut = true;
+                return;
+            }
+            Ok(Some(frame)) => frame,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => return,
+            Ok(None) | Err(_) => {
+                self.driver = None;
+                return;
+            }
+        };
         // An amnesia crash since the last frame wipes this connection's
         // dedup memory: pre-crash clients retransmit tags this window has
         // already admitted, and dropping them would starve recovery of
         // exactly the retries it depends on. Checked after the read, so
         // the first post-crash frame sees the fresh window.
-        let epoch = dedup_epoch.load(Ordering::SeqCst);
-        if epoch != self.seen_epoch {
-            self.seen_epoch = epoch;
-            self.window.reset();
+        let epoch = self.dedup_epoch.load(Ordering::SeqCst);
+        if epoch != conn.seen_epoch {
+            conn.seen_epoch = epoch;
+            conn.window.reset();
             blunt_obs::static_counter!("net.rpc.dedup_resets").inc();
         }
         let mut admit = |tag: u64, env: Envelope| {
-            if self.window.admit(tag) {
-                out(env.in_reply_to(tag));
+            if conn.window.admit(tag) {
+                self.ready.push_back(env.in_reply_to(tag));
             } else {
                 blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
             }
@@ -159,146 +226,6 @@ impl Admission {
     }
 }
 
-/// One accepted connection. A peer's is pumped into the mailbox from this
-/// thread until the stream ends. The driver's gets its writer installed and
-/// its `HelloAck`, then its read half goes to the replica thread and this
-/// thread exits: the replica reads its own driver socket.
-fn handshake(
-    me: Pid,
-    flight: &FlightRecorder,
-    stream: Stream,
-    mailbox: &Sender<Inbound>,
-    driver: &DriverSlot,
-    dedup_epoch: &AtomicU64,
-) {
-    let writer = stream.try_clone();
-    let mut reader = FrameReader::new(stream);
-    let (hello, hello_t) = match reader.read() {
-        Ok(Some(Frame::Hello { node, t_us })) => (node, t_us),
-        _ => return,
-    };
-    if hello != DRIVER_NODE {
-        let mut admission = Admission::new(dedup_epoch);
-        let mut listening = true;
-        while listening {
-            let Ok(Some(frame)) = reader.read() else {
-                return;
-            };
-            admission.unpack(frame, dedup_epoch, |env| {
-                listening &= mailbox.send(Inbound::Peer(env)).is_ok();
-            });
-        }
-        return;
-    }
-    if let Ok(writer) = writer {
-        *driver.0.lock().expect("driver slot lock") = Some(FrameWriter::new(writer));
-    }
-    // Echo the driver's timestamp with our own flight clock — the same
-    // clock stamping this process's flight events — so the driver can
-    // estimate this process's clock offset from the round trip.
-    driver.write(&Frame::HelloAck {
-        node: me.0,
-        echo_t: hello_t,
-        t_us: flight.now_us(),
-    });
-    let _ = mailbox.send(Inbound::Driver(reader));
-}
-
-/// How long a read of the driver socket may keep a [`ServerInbox`] from
-/// looking at its peer mailbox. Safe `std` cannot wait on a socket and a
-/// channel at once, so while the driver is silent the inbox surfaces this
-/// often; under load reads return with data and the timeout never fires.
-/// The kernel counts socket timeouts in timer ticks and rounds up: at
-/// HZ = 250 the read comes back after 4–8 ms, not 1.
-const PEER_POLL: Duration = Duration::from_millis(1);
-
-/// The driver connection as the replica thread holds it.
-struct DriverConn {
-    reader: FrameReader<Stream>,
-    admission: Admission,
-    /// The read timeout the socket carries now (`None`: as accepted,
-    /// blocking), so it is set again only when it has to change.
-    read_timeout: Option<Duration>,
-}
-
-/// The replica thread's inbox in a server process. Requests are read off
-/// the driver's socket **by the calling thread** — frame decode, dedup
-/// window and all — so a request costs no thread hand-off on its way in.
-/// Peer connections (recovery traffic; cold, and several of them) keep a
-/// pump thread each and share one mailbox, which the inbox looks at before
-/// every socket read and whenever a read times out.
-///
-/// What a peer envelope waits, at most, before the replica sees it:
-/// nothing while no driver is connected (the inbox then blocks on the
-/// mailbox itself); one frame's worth of handling while driver traffic
-/// flows; one read timeout (`PEER_POLL`: 1 ms asked for, up to two timer
-/// ticks delivered) while the driver connection is silent — or the
-/// caller's whole timeout after [`ServerInbox::expect_no_peers`].
-///
-/// A `Shutdown` frame raises the server's stop flag and ends the input:
-/// every later call reports `Disconnected`. The driver connection ending
-/// any other way (EOF, an I/O or framing error) leaves the inbox waiting
-/// for the driver to redial. The newest driver connection always wins: a
-/// redial replaces the reader, its dedup window, and whatever sat undecoded
-/// in the old buffer — a lost frame, which retransmission absorbs.
-pub struct ServerInbox {
-    mailbox: Receiver<Inbound>,
-    driver: Option<DriverConn>,
-    /// Admitted envelopes nobody has taken yet: the rest of the frame read
-    /// last, or peer envelopes.
-    ready: VecDeque<Envelope>,
-    poll_peers: bool,
-    shut: bool,
-    stop: Arc<AtomicBool>,
-    dedup_epoch: Arc<AtomicU64>,
-}
-
-impl ServerInbox {
-    /// Declares that no peer will send: servers exchange recovery traffic
-    /// only, so a run whose servers never recover (stable storage) has
-    /// none. The inbox then blocks on the driver socket for the caller's
-    /// whole timeout — no wake-ups while idle — and a peer envelope that
-    /// arrives all the same waits out that timeout at most.
-    pub fn expect_no_peers(&mut self) {
-        self.poll_peers = false;
-    }
-
-    fn take(&mut self, inbound: Inbound) {
-        match inbound {
-            Inbound::Peer(env) => self.ready.push_back(env),
-            Inbound::Driver(reader) => {
-                self.driver = Some(DriverConn {
-                    reader,
-                    admission: Admission::new(&self.dedup_epoch),
-                    read_timeout: None,
-                });
-            }
-        }
-    }
-
-    /// One frame off the driver connection into `ready`. Blocks for at
-    /// most the socket's read timeout, and not at all when the frame is
-    /// already buffered.
-    fn read_driver(&mut self) {
-        let Some(conn) = self.driver.as_mut() else {
-            return;
-        };
-        match conn.reader.read() {
-            Ok(Some(Frame::Shutdown)) => {
-                self.stop.store(true, Ordering::SeqCst);
-                self.shut = true;
-            }
-            Ok(Some(frame)) => {
-                let ready = &mut self.ready;
-                conn.admission
-                    .unpack(frame, &self.dedup_epoch, |env| ready.push_back(env));
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Ok(None) | Err(_) => self.driver = None,
-        }
-    }
-}
-
 impl Inbox for ServerInbox {
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
@@ -313,27 +240,26 @@ impl Inbox for ServerInbox {
                 return Err(RecvTimeoutError::Timeout);
             }
             let Some(conn) = self.driver.as_mut() else {
-                // No driver connection: its hand-over and the peers'
-                // envelopes come through the one mailbox.
-                let inbound = self.mailbox.recv_timeout(left)?;
-                self.take(inbound);
+                // No driver connection: wait for its hand-over.
+                let reader = self.mailbox.recv_timeout(left)?;
+                self.take(reader);
                 continue;
             };
             // The caller's timeout rather than what is left of it, so the
             // socket option changes only when the caller's timeout does.
-            let slice = Some(if self.poll_peers {
-                timeout.min(PEER_POLL)
-            } else {
-                timeout
-            });
-            if conn.read_timeout != slice {
-                if conn.reader.get_ref().set_read_timeout(slice).is_err() {
+            if conn.read_timeout != Some(timeout) {
+                if conn
+                    .reader
+                    .get_ref()
+                    .set_read_timeout(Some(timeout))
+                    .is_err()
+                {
                     // Unbounded reads would hang the replica on a silent
                     // driver; without the bound the connection is no use.
                     self.driver = None;
                     continue;
                 }
-                conn.read_timeout = slice;
+                conn.read_timeout = Some(timeout);
             }
             self.read_driver();
         }
@@ -347,8 +273,8 @@ impl Inbox for ServerInbox {
             if self.shut {
                 return Err(TryRecvError::Disconnected);
             }
-            if let Ok(inbound) = self.mailbox.try_recv() {
-                self.take(inbound);
+            if let Ok(reader) = self.mailbox.try_recv() {
+                self.take(reader);
                 continue;
             }
             // Only a frame that is whole in the buffer: never a socket
@@ -363,9 +289,9 @@ impl Inbox for ServerInbox {
 
 impl NetServer {
     /// Binds the listener and returns the transport plus the replica
-    /// thread's inbox. Accepting, handshakes and peer connections run on
-    /// background threads from here on; the driver connection is read by
-    /// whoever calls the inbox.
+    /// thread's inbox. Accepting and handshakes run on background threads
+    /// from here on; the driver connection is read by whoever calls the
+    /// inbox.
     ///
     /// # Errors
     ///
@@ -378,12 +304,10 @@ impl NetServer {
         let (mailbox_tx, mailbox_rx) = mpsc::channel();
         let driver = Arc::new(DriverSlot(Mutex::new(None)));
         let stop = Arc::new(AtomicBool::new(false));
-        let dedup_epoch = Arc::new(AtomicU64::new(0));
         let me = cfg.me;
         let acceptor = {
             let driver = Arc::clone(&driver);
             let flight = Arc::clone(&flight);
-            let dedup_epoch = Arc::clone(&dedup_epoch);
             let stop = Arc::clone(&stop);
             let accept = move || loop {
                 let Ok(stream) = listener.accept() else {
@@ -397,8 +321,7 @@ impl NetServer {
                 let mailbox = mailbox_tx.clone();
                 let driver = Arc::clone(&driver);
                 let flight = Arc::clone(&flight);
-                let dedup_epoch = Arc::clone(&dedup_epoch);
-                let conn = move || handshake(me, &flight, stream, &mailbox, &driver, &dedup_epoch);
+                let conn = move || handshake(me, &flight, stream, &mailbox, &driver);
                 // A connection that gets no thread is a lost frame's worth
                 // of trouble for its dialer, not for this server.
                 let _ = std::thread::Builder::new()
@@ -409,24 +332,11 @@ impl NetServer {
                 .name("net-accept".into())
                 .spawn(accept)?
         };
-        let peers = ConnectionPool::new(
-            cfg.peers.clone(),
-            // Peer hellos carry no clock sample — only the driver estimates
-            // offsets, from its own `Hello`/`HelloAck` round trips.
-            move || Frame::Hello {
-                node: me.0,
-                t_us: 0,
-            },
-            // Peer connections are write-only from this side: replies to
-            // our recovery queries arrive on the connection the peer dials
-            // back (its own pool), so the read half idles until EOF.
-            |_, _| {},
-        );
+        let dedup_epoch = Arc::new(AtomicU64::new(0));
         let inbox = ServerInbox {
             mailbox: mailbox_rx,
             driver: None,
             ready: VecDeque::new(),
-            poll_peers: true,
             shut: false,
             stop: Arc::clone(&stop),
             dedup_epoch: Arc::clone(&dedup_epoch),
@@ -436,7 +346,6 @@ impl NetServer {
             servers: cfg.servers,
             listen: cfg.listen.clone(),
             acceptor: Mutex::new(Some(acceptor)),
-            peers,
             tags: TagGen::new(),
             driver,
             stop,
@@ -480,7 +389,7 @@ impl NetServer {
     /// the end of the stream) and ends the acceptor, which drops the
     /// listener. The acceptor is blocked in `accept` and safe `std` cannot
     /// interrupt that, so one throw-away dial of the server's own address
-    /// returns it to the flag. Peer connections end with their dialers.
+    /// returns it to the flag.
     pub fn close(&self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(w) = self.driver.0.lock().expect("driver slot lock").take() {
@@ -515,9 +424,10 @@ impl Transport for NetServer {
                 env: Envelope { reply_to: 0, ..env },
             };
             if dst.0 < self.servers {
-                // Peer traffic is recovery (always exempt): straight to the
-                // peer's listener, no fault schedule.
-                let _ = self.peers.send(dst.index(), &Frame::from(entry));
+                // Catch-up traffic for a peer (always exempt): the driver
+                // relays it. On its own frame, as a snapshot can approach
+                // the frame cap.
+                self.driver.write(&Frame::from(entry));
             } else {
                 // The driver draws the reply's fate as it reads it.
                 out.push(entry);

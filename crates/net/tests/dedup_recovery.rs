@@ -30,7 +30,6 @@ fn server_recovery_resets_the_dedup_window() {
         listen: listen.clone(),
         me: Pid(0),
         servers: 1,
-        peers: vec![listen.clone()],
     };
     let (server, mut mailbox) =
         NetServer::bind(&cfg, Arc::new(FlightRecorder::new(256))).expect("bind UDS listener");

@@ -1,9 +1,10 @@
-//! The replica thread reads its own driver socket: hand-over, redial and
-//! the non-blocking half of [`ServerInbox`], against a real `NetServer` on
-//! a loopback Unix socket. (The dedup window's crash reset, now owned by
-//! the inbox too, is `dedup_recovery.rs`.)
+//! The replica thread reads its own driver socket: hand-over, redial, the
+//! refusal of any other dialer and the non-blocking half of
+//! [`ServerInbox`], against a real `NetServer` on a loopback Unix socket.
+//! (The dedup window's crash reset, now owned by the inbox too, is
+//! `dedup_recovery.rs`.)
 
-use std::io::Write as _;
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,7 +27,6 @@ fn bind(tag: &str) -> (Arc<NetServer>, ServerInbox, Addr) {
         listen: listen.clone(),
         me: Pid(0),
         servers: 1,
-        peers: vec![listen.clone()],
     };
     let (server, inbox) =
         NetServer::bind(&cfg, Arc::new(FlightRecorder::new(256))).expect("bind UDS listener");
@@ -34,12 +34,11 @@ fn bind(tag: &str) -> (Arc<NetServer>, ServerInbox, Addr) {
 }
 
 fn hello() -> Vec<u8> {
-    Frame::Hello {
-        node: DRIVER_NODE,
-        t_us: 0,
-    }
-    .encode()
-    .expect("encodes")
+    hello_from(DRIVER_NODE)
+}
+
+fn hello_from(node: u32) -> Vec<u8> {
+    Frame::Hello { node, t_us: 0 }.encode().expect("encodes")
 }
 
 /// The bytes of a query frame carrying `tag`, its `sn` set to the tag.
@@ -97,10 +96,19 @@ fn the_newest_driver_connection_wins_with_a_fresh_window() {
     );
 
     // A redial while the old connection is still open and silent: the
-    // inbox finds the hand-over when its read of the old socket times out.
+    // inbox finds the hand-over when its read of the old socket times out,
+    // after the caller's timeout, as a serve loop's idle poll does.
     let second = dial(&addr, &[hello(), query(42), query(43)].concat());
+    let deadline = Instant::now() + LONG;
+    let fresh = loop {
+        match inbox.recv_timeout(SHORT) {
+            Ok(env) => break env,
+            Err(RecvTimeoutError::Timeout) if Instant::now() < deadline => {}
+            Err(e) => panic!("no hand-over: {e:?}"),
+        }
+    };
     assert_eq!(
-        sn_of(&inbox.recv_timeout(LONG).expect("fresh window")),
+        sn_of(&fresh),
         42,
         "a tag the old window had admitted is admitted again"
     );
@@ -121,9 +129,8 @@ fn the_newest_driver_connection_wins_with_a_fresh_window() {
 #[test]
 fn try_recv_never_reads_the_socket() {
     let (_server, mut inbox, addr) = bind("try-recv");
-    // Without peer polling the socket's read timeout is the caller's: a
-    // `try_recv` that read the socket would sit out the 5 s below.
-    inbox.expect_no_peers();
+    // The socket's read timeout is the caller's: a `try_recv` that read
+    // the socket would sit out the 5 s below.
     assert_eq!(inbox.try_recv(), Err(TryRecvError::Empty), "no driver yet");
 
     let second = query(2);
@@ -163,4 +170,24 @@ fn shutdown_raises_the_flag_and_ends_the_input_after_what_preceded_it() {
         Err(RecvTimeoutError::Disconnected),
         "at once, and for good"
     );
+}
+
+/// Only the driver talks to a server: a connection whose `Hello` names any
+/// other node is closed, and the frames behind it reach no one.
+#[test]
+fn a_hello_from_another_node_is_refused() {
+    let (_server, mut inbox, addr) = bind("refused");
+    let mut peer = dial(&addr, &[hello_from(1), query(1)].concat());
+    peer.set_read_timeout(Some(LONG)).expect("read timeout");
+    let mut rest = Vec::new();
+    match peer.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "no `HelloAck`, nothing at all"),
+        // Closed with our bytes unread.
+        Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset, "not closed: {e}"),
+    }
+    assert_eq!(inbox.recv_timeout(SHORT), Err(RecvTimeoutError::Timeout));
+
+    // The driver is still welcome.
+    let _driver = dial(&addr, &[hello(), query(2)].concat());
+    assert_eq!(sn_of(&inbox.recv_timeout(LONG).expect("delivered")), 2);
 }

@@ -5,8 +5,7 @@
 //! processes: each server runs [`run_net_server`] (the `chaos serve`
 //! subcommand) — the *same* `server_loop` step machine, WAL, and amnesia
 //! recovery, but its inbox is a [`blunt_net::ServerInbox`] — the replica
-//! thread reads the driver's socket itself, peers' recovery traffic comes
-//! through a mailbox beside it — and its replies leave through
+//! thread reads the driver's socket itself — and its replies leave through
 //! [`blunt_net::NetServer`] — while the driver process runs
 //! the store's one client driver (`blunt_store::run_store_with`) over
 //! [`blunt_net::NetClient`]: the same client loop, shard monitors, flight
@@ -21,6 +20,12 @@
 //! detail (a socket duplicate of a request is two frames absorbed by the
 //! server's dedup window, not two mailbox deliveries); `docs/TRANSPORT.md`
 //! has the full comparison.
+//!
+//! The driver is the hub: a serve process's one connection is the
+//! driver's. A recovering replica's catch-up queries, and its peers'
+//! answers, cross the driver, which relays them without a fate, as the
+//! bus delivers them in process. So a serve process needs only its own
+//! address, its pid and the server count.
 //!
 //! Recovery counters live in the server processes. Each one sends all of
 //! them, with its fsync and flight-event counts, in every `Telemetry`
@@ -53,7 +58,8 @@ pub struct NetServeConfig {
     /// Unread: the driver draws every fate. Kept only because the
     /// benchmark's struct literal names it.
     pub clients: u32,
-    /// Every server's listen address, index = pid (for peer catch-up).
+    /// Unread, like `clients`, and kept for the same reason: catch-up
+    /// traffic crosses the driver, so no server dials another.
     pub peers: Vec<Addr>,
     /// Unread, like `clients`, and kept for the same reason.
     pub seed: u64,
@@ -115,24 +121,13 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
         cfg.server_id < cfg.servers,
         "server id must be one of 0..servers"
     );
-    assert_eq!(
-        cfg.peers.len(),
-        cfg.servers as usize,
-        "one peer address per server"
-    );
     let recorder = Arc::new(FlightRecorder::new(4096));
     let ncfg = NetServerCfg {
         listen: cfg.listen.clone(),
         me: Pid(cfg.server_id),
         servers: cfg.servers,
-        peers: cfg.peers.clone(),
     };
-    let (srv, mut rx) = NetServer::bind(&ncfg, Arc::clone(&recorder))?;
-    if matches!(cfg.recovery, RecoveryMode::Stable) {
-        // Servers talk to each other only to catch up after an amnesia
-        // crash, and every server of a run recovers the same way.
-        rx.expect_no_peers();
-    }
+    let (srv, rx) = NetServer::bind(&ncfg, Arc::clone(&recorder))?;
     let stop = srv.stop_flag();
     let sink = Arc::new(RecoverySink::default());
 

@@ -1,25 +1,19 @@
-//! What a serve process owes its callers in wall time now that the replica
-//! thread reads the driver socket itself: `Shutdown` ends the serve loop at
-//! once (not at the next idle poll), and a peer's recovery query is
-//! answered within the inbox's stated bound while the driver is silent or
-//! absent. Both are latencies, so each is measured several times and the
-//! median is held to the bound: one descheduled run on a busy box is not a
-//! regression, a 20 ms idle poll on the path is.
-//!
-//! The peer bound is one read timeout of the driver socket: 1 ms as asked
-//! for, but the kernel counts socket timeouts in timer ticks and rounds
-//! up, so up to two ticks — 8 ms at HZ = 250 (5.3–5.8 ms measured there).
+//! What a serve process owes its driver, its one connection: `Shutdown`
+//! ends the serve loop at once (not at the next idle poll) — a latency, so
+//! it is measured several times and the median is held to the bound: one
+//! descheduled run on a busy box is not a regression, a 20 ms idle poll on
+//! the path is — and a peer's recovery query, relayed by the driver, is
+//! answered back to the driver for the peer.
 
 use std::thread;
 use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
 use blunt_net::frame::{Frame, FrameReader, FrameWriter, DRIVER_NODE};
-use blunt_net::{Addr, Envelope, FaultConfig, Listener, Payload, SpanCtx, Stream};
+use blunt_net::{Addr, Envelope, FaultConfig, Payload, SpanCtx, Stream};
 use blunt_runtime::{run_net_server, NetServeConfig, NetServeReport, RecoveryMode};
 
 const SHUTDOWN_BOUND: Duration = Duration::from_millis(5);
-const PEER_BOUND: Duration = Duration::from_millis(10);
 const ROUNDS: usize = 7;
 
 fn sock_dir(tag: &str) -> std::path::PathBuf {
@@ -32,15 +26,19 @@ fn addr(dir: &std::path::Path, name: &str) -> Addr {
     Addr::parse(dir.join(name).to_str().expect("utf-8 path"))
 }
 
-/// Server 0 of `peers.len()` on its own thread; the join handle yields its
-/// report and the instant `run_net_server` returned.
-fn serve(peers: &[Addr], recovery: RecoveryMode) -> thread::JoinHandle<(NetServeReport, Instant)> {
+/// Server 0 of `servers`, listening on `listen`, on its own thread; the
+/// join handle yields its report and the instant `run_net_server` returned.
+fn serve(
+    listen: &Addr,
+    servers: u32,
+    recovery: RecoveryMode,
+) -> thread::JoinHandle<(NetServeReport, Instant)> {
     let cfg = NetServeConfig {
-        listen: peers[0].clone(),
+        listen: listen.clone(),
         server_id: 0,
-        servers: u32::try_from(peers.len()).expect("few servers"),
+        servers,
         clients: 1,
-        peers: peers.to_vec(),
+        peers: Vec::new(),
         seed: 7,
         faults: FaultConfig::none(),
         recovery,
@@ -53,21 +51,21 @@ fn serve(peers: &[Addr], recovery: RecoveryMode) -> thread::JoinHandle<(NetServe
     })
 }
 
-/// Dials `to` as `node` and waits out the handshake where there is one to
-/// wait for (only the driver is acknowledged).
-fn dial(to: &Addr, node: u32) -> (FrameWriter<Stream>, FrameReader<Stream>) {
+/// Dials `to` as the driver and waits out the handshake.
+fn dial(to: &Addr) -> (FrameWriter<Stream>, FrameReader<Stream>) {
     let stream = to.connect_retry(Duration::from_secs(5)).expect("dial");
     let mut writer = FrameWriter::new(stream.try_clone().expect("clone"));
     let mut reader = FrameReader::new(stream);
     writer
-        .write(&Frame::Hello { node, t_us: 0 })
+        .write(&Frame::Hello {
+            node: DRIVER_NODE,
+            t_us: 0,
+        })
         .expect("hello");
-    if node == DRIVER_NODE {
-        assert!(matches!(
-            reader.read().expect("hello ack"),
-            Some(Frame::HelloAck { .. })
-        ));
-    }
+    assert!(matches!(
+        reader.read().expect("hello ack"),
+        Some(Frame::HelloAck { .. })
+    ));
     (writer, reader)
 }
 
@@ -87,9 +85,9 @@ fn shutdown_ends_the_serve_loop_at_once() {
             .map(|round| {
                 // A path per round: a finished server's acceptor thread
                 // keeps its listener, and must not take the next dial.
-                let peers = [addr(&dir, &format!("s0-{round}.sock"))];
-                let server = serve(&peers, recovery);
-                let (mut driver, _replies) = dial(&peers[0], DRIVER_NODE);
+                let listen = addr(&dir, &format!("s0-{round}.sock"));
+                let server = serve(&listen, 1, recovery);
+                let (mut driver, _replies) = dial(&listen);
                 // Idle long enough for the replica to be parked in a read
                 // of this connection.
                 thread::sleep(Duration::from_millis(30));
@@ -107,77 +105,49 @@ fn shutdown_ends_the_serve_loop_at_once() {
     }
 }
 
-/// Sends server 0 a `StateQuery` as peer 1 and times the `StateReply` it
-/// dials back to peer 1's listener with.
-fn ask(
-    to_server: &mut FrameWriter<Stream>,
-    listener: &Listener,
-    from_server: &mut Option<FrameReader<Stream>>,
-    sn: u64,
-) -> Duration {
-    let sent = Instant::now();
-    to_server
-        .write(&Frame::Env {
-            tag: sn,
-            re: 0,
-            env: Envelope {
-                src: Pid(1),
-                dst: Pid(0),
-                msg: Payload::StateQuery { sn },
-                exempt: true,
-                reply_to: 0,
-                span: SpanCtx::NONE,
-            },
-        })
-        .expect("state query");
-    let reader = from_server.get_or_insert_with(|| {
-        let mut reader = FrameReader::new(listener.accept().expect("server 0 dials back"));
-        assert!(matches!(
-            reader.read().expect("peer hello"),
-            Some(Frame::Hello { node: 0, .. })
-        ));
-        reader
-    });
-    match reader.read().expect("state reply") {
-        Some(Frame::Env { env, .. }) => {
-            assert_eq!(env.src, Pid(0));
-            assert!(matches!(env.msg, Payload::StateReply { sn: got, .. } if got == sn));
-        }
-        other => panic!("expected a state reply, got {other:?}"),
-    }
-    sent.elapsed()
-}
-
+/// A peer's catch-up query reaches a server the way everything does: on
+/// the driver connection, relayed by the driver. The answer goes back the
+/// same way, on its own `Env` frame (a snapshot can approach the frame
+/// cap), addressed to the peer for the driver to relay.
 #[test]
-fn a_peers_state_query_is_answered_while_the_driver_is_silent() {
-    for (tag, with_driver) in [("peer-idle-driver", true), ("peer-no-driver", false)] {
-        let dir = sock_dir(tag);
-        let peers = [addr(&dir, "s0.sock"), addr(&dir, "s1.sock")];
-        // This test is peer 1: server 0 dials here to answer.
-        let listener = peers[1].listen().expect("peer listener");
-        let server = serve(&peers, RecoveryMode::amnesia());
-        let driver = with_driver.then(|| dial(&peers[0], DRIVER_NODE));
-        let (mut to_server, _unused) = dial(&peers[0], 1);
-        let mut from_server = None;
-        // The first exchange pays server 0's dial back; leave it out.
-        ask(&mut to_server, &listener, &mut from_server, 1);
-        let took: Vec<Duration> = (2..2 + ROUNDS as u64)
-            .map(|sn| {
-                // Land at a different phase of the inbox's 1 ms socket
-                // reads each time.
-                thread::sleep(Duration::from_micros(2_300));
-                ask(&mut to_server, &listener, &mut from_server, sn)
+fn a_peers_state_query_is_answered_on_the_driver_connection() {
+    let dir = sock_dir("peer-query");
+    let listen = addr(&dir, "s0.sock");
+    let server = serve(&listen, 2, RecoveryMode::amnesia());
+    let (mut driver, mut replies) = dial(&listen);
+    for sn in 1..=3 {
+        driver
+            .write(&Frame::Env {
+                tag: sn,
+                re: 0,
+                env: Envelope {
+                    src: Pid(1),
+                    dst: Pid(0),
+                    msg: Payload::StateQuery { sn },
+                    exempt: true,
+                    reply_to: 0,
+                    span: SpanCtx::NONE,
+                },
             })
-            .collect();
-        assert!(
-            median(took.clone()) <= PEER_BOUND,
-            "{tag}: state queries answered in {took:?}"
-        );
-
-        let (mut driver, _replies) = driver.unwrap_or_else(|| dial(&peers[0], DRIVER_NODE));
-        driver.write(&Frame::Shutdown).expect("shutdown");
-        let (report, _) = server.join().expect("server thread");
-        assert_eq!(report.recovery.crashes, 0);
-        let _ = std::fs::remove_dir_all(&dir);
+            .expect("state query");
+        let answer = loop {
+            match replies.read().expect("read") {
+                Some(Frame::Telemetry { .. }) => {}
+                other => break other,
+            }
+        };
+        match answer {
+            Some(Frame::Env { re, env, .. }) => {
+                assert_eq!((env.src, env.dst), (Pid(0), Pid(1)), "to the peer");
+                assert_eq!(re, sn, "answers the relayed query's tag");
+                assert!(env.exempt);
+                assert!(matches!(env.msg, Payload::StateReply { sn: got, .. } if got == sn));
+            }
+            other => panic!("expected a lone state reply, got {other:?}"),
+        }
     }
+    driver.write(&Frame::Shutdown).expect("shutdown");
+    let (report, _) = server.join().expect("server thread");
+    assert_eq!(report.recovery.crashes, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }

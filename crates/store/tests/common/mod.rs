@@ -29,7 +29,7 @@ pub fn run_over_uds(
                 server_id: i,
                 servers: total,
                 clients: cfg.clients,
-                peers: addrs.clone(),
+                peers: Vec::new(),
                 seed: cfg.seed,
                 faults: cfg.faults,
                 recovery: cfg.recovery,

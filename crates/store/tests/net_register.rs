@@ -6,8 +6,9 @@
 //!
 //! The run must complete ≥ 10k operations under the chaos fault mix with
 //! amnesia crashes, report zero linearizability violations, and show at
-//! least one server crash *and recovery* mid-run — i.e. the WAL + peer
-//! catch-up machinery works when peers are sockets, not mailboxes.
+//! least one server crash *and recovery* mid-run, every catch-up complete —
+//! i.e. the WAL + peer catch-up machinery works when peers answer through
+//! the driver's relay, not a mailbox.
 
 mod common;
 
@@ -55,6 +56,10 @@ fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
         server_recoveries, server_crashes,
         "every amnesia crash must run a recovery"
     );
+    // And every recovery's catch-up completed: an aborted one counts as a
+    // recovery too, so the two gates above pass even if no `StateReply`
+    // ever arrived.
+    assert_eq!(server_total.catchup_aborted, 0, "{server_total:?}");
     // The servers' final telemetry carried every counter back to the
     // driver, field for field.
     assert_eq!(report.recovery, server_total);
@@ -65,6 +70,14 @@ fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
     // Socket frames actually moved.
     let frames = blunt_obs::counter("net.frames_sent").get();
     assert!(frames > 0, "no frames crossed the socket layer");
+    // Catch-up crossed the driver, the one hub: each crash's queries to
+    // its two peers and their answers were relayed — 4 per crash, less
+    // any the driver's `Shutdown` overtook, at least one each way.
+    let relays = blunt_obs::counter("net.relays").get();
+    assert!(
+        (2 * server_crashes..=2 * server_total.state_queries).contains(&relays),
+        "{relays} relays for {server_total:?}"
+    );
     // The tracing plane worked end to end: every server process shipped
     // telemetry and a goodbye dump, and the merged cross-process dump
     // carries span-attributed events from all three remote processes.

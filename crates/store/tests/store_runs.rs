@@ -384,9 +384,9 @@ fn a_shard_recovery_that_forgets_is_caught_by_that_shards_monitor() {
 #[test]
 fn keyed_amnesia_over_uds_recovers_every_crash_shard_by_shard() {
     // Recovery over sockets is the one place server processes talk to each
-    // other: a recovering replica's `StateQuery` reaches its peers through
-    // their pump threads and mailboxes, beside the driver sockets the
-    // replica threads read themselves.
+    // other, and they do it through the driver: a recovering replica's
+    // `StateQuery` and its peers' answers each cross the driver, which
+    // relays them on the one connection each replica thread reads itself.
     let mut cfg = StoreConfig::smoke(0x5709_A23E);
     cfg.shards = 2;
     cfg.recovery = RecoveryMode::amnesia();
@@ -413,6 +413,8 @@ fn keyed_amnesia_over_uds_recovers_every_crash_shard_by_shard() {
         server_total += r.recovery;
     }
     assert_eq!(report.recovery, server_total);
+    // Every catch-up completed: an aborted one still counts as a recovery.
+    assert_eq!(server_total.catchup_aborted, 0, "{server_total:?}");
     let replicas = served.chunks(cfg.servers_per_shard as usize);
     assert_eq!(replicas.len(), report.shard_recoveries.len());
     for (shard, (&(crashes, recoveries), replicas)) in
