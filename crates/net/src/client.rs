@@ -7,15 +7,15 @@
 //!
 //! - **Client→server.** Every non-exempt request is realised by one
 //!   [`Links`] on the send path: `Drop` family skips the entry,
-//!   `Duplicate` writes the same tagged entry twice (the server's dedup
-//!   window absorbs the copy), and a crash-window exit puts the exempt
-//!   amnesia signal directly ahead of the triggering entry in the server's
-//!   `EnvBatch`. The schedule gives these links no `Reorder` or `Delay`.
+//!   `Duplicate` writes the same tagged entry twice (the server admits
+//!   both, so the replica answers both, as on the bus), and a crash-window
+//!   exit puts the exempt amnesia signal directly ahead of the triggering
+//!   entry in the server's `EnvBatch`. The schedule gives these links no
+//!   `Reorder` or `Delay`.
 //! - **Server→client.** Inbound frames are replies. Each server's reader
-//!   thread passes them through the connection's dedup window, then draws
-//!   their fates on that server's own [`Links`] (no other reader takes its
-//!   lock), and routes what is deliverable to the issuing client's lane by
-//!   the lane bits of the entry's `re` header
+//!   thread draws their fates on that server's own [`Links`] (no other
+//!   reader takes its lock), and routes what is deliverable to the issuing
+//!   client's lane by the lane bits of the entry's `re` header
 //!   ([`rpc::lane_of`](crate::rpc::lane_of)). A `Reorder` waits in the
 //!   link's hold-back slot, a `Delay` in the `net-delayer` thread (spawned
 //!   by the first delay drawn), whose sink is the lanes too;
@@ -23,15 +23,14 @@
 //! - **Server→server.** The driver is the hub of a socket run: servers
 //!   hold no connection to each other. An entry a reader takes off a
 //!   server's connection for another server (catch-up traffic, always
-//!   exempt) passes the dedup window like a reply, draws no fate, counts
-//!   in neither [`Transport::stats`] nor [`Transport::coverage`], and is
-//!   relayed to its server as a lone `Env` frame under a driver tag, as
-//!   the bus delivers exempt server→server envelopes. A reader never
-//!   writes to a socket — two readers relaying to each other's servers,
-//!   while both servers block writing to the driver, would deadlock — so
-//!   the relay is the `net-delayer`'s, with no delay. A relay read after
-//!   [`Transport::flush`], or one that would follow a server's `Shutdown`,
-//!   is dropped.
+//!   exempt) draws no fate, counts in neither [`Transport::stats`] nor
+//!   [`Transport::coverage`], and is relayed to its server as a lone `Env`
+//!   frame under a driver tag, as the bus delivers exempt server→server
+//!   envelopes. A reader never writes to a socket — two readers relaying
+//!   to each other's servers, while both servers block writing to the
+//!   driver, would deadlock — so the relay is the `net-delayer`'s, with no
+//!   delay. A relay read after [`Transport::flush`], or one that would
+//!   follow a server's `Shutdown`, is dropped.
 //!
 //! A reply to a finished exchange reaches its lane like any other and the
 //! client refuses it by `sn`, as on the bus; only a reply with no lane
@@ -58,7 +57,7 @@ use crate::fault::{FaultConfig, FaultConfigError};
 use crate::frame::{Frame, FrameReader, TaggedEnv, DRIVER_NODE};
 use crate::injector::{Delayer, Injector, Links, TransportStats};
 use crate::pool::ConnectionPool;
-use crate::rpc::{lane_of, DedupWindow, TagGen, MAX_LANES};
+use crate::rpc::{lane_of, TagGen, MAX_LANES};
 use crate::wire::Envelope;
 use crate::{Coverage, Transport};
 
@@ -189,28 +188,25 @@ struct Shared {
 }
 
 impl Shared {
-    /// One frame's entries from server `peer`, in wire order: past the
-    /// connection's dedup window, then replies through the server's reply
-    /// links (fates drawn per entry under one lock, as the bus draws a
-    /// batch's) to their lanes, and entries for a server to the delayer,
-    /// due at once, to be relayed. Each entry is handled exactly as if it
-    /// had arrived as its own `Env` frame, so batching is invisible above
-    /// the framing layer.
+    /// One frame's entries from server `peer`, in wire order: replies
+    /// through the server's reply links (fates drawn per entry under one
+    /// lock, as the bus draws a batch's) to their lanes, and entries for a
+    /// server to the delayer, due at once, to be relayed. Each entry is
+    /// handled exactly as if it had arrived as its own `Env` frame, so
+    /// batching is invisible above the framing layer.
     ///
     /// The lock is held to the end, so a flush waits for this frame's
     /// draws, delays and relays; a faulted reply or a relay read after the
     /// flush (from a server that sent no `Goodbye`) is dropped, and the
     /// counters stay as the flush left them.
-    fn admit(&self, peer: usize, dedup: &mut DedupWindow, entries: Vec<TaggedEnv>) {
+    fn admit(&self, peer: usize, entries: Vec<TaggedEnv>) {
         let ring = self.flight.thread_ring();
         let (mut now, mut later) = (Vec::with_capacity(entries.len()), Vec::new());
         let mut deliver = |e: TaggedEnv| now.push(e);
         let mut delay = |ms, e| later.push((ms, e));
         let mut links = None;
         for e in entries {
-            if !dedup.admit(e.tag) {
-                blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
-            } else if e.env.dst.0 < self.servers {
+            if e.env.dst.0 < self.servers {
                 // Under the lock too, so no relay is scheduled after the
                 // flush has closed the delayer.
                 links.get_or_insert_with(|| self.replies[peer].lock().expect("links"));
@@ -251,7 +247,6 @@ impl Shared {
     fn reader_loop(&self, peer: usize, stream: crate::conn::Stream) {
         self.flight.register_current(&format!("net-reader-{peer}"));
         let mut reader = FrameReader::new(stream);
-        let mut dedup = DedupWindow::new(1024);
         loop {
             let frame = match reader.read() {
                 Ok(Some(f)) => f,
@@ -259,9 +254,9 @@ impl Shared {
             };
             match frame {
                 Frame::Env { tag, re, env } => {
-                    self.admit(peer, &mut dedup, vec![TaggedEnv { tag, re, env }]);
+                    self.admit(peer, vec![TaggedEnv { tag, re, env }]);
                 }
-                Frame::EnvBatch { entries } => self.admit(peer, &mut dedup, entries),
+                Frame::EnvBatch { entries } => self.admit(peer, entries),
                 Frame::HelloAck { echo_t, t_us, .. } => {
                     // Cristian's algorithm: assume the reply took half the
                     // round trip, so the server stamped `t_us` at roughly
@@ -488,13 +483,7 @@ impl NetClient {
 
 impl Transport for NetClient {
     fn send(&self, env: Envelope) {
-        for (dst, entries) in self.realise(vec![env]) {
-            // A duplicate is the same tag twice: the wire sees two frames,
-            // the receiver's dedup window absorbs the copy.
-            for e in entries {
-                self.write(dst, &Frame::from(e));
-            }
-        }
+        self.send_batch(vec![env]);
     }
 
     fn send_batch(&self, envs: Vec<Envelope>) {

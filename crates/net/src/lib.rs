@@ -21,8 +21,7 @@
 //!   connection pool (one connection per server) with single-redial
 //!   self-healing.
 //! - [`rpc`] — monotonic frame tags with the issuing lane in their high
-//!   bits (a reply is routed to its lane by a shift), and per-connection
-//!   duplicate suppression (retransmission-aware dedup).
+//!   bits (a reply is routed to its lane by a shift).
 //! - [`client`] / [`server`] — the two socket endpoints: [`NetClient`]
 //!   (the driver process: client threads + monitor, owning every fault
 //!   link of the run, replies' included) and [`NetServer`] (one `chaos
@@ -41,9 +40,8 @@
 //!
 //! The socket tier feeds the `net.*` counter family: `net.frames_sent`,
 //! `net.frames_received`, `net.bytes_sent`, `net.bytes_received`,
-//! `net.reconnects`, `net.rpc.tag_mismatch_drops`, `net.rpc.dedup_drops`,
-//! and `net.relays` (envelopes the driver relayed from one server to
-//! another).
+//! `net.reconnects`, `net.rpc.tag_mismatch_drops`, and `net.relays`
+//! (envelopes the driver relayed from one server to another).
 //!
 //! ## Fault semantics across backends
 //!
@@ -53,11 +51,10 @@
 //! on its send path, replies' on each server's reader thread. Each hands
 //! its items to a [`Links`] table, which drops, duplicates, holds back for
 //! a reorder and signals crashes the same way for each, and gives a
-//! `Delay` to a [`Delayer`]. Only the sink differs with the medium: the
-//! in-process bus enqueues a request `Duplicate` twice, while the driver
-//! writes the same tagged entry twice and the server's dedup window
-//! absorbs the copy — exercising the retransmission-tolerance machinery a
-//! real stack needs.
+//! `Delay` to a [`Delayer`]. Only the sink differs with the medium, not
+//! the effect: a request `Duplicate` is two enqueues on the bus and the
+//! same tagged entry written twice over sockets, and either way the
+//! replica receives, and answers, both copies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -168,15 +165,6 @@ pub trait Transport: Send + Sync {
     fn on_op_start(&self, client: Pid) {
         let _ = client;
     }
-
-    /// Announces that the calling server process just suffered an amnesia
-    /// crash: any *volatile* transport-side state (notably per-connection
-    /// dedup windows) must be forgotten, exactly like the server's own
-    /// register state. The in-process bus keeps no such state — the
-    /// default is a no-op — but [`NetServer`] resets its connections'
-    /// dedup windows so the first retransmitted pre-crash tag is not
-    /// silently swallowed after recovery.
-    fn on_crash(&self) {}
 
     /// Releases reorder hold-backs and drains delayers — end of run,
     /// nothing will overtake them anymore.

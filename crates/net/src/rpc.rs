@@ -1,8 +1,7 @@
 //! Tagged request/reply bookkeeping for socket transports.
 //!
 //! Every frame a process sends carries a fresh monotonic tag; replies echo
-//! the request's tag in their `re` header field. Three small pieces make
-//! that usable under fault injection:
+//! the request's tag in their `re` header field:
 //!
 //! - [`TagGen`]: the per-process tag source (never issues 0 — `re = 0`
 //!   means "unsolicited"). A client lane's request tags carry the lane
@@ -12,13 +11,9 @@
 //!   refuses a reply whose `sn` is no longer in flight, on every tier.
 //!   A reply with no lane is dropped, counted as
 //!   `net.rpc.tag_mismatch_drops`.
-//! - [`DedupWindow`]: per-connection duplicate suppression. The socket
-//!   tier realizes a `Duplicate` fate by writing the same tagged frame
-//!   twice, so the *receiver* must be the one to observe-and-drop, counted
-//!   as `net.rpc.dedup_drops` — mirroring how a real stack would absorb a
-//!   retransmitted datagram.
-//! - [`ReplyRouter`]: the retired tag → lane table, kept only for the
-//!   benchmark's replay probe.
+//! - [`ReplyRouter`] and [`DedupWindow`]: the retired tag → lane table and
+//!   per-connection duplicate suppression, kept only for the benchmark's
+//!   replay probe.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,6 +127,12 @@ impl ReplyRouter {
 
 /// Sliding-window duplicate suppression for one connection: remembers the
 /// last `cap` frame tags seen and rejects repeats.
+///
+/// Retired: no code under `crates/` uses it since a request `Duplicate`
+/// reaches the replica over sockets as it does on the bus (every server
+/// tag is fresh, so the driver had nothing to drop either). It stays only
+/// because the benchmark's replay probe (`benchmark/src/replay.rs`)
+/// constructs it.
 #[derive(Debug)]
 pub struct DedupWindow {
     seen: HashSet<u64>,
@@ -165,11 +166,7 @@ impl DedupWindow {
         true
     }
 
-    /// Forgets every remembered tag. Called when the server process models
-    /// an amnesia crash: dedup state is volatile, so a recovered server
-    /// must treat the first retransmission of a pre-crash tag as fresh —
-    /// keeping stale entries would silently eat the retry that the crash
-    /// itself made necessary.
+    /// Forgets every remembered tag.
     pub fn reset(&mut self) {
         self.seen.clear();
         self.order.clear();

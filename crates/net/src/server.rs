@@ -28,7 +28,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -41,7 +41,7 @@ use crate::client::ServerTelemetry;
 use crate::conn::{Addr, Stream};
 use crate::frame::{Frame, FrameReader, FrameWriter, TaggedEnv, DRIVER_NODE};
 use crate::injector::TransportStats;
-use crate::rpc::{DedupWindow, TagGen};
+use crate::rpc::TagGen;
 use crate::wire::Envelope;
 use crate::{Coverage, Inbox, Transport};
 
@@ -84,11 +84,6 @@ pub struct NetServer {
     driver: Arc<DriverSlot>,
     stop: Arc<AtomicBool>,
     flight: Arc<FlightRecorder>,
-    /// Bumped by [`Transport::on_crash`] (an amnesia crash of this server
-    /// process); the inbox compares it against its last-seen value and
-    /// resets the driver connection's dedup window when it lags: dedup
-    /// state is volatile and must not survive the crash.
-    dedup_epoch: Arc<AtomicU64>,
 }
 
 /// One accepted connection. The driver's gets its writer installed and its
@@ -125,21 +120,19 @@ fn handshake(
     let _ = mailbox.send(reader);
 }
 
-/// The driver connection as the replica thread holds it, with its
-/// duplicate suppression: the window, and the crash epoch the window was
-/// last wiped at.
+/// The driver connection as the replica thread holds it.
 struct DriverConn {
     reader: FrameReader<Stream>,
-    window: DedupWindow,
-    seen_epoch: u64,
     /// The read timeout the socket carries now (`None`: as accepted,
     /// blocking), so it is set again only when it has to change.
     read_timeout: Option<Duration>,
 }
 
 /// The replica thread's inbox in a server process. Requests are read off
-/// the driver's socket **by the calling thread** — frame decode, dedup
-/// window and all — so a request costs no thread hand-off on its way in.
+/// the driver's socket **by the calling thread**, so a request costs no
+/// thread hand-off on its way in. Every entry is admitted: a request the
+/// driver wrote twice (a `Duplicate` fate) reaches the replica twice, as
+/// on the bus.
 /// A read blocks for at most the caller's timeout; the mailbox beside the
 /// socket carries only the hand-over of a fresh driver connection, and the
 /// inbox looks at it before every read.
@@ -148,8 +141,8 @@ struct DriverConn {
 /// every later call reports `Disconnected`. The driver connection ending
 /// any other way (EOF, an I/O or framing error) leaves the inbox waiting
 /// for the driver to redial. The newest driver connection always wins: a
-/// redial replaces the reader, its dedup window, and whatever sat undecoded
-/// in the old buffer — a lost frame, which retransmission absorbs.
+/// redial replaces the reader and whatever sat undecoded in the old
+/// buffer — a lost frame, which retransmission absorbs.
 pub struct ServerInbox {
     mailbox: Receiver<FrameReader<Stream>>,
     driver: Option<DriverConn>,
@@ -158,15 +151,12 @@ pub struct ServerInbox {
     ready: VecDeque<Envelope>,
     shut: bool,
     stop: Arc<AtomicBool>,
-    dedup_epoch: Arc<AtomicU64>,
 }
 
 impl ServerInbox {
     fn take(&mut self, reader: FrameReader<Stream>) {
         self.driver = Some(DriverConn {
             reader,
-            window: DedupWindow::new(1024),
-            seen_epoch: self.dedup_epoch.load(Ordering::SeqCst),
             read_timeout: None,
         });
     }
@@ -192,30 +182,11 @@ impl ServerInbox {
                 return;
             }
         };
-        // An amnesia crash since the last frame wipes this connection's
-        // dedup memory: pre-crash clients retransmit tags this window has
-        // already admitted, and dropping them would starve recovery of
-        // exactly the retries it depends on. Checked after the read, so
-        // the first post-crash frame sees the fresh window.
-        let epoch = self.dedup_epoch.load(Ordering::SeqCst);
-        if epoch != conn.seen_epoch {
-            conn.seen_epoch = epoch;
-            conn.window.reset();
-            blunt_obs::static_counter!("net.rpc.dedup_resets").inc();
-        }
-        let mut admit = |tag: u64, env: Envelope| {
-            if conn.window.admit(tag) {
-                self.ready.push_back(env.in_reply_to(tag));
-            } else {
-                blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
-            }
-        };
         match frame {
-            Frame::Env { tag, env, .. } => admit(tag, env),
+            Frame::Env { tag, env, .. } => self.ready.push_back(env.in_reply_to(tag)),
             Frame::EnvBatch { entries } => {
-                for e in entries {
-                    admit(e.tag, e.env);
-                }
+                let admitted = entries.into_iter().map(|e| e.env.in_reply_to(e.tag));
+                self.ready.extend(admitted);
             }
             Frame::Hello { .. }
             | Frame::HelloAck { .. }
@@ -332,14 +303,12 @@ impl NetServer {
                 .name("net-accept".into())
                 .spawn(accept)?
         };
-        let dedup_epoch = Arc::new(AtomicU64::new(0));
         let inbox = ServerInbox {
             mailbox: mailbox_rx,
             driver: None,
             ready: VecDeque::new(),
             shut: false,
             stop: Arc::clone(&stop),
-            dedup_epoch: Arc::clone(&dedup_epoch),
         };
         let server = Arc::new(NetServer {
             me,
@@ -350,7 +319,6 @@ impl NetServer {
             driver,
             stop,
             flight,
-            dedup_epoch,
         });
         Ok((server, inbox))
     }
@@ -436,13 +404,6 @@ impl Transport for NetServer {
         if !out.is_empty() {
             self.driver.write(&Frame::batch(out));
         }
-    }
-
-    fn on_crash(&self) {
-        // Volatile transport state dies with the server: every
-        // connection's reader observes the bumped epoch and resets its
-        // dedup window before admitting its next frame.
-        self.dedup_epoch.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Nothing to release: a serve process holds and delays nothing.

@@ -1,8 +1,8 @@
 //! The replica thread reads its own driver socket: hand-over, redial, the
-//! refusal of any other dialer and the non-blocking half of
-//! [`ServerInbox`], against a real `NetServer` on a loopback Unix socket.
-//! (The dedup window's crash reset, now owned by the inbox too, is
-//! `dedup_recovery.rs`.)
+//! refusal of any other dialer, the non-blocking half of [`ServerInbox`],
+//! and the admission of every entry (a request `Duplicate` is the same
+//! tagged entry twice, and the replica receives both), against a real
+//! `NetServer` on a loopback Unix socket.
 
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 use blunt_abd::msg::AbdMsg;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_net::frame::{Frame, DRIVER_NODE};
-use blunt_net::{Addr, Envelope, Inbox, NetServer, NetServerCfg, Payload, ServerInbox, Stream};
+use blunt_net::{
+    Addr, Envelope, Inbox, NetServer, NetServerCfg, Payload, ServerInbox, Stream, TaggedEnv,
+};
 use blunt_obs::FlightRecorder;
 
 const LONG: Duration = Duration::from_secs(5);
@@ -41,17 +43,20 @@ fn hello_from(node: u32) -> Vec<u8> {
     Frame::Hello { node, t_us: 0 }.encode().expect("encodes")
 }
 
-/// The bytes of a query frame carrying `tag`, its `sn` set to the tag.
-fn query(tag: u64) -> Vec<u8> {
+/// A query entry carrying `tag`, its `sn` set to the tag.
+fn entry(tag: u64) -> TaggedEnv {
     let sn = u32::try_from(tag).expect("small tag");
     let msg = AbdMsg::Query { obj: ObjId(0), sn };
-    Frame::Env {
+    TaggedEnv {
         tag,
         re: 0,
         env: Envelope::abd(Pid(1), Pid(0), msg, false),
     }
-    .encode()
-    .expect("encodes")
+}
+
+/// The bytes of a lone query frame carrying `tag`.
+fn query(tag: u64) -> Vec<u8> {
+    Frame::from(entry(tag)).encode().expect("encodes")
 }
 
 fn sn_of(env: &Envelope) -> u32 {
@@ -83,17 +88,31 @@ fn frames_behind_the_hello_travel_with_the_reader() {
     assert_eq!(inbox.recv_timeout(SHORT), Err(RecvTimeoutError::Timeout));
 }
 
+/// A request `Duplicate` is the same tagged entry written twice, on one
+/// frame when the driver batches: the replica receives both copies, as a
+/// bus mailbox does, each stamped with the tag.
 #[test]
-fn the_newest_driver_connection_wins_with_a_fresh_window() {
+fn a_tag_written_twice_reaches_the_replica_twice() {
+    let (_server, mut inbox, addr) = bind("duplicate");
+    let twice = Frame::EnvBatch {
+        entries: vec![entry(7), entry(7), entry(8)],
+    };
+    let mut conn = dial(&addr, &[hello(), twice.encode().expect("encodes")].concat());
+    for want in [7, 7, 8] {
+        let env = inbox.recv_timeout(LONG).expect("admitted");
+        assert_eq!((sn_of(&env), env.reply_to), (want, u64::from(want)));
+    }
+    // And a lone `Env` repeating a tag already seen.
+    conn.write_all(&query(7)).expect("resend");
+    assert_eq!(sn_of(&inbox.recv_timeout(LONG).expect("admitted")), 7);
+    assert_eq!(inbox.recv_timeout(SHORT), Err(RecvTimeoutError::Timeout));
+}
+
+#[test]
+fn the_newest_driver_connection_wins() {
     let (_server, mut inbox, addr) = bind("redial");
     let mut first = dial(&addr, &[hello(), query(42)].concat());
     assert_eq!(sn_of(&inbox.recv_timeout(LONG).expect("admitted")), 42);
-    first.write_all(&query(42)).expect("resend");
-    assert_eq!(
-        inbox.recv_timeout(SHORT),
-        Err(RecvTimeoutError::Timeout),
-        "the first connection's window absorbs its duplicate"
-    );
 
     // A redial while the old connection is still open and silent: the
     // inbox finds the hand-over when its read of the old socket times out,
@@ -107,11 +126,7 @@ fn the_newest_driver_connection_wins_with_a_fresh_window() {
             Err(e) => panic!("no hand-over: {e:?}"),
         }
     };
-    assert_eq!(
-        sn_of(&fresh),
-        42,
-        "a tag the old window had admitted is admitted again"
-    );
+    assert_eq!(sn_of(&fresh), 42, "the new connection's first frame");
     assert_eq!(sn_of(&inbox.recv_timeout(LONG).expect("delivered")), 43);
     // The old connection lost: what it sends now goes nowhere.
     let _ = first.write_all(&query(44));

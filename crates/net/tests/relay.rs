@@ -163,7 +163,7 @@ fn drive(with_query: bool) -> Outcome {
     let (mut to_driver_0, from_driver_0, pass_on_0) = conns.remove(0);
     let (mut to_driver_1, from_driver_1, pass_on_1) = conns.remove(0);
     let opened = from_driver_1.recv_timeout(LONG).expect("the opening ack");
-    assert!(matches!(opened, Frame::Env { .. }));
+    assert!(matches!(opened, Frame::EnvBatch { .. }));
 
     let mut stream = replies();
     if with_query {

@@ -311,9 +311,9 @@ fn lone_frames_and_batches_of_every_size_draw_the_same_fates() {
 }
 
 /// Writes `entries` as lone `Env` frames, then an exempt ack to lane 0
-/// (its own tag, or the dedup window would absorb it), and waits for it: the reader handles a connection's frames in order,
-/// so every entry before it has reached its lane by then. Returns what the
-/// lanes received, the ack left out.
+/// (its own tag), and waits for it: the reader handles a connection's
+/// frames in order, so every entry before it has reached its lane by then.
+/// Returns what the lanes received, the ack left out.
 fn write_and_sync(server: &mut Server, entries: &[TaggedEnv]) -> Vec<Envelope> {
     let mark_sn = REPLIES + sn_of(&entries[0].env);
     for e in entries {

@@ -62,7 +62,7 @@ fn a_reply_reaches_the_lane_its_tag_names_and_a_tag_naming_none_is_dropped() {
     let mut reader = FrameReader::new(stream);
     let request = loop {
         match reader.read().expect("driver connection") {
-            Some(Frame::Env { tag, .. }) => break tag,
+            Some(Frame::EnvBatch { entries }) => break entries[0].tag,
             Some(Frame::Hello { .. }) => {}
             other => panic!("expected the hello, then the request: {other:?}"),
         }

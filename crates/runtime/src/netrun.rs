@@ -16,10 +16,10 @@
 //! reply's as its reader takes it off the server's connection. Both
 //! consume the same per-link SplitMix64 streams they would in process, so
 //! a seed exercises the same fault pattern whether the run is threaded or
-//! distributed. What is *not* preserved across the boundary is realization
-//! detail (a socket duplicate of a request is two frames absorbed by the
-//! server's dedup window, not two mailbox deliveries); `docs/TRANSPORT.md`
-//! has the full comparison.
+//! distributed, and each fate has the same effect on either medium: a
+//! duplicated request is two frames with one tag over sockets and two
+//! mailbox deliveries on the bus, and the replica answers both either way.
+//! `docs/TRANSPORT.md` has the full comparison.
 //!
 //! The driver is the hub: a serve process's one connection is the
 //! driver's. A recovering replica's catch-up queries, and its peers'

@@ -898,9 +898,6 @@ impl Replica<'_> {
         let lost = self.wal.lose_unsynced();
         self.pending_acks.clear();
         self.state.forget();
-        // Volatile transport-side state (socket dedup windows) dies with
-        // the server too; the in-process bus keeps none and no-ops this.
-        self.bus.on_crash();
         self.sink.on_crash(lost as u64);
         self.ring
             .record(FlightKind::ServerCrash, self.me.0, lost as u64, 0);

@@ -1,46 +1,88 @@
 //! One schedule, two media: the same seed gives the same fault counters
 //! and the same per-link coverage on the in-process bus and over Unix
-//! sockets, reply legs included.
+//! sockets, reply legs included, duplicates and amnesia crashes too.
 //!
 //! Both tiers draw every fate of a run in one place — the bus, or the
 //! socket driver (requests as it sends them, replies as its readers take
 //! them off the wire) — from the same per-link streams. On the register
-//! shape (depth 1, batch 1) under stable recovery, which requests a
-//! replica answers, and in which order on each link, is then a function of
-//! the seed on either tier. The one medium difference is a request
-//! `Duplicate`: the bus delivers both copies, so the replica answers
-//! twice, while a socket duplicate is two frames with one tag and the
-//! server's dedup window absorbs the second. So duplicates are off here.
+//! shape (depth 1, batch 1), which requests a replica answers, and in which
+//! order on each link, is then a function of the seed on either tier. A
+//! request `Duplicate` reaches the replica twice on both, so under stable
+//! recovery every delivered copy of a request is answered once.
 
 mod common;
 
-use blunt_net::FaultConfig;
+use blunt_net::{Coverage, FaultConfig};
 use blunt_runtime::RecoveryMode;
-use blunt_store::{run_store, RunOpts, StoreConfig};
+use blunt_store::{run_store, RunOpts, StoreConfig, StoreReport};
 
-fn shape(seed: u64) -> StoreConfig {
+const SEEDS: [u64; 3] = [0x7A11_0001, 0x7A11_0002, 0x7A11_0003];
+
+/// The register shape's replicas: pids below this are servers.
+const SERVERS: u32 = 3;
+
+fn shape(seed: u64, recovery: RecoveryMode) -> StoreConfig {
     let mut cfg = StoreConfig::register(seed);
     cfg.ops_per_client = 300;
-    cfg.recovery = RecoveryMode::Stable;
+    cfg.recovery = recovery;
     cfg.faults = FaultConfig::chaos();
-    cfg.faults.duplicate_per_mille = 0;
     cfg
+}
+
+/// Runs `seed` on both tiers and asserts they drew the same fates.
+fn both_tiers(seed: u64, recovery: RecoveryMode, tag: &str) -> [(&'static str, StoreReport); 2] {
+    let cfg = shape(seed, recovery);
+    let bus = run_store(&cfg).expect("valid fault config");
+    let (uds, _) = common::run_over_uds(&cfg, &RunOpts::default(), tag);
+    for (tier, report) in [("bus", &bus), ("uds", &uds)] {
+        assert_eq!(report.ops, 1_200, "{tier}, seed {seed:#x}");
+        assert!(report.monitor.clean(), "{tier}, seed {seed:#x}: violations");
+    }
+    // Every link of the topology carried traffic: four clients into
+    // three replicas and back.
+    assert_eq!(bus.coverage.links.len(), 24, "seed {seed:#x}");
+    assert_eq!(uds.stats, bus.stats, "seed {seed:#x}");
+    assert_eq!(uds.coverage, bus.coverage, "seed {seed:#x}");
+    [("bus", bus), ("uds", uds)]
+}
+
+/// For each client→server link, the replies offered on the reverse link:
+/// one per request copy the replica received.
+fn assert_each_copy_answered_once(coverage: &Coverage, what: &str) {
+    for req in coverage.links.iter().filter(|l| l.src >= SERVERS) {
+        let reply = coverage
+            .links
+            .iter()
+            .find(|l| (l.src, l.dst) == (req.dst, req.src))
+            .unwrap_or_else(|| panic!("{what}: no reply link {}→{}", req.dst, req.src));
+        let copies = req.delivered + 2 * req.duplicated + req.reordered + req.delayed;
+        assert_eq!(
+            reply.offered, copies,
+            "{what}: link {}→{}",
+            req.src, req.dst
+        );
+    }
 }
 
 #[test]
 fn bus_and_uds_draw_the_same_fates_for_a_seed() {
-    for seed in [0x7A11_0001, 0x7A11_0002, 0x7A11_0003] {
-        let cfg = shape(seed);
-        let bus = run_store(&cfg).expect("valid fault config");
-        let (uds, _) = common::run_over_uds(&cfg, &RunOpts::default(), "tier-parity");
-        for (tier, report) in [("bus", &bus), ("uds", &uds)] {
-            assert_eq!(report.ops, 1_200, "{tier}, seed {seed:#x}");
-            assert!(report.monitor.clean(), "{tier}, seed {seed:#x}: violations");
+    for seed in SEEDS {
+        for (tier, report) in both_tiers(seed, RecoveryMode::Stable, "tier-parity-stable") {
+            let what = format!("{tier}, seed {seed:#x}");
+            assert!(report.stats.duplicated > 0, "{what}");
+            assert_each_copy_answered_once(&report.coverage, &what);
         }
-        // Every link of the topology carried traffic: four clients into
-        // three replicas and back.
-        assert_eq!(bus.coverage.links.len(), 24, "seed {seed:#x}");
-        assert_eq!(uds.stats, bus.stats, "seed {seed:#x}");
-        assert_eq!(uds.coverage, bus.coverage, "seed {seed:#x}");
+    }
+}
+
+#[test]
+fn bus_and_uds_draw_the_same_fates_under_amnesia() {
+    for seed in SEEDS {
+        for (tier, report) in both_tiers(seed, RecoveryMode::amnesia(), "tier-parity-amnesia") {
+            let r = report.recovery;
+            assert!(r.crashes > 0, "{tier}, seed {seed:#x}: no crash");
+            assert_eq!(r.crashes, r.recoveries, "{tier}, seed {seed:#x}");
+            assert_eq!(r.catchup_aborted, 0, "{tier}, seed {seed:#x}");
+        }
     }
 }
