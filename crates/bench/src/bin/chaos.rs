@@ -66,7 +66,7 @@
 //! message-passing configs) `.recoveries`; the full counter snapshot plus
 //! per-config wall-times — including the monitor-overhead phases
 //! `monitor.<cfg>` (time inside `observe`), `monitor_lag_ops.<cfg>` and
-//! `monitor_wakeups.<cfg>` (how often a monitor thread was woken: the
+//! `monitor_wakeups.<cfg>` (how often the worker drained a monitor: the
 //! clients ring it once a burst, not once an action) —
 //! goes to `BENCH_results.json` (default
 //! `target/chaos/BENCH_results.json`, `--results-out` to redirect) for the
@@ -679,7 +679,7 @@ fn print_report(name: &str, r: &StoreReport, run: &Run) {
     }
     println!(
         "{pad:<24} coverage: fates [{}] over {} links  monitors: {} actions \
-         across {} shards, {:.1} ms observe, lag hwm {}, {} wake-ups",
+         across {} shards, {:.1} ms observe, lag hwm {}, {} drains",
         r.coverage.fates_exercised().join(" "),
         r.coverage.links.len(),
         r.monitor_overhead.actions,

@@ -1,5 +1,5 @@
-//! The driver endpoint: client threads and the monitor live in this
-//! process; servers are reached over sockets.
+//! The driver endpoint: the clients and the shard monitors live in this
+//! process, on its one worker; servers are reached over sockets.
 //!
 //! [`NetClient`] owns the **whole** fault schedule of a socket run, as the
 //! bus owns an in-process run's: every fate is drawn in this process, so a
@@ -14,12 +14,11 @@
 //!   `Reorder` or `Delay`.
 //! - **Server→client.** Inbound frames are replies. Each server's reader
 //!   thread draws their fates on that server's own [`Links`] (no other
-//!   reader takes its lock), and routes what is deliverable to the issuing
-//!   client's lane by the lane bits of the entry's `re` header
-//!   ([`rpc::lane_of`](crate::rpc::lane_of)). A `Reorder` waits in the
-//!   link's hold-back slot, a `Delay` in the `net-delayer` thread (spawned
-//!   by the first delay drawn), whose sink is the lanes too;
-//!   [`Transport::flush`] releases both.
+//!   reader takes its lock), and hands what is deliverable to the driver's
+//!   one mailbox, where the worker gives each reply to the client its `dst`
+//!   names. A `Reorder` waits in the link's hold-back slot, a `Delay` in
+//!   the `net-delayer` thread (spawned by the first delay drawn), whose
+//!   sink is the mailbox too; [`Transport::flush`] releases both.
 //! - **Server→server.** The driver is the hub of a socket run: servers
 //!   hold no connection to each other. An entry a reader takes off a
 //!   server's connection for another server (catch-up traffic, always
@@ -32,9 +31,9 @@
 //!   delay. A relay read after [`Transport::flush`], or one that would
 //!   follow a server's `Shutdown`, is dropped.
 //!
-//! A reply to a finished exchange reaches its lane like any other and the
-//! client refuses it by `sn`, as on the bus; only a reply with no lane
-//! counts as `net.rpc.tag_mismatch_drops`. [`Transport::stats`] and
+//! A reply to a finished exchange reaches its client like any other and the
+//! client refuses it by `sn`, as on the bus; only a reply that answers no
+//! request (`re = 0`) is dropped, counted as `net.rpc.tag_mismatch_drops`. [`Transport::stats`] and
 //! [`Transport::coverage`] cover both directions: they are final once
 //! every server's `Goodbye` has arrived ([`NetClient::shutdown`]) and the
 //! holds are released, because a server writes all its replies ahead of
@@ -57,7 +56,7 @@ use crate::fault::{FaultConfig, FaultConfigError};
 use crate::frame::{Frame, FrameReader, TaggedEnv, DRIVER_NODE};
 use crate::injector::{Delayer, Injector, Links, TransportStats};
 use crate::pool::ConnectionPool;
-use crate::rpc::{lane_of, TagGen, MAX_LANES};
+use crate::rpc::TagGen;
 use crate::wire::Envelope;
 use crate::{Coverage, Transport};
 
@@ -69,7 +68,7 @@ pub struct NetClientCfg {
     pub faults: FaultConfig,
     /// One listen address per server, index = server pid.
     pub servers: Vec<Addr>,
-    /// Number of client threads this driver runs.
+    /// Number of clients this driver runs.
     pub clients: u32,
     /// Whether crash-window exits raise the amnesia signal (sent to the
     /// crashed server as an exempt [`Payload::Crash`](crate::Payload::Crash)
@@ -149,14 +148,14 @@ pub struct RemoteServer {
     pub dump: Option<FlightDump>,
 }
 
-/// Hands a deliverable reply to the lane whose request tag it answers.
-fn route(lanes: &[Sender<Envelope>], e: TaggedEnv) {
-    match lane_of(e.re).and_then(|lane| lanes.get(lane)) {
-        Some(mailbox) => {
-            let _ = mailbox.send(e.env.in_reply_to(e.tag));
-        }
-        None => blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc(),
+/// Hands a deliverable reply to the driver's mailbox, unless it answers
+/// no request.
+fn route(mailbox: &Sender<Envelope>, e: TaggedEnv) {
+    if e.re == 0 {
+        blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc();
+        return;
     }
+    let _ = mailbox.send(e.env.in_reply_to(e.tag));
 }
 
 /// State the per-connection reader threads share with the send path.
@@ -167,12 +166,12 @@ struct Shared {
     /// `Shutdown`'s.
     pool: ConnectionPool,
     tags: TagGen,
-    /// One mailbox per client lane (lane = pid − servers).
-    lanes: Vec<Sender<Envelope>>,
+    /// The driver's one mailbox: every client's replies.
+    mailbox: Sender<Envelope>,
     /// The server→client links, one table per server (index = server pid),
     /// each drawn from by that server's reader alone.
     replies: Vec<Mutex<Links<TaggedEnv>>>,
-    /// Where a delayed reply waits for its lane, and a relay for its
+    /// Where a delayed reply waits for the mailbox, and a relay for its
     /// server ([`Shared::hand_on`]).
     delayer: Delayer<TaggedEnv>,
     /// Set by [`Transport::flush`]: from then on a reader draws no fate.
@@ -190,7 +189,7 @@ struct Shared {
 impl Shared {
     /// One frame's entries from server `peer`, in wire order: replies
     /// through the server's reply links (fates drawn per entry under one
-    /// lock, as the bus draws a batch's) to their lanes, and entries for a
+    /// lock, as the bus draws a batch's) to the mailbox, and entries for a
     /// server to the delayer, due at once, to be relayed. Each entry is
     /// handled exactly as if it had arrived as its own `Env` frame, so
     /// batching is invisible above the framing layer.
@@ -223,16 +222,16 @@ impl Shared {
                 }
             }
         }
-        now.into_iter().for_each(|e| route(&self.lanes, e));
+        now.into_iter().for_each(|e| route(&self.mailbox, e));
         self.delayer.delay(later);
     }
 
     /// The delayer's sink: a relay to its server, as a lone `Env` frame
-    /// under a fresh driver tag; a reply to its lane.
+    /// under a fresh driver tag; a reply to the mailbox.
     fn hand_on(&self, e: TaggedEnv) {
         let dst = e.env.dst;
         if dst.0 >= self.servers {
-            route(&self.lanes, e);
+            route(&self.mailbox, e);
             return;
         }
         blunt_obs::static_counter!("net.relays").inc();
@@ -282,19 +281,18 @@ impl Shared {
 }
 
 /// The driver-process transport: sockets to every server, the fault links
-/// of both directions, and reply routing back to client lanes.
+/// of both directions, and the replies' way back to the driver's mailbox.
 pub struct NetClient {
-    servers: u32,
     links: Mutex<Links<TaggedEnv>>,
     shared: Arc<Shared>,
     flight: Arc<FlightRecorder>,
 }
 
 impl NetClient {
-    /// Connects to every server in `cfg`, returning the transport plus one
-    /// inbound mailbox per client lane (index = client pid − servers).
-    /// Connections are dialed lazily on first send and self-heal across
-    /// server restarts.
+    /// Connects to every server in `cfg`, returning the transport plus the
+    /// driver's one inbound mailbox, which carries every client's replies
+    /// (each names its client in `dst`). Connections are dialed lazily on
+    /// first send and self-heal across server restarts.
     ///
     /// # Errors
     ///
@@ -304,12 +302,7 @@ impl NetClient {
     pub fn connect(
         cfg: &NetClientCfg,
         flight: Arc<FlightRecorder>,
-    ) -> Result<(Arc<NetClient>, Vec<Receiver<Envelope>>), FaultConfigError> {
-        assert!(
-            u64::from(cfg.clients) <= MAX_LANES,
-            "{} clients do not fit the tag's lane bits",
-            cfg.clients
-        );
+    ) -> Result<(Arc<NetClient>, Receiver<Envelope>), FaultConfigError> {
         let servers = cfg.servers.len() as u32;
         let nodes = servers + cfg.clients;
         let injector = |signal| Injector::new(cfg.seed, cfg.faults, servers, nodes, signal);
@@ -319,8 +312,7 @@ impl NetClient {
             .map(|_| Links::new(injector(false).expect("validated"), |_, _| unreachable!()))
             .map(Mutex::new)
             .collect();
-        let (lanes, receivers): (Vec<_>, Vec<_>) =
-            (0..cfg.clients).map(|_| mpsc::channel()).unzip();
+        let (mailbox, receiver) = mpsc::channel();
         // The pool's readers and the delayer's sink reach back into the
         // `Shared` that owns both, so neither holds it strongly.
         let shared = Arc::new_cyclic(|me: &Weak<Shared>| {
@@ -349,7 +341,7 @@ impl NetClient {
                 servers,
                 pool,
                 tags: TagGen::new(),
-                lanes,
+                mailbox,
                 replies,
                 delayer: Delayer::new("net-delayer", move |e| {
                     if let Some(shared) = sink.upgrade() {
@@ -364,7 +356,6 @@ impl NetClient {
         });
         let signal_shared = Arc::clone(&shared);
         let client = Arc::new(NetClient {
-            servers,
             links: Mutex::new(Links::new(requests, move |server, window| TaggedEnv {
                 tag: signal_shared.tags.next(),
                 re: 0,
@@ -373,16 +364,7 @@ impl NetClient {
             shared,
             flight,
         });
-        Ok((client, receivers))
-    }
-
-    /// A fresh tag for an outbound frame, stamped with the sender's lane
-    /// when the sender is a client.
-    fn tag_for(&self, src: Pid) -> u64 {
-        match src.0.checked_sub(self.servers) {
-            Some(lane) => self.shared.tags.next_for(lane as usize),
-            None => self.shared.tags.next(),
-        }
+        Ok((client, receiver))
     }
 
     fn write(&self, dst: Pid, frame: &Frame) {
@@ -425,7 +407,7 @@ impl NetClient {
             let span = env.span.flight_word();
             ring.record_span(FlightKind::BusSend, src.0, u64::from(dst.0), label, span);
             let entry = TaggedEnv {
-                tag: self.tag_for(src),
+                tag: self.shared.tags.next(),
                 // Exempt frames keep their reply correlation; faulted
                 // traffic is always unsolicited from this endpoint.
                 re: if env.exempt { env.reply_to } else { 0 },
@@ -447,8 +429,8 @@ impl NetClient {
 
     /// Tells every server to finish up, waits up to `wait` for their
     /// `Goodbye`s, then shuts every connection down: the reader threads
-    /// hold clones of the pooled streams (and, through them, the client
-    /// lanes and the flight recorder), and must not outlive the run because
+    /// hold clones of the pooled streams (and, through them, the mailbox
+    /// and the flight recorder), and must not outlive the run because
     /// a server keeps its end open. Returns every server's remote state
     /// (index = server pid): a server sends its final telemetry right
     /// before its goodbye, so one that said goodbye reports its whole run;
@@ -498,7 +480,8 @@ impl Transport for NetClient {
         self.shared.flushed.store(true, Ordering::Relaxed);
         for links in &self.shared.replies {
             let held = links.lock().expect("links").release();
-            held.into_iter().for_each(|e| route(&self.shared.lanes, e));
+            held.into_iter()
+                .for_each(|e| route(&self.shared.mailbox, e));
         }
         self.shared.delayer.close();
     }

@@ -18,7 +18,7 @@
 //! |---|---|---|---|
 //! | the in-process bus | `Envelope` | the destination's mailbox | `bus-delayer`, then the mailbox |
 //! | [`NetClient`](crate::NetClient), requests | [`TaggedEnv`](crate::TaggedEnv) | the server's `EnvBatch` | — (schedule-restricted) |
-//! | [`NetClient`](crate::NetClient), replies (one table per server) | [`TaggedEnv`](crate::TaggedEnv) | the client's lane | `net-delayer`, then the lane |
+//! | [`NetClient`](crate::NetClient), replies (one table per server) | [`TaggedEnv`](crate::TaggedEnv) | the driver's mailbox | `net-delayer`, then the mailbox |
 //!
 //! The driver's `net-delayer` also writes its relays of server→server
 //! catch-up traffic to their servers: due at once, drawn from no link.

@@ -20,21 +20,19 @@
 //! - [`conn`] / [`pool`] — TCP / Unix-domain streams and the driver's
 //!   connection pool (one connection per server) with single-redial
 //!   self-healing.
-//! - [`rpc`] — monotonic frame tags with the issuing lane in their high
-//!   bits (a reply is routed to its lane by a shift).
+//! - [`rpc`] — monotonic frame tags; a reply echoes its request's tag.
 //! - [`client`] / [`server`] — the two socket endpoints: [`NetClient`]
-//!   (the driver process: client threads + monitor, owning every fault
-//!   link of the run, replies' included) and [`NetServer`] (one `chaos
+//!   (the driver process: its one worker steps the clients and the shard
+//!   monitors; it owns every fault link of the run, replies' included) and [`NetServer`] (one `chaos
 //!   serve` process per server, a plain replica host with no fault
 //!   schedule). A socket run is a star: a server's one connection is the
 //!   driver's, and the driver relays the catch-up traffic servers send
 //!   each other, so every message of the run crosses the process that
 //!   owns its fates.
-//! - [`Inbox`] — what a replica thread receives from: the bus's plain
-//!   channel receiver in process, a [`ServerInbox`] in a server process,
-//!   where the replica thread reads the driver's socket itself and no
-//!   thread stands between a request on the wire and the step that
-//!   answers it.
+//! - [`Inbox`] — what a worker receives from: a plain channel receiver
+//!   in process and in the driver, a [`ServerInbox`] in a server process,
+//!   where the worker reads the driver's socket itself and no thread
+//!   stands between a request on the wire and the step that answers it.
 //!
 //! ## Counters
 //!
@@ -85,9 +83,10 @@ use std::time::Duration;
 use blunt_abd::msg::AbdMsg;
 use blunt_core::ids::Pid;
 
-/// What a replica thread receives its [`Envelope`]s from. The in-process
-/// bus hands every node a plain [`Receiver`]; a server process gets a
-/// [`ServerInbox`], which reads the driver's socket on the calling thread.
+/// What a worker receives its [`Envelope`]s from. The in-process bus and
+/// the driver's [`NetClient`] hand it a plain [`Receiver`]; a server
+/// process gets a [`ServerInbox`], which reads the driver's socket on the
+/// calling thread.
 /// The errors are the channel's own, with the channel's meanings:
 /// `Timeout`/`Empty` — nothing yet; `Disconnected` — nothing ever again.
 pub trait Inbox {
@@ -118,7 +117,7 @@ impl Inbox for Receiver<Envelope> {
     }
 }
 
-/// What the chaos runtime's server and client loops drive: any medium that
+/// What the chaos runtime's replicas and clients send through: any medium that
 /// can carry [`Envelope`]s under the seed-determined fault schedule.
 ///
 /// Implementations: the in-process bus (`blunt_runtime::Bus`), the driver
@@ -159,9 +158,9 @@ pub trait Transport: Send + Sync {
 
     /// Marks the start of a new operation by `client`.
     ///
-    /// Retired: nothing under `crates/` overrides or calls it since reply
-    /// tags carry their lane. It stays only because the benchmark's replay
-    /// probe (`benchmark/src/replay.rs`) calls it.
+    /// Retired: nothing under `crates/` overrides or calls it since every
+    /// reply names its client in `dst`. It stays only because the
+    /// benchmark's replay probe (`benchmark/src/replay.rs`) calls it.
     fn on_op_start(&self, client: Pid) {
         let _ = client;
     }

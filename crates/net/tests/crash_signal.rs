@@ -53,7 +53,7 @@ fn a_crash_signal_raised_mid_batch_is_the_entry_before_its_trigger() {
         clients: 1,
         signal_crashes: true,
     };
-    let (client, _lanes) =
+    let (client, _mailbox) =
         NetClient::connect(&cfg, Arc::new(FlightRecorder::new(256))).expect("valid faults");
     // Faulted 0 and 1 fall in the window; faulted 2 is past it.
     client.send_batch(vec![

@@ -6,8 +6,8 @@
 //! `NetClient` under `FaultConfig::chaos()`. Server 0 writes a fixed reply
 //! stream in `EnvBatch` chunks, once with an exempt `StateQuery` for
 //! server 1 inside it and once without. Server 1 must receive the query as
-//! a lone `Env` frame, no client lane may see it, and `stats()`,
-//! `coverage()` and every lane's replies must equal the run without it.
+//! a lone `Env` frame, no client may see it, and `stats()`, `coverage()`
+//! and every client's replies must equal the run without it.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{self, Receiver};
@@ -20,7 +20,6 @@ use blunt_abd::ts::Ts;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::frame::{Frame, FrameReader, FrameWriter, DRIVER_NODE};
-use blunt_net::rpc::LANE_SHIFT;
 use blunt_net::{
     Addr, Envelope, FaultConfig, Listener, NetClient, NetClientCfg, Payload, SpanCtx, Stream,
     TaggedEnv, Transport, TransportStats,
@@ -38,11 +37,11 @@ const LONG: Duration = Duration::from_secs(10);
 
 /// Server 0's replies: the four clients answered in turn, every fifth an
 /// exempt ack. `sn` numbers the entries; the tag is `sn + 1` and `re`
-/// carries the client's lane.
+/// names a request.
 fn replies() -> Vec<TaggedEnv> {
     (0..REPLIES)
         .map(|i| {
-            let lane = i % CLIENTS;
+            let client = i % CLIENTS;
             let obj = ObjId(i % 5);
             let (msg, exempt) = if i % 5 == 4 {
                 (AbdMsg::Ack { obj, sn: i }, true)
@@ -64,8 +63,8 @@ fn replies() -> Vec<TaggedEnv> {
             };
             TaggedEnv {
                 tag: u64::from(i) + 1,
-                re: (u64::from(lane) + 1) << LANE_SHIFT | u64::from(i),
-                env: Envelope::abd(Pid(0), Pid(SERVERS + lane), msg, exempt),
+                re: u64::from(i) + 100,
+                env: Envelope::abd(Pid(0), Pid(SERVERS + client), msg, exempt),
             }
         })
         .collect()
@@ -88,9 +87,9 @@ fn query() -> TaggedEnv {
 }
 
 struct Outcome {
-    /// Per client lane, the `sn`s it received, sorted (delays make the
-    /// arrival order timing).
-    lanes: Vec<Vec<u32>>,
+    /// Per client, the `sn`s it received, sorted (delays make the arrival
+    /// order timing).
+    clients: Vec<Vec<u32>>,
     stats: TransportStats,
     coverage: String,
     /// Every frame server 1 read after the driver's `Hello`.
@@ -137,7 +136,7 @@ fn drive(with_query: bool) -> Outcome {
         .iter()
         .map(|a| a.listen().expect("bind UDS listener"))
         .collect();
-    let (client, lanes) = NetClient::connect(
+    let (client, mailbox) = NetClient::connect(
         &NetClientCfg {
             seed: SEED,
             faults: FaultConfig::chaos(),
@@ -202,19 +201,16 @@ fn drive(with_query: bool) -> Outcome {
     assert_eq!(from_driver_0.try_iter().last(), Some(Frame::Shutdown));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let received = |lane: &Receiver<Envelope>| {
-        let mut sns: Vec<u32> = lane
-            .try_iter()
-            .map(|env| match env.msg {
-                Payload::Abd(m) => m.sn(),
-                other => panic!("a client lane got {other:?}"),
-            })
-            .collect();
-        sns.sort_unstable();
-        sns
-    };
+    let mut clients = vec![Vec::new(); CLIENTS as usize];
+    for env in mailbox.try_iter() {
+        match env.msg {
+            Payload::Abd(m) => clients[(env.dst.0 - SERVERS) as usize].push(m.sn()),
+            other => panic!("a client got {other:?}"),
+        }
+    }
+    clients.iter_mut().for_each(|sns| sns.sort_unstable());
     Outcome {
-        lanes: lanes.iter().map(received).collect(),
+        clients,
         stats: client.stats(),
         coverage: client.coverage().to_json().to_string(),
         at_server_1,
@@ -232,7 +228,7 @@ fn a_servers_query_for_a_peer_is_relayed_and_draws_nothing() {
     );
     assert_eq!(relayed.stats, plain.stats, "the relay drew no fate");
     assert_eq!(relayed.coverage, plain.coverage, "nor covered a link");
-    assert_eq!(relayed.lanes, plain.lanes, "nor reached a lane");
+    assert_eq!(relayed.clients, plain.clients, "nor reached a client");
 
     assert_eq!(plain.at_server_1, vec![Frame::Shutdown]);
     let [relay, Frame::Shutdown] = relayed.at_server_1.as_slice() else {

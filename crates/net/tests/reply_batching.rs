@@ -4,8 +4,9 @@
 //! The test plays server 0 of a chaos run: it accepts a real `NetClient`'s
 //! connection and writes one fixed reply sequence under
 //! `FaultConfig::chaos()` to it four ways — as lone `Env` frames, and as
-//! `EnvBatch` chunks of 1, 3 and 16. Each client lane's decoded sequence,
-//! `stats()` and `coverage()` must agree across the four, and with the fates
+//! `EnvBatch` chunks of 1, 3 and 16. What each client receives through the
+//! driver's one mailbox (picked out by `dst`), `stats()` and `coverage()`
+//! must agree across the four, and with the fates
 //! an injector built like the driver's schedules for the same sequence.
 //! Once the driver has flushed, a reply it still reads draws no fate.
 
@@ -20,7 +21,6 @@ use blunt_abd::ts::Ts;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::frame::{Frame, FrameReader, FrameWriter, DRIVER_NODE};
-use blunt_net::rpc::LANE_SHIFT;
 use blunt_net::{
     Addr, Envelope, Fate, FaultConfig, Injector, NetClient, NetClientCfg, Payload, TaggedEnv,
     Transport, TransportStats,
@@ -37,11 +37,11 @@ const LONG: Duration = Duration::from_secs(10);
 /// The reply sequence as server 0 writes it: the four clients answered in
 /// a fixed scramble, every fifth entry an exempt ack between faulted
 /// replies. `sn` numbers the entries, so a decoded payload names its
-/// position; the tag is `sn + 1` and `re` carries the client's lane.
+/// position; the tag is `sn + 1` and `re` names a request.
 fn replies() -> Vec<TaggedEnv> {
     (0..REPLIES)
         .map(|i| {
-            let lane = (i * 7 + i / 5) % CLIENTS;
+            let client = (i * 7 + i / 5) % CLIENTS;
             let (msg, exempt) = if i % 5 == 4 {
                 (
                     AbdMsg::Ack {
@@ -66,8 +66,8 @@ fn replies() -> Vec<TaggedEnv> {
             };
             TaggedEnv {
                 tag: u64::from(i) + 1,
-                re: (u64::from(lane) + 1) << LANE_SHIFT | (u64::from(i) + 100),
-                env: Envelope::abd(ME, Pid(SERVERS + lane), msg, exempt),
+                re: u64::from(i) + 100,
+                env: Envelope::abd(ME, Pid(SERVERS + client), msg, exempt),
             }
         })
         .collect()
@@ -80,9 +80,18 @@ fn sn_of(env: &Envelope) -> u32 {
     }
 }
 
+/// What the mailbox carried, per client (index = pid − servers), in order.
+fn per_client(mailbox: &Receiver<Envelope>) -> Vec<Vec<Envelope>> {
+    let mut clients = vec![Vec::new(); CLIENTS as usize];
+    for env in mailbox.try_iter() {
+        clients[(env.dst.0 - SERVERS) as usize].push(env);
+    }
+    clients
+}
+
 struct Outcome {
-    /// Per client lane, the envelopes it received, in order.
-    lanes: Vec<Vec<Envelope>>,
+    /// Per client, the envelopes it received, in order.
+    clients: Vec<Vec<Envelope>>,
     stats: TransportStats,
     coverage: String,
 }
@@ -90,7 +99,7 @@ struct Outcome {
 /// A fresh `NetClient` connected to this test playing server 0.
 struct Server {
     client: Arc<NetClient>,
-    lanes: Vec<Receiver<Envelope>>,
+    mailbox: Receiver<Envelope>,
     writer: FrameWriter<blunt_net::Stream>,
     drain: thread::JoinHandle<()>,
     dir: std::path::PathBuf,
@@ -106,7 +115,7 @@ fn accept_driver() -> Server {
     std::fs::create_dir_all(&dir).expect("socket dir");
     let listen = Addr::parse(dir.join("s0.sock").to_str().expect("utf-8 path"));
     let listener = listen.listen().expect("bind UDS listener");
-    let (client, lanes) = NetClient::connect(
+    let (client, mailbox) = NetClient::connect(
         &NetClientCfg {
             seed: SEED,
             faults: FaultConfig::chaos(),
@@ -150,7 +159,7 @@ fn accept_driver() -> Server {
         .expect("hello ack");
     Server {
         client,
-        lanes,
+        mailbox,
         writer,
         drain,
         dir,
@@ -162,7 +171,7 @@ fn accept_driver() -> Server {
 fn drive(chunk: Option<usize>) -> Outcome {
     let Server {
         client,
-        lanes,
+        mailbox,
         mut writer,
         drain,
         dir,
@@ -193,9 +202,8 @@ fn drive(chunk: Option<usize>) -> Outcome {
     drop(writer);
     drain.join().expect("drain thread");
     let _ = std::fs::remove_dir_all(&dir);
-    let received = |lane: &Receiver<Envelope>| lane.try_iter().collect();
     Outcome {
-        lanes: lanes.iter().map(received).collect(),
+        clients: per_client(&mailbox),
         stats: client.stats(),
         coverage: client.coverage().to_json().to_string(),
     }
@@ -237,20 +245,20 @@ fn lone_frames_and_batches_of_every_size_draw_the_same_fates() {
     }
     let fate = |env: &Envelope| fates[sn_of(env) as usize];
     let delayed = |env: &Envelope| matches!(fate(env), Some(Fate::Delay(_)));
-    // Delayed replies reach their lane whenever they fall due, so their
+    // Delayed replies reach the mailbox whenever they fall due, so their
     // place among the others is timing; everything else has one order per
-    // lane.
+    // client.
     let settled = |o: &Outcome| -> Vec<Vec<Envelope>> {
-        o.lanes
+        o.clients
             .iter()
-            .map(|lane| lane.iter().filter(|e| !delayed(e)).cloned().collect())
+            .map(|got| got.iter().filter(|e| !delayed(e)).cloned().collect())
             .collect()
     };
     let late = |o: &Outcome| -> Vec<Vec<u32>> {
-        o.lanes
+        o.clients
             .iter()
-            .map(|lane| {
-                let mut sns: Vec<u32> = lane.iter().filter(|e| delayed(e)).map(sn_of).collect();
+            .map(|got| {
+                let mut sns: Vec<u32> = got.iter().filter(|e| delayed(e)).map(sn_of).collect();
                 sns.sort_unstable();
                 sns
             })
@@ -260,18 +268,15 @@ fn lone_frames_and_batches_of_every_size_draw_the_same_fates() {
     let lone = drive(None);
     assert_eq!(lone.stats, stats, "the driver drew the scheduled fates");
     assert_eq!(lone.coverage, coverage, "coverage of the scheduled fates");
-    // Every reply reached its own lane, answering its own tag, as often as
-    // its fate says.
+    // Every reply reached the mailbox for its own client, answering its
+    // own tag, as often as its fate says.
+    let sent = replies();
     let mut copies = vec![0u32; REPLIES as usize];
-    for (lane, received) in lone.lanes.iter().enumerate() {
+    for received in &lone.clients {
         for env in received {
             let sn = sn_of(env);
             copies[sn as usize] += 1;
-            assert_eq!(
-                env.dst,
-                Pid(SERVERS + lane as u32),
-                "sn {sn} in lane {lane}"
-            );
+            assert_eq!(env.dst, sent[sn as usize].env.dst, "sn {sn}'s client");
             assert_eq!(env.reply_to, u64::from(sn) + 1, "sn {sn} answers its tag");
         }
     }
@@ -283,10 +288,10 @@ fn lone_frames_and_batches_of_every_size_draw_the_same_fates() {
         };
         assert_eq!(got, want, "sn {sn}, fate {fate:?}");
     }
-    // A reordered reply reaches its lane after the next one on its link
+    // A reordered reply reaches the mailbox after the next one on its link
     // that overtook it.
     assert!(
-        settled(&lone).iter().any(|lane| lane
+        settled(&lone).iter().any(|got| got
             .windows(2)
             .any(|w| fate(&w[1]) == Some(Fate::Reorder) && sn_of(&w[0]) > sn_of(&w[1]))),
         "no reordered reply was overtaken"
@@ -300,7 +305,7 @@ fn lone_frames_and_batches_of_every_size_draw_the_same_fates() {
         assert_eq!(
             settled(&batched),
             settled(&lone),
-            "lane order at chunk {chunk}"
+            "per-client order at chunk {chunk}"
         );
         assert_eq!(
             late(&batched),
@@ -310,10 +315,10 @@ fn lone_frames_and_batches_of_every_size_draw_the_same_fates() {
     }
 }
 
-/// Writes `entries` as lone `Env` frames, then an exempt ack to lane 0
+/// Writes `entries` as lone `Env` frames, then an exempt ack to client 0
 /// (its own tag), and waits for it: the reader handles a connection's
-/// frames in order, so every entry before it has reached its lane by then.
-/// Returns what the lanes received, the ack left out.
+/// frames in order, so every entry before it has reached the mailbox by
+/// then. Returns what the mailbox received, the ack left out.
 fn write_and_sync(server: &mut Server, entries: &[TaggedEnv]) -> Vec<Envelope> {
     let mark_sn = REPLIES + sn_of(&entries[0].env);
     for e in entries {
@@ -324,7 +329,7 @@ fn write_and_sync(server: &mut Server, entries: &[TaggedEnv]) -> Vec<Envelope> {
     }
     let mark = TaggedEnv {
         tag: u64::from(mark_sn) + 1,
-        re: 1 << LANE_SHIFT,
+        re: 1,
         env: Envelope::abd(
             ME,
             Pid(SERVERS),
@@ -338,21 +343,19 @@ fn write_and_sync(server: &mut Server, entries: &[TaggedEnv]) -> Vec<Envelope> {
     server.writer.write(&Frame::from(mark)).expect("mark frame");
     let mut received = Vec::new();
     loop {
-        let env = server.lanes[0]
-            .recv_timeout(LONG)
-            .expect("the mark arrives");
+        let env = server.mailbox.recv_timeout(LONG).expect("the mark arrives");
         if sn_of(&env) == mark_sn {
             break;
         }
         received.push(env);
     }
-    received.extend(server.lanes.iter().flat_map(Receiver::try_iter));
+    received.extend(server.mailbox.try_iter());
     received
 }
 
 /// A server that never says goodbye keeps its reader reading past the
 /// driver's flush; what it reads then draws no fate, so the counters stay
-/// as the flush left them and no faulted reply reaches a lane.
+/// as the flush left them and no faulted reply reaches the mailbox.
 #[test]
 fn a_reply_read_after_the_flush_draws_no_fate() {
     let mut server = accept_driver();
@@ -365,10 +368,7 @@ fn a_reply_read_after_the_flush_draws_no_fate() {
     assert_eq!(stats.offered, faulted as u64, "the first half was drawn");
 
     // What the flush released belongs to the first half.
-    server
-        .lanes
-        .iter()
-        .for_each(|lane| lane.try_iter().for_each(drop));
+    server.mailbox.try_iter().for_each(drop);
     let late = write_and_sync(&mut server, &rest);
     assert_eq!(
         server.client.stats(),
@@ -389,7 +389,7 @@ fn a_reply_read_after_the_flush_draws_no_fate() {
         let sn = sn_of(env);
         assert!(
             rest[(sn - REPLIES / 2) as usize].env.exempt,
-            "faulted sn {sn} reached a lane"
+            "faulted sn {sn} reached the mailbox"
         );
     }
 

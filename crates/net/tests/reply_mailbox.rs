@@ -1,41 +1,32 @@
-//! The driver routes a reply by the lane bits of its `re` tag alone. The
-//! test listens as the one server, reads the tag of a client lane's
-//! request off the wire, and answers three ways: with that tag, with no
-//! lane (`re = 0`), and with a lane past the driver's client count. Only
-//! the first reaches a lane; the other two are dropped and counted as
-//! `net.rpc.tag_mismatch_drops`. This file holds one test, so no other
-//! test shares that counter.
+//! Every reply reaches the driver's one mailbox and names its client in
+//! `dst`; the worker hands it over by that. The test listens as the one
+//! server, reads the tag of a client's request off the wire, and answers
+//! three times: once answering no request (`re = 0`), which is dropped and
+//! counted as `net.rpc.tag_mismatch_drops`, and twice answering the
+//! request, one for each client. Both of those reach the mailbox, in wire
+//! order, each with its own `dst` and the frame's tag as `reply_to`. This
+//! file holds one test, so no other test shares that counter.
 
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
 use blunt_abd::msg::AbdMsg;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_net::frame::{Frame, FrameReader, FrameWriter};
-use blunt_net::rpc::{lane_of, TagGen};
 use blunt_net::{Addr, Envelope, FaultConfig, NetClient, NetClientCfg, Payload, Transport};
 use blunt_obs::FlightRecorder;
 
-fn ack(sn: u32) -> Envelope {
-    Envelope::abd(Pid(0), Pid(2), AbdMsg::Ack { obj: ObjId(0), sn }, false)
-}
-
-fn sn_of(lane: &Receiver<Envelope>) -> u32 {
-    let env = lane.recv_timeout(Duration::from_secs(5)).expect("a reply");
-    match env.msg {
-        Payload::Abd(m) => m.sn(),
-        other => panic!("only acks are sent here, got {other:?}"),
-    }
+fn ack(dst: u32, sn: u32) -> Envelope {
+    Envelope::abd(Pid(0), Pid(dst), AbdMsg::Ack { obj: ObjId(0), sn }, false)
 }
 
 #[test]
-fn a_reply_reaches_the_lane_its_tag_names_and_a_tag_naming_none_is_dropped() {
-    let dir = std::env::temp_dir().join(format!("blunt-reply-lanes-{}", std::process::id()));
+fn a_reply_reaches_the_mailbox_by_its_dst_and_one_answering_nothing_is_dropped() {
+    let dir = std::env::temp_dir().join(format!("blunt-reply-mailbox-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("socket dir");
     let addr = Addr::parse(dir.join("s0.sock").to_str().expect("utf-8 path"));
     let listener = addr.listen().expect("bind UDS listener");
-    let (net, lanes) = NetClient::connect(
+    let (net, mailbox) = NetClient::connect(
         &NetClientCfg {
             seed: 1,
             faults: FaultConfig::none(),
@@ -47,7 +38,7 @@ fn a_reply_reaches_the_lane_its_tag_names_and_a_tag_naming_none_is_dropped() {
     )
     .expect("valid fault config");
 
-    // Client pid 2 is lane 1 behind one server.
+    // Clients 1 and 2 behind one server; client 2 asks.
     net.send(Envelope::abd(
         Pid(2),
         Pid(0),
@@ -67,24 +58,33 @@ fn a_reply_reaches_the_lane_its_tag_names_and_a_tag_naming_none_is_dropped() {
             other => panic!("expected the hello, then the request: {other:?}"),
         }
     };
-    assert_eq!(lane_of(request), Some(1));
+    assert_ne!(request, 0, "a request always has a tag");
 
     let drops = blunt_obs::counter("net.rpc.tag_mismatch_drops");
     let before = drops.get();
-    let past_the_lanes = TagGen::new().next_for(2);
-    for (tag, re, sn) in [(1, 0, 1), (2, past_the_lanes, 2), (3, request, 3)] {
+    for (tag, re, dst, sn) in [(1, 0, 2, 1), (2, request, 1, 2), (3, request, 2, 3)] {
         writer
             .write(&Frame::Env {
                 tag,
                 re,
-                env: ack(sn),
+                env: ack(dst, sn),
             })
             .expect("reply");
     }
-    // One connection is read in order: both drops precede the delivery.
-    assert_eq!(sn_of(&lanes[1]), 3);
-    assert_eq!(drops.get() - before, 2);
-    assert!(lanes[0].try_recv().is_err(), "lane 0 asked for nothing");
+    // One connection is read in order: the drop precedes both deliveries.
+    let mut got = Vec::new();
+    for _ in 0..2 {
+        let env = mailbox
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a reply");
+        let Payload::Abd(m) = env.msg else {
+            panic!("only acks are sent here, got {:?}", env.msg);
+        };
+        got.push((env.dst.0, m.sn(), env.reply_to));
+    }
+    assert_eq!(got, [(1, 2, 2), (2, 3, 3)]);
+    assert_eq!(drops.get() - before, 1);
+    assert!(mailbox.try_recv().is_err(), "nothing else arrived");
 
     drop(writer);
     net.shutdown(Duration::ZERO);

@@ -19,8 +19,8 @@
 //!
 //! # Consistency
 //!
-//! Writers are single-threaded per ring (each thread records only into its
-//! own ring); readers may race a writer. Every slot carries a version word
+//! Writers are single-threaded per ring (one thread records into a ring:
+//! its own, or those of the machines it steps); readers may race a writer. Every slot carries a version word
 //! written before and after the payload (odd while a write is in flight),
 //! and the snapshot skips slots whose version changed or is odd. All slot
 //! fields are atomics, so a racing read is well-defined; the residual risk —
@@ -264,9 +264,11 @@ struct Slot {
     key: AtomicU64,
 }
 
-/// One thread's bounded event ring. Obtained from
-/// [`FlightRecorder::register_current`] / [`FlightRecorder::thread_ring`];
-/// only the owning thread should record into it.
+/// One bounded event ring, a thread's or a machine's. Obtained from
+/// [`FlightRecorder::register_current`] / [`FlightRecorder::thread_ring`],
+/// or [`FlightRecorder::register_lanes`] for a machine whose thread
+/// [enters](FlightRecorder::enter) it; only one thread at a time should
+/// record into it.
 pub struct FlightRing {
     label: String,
     start: Instant,
@@ -411,12 +413,15 @@ thread_local! {
     static TLS_RINGS: RefCell<Vec<(u64, Arc<FlightRing>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A set of per-thread flight rings sharing one run clock.
+/// A set of flight rings sharing one run clock.
 ///
 /// Create one per run, hand clones of the `Arc` to every thread, have each
 /// thread call [`register_current`](FlightRecorder::register_current) with
-/// its lane name, then [`dump`](FlightRecorder::dump) whenever a window into
-/// recent history is needed. Dumping does not consume events.
+/// its lane name — or register a ring per machine with
+/// [`register_lanes`](FlightRecorder::register_lanes) and
+/// [`enter`](FlightRecorder::enter) it before stepping the machine — then
+/// [`dump`](FlightRecorder::dump) whenever a window into recent history is
+/// needed. Dumping does not consume events.
 pub struct FlightRecorder {
     id: u64,
     start: Instant,
@@ -452,30 +457,42 @@ impl FlightRecorder {
     /// caches it in thread-local storage, replacing any prior ring this
     /// thread had with this recorder.
     pub fn register_current(&self, label: &str) -> Arc<FlightRing> {
-        self.register_current_lanes(label, 1)
+        let ring = self.register_lanes(label, 1);
+        self.enter(&ring);
+        ring
     }
 
-    /// [`register_current`](FlightRecorder::register_current) for a thread
-    /// that records for `lanes` participants — a host running several
-    /// replicas: its ring holds `lanes` rings' worth of events (rounded up
-    /// to a power of two), so a dump keeps at least as much history per
-    /// participant as one ring each would have.
-    pub fn register_current_lanes(&self, label: &str, lanes: usize) -> Arc<FlightRing> {
+    /// Registers a fresh ring labeled `label` that records for `lanes`
+    /// participants — a host running several replicas: it holds `lanes`
+    /// rings' worth of events (rounded up to a power of two), so a dump
+    /// keeps at least as much history per participant as one ring each
+    /// would have. No thread's current ring until one
+    /// [`enter`](FlightRecorder::enter)s it.
+    pub fn register_lanes(&self, label: &str, lanes: usize) -> Arc<FlightRing> {
         let capacity = (self.capacity * lanes.max(1)).next_power_of_two();
         let ring = Arc::new(FlightRing::new(label, capacity, self.start));
         self.rings.lock().unwrap().push(Arc::clone(&ring));
+        ring
+    }
+
+    /// Makes `ring` the calling thread's ring for this recorder: what
+    /// [`thread_ring`](FlightRecorder::thread_ring) returns from now on. A
+    /// thread that steps several machines enters each one's ring before
+    /// stepping it, so what a machine sends is recorded in its own ring.
+    pub fn enter(&self, ring: &Arc<FlightRing>) {
         TLS_RINGS.with(|tls| {
             let mut v = tls.borrow_mut();
+            if let Some(entry) = v.iter_mut().find(|(id, _)| *id == self.id) {
+                if !Arc::ptr_eq(&entry.1, ring) {
+                    entry.1 = Arc::clone(ring);
+                }
+                return;
+            }
             // Drop cache entries whose recorder is gone (we hold the only
             // other strong ref), so long test binaries don't accumulate.
             v.retain(|(_, r)| Arc::strong_count(r) > 1);
-            if let Some(entry) = v.iter_mut().find(|(id, _)| *id == self.id) {
-                entry.1 = Arc::clone(&ring);
-            } else {
-                v.push((self.id, Arc::clone(&ring)));
-            }
+            v.push((self.id, Arc::clone(ring)));
         });
-        ring
     }
 
     /// The calling thread's ring, registering an anonymous one on first use
@@ -806,7 +823,7 @@ mod tests {
         // Three lanes interleaved on one thread: the ring holds at least
         // three rings' worth, so each lane keeps its last 8 events.
         let rec = FlightRecorder::new(8);
-        let ring = rec.register_current_lanes("server-s0", 3);
+        let ring = rec.register_lanes("server-s0", 3);
         for i in 0..60u64 {
             ring.record_at(i, FlightKind::BusDeliver, (i % 3) as u32, i, 0);
         }
@@ -819,7 +836,7 @@ mod tests {
         assert!(dump.events.iter().all(|e| e.ring == "server-s0"));
         // One lane is a plain ring.
         let one = FlightRecorder::new(8);
-        let ring = one.register_current_lanes("server-0", 1);
+        let ring = one.register_lanes("server-0", 1);
         for i in 0..20u64 {
             ring.record_at(i, FlightKind::BusDeliver, 0, i, 0);
         }
@@ -862,6 +879,27 @@ mod tests {
         let other = FlightRecorder::new(8);
         assert_eq!(other.thread_ring().label(), "anon-0");
         assert!(Arc::ptr_eq(&rec.thread_ring(), &r1));
+    }
+
+    #[test]
+    fn a_thread_records_into_the_ring_it_entered_last() {
+        // One thread stepping two machines: each one's sends land in its
+        // own ring, however often the thread switches between them.
+        let rec = FlightRecorder::new(8);
+        let client = rec.register_lanes("client-3", 1);
+        let server = rec.register_lanes("server-s0", 3);
+        assert_eq!(rec.rings(), 2, "registered, not yet entered");
+        for _ in 0..2 {
+            rec.enter(&client);
+            assert!(Arc::ptr_eq(&rec.thread_ring(), &client));
+            rec.enter(&server);
+            assert!(Arc::ptr_eq(&rec.thread_ring(), &server));
+        }
+        assert_eq!(rec.rings(), 2, "entering registers nothing");
+        // Another thread has a current ring of its own.
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(rec.thread_ring().label(), "anon-0"));
+        });
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The in-process message bus: per-node mpsc queues plus the fault
 //! injector.
 //!
-//! Every node (server replica or client thread) reads one mailbox, an
+//! Every node (server replica or client) reads one mailbox, an
 //! `mpsc::Receiver<Envelope>`, and the bus holds the matching senders,
-//! indexed by pid. A mailbox may be shared: [`Bus::hosted`] gives every
-//! replica of a shard its host's mailbox, so one thread reads the whole
-//! shard's traffic and tells its replicas apart by `dst`; [`Bus::new`]
+//! indexed by pid. A mailbox may be shared: [`Bus::hosted`] maps each pid
+//! to a mailbox — a store run gives every node the same one, which its
+//! one worker reads, telling the machines apart by `dst`; [`Bus::new`]
 //! gives every node its own. A send draws the fate of every
 //! non-exempt envelope and realises it through [`blunt_net::Links`] — the
 //! same decision core and the same realiser the socket transports use, so

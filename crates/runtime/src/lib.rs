@@ -10,11 +10,14 @@
 //! the socket tier in `blunt_net` — whose [`blunt_net::fault`] injector — drop, delay,
 //! duplicate, reorder, partition, crash — follows a schedule that is a pure
 //! function of the run seed, so any run is replayable. [`workload`] holds
-//! the replica's drivers ([`server_loop`] for one, [`host_loop`] for a
-//! shard's replicas on one thread) and the run observers (shard monitor
-//! threads, live telemetry, the watch/watchdog thread); the client side —
-//! the one client loop, of which the single-register workload is the
-//! one-shard, one-key shape — is `blunt-store`, which depends on this crate.
+//! the replica and its [`Host`], the shard monitor and the run observers
+//! (live telemetry, the watch/watchdog thread); [`worker`] is the one
+//! driver that steps every machine of a run process on one thread over one
+//! mailbox ([`run_worker`]; [`server_loop`] is its one-replica call). The
+//! client side — the one client machine, of which the single-register
+//! workload is the one-shard, one-key shape — is `blunt-store`, which
+//! depends on this crate and hands its clients to the worker as
+//! [`Client`]s.
 //! Crashes are more than blackouts: under
 //! [`recovery::RecoveryMode::Amnesia`] a server loses its volatile state
 //! and recovers from a per-server write-ahead log ([`storage`]) plus peer
@@ -40,6 +43,7 @@ pub mod netrun;
 pub mod recovery;
 pub mod shm;
 pub mod storage;
+pub mod worker;
 pub mod workload;
 
 pub use blunt_net::{
@@ -52,7 +56,8 @@ pub use netrun::{run_net_server, NetServeConfig, NetServeReport};
 pub use recovery::{RecoveryMode, RecoverySink};
 pub use shm::{run_shm_chaos, ShmChaosConfig, ShmReport};
 pub use storage::MultiWal;
+pub use worker::{run_worker, Client};
 pub use workload::{
-    host_loop, server_loop, spawn_monitor, watch_loop, MonitorFeed, MonitorOverhead, Telemetry,
+    server_loop, watch_loop, Host, MonitorFeed, MonitorOverhead, ShardMonitor, Telemetry,
     MAX_OPS_PER_CLIENT,
 };

@@ -1,23 +1,18 @@
-//! The replica and the run observers: what every chaos run is built from,
-//! whatever drives it.
+//! The replica, the shard monitor and the run observers: what every chaos
+//! run is built from, whatever drives it.
 //!
-//! [`server_loop`] runs one ABD replica on a real OS thread behind a
-//! fault-injecting [`Transport`] (the socket tier — see `crate::netrun` —
-//! or the in-process [`crate::Bus`]); [`host_loop`], which it calls, runs
-//! several on one thread over one inbox, as the bus does with every
-//! shard's replicas. The replica itself is a state machine that never
-//! blocks (`Replica`: one dispatch per envelope, one commit-and-flush per
-//! pass); the loop is its thread driver, which only waits on the inbox,
-//! hands each envelope to the replica it is addressed to and tells the
-//! machines when a pass ends or the run stops. The client side lives in
-//! `blunt-store`: its pipelined loop is the only client loop in the
+//! The replica is a state machine that never blocks (`Replica`: one
+//! dispatch per envelope, one commit-and-flush per pass); a [`Host`] holds
+//! the replicas one worker runs — a shard's on the bus, one in a serve
+//! process ([`server_loop`]). The shard monitor
+//! ([`ShardMonitor`]) checks the actions the clients enqueue on its
+//! [`MonitorFeed`] when the worker drains it, once a client burst. Both are
+//! stepped by the one worker (`crate::worker`), beside the clients, which
+//! live in `blunt-store`: their pipelined machine is the only client in the
 //! workspace, and the classic single-register workload is that store at one
-//! shard and one key. The observers it drives stay here, next to
-//! `blunt-trace`: [`spawn_monitor`] (one [`OnlineMonitor`] thread per
-//! shard, fed through a [`MonitorFeed`]: enqueuing an action wakes nobody,
-//! the clients ring the monitor once a burst), the shared [`Telemetry`]
-//! counters, and [`watch_loop`] (progress line, JSONL mirror, stall
-//! watchdog).
+//! shard and one key. The observers stay here, next to `blunt-trace`: the
+//! shared [`Telemetry`] counters and [`watch_loop`] (progress line, JSONL
+//! mirror, stall watchdog), the one run thread besides the worker.
 //!
 //! **Crash recovery.** Under [`RecoveryMode::Amnesia`] every server keeps a
 //! write-ahead log ([`MultiWal`]) and obeys the *write-ahead ack discipline*: an
@@ -47,13 +42,13 @@
 //! coordination; the catch-up phase only restores freshness. The argument
 //! lives in `docs/RUNTIME.md`.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use blunt_abd::msg::AbdMsg;
@@ -71,6 +66,7 @@ use crate::bus::{Envelope, Payload};
 use crate::monitor::{MonitorReport, OnlineMonitor};
 use crate::recovery::{RecoveryMode, RecoverySink};
 use crate::storage::MultiWal;
+use crate::worker::run_worker;
 
 /// The most operations one client of a chaos run — a store client, a VA
 /// worker thread — may perform. Client `c`'s `idx`-th write stores the
@@ -89,18 +85,18 @@ pub struct MonitorOverhead {
     pub observe_ns: u64,
     /// High-water mark of the monitor's backlog — actions enqueued by
     /// clients but not yet observed, i.e. how far the monitor ran behind
-    /// the frontier (timing-dependent). A monitor is woken each time a
+    /// the frontier (timing-dependent). A monitor is drained each time a
     /// client finishes a burst, so about one burst's actions per client
     /// (`2 × clients × burst`) is the design point, not a sign of trouble.
     pub lag_ops_hwm: u64,
-    /// Times a monitor's `park` returned: how often a monitor thread was
-    /// woken (timing-dependent, informational; at most one per ring of the
-    /// bell, see [`MonitorFeed::ring`]).
+    /// Times the worker drained a monitor (timing-dependent,
+    /// informational): once a pass in which a client ended a burst, and
+    /// once at the end of the run.
     pub wakeups: u64,
 }
 
-/// Live counters the client threads, the shard monitors and the
-/// watch/watchdog thread share. Pure observation: nothing here feeds back
+/// Live counters the clients and the shard monitors keep and the
+/// watch/watchdog thread reads. Pure observation: nothing here feeds back
 /// into scheduling or the fault plan.
 #[derive(Default)]
 pub struct Telemetry {
@@ -131,126 +127,129 @@ impl Telemetry {
     }
 }
 
-/// A client's end of one shard monitor: the action channel and the bell.
+/// The clients' end of one shard monitor: the shard's action queue.
 ///
-/// **Enqueuing is not waking.** [`MonitorFeed::send`] pushes onto the
-/// shard's `mpsc` channel and returns — the monitor thread does not block in
-/// `recv`, so no futex is touched — and the order of the pushes is all the
-/// soundness argument needs (`crate::monitor`). The monitor drains its
-/// channel and parks when it is empty; it runs again when somebody
-/// [`MonitorFeed::ring`]s.
-#[derive(Clone)]
-pub struct MonitorFeed {
-    tx: Sender<Action>,
-    monitor: Thread,
-}
+/// **Enqueuing is not checking.** [`MonitorFeed::send`] appends to the
+/// queue and returns; the order of the appends is all the soundness
+/// argument needs (`crate::monitor`). The worker drains the queue into the
+/// shard's [`ShardMonitor`] at the end of a pass in which some client ended
+/// a burst, and once more at the end of the run (`crate::worker`). Every
+/// machine of a run lives on the worker's thread, so the queue needs no
+/// lock.
+#[derive(Default)]
+pub struct MonitorFeed(RefCell<Vec<Action>>);
 
 impl MonitorFeed {
-    /// Enqueues `a` behind everything any client has enqueued so far. A
-    /// plain push: the monitor is not woken.
+    /// Enqueues `a` behind everything any client has enqueued so far.
     pub fn send(&self, a: Action) {
-        // A monitor that is gone has nothing left to check.
-        let _ = self.tx.send(a);
-    }
-
-    /// Wakes the monitor if it is parked; otherwise its next `park` returns
-    /// at once, so a ring is never lost and rings do not pile up. Clients
-    /// ring every shard's bell once a burst, after their last `Return` and
-    /// before they draw the next burst.
-    pub fn ring(&self) {
-        self.monitor.unpark();
+        self.0.borrow_mut().push(a);
     }
 }
 
-/// Spawns shard `shard`'s online-monitor thread: it consumes that shard's
-/// action stream, feeds the streaming checker, and captures a flight dump
-/// at its first violation. Sound per shard because every op on a key routes
-/// to exactly one shard (see the `blunt-store` crate docs). `lanes` is the
-/// run's node count: monitors take the flight pids after it, one per shard.
-///
-/// Returns the clients' [`MonitorFeed`] and the thread, which ends — with
-/// `(report, overhead, dump)`, the overhead's counts this shard's alone —
-/// once every clone of the feed is dropped **and the thread is unparked one
-/// last time** (`JoinHandle::thread`): a parked monitor cannot see the
-/// channel disconnect.
-///
-/// # Panics
-///
-/// Panics if the thread cannot be spawned.
-pub fn spawn_monitor(
-    shard: u32,
-    recorder: Arc<FlightRecorder>,
-    telemetry: Arc<Telemetry>,
-    lanes: usize,
-) -> (
-    MonitorFeed,
-    thread::JoinHandle<(MonitorReport, MonitorOverhead, Option<FlightDump>)>,
-) {
-    let (tx, mon_rx) = mpsc::channel::<Action>();
-    let name = format!("monitor-s{shard}");
-    let spawned = thread::Builder::new().name(name.clone()).spawn(move || {
-        let ring = recorder.register_current(&name);
-        let mon_pid = u32::try_from(lanes).expect("node count fits u32") + shard;
-        let mut m = OnlineMonitor::new(Val::Nil, lanes);
-        let mut overhead = MonitorOverhead::default();
-        let mut cuts: u64 = 0;
-        let mut dump: Option<FlightDump> = None;
-        loop {
-            let a = match mon_rx.try_recv() {
-                Ok(a) => a,
-                Err(TryRecvError::Empty) => {
-                    // Every action enqueued so far is checked: a cut.
-                    if overhead.actions > cuts {
-                        cuts = overhead.actions;
-                        ring.record(FlightKind::MonitorCut, mon_pid, cuts, 0);
-                    }
-                    // Nothing to check until the bell rings: once a burst
-                    // per client, and once more when the senders are gone.
-                    thread::park();
-                    overhead.wakeups += 1;
-                    continue;
-                }
-                Err(TryRecvError::Disconnected) => break,
-            };
-            let t0 = Instant::now();
-            let ok = m.observe(a);
-            overhead.observe_ns = overhead
-                .observe_ns
-                .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            overhead.actions += 1;
-            let seen = telemetry.actions_seen.fetch_add(1, Ordering::Relaxed) + 1;
-            let lag = telemetry
-                .actions_sent
-                .load(Ordering::Relaxed)
-                .saturating_sub(seen);
-            overhead.lag_ops_hwm = overhead.lag_ops_hwm.max(lag);
-            if !ok {
-                if dump.is_none() {
-                    // A lagging monitor may flag a window whose op
-                    // events the clients' bounded rings have already
-                    // evicted — replay the window into this ring so
-                    // the dump always carries its own evidence.
-                    if let Some(v) = m.violations().last() {
-                        replay_window(&ring, v.window.actions());
-                    }
-                }
-                let index = m.violations().len() as u64 - 1;
-                ring.record(FlightKind::MonitorViolation, mon_pid, index, 0);
-                if dump.is_none() {
-                    // Capture now, while the offending ops are still
-                    // in the rings.
-                    dump = Some(recorder.dump());
-                }
+/// Shard `shard`'s online monitor: it consumes the shard's action stream
+/// from its [`MonitorFeed`], feeds the streaming checker, and captures a
+/// flight dump at its first violation. Sound per shard because every op on
+/// a key routes to exactly one shard (see the `blunt-store` crate docs).
+pub struct ShardMonitor<'a> {
+    feed: &'a MonitorFeed,
+    checker: OnlineMonitor,
+    recorder: &'a FlightRecorder,
+    telemetry: &'a Telemetry,
+    /// `monitor-s<shard>`.
+    ring: Arc<FlightRing>,
+    /// The monitor's flight pid: after the run's nodes, one per shard.
+    pid: u32,
+    overhead: MonitorOverhead,
+    /// Actions checked at the last `monitor_cut` event.
+    cuts: u64,
+    dump: Option<FlightDump>,
+}
+
+impl<'a> ShardMonitor<'a> {
+    /// Shard `shard`'s monitor over `feed`. `lanes` is the run's node
+    /// count: monitors take the flight pids after it, one per shard.
+    #[must_use]
+    pub fn new(
+        shard: u32,
+        feed: &'a MonitorFeed,
+        recorder: &'a FlightRecorder,
+        telemetry: &'a Telemetry,
+        lanes: usize,
+    ) -> ShardMonitor<'a> {
+        ShardMonitor {
+            feed,
+            checker: OnlineMonitor::new(Val::Nil, lanes),
+            recorder,
+            telemetry,
+            ring: recorder.register_lanes(&format!("monitor-s{shard}"), 1),
+            pid: u32::try_from(lanes).expect("node count fits u32") + shard,
+            overhead: MonitorOverhead::default(),
+            cuts: 0,
+            dump: None,
+        }
+    }
+
+    /// Checks every action enqueued so far: a cut.
+    pub fn drain(&mut self) {
+        self.overhead.wakeups += 1;
+        let actions = {
+            let mut queue = self.feed.0.borrow_mut();
+            // Sized like the drain before: one allocation a drain.
+            let next = Vec::with_capacity(queue.len());
+            std::mem::replace(&mut *queue, next)
+        };
+        for a in actions {
+            self.observe(a);
+        }
+        if self.overhead.actions > self.cuts {
+            self.cuts = self.overhead.actions;
+            self.ring
+                .record(FlightKind::MonitorCut, self.pid, self.cuts, 0);
+        }
+    }
+
+    fn observe(&mut self, a: Action) {
+        let t0 = Instant::now();
+        let ok = self.checker.observe(a);
+        self.overhead.observe_ns = self
+            .overhead
+            .observe_ns
+            .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        self.overhead.actions += 1;
+        let seen = self.telemetry.actions_seen.fetch_add(1, Ordering::Relaxed) + 1;
+        let lag = self
+            .telemetry
+            .actions_sent
+            .load(Ordering::Relaxed)
+            .saturating_sub(seen);
+        self.overhead.lag_ops_hwm = self.overhead.lag_ops_hwm.max(lag);
+        if ok {
+            return;
+        }
+        if self.dump.is_none() {
+            // A lagging monitor may flag a window whose op events the
+            // clients' bounded rings have already evicted — replay the
+            // window into this ring so the dump always carries its own
+            // evidence.
+            if let Some(v) = self.checker.violations().last() {
+                replay_window(&self.ring, v.window.actions());
             }
         }
-        (m.finish(), overhead, dump)
-    });
-    let handle = spawned.expect("spawn shard monitor thread");
-    let feed = MonitorFeed {
-        tx,
-        monitor: handle.thread().clone(),
-    };
-    (feed, handle)
+        let index = self.checker.violations().len() as u64 - 1;
+        self.ring
+            .record(FlightKind::MonitorViolation, self.pid, index, 0);
+        if self.dump.is_none() {
+            // Capture now, while the offending ops are still in the rings.
+            self.dump = Some(self.recorder.dump());
+        }
+    }
+
+    /// The verdict, what this shard's monitor cost, and the dump captured
+    /// at its first violation.
+    #[must_use]
+    pub fn finish(self) -> (MonitorReport, MonitorOverhead, Option<FlightDump>) {
+        (self.checker.finish(), self.overhead, self.dump)
+    }
 }
 
 /// Re-records a violation window's actions into the monitor's ring,
@@ -440,7 +439,7 @@ struct PendingAck {
 
 /// One ABD replica's whole state between two steps: its registers, its
 /// durable storage, what the pass under way has produced, and — while it
-/// recovers — its catch-up. It never blocks: [`host_loop`] hands it one
+/// recovers — its catch-up. It never blocks: the worker hands it one
 /// envelope at a time and ends each pass, and the sends go through the
 /// [`Transport`] it was given.
 struct Replica<'a> {
@@ -465,7 +464,7 @@ struct Replica<'a> {
     /// The recovery under way, if any: while it is `Some`, ABD traffic
     /// waits in it and crash signals are counted by it.
     catch_up: Option<CatchUp>,
-    /// Its host thread's flight-recorder ring (`server-<pid>` for a lone
+    /// Its host's flight-recorder ring (`server-<pid>` for a lone
     /// replica), shared with the replicas hosted beside it.
     ring: Arc<FlightRing>,
 }
@@ -490,42 +489,35 @@ struct CatchUp {
     t0: Instant,
 }
 
-/// Most envelopes one drain pass takes off the mailbox per hosted replica
-/// before its replies are flushed: bounds both how long the first reply of
-/// a pass waits for the last and how many envelopes share one `EnvBatch`
-/// frame.
-const DRAIN_PASS: usize = 64;
-
 /// One ABD replica: replies to queries, absorbs updates, and (under
 /// amnesia) crashes and recovers on the bus's signal. Responses inherit
 /// the triggering envelope's exemption so retransmitted exchanges complete
 /// without consuming fault indices.
 ///
-/// This is the [`host_loop`] of one replica — the replica's thread driver:
-/// every protocol decision is the replica machine's, the loop only waits.
-/// Each pass **drains, commits, then flushes**: it blocks for one envelope,
-/// takes whatever else is already queued (up to 64 envelopes a pass)
-/// without blocking, and ends the pass — the WAL records the pass appended
-/// are group-committed (the acks that releases join the pass's replies),
-/// and the replies go to the transport as one [`Transport::send_batch`]:
-/// one frame and one `write` on the socket tier, one contiguous run per
-/// mailbox on the bus. A lone request waits for nothing: its pass ends as
-/// soon as the mailbox is empty. The replica therefore never blocks —
-/// idle, waiting for catch-up answers, or for good — with a record
-/// unsynced, an ack withheld or a reply buffered.
+/// This is the worker ([`run_worker`]) with one hosted replica: every
+/// protocol decision is the replica machine's, the worker only waits. Each
+/// pass **drains, commits, then flushes**: it takes whatever is already
+/// queued (up to 64 envelopes a pass) without blocking, and ends the pass —
+/// the WAL records the pass appended are group-committed (the acks that
+/// releases join the pass's replies), and the replies go to the transport
+/// as one [`Transport::send_batch`]: one frame and one `write` on the
+/// socket tier, one contiguous run on the bus. A lone request waits for
+/// nothing: its pass ends as soon as the mailbox is empty. The replica
+/// therefore never blocks — idle, waiting for catch-up answers, or for
+/// good — with a record unsynced, an ack withheld or a reply buffered.
 ///
-/// `rx` is any [`Inbox`]: the bus's `Receiver<Envelope>` in process, a
-/// `blunt_net::ServerInbox` in a server process — there the replica thread
-/// itself reads the driver's socket, "already queued" means whole in the
-/// read buffer, and a pass ends when the wire runs dry. The loop returns
-/// when the inbox reports the end of its input (every sender gone; the
-/// driver's `Shutdown` frame) or, at an idle timeout, when `stop` is set;
-/// either one first aborts a catch-up under way.
+/// `rx` is any [`Inbox`]: a `Receiver<Envelope>` in process, a
+/// `blunt_net::ServerInbox` in a server process — there the worker itself
+/// reads the driver's socket, "already queued" means whole in the read
+/// buffer, and a pass ends when the wire runs dry. The loop returns when
+/// the inbox reports the end of its input (every sender gone; the driver's
+/// `Shutdown` frame) or, at an idle timeout, when `stop` is set; either one
+/// first aborts a catch-up under way.
 ///
 /// The replica is **keyed throughout** ([`StoreState`]/[`MultiWal`]): every
 /// ABD message names its [`ObjId`], so the same loop serves the classic
 /// single-register workload and a sharded keyed store (`blunt-store`)
-/// without a mode switch. Public so store runners can reuse it as-is.
+/// without a mode switch.
 ///
 /// `group` is the replica group this server belongs to (including `me`):
 /// recovery catch-up queries exactly these peers and derives its quorum
@@ -544,117 +536,118 @@ pub fn server_loop(
     recorder: &FlightRecorder,
 ) {
     let name = format!("server-{}", me.0);
-    host_loop(&name, &[me], &group, mode, rx, bus, stop, sink, recorder);
+    let mut host = Host::new(&name, &[me], &group, mode, bus, sink, recorder);
+    run_worker(
+        rx,
+        std::slice::from_mut(&mut host),
+        &mut [],
+        &mut [],
+        Some(stop),
+        recorder,
+    );
 }
 
-/// Runs the replicas `hosted` of one replica `group` on the calling thread,
-/// over one inbox that carries all of their traffic: [`server_loop`]'s
-/// passes, with the replica an envelope is for picked by its `dst`.
+/// The replicas `hosted` of one replica `group`, as the worker steps them.
 ///
 /// Which thread runs a replica's step is the scheduler's business, not
 /// ABD's: the replicas share nothing but the thread, each keeps its own
 /// state, WAL and catch-up, and state transfer between two of them goes
-/// through the transport and back into this inbox like any peer's. A pass
-/// takes up to 64 envelopes per hosted replica, then ends every replica's
-/// pass (commit, then flush); the inbox is polled every 5 ms while any of
-/// them is catching up, and `stop` or the end of input aborts every
-/// catch-up under way. The thread records into one flight ring labeled
-/// `name`, sized for `hosted.len()` rings' worth of events; its events
-/// carry the replica's pid, so lanes stay per replica.
-///
-/// # Panics
-///
-/// Panics if `hosted` is empty or names a pid outside `group`, and on an
-/// envelope for none of them.
-#[allow(clippy::too_many_arguments)] // a thread entry point, not an API
-pub fn host_loop(
-    name: &str,
-    hosted: &[Pid],
-    group: &[Pid],
-    mode: RecoveryMode,
-    mut rx: impl Inbox,
-    bus: &dyn Transport,
-    stop: &AtomicBool,
-    sink: &RecoverySink,
-    recorder: &FlightRecorder,
-) {
-    assert!(!hosted.is_empty(), "a host runs at least one replica");
-    assert!(
-        hosted.iter().all(|me| group.contains(me)),
-        "a replica group includes its own pid"
-    );
-    let ring = recorder.register_current_lanes(name, hosted.len());
-    let (amnesia, fsync_interval, demo_skip) = match mode {
-        RecoveryMode::Stable => (false, 1, false),
-        RecoveryMode::Amnesia {
-            fsync_interval,
-            demo_skip_recovery,
-        } => (true, fsync_interval, demo_skip_recovery),
-    };
-    let mut replicas: Vec<Replica<'_>> = hosted
-        .iter()
-        .map(|&me| Replica {
-            me,
-            group: group.to_vec(),
-            bus,
-            sink,
-            state: StoreState::new(Val::Nil),
-            wal: MultiWal::new(fsync_interval),
-            pending_acks: Vec::new(),
-            replies: Vec::new(),
-            amnesia,
-            demo_skip,
-            catchup_sn: 0,
-            catch_up: None,
-            ring: Arc::clone(&ring),
-        })
-        .collect();
-    let at = |dst: Pid| {
-        hosted
+/// through the transport and back into the worker's mailbox like any
+/// peer's. The host records into one flight ring labeled `name`, sized for
+/// `hosted.len()` rings' worth of events; its events carry the replica's
+/// pid, so lanes stay per replica.
+pub struct Host<'a> {
+    replicas: Vec<Replica<'a>>,
+    ring: Arc<FlightRing>,
+}
+
+impl<'a> Host<'a> {
+    /// Fresh replicas `hosted` of `group`, recovering as `mode` says,
+    /// sending through `bus` and counting crashes and recoveries on `sink`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hosted` is empty or names a pid outside `group`.
+    #[must_use]
+    pub fn new(
+        name: &str,
+        hosted: &[Pid],
+        group: &[Pid],
+        mode: RecoveryMode,
+        bus: &'a dyn Transport,
+        sink: &'a RecoverySink,
+        recorder: &FlightRecorder,
+    ) -> Host<'a> {
+        assert!(!hosted.is_empty(), "a host runs at least one replica");
+        assert!(
+            hosted.iter().all(|me| group.contains(me)),
+            "a replica group includes its own pid"
+        );
+        let ring = recorder.register_lanes(name, hosted.len());
+        let (amnesia, fsync_interval, demo_skip) = match mode {
+            RecoveryMode::Stable => (false, 1, false),
+            RecoveryMode::Amnesia {
+                fsync_interval,
+                demo_skip_recovery,
+            } => (true, fsync_interval, demo_skip_recovery),
+        };
+        let replicas = hosted
             .iter()
-            .position(|&p| p == dst)
-            .expect("a host's inbox carries only its replicas' envelopes")
-    };
-    let pass = DRAIN_PASS * hosted.len();
-    loop {
-        replicas.iter().for_each(Replica::debug_assert_nothing_held);
-        // A catch-up looks at `stop` sooner than an idle host: its peers
-        // may already be gone.
-        let catching_up = replicas.iter().any(|r| r.catch_up.is_some());
-        let poll_ms = if catching_up { 5 } else { 20 };
-        match rx.recv_timeout(Duration::from_millis(poll_ms)) {
-            Ok(first) => {
-                replicas[at(first.dst)].on_envelope(first);
-                for _ in 1..pass {
-                    match rx.try_recv() {
-                        Ok(env) => replicas[at(env.dst)].on_envelope(env),
-                        Err(_) => break,
-                    }
-                }
-            }
-            // Shutdown: an idle host is done; recovering replicas give up
-            // their catch-ups first (peers may already be gone) and serve
-            // what they buffered.
-            Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::Relaxed) {
-                    let mut aborted = false;
-                    for r in &mut replicas {
-                        aborted |= r.end_catch_up(true);
-                    }
-                    if !aborted {
-                        return;
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                for r in &mut replicas {
-                    while r.end_catch_up(true) {}
-                    r.end_pass();
-                }
-                return;
-            }
+            .map(|&me| Replica {
+                me,
+                group: group.to_vec(),
+                bus,
+                sink,
+                state: StoreState::new(Val::Nil),
+                wal: MultiWal::new(fsync_interval),
+                pending_acks: Vec::new(),
+                replies: Vec::new(),
+                amnesia,
+                demo_skip,
+                catchup_sn: 0,
+                catch_up: None,
+                ring: Arc::clone(&ring),
+            })
+            .collect();
+        Host { replicas, ring }
+    }
+
+    /// The hosted replicas' pids, in hosting order.
+    pub(crate) fn hosted(&self) -> impl ExactSizeIterator<Item = Pid> + '_ {
+        self.replicas.iter().map(|r| r.me)
+    }
+
+    pub(crate) fn ring(&self) -> &Arc<FlightRing> {
+        &self.ring
+    }
+
+    /// One envelope for the `r`-th hosted replica.
+    pub(crate) fn on_envelope(&mut self, r: usize, env: Envelope) {
+        self.replicas[r].on_envelope(env);
+    }
+
+    /// Every replica's pass end: commit, then flush.
+    pub(crate) fn end_pass(&mut self) {
+        self.replicas.iter_mut().for_each(Replica::end_pass);
+    }
+
+    pub(crate) fn catching_up(&self) -> bool {
+        self.replicas.iter().any(|r| r.catch_up.is_some())
+    }
+
+    /// Ends every catch-up under way; whether any was.
+    pub(crate) fn abort_catch_ups(&mut self) -> bool {
+        let mut aborted = false;
+        for r in &mut self.replicas {
+            aborted |= r.end_catch_up(true);
         }
-        replicas.iter_mut().for_each(Replica::end_pass);
+        aborted
+    }
+
+    pub(crate) fn debug_assert_nothing_held(&self) {
+        self.replicas
+            .iter()
+            .for_each(Replica::debug_assert_nothing_held);
     }
 }
 

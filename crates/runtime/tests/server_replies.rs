@@ -7,10 +7,10 @@
 //! shape in which a buffered reply could be held over the crash and the
 //! catch-up wait), or a handful of updates too few to fill a WAL batch.
 //!
-//! `host_loop` runs a whole replica group over one mailbox: there a
-//! recovering replica's peers share its thread, so its catch-up must
-//! complete through the transport and back into that mailbox, for one
-//! crash and for two at once.
+//! A `Host` of a whole replica group on the worker, over one mailbox:
+//! there a recovering replica's peers share its thread, so its catch-up
+//! must complete through the transport and back into that mailbox, for
+//! one crash and for two at once.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -25,7 +25,7 @@ use blunt_core::value::Val;
 use blunt_net::{Coverage, SpanCtx, Transport, TransportStats};
 use blunt_obs::{FlightKind, FlightRecorder};
 use blunt_runtime::{
-    host_loop, server_loop, Envelope, Payload, RecoveryMode, RecoverySink, RecoveryStats,
+    run_worker, server_loop, Envelope, Host, Payload, RecoveryMode, RecoverySink, RecoveryStats,
 };
 
 /// Records every envelope in the order the transport is handed it, and
@@ -394,17 +394,17 @@ fn host(hosted: &[Pid], inbound: Vec<Envelope>, recoveries: u64) -> (Vec<Envelop
     let recorder = FlightRecorder::new(256);
     thread::scope(|s| {
         s.spawn(|| {
-            host_loop(
+            let mut host = Host::new(
                 "server-s0",
                 hosted,
                 &GROUP,
                 AMNESIA,
-                rx,
                 &transport,
-                &stop,
                 &sink,
                 &recorder,
             );
+            let hosts = std::slice::from_mut(&mut host);
+            run_worker(rx, hosts, &mut [], &mut [], Some(&stop), &recorder);
         });
         let deadline = Instant::now() + Duration::from_secs(5);
         while sink.snapshot().recoveries < recoveries && Instant::now() < deadline {

@@ -3,10 +3,19 @@
 //! One run of the benchmark's topology (2 shards × 3 replicas, 2 clients,
 //! bursts of 8) in a shape given on the command line, while the main thread
 //! samples `/proc/self/task/*/{comm,schedstat,status}` every 10 ms. A run's
-//! threads are spawned for it and named for their role (`client-6`,
-//! `server-s0` for a bus shard's host, `server-0` for a socket replica,
-//! `monitor-s1`, `net-reader-3`, `bus-delayer`, `net-accept`, …), so a
-//! thread's last sample is what it cost and its name says what it was.
+//! threads are spawned for it and named for their role, so a thread's last
+//! sample is what it cost and its name says what it was. The classes:
+//!
+//! | class | threads |
+//! |---|---|
+//! | `worker` | the run's one worker: every client and shard monitor, and on the bus every shard's replicas |
+//! | `run` | this example's thread that calls the run and joins it |
+//! | `server` | a socket replica's serve thread (`server-<pid>`, its own worker) |
+//! | `net-reader` | the driver's reader of one server connection |
+//! | `net-accept`, `net-telemetry` | a serve process's acceptor and telemetry tick |
+//! | `bus-delayer`, `net-delayer` | the delayer, spawned by the first `Delay` fate |
+//! | `thread_profile` | the sampler (the main thread) |
+//!
 //! Printed per class: CPU µs per op, voluntary context switches per op (the
 //! thread slept: a futex wait, a blocking read), involuntary ones (it was
 //! preempted) and run-queue wait µs per op (runnable, no CPU to run on).
@@ -220,7 +229,7 @@ fn main() -> ExitCode {
     let ops = report.ops as f64;
     println!(
         "{} tier, depth {}, batch {}, {} keys, {}: {} ops in {:.2} s = {:.0} ops/s, \
-         {} violations, monitors woken {} times ({:.3}/op)",
+         {} violations, monitors drained {} times ({:.3}/op)",
         if uds { "uds" } else { "bus" },
         cfg.pipeline_depth,
         cfg.batch_max,

@@ -8,9 +8,10 @@
 //! [`RunOpts::k`], and the tier is the transport the driver is handed. A seed-deterministic
 //! consistent-hash [`ring`] maps each key onto one of N independent ABD
 //! shards — disjoint slices of the server set, each running the unmodified
-//! replica machine over its own quorum (in process, all of a shard's
-//! replicas on one [`blunt_runtime::host_loop`] thread; over sockets, one
-//! [`blunt_runtime::server_loop`] per serve process). Clients are
+//! replica machine over its own quorum (in process, a shard's replicas are
+//! one [`blunt_runtime::Host`] on the run's one worker, beside the clients;
+//! over sockets, one [`blunt_runtime::server_loop`] per serve process).
+//! Clients are
 //! *pipelined*: each keeps up to `pipeline_depth` operations in flight at
 //! once (per-key program order preserved — two ops on the same key never
 //! overlap from one client), and their quorum fan-out is *batched*: a
@@ -20,9 +21,9 @@
 //! in send order, so batching amortizes syscalls without perturbing the
 //! seeded schedule.
 //!
-//! Safety is checked sharded: one online linearizability monitor thread
-//! per shard ([`blunt_runtime::spawn_monitor`]) consumes that shard's call
-//! / return stream. This is sound because linearizability of a keyed store
+//! Safety is checked sharded: one online linearizability monitor per shard
+//! ([`blunt_runtime::ShardMonitor`], stepped by the worker once a client
+//! burst) consumes that shard's call / return stream. This is sound because linearizability of a keyed store
 //! decomposes per key (the checker already treats each [`ObjId`] as an
 //! independent register), every operation on a key routes to exactly one
 //! shard, and each client sends its `Call` before the first message of the

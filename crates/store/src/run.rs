@@ -2,17 +2,18 @@
 //! batched clients — over the in-process bus or the socket tier.
 //!
 //! [`run_store_with`] is the single entry. In process it builds one
-//! [`blunt_runtime::Bus`] spanning every shard's servers plus the clients
-//! and spawns one [`host_loop`] thread per shard, which runs the shard's
-//! unmodified replica machines over the shard's one mailbox; given
-//! addresses it points the same client side at already-listening `chaos
-//! serve` processes through a [`NetClient`]. Either way every client is a `StoreClient` —
-//! the only client in the workspace — so the two tiers exercise identical
-//! protocol logic and differ only in transport. The client is a state
-//! machine that never blocks and takes its deadline decisions at a `now`
-//! it is handed; `store_client_loop` is its thread driver, which owns the
-//! lane and the bell and returns the client's tallies through its
-//! `JoinHandle`.
+//! [`blunt_runtime::Bus`] spanning every shard's servers plus the clients,
+//! with one mailbox for all of them; given addresses it points the same
+//! client side at already-listening `chaos serve` processes through a
+//! [`NetClient`], whose replies arrive in one mailbox too. Either way one
+//! `worker` thread steps every machine the process owns over that mailbox
+//! ([`run_worker`]): every client, every shard's monitor, and on the bus
+//! every shard's [`Host`] of unmodified replica machines. Every client is a
+//! `StoreClient` — the only client in the workspace — so the two tiers
+//! exercise identical protocol logic and differ only in transport. The
+//! client is a state machine that never blocks and takes its deadline
+//! decisions at a `now` it is handed; the worker steps it as a [`Client`]
+//! and takes its tallies back when the run ends.
 //! The classic single-register workload is this driver at one shard, one
 //! key, depth 1, batch 1 ([`StoreConfig::register`]).
 //!
@@ -26,14 +27,14 @@
 //! order either way (see [`crate::batch`]).
 //!
 //! The shard monitors hear of every `Call` and `Return` at the program point
-//! it happens — a push onto the shard's channel that wakes nobody — and are
-//! woken once a burst: each client rings every shard's bell after its last
-//! `Return`, before it draws its next burst, and `drive_clients` rings once
-//! more when the clients are joined ([`MonitorFeed`]; `docs/STORE.md`
-//! § *Per-shard monitors*). The checker sees the same history in the same
-//! order, a burst later, and no client pays a thread wake-up per action.
-//! Clients never wait for each other: the monitor's zone check needs no
-//! quiescent point, so a burst is only a client's own draw size.
+//! it happens — an append to the shard's [`MonitorFeed`] — and check them
+//! once a burst: a client that ends a burst rings, and the worker drains
+//! every shard's monitor at the end of that pass, and once more when the
+//! run ends (`docs/STORE.md` § *Per-shard monitors*). The checker sees the
+//! same history in the same order, a burst later, and no client pays a
+//! monitor step per action. Clients never wait for each other: the
+//! monitor's zone check needs no quiescent point, so a burst is only a
+//! client's own draw size.
 //!
 //! Loss recovery has two triggers and one rebroadcast routine. The *deadline*
 //! fires when a whole shard has been silent for its backoff window
@@ -48,7 +49,7 @@
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -65,8 +66,8 @@ use blunt_net::{
 use blunt_obs::flight::encode_val;
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Histogram, HistogramSnapshot};
 use blunt_runtime::{
-    host_loop, spawn_monitor, watch_loop, Bus, MonitorFeed, MonitorOverhead, MonitorReport,
-    RecoveryMode, RecoverySink, RecoveryStats, Telemetry, MAX_OPS_PER_CLIENT,
+    run_worker, watch_loop, Bus, Client, Host, MonitorFeed, MonitorOverhead, MonitorReport,
+    RecoveryMode, RecoverySink, RecoveryStats, ShardMonitor, Telemetry, MAX_OPS_PER_CLIENT,
 };
 use blunt_sim::rng::{RandomSource, SplitMix64};
 
@@ -80,7 +81,7 @@ pub struct StoreConfig {
     pub shards: u32,
     /// Replicas per shard; each shard's quorum is a majority of these.
     pub servers_per_shard: u32,
-    /// Client threads.
+    /// Clients.
     pub clients: u32,
     /// Operations each client completes.
     pub ops_per_client: u64,
@@ -368,9 +369,9 @@ pub fn run_store_net(cfg: &StoreConfig, addrs: &[Addr]) -> Result<StoreReport, F
 /// How long the driver waits for server `Goodbye`s after `Shutdown`.
 const GOODBYE_WAIT: Duration = Duration::from_secs(10);
 
-/// Runs one seeded configuration to completion. With `remote = None` each
-/// shard's replicas run on one [`host_loop`] thread, all on one in-process
-/// [`Bus`]; with `Some(addrs)` the client side runs against
+/// Runs one seeded configuration to completion. With `remote = None` every
+/// shard's replicas run on the worker beside the clients, all on one
+/// in-process [`Bus`]; with `Some(addrs)` the client side runs against
 /// already-listening `chaos serve` processes, `addrs` listing every
 /// replica shard-major (`addrs[s·R..(s+1)·R]` is shard `s`'s replica set,
 /// matching pid order).
@@ -420,7 +421,7 @@ fn run_on_sockets(
         cfg.servers_total() as usize,
         "one address per shard replica, shard-major"
     );
-    let (net, client_rxs) = NetClient::connect(
+    let (net, mailbox) = NetClient::connect(
         &NetClientCfg {
             seed: cfg.seed,
             faults: cfg.faults,
@@ -441,10 +442,10 @@ fn run_on_sockets(
         cfg,
         opts,
         Arc::clone(&net) as Arc<dyn Transport>,
-        client_rxs,
+        mailbox,
         Arc::clone(&recorder),
         started,
-        Arc::new(move || watch_net.remote_recoveries()),
+        &Replicas::Remote(Arc::new(move || watch_net.remote_recoveries())),
     );
     // Each server's last telemetry, sent right before its goodbye, is its
     // report of the whole run; one that died without a goodbye leaves its
@@ -502,36 +503,25 @@ fn run_on_bus(
     started: Instant,
     recorder: Arc<FlightRecorder>,
 ) -> Result<StoreReport, FaultConfigError> {
-    let (bus, receivers) = shard_bus(cfg, &recorder)?;
+    let (bus, mailbox) = shard_bus(cfg, &recorder)?;
     let bus = Arc::new(bus);
-    let stop = Arc::new(AtomicBool::new(false));
     // One sink per shard: crash/recovery counters stay attributable to the
     // shard whose replicas produced them.
     let sinks: Arc<Vec<RecoverySink>> =
         Arc::new((0..cfg.shards).map(|_| RecoverySink::default()).collect());
-
-    let mut rx_iter = receivers.into_iter();
-    let servers = spawn_replicas(cfg, &bus, &mut rx_iter, &stop, &sinks, &recorder);
-
-    let watch_sinks = Arc::clone(&sinks);
+    // The worker returns once every client has finished and the mailbox
+    // has run dry: every crash signal, enqueued synchronously inside a
+    // send, has been served, which keeps the recovery counters
+    // deterministic.
     let mut report = drive_clients(
         cfg,
         opts,
         Arc::clone(&bus) as Arc<dyn Transport>,
-        rx_iter.collect(),
+        mailbox,
         recorder,
         started,
-        Arc::new(move || watch_sinks.iter().map(|s| s.snapshot().recoveries).sum()),
+        &Replicas::Hosted(Arc::clone(&sinks)),
     );
-
-    // Every amnesia signal is enqueued synchronously inside a client's
-    // send, so by this point (clients joined inside `drive_clients`) all
-    // crash events are in server mailboxes; servers drain them before
-    // honoring `stop`, keeping the recovery counters deterministic.
-    stop.store(true, Ordering::Relaxed);
-    for s in servers {
-        s.join().expect("server thread");
-    }
     bus.flush();
     report.stats = bus.stats();
     report.coverage = bus.coverage();
@@ -542,113 +532,168 @@ fn run_on_bus(
     Ok(report)
 }
 
-/// A run's threads carry their role as their name (`client-6`, `server-s0`,
-/// `monitor-s1`, …; the kernel keeps 15 bytes), the same names as their
-/// flight rings, so a per-thread profile can tell the classes apart
-/// (`examples/thread_profile.rs`).
+/// A run's threads carry their role as their name (`worker`, `watch`; the
+/// kernel keeps 15 bytes), so a per-thread profile can tell the classes
+/// apart (`examples/thread_profile.rs`).
 fn spawn_named<T: Send + 'static>(
-    name: String,
+    name: &str,
     f: impl FnOnce() -> T + Send + 'static,
 ) -> thread::JoinHandle<T> {
     thread::Builder::new()
-        .name(name)
+        .name(name.into())
         .spawn(f)
         .expect("spawn a run thread")
 }
 
-/// The in-process bus for `cfg`'s topology, with one mailbox per shard —
-/// read by the shard's host, shared by its replicas — then one per
-/// client: the receivers come shards first, then clients (mailbox `shards
-/// + c` is client `c`'s).
+/// The in-process bus for `cfg`'s topology, with one mailbox that every
+/// node — every replica, every client — reads through the worker.
 fn shard_bus(
     cfg: &StoreConfig,
     recorder: &Arc<FlightRecorder>,
-) -> Result<(Bus, Vec<Receiver<Envelope>>), FaultConfigError> {
+) -> Result<(Bus, Receiver<Envelope>), FaultConfigError> {
     let servers_total = cfg.servers_total();
-    let hosts = (0..servers_total).map(|s| (s / cfg.servers_per_shard) as usize);
-    let clients = (0..cfg.clients).map(|c| (cfg.shards + c) as usize);
-    let mailbox_of: Vec<usize> = hosts.chain(clients).collect();
-    Bus::hosted(
+    let mailbox_of = vec![0; (servers_total + cfg.clients) as usize];
+    let (bus, mut mailboxes) = Bus::hosted(
         cfg.seed,
         cfg.faults,
         servers_total,
         &mailbox_of,
         cfg.recovery.is_amnesia(),
         Arc::clone(recorder),
-    )
+    )?;
+    Ok((bus, mailboxes.pop().expect("one mailbox")))
 }
 
-/// Spawns one [`host_loop`] thread per shard of `cfg`'s topology on `bus`
-/// (named `server-s<shard>`), running the shard's replicas over the
-/// shard's mailbox: the first `shards` receivers of [`shard_bus`].
-fn spawn_replicas(
+/// Where a run's replicas live.
+enum Replicas {
+    /// On the worker, one [`Host`] per shard, counting each shard's crashes
+    /// and recoveries on its sink.
+    Hosted(Arc<Vec<RecoverySink>>),
+    /// In serve processes; the closure reads the live recovery count from
+    /// their telemetry.
+    Remote(Arc<dyn Fn() -> u64 + Send + Sync>),
+}
+
+/// Shard `shard`'s replicas as one [`Host`] named `server-s<shard>`. The
+/// replica is key-agnostic (its store is a per-key map), so shard
+/// membership is purely a property of who clients address: replica s
+/// serves shard s / servers_per_shard. Recovery catch-up stays within the
+/// shard — only these replicas hold the keys — and the host runs exactly
+/// them.
+fn shard_host<'a>(
     cfg: &StoreConfig,
-    bus: &Arc<Bus>,
-    receivers: &mut impl Iterator<Item = Receiver<Envelope>>,
-    stop: &Arc<AtomicBool>,
-    sinks: &Arc<Vec<RecoverySink>>,
-    recorder: &Arc<FlightRecorder>,
-) -> Vec<thread::JoinHandle<()>> {
-    (0..cfg.shards)
-        .map(|shard| {
-            let rx = receivers.next().expect("one mailbox per shard");
-            let bus = Arc::clone(bus);
-            let stop = Arc::clone(stop);
-            let recorder = Arc::clone(recorder);
-            let sinks = Arc::clone(sinks);
-            // The replica is key-agnostic (its store is a per-key map), so
-            // shard membership is purely a property of who clients
-            // address: replica s serves shard s / servers_per_shard.
-            // Recovery catch-up stays within the shard — only these
-            // replicas hold the keys — and the host runs exactly them.
-            let group: Vec<Pid> = (shard * cfg.servers_per_shard
-                ..(shard + 1) * cfg.servers_per_shard)
-                .map(Pid)
-                .collect();
-            let mode = match cfg.demo_shard {
-                Some(d) if d == shard => RecoveryMode::demo_amnesia(),
-                _ => cfg.recovery,
-            };
-            let name = format!("server-s{shard}");
-            spawn_named(name.clone(), move || {
-                host_loop(
-                    &name,
-                    &group,
-                    &group,
-                    mode,
-                    rx,
-                    bus.as_ref(),
-                    &stop,
-                    &sinks[shard as usize],
-                    &recorder,
-                );
-            })
-        })
-        .collect()
+    shard: u32,
+    transport: &'a dyn Transport,
+    sink: &'a RecoverySink,
+    recorder: &FlightRecorder,
+) -> Host<'a> {
+    let group: Vec<Pid> = (shard * cfg.servers_per_shard..(shard + 1) * cfg.servers_per_shard)
+        .map(Pid)
+        .collect();
+    let mode = match cfg.demo_shard {
+        Some(d) if d == shard => RecoveryMode::demo_amnesia(),
+        _ => cfg.recovery,
+    };
+    let name = format!("server-s{shard}");
+    Host::new(&name, &group, &group, mode, transport, sink, recorder)
 }
 
-/// Spawns the shard monitors, the watch/watchdog thread and the client
-/// threads, joins them, and merges the shard verdicts. Shared by both
-/// tiers, which fill in what only they know (`stats`, `coverage`, the
-/// recovery counters, the remote sections) afterwards; the entry stamps
-/// `elapsed` last.
+/// The `worker` thread's body: builds every machine of the run — the
+/// clients, the shard monitors and, when they are hosted, the shard
+/// replicas — runs them over `mailbox` to the end, and reports what they
+/// counted; the tiers fill in the rest.
+fn work(
+    cfg: &StoreConfig,
+    k: u32,
+    transport: &dyn Transport,
+    mailbox: Receiver<Envelope>,
+    recorder: &FlightRecorder,
+    telemetry: &Telemetry,
+    sinks: Option<&[RecoverySink]>,
+) -> StoreReport {
+    let nodes = (cfg.servers_total() + cfg.clients) as usize;
+    let feeds: Vec<MonitorFeed> = (0..cfg.shards).map(|_| MonitorFeed::default()).collect();
+    let mut monitors: Vec<ShardMonitor<'_>> = (0..cfg.shards)
+        .map(|s| ShardMonitor::new(s, &feeds[s as usize], recorder, telemetry, nodes))
+        .collect();
+    let mut hosts: Vec<Host<'_>> = sinks.map_or_else(Vec::new, |sinks| {
+        (0..cfg.shards)
+            .map(|s| shard_host(cfg, s, transport, &sinks[s as usize], recorder))
+            .collect()
+    });
+    let mut clients: Vec<StoreClient<'_>> = (0..cfg.clients)
+        .map(|c| StoreClient::new(c, cfg, k, transport, &feeds, telemetry, recorder))
+        .collect();
+    let mut stepped: Vec<&mut dyn Client> =
+        clients.iter_mut().map(|c| c as &mut dyn Client).collect();
+    run_worker(
+        mailbox,
+        &mut hosts,
+        &mut stepped,
+        &mut monitors,
+        None,
+        recorder,
+    );
+
+    let latency = Histogram::unregistered();
+    let (mut retransmissions, mut gap_retransmissions, mut degraded_ops) = (0, 0, 0);
+    for c in &clients {
+        latency.merge(&c.latency);
+        retransmissions += c.retransmissions;
+        gap_retransmissions += c.gap_retransmissions;
+        degraded_ops += c.degraded_ops;
+    }
+    // Shard-major merge: `violations[0]` belongs to the first shard that
+    // flagged anything, and so does the dump kept.
+    let mut monitor = MonitorReport::default();
+    let mut overhead = MonitorOverhead::default();
+    let mut violation_dump = None;
+    for m in monitors {
+        let (shard_report, shard_overhead, dump) = m.finish();
+        monitor.checked += shard_report.checked;
+        monitor.violations.extend(shard_report.violations);
+        overhead.actions += shard_overhead.actions;
+        overhead.observe_ns += shard_overhead.observe_ns;
+        overhead.lag_ops_hwm = overhead.lag_ops_hwm.max(shard_overhead.lag_ops_hwm);
+        overhead.wakeups += shard_overhead.wakeups;
+        violation_dump = violation_dump.or(dump);
+    }
+    StoreReport {
+        ops: u64::from(cfg.clients) * cfg.ops_per_client,
+        stats: TransportStats::default(),
+        coverage: Coverage::default(),
+        monitor,
+        monitor_actions: overhead.actions,
+        monitor_overhead: overhead,
+        violation_dump,
+        stalled: false,
+        retransmissions,
+        gap_retransmissions,
+        degraded_ops,
+        recovery: RecoveryStats::default(),
+        shard_recoveries: vec![(0, 0); cfg.shards as usize],
+        latency_us: latency.snapshot(),
+        elapsed: Duration::ZERO,
+        remote_servers: Vec::new(),
+        merged_flight: None,
+    }
+}
+
+/// Runs the `worker` thread and, when asked for, the watch/watchdog thread,
+/// joins them, and reports. Shared by both tiers, which fill in what only
+/// they know (`stats`, `coverage`, the recovery counters, the remote
+/// sections) afterwards; the entry stamps `elapsed` last.
 fn drive_clients(
     cfg: &StoreConfig,
     opts: &RunOpts,
     transport: Arc<dyn Transport>,
-    client_rxs: Vec<Receiver<Envelope>>,
+    mailbox: Receiver<Envelope>,
     recorder: Arc<FlightRecorder>,
     started: Instant,
-    recoveries: Arc<dyn Fn() -> u64 + Send + Sync>,
+    replicas: &Replicas,
 ) -> StoreReport {
-    assert_eq!(client_rxs.len(), cfg.clients as usize);
     let nodes = (cfg.servers_total() + cfg.clients) as usize;
     let telemetry = Arc::new(Telemetry::default());
-
-    let (feeds, monitors): (Vec<MonitorFeed>, Vec<_>) = (0..cfg.shards)
-        .map(|shard| spawn_monitor(shard, Arc::clone(&recorder), Arc::clone(&telemetry), nodes))
-        .unzip();
-    let feeds = Arc::new(feeds);
 
     let (watch_stop_tx, watch_stop_rx) = mpsc::channel::<()>();
     let stalled = Arc::new(AtomicBool::new(false));
@@ -660,6 +705,13 @@ fn drive_clients(
             let telemetry = Arc::clone(&telemetry);
             let recorder = Arc::clone(&recorder);
             let stalled = Arc::clone(&stalled);
+            let recoveries: Arc<dyn Fn() -> u64 + Send + Sync> = match replicas {
+                Replicas::Hosted(sinks) => {
+                    let sinks = Arc::clone(sinks);
+                    Arc::new(move || sinks.iter().map(|s| s.snapshot().recoveries).sum())
+                }
+                Replicas::Remote(recoveries) => Arc::clone(recoveries),
+            };
             let watch = move || {
                 watch_loop(
                     opts.watch,
@@ -676,84 +728,32 @@ fn drive_clients(
                     &watch_stop_rx,
                 );
             };
-            spawn_named("watch".into(), watch)
+            spawn_named("watch", watch)
         });
 
-    let mut clients = Vec::with_capacity(cfg.clients as usize);
-    for (c, rx) in client_rxs.into_iter().enumerate() {
-        let c = u32::try_from(c).expect("client count fits u32");
-        // Named like the thread's flight ring: its pid, not its lane.
-        let name = format!("client-{}", cfg.servers_total() + c);
+    let worker = {
         let cfg = cfg.clone();
         let k = opts.k;
-        let transport = Arc::clone(&transport);
-        let feeds = Arc::clone(&feeds);
-        let recorder = Arc::clone(&recorder);
         let telemetry = Arc::clone(&telemetry);
-        let client = move || {
-            let client = StoreClient::new(c, &cfg, k, &*transport, &feeds, &telemetry, &recorder);
-            store_client_loop(client, &rx)
+        let sinks = match replicas {
+            Replicas::Hosted(sinks) => Some(Arc::clone(sinks)),
+            Replicas::Remote(_) => None,
         };
-        clients.push(spawn_named(name, client));
-    }
-    drop(feeds);
-    let latency = Histogram::unregistered();
-    let (mut retransmissions, mut gap_retransmissions, mut degraded_ops) = (0, 0, 0);
-    for h in clients {
-        let (lat, retrans, gap, deferred) = h.join().expect("store client thread");
-        latency.merge(&lat);
-        retransmissions += retrans;
-        gap_retransmissions += gap;
-        degraded_ops += deferred;
-    }
-    // The last ring: every sender is gone, so a monitor that wakes now
-    // drains what is left and finds its channel disconnected.
-    for m in &monitors {
-        m.thread().unpark();
-    }
-    // Shard-major merge: `violations[0]` belongs to the first shard that
-    // flagged anything, and so does the dump kept.
-    let mut monitor = MonitorReport::default();
-    let mut overhead = MonitorOverhead::default();
-    let mut violation_dump = None;
-    for h in monitors {
-        let (shard_report, shard_overhead, dump) = h.join().expect("shard monitor thread");
-        monitor.checked += shard_report.checked;
-        monitor.violations.extend(shard_report.violations);
-        overhead.actions += shard_overhead.actions;
-        overhead.observe_ns += shard_overhead.observe_ns;
-        overhead.lag_ops_hwm = overhead.lag_ops_hwm.max(shard_overhead.lag_ops_hwm);
-        overhead.wakeups += shard_overhead.wakeups;
-        violation_dump = violation_dump.or(dump);
-    }
+        spawn_named("worker", move || {
+            let sinks = sinks.as_deref().map(Vec::as_slice);
+            work(&cfg, k, &*transport, mailbox, &recorder, &telemetry, sinks)
+        })
+    };
+    let mut report = worker.join().expect("worker thread");
     // Dropping the stop end makes the watcher write its last tick — after
     // every op has completed, so that tick carries the run's totals.
     drop(watch_stop_tx);
     if let Some(w) = watcher {
         w.join().expect("watch thread");
     }
-
-    let ops = u64::from(cfg.clients) * cfg.ops_per_client;
-    blunt_obs::static_counter!("store.ops.completed").add(ops);
-    StoreReport {
-        ops,
-        stats: TransportStats::default(),
-        coverage: Coverage::default(),
-        monitor,
-        monitor_actions: overhead.actions,
-        monitor_overhead: overhead,
-        violation_dump,
-        stalled: stalled.load(Ordering::Relaxed),
-        retransmissions,
-        gap_retransmissions,
-        degraded_ops,
-        recovery: RecoveryStats::default(),
-        shard_recoveries: vec![(0, 0); cfg.shards as usize],
-        latency_us: latency.snapshot(),
-        elapsed: Duration::ZERO,
-        remote_servers: Vec::new(),
-        merged_flight: None,
-    }
+    report.stalled = stalled.load(Ordering::Relaxed);
+    blunt_obs::static_counter!("store.ops.completed").add(report.ops);
+    report
 }
 
 /// One operation drawn at burst setup, before any message moves.
@@ -939,8 +939,8 @@ fn draw_burst(
 /// flight (never two on the same key), and multiplexes every reply/ack back
 /// to its op by `sn`. All protocol sends go through a per-client
 /// [`BatchingTransport`]. Every `Call` and `Return` is enqueued on its
-/// shard's [`MonitorFeed`] at the program point it happens — a push that
-/// wakes nobody.
+/// shard's [`MonitorFeed`] at the program point it happens; the worker
+/// checks them once a burst.
 ///
 /// Liveness is **per shard** ([`ShardHealth`]): each shard has its own
 /// backoff clock, timeouts retransmit only that shard's stalled ops, and a
@@ -955,8 +955,8 @@ fn draw_burst(
 ///
 /// The machine never blocks and takes every deadline decision at a `now`
 /// it is handed, so a test can step it through a fake [`Transport`] with
-/// no thread and no wall clock; [`store_client_loop`] is its thread
-/// driver. Only an op's latency reads the clock, at completion.
+/// no thread and no wall clock; the worker steps it as a [`Client`]. Only
+/// an op's latency reads the clock, at completion.
 struct StoreClient<'a> {
     c: u32,
     me: Pid,
@@ -991,6 +991,8 @@ struct StoreClient<'a> {
     degraded_ops: u64,
     /// Replies refused because their `sn` names no exchange in flight.
     stale_replies: u64,
+    /// Every op has completed and every buffered request has left.
+    finished: bool,
 }
 
 impl<'a> StoreClient<'a> {
@@ -1013,7 +1015,7 @@ impl<'a> StoreClient<'a> {
             ring_map: HashRing::new(cfg.seed, cfg.shards),
             monitors,
             telemetry,
-            ring: recorder.register_current(&format!("client-{}", me.0)),
+            ring: recorder.register_lanes(&format!("client-{}", me.0), 1),
             rng: client_rng(cfg.seed, c),
             bt: BatchingTransport::new(transport, cfg.batch_max),
             quorum: spr / 2 + 1,
@@ -1033,6 +1035,7 @@ impl<'a> StoreClient<'a> {
             gap_retransmissions: 0,
             degraded_ops: 0,
             stale_replies: 0,
+            finished: false,
         }
     }
 
@@ -1173,7 +1176,7 @@ impl<'a> StoreClient<'a> {
         );
     }
 
-    /// One envelope off the lane, handled at the pass's `now`: progress for
+    /// One envelope off the mailbox, handled at the pass's `now`: progress for
     /// its shard, evidence for the reply-gap rule, and a step of the op
     /// whose exchange it answers — which completes the op, or moves it to
     /// its next exchange, or leaves it waiting.
@@ -1291,8 +1294,8 @@ impl<'a> StoreClient<'a> {
         }
     }
 
-    /// The end of a pass, once the lane has run dry: both rebroadcast
-    /// triggers, judged at the pass's `now`.
+    /// The end of a pass: both rebroadcast triggers, judged at the pass's
+    /// `now`.
     ///
     /// Reply gap first (a reordered or parked response lands within its
     /// batch, so a verdict per envelope would be early): an exchange whose
@@ -1392,66 +1395,67 @@ impl<'a> StoreClient<'a> {
     }
 }
 
-/// A client's thread driver: steps its [`StoreClient`] burst by burst and
-/// returns its tallies — latency, retransmissions, gap retransmissions,
-/// degraded-op deferrals.
+/// The worker steps a client pass by pass (`blunt_runtime::worker`).
 ///
-/// Each pass **drains, then flushes**: it handles every reply already on
-/// the lane, and only with the lane empty flushes and blocks, until the
-/// next reply or the client's next deadline. Requests produced while
-/// draining share one flush, so batches fill toward `batch_max`; nothing
+/// Each pass **drains, then flushes**: the worker hands the client every
+/// reply the pass took, and the requests those replies produce wait in the
+/// batch buffer for the next pass's step, which fills the pipeline and
+/// flushes them together — so batches fill toward `batch_max`, and nothing
 /// is delayed, because a request buffered here could not have been
-/// answered before the lane ran dry anyway. At depth 1 the lane is always
-/// empty at that point and the loop flushes and blocks exactly as it would
-/// without the drain. One clock reading serves the whole pass: backoff
-/// deadlines are milliseconds, a pass is microseconds.
-///
-/// The client rings every shard's bell once a burst, after its last
-/// `Return` and before it draws the next burst.
-fn store_client_loop(
-    mut client: StoreClient<'_>,
-    rx: &Receiver<Envelope>,
-) -> (Histogram, u64, u64, u64) {
-    while client.drawn < client.cfg.ops_per_client {
-        client.start_burst();
-        while client.fill() {
-            let mut now = Instant::now();
-            let mut head = rx.try_recv().ok();
-            if head.is_none() {
-                // The replies being waited on can't arrive until the
-                // requests actually leave.
-                client.bt.flush_pending();
-                let wait = client.next_deadline(now).saturating_duration_since(now);
-                head = match rx.recv_timeout(wait) {
-                    Ok(env) => Some(env),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        panic!("transport closed while store operations were in flight")
-                    }
-                };
-                now = Instant::now();
-            }
-            while let Some(env) = head.take().or_else(|| rx.try_recv().ok()) {
-                client.on_envelope(env, now);
-            }
-            client.sweep(now);
-        }
-        for m in client.monitors {
-            m.ring();
-        }
+/// answered within the pass anyway. One clock reading serves the whole
+/// pass: backoff deadlines are milliseconds, a pass is microseconds.
+impl Client for StoreClient<'_> {
+    fn pid(&self) -> Pid {
+        self.me
     }
-    // An op completes at its quorum, which can be while the batch layer
-    // still holds its request to the last replica: that envelope is owed
-    // to the link like every other, or the link's offered count would
-    // depend on whether some later flush happened to carry it.
-    client.bt.flush_pending();
-    blunt_obs::static_counter!("store.client.stale_replies").add(client.stale_replies);
-    (
-        client.latency,
-        client.retransmissions,
-        client.gap_retransmissions,
-        client.degraded_ops,
-    )
+
+    fn ring(&self) -> &Arc<FlightRing> {
+        &self.ring
+    }
+
+    /// A burst is over when no op is in flight: the client rings every
+    /// shard's monitor, after its last `Return` and before it draws the
+    /// next burst.
+    fn step(&mut self) -> bool {
+        if self.finished {
+            return false;
+        }
+        let mut rang = false;
+        if !self.fill() {
+            rang = self.drawn > 0;
+            if self.drawn == self.cfg.ops_per_client {
+                // An op completes at its quorum, which can be while the
+                // batch layer still holds its request to the last replica:
+                // that envelope is owed to the link like every other, or
+                // the link's offered count would depend on whether some
+                // later flush happened to carry it.
+                self.bt.flush_pending();
+                self.finished = true;
+                blunt_obs::static_counter!("store.client.stale_replies").add(self.stale_replies);
+                return rang;
+            }
+            self.start_burst();
+            self.fill();
+        }
+        // The replies being waited on can't arrive until the requests
+        // actually leave.
+        self.bt.flush_pending();
+        rang
+    }
+
+    fn on_envelope(&mut self, env: Envelope, now: Instant) {
+        StoreClient::on_envelope(self, env, now);
+    }
+
+    fn sweep(&mut self, now: Instant) -> bool {
+        let before = self.retransmissions;
+        StoreClient::sweep(self, now);
+        self.retransmissions > before
+    }
+
+    fn deadline(&self, now: Instant) -> Option<Instant> {
+        (!self.finished).then(|| self.next_deadline(now))
+    }
 }
 
 #[cfg(test)]
@@ -1555,7 +1559,7 @@ mod tests {
     }
 
     /// One client at depth 8 runs `ops` ops (one burst when `ops ≤ 8`)
-    /// against one shard of three replicas on one host behind [`Lossy`];
+    /// against one shard of three replicas, both behind [`Lossy`];
     /// `deadline` is the first retransmission timeout and its cap.
     fn scripted(ops: u64, deadline: Duration, lose: fn(Pid, &AbdMsg) -> bool) -> StoreReport {
         let mut cfg = StoreConfig::bench(0x6A9);
@@ -1565,30 +1569,21 @@ mod tests {
         cfg.retransmit_after = deadline;
         cfg.retransmit_cap = deadline;
         let recorder = Arc::new(FlightRecorder::new(4096));
-        let (bus, receivers) = shard_bus(&cfg, &recorder).expect("no faults to misconfigure");
-        let bus = Arc::new(bus);
-        let stop = Arc::new(AtomicBool::new(false));
-        let sinks = Arc::new(vec![RecoverySink::default()]);
-        let mut rxs = receivers.into_iter();
-        let servers = spawn_replicas(&cfg, &bus, &mut rxs, &stop, &sinks, &recorder);
+        let (bus, mailbox) = shard_bus(&cfg, &recorder).expect("no faults to misconfigure");
         let started = Instant::now();
         let mut report = drive_clients(
             &cfg,
             &RunOpts::default(),
             Arc::new(Lossy {
-                bus: Arc::clone(&bus),
+                bus: Arc::new(bus),
                 lose,
             }),
-            rxs.collect(),
+            mailbox,
             recorder,
             started,
-            Arc::new(|| 0),
+            &Replicas::Hosted(Arc::new(vec![RecoverySink::default()])),
         );
         report.elapsed = started.elapsed();
-        stop.store(true, Ordering::Relaxed);
-        for s in servers {
-            s.join().expect("server thread");
-        }
         assert!(
             report.monitor.clean(),
             "scripted loss broke linearizability"
@@ -1680,10 +1675,9 @@ mod tests {
         cfg.retransmit_after = Duration::from_millis(1);
         cfg.retransmit_cap = Duration::from_millis(4);
         let recorder = Arc::new(FlightRecorder::new(256));
-        let telemetry = Arc::new(Telemetry::default());
-        // The shard monitor's thread parks until the end of the test.
-        let (feed, monitor) = spawn_monitor(0, Arc::clone(&recorder), Arc::clone(&telemetry), 4);
-        let feeds = [feed];
+        let telemetry = Telemetry::default();
+        // The shard monitor checks the client's actions at the end.
+        let feeds = [MonitorFeed::default()];
         let sent = Sent::default();
         let mut client = StoreClient::new(0, &cfg, 1, &sent, &feeds, &telemetry, &recorder);
         client.start_burst();
@@ -1745,9 +1739,9 @@ mod tests {
         assert_eq!(client.next_deadline(now), now + Duration::from_millis(1));
 
         drop(client);
-        drop(feeds);
-        monitor.thread().unpark();
-        let (report, overhead, _) = monitor.join().unwrap();
+        let mut monitor = ShardMonitor::new(0, &feeds[0], &recorder, &telemetry, 4);
+        monitor.drain();
+        let (report, overhead, _) = monitor.finish();
         assert!(report.clean());
         assert_eq!(overhead.actions, 2);
     }

@@ -6,7 +6,8 @@
 //!   randomness and never perturbs the fault schedule;
 //! - a run that the monitor flags auto-captures a flight dump at the
 //!   moment of detection, and the dump contains the violating operations
-//!   themselves;
+//!   themselves — and keeps every machine's sends in that machine's own
+//!   ring, though one worker thread steps them all;
 //! - `watch` streams without changing any deterministic result, and its
 //!   JSONL mirror ends on the run's totals.
 
@@ -110,6 +111,32 @@ fn violation_captures_a_flight_dump_containing_the_violating_ops() {
         }
     }
     assert!(checked > 0, "violation window has value-returning ops");
+
+    // One worker steps every machine, and each machine's sends and the
+    // fates they drew are in its own ring: a client's under `client-<pid>`,
+    // the shard's replicas' under `server-s0`.
+    let sends = |prefix: &str| {
+        let ring = |e: &&blunt_obs::FlightEvent| e.ring.starts_with(prefix);
+        dump.events
+            .iter()
+            .filter(ring)
+            .filter(|e| e.kind == FlightKind::BusSend)
+            .count()
+    };
+    assert!(sends("client-") > 0 && sends("server-s0") > 0);
+    let servers = cfg.servers_total();
+    for e in &dump.events {
+        let sent = e.kind == FlightKind::BusSend || e.kind.as_str().starts_with("fault_");
+        if !sent {
+            continue;
+        }
+        let owner = if e.pid < servers {
+            "server-s0".to_string()
+        } else {
+            format!("client-{}", e.pid)
+        };
+        assert_eq!(e.ring, owner, "{:?} from pid {}", e.kind, e.pid);
+    }
 
     // Round trip: the dump survives JSONL serialization.
     let reparsed = blunt_obs::FlightDump::parse(&dump.to_jsonl()).expect("round trip");

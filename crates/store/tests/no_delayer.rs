@@ -1,12 +1,14 @@
 //! A run starts the threads its shape needs and no others.
 //!
-//! The bus and the socket driver realise `Delay` fates through one
-//! `Delayer` each, whose thread is spawned by the first delay drawn. A
-//! fault-free run — on the bus, and over sockets with every replica a
-//! `run_net_server` — must therefore never show a `*-delayer` thread, while
-//! a bus run under faults that delay does. On the bus a shard's replicas
-//! share one host thread (`server-s<shard>`); over sockets each replica is
-//! its own `server-<pid>` thread. A sampler thread reads
+//! One `worker` thread steps every machine a run process owns: on the bus
+//! every client, every shard's replicas and every shard monitor, so no
+//! `client-*`, `server-s*` or `monitor-*` thread exists; over sockets the
+//! driver's clients and monitors, beside one `net-reader-*` thread per
+//! server connection, while each replica is its own `server-<pid>` thread
+//! (a `run_net_server`). The bus and the socket driver realise `Delay`
+//! fates through one `Delayer` each, whose thread is spawned by the first
+//! delay drawn: a fault-free run never shows a `*-delayer` thread, while a
+//! bus run under faults that delay does. A sampler thread reads
 //! `/proc/self/task/*/comm` every millisecond while the runs go; this file
 //! holds the one test so that no other test's threads are seen.
 
@@ -69,24 +71,24 @@ fn delayers(names: &BTreeSet<String>) -> Vec<&String> {
     names.iter().filter(|n| n.ends_with("-delayer")).collect()
 }
 
-/// The server-class threads: what a per-thread profile counts as servers.
-fn servers(names: &BTreeSet<String>) -> Vec<&str> {
-    let servers = names.iter().filter(|n| n.starts_with("server-"));
-    servers.map(String::as_str).collect()
+/// The names in `names` that start with one of `prefixes`.
+fn named<'a>(names: &'a BTreeSet<String>, prefixes: &[&str]) -> Vec<&'a str> {
+    let hit = |n: &&String| prefixes.iter().any(|p| n.starts_with(p));
+    names.iter().filter(hit).map(String::as_str).collect()
 }
 
 #[test]
-fn fault_free_runs_start_no_delayer_thread() {
+fn a_run_steps_its_machines_on_one_worker_and_starts_a_delayer_only_for_delays() {
     let opts = RunOpts::default();
     let bus = names_during(|| {
         let report = run_store_with(&shape(FaultConfig::none()), &opts, None).expect("valid");
         assert!(report.monitor.clean());
     });
-    assert!(bus.contains("client-6"), "{bus:?}");
+    assert!(bus.contains("worker"), "{bus:?}");
     assert_eq!(
-        servers(&bus),
-        ["server-s0", "server-s1"],
-        "one host thread per shard on the bus"
+        named(&bus, &["client-", "server-", "monitor-"]),
+        Vec::<&str>::new(),
+        "the bus run's machines all run on its worker"
     );
     assert_eq!(delayers(&bus), Vec::<&String>::new(), "fault-free bus run");
 
@@ -94,11 +96,24 @@ fn fault_free_runs_start_no_delayer_thread() {
         let (report, _) = common::run_over_uds(&shape(FaultConfig::none()), &opts, "no-delayer");
         assert!(report.monitor.clean());
     });
+    assert!(uds.contains("worker"), "the driver's worker: {uds:?}");
     assert!(uds.contains("net-accept"), "{uds:?}");
     assert_eq!(
-        servers(&uds),
+        named(&uds, &["net-reader-"]),
+        (0..6)
+            .map(|i| format!("net-reader-{i}"))
+            .collect::<Vec<_>>(),
+        "one reader per server connection"
+    );
+    assert_eq!(
+        named(&uds, &["server-"]),
         (0..6).map(|i| format!("server-{i}")).collect::<Vec<_>>(),
         "one server thread per replica over sockets"
+    );
+    assert_eq!(
+        named(&uds, &["client-", "monitor-"]),
+        Vec::<&str>::new(),
+        "the driver's machines all run on its worker"
     );
     assert_eq!(
         delayers(&uds),
@@ -114,4 +129,8 @@ fn fault_free_runs_start_no_delayer_thread() {
         assert!(report.stats.delayed > 0, "light faults delay replies");
     });
     assert!(light.contains("bus-delayer"), "{light:?}");
+    assert_eq!(
+        named(&light, &["client-", "server-", "monitor-"]),
+        Vec::<&str>::new()
+    );
 }
