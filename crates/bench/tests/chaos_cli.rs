@@ -18,8 +18,8 @@ fn chaos(args: &[&str]) -> std::process::Output {
         .expect("chaos runs")
 }
 
-/// `ret <int>` tokens in the rendered violation window after `marker` —
-/// the concrete values the violating operations returned.
+/// `ret <int>` and `ret ⊥` tokens in the rendered violation window after
+/// `marker` — the concrete values the violating operations returned.
 fn returned_values(stdout: &str, marker: &str) -> Vec<String> {
     let window = match stdout.split_once(marker) {
         Some((_, rest)) => rest,
@@ -29,9 +29,14 @@ fn returned_values(stdout: &str, marker: &str) -> Vec<String> {
     let mut rest = window;
     while let Some(at) = rest.find("ret ") {
         rest = &rest[at + 4..];
-        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-        if !digits.is_empty() && !vals.contains(&digits) {
-            vals.push(digits);
+        // `Val::Nil` renders as `⊥` in the window and the diagram alike.
+        let val: String = if rest.starts_with('⊥') {
+            "⊥".into()
+        } else {
+            rest.chars().take_while(char::is_ascii_digit).collect()
+        };
+        if !val.is_empty() && !vals.contains(&val) {
+            vals.push(val);
         }
     }
     vals

@@ -2,63 +2,65 @@
 //! process, on its one worker; servers are reached over sockets.
 //!
 //! [`NetClient`] owns the **whole** fault schedule of a socket run, as the
-//! bus owns an in-process run's: every fate is drawn in this process, so a
-//! serve process needs no seed or fault flags.
+//! bus owns an in-process run's: every fate is drawn in this process, on
+//! its worker, from one [`Links`] table for both directions, so a serve
+//! process needs no seed or fault flags.
 //!
-//! - **Client→server.** Every non-exempt request is realised by one
-//!   [`Links`] on the send path: `Drop` family skips the entry,
-//!   `Duplicate` writes the same tagged entry twice (the server admits
-//!   both, so the replica answers both, as on the bus), and a crash-window
-//!   exit puts the exempt amnesia signal directly ahead of the triggering
-//!   entry in the server's `EnvBatch`. The schedule gives these links no
-//!   `Reorder` or `Delay`.
-//! - **Server→client.** Inbound frames are replies. Each server's reader
-//!   thread draws their fates on that server's own [`Links`] (no other
-//!   reader takes its lock), and hands what is deliverable to the driver's
-//!   one mailbox, where the worker gives each reply to the client its `dst`
+//! - **Client→server.** Every non-exempt request is realised on the send
+//!   path: `Drop` family skips the entry, `Duplicate` writes the same
+//!   tagged entry twice (the server admits both, so the replica answers
+//!   both, as on the bus), and a crash-window exit puts the exempt amnesia
+//!   signal directly ahead of the triggering entry in the server's
+//!   `EnvBatch`. The schedule gives these links no `Reorder` or `Delay`.
+//! - **Server→client.** A `net-reader-<pid>` thread per server connection
+//!   only decodes frames, and hands each to the worker's [`DriverInbox`]
+//!   as one message. The inbox draws each reply's fate on the same table
+//!   the send path uses (the schedule puts `Reorder`/`Delay` only on links
+//!   into a client and crash windows only on links into a server, so the
+//!   two directions never meet on a link) and hands the worker what is
+//!   deliverable; the worker gives each reply to the client its `dst`
 //!   names. A `Reorder` waits in the link's hold-back slot, a `Delay` in
-//!   the `net-delayer` thread (spawned by the first delay drawn), whose
-//!   sink is the mailbox too; [`Transport::flush`] releases both.
+//!   the inbox's [`Timers`], which bound how long the inbox waits;
+//!   [`Transport::flush`] releases both.
 //! - **Server→server.** The driver is the hub of a socket run: servers
-//!   hold no connection to each other. An entry a reader takes off a
-//!   server's connection for another server (catch-up traffic, always
-//!   exempt) draws no fate, counts in neither [`Transport::stats`] nor
-//!   [`Transport::coverage`], and is relayed to its server as a lone `Env`
-//!   frame under a driver tag, as the bus delivers exempt server→server
-//!   envelopes. A reader never writes to a socket — two readers relaying
-//!   to each other's servers, while both servers block writing to the
-//!   driver, would deadlock — so the relay is the `net-delayer`'s, with no
-//!   delay. A relay read after [`Transport::flush`], or one that would
-//!   follow a server's `Shutdown`, is dropped.
+//!   hold no connection to each other. An entry for another server
+//!   (catch-up traffic, always exempt) draws no fate, counts in neither
+//!   [`Transport::stats`] nor [`Transport::coverage`], and the inbox
+//!   relays it to its server as a lone `Env` frame under a driver tag, as
+//!   the bus delivers exempt server→server envelopes. The worker may write
+//!   to a server as its requests do: a reader never blocks on anything but
+//!   its socket, so a server writing to the driver always gets read. A
+//!   relay that would follow a server's `Shutdown` is dropped.
 //!
 //! A reply to a finished exchange reaches its client like any other and the
 //! client refuses it by `sn`, as on the bus; only a reply that answers no
-//! request (`re = 0`) is dropped, counted as `net.rpc.tag_mismatch_drops`. [`Transport::stats`] and
-//! [`Transport::coverage`] cover both directions: they are final once
-//! every server's `Goodbye` has arrived ([`NetClient::shutdown`]) and the
-//! holds are released, because a server writes all its replies ahead of
-//! its goodbye on the one FIFO connection. A server that sent no goodbye
-//! (it died, or missed the deadline) leaves its reply links partial: what
-//! its reader drew before [`Transport::flush`] counts, and nothing after.
+//! request (`re = 0`) is dropped, counted as `net.rpc.tag_mismatch_drops`.
+//! [`Transport::stats`] and [`Transport::coverage`] cover both directions.
+//! They are final once [`NetClient::shutdown`] returns: it services the
+//! inbox until every server's `Goodbye` (a server writes all its replies
+//! ahead of its goodbye on the one FIFO connection), so late replies' fates
+//! count, and it consumes the inbox, so nothing draws after it. A server
+//! that sent no goodbye (it died, or missed the deadline) leaves its reply
+//! links partial.
 
+use std::collections::VecDeque;
 use std::ops::AddAssign;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
 use blunt_obs::flight::FlightDump;
-use blunt_obs::{FlightKind, FlightRecorder};
+use blunt_obs::{FlightKind, FlightRecorder, FlightRing};
 
-use crate::conn::Addr;
+use crate::conn::{Addr, Stream};
 use crate::fault::{FaultConfig, FaultConfigError};
 use crate::frame::{Frame, FrameReader, TaggedEnv, DRIVER_NODE};
-use crate::injector::{Delayer, Injector, Links, TransportStats};
+use crate::injector::{Injector, Links, Timers, TransportStats};
 use crate::pool::ConnectionPool;
 use crate::rpc::TagGen;
 use crate::wire::Envelope;
-use crate::{Coverage, Transport};
+use crate::{Coverage, Inbox, Transport};
 
 /// How a driver reaches its servers.
 pub struct NetClientCfg {
@@ -148,151 +150,78 @@ pub struct RemoteServer {
     pub dump: Option<FlightDump>,
 }
 
-/// Hands a deliverable reply to the driver's mailbox, unless it answers
-/// no request.
-fn route(mailbox: &Sender<Envelope>, e: TaggedEnv) {
-    if e.re == 0 {
-        blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc();
-        return;
-    }
-    let _ = mailbox.send(e.env.in_reply_to(e.tag));
+/// What the driver's inbox takes, in order: a frame a reader decoded, or
+/// the end of the run.
+enum Inbound {
+    /// A frame server `peer` sent.
+    Frame(usize, Frame),
+    /// Server `peer`'s goodbye, its dump decoded: every reply the server
+    /// wrote came before it.
+    Goodbye(usize, FlightDump),
+    /// [`Transport::flush`]: release every hold and every timer.
+    Flush,
 }
 
-/// State the per-connection reader threads share with the send path.
-struct Shared {
-    /// Server pids are `0..servers`: an entry for one is relayed.
-    servers: u32,
-    /// One connection per server: the send path's, the relays' and the
-    /// `Shutdown`'s.
+/// One server connection's reader: decodes frames and hands each to the
+/// inbox as one message. It draws no fate and writes to no socket. Only a
+/// `HelloAck` stays here, so that the offset estimate is taken when the
+/// frame is decoded.
+fn read_server(
+    peer: usize,
+    stream: Stream,
+    inbound: &Sender<Inbound>,
+    remote: &Mutex<Vec<RemoteServer>>,
+    flight: &FlightRecorder,
+) {
+    let mut reader = FrameReader::new(stream);
+    while let Ok(Some(frame)) = reader.read() {
+        let message = match frame {
+            Frame::HelloAck { echo_t, t_us, .. } => {
+                // Cristian's algorithm: assume the reply took half the
+                // round trip, so the server stamped `t_us` at roughly
+                // driver-time `echo_t + rtt/2`.
+                let now = flight.now_us();
+                let rtt = now.saturating_sub(echo_t);
+                let offset = t_us as i64 - (echo_t + rtt / 2) as i64;
+                remote.lock().expect("remote lock")[peer].offset_us = offset;
+                continue;
+            }
+            Frame::Goodbye { dump, .. } => {
+                Inbound::Goodbye(peer, FlightDump::parse(&dump).unwrap_or_default())
+            }
+            frame => Inbound::Frame(peer, frame),
+        };
+        if inbound.send(message).is_err() {
+            return;
+        }
+    }
+}
+
+/// The driver-process transport: sockets to every server and the fault
+/// links of both directions.
+pub struct NetClient {
+    /// One connection per server (index = server pid): the requests', the
+    /// relays' and the `Shutdown`'s.
     pool: ConnectionPool,
-    tags: TagGen,
-    /// The driver's one mailbox: every client's replies.
-    mailbox: Sender<Envelope>,
-    /// The server→client links, one table per server (index = server pid),
-    /// each drawn from by that server's reader alone.
-    replies: Vec<Mutex<Links<TaggedEnv>>>,
-    /// Where a delayed reply waits for the mailbox, and a relay for its
-    /// server ([`Shared::hand_on`]).
-    delayer: Delayer<TaggedEnv>,
-    /// Set by [`Transport::flush`]: from then on a reader draws no fate.
-    flushed: AtomicBool,
-    /// Signalled at every `Goodbye` stored; [`NetClient::shutdown`] waits
-    /// on it for the last.
-    goodbye_arrived: Condvar,
+    tags: Arc<TagGen>,
+    /// Every link of the run, both directions: the send path draws the
+    /// requests' fates, the inbox the replies'.
+    links: Mutex<Links<TaggedEnv>>,
+    /// The inbox's queue, for [`Transport::flush`]'s message.
+    inbound: Sender<Inbound>,
     /// Per-server remote state (index = server pid).
-    remote: Mutex<Vec<RemoteServer>>,
+    remote: Arc<Mutex<Vec<RemoteServer>>>,
     /// The driver's flight recorder — its clock is the reference frame for
     /// clock-offset estimation.
     flight: Arc<FlightRecorder>,
 }
 
-impl Shared {
-    /// One frame's entries from server `peer`, in wire order: replies
-    /// through the server's reply links (fates drawn per entry under one
-    /// lock, as the bus draws a batch's) to the mailbox, and entries for a
-    /// server to the delayer, due at once, to be relayed. Each entry is
-    /// handled exactly as if it had arrived as its own `Env` frame, so
-    /// batching is invisible above the framing layer.
-    ///
-    /// The lock is held to the end, so a flush waits for this frame's
-    /// draws, delays and relays; a faulted reply or a relay read after the
-    /// flush (from a server that sent no `Goodbye`) is dropped, and the
-    /// counters stay as the flush left them.
-    fn admit(&self, peer: usize, entries: Vec<TaggedEnv>) {
-        let ring = self.flight.thread_ring();
-        let (mut now, mut later) = (Vec::with_capacity(entries.len()), Vec::new());
-        let mut deliver = |e: TaggedEnv| now.push(e);
-        let mut delay = |ms, e| later.push((ms, e));
-        let mut links = None;
-        for e in entries {
-            if e.env.dst.0 < self.servers {
-                // Under the lock too, so no relay is scheduled after the
-                // flush has closed the delayer.
-                links.get_or_insert_with(|| self.replies[peer].lock().expect("links"));
-                if !self.flushed.load(Ordering::Relaxed) {
-                    delay(0, e);
-                }
-            } else if e.env.exempt {
-                deliver(e);
-            } else {
-                let (src, dst, label) = (e.env.src, e.env.dst, e.env.msg.flight_label());
-                let links = links.get_or_insert_with(|| self.replies[peer].lock().expect("links"));
-                if !self.flushed.load(Ordering::Relaxed) {
-                    links.realise(src, dst, label, e, &ring, &mut deliver, &mut delay);
-                }
-            }
-        }
-        now.into_iter().for_each(|e| route(&self.mailbox, e));
-        self.delayer.delay(later);
-    }
-
-    /// The delayer's sink: a relay to its server, as a lone `Env` frame
-    /// under a fresh driver tag; a reply to the mailbox.
-    fn hand_on(&self, e: TaggedEnv) {
-        let dst = e.env.dst;
-        if dst.0 >= self.servers {
-            route(&self.mailbox, e);
-            return;
-        }
-        blunt_obs::static_counter!("net.relays").inc();
-        let relay = TaggedEnv {
-            tag: self.tags.next(),
-            ..e
-        };
-        // A failed write is a lost frame, as on any other path.
-        let _ = self.pool.send(dst.index(), &Frame::from(relay));
-    }
-
-    fn reader_loop(&self, peer: usize, stream: crate::conn::Stream) {
-        self.flight.register_current(&format!("net-reader-{peer}"));
-        let mut reader = FrameReader::new(stream);
-        loop {
-            let frame = match reader.read() {
-                Ok(Some(f)) => f,
-                Ok(None) | Err(_) => return,
-            };
-            match frame {
-                Frame::Env { tag, re, env } => {
-                    self.admit(peer, vec![TaggedEnv { tag, re, env }]);
-                }
-                Frame::EnvBatch { entries } => self.admit(peer, entries),
-                Frame::HelloAck { echo_t, t_us, .. } => {
-                    // Cristian's algorithm: assume the reply took half the
-                    // round trip, so the server stamped `t_us` at roughly
-                    // driver-time `echo_t + rtt/2`.
-                    let now = self.flight.now_us();
-                    let rtt = now.saturating_sub(echo_t);
-                    let offset = t_us as i64 - (echo_t + rtt / 2) as i64;
-                    self.remote.lock().expect("remote lock")[peer].offset_us = offset;
-                }
-                Frame::Telemetry { report, .. } => {
-                    self.remote.lock().expect("remote lock")[peer].telemetry = Some(report);
-                }
-                Frame::Goodbye { dump, .. } => {
-                    let dump = FlightDump::parse(&dump).unwrap_or_default();
-                    self.remote.lock().expect("remote lock")[peer].dump = Some(dump);
-                    self.goodbye_arrived.notify_all();
-                }
-                // Servers never send these to a driver.
-                Frame::Hello { .. } | Frame::Shutdown => {}
-            }
-        }
-    }
-}
-
-/// The driver-process transport: sockets to every server, the fault links
-/// of both directions, and the replies' way back to the driver's mailbox.
-pub struct NetClient {
-    links: Mutex<Links<TaggedEnv>>,
-    shared: Arc<Shared>,
-    flight: Arc<FlightRecorder>,
-}
-
 impl NetClient {
     /// Connects to every server in `cfg`, returning the transport plus the
-    /// driver's one inbound mailbox, which carries every client's replies
-    /// (each names its client in `dst`). Connections are dialed lazily on
-    /// first send and self-heal across server restarts.
+    /// driver's one inbox, which carries every client's replies (each
+    /// names its client in `dst`) and must be serviced by the thread that
+    /// steps the clients. Connections are dialed lazily on first send and
+    /// self-heal across server restarts.
     ///
     /// # Errors
     ///
@@ -302,83 +231,67 @@ impl NetClient {
     pub fn connect(
         cfg: &NetClientCfg,
         flight: Arc<FlightRecorder>,
-    ) -> Result<(Arc<NetClient>, Receiver<Envelope>), FaultConfigError> {
+    ) -> Result<(Arc<NetClient>, DriverInbox), FaultConfigError> {
         let servers = cfg.servers.len() as u32;
         let nodes = servers + cfg.clients;
-        let injector = |signal| Injector::new(cfg.seed, cfg.faults, servers, nodes, signal);
-        let requests = injector(cfg.signal_crashes)?;
-        // Replies go to clients, never into a crash window: no signals.
-        let replies = (0..servers)
-            .map(|_| Links::new(injector(false).expect("validated"), |_, _| unreachable!()))
-            .map(Mutex::new)
-            .collect();
-        let (mailbox, receiver) = mpsc::channel();
-        // The pool's readers and the delayer's sink reach back into the
-        // `Shared` that owns both, so neither holds it strongly.
-        let shared = Arc::new_cyclic(|me: &Weak<Shared>| {
-            let (reader_shared, sink) = (me.clone(), me.clone());
-            let hello_flight = Arc::clone(&flight);
-            let pool = ConnectionPool::new(
-                cfg.servers.clone(),
-                // Fresh clock sample per dial: the server echoes `t_us` in
-                // its `HelloAck`, giving the reader loop one offset
-                // estimate per (re)connection.
-                move || Frame::Hello {
-                    node: DRIVER_NODE,
-                    t_us: hello_flight.now_us(),
-                },
-                move |peer, stream| {
-                    let Some(shared) = reader_shared.upgrade() else {
-                        return;
-                    };
-                    std::thread::Builder::new()
-                        .name(format!("net-reader-{peer}"))
-                        .spawn(move || shared.reader_loop(peer, stream))
-                        .expect("spawn connection reader thread");
-                },
-            );
-            Shared {
-                servers,
-                pool,
-                tags: TagGen::new(),
-                mailbox,
-                replies,
-                delayer: Delayer::new("net-delayer", move |e| {
-                    if let Some(shared) = sink.upgrade() {
-                        shared.hand_on(e);
-                    }
-                }),
-                flushed: AtomicBool::new(false),
-                goodbye_arrived: Condvar::new(),
-                remote: Mutex::new(vec![RemoteServer::default(); cfg.servers.len()]),
-                flight: Arc::clone(&flight),
-            }
+        let injector = Injector::new(cfg.seed, cfg.faults, servers, nodes, cfg.signal_crashes)?;
+        let tags = Arc::new(TagGen::new());
+        let signal_tags = Arc::clone(&tags);
+        let links = Links::new(injector, move |server, window| TaggedEnv {
+            tag: signal_tags.next(),
+            re: 0,
+            env: Envelope::crash(server, window),
         });
-        let signal_shared = Arc::clone(&shared);
+        let (inbound, frames) = mpsc::channel();
+        let remote = Arc::new(Mutex::new(vec![RemoteServer::default(); cfg.servers.len()]));
+        let hello_flight = Arc::clone(&flight);
+        let (reader_inbound, reader_remote, reader_flight) =
+            (inbound.clone(), Arc::clone(&remote), Arc::clone(&flight));
+        let pool = ConnectionPool::new(
+            cfg.servers.clone(),
+            // Fresh clock sample per dial: the server echoes `t_us` in its
+            // `HelloAck`, giving the reader one offset estimate per
+            // (re)connection.
+            move || Frame::Hello {
+                node: DRIVER_NODE,
+                t_us: hello_flight.now_us(),
+            },
+            move |peer, stream| {
+                let (inbound, remote, flight) = (
+                    reader_inbound.clone(),
+                    Arc::clone(&reader_remote),
+                    Arc::clone(&reader_flight),
+                );
+                std::thread::Builder::new()
+                    .name(format!("net-reader-{peer}"))
+                    .spawn(move || read_server(peer, stream, &inbound, &remote, &flight))
+                    .expect("spawn connection reader thread");
+            },
+        );
+        let ring = flight.register_lanes("net-inbox", 1);
         let client = Arc::new(NetClient {
-            links: Mutex::new(Links::new(requests, move |server, window| TaggedEnv {
-                tag: signal_shared.tags.next(),
-                re: 0,
-                env: Envelope::crash(server, window),
-            })),
-            shared,
+            pool,
+            tags,
+            links: Mutex::new(links),
+            inbound,
+            remote,
             flight,
         });
-        Ok((client, receiver))
-    }
-
-    fn write(&self, dst: Pid, frame: &Frame) {
-        // A send failure is a lost frame; retransmission recovers, exactly
-        // as with any other drop on the path.
-        let _ = self.shared.pool.send(dst.index(), frame);
+        let inbox = DriverInbox {
+            net: Arc::clone(&client),
+            frames,
+            ready: VecDeque::new(),
+            timers: Timers::default(),
+            ring,
+        };
+        Ok((client, inbox))
     }
 
     /// Total recoveries across all servers' latest telemetry snapshots —
     /// the live number `--watch` shows while the run is still going.
     #[must_use]
     pub fn remote_recoveries(&self) -> u64 {
-        self.shared
-            .remote
+        self.remote
             .lock()
             .expect("remote lock")
             .iter()
@@ -393,73 +306,211 @@ impl NetClient {
     /// first-delivery order, each group in wire order.
     fn realise(&self, envs: Vec<Envelope>) -> Vec<(Pid, Vec<TaggedEnv>)> {
         let ring = self.flight.thread_ring();
+        let entries = envs.into_iter().map(|env| {
+            let (src, dst, label) = (env.src, env.dst, env.msg.flight_label());
+            let span = env.span.flight_word();
+            ring.record_span(FlightKind::BusSend, src.0, u64::from(dst.0), label, span);
+            TaggedEnv {
+                tag: self.tags.next(),
+                // Exempt frames keep their reply correlation; faulted
+                // traffic is always unsolicited from this endpoint.
+                re: if env.exempt { env.reply_to } else { 0 },
+                env: Envelope { reply_to: 0, ..env },
+            }
+        });
         let mut per_dst: Vec<(Pid, Vec<TaggedEnv>)> = Vec::new();
-        let mut deliver = |e: TaggedEnv| {
+        let deliver = |e: TaggedEnv| {
             let dst = e.env.dst;
             match per_dst.iter_mut().find(|(d, _)| *d == dst) {
                 Some((_, entries)) => entries.push(e),
                 None => per_dst.push((dst, vec![e])),
             }
         };
-        let mut links = None;
-        for env in envs {
-            let (src, dst, label) = (env.src, env.dst, env.msg.flight_label());
-            let span = env.span.flight_word();
-            ring.record_span(FlightKind::BusSend, src.0, u64::from(dst.0), label, span);
-            let entry = TaggedEnv {
-                tag: self.shared.tags.next(),
-                // Exempt frames keep their reply correlation; faulted
-                // traffic is always unsolicited from this endpoint.
-                re: if env.exempt { env.reply_to } else { 0 },
-                env: Envelope { reply_to: 0, ..env },
-            };
-            if entry.env.exempt {
-                deliver(entry);
-                continue;
-            }
-            links
-                .get_or_insert_with(|| self.links.lock().expect("links lock"))
-                .realise(src, dst, label, entry, &ring, &mut deliver, &mut |_, _| {
-                    unreachable!("the schedule restricts delays to server→client links")
-                });
-        }
-        drop(links);
+        self.draw(entries, &ring, deliver, |_, _| {
+            unreachable!("the schedule restricts delays to server→client links")
+        });
         per_dst
     }
 
-    /// Tells every server to finish up, waits up to `wait` for their
-    /// `Goodbye`s, then shuts every connection down: the reader threads
-    /// hold clones of the pooled streams (and, through them, the mailbox
-    /// and the flight recorder), and must not outlive the run because
-    /// a server keeps its end open. Returns every server's remote state
-    /// (index = server pid): a server sends its final telemetry right
-    /// before its goodbye, so one that said goodbye reports its whole run;
-    /// one that died hard keeps its last telemetry and a `None` dump.
-    pub fn shutdown(&self, wait: Duration) -> Vec<RemoteServer> {
+    /// Draws the fate of every faulted entry, in order, on the run's one
+    /// table under one lock, recording on `ring`, and hands what is
+    /// deliverable to `now` and a `Delay` to `later`; an exempt entry goes
+    /// to `now` in place, drawing nothing. Both directions' fates are
+    /// drawn here.
+    fn draw(
+        &self,
+        entries: impl IntoIterator<Item = TaggedEnv>,
+        ring: &FlightRing,
+        mut now: impl FnMut(TaggedEnv),
+        mut later: impl FnMut(u16, TaggedEnv),
+    ) {
+        let mut links = None;
+        for e in entries {
+            if e.env.exempt {
+                now(e);
+                continue;
+            }
+            let (src, dst, label) = (e.env.src, e.env.dst, e.env.msg.flight_label());
+            links
+                .get_or_insert_with(|| self.links.lock().expect("links lock"))
+                .realise(src, dst, label, e, ring, &mut now, &mut later);
+        }
+    }
+
+    /// Tells every server to finish up, and services `inbox` for up to
+    /// `wait` until their `Goodbye`s: a server writes every reply ahead of
+    /// its goodbye, so the fates of late replies are drawn and counted.
+    /// Then shuts every connection down — the reader threads hold clones
+    /// of the pooled streams and must not outlive the run, because a
+    /// server keeps its end open — and drops the inbox, so nothing draws a
+    /// fate after this returns. Returns every server's remote state (index
+    /// = server pid): a server sends its final telemetry right before its
+    /// goodbye, so one that said goodbye reports its whole run; one that
+    /// died hard keeps its last telemetry and a `None` dump.
+    pub fn shutdown(&self, mut inbox: DriverInbox, wait: Duration) -> Vec<RemoteServer> {
         // A send failure is a lost frame: one dead server must not keep
-        // the others from hearing it. A relay that would follow the
-        // `Shutdown` is never read, and its server may be gone: none is
-        // written.
-        let pool = &self.shared.pool;
-        for peer in 0..pool.len() {
-            let _ = pool.send_last(peer, &Frame::Shutdown);
+        // the others from hearing it. A later write to a server — a relay
+        // — fails at once.
+        for peer in 0..self.pool.len() {
+            let _ = self.pool.send_last(peer, &Frame::Shutdown);
         }
         let deadline = Instant::now() + wait;
-        let mut remote = self.shared.remote.lock().expect("remote lock");
-        loop {
+        let said_goodbye = || {
+            let remote = self.remote.lock().expect("remote lock");
+            remote.iter().all(|r| r.dump.is_some())
+        };
+        while !said_goodbye() {
             let left = deadline.saturating_duration_since(Instant::now());
-            if remote.iter().all(|r| r.dump.is_some()) || left.is_zero() {
+            let Ok(message) = inbox.frames.recv_timeout(left) else {
                 break;
-            }
-            remote = self
-                .shared
-                .goodbye_arrived
-                .wait_timeout(remote, left)
-                .expect("remote lock")
-                .0;
+            };
+            inbox.take(message);
         }
-        pool.close();
-        remote.clone()
+        self.pool.close();
+        self.remote.lock().expect("remote lock").clone()
+    }
+}
+
+/// Hands a deliverable reply to the worker, unless it answers no request.
+fn route(ready: &mut VecDeque<Envelope>, e: TaggedEnv) {
+    if e.re == 0 {
+        blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc();
+        return;
+    }
+    ready.push_back(e.env.in_reply_to(e.tag));
+}
+
+/// The driver worker's inbox: what the readers decoded, one message per
+/// frame, with every reply's fate drawn here, on the worker. Replies the
+/// fate leaves deliverable wait in order for the worker to take them; a
+/// `Delay` waits in the inbox's timers, which it looks at whenever it runs
+/// out of deliverable replies, and which cut a wait short when one falls
+/// due. An entry for a server is relayed to it at once.
+pub struct DriverInbox {
+    net: Arc<NetClient>,
+    frames: Receiver<Inbound>,
+    /// Deliverable replies nobody has taken yet, in delivery order.
+    ready: VecDeque<Envelope>,
+    timers: Timers<TaggedEnv>,
+    /// Where the replies' fault events are recorded.
+    ring: Arc<FlightRing>,
+}
+
+impl DriverInbox {
+    fn take(&mut self, message: Inbound) {
+        let remote = &self.net.remote;
+        match message {
+            Inbound::Frame(_, Frame::Env { tag, re, env }) => {
+                self.admit(vec![TaggedEnv { tag, re, env }]);
+            }
+            Inbound::Frame(_, Frame::EnvBatch { entries }) => self.admit(entries),
+            Inbound::Frame(peer, Frame::Telemetry { report, .. }) => {
+                remote.lock().expect("remote lock")[peer].telemetry = Some(report);
+            }
+            Inbound::Goodbye(peer, dump) => {
+                remote.lock().expect("remote lock")[peer].dump = Some(dump);
+            }
+            // Servers send a driver nothing else.
+            Inbound::Frame(..) => {}
+            Inbound::Flush => {
+                let held = self.net.links.lock().expect("links lock").release();
+                for e in held.into_iter().chain(self.timers.release()) {
+                    route(&mut self.ready, e);
+                }
+            }
+        }
+    }
+
+    /// One frame's entries, in wire order: replies through the links
+    /// (fates drawn per entry under one lock, as the send path draws a
+    /// batch's), entries for a server (always exempt) relayed. Each entry
+    /// is handled exactly as if it had arrived as its own `Env` frame, so
+    /// batching is invisible above the framing layer.
+    fn admit(&mut self, entries: Vec<TaggedEnv>) {
+        let net = &*self.net;
+        let ready = &mut self.ready;
+        let (mut later, mut relays) = (Vec::new(), Vec::new());
+        let deliver = |e: TaggedEnv| {
+            if e.env.dst.index() < net.pool.len() {
+                relays.push(e);
+            } else {
+                route(ready, e);
+            }
+        };
+        net.draw(entries, &self.ring, deliver, |ms, e| later.push((ms, e)));
+        self.timers.add(later);
+        for e in relays {
+            let dst = e.env.dst.index();
+            let relay = TaggedEnv {
+                tag: net.tags.next(),
+                ..e
+            };
+            // A failed write is a lost frame, as on any other path.
+            if net.pool.send(dst, &Frame::from(relay)).is_ok() {
+                blunt_obs::static_counter!("net.relays").inc();
+            }
+        }
+    }
+}
+
+impl Inbox for DriverInbox {
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            match self.try_recv() {
+                Err(TryRecvError::Empty) => {}
+                got => return got.map_err(|_| RecvTimeoutError::Disconnected),
+            }
+            // Woken for the next timer due, if it is sooner.
+            let wake = self
+                .timers
+                .next_due()
+                .map_or(deadline, |due| due.min(deadline));
+            match self
+                .frames
+                .recv_timeout(wake.saturating_duration_since(Instant::now()))
+            {
+                Ok(message) => self.take(message),
+                Err(RecvTimeoutError::Timeout) if wake < deadline => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    fn try_recv(&mut self) -> Result<Envelope, TryRecvError> {
+        loop {
+            // Replies whose timers fell due go before the next frame.
+            if self.ready.is_empty() && !self.timers.is_empty() {
+                for e in self.timers.due(Instant::now()) {
+                    route(&mut self.ready, e);
+                }
+            }
+            if let Some(env) = self.ready.pop_front() {
+                return Ok(env);
+            }
+            let message = self.frames.try_recv()?;
+            self.take(message);
+        }
     }
 }
 
@@ -470,37 +521,24 @@ impl Transport for NetClient {
 
     fn send_batch(&self, envs: Vec<Envelope>) {
         for (dst, entries) in self.realise(envs) {
-            self.write(dst, &Frame::batch(entries));
+            // A send failure is a lost frame; retransmission recovers,
+            // exactly as with any other drop on the path.
+            let _ = self.pool.send(dst.index(), &Frame::batch(entries));
         }
     }
 
+    /// Tells the inbox to release every hold and every timer, behind
+    /// whatever the readers handed it before; nothing if the inbox is gone
+    /// ([`NetClient::shutdown`]).
     fn flush(&self) {
-        // Set before any lock is taken: a reader that takes one after this
-        // flush has released it sees the flag.
-        self.shared.flushed.store(true, Ordering::Relaxed);
-        for links in &self.shared.replies {
-            let held = links.lock().expect("links").release();
-            held.into_iter()
-                .for_each(|e| route(&self.shared.mailbox, e));
-        }
-        self.shared.delayer.close();
+        let _ = self.inbound.send(Inbound::Flush);
     }
 
     fn stats(&self) -> TransportStats {
-        let mut stats = self.links.lock().expect("links lock").injector().stats();
-        for links in &self.shared.replies {
-            stats += links.lock().expect("links").injector().stats();
-        }
-        stats
+        self.links.lock().expect("links lock").injector().stats()
     }
 
     fn coverage(&self) -> Coverage {
-        let mut coverage = self.links.lock().expect("links lock").injector().coverage();
-        for links in &self.shared.replies {
-            let replies = links.lock().expect("links").injector().coverage();
-            coverage.links.extend(replies.links);
-        }
-        coverage.links.sort_by_key(|l| (l.src, l.dst));
-        coverage
+        self.links.lock().expect("links lock").injector().coverage()
     }
 }

@@ -10,24 +10,21 @@
 //! type: it owns the injector and one reorder hold-back slot per directed
 //! link, and hands what the fate leaves deliverable to two sinks its
 //! caller supplies — `now`, in delivery order, and `later` for a `Delay`.
-//! [`Delayer`] is the one min-deadline buffer behind `later`. Every fate of
-//! a run is drawn in one process — the bus's, or the socket driver's — and
-//! the realisers differ only in their sinks:
+//! [`Timers`] is the one min-deadline buffer behind `later`. Every fate of
+//! a run is drawn on one thread — the worker of the bus run, or of the
+//! socket driver — from one table per tier, and the realisers differ only
+//! in their sinks:
 //!
 //! | realiser | item | `now` | `later` |
 //! |---|---|---|---|
-//! | the in-process bus | `Envelope` | the destination's mailbox | `bus-delayer`, then the mailbox |
+//! | the in-process bus | `Envelope` | the destination's mailbox | the bus's timers, released by the worker's inbox |
 //! | [`NetClient`](crate::NetClient), requests | [`TaggedEnv`](crate::TaggedEnv) | the server's `EnvBatch` | — (schedule-restricted) |
-//! | [`NetClient`](crate::NetClient), replies (one table per server) | [`TaggedEnv`](crate::TaggedEnv) | the driver's mailbox | `net-delayer`, then the mailbox |
+//! | [`NetClient`](crate::NetClient), replies (same table) | [`TaggedEnv`](crate::TaggedEnv) | the driver's inbox | the inbox's timers |
 //!
-//! The driver's `net-delayer` also writes its relays of server→server
-//! catch-up traffic to their servers: due at once, drawn from no link.
+//! The driver's inbox also writes its relays of server→server catch-up
+//! traffic to their servers: at once, drawn from no link.
 
 use std::collections::HashSet;
-use std::ops::AddAssign;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
@@ -57,19 +54,6 @@ pub struct TransportStats {
     /// Distinct `(server, window)` crash events signaled (0 unless the
     /// transport was built with `signal_crashes`).
     pub crash_events: u64,
-}
-
-impl AddAssign for TransportStats {
-    fn add_assign(&mut self, s: TransportStats) {
-        self.offered += s.offered;
-        self.dropped += s.dropped;
-        self.duplicated += s.duplicated;
-        self.reordered += s.reordered;
-        self.delayed += s.delayed;
-        self.crash_dropped += s.crash_dropped;
-        self.partition_dropped += s.partition_dropped;
-        self.crash_events += s.crash_events;
-    }
 }
 
 /// The fault-decision state of one transport endpoint: the per-link fate
@@ -304,85 +288,58 @@ impl<T: Clone> Links<T> {
     }
 }
 
-/// The min-deadline buffer that realises `Delay`: items handed to
-/// [`Delayer::delay`] go to the sink once due, from a thread of the
-/// caller's naming. The thread exists only while something has been
-/// delayed since the last [`Delayer::close`], and blocks while nothing is
-/// pending.
-pub struct Delayer<T> {
-    name: &'static str,
-    sink: Arc<dyn Fn(T) + Send + Sync>,
-    thread: Mutex<Option<Running<T>>>,
+/// The `later` sink of a [`Links`]: each item held for its milliseconds,
+/// kept by the worker that drew its fate. No thread: the worker's inbox
+/// takes what is due before it takes the next message, and bounds its wait
+/// by [`Timers::next_due`]; the end of the run takes the rest.
+pub struct Timers<T> {
+    pending: Vec<(Instant, T)>,
 }
 
-/// A delayer thread: where to send it items, each with its due time, and
-/// its handle.
-type Running<T> = (Sender<(Instant, T)>, JoinHandle<()>);
-
-impl<T: Send + 'static> Delayer<T> {
-    /// A delayer whose thread, once there is one, is called `name` and
-    /// hands due items to `sink`.
-    pub fn new(name: &'static str, sink: impl Fn(T) + Send + Sync + 'static) -> Delayer<T> {
-        Delayer {
-            name,
-            sink: Arc::new(sink),
-            thread: Mutex::new(None),
+impl<T> Default for Timers<T> {
+    fn default() -> Timers<T> {
+        Timers {
+            pending: Vec::new(),
         }
     }
+}
 
-    /// Holds each item for its milliseconds: one clock read and one lock
-    /// acquisition however many there are, none for none.
-    pub fn delay(&self, items: Vec<(u16, T)>) {
+impl<T> Timers<T> {
+    /// Holds each item for its milliseconds from now: one clock read
+    /// however many there are, none for none.
+    pub fn add(&mut self, items: Vec<(u16, T)>) {
         if items.is_empty() {
             return;
         }
         let start = Instant::now();
-        let mut thread = self.thread.lock().expect("delayer lock");
-        let (tx, _) = thread.get_or_insert_with(|| {
-            let (tx, rx) = mpsc::channel();
-            let sink = Arc::clone(&self.sink);
-            let handle = thread::Builder::new()
-                .name(self.name.into())
-                .spawn(move || hold(&rx, &*sink))
-                .expect("spawn delayer thread");
-            (tx, handle)
-        });
-        for (ms, item) in items {
-            let _ = tx.send((start + Duration::from_millis(u64::from(ms)), item));
-        }
+        let due = |ms| start + Duration::from_millis(u64::from(ms));
+        self.pending
+            .extend(items.into_iter().map(|(ms, item)| (due(ms), item)));
     }
 
-    /// Hands every pending item to the sink at once and joins the thread.
-    pub fn close(&self) {
-        let thread = self.thread.lock().expect("delayer lock").take();
-        if let Some((tx, handle)) = thread {
-            drop(tx);
-            let _ = handle.join();
-        }
+    /// Whether nothing is held.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.pending.is_empty()
     }
-}
 
-/// The delayer thread: sleeps until the earliest deadline or the next
-/// item, whichever comes first; when the sender is gone, flushes and ends.
-fn hold<T>(rx: &Receiver<(Instant, T)>, sink: &dyn Fn(T)) {
-    let mut pending: Vec<(Instant, T)> = Vec::new();
-    loop {
-        let next = match pending.iter().map(|(due, _)| *due).min() {
-            Some(due) => rx.recv_timeout(due.saturating_duration_since(Instant::now())),
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
-        match next {
-            Ok(item) => pending.push(item),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                pending.into_iter().for_each(|(_, item)| sink(item));
-                return;
-            }
-        }
-        let now = Instant::now();
-        let (due, rest): (Vec<_>, Vec<_>) = pending.into_iter().partition(|(due, _)| *due <= now);
-        pending = rest;
-        due.into_iter().for_each(|(_, item)| sink(item));
+    /// When the earliest held item falls due.
+    #[must_use]
+    pub fn next_due(&self) -> Option<Instant> {
+        self.pending.iter().map(|(due, _)| *due).min()
+    }
+
+    /// Every item due by `now`, in the order it was added.
+    pub fn due(&mut self, now: Instant) -> impl Iterator<Item = T> + '_ {
+        self.pending
+            .extract_if(.., move |(due, _)| *due <= now)
+            .map(|(_, item)| item)
+    }
+
+    /// Every item still held, due or not (end of run: nothing is waited
+    /// for anymore).
+    pub fn release(&mut self) -> impl Iterator<Item = T> + '_ {
+        self.pending.drain(..).map(|(_, item)| item)
     }
 }
 
@@ -631,36 +588,33 @@ mod tests {
     }
 
     #[test]
-    fn delayer_delivers_nothing_early_and_close_delivers_the_rest() {
-        let (tx, rx) = mpsc::channel();
-        let delayer = Delayer::new("test-delayer", move |(sent, ms): (Instant, u16)| {
-            tx.send((sent, ms, Instant::now())).unwrap();
-        });
-        delayer.delay(Vec::new());
-        assert!(
-            delayer.thread.lock().unwrap().is_none(),
-            "nothing delayed, no thread"
-        );
+    fn timers_deliver_nothing_early_and_release_hands_over_the_rest() {
+        let mut timers = Timers::default();
+        timers.add(Vec::new());
+        assert!(timers.is_empty() && timers.next_due().is_none());
         let sent = Instant::now();
-        delayer.delay([3, 1, 60_000].map(|ms| (ms, (sent, ms))).to_vec());
+        timers.add([3, 1, 60_000].map(|ms| (ms, ms)).to_vec());
         let mut arrived = Vec::new();
-        for _ in 0..2 {
-            let (sent, ms, at) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-            assert!(
-                at >= sent + Duration::from_millis(u64::from(ms)),
-                "{ms} ms early"
-            );
-            arrived.push(ms);
+        while arrived.len() < 2 {
+            let due = timers.next_due().expect("something is held");
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            let now = Instant::now();
+            for ms in timers.due(now) {
+                assert!(
+                    now >= sent + Duration::from_millis(u64::from(ms)),
+                    "{ms} ms early"
+                );
+                arrived.push(ms);
+            }
         }
         arrived.sort_unstable();
         assert_eq!(arrived, [1, 3]);
-        assert!(rx.try_recv().is_err(), "the minute-long delay is not due");
-        delayer.close();
-        let (_, ms, _) = rx.try_recv().expect("close delivers what is still pending");
-        assert_eq!(ms, 60_000);
-        assert!(
-            delayer.thread.lock().unwrap().is_none(),
-            "close joins the thread"
+        assert_eq!(
+            timers.due(Instant::now()).count(),
+            0,
+            "the minute-long delay is not due"
         );
+        assert_eq!(timers.release().collect::<Vec<_>>(), [60_000]);
+        assert!(timers.is_empty(), "a release empties the timers");
     }
 }

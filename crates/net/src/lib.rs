@@ -14,7 +14,7 @@
 //!   the shared decision core ([`Injector::decide`]) both backends use
 //!   bit for bit, so fault counters are a pure function of
 //!   `(seed, config, topology)` regardless of transport, and the one
-//!   realiser of a drawn fate ([`Links`], [`Delayer`]).
+//!   realiser of a drawn fate ([`Links`], with [`Timers`] for delays).
 //! - [`frame`] — the length-prefixed, versioned wire format (hand-rolled,
 //!   zero dependencies).
 //! - [`conn`] / [`pool`] — TCP / Unix-domain streams and the driver's
@@ -29,10 +29,12 @@
 //!   driver's, and the driver relays the catch-up traffic servers send
 //!   each other, so every message of the run crosses the process that
 //!   owns its fates.
-//! - [`Inbox`] — what a worker receives from: a plain channel receiver
-//!   in process and in the driver, a [`ServerInbox`] in a server process,
-//!   where the worker reads the driver's socket itself and no thread
-//!   stands between a request on the wire and the step that answers it.
+//! - [`Inbox`] — what a worker receives from: the bus's inbox in process
+//!   (it releases the bus's delays), a [`DriverInbox`] in the driver (it
+//!   draws the replies' fates, keeps their delays and relays catch-up
+//!   traffic), a [`ServerInbox`] in a server process, where the worker
+//!   reads the driver's socket itself and no thread stands between a
+//!   request on the wire and the step that answers it.
 //!
 //! ## Counters
 //!
@@ -45,14 +47,17 @@
 //!
 //! The *decision* (which fate, which counters) is shared and
 //! seed-deterministic, and so is the *realisation*. Every fate of a run
-//! is drawn in one process: the bus's, or the socket driver's — requests'
-//! on its send path, replies' on each server's reader thread. Each hands
-//! its items to a [`Links`] table, which drops, duplicates, holds back for
-//! a reorder and signals crashes the same way for each, and gives a
-//! `Delay` to a [`Delayer`]. Only the sink differs with the medium, not
-//! the effect: a request `Duplicate` is two enqueues on the bus and the
-//! same tagged entry written twice over sockets, and either way the
-//! replica receives, and answers, both copies.
+//! is drawn on one thread, from one [`Links`] table per tier: the bus
+//! run's worker, as its machines send; or the socket driver's worker —
+//! requests' on its send path, replies' in its [`DriverInbox`] as it takes
+//! each frame its readers decoded. The table drops, duplicates, holds back
+//! for a reorder and signals crashes the same way for each, and a `Delay`
+//! becomes one of the worker's [`Timers`]: the worker's inbox releases it
+//! when it falls due and cuts its waits short for it, so no thread stands
+//! between a drawn delay and its delivery. Only the sink differs with the
+//! medium, not the effect: a request `Duplicate` is two enqueues on the
+//! bus and the same tagged entry written twice over sockets, and either
+//! way the replica receives, and answers, both copies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,12 +73,14 @@ pub mod rpc;
 pub mod server;
 pub mod wire;
 
-pub use client::{NetClient, NetClientCfg, RecoveryStats, RemoteServer, ServerTelemetry};
+pub use client::{
+    DriverInbox, NetClient, NetClientCfg, RecoveryStats, RemoteServer, ServerTelemetry,
+};
 pub use conn::{Addr, Listener, Stream};
 pub use coverage::{Coverage, LinkCoverage};
 pub use fault::{Fate, FaultConfig, FaultConfigError, FaultPlan};
 pub use frame::{Frame, FrameError, TaggedEnv, DRIVER_NODE, FRAME_VERSION, MAX_FRAME_LEN};
-pub use injector::{Delayer, Injector, Links, TransportStats};
+pub use injector::{Injector, Links, Timers, TransportStats};
 pub use server::{NetServer, NetServerCfg, ServerInbox};
 pub use wire::{Envelope, Payload, SpanCtx};
 
@@ -83,10 +90,10 @@ use std::time::Duration;
 use blunt_abd::msg::AbdMsg;
 use blunt_core::ids::Pid;
 
-/// What a worker receives its [`Envelope`]s from. The in-process bus and
-/// the driver's [`NetClient`] hand it a plain [`Receiver`]; a server
-/// process gets a [`ServerInbox`], which reads the driver's socket on the
-/// calling thread.
+/// What a worker receives its [`Envelope`]s from: the in-process bus's
+/// inbox (a plain [`Receiver`] where nothing is delayed), the driver's
+/// [`DriverInbox`], or a server process's [`ServerInbox`], which reads the
+/// driver's socket on the calling thread.
 /// The errors are the channel's own, with the channel's meanings:
 /// `Timeout`/`Empty` — nothing yet; `Disconnected` — nothing ever again.
 pub trait Inbox {
@@ -165,8 +172,8 @@ pub trait Transport: Send + Sync {
         let _ = client;
     }
 
-    /// Releases reorder hold-backs and drains delayers — end of run,
-    /// nothing will overtake them anymore.
+    /// Releases reorder hold-backs and delays — end of run, nothing will
+    /// overtake them anymore.
     fn flush(&self);
 
     /// The deterministic fault counters so far.

@@ -2,8 +2,9 @@
 //!
 //! [`NetServer`] is a plain replica host with one connection: the
 //! driver's. It holds no fault schedule. The driver draws the fate of
-//! every message of the run, replies included, when its reader takes them
-//! off this server's connection ([`NetClient`](crate::NetClient)). So
+//! every message of the run, replies included, on its worker, as its inbox
+//! takes each frame read off this server's connection
+//! ([`DriverInbox`](crate::DriverInbox)). So
 //! every reply one [`Transport::send_batch`] call makes reaches the driver
 //! in a single `EnvBatch` frame, in the caller's order, and a serve
 //! process needs no seed or fault flags. Catch-up traffic for a peer
@@ -397,7 +398,7 @@ impl Transport for NetServer {
                 // the frame cap.
                 self.driver.write(&Frame::from(entry));
             } else {
-                // The driver draws the reply's fate as it reads it.
+                // The driver draws the reply's fate as its worker takes it.
                 out.push(entry);
             }
         }

@@ -53,7 +53,7 @@ fn a_crash_signal_raised_mid_batch_is_the_entry_before_its_trigger() {
         clients: 1,
         signal_crashes: true,
     };
-    let (client, _mailbox) =
+    let (client, mailbox) =
         NetClient::connect(&cfg, Arc::new(FlightRecorder::new(256))).expect("valid faults");
     // Faulted 0 and 1 fall in the window; faulted 2 is past it.
     client.send_batch(vec![
@@ -82,6 +82,6 @@ fn a_crash_signal_raised_mid_batch_is_the_entry_before_its_trigger() {
     );
     assert_eq!(client.stats().crash_events, 1);
 
-    client.shutdown(Duration::ZERO);
+    client.shutdown(mailbox, Duration::ZERO);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,11 +1,12 @@
 //! The driver is the hub of a socket run: a server's catch-up traffic for
-//! another server crosses the driver's reader, which relays it and draws
+//! another server crosses the driver's inbox, which relays it and draws
 //! nothing for it.
 //!
 //! The test plays both servers of a two-server chaos run against a real
 //! `NetClient` under `FaultConfig::chaos()`. Server 0 writes a fixed reply
 //! stream in `EnvBatch` chunks, once with an exempt `StateQuery` for
-//! server 1 inside it and once without. Server 1 must receive the query as
+//! server 1 inside it and once without, while the test thread services the
+//! driver's inbox as its worker would. Server 1 must receive the query as
 //! a lone `Env` frame, no client may see it, and `stats()`, `coverage()`
 //! and every client's replies must equal the run without it.
 
@@ -21,8 +22,8 @@ use blunt_core::ids::{ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::frame::{Frame, FrameReader, FrameWriter, DRIVER_NODE};
 use blunt_net::{
-    Addr, Envelope, FaultConfig, Listener, NetClient, NetClientCfg, Payload, SpanCtx, Stream,
-    TaggedEnv, Transport, TransportStats,
+    Addr, Envelope, FaultConfig, Inbox, Listener, NetClient, NetClientCfg, Payload, SpanCtx,
+    Stream, TaggedEnv, Transport, TransportStats,
 };
 use blunt_obs::FlightRecorder;
 
@@ -33,6 +34,8 @@ const REPLIES: u32 = 400;
 /// Where in server 0's stream the query sits, and its tag there.
 const QUERY_AT: usize = 201;
 const QUERY_TAG: u64 = 9_999;
+/// The `sn` of the ack that closes server 0's stream.
+const MARK: u32 = 2 * REPLIES;
 const LONG: Duration = Duration::from_secs(10);
 
 /// Server 0's replies: the four clients answered in turn, every fifth an
@@ -136,7 +139,7 @@ fn drive(with_query: bool) -> Outcome {
         .iter()
         .map(|a| a.listen().expect("bind UDS listener"))
         .collect();
-    let (client, mailbox) = NetClient::connect(
+    let (client, mut inbox) = NetClient::connect(
         &NetClientCfg {
             seed: SEED,
             faults: FaultConfig::chaos(),
@@ -168,16 +171,43 @@ fn drive(with_query: bool) -> Outcome {
     if with_query {
         stream.insert(QUERY_AT, query());
     }
+    // Last, an exempt ack to client 0 under its own tag: once the inbox
+    // hands it over, every entry before it has been drawn or relayed.
+    let mark = TaggedEnv {
+        tag: 1,
+        re: 1,
+        env: Envelope::abd(
+            Pid(0),
+            Pid(SERVERS),
+            AbdMsg::Ack {
+                obj: ObjId(0),
+                sn: MARK,
+            },
+            true,
+        ),
+    };
+    stream.push(mark);
     for chunk in stream.chunks(16) {
         let frame = Frame::EnvBatch {
             entries: chunk.to_vec(),
         };
         to_driver_0.write(&frame).expect("batch frame");
     }
+    let mut received = Vec::new();
+    loop {
+        let env = inbox.recv_timeout(LONG).expect("the mark arrives");
+        if matches!(&env.msg, Payload::Abd(m) if m.sn() == MARK) {
+            break;
+        }
+        received.push(env);
+    }
+    // The flush releases the holds and the delays.
+    client.flush();
+    received.extend(std::iter::from_fn(|| inbox.try_recv().ok()));
     let mut at_server_1 = Vec::new();
     if with_query {
-        // The relay must be written before the driver's `Shutdown`, which
-        // ends what a server reads.
+        // Written before the driver's `Shutdown`, which ends what a server
+        // reads.
         at_server_1.push(from_driver_1.recv_timeout(LONG).expect("the relay"));
     }
     for (s, to_driver) in [&mut to_driver_0, &mut to_driver_1].into_iter().enumerate() {
@@ -187,12 +217,11 @@ fn drive(with_query: bool) -> Outcome {
         };
         to_driver.write(&goodbye).expect("goodbye");
     }
-    let remote = client.shutdown(LONG);
+    let remote = client.shutdown(inbox, LONG);
     assert!(
         remote.iter().all(|r| r.dump.is_some()),
         "a goodbye is missing"
     );
-    client.flush();
     drop((to_driver_0, to_driver_1));
     // The driver's `shutdown` ended both connections.
     pass_on_0.join().expect("server 0's reader");
@@ -202,7 +231,7 @@ fn drive(with_query: bool) -> Outcome {
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut clients = vec![Vec::new(); CLIENTS as usize];
-    for env in mailbox.try_iter() {
+    for env in received {
         match env.msg {
             Payload::Abd(m) => clients[(env.dst.0 - SERVERS) as usize].push(m.sn()),
             other => panic!("a client got {other:?}"),

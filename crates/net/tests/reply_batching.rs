@@ -1,17 +1,18 @@
-//! The driver draws a reply's fate as its reader takes the reply off the
-//! wire, and how the server framed its replies does not matter.
+//! The driver's inbox draws a reply's fate as it takes the reply's frame
+//! from the reader, and how the server framed its replies does not matter.
 //!
 //! The test plays server 0 of a chaos run: it accepts a real `NetClient`'s
 //! connection and writes one fixed reply sequence under
 //! `FaultConfig::chaos()` to it four ways — as lone `Env` frames, and as
-//! `EnvBatch` chunks of 1, 3 and 16. What each client receives through the
-//! driver's one mailbox (picked out by `dst`), `stats()` and `coverage()`
-//! must agree across the four, and with the fates
-//! an injector built like the driver's schedules for the same sequence.
-//! Once the driver has flushed, a reply it still reads draws no fate.
+//! `EnvBatch` chunks of 1, 3 and 16 — while the test thread services the
+//! driver's one inbox, as the driver's worker does. What each client
+//! receives (picked out by `dst`), `stats()` and `coverage()` must agree
+//! across the four, and with the fates an injector built like the
+//! driver's schedules for the same sequence. `NetClient::shutdown` draws
+//! the fates of every reply written before the server's goodbye, and none
+//! after.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -22,8 +23,8 @@ use blunt_core::ids::{ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::frame::{Frame, FrameReader, FrameWriter, DRIVER_NODE};
 use blunt_net::{
-    Addr, Envelope, Fate, FaultConfig, Injector, NetClient, NetClientCfg, Payload, TaggedEnv,
-    Transport, TransportStats,
+    Addr, DriverInbox, Envelope, Fate, FaultConfig, Inbox, Injector, NetClient, NetClientCfg,
+    Payload, TaggedEnv, Transport, TransportStats,
 };
 use blunt_obs::FlightRecorder;
 
@@ -80,13 +81,18 @@ fn sn_of(env: &Envelope) -> u32 {
     }
 }
 
-/// What the mailbox carried, per client (index = pid − servers), in order.
-fn per_client(mailbox: &Receiver<Envelope>) -> Vec<Vec<Envelope>> {
+/// `received` per client (index = pid − servers), in order.
+fn per_client(received: Vec<Envelope>) -> Vec<Vec<Envelope>> {
     let mut clients = vec![Vec::new(); CLIENTS as usize];
-    for env in mailbox.try_iter() {
+    for env in received {
         clients[(env.dst.0 - SERVERS) as usize].push(env);
     }
     clients
+}
+
+/// Everything the inbox hands over without waiting.
+fn drain(inbox: &mut DriverInbox) -> Vec<Envelope> {
+    std::iter::from_fn(|| inbox.try_recv().ok()).collect()
 }
 
 struct Outcome {
@@ -99,7 +105,7 @@ struct Outcome {
 /// A fresh `NetClient` connected to this test playing server 0.
 struct Server {
     client: Arc<NetClient>,
-    mailbox: Receiver<Envelope>,
+    inbox: DriverInbox,
     writer: FrameWriter<blunt_net::Stream>,
     drain: thread::JoinHandle<()>,
     dir: std::path::PathBuf,
@@ -115,7 +121,7 @@ fn accept_driver() -> Server {
     std::fs::create_dir_all(&dir).expect("socket dir");
     let listen = Addr::parse(dir.join("s0.sock").to_str().expect("utf-8 path"));
     let listener = listen.listen().expect("bind UDS listener");
-    let (client, mailbox) = NetClient::connect(
+    let (client, inbox) = NetClient::connect(
         &NetClientCfg {
             seed: SEED,
             faults: FaultConfig::chaos(),
@@ -159,54 +165,101 @@ fn accept_driver() -> Server {
         .expect("hello ack");
     Server {
         client,
-        mailbox,
+        inbox,
         writer,
         drain,
         dir,
     }
 }
 
-/// Writes the sequence to a fresh `NetClient` as server 0: `chunk = None`
-/// is one `Env` frame per entry, `Some(n)` an `EnvBatch` per `n` entries.
-fn drive(chunk: Option<usize>) -> Outcome {
-    let Server {
-        client,
-        mailbox,
-        mut writer,
-        drain,
-        dir,
-    } = accept_driver();
-    let entries = replies();
+/// Writes `entries` as server 0: `chunk = None` is one `Env` frame per
+/// entry, `Some(n)` an `EnvBatch` per `n` entries.
+fn write(server: &mut Server, entries: &[TaggedEnv], chunk: Option<usize>) {
     match chunk {
-        None => entries
-            .into_iter()
-            .for_each(|e| writer.write(&Frame::from(e)).expect("env frame")),
+        None => entries.iter().for_each(|e| {
+            let frame = Frame::from(e.clone());
+            server.writer.write(&frame).expect("env frame");
+        }),
         Some(n) => entries.chunks(n).for_each(|c| {
             let frame = Frame::EnvBatch {
                 entries: c.to_vec(),
             };
-            writer.write(&frame).expect("batch frame");
+            server.writer.write(&frame).expect("batch frame");
         }),
     }
+}
+
+/// Writes an exempt ack to client 0 (its own tag) and services the inbox
+/// until it comes out: the reader hands a connection's frames over in
+/// order, so every entry written before it has drawn its fate by then.
+/// Returns what the inbox handed over, the ack left out.
+fn sync(server: &mut Server) -> Vec<Envelope> {
+    let mark_sn = 2 * REPLIES;
+    let mark = TaggedEnv {
+        tag: u64::from(mark_sn) + 1,
+        re: 1,
+        env: Envelope::abd(
+            ME,
+            Pid(SERVERS),
+            AbdMsg::Ack {
+                obj: ObjId(0),
+                sn: mark_sn,
+            },
+            true,
+        ),
+    };
+    server.writer.write(&Frame::from(mark)).expect("mark frame");
+    let mut received = Vec::new();
+    loop {
+        let env = server.inbox.recv_timeout(LONG).expect("the mark arrives");
+        if sn_of(&env) == mark_sn {
+            return received;
+        }
+        received.push(env);
+    }
+}
+
+/// Says goodbye as server 0, shuts the driver down and cleans up; every
+/// server's remote state.
+fn finish(server: Server) -> Vec<blunt_net::RemoteServer> {
+    let Server {
+        client,
+        inbox,
+        mut writer,
+        drain,
+        dir,
+    } = server;
     writer
         .write(&Frame::Goodbye {
             node: ME.0,
             dump: String::new(),
         })
         .expect("goodbye");
-    // Every reply precedes the goodbye on the connection, so once it is in
-    // every fate is drawn; the flush releases the holds and the delays.
-    let remote = client.shutdown(LONG);
-    assert!(remote[0].dump.is_some(), "the goodbye never arrived");
-    client.flush();
+    let remote = client.shutdown(inbox, LONG);
     drop(writer);
     drain.join().expect("drain thread");
     let _ = std::fs::remove_dir_all(&dir);
-    Outcome {
-        clients: per_client(&mailbox),
-        stats: client.stats(),
-        coverage: client.coverage().to_json().to_string(),
-    }
+    remote
+}
+
+/// Writes the sequence to a fresh `NetClient` as server 0, framed as
+/// `chunk` says.
+fn drive(chunk: Option<usize>) -> Outcome {
+    let mut server = accept_driver();
+    write(&mut server, &replies(), chunk);
+    // Every fate is drawn once the mark is in; the flush releases the
+    // holds and the delays.
+    let mut received = sync(&mut server);
+    server.client.flush();
+    received.extend(drain(&mut server.inbox));
+    let outcome = Outcome {
+        clients: per_client(received),
+        stats: server.client.stats(),
+        coverage: server.client.coverage().to_json().to_string(),
+    };
+    let remote = finish(server);
+    assert!(remote[0].dump.is_some(), "the goodbye never arrived");
+    outcome
 }
 
 /// The fate each faulted reply draws from an injector built like the
@@ -315,86 +368,48 @@ fn lone_frames_and_batches_of_every_size_draw_the_same_fates() {
     }
 }
 
-/// Writes `entries` as lone `Env` frames, then an exempt ack to client 0
-/// (its own tag), and waits for it: the reader handles a connection's
-/// frames in order, so every entry before it has reached the mailbox by
-/// then. Returns what the mailbox received, the ack left out.
-fn write_and_sync(server: &mut Server, entries: &[TaggedEnv]) -> Vec<Envelope> {
-    let mark_sn = REPLIES + sn_of(&entries[0].env);
-    for e in entries {
-        server
-            .writer
-            .write(&Frame::from(e.clone()))
-            .expect("env frame");
-    }
-    let mark = TaggedEnv {
-        tag: u64::from(mark_sn) + 1,
-        re: 1,
-        env: Envelope::abd(
-            ME,
-            Pid(SERVERS),
-            AbdMsg::Ack {
-                obj: ObjId(0),
-                sn: mark_sn,
-            },
-            true,
-        ),
-    };
-    server.writer.write(&Frame::from(mark)).expect("mark frame");
-    let mut received = Vec::new();
-    loop {
-        let env = server.mailbox.recv_timeout(LONG).expect("the mark arrives");
-        if sn_of(&env) == mark_sn {
-            break;
-        }
-        received.push(env);
-    }
-    received.extend(server.mailbox.try_iter());
-    received
-}
-
-/// A server that never says goodbye keeps its reader reading past the
-/// driver's flush; what it reads then draws no fate, so the counters stay
-/// as the flush left them and no faulted reply reaches the mailbox.
+/// The driver's worker has serviced its inbox up to some point when the
+/// run ends; `shutdown` draws the fates of every reply the server wrote
+/// before its goodbye, and none of what it wrote after.
 #[test]
-fn a_reply_read_after_the_flush_draws_no_fate() {
+fn shutdown_draws_every_fate_up_to_the_goodbye_and_none_after() {
+    let all = replies();
+    let (serviced, rest) = all.split_at(REPLIES as usize / 2);
+    let (late, after) = rest.split_at(rest.len() / 2);
     let mut server = accept_driver();
-    let mut first = replies();
-    let rest = first.split_off(REPLIES as usize / 2);
-    write_and_sync(&mut server, &first);
-    server.client.flush();
-    let (stats, coverage) = (server.client.stats(), server.client.coverage());
-    let faulted = first.iter().filter(|e| !e.env.exempt).count();
-    assert_eq!(stats.offered, faulted as u64, "the first half was drawn");
+    write(&mut server, serviced, Some(16));
+    sync(&mut server);
+    write(&mut server, late, Some(16));
+    server
+        .writer
+        .write(&Frame::Goodbye {
+            node: ME.0,
+            dump: String::new(),
+        })
+        .expect("goodbye");
+    write(&mut server, after, Some(16));
+    let client = Arc::clone(&server.client);
+    let remote = finish(server);
+    assert!(remote[0].dump.is_some(), "the goodbye never arrived");
 
-    // What the flush released belongs to the first half.
-    server.mailbox.try_iter().for_each(drop);
-    let late = write_and_sync(&mut server, &rest);
-    assert_eq!(
-        server.client.stats(),
-        stats,
-        "no fate drawn after the flush"
-    );
-    assert_eq!(
-        server.client.coverage().to_json().to_string(),
-        coverage.to_json().to_string()
-    );
-    let exempt = rest.iter().filter(|e| e.env.exempt).count();
-    assert_eq!(
-        late.len(),
-        exempt,
-        "only the exempt acks pass the flushed reader"
-    );
-    for env in &late {
-        let sn = sn_of(env);
-        assert!(
-            rest[(sn - REPLIES / 2) as usize].env.exempt,
-            "faulted sn {sn} reached the mailbox"
-        );
+    let mut inj = Injector::new(
+        SEED,
+        FaultConfig::chaos(),
+        SERVERS,
+        SERVERS + CLIENTS,
+        false,
+    )
+    .expect("chaos is a valid fault config here");
+    for e in serviced.iter().chain(late).filter(|e| !e.env.exempt) {
+        inj.decide(e.env.src, e.env.dst);
     }
-
-    server.client.shutdown(Duration::ZERO);
-    drop(server.writer);
-    server.drain.join().expect("drain thread");
-    let _ = std::fs::remove_dir_all(&server.dir);
+    assert!(
+        after.iter().any(|e| !e.env.exempt),
+        "faulted replies follow the goodbye"
+    );
+    assert_eq!(client.stats(), inj.stats(), "drawn up to the goodbye");
+    assert_eq!(
+        client.coverage().to_json().to_string(),
+        inj.coverage().to_json().to_string()
+    );
 }

@@ -1,9 +1,9 @@
-//! Every reply reaches the driver's one mailbox and names its client in
+//! Every reply reaches the driver's one inbox and names its client in
 //! `dst`; the worker hands it over by that. The test listens as the one
 //! server, reads the tag of a client's request off the wire, and answers
 //! three times: once answering no request (`re = 0`), which is dropped and
 //! counted as `net.rpc.tag_mismatch_drops`, and twice answering the
-//! request, one for each client. Both of those reach the mailbox, in wire
+//! request, one for each client. Both of those reach the inbox, in wire
 //! order, each with its own `dst` and the frame's tag as `reply_to`. This
 //! file holds one test, so no other test shares that counter.
 
@@ -13,7 +13,7 @@ use std::time::Duration;
 use blunt_abd::msg::AbdMsg;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_net::frame::{Frame, FrameReader, FrameWriter};
-use blunt_net::{Addr, Envelope, FaultConfig, NetClient, NetClientCfg, Payload, Transport};
+use blunt_net::{Addr, Envelope, FaultConfig, Inbox, NetClient, NetClientCfg, Payload, Transport};
 use blunt_obs::FlightRecorder;
 
 fn ack(dst: u32, sn: u32) -> Envelope {
@@ -26,7 +26,7 @@ fn a_reply_reaches_the_mailbox_by_its_dst_and_one_answering_nothing_is_dropped()
     std::fs::create_dir_all(&dir).expect("socket dir");
     let addr = Addr::parse(dir.join("s0.sock").to_str().expect("utf-8 path"));
     let listener = addr.listen().expect("bind UDS listener");
-    let (net, mailbox) = NetClient::connect(
+    let (net, mut mailbox) = NetClient::connect(
         &NetClientCfg {
             seed: 1,
             faults: FaultConfig::none(),
@@ -87,6 +87,6 @@ fn a_reply_reaches_the_mailbox_by_its_dst_and_one_answering_nothing_is_dropped()
     assert!(mailbox.try_recv().is_err(), "nothing else arrived");
 
     drop(writer);
-    net.shutdown(Duration::ZERO);
+    net.shutdown(mailbox, Duration::ZERO);
     let _ = std::fs::remove_dir_all(&dir);
 }

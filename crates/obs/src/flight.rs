@@ -496,8 +496,7 @@ impl FlightRecorder {
     }
 
     /// The calling thread's ring, registering an anonymous one on first use
-    /// (threads the runtime doesn't name — e.g. the bus delayer — still get
-    /// captured).
+    /// (threads the runtime doesn't name still get captured).
     pub fn thread_ring(&self) -> Arc<FlightRing> {
         let cached = TLS_RINGS.with(|tls| {
             tls.borrow()

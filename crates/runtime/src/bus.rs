@@ -5,8 +5,10 @@
 //! `mpsc::Receiver<Envelope>`, and the bus holds the matching senders,
 //! indexed by pid. A mailbox may be shared: [`Bus::hosted`] maps each pid
 //! to a mailbox — a store run gives every node the same one, which its
-//! one worker reads, telling the machines apart by `dst`; [`Bus::new`]
-//! gives every node its own. A send draws the fate of every
+//! one worker reads through a [`BusInbox`], telling the machines apart by
+//! `dst`; [`Bus::new`] gives every node its own. Every send of a store run
+//! is its worker's, so one thread draws every fate of the run, from the
+//! bus's one table. A send draws the fate of every
 //! non-exempt envelope and realises it through [`blunt_net::Links`] — the
 //! same decision core and the same realiser the socket transports use, so
 //! fault counters are a pure function of the seed regardless of backend,
@@ -15,9 +17,13 @@
 //! - `Drop`/`CrashDrop`/`PartitionDrop` — the envelope vanishes;
 //! - `Duplicate` — enqueued twice back to back;
 //! - `Reorder` — held in the link until the next message on the same link
-//!   overtakes it (released by [`Bus::flush`] if none ever comes);
-//! - `Delay(ms)` — handed to the `bus-delayer` thread ([`blunt_net::Delayer`],
-//!   spawned by the first delay drawn), which enqueues it once due.
+//!   overtakes it (released by the flush if none ever comes);
+//! - `Delay(ms)` — held in the bus's [`blunt_net::Timers`] and enqueued
+//!   once due by the worker that reads the mailboxes ([`BusInbox`]: while
+//!   a delay is pending it looks at the timers whenever the mailbox runs
+//!   dry, and wakes for the next one that falls due), or by the flush
+//!   ([`Transport::flush`]). No thread stands between the send that drew
+//!   a delay and the mailbox it goes to.
 //!
 //! **Crash events.** When constructed with `signal_crashes`, a crash
 //! blackout window additionally raises an *amnesia signal* at its **exit**:
@@ -53,11 +59,14 @@
 //! linearizable, which is what makes the per-link message indexing of
 //! [`blunt_net::fault::FaultPlan`] well defined.
 
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use blunt_net::{
-    Coverage, Delayer, FaultConfig, FaultConfigError, Injector, Links, Transport, TransportStats,
+    Coverage, FaultConfig, FaultConfigError, Inbox, Injector, Links, Timers, Transport,
+    TransportStats,
 };
 use blunt_obs::{FlightKind, FlightRecorder};
 
@@ -70,7 +79,12 @@ pub struct Bus {
     /// Index = pid: the sender of the mailbox that pid reads.
     mailboxes: Vec<Sender<Envelope>>,
     links: Mutex<Links<Envelope>>,
-    delayer: Delayer<Envelope>,
+    /// Where a `Delay` waits for its mailbox.
+    timers: Mutex<Timers<Envelope>>,
+    /// Whether `timers` holds anything: an inbox looks at them only then.
+    /// A hint read without the lock; the timers themselves are read under
+    /// it.
+    delaying: AtomicBool,
 }
 
 impl Bus {
@@ -121,14 +135,12 @@ impl Bus {
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..count).map(|_| mpsc::channel()).unzip();
         let mailboxes: Vec<Sender<Envelope>> =
             mailbox_of.iter().map(|&m| senders[m].clone()).collect();
-        let late = mailboxes.clone();
         let bus = Bus {
             flight,
-            links: Mutex::new(Links::new(injector, Envelope::crash)),
-            delayer: Delayer::new("bus-delayer", move |env: Envelope| {
-                let _ = late[env.dst.index()].send(env);
-            }),
             mailboxes,
+            links: Mutex::new(Links::new(injector, Envelope::crash)),
+            timers: Mutex::default(),
+            delaying: AtomicBool::new(false),
         };
         Ok((bus, receivers))
     }
@@ -139,9 +151,23 @@ impl Bus {
         let _ = self.mailboxes[env.dst.index()].send(env);
     }
 
-    /// Sends `env`, applying the fault schedule unless it is exempt: a
-    /// batch of one.
-    pub fn send(&self, env: Envelope) {
+    /// Enqueues every delayed envelope due by now; returns `wait`, cut
+    /// short for the next one due. Takes no lock while nothing is delayed.
+    fn release_due(&self, wait: Duration) -> Duration {
+        if !self.delaying.load(Ordering::Relaxed) {
+            return wait;
+        }
+        let mut timers = self.timers.lock().expect("bus timers");
+        let now = Instant::now();
+        timers.due(now).for_each(|e| self.enqueue(e));
+        self.delaying.store(!timers.is_empty(), Ordering::Relaxed);
+        timers.next_due().map_or(wait, |due| wait.min(due - now))
+    }
+}
+
+impl Transport for Bus {
+    /// A batch of one.
+    fn send(&self, env: Envelope) {
         self.send_batch(vec![env]);
     }
 
@@ -150,7 +176,7 @@ impl Bus {
     /// envelopes) — what the same `send`s one by one would have drawn —
     /// and then every mailbox gets its deliveries as one contiguous run,
     /// so a destination is woken once a batch instead of once an envelope.
-    pub fn send_batch(&self, envs: Vec<Envelope>) {
+    fn send_batch(&self, envs: Vec<Envelope>) {
         let ring = self.flight.thread_ring();
         let mut now = Vec::with_capacity(envs.len());
         let mut later = Vec::new();
@@ -181,51 +207,63 @@ impl Bus {
         // one that overtook it.
         now.sort_by_key(|e| e.dst);
         now.into_iter().for_each(|e| self.enqueue(e));
-        self.delayer.delay(later);
+        if !later.is_empty() {
+            let mut timers = self.timers.lock().expect("bus timers");
+            timers.add(later);
+            self.delaying.store(true, Ordering::Relaxed);
+        }
     }
 
-    /// Releases every reorder hold-back (end of run: nothing will overtake
-    /// them anymore) and flushes the delayer.
-    pub fn flush(&self) {
+    /// Releases every reorder hold-back and every delay, due or not (end
+    /// of run: nothing will overtake them anymore).
+    fn flush(&self) {
         let held = self.links.lock().expect("bus lock").release();
         held.into_iter().for_each(|e| self.enqueue(e));
-        self.delayer.close();
+        let mut timers = self.timers.lock().expect("bus timers");
+        timers.release().for_each(|e| self.enqueue(e));
+        self.delaying.store(false, Ordering::Relaxed);
     }
 
-    /// The deterministic fault counters so far.
-    #[must_use]
-    pub fn stats(&self) -> TransportStats {
+    fn stats(&self) -> TransportStats {
         self.links.lock().expect("bus lock").injector().stats()
     }
 
-    /// The fault-schedule coverage so far: per-link fate tallies (links
-    /// with traffic only) plus the configured window shape. Deterministic
-    /// for a seed, like [`Bus::stats`].
-    #[must_use]
-    pub fn coverage(&self) -> Coverage {
+    fn coverage(&self) -> Coverage {
         self.links.lock().expect("bus lock").injector().coverage()
     }
 }
 
-impl Transport for Bus {
-    fn send(&self, env: Envelope) {
-        Bus::send(self, env);
+/// A worker's inbox on the bus: one of its mailboxes, into which the inbox
+/// releases the bus's delayed envelopes that have fallen due whenever the
+/// mailbox runs dry, and a wait is cut short for the next delay due. The
+/// worker that draws a delay (every send of a store run is its) is the
+/// one that delivers it.
+pub struct BusInbox<'a> {
+    /// The bus whose delays this inbox releases.
+    pub bus: &'a Bus,
+    /// One of the receivers `bus` was built with.
+    pub mailbox: Receiver<Envelope>,
+}
+
+impl Inbox for BusInbox<'_> {
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
+        let wait = self.bus.release_due(timeout);
+        match self.mailbox.recv_timeout(wait) {
+            // Woken for a delay due: the retry releases it. (The mailbox
+            // never disconnects: the bus holds its sender.)
+            Err(RecvTimeoutError::Timeout) if wait < timeout => {
+                self.try_recv().map_err(|_| RecvTimeoutError::Timeout)
+            }
+            got => got,
+        }
     }
 
-    fn send_batch(&self, envs: Vec<Envelope>) {
-        Bus::send_batch(self, envs);
-    }
-
-    fn flush(&self) {
-        Bus::flush(self);
-    }
-
-    fn stats(&self) -> TransportStats {
-        Bus::stats(self)
-    }
-
-    fn coverage(&self) -> Coverage {
-        Bus::coverage(self)
+    fn try_recv(&mut self) -> Result<Envelope, TryRecvError> {
+        self.mailbox.try_recv().or_else(|_| {
+            // Dry: the delays that have fallen due go in.
+            self.bus.release_due(Duration::ZERO);
+            self.mailbox.try_recv()
+        })
     }
 }
 

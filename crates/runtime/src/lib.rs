@@ -50,7 +50,7 @@ pub use blunt_net::{
     Addr, Coverage, Fate, FaultConfig, FaultConfigError, FaultPlan, LinkCoverage, RecoveryStats,
     RemoteServer, ServerTelemetry,
 };
-pub use bus::{Bus, Envelope, Payload};
+pub use bus::{Bus, BusInbox, Envelope, Payload};
 pub use monitor::{MonitorReport, OnlineMonitor, Violation};
 pub use netrun::{run_net_server, NetServeConfig, NetServeReport};
 pub use recovery::{RecoveryMode, RecoverySink};

@@ -11,9 +11,9 @@
 //! [`blunt_net::NetClient`]: the same client loop, shard monitors, flight
 //! recorder, and watchdog as in process.
 //!
-//! A serve process holds no fault schedule. The driver draws every fate of
-//! the run, as the bus does in process: a request's as it sends it, a
-//! reply's as its reader takes it off the server's connection. Both
+//! A serve process holds no fault schedule. The driver's worker draws
+//! every fate of the run, as the bus run's does in process: a request's as
+//! it sends it, a reply's as it takes the frame its reader decoded. Both
 //! consume the same per-link SplitMix64 streams they would in process, so
 //! a seed exercises the same fault pattern whether the run is threaded or
 //! distributed, and each fate has the same effect on either medium: a

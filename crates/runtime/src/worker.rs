@@ -28,7 +28,8 @@
 //!
 //! The worker blocks on the mailbox only after a pass that took no
 //! envelope and rebroadcast nothing, until the earliest client deadline,
-//! the 5 ms poll of an open catch-up, or the idle stop check. A run with
+//! the 5 ms poll of an open catch-up, or the idle stop check; an inbox
+//! that holds delayed messages wakes it sooner, when the next falls due. A run with
 //! clients ends when every client has finished and the mailbox and the
 //! hosts' catch-ups have drained; a run without (a serve process) when its
 //! input ends, or at an idle check once `stop` is set. Either way every
@@ -111,7 +112,7 @@ enum Owner {
 /// Panics on an envelope for no machine of this worker, and if the inbox
 /// ends while a client is still running.
 pub fn run_worker(
-    mut inbox: impl Inbox,
+    inbox: &mut impl Inbox,
     hosts: &mut [Host<'_>],
     clients: &mut [&mut dyn Client],
     monitors: &mut [ShardMonitor<'_>],

@@ -529,7 +529,7 @@ pub fn server_loop(
     me: Pid,
     group: Vec<Pid>,
     mode: RecoveryMode,
-    rx: impl Inbox,
+    mut rx: impl Inbox,
     bus: &dyn Transport,
     stop: &AtomicBool,
     sink: &RecoverySink,
@@ -538,7 +538,7 @@ pub fn server_loop(
     let name = format!("server-{}", me.0);
     let mut host = Host::new(&name, &[me], &group, mode, bus, sink, recorder);
     run_worker(
-        rx,
+        &mut rx,
         std::slice::from_mut(&mut host),
         &mut [],
         &mut [],

@@ -16,7 +16,7 @@ use blunt_abd::ts::Ts;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::Injector;
-use blunt_net::TransportStats;
+use blunt_net::{Transport, TransportStats};
 use blunt_obs::FlightRecorder;
 use blunt_runtime::{Bus, Envelope, Fate, FaultConfig, Payload};
 
@@ -88,8 +88,8 @@ fn sn_of(env: &Envelope) -> Option<u32> {
 
 struct Outcome {
     /// Per mailbox (index = pid), what it held after `flush()`, minus the
-    /// delayed envelopes: those are enqueued by the delayer thread when
-    /// they fall due, so their place among the others is timing.
+    /// delayed envelopes: those leave their link's order and wait in the
+    /// bus's timers until they fall due (here, until the flush).
     settled: Vec<Vec<Envelope>>,
     /// Per mailbox, the `sn`s of the delayed envelopes it held, sorted.
     late: Vec<Vec<u32>>,
@@ -123,8 +123,8 @@ fn drive(chunk: Option<usize>, plan: &[Scheduled]) -> Outcome {
         None => envs.into_iter().for_each(|env| bus.send(env)),
         Some(n) => envs.chunks(n).for_each(|c| bus.send_batch(c.to_vec())),
     }
-    // Releases the reorder holds and joins the delayer: whatever will ever
-    // be delivered is in a mailbox now.
+    // Releases the reorder holds and the delays: whatever will ever be
+    // delivered is in a mailbox now.
     bus.flush();
     let delayed = |env: &Envelope| {
         sn_of(env).is_some_and(|sn| matches!(plan[sn as usize].fate, Some(Fate::Delay(_))))

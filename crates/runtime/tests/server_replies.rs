@@ -380,7 +380,7 @@ impl Transport for Loopback<'_> {
 /// have been cut short by it. Returns what left the host, in order, and
 /// the host's recovery counters.
 fn host(hosted: &[Pid], inbound: Vec<Envelope>, recoveries: u64) -> (Vec<Envelope>, RecoveryStats) {
-    let (tx, rx) = mpsc::channel();
+    let (tx, mut rx) = mpsc::channel();
     for env in inbound {
         tx.send(env).unwrap();
     }
@@ -404,7 +404,7 @@ fn host(hosted: &[Pid], inbound: Vec<Envelope>, recoveries: u64) -> (Vec<Envelop
                 &recorder,
             );
             let hosts = std::slice::from_mut(&mut host);
-            run_worker(rx, hosts, &mut [], &mut [], Some(&stop), &recorder);
+            run_worker(&mut rx, hosts, &mut [], &mut [], Some(&stop), &recorder);
         });
         let deadline = Instant::now() + Duration::from_secs(5);
         while sink.snapshot().recoveries < recoveries && Instant::now() < deadline {

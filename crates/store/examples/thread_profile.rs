@@ -8,12 +8,11 @@
 //!
 //! | class | threads |
 //! |---|---|
-//! | `worker` | the run's one worker: every client and shard monitor, and on the bus every shard's replicas |
+//! | `worker` | the run's one worker: every client and shard monitor, and on the bus every shard's replicas; every fate drawn and every delay kept |
 //! | `run` | this example's thread that calls the run and joins it |
 //! | `server` | a socket replica's serve thread (`server-<pid>`, its own worker) |
-//! | `net-reader` | the driver's reader of one server connection |
+//! | `net-reader` | the driver's reader of one server connection: decodes frames for the worker |
 //! | `net-accept`, `net-telemetry` | a serve process's acceptor and telemetry tick |
-//! | `bus-delayer`, `net-delayer` | the delayer, spawned by the first `Delay` fate |
 //! | `thread_profile` | the sampler (the main thread) |
 //!
 //! Printed per class: CPU µs per op, voluntary context switches per op (the
@@ -95,9 +94,8 @@ fn read_cost(task: &Path) -> Option<Cost> {
     })
 }
 
-/// The latest reading of every thread of this process, by thread id; a
-/// thread's name is read when it is first seen (the run's threads are named
-/// before they start).
+/// The latest reading of every thread of this process, by thread id, under
+/// its latest name.
 fn sample(into: &mut BTreeMap<u64, (String, Cost)>) {
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
         return;
@@ -110,13 +108,10 @@ fn sample(into: &mut BTreeMap<u64, (String, Cost)>) {
         let Some(cost) = read_cost(&path) else {
             continue;
         };
-        match into.get_mut(&tid) {
-            Some(seen) => seen.1 = cost,
-            None => {
-                if let Ok(comm) = std::fs::read_to_string(path.join("comm")) {
-                    into.insert(tid, (comm.trim().to_string(), cost));
-                }
-            }
+        // Read at every sample: a thread names itself once it runs, so its
+        // first sample may still carry its spawner's name.
+        if let Ok(comm) = std::fs::read_to_string(path.join("comm")) {
+            into.insert(tid, (comm.trim().to_string(), cost));
         }
     }
 }

@@ -3,11 +3,12 @@
 //!
 //! [`run_store_with`] is the single entry. In process it builds one
 //! [`blunt_runtime::Bus`] spanning every shard's servers plus the clients,
-//! with one mailbox for all of them; given addresses it points the same
-//! client side at already-listening `chaos serve` processes through a
-//! [`NetClient`], whose replies arrive in one mailbox too. Either way one
-//! `worker` thread steps every machine the process owns over that mailbox
-//! ([`run_worker`]): every client, every shard's monitor, and on the bus
+//! with one mailbox for all of them, read through a [`BusInbox`]; given
+//! addresses it points the same client side at already-listening `chaos
+//! serve` processes through a [`NetClient`], whose replies arrive in one
+//! inbox too. Either way one `worker` thread steps every machine the
+//! process owns over that inbox ([`run_worker`]), and draws and realises
+//! every fate of the run: every client, every shard's monitor, and on the bus
 //! every shard's [`Host`] of unmodified replica machines. Every client is a
 //! `StoreClient` — the only client in the workspace — so the two tiers
 //! exercise identical protocol logic and differ only in transport. The
@@ -60,14 +61,15 @@ use blunt_core::history::Action;
 use blunt_core::ids::{InvId, MethodId, ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::{
-    Addr, Coverage, Envelope, FaultConfig, FaultConfigError, NetClient, NetClientCfg, Payload,
-    RemoteServer, SpanCtx, Transport, TransportStats,
+    Addr, Coverage, Envelope, FaultConfig, FaultConfigError, Inbox, NetClient, NetClientCfg,
+    Payload, RemoteServer, SpanCtx, Transport, TransportStats,
 };
 use blunt_obs::flight::encode_val;
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Histogram, HistogramSnapshot};
 use blunt_runtime::{
-    run_worker, watch_loop, Bus, Client, Host, MonitorFeed, MonitorOverhead, MonitorReport,
-    RecoveryMode, RecoverySink, RecoveryStats, ShardMonitor, Telemetry, MAX_OPS_PER_CLIENT,
+    run_worker, watch_loop, Bus, BusInbox, Client, Host, MonitorFeed, MonitorOverhead,
+    MonitorReport, RecoveryMode, RecoverySink, RecoveryStats, ShardMonitor, Telemetry,
+    MAX_OPS_PER_CLIENT,
 };
 use blunt_sim::rng::{RandomSource, SplitMix64};
 
@@ -421,7 +423,7 @@ fn run_on_sockets(
         cfg.servers_total() as usize,
         "one address per shard replica, shard-major"
     );
-    let (net, mailbox) = NetClient::connect(
+    let (net, mut inbox) = NetClient::connect(
         &NetClientCfg {
             seed: cfg.seed,
             faults: cfg.faults,
@@ -435,27 +437,22 @@ fn run_on_sockets(
         },
         Arc::clone(&recorder),
     )?;
-    // Live recovery counts come over the telemetry channel: the crashes
-    // happen in the serve processes.
-    let watch_net = Arc::clone(&net);
     let mut report = drive_clients(
         cfg,
         opts,
-        Arc::clone(&net) as Arc<dyn Transport>,
-        mailbox,
-        Arc::clone(&recorder),
+        &*net,
+        &mut inbox,
+        &recorder,
         started,
-        &Replicas::Remote(Arc::new(move || watch_net.remote_recoveries())),
+        &Replicas::Remote(&net),
     );
     // Each server's last telemetry, sent right before its goodbye, is its
     // report of the whole run; one that died without a goodbye leaves its
     // last periodic one. Pids are shard-major, so pid / replicas-per-shard
-    // is the shard.
-    let remote = net.shutdown(GOODBYE_WAIT);
-    // A server's replies all precede its goodbye on one FIFO connection,
-    // so every reply fate is drawn by now: released, the counters are
-    // final, as on the bus after `bus.flush()`.
-    net.flush();
+    // is the shard. A server's replies all precede its goodbye on one FIFO
+    // connection, and `shutdown` draws their fates until the goodbye and
+    // then consumes the inbox: the counters are final.
+    let remote = net.shutdown(inbox, GOODBYE_WAIT);
     report.stats = net.stats();
     report.coverage = net.coverage();
     let per_shard = cfg.servers_per_shard as usize;
@@ -504,25 +501,24 @@ fn run_on_bus(
     recorder: Arc<FlightRecorder>,
 ) -> Result<StoreReport, FaultConfigError> {
     let (bus, mailbox) = shard_bus(cfg, &recorder)?;
-    let bus = Arc::new(bus);
     // One sink per shard: crash/recovery counters stay attributable to the
     // shard whose replicas produced them.
-    let sinks: Arc<Vec<RecoverySink>> =
-        Arc::new((0..cfg.shards).map(|_| RecoverySink::default()).collect());
+    let sinks: Vec<RecoverySink> = (0..cfg.shards).map(|_| RecoverySink::default()).collect();
     // The worker returns once every client has finished and the mailbox
     // has run dry: every crash signal, enqueued synchronously inside a
     // send, has been served, which keeps the recovery counters
-    // deterministic.
+    // deterministic. Every fate was drawn on the worker, so the fault
+    // counters are final too; what a hold or a timer still keeps, nobody
+    // reads.
     let mut report = drive_clients(
         cfg,
         opts,
-        Arc::clone(&bus) as Arc<dyn Transport>,
-        mailbox,
-        recorder,
+        &bus,
+        &mut BusInbox { bus: &bus, mailbox },
+        &recorder,
         started,
-        &Replicas::Hosted(Arc::clone(&sinks)),
+        &Replicas::Hosted(&sinks),
     );
-    bus.flush();
     report.stats = bus.stats();
     report.coverage = bus.coverage();
     fold_recoveries(
@@ -535,13 +531,14 @@ fn run_on_bus(
 /// A run's threads carry their role as their name (`worker`, `watch`; the
 /// kernel keeps 15 bytes), so a per-thread profile can tell the classes
 /// apart (`examples/thread_profile.rs`).
-fn spawn_named<T: Send + 'static>(
+fn spawn_named<'s, T: Send + 's>(
+    scope: &'s thread::Scope<'s, '_>,
     name: &str,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> thread::JoinHandle<T> {
+    f: impl FnOnce() -> T + Send + 's,
+) -> thread::ScopedJoinHandle<'s, T> {
     thread::Builder::new()
         .name(name.into())
-        .spawn(f)
+        .spawn_scoped(scope, f)
         .expect("spawn a run thread")
 }
 
@@ -565,13 +562,13 @@ fn shard_bus(
 }
 
 /// Where a run's replicas live.
-enum Replicas {
+enum Replicas<'a> {
     /// On the worker, one [`Host`] per shard, counting each shard's crashes
     /// and recoveries on its sink.
-    Hosted(Arc<Vec<RecoverySink>>),
-    /// In serve processes; the closure reads the live recovery count from
-    /// their telemetry.
-    Remote(Arc<dyn Fn() -> u64 + Send + Sync>),
+    Hosted(&'a [RecoverySink]),
+    /// In serve processes, whose crashes the driver hears of through their
+    /// telemetry.
+    Remote(&'a NetClient),
 }
 
 /// Shard `shard`'s replicas as one [`Host`] named `server-s<shard>`. The
@@ -600,13 +597,13 @@ fn shard_host<'a>(
 
 /// The `worker` thread's body: builds every machine of the run — the
 /// clients, the shard monitors and, when they are hosted, the shard
-/// replicas — runs them over `mailbox` to the end, and reports what they
+/// replicas — runs them over `inbox` to the end, and reports what they
 /// counted; the tiers fill in the rest.
 fn work(
     cfg: &StoreConfig,
     k: u32,
     transport: &dyn Transport,
-    mailbox: Receiver<Envelope>,
+    inbox: &mut impl Inbox,
     recorder: &FlightRecorder,
     telemetry: &Telemetry,
     sinks: Option<&[RecoverySink]>,
@@ -627,7 +624,7 @@ fn work(
     let mut stepped: Vec<&mut dyn Client> =
         clients.iter_mut().map(|c| c as &mut dyn Client).collect();
     run_worker(
-        mailbox,
+        inbox,
         &mut hosts,
         &mut stepped,
         &mut monitors,
@@ -679,78 +676,68 @@ fn work(
     }
 }
 
-/// Runs the `worker` thread and, when asked for, the watch/watchdog thread,
-/// joins them, and reports. Shared by both tiers, which fill in what only
-/// they know (`stats`, `coverage`, the recovery counters, the remote
-/// sections) afterwards; the entry stamps `elapsed` last.
+/// Runs the `worker` thread over `inbox` and, when asked for, the
+/// watch/watchdog thread, joins them, and reports. Shared by both tiers,
+/// which fill in what only they know (`stats`, `coverage`, the recovery
+/// counters, the remote sections) afterwards; the entry stamps `elapsed`
+/// last.
 fn drive_clients(
     cfg: &StoreConfig,
     opts: &RunOpts,
-    transport: Arc<dyn Transport>,
-    mailbox: Receiver<Envelope>,
-    recorder: Arc<FlightRecorder>,
+    transport: &dyn Transport,
+    inbox: &mut (impl Inbox + Send),
+    recorder: &FlightRecorder,
     started: Instant,
-    replicas: &Replicas,
+    replicas: &Replicas<'_>,
 ) -> StoreReport {
-    let nodes = (cfg.servers_total() + cfg.clients) as usize;
-    let telemetry = Arc::new(Telemetry::default());
-
+    let lanes = (cfg.servers_total() + cfg.clients + cfg.shards) as usize;
+    let telemetry = &Telemetry::default();
+    let stalled = &AtomicBool::new(false);
     let (watch_stop_tx, watch_stop_rx) = mpsc::channel::<()>();
-    let stalled = Arc::new(AtomicBool::new(false));
-    let watcher = (opts.watch.is_some() || opts.watch_out.is_some() || opts.stall_after.is_some())
+    let recoveries = || match replicas {
+        Replicas::Hosted(sinks) => sinks.iter().map(|s| s.snapshot().recoveries).sum(),
+        Replicas::Remote(net) => net.remote_recoveries(),
+    };
+    let sinks = match replicas {
+        Replicas::Hosted(sinks) => Some(*sinks),
+        Replicas::Remote(_) => None,
+    };
+    let mut report = thread::scope(|s| {
+        let watcher = (opts.watch.is_some()
+            || opts.watch_out.is_some()
+            || opts.stall_after.is_some())
         .then(|| {
-            let opts = opts.clone();
-            let seed = cfg.seed;
-            let lanes = nodes + cfg.shards as usize;
-            let telemetry = Arc::clone(&telemetry);
-            let recorder = Arc::clone(&recorder);
-            let stalled = Arc::clone(&stalled);
-            let recoveries: Arc<dyn Fn() -> u64 + Send + Sync> = match replicas {
-                Replicas::Hosted(sinks) => {
-                    let sinks = Arc::clone(sinks);
-                    Arc::new(move || sinks.iter().map(|s| s.snapshot().recoveries).sum())
-                }
-                Replicas::Remote(recoveries) => Arc::clone(recoveries),
-            };
             let watch = move || {
                 watch_loop(
                     opts.watch,
                     opts.watch_out.as_deref(),
                     opts.stall_after,
                     opts.flight_dump_dir.as_deref(),
-                    seed,
+                    cfg.seed,
                     lanes,
                     started,
-                    &telemetry,
-                    &recorder,
-                    recoveries.as_ref(),
-                    &stalled,
+                    telemetry,
+                    recorder,
+                    &recoveries,
+                    stalled,
                     &watch_stop_rx,
                 );
             };
-            spawn_named("watch", watch)
+            spawn_named(s, "watch", watch)
         });
-
-    let worker = {
-        let cfg = cfg.clone();
-        let k = opts.k;
-        let telemetry = Arc::clone(&telemetry);
-        let sinks = match replicas {
-            Replicas::Hosted(sinks) => Some(Arc::clone(sinks)),
-            Replicas::Remote(_) => None,
-        };
-        spawn_named("worker", move || {
-            let sinks = sinks.as_deref().map(Vec::as_slice);
-            work(&cfg, k, &*transport, mailbox, &recorder, &telemetry, sinks)
-        })
-    };
-    let mut report = worker.join().expect("worker thread");
-    // Dropping the stop end makes the watcher write its last tick — after
-    // every op has completed, so that tick carries the run's totals.
-    drop(watch_stop_tx);
-    if let Some(w) = watcher {
-        w.join().expect("watch thread");
-    }
+        let worker = spawn_named(s, "worker", || {
+            work(cfg, opts.k, transport, inbox, recorder, telemetry, sinks)
+        });
+        let report = worker.join().expect("worker thread");
+        // Dropping the stop end makes the watcher write its last tick —
+        // after every op has completed, so that tick carries the run's
+        // totals.
+        drop(watch_stop_tx);
+        if let Some(w) = watcher {
+            w.join().expect("watch thread");
+        }
+        report
+    });
     report.stalled = stalled.load(Ordering::Relaxed);
     blunt_obs::static_counter!("store.ops.completed").add(report.ops);
     report
@@ -1530,7 +1517,7 @@ mod tests {
     /// (by destination and message): scripted loss where the injector's is
     /// drawn. Retransmissions are exempt from it as from any fate.
     struct Lossy {
-        bus: Arc<Bus>,
+        bus: Bus,
         lose: fn(Pid, &AbdMsg) -> bool,
     }
 
@@ -1569,19 +1556,16 @@ mod tests {
         cfg.retransmit_after = deadline;
         cfg.retransmit_cap = deadline;
         let recorder = Arc::new(FlightRecorder::new(4096));
-        let (bus, mailbox) = shard_bus(&cfg, &recorder).expect("no faults to misconfigure");
+        let (bus, mut mailbox) = shard_bus(&cfg, &recorder).expect("no faults to misconfigure");
         let started = Instant::now();
         let mut report = drive_clients(
             &cfg,
             &RunOpts::default(),
-            Arc::new(Lossy {
-                bus: Arc::new(bus),
-                lose,
-            }),
-            mailbox,
-            recorder,
+            &Lossy { bus, lose },
+            &mut mailbox,
+            &recorder,
             started,
-            &Replicas::Hosted(Arc::new(vec![RecoverySink::default()])),
+            &Replicas::Hosted(&[RecoverySink::default()]),
         );
         report.elapsed = started.elapsed();
         assert!(

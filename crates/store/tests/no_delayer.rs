@@ -5,12 +5,12 @@
 //! `client-*`, `server-s*` or `monitor-*` thread exists; over sockets the
 //! driver's clients and monitors, beside one `net-reader-*` thread per
 //! server connection, while each replica is its own `server-<pid>` thread
-//! (a `run_net_server`). The bus and the socket driver realise `Delay`
-//! fates through one `Delayer` each, whose thread is spawned by the first
-//! delay drawn: a fault-free run never shows a `*-delayer` thread, while a
-//! bus run under faults that delay does. A sampler thread reads
-//! `/proc/self/task/*/comm` every millisecond while the runs go; this file
-//! holds the one test so that no other test's threads are seen.
+//! (a `run_net_server`). A `Delay` is a timer the worker keeps, on either
+//! tier, and the driver's worker writes the catch-up relays itself: no run
+//! shows a `*-delayer` thread, not a bus run that delays replies, nor a
+//! socket run under amnesia that relays catch-up traffic. A sampler thread
+//! reads `/proc/self/task/*/comm` every millisecond while the runs go;
+//! this file holds the one test so that no other test's threads are seen.
 
 #![cfg(target_os = "linux")]
 
@@ -23,6 +23,7 @@ use std::thread;
 use std::time::Duration;
 
 use blunt_net::FaultConfig;
+use blunt_runtime::RecoveryMode;
 use blunt_store::{run_store_with, RunOpts, StoreConfig};
 
 /// The names of this process's threads right now.
@@ -78,7 +79,7 @@ fn named<'a>(names: &'a BTreeSet<String>, prefixes: &[&str]) -> Vec<&'a str> {
 }
 
 #[test]
-fn a_run_steps_its_machines_on_one_worker_and_starts_a_delayer_only_for_delays() {
+fn a_run_steps_its_machines_on_one_worker_and_starts_no_delayer_even_for_delays() {
     let opts = RunOpts::default();
     let bus = names_during(|| {
         let report = run_store_with(&shape(FaultConfig::none()), &opts, None).expect("valid");
@@ -121,16 +122,49 @@ fn a_run_steps_its_machines_on_one_worker_and_starts_a_delayer_only_for_delays()
         "fault-free serve processes"
     );
 
-    // The control: a bus run that draws delays does start its delayer, so
-    // the sampler would have seen one above.
+    // Delays are the worker's timers: a bus run that draws them starts no
+    // thread for them.
     let light = names_during(|| {
         let report = run_store_with(&shape(FaultConfig::light()), &opts, None).expect("valid");
         assert!(report.monitor.clean());
         assert!(report.stats.delayed > 0, "light faults delay replies");
     });
-    assert!(light.contains("bus-delayer"), "{light:?}");
+    assert!(light.contains("worker"), "{light:?}");
+    assert_eq!(
+        delayers(&light),
+        Vec::<&String>::new(),
+        "a bus run that delays"
+    );
     assert_eq!(
         named(&light, &["client-", "server-", "monitor-"]),
         Vec::<&str>::new()
+    );
+
+    // The driver's worker relays the servers' catch-up traffic itself.
+    let mut amnesia = shape(FaultConfig::light());
+    amnesia.recovery = RecoveryMode::amnesia();
+    amnesia.faults.crash_len = 4;
+    amnesia.faults.crash_period = 20 * u64::from(amnesia.servers_total());
+    let relayed = names_during(|| {
+        let (report, _) = common::run_over_uds(&amnesia, &opts, "no-delayer-amnesia");
+        assert!(report.monitor.clean());
+        assert!(
+            report.recovery.state_queries > 0,
+            "the recoveries queried peers: {:?}",
+            report.recovery
+        );
+    });
+    assert!(relayed.contains("worker"), "{relayed:?}");
+    assert_eq!(
+        named(&relayed, &["net-reader-"]),
+        (0..6)
+            .map(|i| format!("net-reader-{i}"))
+            .collect::<Vec<_>>(),
+        "one reader per server connection, under amnesia too"
+    );
+    assert_eq!(
+        delayers(&relayed),
+        Vec::<&String>::new(),
+        "a socket run that relays catch-up traffic"
     );
 }

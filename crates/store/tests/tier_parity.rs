@@ -2,9 +2,10 @@
 //! and the same per-link coverage on the in-process bus and over Unix
 //! sockets, reply legs included, duplicates and amnesia crashes too.
 //!
-//! Both tiers draw every fate of a run in one place — the bus, or the
-//! socket driver (requests as it sends them, replies as its readers take
-//! them off the wire) — from the same per-link streams. On the register
+//! Both tiers draw every fate of a run on one thread, from one table — the
+//! bus run's worker, or the socket driver's (requests as it sends them,
+//! replies as its inbox takes them from the readers) — from the same
+//! per-link streams. On the register
 //! shape (depth 1, batch 1), which requests a replica answers, and in which
 //! order on each link, is then a function of the seed on either tier. A
 //! request `Duplicate` reaches the replica twice on both, so under stable
@@ -70,6 +71,10 @@ fn bus_and_uds_draw_the_same_fates_for_a_seed() {
         for (tier, report) in both_tiers(seed, RecoveryMode::Stable, "tier-parity-stable") {
             let what = format!("{tier}, seed {seed:#x}");
             assert!(report.stats.duplicated > 0, "{what}");
+            // The fates the worker realises on the reply legs: holds and
+            // timers.
+            assert!(report.stats.delayed > 0, "{what}");
+            assert!(report.stats.reordered > 0, "{what}");
             assert_each_copy_answered_once(&report.coverage, &what);
         }
     }
