@@ -53,7 +53,7 @@
 //!
 //! **Flight recorder.** Every run keeps a bounded per-thread event window
 //! (bus sends, fault decisions, op boundaries, acks, WAL flushes, crashes,
-//! monitor cuts). On a monitor violation the window is captured *at the
+//! monitor violations). On a monitor violation the window is captured *at the
 //! moment of detection* and written under `--dump-dir` (default
 //! `target/chaos/flight/`) as JSONL plus a rendered
 //! space-time diagram; a stall (no completed op for 60 s) does the same.
@@ -64,10 +64,8 @@
 //! Each configuration records the deterministic counters
 //! `runtime.chaos.<cfg>.ops`, `.violations`, `.monitor_actions`, and (for
 //! message-passing configs) `.recoveries`; the full counter snapshot plus
-//! per-config wall-times — including the monitor-overhead phases
-//! `monitor.<cfg>` (time inside `observe`), `monitor_lag_ops.<cfg>` and
-//! `monitor_wakeups.<cfg>` (how often the worker drained a monitor: the
-//! clients ring it once a burst, not once an action) —
+//! per-config wall-times — including the monitor-overhead phase
+//! `monitor.<cfg>` (time inside `observe`) —
 //! goes to `BENCH_results.json` (default
 //! `target/chaos/BENCH_results.json`, `--results-out` to redirect) for the
 //! `bench-report` gate — the committed baseline pins every `violations`
@@ -679,14 +677,12 @@ fn print_report(name: &str, r: &StoreReport, run: &Run) {
     }
     println!(
         "{pad:<24} coverage: fates [{}] over {} links  monitors: {} actions \
-         across {} shards, {:.1} ms observe, lag hwm {}, {} drains",
+         across {} shards, {:.1} ms observe",
         r.coverage.fates_exercised().join(" "),
         r.coverage.links.len(),
-        r.monitor_overhead.actions,
+        r.monitor_actions,
         cfg.shards,
-        r.monitor_overhead.observe_ns as f64 / 1e6,
-        r.monitor_overhead.lag_ops_hwm,
-        r.monitor_overhead.wakeups,
+        r.monitor_observe_ns as f64 / 1e6,
     );
     if r.recovery.crashes > 0 {
         println!(
@@ -736,7 +732,7 @@ fn write_flight_dump_files(
 }
 
 /// One config's deterministic summary entry. Timing-dependent numbers
-/// (latency, retransmissions, monitor lag/observe time, `degraded_ops`)
+/// (latency, retransmissions, monitor observe time, `degraded_ops`)
 /// are deliberately excluded so two same-seed in-process runs write
 /// byte-identical summaries. `transport` labels which tier carried the
 /// run's messages (`in-process`, `tcp`, or `uds`).
@@ -1095,16 +1091,10 @@ fn run_plan(cli: &Cli) -> ExitCode {
         let t0 = Instant::now();
         let report = run.execute(cli);
         phases.push((name.clone(), t0.elapsed().as_secs_f64() * 1000.0));
-        // Monitor-overhead phases for the bench gate: wall time inside
-        // `observe`, the backlog high-water mark, and how often a monitor
-        // thread was woken. Timing-dependent, so informational unless
-        // bench-report runs with --strict-times.
-        let m = &report.monitor_overhead;
-        let mut extra = vec![
-            ("monitor", m.observe_ns as f64 / 1e6),
-            ("monitor_lag_ops", m.lag_ops_hwm as f64),
-            ("monitor_wakeups", m.wakeups as f64),
-        ];
+        // The monitor-overhead phase for the bench gate: wall time inside
+        // `observe`. Timing-dependent, so informational unless bench-report
+        // runs with --strict-times.
+        let mut extra = vec![("monitor", report.monitor_observe_ns as f64 / 1e6)];
         print_report(name, &report, &run);
         if cli.store {
             // Throughput and the batch-size distribution ride as phases

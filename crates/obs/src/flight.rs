@@ -114,16 +114,13 @@ pub enum FlightKind {
     /// A server finished recovery and resumed serving; `a` = recovery
     /// duration in microseconds.
     ServerRecover = 16,
-    /// The online monitor drained its channel: every action enqueued so far
-    /// is checked; `a` = actions checked so far.
-    MonitorCut = 17,
     /// The online monitor flagged a return that broke linearizability;
     /// `a` = index of the violation.
-    MonitorViolation = 18,
+    MonitorViolation = 17,
 }
 
 /// Every kind, in discriminant order (handy for exhaustive fixtures).
-pub const FLIGHT_KINDS: [FlightKind; 19] = [
+pub const FLIGHT_KINDS: [FlightKind; 18] = [
     FlightKind::OpStartRead,
     FlightKind::OpStartWrite,
     FlightKind::OpRetransmit,
@@ -141,7 +138,6 @@ pub const FLIGHT_KINDS: [FlightKind; 19] = [
     FlightKind::WalFlush,
     FlightKind::ServerCrash,
     FlightKind::ServerRecover,
-    FlightKind::MonitorCut,
     FlightKind::MonitorViolation,
 ];
 
@@ -167,7 +163,6 @@ impl FlightKind {
             FlightKind::WalFlush => "wal_flush",
             FlightKind::ServerCrash => "server_crash",
             FlightKind::ServerRecover => "server_recover",
-            FlightKind::MonitorCut => "monitor_cut",
             FlightKind::MonitorViolation => "monitor_violation",
         }
     }
@@ -773,7 +768,7 @@ mod tests {
             assert_eq!(FlightKind::from_u8(i as u8), Some(*k));
         }
         assert_eq!(FlightKind::from_name("nope"), None);
-        assert_eq!(FlightKind::from_u8(19), None);
+        assert_eq!(FlightKind::from_u8(18), None);
     }
 
     #[test]
@@ -905,7 +900,7 @@ mod tests {
     fn jsonl_round_trips_and_rejects_bad_headers() {
         let rec = FlightRecorder::new(8);
         let ring = rec.register_current("monitor");
-        ring.record_at(1, FlightKind::MonitorCut, 7, 4, 0);
+        ring.record_at(1, FlightKind::MonitorViolation, 7, 4, 0);
         ring.record_at(2, FlightKind::MonitorViolation, 7, 5, 0);
         let dump = rec.dump();
         let text = dump.to_jsonl();

@@ -17,7 +17,7 @@ use std::fmt;
 /// `chaos_summary`, `chaos_sweep`, `chaos_watch`, `store_batch_histogram`,
 /// `flight_dump`). Bump it on any change a reader of the previous version
 /// would misread; [`open`] accepts this version only.
-pub const SCHEMA_VERSION: u64 = 4;
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// A document of type `ty`: `type` and `schema_version` first, then
 /// `fields` in order.

@@ -41,7 +41,7 @@ fn scripted_dump() -> FlightDump {
     server.record_at(40, FlightKind::ServerRecover, 0, 512, 0);
 
     let monitor = rec.register_current("monitor");
-    monitor.record_at(46, FlightKind::MonitorCut, 7, 1, 0);
+    monitor.record_at(46, FlightKind::MonitorViolation, 7, 0, 0);
     monitor.record_at(62, FlightKind::MonitorViolation, 7, 1, 0);
 
     rec.dump()

@@ -57,7 +57,4 @@ pub use recovery::{RecoveryMode, RecoverySink};
 pub use shm::{run_shm_chaos, ShmChaosConfig, ShmReport};
 pub use storage::MultiWal;
 pub use worker::{run_worker, Client};
-pub use workload::{
-    server_loop, watch_loop, Host, MonitorFeed, MonitorOverhead, ShardMonitor, Telemetry,
-    MAX_OPS_PER_CLIENT,
-};
+pub use workload::{server_loop, watch_loop, Host, ShardMonitor, Telemetry, MAX_OPS_PER_CLIENT};

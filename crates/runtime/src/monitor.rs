@@ -1,17 +1,15 @@
 //! The online linearizability monitor: a streaming zone check for registers
 //! whose write values are unique.
 //!
-//! Client threads report their operations as [`Action`]s over one shared
-//! mpsc channel. mpsc enqueue order is a real-time-consistent total order
-//! (the channel itself is linearizable), and clients enqueue `Call` *before*
-//! the first protocol broadcast and `Return` *after* the quorum completes —
-//! so the observed interval of every operation contains its true interval,
-//! and any linearization of the observed history is a linearization of the
-//! true one: the monitor raises no false alarms. The argument is about the
-//! order of the enqueues only, not about when they are consumed: the thread
-//! that runs this monitor is woken once a burst rather than once an action
-//! (`crate::workload::MonitorFeed`), and sees the same history a burst
-//! later.
+//! Clients report their operations as [`Action`]s by calling the monitor
+//! (`crate::ShardMonitor::observe`). Every client runs on one worker
+//! thread, so the calls form a real-time-consistent total order, and
+//! clients report `Call` *before* the first protocol broadcast and `Return`
+//! *after* the quorum completes — so the observed interval of every
+//! operation contains its true interval, and any linearization of the
+//! observed history is a linearization of the true one: the monitor raises
+//! no false alarms. Each action is checked inside the call that reports
+//! it, so a violation is flagged at the return that exhibits it.
 //!
 //! **Zones.** The check is Gibbons–Korach's (*Testing shared memories*, SIAM
 //! J. Comput. 1997) in the zone form of Golab–Li–Shah (PODC 2011). Time is

@@ -3,28 +3,27 @@
 //!
 //! A run's machines never block and take their decisions at a `now` they
 //! are handed: the store's clients (`blunt-store`'s `StoreClient`, seen
-//! here through [`Client`]), the replicas of each [`Host`], and the shard
-//! monitors ([`ShardMonitor`]). [`run_worker`] is their only driver. In
-//! process it runs every client, every shard's replicas and every monitor;
-//! in a socket driver the clients and the monitors; in a serve process one
-//! replica ([`crate::server_loop`]). Which thread runs a machine's step is
-//! the scheduler's business, not the protocol's: the machines share
-//! nothing but the thread, and every message between two of them goes
-//! through the transport and back into the mailbox like any other.
+//! here through [`Client`]) and the replicas of each [`Host`].
+//! [`run_worker`] is their only driver. In process it runs every client and
+//! every shard's replicas; in a socket driver the clients; in a serve
+//! process one replica ([`crate::server_loop`]). The shard monitors
+//! ([`crate::ShardMonitor`]) are not machines: a client calls its shard's
+//! monitor inside the step that calls or returns an op. Which thread runs
+//! a machine's step is the scheduler's business, not the protocol's: the
+//! machines share nothing but the thread, and every message between two
+//! of them goes through the transport and back into the mailbox like any
+//! other.
 //!
 //! Each pass does, in order:
 //!
-//! 1. **Step the clients**: a client whose burst is over rings the monitors
-//!    and draws its next one, then fills its pipeline and flushes what it
-//!    buffered.
+//! 1. **Step the clients**: a client whose burst is over draws its next
+//!    one, then fills its pipeline and flushes what it buffered.
 //! 2. **Take a bounded pass of envelopes** (`DRAIN_PASS` per hosted
 //!    machine) and hand each to the machine its `dst` names.
 //! 3. **End every host's pass**: commit, then flush — the write-ahead acks
 //!    the commit releases leave with the pass's other replies.
 //! 4. **Sweep every client** at the pass's `now`: the reply gap, then the
 //!    deadlines.
-//! 5. **Drain the shard monitors** if a client rang this pass (it rings at
-//!    the end of each burst); the run's end drains them once more.
 //!
 //! The worker blocks on the mailbox only after a pass that took no
 //! envelope and rebroadcast nothing, until the earliest client deadline,
@@ -50,7 +49,7 @@ use blunt_net::Inbox;
 use blunt_obs::{FlightRecorder, FlightRing};
 
 use crate::bus::Envelope;
-use crate::workload::{Host, ShardMonitor};
+use crate::workload::Host;
 
 /// Most envelopes one pass takes off the mailbox per hosted machine before
 /// the hosts' replies are flushed: bounds both how long the first reply of
@@ -66,7 +65,7 @@ const CATCH_UP_POLL: Duration = Duration::from_millis(5);
 /// at `stop`.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
-/// A client machine the worker steps beside its hosts and monitors.
+/// A client machine the worker steps beside its hosts.
 pub trait Client {
     /// The pid whose envelopes this client takes.
     fn pid(&self) -> Pid;
@@ -74,10 +73,9 @@ pub trait Client {
     /// This client's flight ring, entered before every step.
     fn ring(&self) -> &Arc<FlightRing>;
 
-    /// Pass step 1: if the burst is over, ring, then draw the next burst —
-    /// or, after the last, finish; then fill the pipeline and flush.
-    /// Returns whether the client rang: a ring of every shard monitor.
-    fn step(&mut self) -> bool;
+    /// Pass step 1: if the burst is over, draw the next one — or, after
+    /// the last, finish; then fill the pipeline and flush.
+    fn step(&mut self);
 
     /// One envelope addressed to this client, at the pass's `now`.
     fn on_envelope(&mut self, env: Envelope, now: Instant);
@@ -102,10 +100,9 @@ enum Owner {
     Client(usize),
 }
 
-/// Steps `clients`, the replicas of `hosts` and `monitors` over `inbox`
-/// until the run ends (module docs), on the calling thread. `stop` is the
-/// idle check of a worker without clients; `recorder` holds every
-/// machine's ring.
+/// Steps `clients` and the replicas of `hosts` over `inbox` until the run
+/// ends (module docs), on the calling thread. `stop` is the idle check of
+/// a worker without clients; `recorder` holds every machine's ring.
 ///
 /// # Panics
 ///
@@ -115,7 +112,6 @@ pub fn run_worker(
     inbox: &mut impl Inbox,
     hosts: &mut [Host<'_>],
     clients: &mut [&mut dyn Client],
-    monitors: &mut [ShardMonitor<'_>],
     stop: Option<&AtomicBool>,
     recorder: &FlightRecorder,
 ) {
@@ -138,10 +134,9 @@ pub fn run_worker(
     let pass = DRAIN_PASS * machines.max(1);
     let mut head = None;
     loop {
-        let mut rang = false;
         for c in clients.iter_mut() {
             recorder.enter(c.ring());
-            rang |= c.step();
+            c.step();
         }
         let now = Instant::now();
         let mut taken = 0;
@@ -176,9 +171,6 @@ pub fn run_worker(
         for c in clients.iter_mut() {
             recorder.enter(c.ring());
             swept |= c.sweep(now);
-        }
-        if rang {
-            monitors.iter_mut().for_each(ShardMonitor::drain);
         }
 
         let running = clients.iter().any(|c| c.deadline(now).is_some());
@@ -226,7 +218,6 @@ pub fn run_worker(
         }
     }
     hosts.iter().for_each(Host::debug_assert_nothing_held);
-    monitors.iter_mut().for_each(ShardMonitor::drain);
 }
 
 /// Aborts every catch-up under way; whether any was. An aborted recovery

@@ -4,11 +4,10 @@
 //! The replica is a state machine that never blocks (`Replica`: one
 //! dispatch per envelope, one commit-and-flush per pass); a [`Host`] holds
 //! the replicas one worker runs — a shard's on the bus, one in a serve
-//! process ([`server_loop`]). The shard monitor
-//! ([`ShardMonitor`]) checks the actions the clients enqueue on its
-//! [`MonitorFeed`] when the worker drains it, once a client burst. Both are
-//! stepped by the one worker (`crate::worker`), beside the clients, which
-//! live in `blunt-store`: their pipelined machine is the only client in the
+//! process ([`server_loop`]). The shard monitor ([`ShardMonitor`]) checks
+//! each action a client hands it inside that call. Both run on the one
+//! worker (`crate::worker`), beside the clients, which live in
+//! `blunt-store`: their pipelined machine is the only client in the
 //! workspace, and the classic single-register workload is that store at one
 //! shard and one key. The observers stay here, next to `blunt-trace`: the
 //! shared [`Telemetry`] counters and [`watch_loop`] (progress line, JSONL
@@ -75,39 +74,15 @@ use crate::worker::run_worker;
 /// would share a value, and the checker could no longer tell them apart.
 pub const MAX_OPS_PER_CLIENT: u64 = 1_000_000;
 
-/// What the online monitor cost this run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MonitorOverhead {
-    /// Actions the monitor observed (= `2 × ops`; deterministic).
-    pub actions: u64,
-    /// Total wall time spent inside [`OnlineMonitor::observe`]
-    /// (timing-dependent; bench-gated only under `--strict-times`).
-    pub observe_ns: u64,
-    /// High-water mark of the monitor's backlog — actions enqueued by
-    /// clients but not yet observed, i.e. how far the monitor ran behind
-    /// the frontier (timing-dependent). A monitor is drained each time a
-    /// client finishes a burst, so about one burst's actions per client
-    /// (`2 × clients × burst`) is the design point, not a sign of trouble.
-    pub lag_ops_hwm: u64,
-    /// Times the worker drained a monitor (timing-dependent,
-    /// informational): once a pass in which a client ended a burst, and
-    /// once at the end of the run.
-    pub wakeups: u64,
-}
-
-/// Live counters the clients and the shard monitors keep and the
-/// watch/watchdog thread reads. Pure observation: nothing here feeds back
-/// into scheduling or the fault plan.
+/// Live counters the clients keep and the watch/watchdog thread reads.
+/// Pure observation: nothing here feeds back into scheduling or the fault
+/// plan.
 #[derive(Default)]
 pub struct Telemetry {
     /// Operations completed so far.
     ops: AtomicU64,
-    /// Actions enqueued to the monitor channels: one per invocation, one
-    /// per completion — so `actions_sent − 2 × ops` operations are in
-    /// flight.
-    actions_sent: AtomicU64,
-    /// Actions the monitors have observed.
-    actions_seen: AtomicU64,
+    /// Operations started so far: `started − ops` are in flight.
+    started: AtomicU64,
     /// Streaming per-op latency (µs), mergeable across threads.
     sketch: QuantileSketch,
 }
@@ -115,150 +90,107 @@ pub struct Telemetry {
 impl Telemetry {
     /// A client is about to send an op's `Call` to its monitor.
     pub fn op_started(&self) {
-        self.actions_sent.fetch_add(1, Ordering::Relaxed);
+        self.started.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An op completed `lat_us` after its `Call`; the client enqueues its
-    /// `Return` next.
+    /// An op completed `lat_us` after its `Call`; the client hands its
+    /// `Return` to the monitor next.
     pub fn op_completed(&self, lat_us: u64) {
         self.sketch.record(lat_us);
         self.ops.fetch_add(1, Ordering::Relaxed);
-        self.actions_sent.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// The clients' end of one shard monitor: the shard's action queue.
+/// Shard `shard`'s online monitor: each client hands it every `Call` and
+/// `Return` of the shard's ops at the program point it happens
+/// ([`ShardMonitor::observe`]), and the streaming checker judges the action
+/// inside that call; the first violation captures a flight dump there, at
+/// the op the monitor flags. Sound per shard because every op on a key
+/// routes to exactly one shard (see the `blunt-store` crate docs).
 ///
-/// **Enqueuing is not checking.** [`MonitorFeed::send`] appends to the
-/// queue and returns; the order of the appends is all the soundness
-/// argument needs (`crate::monitor`). The worker drains the queue into the
-/// shard's [`ShardMonitor`] at the end of a pass in which some client ended
-/// a burst, and once more at the end of the run (`crate::worker`). Every
-/// machine of a run lives on the worker's thread, so the queue needs no
-/// lock.
-#[derive(Default)]
-pub struct MonitorFeed(RefCell<Vec<Action>>);
-
-impl MonitorFeed {
-    /// Enqueues `a` behind everything any client has enqueued so far.
-    pub fn send(&self, a: Action) {
-        self.0.borrow_mut().push(a);
-    }
-}
-
-/// Shard `shard`'s online monitor: it consumes the shard's action stream
-/// from its [`MonitorFeed`], feeds the streaming checker, and captures a
-/// flight dump at its first violation. Sound per shard because every op on
-/// a key routes to exactly one shard (see the `blunt-store` crate docs).
+/// Every machine of a run lives on the worker's thread, so the clients
+/// share the monitor through a `RefCell`, not a lock.
 pub struct ShardMonitor<'a> {
-    feed: &'a MonitorFeed,
-    checker: OnlineMonitor,
     recorder: &'a FlightRecorder,
-    telemetry: &'a Telemetry,
     /// `monitor-s<shard>`.
     ring: Arc<FlightRing>,
     /// The monitor's flight pid: after the run's nodes, one per shard.
     pid: u32,
-    overhead: MonitorOverhead,
-    /// Actions checked at the last `monitor_cut` event.
-    cuts: u64,
+    checked: RefCell<Checked>,
+}
+
+/// What a [`ShardMonitor`] has checked so far.
+struct Checked {
+    checker: OnlineMonitor,
+    /// Actions observed (= `2 × ops`; deterministic).
+    actions: u64,
+    /// Wall time inside [`OnlineMonitor::observe`] (timing-dependent).
+    observe_ns: u64,
     dump: Option<FlightDump>,
 }
 
 impl<'a> ShardMonitor<'a> {
-    /// Shard `shard`'s monitor over `feed`. `lanes` is the run's node
-    /// count: monitors take the flight pids after it, one per shard.
+    /// Shard `shard`'s monitor. `lanes` is the run's node count: monitors
+    /// take the flight pids after it, one per shard.
     #[must_use]
-    pub fn new(
-        shard: u32,
-        feed: &'a MonitorFeed,
-        recorder: &'a FlightRecorder,
-        telemetry: &'a Telemetry,
-        lanes: usize,
-    ) -> ShardMonitor<'a> {
+    pub fn new(shard: u32, recorder: &'a FlightRecorder, lanes: usize) -> ShardMonitor<'a> {
         ShardMonitor {
-            feed,
-            checker: OnlineMonitor::new(Val::Nil, lanes),
             recorder,
-            telemetry,
             ring: recorder.register_lanes(&format!("monitor-s{shard}"), 1),
             pid: u32::try_from(lanes).expect("node count fits u32") + shard,
-            overhead: MonitorOverhead::default(),
-            cuts: 0,
-            dump: None,
+            checked: RefCell::new(Checked {
+                checker: OnlineMonitor::new(Val::Nil, lanes),
+                actions: 0,
+                observe_ns: 0,
+                dump: None,
+            }),
         }
     }
 
-    /// Checks every action enqueued so far: a cut.
-    pub fn drain(&mut self) {
-        self.overhead.wakeups += 1;
-        let actions = {
-            let mut queue = self.feed.0.borrow_mut();
-            // Sized like the drain before: one allocation a drain.
-            let next = Vec::with_capacity(queue.len());
-            std::mem::replace(&mut *queue, next)
-        };
-        for a in actions {
-            self.observe(a);
-        }
-        if self.overhead.actions > self.cuts {
-            self.cuts = self.overhead.actions;
-            self.ring
-                .record(FlightKind::MonitorCut, self.pid, self.cuts, 0);
-        }
-    }
-
-    fn observe(&mut self, a: Action) {
+    /// Checks `a`, behind every action observed before it.
+    pub fn observe(&self, a: Action) {
+        let mut c = self.checked.borrow_mut();
         let t0 = Instant::now();
-        let ok = self.checker.observe(a);
-        self.overhead.observe_ns = self
-            .overhead
+        let ok = c.checker.observe(a);
+        c.observe_ns = c
             .observe_ns
             .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        self.overhead.actions += 1;
-        let seen = self.telemetry.actions_seen.fetch_add(1, Ordering::Relaxed) + 1;
-        let lag = self
-            .telemetry
-            .actions_sent
-            .load(Ordering::Relaxed)
-            .saturating_sub(seen);
-        self.overhead.lag_ops_hwm = self.overhead.lag_ops_hwm.max(lag);
+        c.actions += 1;
         if ok {
             return;
         }
-        if self.dump.is_none() {
-            // A lagging monitor may flag a window whose op events the
-            // clients' bounded rings have already evicted — replay the
-            // window into this ring so the dump always carries its own
-            // evidence.
-            if let Some(v) = self.checker.violations().last() {
+        let first = c.dump.is_none();
+        if first {
+            // A window's oldest witness may have been evicted from its
+            // client's bounded ring by now — replay the window into this
+            // ring so the dump always carries its own evidence.
+            if let Some(v) = c.checker.violations().last() {
                 replay_window(&self.ring, v.window.actions());
             }
         }
-        let index = self.checker.violations().len() as u64 - 1;
+        let index = c.checker.violations().len() as u64 - 1;
         self.ring
             .record(FlightKind::MonitorViolation, self.pid, index, 0);
-        if self.dump.is_none() {
-            // Capture now, while the offending ops are still in the rings.
-            self.dump = Some(self.recorder.dump());
+        if first {
+            c.dump = Some(self.recorder.dump());
         }
     }
 
-    /// The verdict, what this shard's monitor cost, and the dump captured
-    /// at its first violation.
+    /// The verdict, the actions observed, the nanoseconds spent inside the
+    /// checker, and the dump captured at the first violation.
     #[must_use]
-    pub fn finish(self) -> (MonitorReport, MonitorOverhead, Option<FlightDump>) {
-        (self.checker.finish(), self.overhead, self.dump)
+    pub fn finish(self) -> (MonitorReport, u64, u64, Option<FlightDump>) {
+        let c = self.checked.into_inner();
+        (c.checker.finish(), c.actions, c.observe_ns, c.dump)
     }
 }
 
 /// Re-records a violation window's actions into the monitor's ring,
-/// attributed to their original client pids. By the time a lagging monitor
-/// flags a return, the clients may have recorded thousands of newer events
-/// — enough to evict the offending ops and their witnesses from their
-/// bounded rings — so the dump taken at detection replays the window
-/// itself (≤ 7 operations) immediately before the `monitor_violation`
-/// marker.
+/// attributed to their original client pids. A window's witnesses can be
+/// old: a remembered cluster's write may have returned thousands of events
+/// before the offender — enough to evict it from its client's bounded ring
+/// — so the dump taken at detection replays the window itself (≤ 7
+/// operations) immediately before the `monitor_violation` marker.
 fn replay_window(ring: &FlightRing, actions: &[Action]) {
     let mut invs: HashMap<InvId, (u32, bool)> = HashMap::new();
     for action in actions {
@@ -353,14 +285,12 @@ pub fn watch_loop(
         let ops = t.ops.load(Ordering::Relaxed);
         let dt = now.duration_since(last_tick).as_secs_f64().max(1e-9);
         let rate = (ops.saturating_sub(last_ops)) as f64 / dt;
-        let sent = t.actions_sent.load(Ordering::Relaxed);
-        let in_flight = sent.saturating_sub(2 * ops);
-        let lag = sent.saturating_sub(t.actions_seen.load(Ordering::Relaxed));
+        let in_flight = t.started.load(Ordering::Relaxed).saturating_sub(ops);
         let recoveries = recoveries();
         if watch.is_some() {
             eprintln!(
                 "chaos[watch] t={:.1}s ops={ops} (+{rate:.0}/s) in_flight={in_flight} \
-                 lat p50/p99={}µs/{}µs recoveries={recoveries} monitor_lag={lag}",
+                 lat p50/p99={}µs/{}µs recoveries={recoveries}",
                 now.duration_since(started).as_secs_f64(),
                 t.sketch.quantile(0.5),
                 t.sketch.quantile(0.99),
@@ -371,7 +301,7 @@ pub fn watch_loop(
                 f,
                 "{{\"type\":\"watch_tick\",\"t_ms\":{},\"ops\":{ops},\"ops_per_sec\":{},\
                  \"in_flight\":{in_flight},\"lat_p50_us\":{},\"lat_p99_us\":{},\
-                 \"recoveries\":{recoveries},\"monitor_lag\":{lag}}}",
+                 \"recoveries\":{recoveries}}}",
                 now.duration_since(started).as_millis(),
                 rate.round().max(0.0) as u64,
                 t.sketch.quantile(0.5),
@@ -540,7 +470,6 @@ pub fn server_loop(
     run_worker(
         &mut rx,
         std::slice::from_mut(&mut host),
-        &mut [],
         &mut [],
         Some(stop),
         recorder,

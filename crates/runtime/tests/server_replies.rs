@@ -404,7 +404,7 @@ fn host(hosted: &[Pid], inbound: Vec<Envelope>, recoveries: u64) -> (Vec<Envelop
                 &recorder,
             );
             let hosts = std::slice::from_mut(&mut host);
-            run_worker(&mut rx, hosts, &mut [], &mut [], Some(&stop), &recorder);
+            run_worker(&mut rx, hosts, &mut [], Some(&stop), &recorder);
         });
         let deadline = Instant::now() + Duration::from_secs(5);
         while sink.snapshot().recoveries < recoveries && Instant::now() < deadline {

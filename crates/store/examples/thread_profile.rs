@@ -224,7 +224,7 @@ fn main() -> ExitCode {
     let ops = report.ops as f64;
     println!(
         "{} tier, depth {}, batch {}, {} keys, {}: {} ops in {:.2} s = {:.0} ops/s, \
-         {} violations, monitors drained {} times ({:.3}/op)",
+         {} violations",
         if uds { "uds" } else { "bus" },
         cfg.pipeline_depth,
         cfg.batch_max,
@@ -238,8 +238,6 @@ fn main() -> ExitCode {
         report.elapsed.as_secs_f64(),
         report.ops_per_sec(),
         report.monitor.violations.len(),
-        report.monitor_overhead.wakeups,
-        report.monitor_overhead.wakeups as f64 / ops,
     );
     println!(
         "{:<16} {:>7} {:>11} {:>13} {:>15} {:>13}",

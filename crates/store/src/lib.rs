@@ -22,11 +22,11 @@
 //! seeded schedule.
 //!
 //! Safety is checked sharded: one online linearizability monitor per shard
-//! ([`blunt_runtime::ShardMonitor`], stepped by the worker once a client
-//! burst) consumes that shard's call / return stream. This is sound because linearizability of a keyed store
-//! decomposes per key (the checker already treats each [`ObjId`] as an
-//! independent register), every operation on a key routes to exactly one
-//! shard, and each client sends its `Call` before the first message of the
+//! ([`blunt_runtime::ShardMonitor`], called by the clients at each call and
+//! return) checks that shard's call / return stream as it happens. This is
+//! sound because linearizability of a keyed store decomposes per key (the
+//! checker already treats each [`ObjId`] as an independent register),
+//! every operation on a key routes to exactly one shard, and each client sends its `Call` before the first message of the
 //! op and its `Return` after completion — so each shard's stream is a
 //! real-time-ordered history of exactly the keys it owns. The full
 //! soundness argument, the sharding model, and the batching/pipelining

@@ -8,9 +8,10 @@
 //! serve` processes through a [`NetClient`], whose replies arrive in one
 //! inbox too. Either way one `worker` thread steps every machine the
 //! process owns over that inbox ([`run_worker`]), and draws and realises
-//! every fate of the run: every client, every shard's monitor, and on the bus
-//! every shard's [`Host`] of unmodified replica machines. Every client is a
-//! `StoreClient` — the only client in the workspace — so the two tiers
+//! every fate of the run: every client, and on the bus every shard's
+//! [`Host`] of unmodified replica machines; the clients call every shard's
+//! monitor on that thread too. Every client is a `StoreClient` — the only
+//! client in the workspace — so the two tiers
 //! exercise identical protocol logic and differ only in transport. The
 //! client is a state machine that never blocks and takes its deadline
 //! decisions at a `now` it is handed; the worker steps it as a [`Client`]
@@ -28,14 +29,11 @@
 //! order either way (see [`crate::batch`]).
 //!
 //! The shard monitors hear of every `Call` and `Return` at the program point
-//! it happens — an append to the shard's [`MonitorFeed`] — and check them
-//! once a burst: a client that ends a burst rings, and the worker drains
-//! every shard's monitor at the end of that pass, and once more when the
-//! run ends (`docs/STORE.md` § *Per-shard monitors*). The checker sees the
-//! same history in the same order, a burst later, and no client pays a
-//! monitor step per action. Clients never wait for each other: the
-//! monitor's zone check needs no quiescent point, so a burst is only a
-//! client's own draw size.
+//! it happens — a call of the shard's [`ShardMonitor::observe`] — and check
+//! it inside that call, so a violation is flagged, and its flight dump
+//! taken, at the op that exhibits it (`docs/STORE.md` § *Per-shard
+//! monitors*). Clients never wait for each other: the monitor's zone check
+//! needs no quiescent point, so a burst is only a client's own draw size.
 //!
 //! Loss recovery has two triggers and one rebroadcast routine. The *deadline*
 //! fires when a whole shard has been silent for its backoff window
@@ -67,9 +65,8 @@ use blunt_net::{
 use blunt_obs::flight::encode_val;
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Histogram, HistogramSnapshot};
 use blunt_runtime::{
-    run_worker, watch_loop, Bus, BusInbox, Client, Host, MonitorFeed, MonitorOverhead,
-    MonitorReport, RecoveryMode, RecoverySink, RecoveryStats, ShardMonitor, Telemetry,
-    MAX_OPS_PER_CLIENT,
+    run_worker, watch_loop, Bus, BusInbox, Client, Host, MonitorReport, RecoveryMode, RecoverySink,
+    RecoveryStats, ShardMonitor, Telemetry, MAX_OPS_PER_CLIENT,
 };
 use blunt_sim::rng::{RandomSource, SplitMix64};
 
@@ -99,7 +96,7 @@ pub struct StoreConfig {
     /// `batch_max` envelopes in all.
     pub batch_max: usize,
     /// Ops a client draws at a time. It drains one burst before drawing
-    /// the next, and rings the shard monitors between the two.
+    /// the next.
     pub burst: u64,
     /// Read fraction in per-mille (500 = half reads).
     pub read_per_mille: u16,
@@ -288,13 +285,12 @@ pub struct StoreReport {
     pub coverage: Coverage,
     /// The merged verdict across all per-shard monitors, shard-major.
     pub monitor: MonitorReport,
-    /// Call/return actions consumed across all shard monitors
-    /// (= [`MonitorOverhead::actions`]).
+    /// Call/return actions observed across all shard monitors (= `2 ×
+    /// ops`; deterministic).
     pub monitor_actions: u64,
-    /// What the shard monitors cost (`actions` deterministic, the rest
-    /// not): observe time and wake-ups summed, backlog high-water mark
-    /// maxed across shards.
-    pub monitor_overhead: MonitorOverhead,
+    /// Wall time inside the shard monitors' checkers, summed over shards
+    /// (timing-dependent).
+    pub monitor_observe_ns: u64,
     /// The flight-recorder window captured when the monitor of
     /// `monitor.violations[0]`'s shard first fired (`None` on clean runs).
     pub violation_dump: Option<FlightDump>,
@@ -609,9 +605,8 @@ fn work(
     sinks: Option<&[RecoverySink]>,
 ) -> StoreReport {
     let nodes = (cfg.servers_total() + cfg.clients) as usize;
-    let feeds: Vec<MonitorFeed> = (0..cfg.shards).map(|_| MonitorFeed::default()).collect();
-    let mut monitors: Vec<ShardMonitor<'_>> = (0..cfg.shards)
-        .map(|s| ShardMonitor::new(s, &feeds[s as usize], recorder, telemetry, nodes))
+    let monitors: Vec<ShardMonitor<'_>> = (0..cfg.shards)
+        .map(|s| ShardMonitor::new(s, recorder, nodes))
         .collect();
     let mut hosts: Vec<Host<'_>> = sinks.map_or_else(Vec::new, |sinks| {
         (0..cfg.shards)
@@ -619,18 +614,11 @@ fn work(
             .collect()
     });
     let mut clients: Vec<StoreClient<'_>> = (0..cfg.clients)
-        .map(|c| StoreClient::new(c, cfg, k, transport, &feeds, telemetry, recorder))
+        .map(|c| StoreClient::new(c, cfg, k, transport, &monitors, telemetry, recorder))
         .collect();
     let mut stepped: Vec<&mut dyn Client> =
         clients.iter_mut().map(|c| c as &mut dyn Client).collect();
-    run_worker(
-        inbox,
-        &mut hosts,
-        &mut stepped,
-        &mut monitors,
-        None,
-        recorder,
-    );
+    run_worker(inbox, &mut hosts, &mut stepped, None, recorder);
 
     let latency = Histogram::unregistered();
     let (mut retransmissions, mut gap_retransmissions, mut degraded_ops) = (0, 0, 0);
@@ -640,19 +628,19 @@ fn work(
         gap_retransmissions += c.gap_retransmissions;
         degraded_ops += c.degraded_ops;
     }
+    // The clients borrow the monitors.
+    drop(clients);
     // Shard-major merge: `violations[0]` belongs to the first shard that
     // flagged anything, and so does the dump kept.
     let mut monitor = MonitorReport::default();
-    let mut overhead = MonitorOverhead::default();
+    let (mut monitor_actions, mut monitor_observe_ns) = (0, 0);
     let mut violation_dump = None;
     for m in monitors {
-        let (shard_report, shard_overhead, dump) = m.finish();
+        let (shard_report, actions, observe_ns, dump) = m.finish();
         monitor.checked += shard_report.checked;
         monitor.violations.extend(shard_report.violations);
-        overhead.actions += shard_overhead.actions;
-        overhead.observe_ns += shard_overhead.observe_ns;
-        overhead.lag_ops_hwm = overhead.lag_ops_hwm.max(shard_overhead.lag_ops_hwm);
-        overhead.wakeups += shard_overhead.wakeups;
+        monitor_actions += actions;
+        monitor_observe_ns += observe_ns;
         violation_dump = violation_dump.or(dump);
     }
     StoreReport {
@@ -660,8 +648,8 @@ fn work(
         stats: TransportStats::default(),
         coverage: Coverage::default(),
         monitor,
-        monitor_actions: overhead.actions,
-        monitor_overhead: overhead,
+        monitor_actions,
+        monitor_observe_ns,
         violation_dump,
         stalled: false,
         retransmissions,
@@ -925,9 +913,8 @@ fn draw_burst(
 /// of op specs in program order, keeps up to `pipeline_depth` of them in
 /// flight (never two on the same key), and multiplexes every reply/ack back
 /// to its op by `sn`. All protocol sends go through a per-client
-/// [`BatchingTransport`]. Every `Call` and `Return` is enqueued on its
-/// shard's [`MonitorFeed`] at the program point it happens; the worker
-/// checks them once a burst.
+/// [`BatchingTransport`]. Every `Call` and `Return` goes to its shard's
+/// [`ShardMonitor`] at the program point it happens, and is checked there.
 ///
 /// Liveness is **per shard** ([`ShardHealth`]): each shard has its own
 /// backoff clock, timeouts retransmit only that shard's stalled ops, and a
@@ -950,7 +937,7 @@ struct StoreClient<'a> {
     cfg: &'a StoreConfig,
     k: u32,
     ring_map: HashRing,
-    monitors: &'a [MonitorFeed],
+    monitors: &'a [ShardMonitor<'a>],
     telemetry: &'a Telemetry,
     /// This client's flight ring (`client-<pid>`).
     ring: Arc<FlightRing>,
@@ -988,7 +975,7 @@ impl<'a> StoreClient<'a> {
         cfg: &'a StoreConfig,
         k: u32,
         transport: &'a dyn Transport,
-        monitors: &'a [MonitorFeed],
+        monitors: &'a [ShardMonitor<'a>],
         telemetry: &'a Telemetry,
         recorder: &FlightRecorder,
     ) -> StoreClient<'a> {
@@ -1098,7 +1085,7 @@ impl<'a> StoreClient<'a> {
             )
         };
         self.telemetry.op_started();
-        self.monitors[spec.shard as usize].send(Action::Call {
+        self.monitors[spec.shard as usize].observe(Action::Call {
             inv,
             pid: me,
             obj: spec.key,
@@ -1269,7 +1256,7 @@ impl<'a> StoreClient<'a> {
             fl.span.flight_word(),
             u64::from(fl.spec.key.0),
         );
-        self.monitors[fl.spec.shard as usize].send(Action::Return {
+        self.monitors[fl.spec.shard as usize].observe(Action::Return {
             inv: fl.inv,
             val: ret,
         });
@@ -1400,16 +1387,13 @@ impl Client for StoreClient<'_> {
         &self.ring
     }
 
-    /// A burst is over when no op is in flight: the client rings every
-    /// shard's monitor, after its last `Return` and before it draws the
-    /// next burst.
-    fn step(&mut self) -> bool {
+    /// A burst is over when no op is in flight: the client draws the next
+    /// one, or finishes after the last.
+    fn step(&mut self) {
         if self.finished {
-            return false;
+            return;
         }
-        let mut rang = false;
         if !self.fill() {
-            rang = self.drawn > 0;
             if self.drawn == self.cfg.ops_per_client {
                 // An op completes at its quorum, which can be while the
                 // batch layer still holds its request to the last replica:
@@ -1419,7 +1403,7 @@ impl Client for StoreClient<'_> {
                 self.bt.flush_pending();
                 self.finished = true;
                 blunt_obs::static_counter!("store.client.stale_replies").add(self.stale_replies);
-                return rang;
+                return;
             }
             self.start_burst();
             self.fill();
@@ -1427,7 +1411,6 @@ impl Client for StoreClient<'_> {
         // The replies being waited on can't arrive until the requests
         // actually leave.
         self.bt.flush_pending();
-        rang
     }
 
     fn on_envelope(&mut self, env: Envelope, now: Instant) {
@@ -1660,10 +1643,9 @@ mod tests {
         cfg.retransmit_cap = Duration::from_millis(4);
         let recorder = Arc::new(FlightRecorder::new(256));
         let telemetry = Telemetry::default();
-        // The shard monitor checks the client's actions at the end.
-        let feeds = [MonitorFeed::default()];
+        let monitors = [ShardMonitor::new(0, &recorder, 4)];
         let sent = Sent::default();
-        let mut client = StoreClient::new(0, &cfg, 1, &sent, &feeds, &telemetry, &recorder);
+        let mut client = StoreClient::new(0, &cfg, 1, &sent, &monitors, &telemetry, &recorder);
         client.start_burst();
         assert!(client.fill());
         let first: Vec<_> = (0..3).map(|r| (r, 1, false)).collect();
@@ -1722,12 +1704,13 @@ mod tests {
         assert_eq!(client.latency.snapshot().count, 1);
         assert_eq!(client.next_deadline(now), now + Duration::from_millis(1));
 
+        // The shard monitor checked the op's `Call` and `Return` as they
+        // happened.
         drop(client);
-        let mut monitor = ShardMonitor::new(0, &feeds[0], &recorder, &telemetry, 4);
-        monitor.drain();
-        let (report, overhead, _) = monitor.finish();
-        assert!(report.clean());
-        assert_eq!(overhead.actions, 2);
+        let [monitor] = monitors;
+        let (report, actions, _, dump) = monitor.finish();
+        assert!(report.clean() && dump.is_none());
+        assert_eq!((report.checked, actions), (1, 2));
     }
 
     fn draws(cfg: &StoreConfig, k: u32, client: u32, bursts: &[u64]) -> Vec<(u32, bool, usize)> {

@@ -37,8 +37,8 @@ fn same_seed_runs_have_identical_coverage_and_deterministic_counters() {
     );
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.ops, b.ops);
-    assert_eq!(a.monitor_overhead.actions, 2 * a.ops);
-    assert_eq!(b.monitor_overhead.actions, 2 * b.ops);
+    assert_eq!(a.monitor_actions, 2 * a.ops);
+    assert_eq!(b.monitor_actions, 2 * b.ops);
     // The full chaos mix at this length exercises every fate.
     assert_eq!(
         a.coverage.fates_exercised(),
@@ -111,6 +111,38 @@ fn violation_captures_a_flight_dump_containing_the_violating_ops() {
         }
     }
     assert!(checked > 0, "violation window has value-returning ops");
+
+    // The monitor checks each action inside the call that reports it, so
+    // the dump is taken at the op it flags: no client has recorded anything
+    // since that op's completion. The flagged `Return` is the window's last
+    // action — every other one was observed before it.
+    let Some(Action::Return { inv, .. }) = window.actions().last() else {
+        panic!("a window ends on the return it flags");
+    };
+    let flagged = dump
+        .events
+        .iter()
+        .find(|e| {
+            e.ring.starts_with("client-")
+                && matches!(
+                    e.kind,
+                    FlightKind::OpCompleteRead | FlightKind::OpCompleteWrite
+                )
+                && e.a == inv.0
+        })
+        .expect("the flagged op's completion is in its client's ring");
+    for e in dump.events.iter().filter(|e| e.ring.starts_with("client-")) {
+        let later = if e.ring == flagged.ring {
+            e.seq > flagged.seq
+        } else {
+            e.t_us > flagged.t_us
+        };
+        assert!(
+            !later,
+            "{} {:?} recorded after the flagged op completed ({} #{}, {} µs)",
+            e.ring, e.kind, flagged.ring, flagged.seq, flagged.t_us
+        );
+    }
 
     // One worker steps every machine, and each machine's sends and the
     // fates they drew are in its own ring: a client's under `client-<pid>`,

@@ -102,7 +102,6 @@ fn the_five_register_shapes_reproduce_the_deleted_drivers_counters() {
         );
         assert_eq!(r.ops, 2_000, "{}", shape.name);
         assert_eq!(r.monitor_actions, 2 * r.ops, "{}", shape.name);
-        assert_eq!(r.monitor_overhead.actions, r.monitor_actions);
         assert_eq!(r.recovery.crashes, shape.expect[7], "{}", shape.name);
         assert_eq!(r.recovery.recoveries, shape.expect[7], "{}", shape.name);
         assert_eq!(r.shard_recoveries, vec![(shape.expect[7], shape.expect[7])]);

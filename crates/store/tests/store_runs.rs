@@ -451,13 +451,16 @@ fn the_reply_gap_never_fires_where_nothing_is_lost_on_either_tier() {
     // Fault-free, every link is FIFO and no response goes missing, so no
     // replica ever answers a later exchange ahead of an earlier one: the
     // rule is evaluated every pass and proves nothing. The deadline is a
-    // guess and may well fire (a 1 ms silence on a loaded box).
+    // guess and may well fire (a 1 ms silence on a loaded box). This is the
+    // benchmark's pipelined shape, so it also pins what the shard monitors
+    // see there: every `Call` and every `Return`, on both tiers.
     let cfg = deep_two_shard_shape(0x5709_6A90);
     let bus = run_store(&cfg).expect("valid fault config");
     let (uds, _) = common::run_over_uds(&cfg, &RunOpts::default(), "gap-quiet");
     for (tier, report) in [("bus", bus), ("uds", uds)] {
         assert_eq!(report.ops, 2_000, "{tier}");
         assert!(report.monitor.clean(), "{tier}: violations on a quiet run");
+        assert_eq!(report.monitor_actions, 2 * report.ops, "{tier}");
         assert_eq!(report.gap_retransmissions, 0, "{tier}");
     }
 }

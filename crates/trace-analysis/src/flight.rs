@@ -139,10 +139,6 @@ fn raw_trace_event(e: &blunt_obs::FlightEvent) -> TraceEvent {
             pid,
             label: format!("recovered in {}µs", e.a),
         },
-        FlightKind::MonitorCut => TraceEvent::Internal {
-            pid,
-            label: format!("cut #{}", e.a),
-        },
         FlightKind::MonitorViolation => TraceEvent::Internal {
             pid,
             label: format!("VIOLATION seg {}", e.a),
@@ -371,7 +367,7 @@ mod tests {
                     10,
                     encode_val(None),
                 ),
-                ev("monitor", 0, 7, FlightKind::MonitorCut, 4, 1, 0),
+                ev("monitor", 0, 7, FlightKind::MonitorViolation, 4, 0, 0),
             ],
         }
     }
@@ -384,7 +380,7 @@ mod tests {
         assert!(s.contains("p3→p0: update#1"), "arrow label:\n{s}");
         assert!(s.contains("✂ drop →p1"), "{s}");
         assert!(s.contains('✗'), "crash marker:\n{s}");
-        assert!(s.contains("cut #1"), "{s}");
+        assert!(s.contains("VIOLATION seg 0"), "{s}");
         assert!(s.ends_with("· t=1µs → t=7µs · 7 events\n"), "{s}");
     }
 

@@ -9,8 +9,8 @@ use blunt_trace::{flight_space_time, DiagramOptions};
 
 /// The events of the `blunt-obs` golden fixture
 /// (`tests/golden/flight_dump.jsonl` there): one client op pair, bus traffic
-/// with every fault family, a server crash/recovery, and a monitor cut +
-/// violation over 8 lanes.
+/// with every fault family, a server crash/recovery, and two monitor
+/// violations over 8 lanes.
 const EVENTS: &str = "\
 {\"type\":\"flight_event\",\"ring\":\"client-3\",\"seq\":0,\"t_us\":10,\"kind\":\"op_start_write\",\"pid\":3,\"a\":7,\"b\":42}
 {\"type\":\"flight_event\",\"ring\":\"client-3\",\"seq\":1,\"t_us\":11,\"kind\":\"bus_send\",\"pid\":3,\"a\":0,\"b\":8}
@@ -26,7 +26,7 @@ const EVENTS: &str = "\
 {\"type\":\"flight_event\",\"ring\":\"server-0\",\"seq\":6,\"t_us\":40,\"kind\":\"server_recover\",\"pid\":0,\"a\":512,\"b\":0}
 {\"type\":\"flight_event\",\"ring\":\"client-3\",\"seq\":5,\"t_us\":44,\"kind\":\"bus_deliver\",\"pid\":3,\"a\":0,\"b\":11}
 {\"type\":\"flight_event\",\"ring\":\"client-3\",\"seq\":6,\"t_us\":45,\"kind\":\"op_complete_write\",\"pid\":3,\"a\":7,\"b\":18446744073709551615}
-{\"type\":\"flight_event\",\"ring\":\"monitor\",\"seq\":0,\"t_us\":46,\"kind\":\"monitor_cut\",\"pid\":7,\"a\":1,\"b\":0}
+{\"type\":\"flight_event\",\"ring\":\"monitor\",\"seq\":0,\"t_us\":46,\"kind\":\"monitor_violation\",\"pid\":7,\"a\":0,\"b\":0}
 {\"type\":\"flight_event\",\"ring\":\"client-3\",\"seq\":7,\"t_us\":50,\"kind\":\"op_start_read\",\"pid\":3,\"a\":8,\"b\":18446744073709551615}
 {\"type\":\"flight_event\",\"ring\":\"client-3\",\"seq\":8,\"t_us\":61,\"kind\":\"op_complete_read\",\"pid\":3,\"a\":8,\"b\":42}
 {\"type\":\"flight_event\",\"ring\":\"monitor\",\"seq\":1,\"t_us\":62,\"kind\":\"monitor_violation\",\"pid\":7,\"a\":1,\"b\":0}
@@ -87,7 +87,7 @@ fn rendering_names_the_interesting_events() {
         "✂ crash-drop →p1 w4",
         "✂ partition →p2 w1",
         "recovered in 512µs",
-        "cut #1",
+        "VIOLATION seg 0",
         "VIOLATION seg 1",
         "· t=10µs → t=62µs · 18 events",
     ] {
