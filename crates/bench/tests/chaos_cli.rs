@@ -271,7 +271,7 @@ fn demo_broken_emits_a_flight_dump_whose_diagram_contains_the_violating_ops() {
     let dump = blunt_obs::FlightDump::parse(&dump_text).expect("dump parses");
     assert!(!dump.is_empty());
     let rendered = std::fs::read_to_string(&diagram).expect("diagram written");
-    assert!(rendered.contains("VIOLATION seg"), "{rendered}");
+    assert!(rendered.contains("VIOLATION #"), "{rendered}");
 
     // The ops of the printed violation window are in the rendered flight
     // window: the dump was captured at the moment of detection.
@@ -301,7 +301,7 @@ fn demo_amnesia_emits_a_flight_dump_whose_diagram_contains_the_violating_ops() {
     );
     let rendered = std::fs::read_to_string(dump_dir.join("broken_amnesia.diagram.txt"))
         .expect("diagram written");
-    assert!(rendered.contains("VIOLATION seg"), "{rendered}");
+    assert!(rendered.contains("VIOLATION #"), "{rendered}");
     let vals = returned_values(&stdout, "first violation window");
     assert!(
         !vals.is_empty(),

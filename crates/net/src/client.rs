@@ -42,8 +42,17 @@
 //! count, and it consumes the inbox, so nothing draws after it. A server
 //! that sent no goodbye (it died, or missed the deadline) leaves its reply
 //! links partial.
+//!
+//! [`NetClient::connect`] dials every server once, and a connection is a
+//! fixed fact of the run: when a write to it fails, or its reader meets
+//! the end of its stream, it is shut down, and every later frame on it is
+//! lost. That is a crash-stop replica, which the majority quorums
+//! tolerate; no connection is ever dialed again. (A serve process that
+//! came back would come back with an empty write-ahead log: an amnesia
+//! crash with no recovery.)
 
 use std::collections::VecDeque;
+use std::io;
 use std::ops::AddAssign;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -55,12 +64,16 @@ use blunt_obs::{FlightKind, FlightRecorder, FlightRing};
 
 use crate::conn::{Addr, Stream};
 use crate::fault::{FaultConfig, FaultConfigError};
-use crate::frame::{Frame, FrameReader, TaggedEnv, DRIVER_NODE};
+use crate::frame::{Frame, FrameReader, FrameWriter, TaggedEnv, DRIVER_NODE};
 use crate::injector::{Injector, Links, Timers, TransportStats};
-use crate::pool::ConnectionPool;
 use crate::rpc::TagGen;
 use crate::wire::Envelope;
 use crate::{Coverage, Inbox, Transport};
+
+/// How long a dial retries refused connections before the server counts
+/// as crashed from the start: generous enough to cover serve processes
+/// that are still binding.
+const DIAL_RETRY_WINDOW: Duration = Duration::from_secs(10);
 
 /// How a driver reaches its servers.
 pub struct NetClientCfg {
@@ -158,14 +171,17 @@ enum Inbound {
     /// Server `peer`'s goodbye, its dump decoded: every reply the server
     /// wrote came before it.
     Goodbye(usize, FlightDump),
+    /// Server `peer`'s connection ended: its reader met the end of the
+    /// stream, or an error.
+    Closed(usize),
     /// [`Transport::flush`]: release every hold and every timer.
     Flush,
 }
 
 /// One server connection's reader: decodes frames and hands each to the
-/// inbox as one message. It draws no fate and writes to no socket. Only a
-/// `HelloAck` stays here, so that the offset estimate is taken when the
-/// frame is decoded.
+/// inbox as one message, then the end of the connection. It draws no fate
+/// and writes to no socket. Only a `HelloAck` stays here, so that the
+/// offset estimate is taken when the frame is decoded.
 fn read_server(
     peer: usize,
     stream: Stream,
@@ -195,6 +211,56 @@ fn read_server(
             return;
         }
     }
+    let _ = inbound.send(Inbound::Closed(peer));
+}
+
+/// One server's connection, or `None`: the link is down.
+type Conn = Mutex<Option<FrameWriter<Stream>>>;
+
+/// Dials server `peer` at `addr`, says `Hello` and starts the
+/// connection's `net-reader-<peer>`; the writer half is the caller's.
+fn dial(
+    peer: usize,
+    addr: &Addr,
+    inbound: &Sender<Inbound>,
+    remote: &Arc<Mutex<Vec<RemoteServer>>>,
+    flight: &Arc<FlightRecorder>,
+) -> io::Result<FrameWriter<Stream>> {
+    let mut writer = FrameWriter::new(addr.connect_retry(DIAL_RETRY_WINDOW)?);
+    // One clock sample per connection: the server echoes `t_us` in its
+    // `HelloAck`, which gives the reader the offset estimate.
+    writer.write(&Frame::Hello {
+        node: DRIVER_NODE,
+        t_us: flight.now_us(),
+    })?;
+    let stream = writer.get_ref().try_clone()?;
+    let (inbound, remote, flight) = (inbound.clone(), Arc::clone(remote), Arc::clone(flight));
+    std::thread::Builder::new()
+        .name(format!("net-reader-{peer}"))
+        .spawn(move || read_server(peer, stream, &inbound, &remote, &flight))?;
+    Ok(writer)
+}
+
+/// Takes a link down for good: the connection is shut down, so its reader
+/// ends too, and nothing is written to it again.
+pub(crate) fn down(slot: &mut Option<FrameWriter<Stream>>) {
+    if let Some(w) = slot.take() {
+        let _ = w.get_ref().shutdown();
+    }
+}
+
+/// Writes `frame` on `conn`. A failed write loses the frame and takes the
+/// link down.
+fn write(conn: &Conn, frame: &Frame) -> io::Result<()> {
+    let mut slot = conn.lock().expect("connection lock");
+    let written = slot
+        .as_mut()
+        .ok_or(io::ErrorKind::NotConnected)?
+        .write(frame);
+    if written.is_err() {
+        down(&mut slot);
+    }
+    written
 }
 
 /// The driver-process transport: sockets to every server and the fault
@@ -202,7 +268,7 @@ fn read_server(
 pub struct NetClient {
     /// One connection per server (index = server pid): the requests', the
     /// relays' and the `Shutdown`'s.
-    pool: ConnectionPool,
+    conns: Vec<Conn>,
     tags: Arc<TagGen>,
     /// Every link of the run, both directions: the send path draws the
     /// requests' fates, the inbox the replies'.
@@ -217,17 +283,16 @@ pub struct NetClient {
 }
 
 impl NetClient {
-    /// Connects to every server in `cfg`, returning the transport plus the
+    /// Dials every server in `cfg` once, returning the transport plus the
     /// driver's one inbox, which carries every client's replies (each
     /// names its client in `dst`) and must be serviced by the thread that
-    /// steps the clients. Connections are dialed lazily on first send and
-    /// self-heal across server restarts.
+    /// steps the clients.
     ///
     /// # Errors
     ///
-    /// [`FaultConfigError`] for unusable fault configurations; connection
-    /// errors surface later, on send, as silently lost frames (the
-    /// retransmission layer absorbs them).
+    /// [`FaultConfigError`] for unusable fault configurations. A server
+    /// that still refuses the dial after 10 s is crashed from the start:
+    /// every frame for it is lost, which the quorums absorb.
     pub fn connect(
         cfg: &NetClientCfg,
         flight: Arc<FlightRecorder>,
@@ -244,33 +309,15 @@ impl NetClient {
         });
         let (inbound, frames) = mpsc::channel();
         let remote = Arc::new(Mutex::new(vec![RemoteServer::default(); cfg.servers.len()]));
-        let hello_flight = Arc::clone(&flight);
-        let (reader_inbound, reader_remote, reader_flight) =
-            (inbound.clone(), Arc::clone(&remote), Arc::clone(&flight));
-        let pool = ConnectionPool::new(
-            cfg.servers.clone(),
-            // Fresh clock sample per dial: the server echoes `t_us` in its
-            // `HelloAck`, giving the reader one offset estimate per
-            // (re)connection.
-            move || Frame::Hello {
-                node: DRIVER_NODE,
-                t_us: hello_flight.now_us(),
-            },
-            move |peer, stream| {
-                let (inbound, remote, flight) = (
-                    reader_inbound.clone(),
-                    Arc::clone(&reader_remote),
-                    Arc::clone(&reader_flight),
-                );
-                std::thread::Builder::new()
-                    .name(format!("net-reader-{peer}"))
-                    .spawn(move || read_server(peer, stream, &inbound, &remote, &flight))
-                    .expect("spawn connection reader thread");
-            },
-        );
+        let conns = cfg
+            .servers
+            .iter()
+            .enumerate()
+            .map(|(peer, addr)| Mutex::new(dial(peer, addr, &inbound, &remote, &flight).ok()))
+            .collect();
         let ring = flight.register_lanes("net-inbox", 1);
         let client = Arc::new(NetClient {
-            pool,
+            conns,
             tags,
             links: Mutex::new(links),
             inbound,
@@ -357,36 +404,43 @@ impl NetClient {
         }
     }
 
-    /// Tells every server to finish up, and services `inbox` for up to
-    /// `wait` until their `Goodbye`s: a server writes every reply ahead of
-    /// its goodbye, so the fates of late replies are drawn and counted.
-    /// Then shuts every connection down — the reader threads hold clones
-    /// of the pooled streams and must not outlive the run, because a
-    /// server keeps its end open — and drops the inbox, so nothing draws a
-    /// fate after this returns. Returns every server's remote state (index
-    /// = server pid): a server sends its final telemetry right before its
-    /// goodbye, so one that said goodbye reports its whole run; one that
-    /// died hard keeps its last telemetry and a `None` dump.
+    /// Tells every server whose connection is open to finish up, and
+    /// services `inbox` for up to `wait` until each of them has said
+    /// `Goodbye` or its connection has ended: a server writes every reply
+    /// ahead of its goodbye, so the fates of late replies are drawn and
+    /// counted. A relay for a server past its `Shutdown` is dropped. Then
+    /// shuts every connection down — the reader threads hold clones of the
+    /// streams and must not outlive the run, because a server keeps its
+    /// end open — and drops the inbox, so nothing draws a fate after this
+    /// returns. Returns every server's remote state (index = server pid):
+    /// a server sends its final telemetry right before its goodbye, so one
+    /// that said goodbye reports its whole run; one that died hard keeps
+    /// its last telemetry and a `None` dump.
     pub fn shutdown(&self, mut inbox: DriverInbox, wait: Duration) -> Vec<RemoteServer> {
-        // A send failure is a lost frame: one dead server must not keep
-        // the others from hearing it. A later write to a server — a relay
-        // — fails at once.
-        for peer in 0..self.pool.len() {
-            let _ = self.pool.send_last(peer, &Frame::Shutdown);
+        // Each writer leaves its slot with the `Shutdown`, so nothing
+        // follows it; a failed write is a server that is gone already.
+        let mut shut = Vec::new();
+        let mut waiting = vec![false; self.conns.len()];
+        for (peer, conn) in self.conns.iter().enumerate() {
+            if let Some(mut w) = conn.lock().expect("connection lock").take() {
+                waiting[peer] = w.write(&Frame::Shutdown).is_ok();
+                shut.push(w);
+            }
         }
         let deadline = Instant::now() + wait;
-        let said_goodbye = || {
-            let remote = self.remote.lock().expect("remote lock");
-            remote.iter().all(|r| r.dump.is_some())
-        };
-        while !said_goodbye() {
+        while waiting.contains(&true) {
             let left = deadline.saturating_duration_since(Instant::now());
             let Ok(message) = inbox.frames.recv_timeout(left) else {
                 break;
             };
+            if let Inbound::Goodbye(peer, _) | Inbound::Closed(peer) = message {
+                waiting[peer] = false;
+            }
             inbox.take(message);
         }
-        self.pool.close();
+        for w in shut {
+            let _ = w.get_ref().shutdown();
+        }
         self.remote.lock().expect("remote lock").clone()
     }
 }
@@ -430,6 +484,9 @@ impl DriverInbox {
             Inbound::Goodbye(peer, dump) => {
                 remote.lock().expect("remote lock")[peer].dump = Some(dump);
             }
+            Inbound::Closed(peer) => {
+                down(&mut self.net.conns[peer].lock().expect("connection lock"))
+            }
             // Servers send a driver nothing else.
             Inbound::Frame(..) => {}
             Inbound::Flush => {
@@ -451,7 +508,7 @@ impl DriverInbox {
         let ready = &mut self.ready;
         let (mut later, mut relays) = (Vec::new(), Vec::new());
         let deliver = |e: TaggedEnv| {
-            if e.env.dst.index() < net.pool.len() {
+            if e.env.dst.index() < net.conns.len() {
                 relays.push(e);
             } else {
                 route(ready, e);
@@ -466,7 +523,7 @@ impl DriverInbox {
                 ..e
             };
             // A failed write is a lost frame, as on any other path.
-            if net.pool.send(dst, &Frame::from(relay)).is_ok() {
+            if write(&net.conns[dst], &Frame::from(relay)).is_ok() {
                 blunt_obs::static_counter!("net.relays").inc();
             }
         }
@@ -521,9 +578,9 @@ impl Transport for NetClient {
 
     fn send_batch(&self, envs: Vec<Envelope>) {
         for (dst, entries) in self.realise(envs) {
-            // A send failure is a lost frame; retransmission recovers,
-            // exactly as with any other drop on the path.
-            let _ = self.pool.send(dst.index(), &Frame::batch(entries));
+            // A send failure is a lost frame, and a link down for good: a
+            // crashed replica, which the quorums tolerate.
+            let _ = write(&self.conns[dst.index()], &Frame::batch(entries));
         }
     }
 

@@ -17,9 +17,9 @@
 //!   realiser of a drawn fate ([`Links`], with [`Timers`] for delays).
 //! - [`frame`] — the length-prefixed, versioned wire format (hand-rolled,
 //!   zero dependencies).
-//! - [`conn`] / [`pool`] — TCP / Unix-domain streams and the driver's
-//!   connection pool (one connection per server) with single-redial
-//!   self-healing.
+//! - [`conn`] — TCP / Unix-domain streams. A socket run dials each
+//!   connection once; a connection that dies stays down, as a crash-stop
+//!   replica does.
 //! - [`rpc`] — monotonic frame tags; a reply echoes its request's tag.
 //! - [`client`] / [`server`] — the two socket endpoints: [`NetClient`]
 //!   (the driver process: its one worker steps the clients and the shard
@@ -40,7 +40,7 @@
 //!
 //! The socket tier feeds the `net.*` counter family: `net.frames_sent`,
 //! `net.frames_received`, `net.bytes_sent`, `net.bytes_received`,
-//! `net.reconnects`, `net.rpc.tag_mismatch_drops`, and `net.relays`
+//! `net.rpc.tag_mismatch_drops`, and `net.relays`
 //! (envelopes the driver relayed from one server to another).
 //!
 //! ## Fault semantics across backends
@@ -68,7 +68,6 @@ pub mod coverage;
 pub mod fault;
 pub mod frame;
 pub mod injector;
-pub mod pool;
 pub mod rpc;
 pub mod server;
 pub mod wire;

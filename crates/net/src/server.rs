@@ -11,40 +11,45 @@
 //! (`StateQuery`/`StateReply`) goes to the driver too, each on its own
 //! `Env` frame, and the driver relays it: servers never dial each other.
 //!
-//! Inbound, the replica thread reads its own driver socket through the
-//! [`ServerInbox`] that [`NetServer::bind`] returns: no thread stands
-//! between a request on the wire and the ABD step that answers it. The
-//! process's threads are the replica (whoever drives the inbox), the
-//! acceptor, and one short-lived handshake thread per accepted connection
-//! — none per driver connection. A connection whose `Hello` is not the
-//! driver's is closed at once.
+//! [`NetServer::bind`] binds, accepts on the calling thread until a
+//! connection's `Hello` is the driver's, answers it with a `HelloAck`, and
+//! drops the listener: a run's one connection is a fixed fact of the run,
+//! and no thread waits in `accept` for a later dial. A connection whose
+//! `Hello` is not the driver's, or that says nothing for 2 s, is closed
+//! and the next one taken. Inbound, the replica thread reads the driver
+//! socket itself through the [`ServerInbox`] `bind` returns: no thread
+//! stands between a request on the wire and the ABD step that answers it.
 //!
-//! An inbound `Shutdown` on the driver connection raises the stop flag and
-//! ends the inbox's input; the runtime then sends the server's final
-//! counters with [`NetServer::telemetry`], its flight-dump tail with
-//! [`NetServer::goodbye`], and takes the server off the network with
-//! [`NetServer::close`] — the acceptor blocks in
-//! `accept` and the driver's reader in `read`, and neither ends because a
-//! `NetServer` is dropped.
+//! The input ends when the inbox reads the driver's `Shutdown`, which also
+//! raises the stop flag, or when the driver connection ends any other way
+//! (EOF, an I/O or framing error): a driver that is gone is not coming
+//! back. The runtime then sends the server's final counters with
+//! [`NetServer::telemetry`], its flight-dump tail with
+//! [`NetServer::goodbye`] (lost, if the driver is gone), and shuts the
+//! connection down with [`NetServer::close`].
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
 use blunt_obs::{FlightKind, FlightRecorder};
 
-use crate::client::ServerTelemetry;
+use crate::client::{down, ServerTelemetry};
 use crate::conn::{Addr, Stream};
 use crate::frame::{Frame, FrameReader, FrameWriter, TaggedEnv, DRIVER_NODE};
 use crate::injector::TransportStats;
 use crate::rpc::TagGen;
 use crate::wire::Envelope;
 use crate::{Coverage, Inbox, Transport};
+
+/// How long an accepted connection has to say `Hello` before it is closed
+/// and the next one taken: a dialer that says nothing cannot hold a
+/// server's accept forever.
+const HELLO_WAIT: Duration = Duration::from_secs(2);
 
 /// How one server process joins a chaos run.
 pub struct NetServerCfg {
@@ -56,144 +61,93 @@ pub struct NetServerCfg {
     pub servers: u32,
 }
 
-/// The single writer handle back to the driver process, replaced whenever
-/// the driver redials (e.g. after noticing a dead connection).
+/// The writer back to the driver: down for the rest of the run from its
+/// first failed write on, as a crashed link is.
 struct DriverSlot(Mutex<Option<FrameWriter<Stream>>>);
 
 impl DriverSlot {
+    /// Writes `frame`; a failed write loses it and shuts the connection
+    /// down, which ends the inbox's input too.
     fn write(&self, frame: &Frame) {
         let mut slot = self.0.lock().expect("driver slot lock");
-        if let Some(w) = slot.as_mut() {
-            if w.write(frame).is_err() {
-                // The frame is lost; the driver's pool will redial and the
-                // retransmission layer recovers.
-                *slot = None;
-            }
+        if slot.as_mut().is_some_and(|w| w.write(frame).is_err()) {
+            down(&mut slot);
         }
     }
 }
 
-/// The server-process transport: the listener and the writer back to the
-/// driver.
+/// The server-process transport: the writer back to the driver.
 pub struct NetServer {
     me: Pid,
     servers: u32,
-    /// Where the acceptor listens: [`NetServer::close`] dials it.
-    listen: Addr,
-    acceptor: Mutex<Option<JoinHandle<()>>>,
     tags: TagGen,
-    driver: Arc<DriverSlot>,
+    driver: DriverSlot,
     stop: Arc<AtomicBool>,
     flight: Arc<FlightRecorder>,
 }
 
-/// One accepted connection. The driver's gets its writer installed and its
-/// `HelloAck`, then its read half goes to the replica thread and this
-/// thread exits: the replica reads its own driver socket. Any other
-/// connection is closed as this thread returns.
-fn handshake(
-    me: Pid,
-    flight: &FlightRecorder,
-    stream: Stream,
-    mailbox: &Sender<FrameReader<Stream>>,
-    driver: &DriverSlot,
-) {
-    let writer = stream.try_clone();
+/// The driver's connection, if `stream` is it: its `Hello` read within
+/// [`HELLO_WAIT`], and the reader that read it (frames behind the `Hello`
+/// stay in its buffer), a writer on the same connection, and the driver's
+/// `Hello` timestamp.
+fn handshake(stream: Stream) -> Option<(FrameReader<Stream>, FrameWriter<Stream>, u64)> {
+    stream.set_read_timeout(Some(HELLO_WAIT)).ok()?;
+    let writer = FrameWriter::new(stream.try_clone().ok()?);
     let mut reader = FrameReader::new(stream);
-    let Ok(Some(Frame::Hello {
-        node: DRIVER_NODE,
-        t_us: hello_t,
-    })) = reader.read()
-    else {
-        return;
-    };
-    if let Ok(writer) = writer {
-        *driver.0.lock().expect("driver slot lock") = Some(FrameWriter::new(writer));
+    match reader.read() {
+        Ok(Some(Frame::Hello {
+            node: DRIVER_NODE,
+            t_us,
+        })) => Some((reader, writer, t_us)),
+        _ => None,
     }
-    // Echo the driver's timestamp with our own flight clock — the same
-    // clock stamping this process's flight events — so the driver can
-    // estimate this process's clock offset from the round trip.
-    driver.write(&Frame::HelloAck {
-        node: me.0,
-        echo_t: hello_t,
-        t_us: flight.now_us(),
-    });
-    let _ = mailbox.send(reader);
-}
-
-/// The driver connection as the replica thread holds it.
-struct DriverConn {
-    reader: FrameReader<Stream>,
-    /// The read timeout the socket carries now (`None`: as accepted,
-    /// blocking), so it is set again only when it has to change.
-    read_timeout: Option<Duration>,
 }
 
 /// The replica thread's inbox in a server process. Requests are read off
 /// the driver's socket **by the calling thread**, so a request costs no
 /// thread hand-off on its way in. Every entry is admitted: a request the
 /// driver wrote twice (a `Duplicate` fate) reaches the replica twice, as
-/// on the bus.
-/// A read blocks for at most the caller's timeout; the mailbox beside the
-/// socket carries only the hand-over of a fresh driver connection, and the
-/// inbox looks at it before every read.
+/// on the bus. A read blocks for at most the caller's timeout.
 ///
-/// A `Shutdown` frame raises the server's stop flag and ends the input:
-/// every later call reports `Disconnected`. The driver connection ending
-/// any other way (EOF, an I/O or framing error) leaves the inbox waiting
-/// for the driver to redial. The newest driver connection always wins: a
-/// redial replaces the reader and whatever sat undecoded in the old
-/// buffer — a lost frame, which retransmission absorbs.
+/// The input ends at a `Shutdown` frame, which also raises the server's
+/// stop flag, or when the driver connection ends any other way (EOF, an
+/// I/O or framing error): every later call reports `Disconnected`.
 pub struct ServerInbox {
-    mailbox: Receiver<FrameReader<Stream>>,
-    driver: Option<DriverConn>,
+    reader: FrameReader<Stream>,
+    /// The read timeout the socket carries now, so it is set again only
+    /// when it has to change.
+    read_timeout: Duration,
     /// Admitted envelopes nobody has taken yet: the rest of the frame read
     /// last.
     ready: VecDeque<Envelope>,
-    shut: bool,
+    ended: bool,
     stop: Arc<AtomicBool>,
 }
 
 impl ServerInbox {
-    fn take(&mut self, reader: FrameReader<Stream>) {
-        self.driver = Some(DriverConn {
-            reader,
-            read_timeout: None,
-        });
-    }
-
     /// One frame off the driver connection into `ready`, its envelopes in
     /// wire order, each handled exactly as if it had arrived as its own
     /// `Env` frame. Blocks for at most the socket's read timeout, and not
     /// at all when the frame is already buffered.
     fn read_driver(&mut self) {
-        let Some(conn) = self.driver.as_mut() else {
-            return;
-        };
-        let frame = match conn.reader.read() {
-            Ok(Some(Frame::Shutdown)) => {
-                self.stop.store(true, Ordering::SeqCst);
-                self.shut = true;
-                return;
-            }
-            Ok(Some(frame)) => frame,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => return,
-            Ok(None) | Err(_) => {
-                self.driver = None;
-                return;
-            }
-        };
-        match frame {
-            Frame::Env { tag, env, .. } => self.ready.push_back(env.in_reply_to(tag)),
-            Frame::EnvBatch { entries } => {
+        match self.reader.read() {
+            Ok(Some(Frame::Env { tag, env, .. })) => self.ready.push_back(env.in_reply_to(tag)),
+            Ok(Some(Frame::EnvBatch { entries })) => {
                 let admitted = entries.into_iter().map(|e| e.env.in_reply_to(e.tag));
                 self.ready.extend(admitted);
             }
-            Frame::Hello { .. }
-            | Frame::HelloAck { .. }
-            | Frame::Telemetry { .. }
-            | Frame::Goodbye { .. }
-            | Frame::Shutdown => {}
+            Ok(Some(Frame::Shutdown)) => {
+                self.stop.store(true, Ordering::SeqCst);
+                self.ended = true;
+            }
+            Ok(Some(
+                Frame::Hello { .. }
+                | Frame::HelloAck { .. }
+                | Frame::Telemetry { .. }
+                | Frame::Goodbye { .. },
+            )) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Ok(None) | Err(_) => self.ended = true,
         }
     }
 }
@@ -207,20 +161,13 @@ impl Inbox for ServerInbox {
                 Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
                 Err(TryRecvError::Empty) => {}
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+            if Instant::now() >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
-            let Some(conn) = self.driver.as_mut() else {
-                // No driver connection: wait for its hand-over.
-                let reader = self.mailbox.recv_timeout(left)?;
-                self.take(reader);
-                continue;
-            };
             // The caller's timeout rather than what is left of it, so the
             // socket option changes only when the caller's timeout does.
-            if conn.read_timeout != Some(timeout) {
-                if conn
+            if self.read_timeout != timeout {
+                if self
                     .reader
                     .get_ref()
                     .set_read_timeout(Some(timeout))
@@ -228,10 +175,10 @@ impl Inbox for ServerInbox {
                 {
                     // Unbounded reads would hang the replica on a silent
                     // driver; without the bound the connection is no use.
-                    self.driver = None;
+                    self.ended = true;
                     continue;
                 }
-                conn.read_timeout = Some(timeout);
+                self.read_timeout = timeout;
             }
             self.read_driver();
         }
@@ -242,16 +189,12 @@ impl Inbox for ServerInbox {
             if let Some(env) = self.ready.pop_front() {
                 return Ok(env);
             }
-            if self.shut {
+            if self.ended {
                 return Err(TryRecvError::Disconnected);
-            }
-            if let Ok(reader) = self.mailbox.try_recv() {
-                self.take(reader);
-                continue;
             }
             // Only a frame that is whole in the buffer: never a socket
             // read, so a drain pass ends when the wire runs dry.
-            if !self.driver.as_ref().is_some_and(|c| c.reader.has_frame()) {
+            if !self.reader.has_frame() {
                 return Err(TryRecvError::Empty);
             }
             self.read_driver();
@@ -260,67 +203,49 @@ impl Inbox for ServerInbox {
 }
 
 impl NetServer {
-    /// Binds the listener and returns the transport plus the replica
-    /// thread's inbox. Accepting and handshakes run on background threads
-    /// from here on; the driver connection is read by whoever calls the
-    /// inbox.
+    /// Binds the listener, waits on the calling thread for the driver's
+    /// connection and answers its `Hello`, then drops the listener: a later
+    /// dial finds nobody. Returns the transport plus the replica thread's
+    /// inbox, which reads the driver connection on whoever calls it.
     ///
     /// # Errors
     ///
-    /// Bind errors.
+    /// Bind and accept errors.
     pub fn bind(
         cfg: &NetServerCfg,
         flight: Arc<FlightRecorder>,
     ) -> io::Result<(Arc<NetServer>, ServerInbox)> {
         let listener = cfg.listen.listen()?;
-        let (mailbox_tx, mailbox_rx) = mpsc::channel();
-        let driver = Arc::new(DriverSlot(Mutex::new(None)));
+        let (reader, writer, hello_t) = loop {
+            if let Some(driver) = handshake(listener.accept()?) {
+                break driver;
+            }
+        };
+        drop(listener);
         let stop = Arc::new(AtomicBool::new(false));
-        let me = cfg.me;
-        let acceptor = {
-            let driver = Arc::clone(&driver);
-            let flight = Arc::clone(&flight);
-            let stop = Arc::clone(&stop);
-            let accept = move || loop {
-                let Ok(stream) = listener.accept() else {
-                    return;
-                };
-                // A stopped server takes no connection; the one that got
-                // `accept` to return may be `close`'s own.
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let mailbox = mailbox_tx.clone();
-                let driver = Arc::clone(&driver);
-                let flight = Arc::clone(&flight);
-                let conn = move || handshake(me, &flight, stream, &mailbox, &driver);
-                // A connection that gets no thread is a lost frame's worth
-                // of trouble for its dialer, not for this server.
-                let _ = std::thread::Builder::new()
-                    .name("net-conn".into())
-                    .spawn(conn);
-            };
-            std::thread::Builder::new()
-                .name("net-accept".into())
-                .spawn(accept)?
-        };
-        let inbox = ServerInbox {
-            mailbox: mailbox_rx,
-            driver: None,
-            ready: VecDeque::new(),
-            shut: false,
-            stop: Arc::clone(&stop),
-        };
         let server = Arc::new(NetServer {
-            me,
+            me: cfg.me,
             servers: cfg.servers,
-            listen: cfg.listen.clone(),
-            acceptor: Mutex::new(Some(acceptor)),
             tags: TagGen::new(),
-            driver,
-            stop,
+            driver: DriverSlot(Mutex::new(Some(writer))),
+            stop: Arc::clone(&stop),
             flight,
         });
+        // Echo the driver's timestamp with our own flight clock — the same
+        // clock stamping this process's flight events — so the driver can
+        // estimate this process's clock offset from the round trip.
+        server.driver.write(&Frame::HelloAck {
+            node: cfg.me.0,
+            echo_t: hello_t,
+            t_us: server.flight.now_us(),
+        });
+        let inbox = ServerInbox {
+            reader,
+            read_timeout: HELLO_WAIT,
+            ready: VecDeque::new(),
+            ended: false,
+            stop,
+        };
         Ok((server, inbox))
     }
 
@@ -333,8 +258,7 @@ impl NetServer {
     }
 
     /// Ships a cumulative telemetry snapshot to the driver. Best-effort:
-    /// if the driver connection is down the snapshot is lost and the next
-    /// periodic tick resends fresher numbers.
+    /// if the driver connection is down the snapshot is lost.
     pub fn telemetry(&self, report: ServerTelemetry) {
         self.driver.write(&Frame::Telemetry {
             node: self.me.0,
@@ -352,26 +276,11 @@ impl NetServer {
         });
     }
 
-    /// Takes the server off the network, for good: raises the stop flag,
-    /// shuts the driver connection down (everything written before —
-    /// the `Goodbye` — is still delivered; the driver's reader then sees
-    /// the end of the stream) and ends the acceptor, which drops the
-    /// listener. The acceptor is blocked in `accept` and safe `std` cannot
-    /// interrupt that, so one throw-away dial of the server's own address
-    /// returns it to the flag.
+    /// Shuts the driver connection down, for every handle of it: what was
+    /// written before — the `Goodbye` — is still delivered, and the
+    /// driver's reader then sees the end of the stream.
     pub fn close(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(w) = self.driver.0.lock().expect("driver slot lock").take() {
-            let _ = w.get_ref().shutdown();
-        }
-        let Some(acceptor) = self.acceptor.lock().expect("acceptor lock").take() else {
-            return;
-        };
-        // If the dial fails the listener is either gone already (joined
-        // at once) or out of reach, and waiting for it would hang.
-        if self.listen.connect().is_ok() || acceptor.is_finished() {
-            let _ = acceptor.join();
-        }
+        down(&mut self.driver.0.lock().expect("driver slot lock"));
     }
 }
 

@@ -1,12 +1,15 @@
-//! The replica thread reads its own driver socket: hand-over, redial, the
-//! refusal of any other dialer, the non-blocking half of [`ServerInbox`],
-//! and the admission of every entry (a request `Duplicate` is the same
-//! tagged entry twice, and the replica receives both), against a real
-//! `NetServer` on a loopback Unix socket.
+//! The replica thread reads its own driver socket: the frames behind the
+//! `Hello`, the refusal of any other dialer, the end of the input with the
+//! driver connection, the non-blocking half of [`ServerInbox`], and the
+//! admission of every entry (a request `Duplicate` is the same tagged entry
+//! twice, and the replica receives both), against a real `NetServer` on a
+//! loopback Unix socket.
 
 use std::io::{ErrorKind, Read as _, Write as _};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use blunt_abd::msg::AbdMsg;
@@ -20,19 +23,35 @@ use blunt_obs::FlightRecorder;
 const LONG: Duration = Duration::from_secs(5);
 const SHORT: Duration = Duration::from_millis(200);
 
-/// A bound one-server `NetServer`; `tag` keeps the tests' sockets apart.
-fn bind(tag: &str) -> (Arc<NetServer>, ServerInbox, Addr) {
+type Bound = (Arc<NetServer>, ServerInbox);
+
+/// The socket a test's server listens on; `tag` keeps the tests apart.
+fn sock(tag: &str) -> Addr {
     let dir = std::env::temp_dir().join(format!("blunt-inbox-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("socket dir");
-    let listen = Addr::parse(dir.join("s0.sock").to_str().expect("utf-8 path"));
+    Addr::parse(dir.join("s0.sock").to_str().expect("utf-8 path"))
+}
+
+/// A one-server `NetServer` binding on its own thread, which returns once
+/// its driver is in.
+fn serve(tag: &str) -> (JoinHandle<Bound>, Addr) {
+    let listen = sock(tag);
     let cfg = NetServerCfg {
         listen: listen.clone(),
         me: Pid(0),
         servers: 1,
     };
-    let (server, inbox) =
-        NetServer::bind(&cfg, Arc::new(FlightRecorder::new(256))).expect("bind UDS listener");
-    (server, inbox, listen)
+    let bind = move || NetServer::bind(&cfg, Arc::new(FlightRecorder::new(256))).expect("bind");
+    (thread::spawn(bind), listen)
+}
+
+/// A `NetServer` whose driver opened its connection with `bytes` (its
+/// `Hello` first); the driver's end of that connection.
+fn bind(tag: &str, bytes: &[u8]) -> (Arc<NetServer>, ServerInbox, Stream) {
+    let (server, addr) = serve(tag);
+    let conn = dial(&addr, bytes);
+    let (server, inbox) = server.join().expect("bind thread");
+    (server, inbox, conn)
 }
 
 fn hello() -> Vec<u8> {
@@ -75,11 +94,10 @@ fn dial(addr: &Addr, bytes: &[u8]) -> Stream {
 
 #[test]
 fn frames_behind_the_hello_travel_with_the_reader() {
-    let (_server, mut inbox, addr) = bind("handover");
-    // One write: the handshake thread's first `read` takes the `Hello` and
-    // every frame behind it into the buffer it then hands over.
+    // One write: the handshake's first `read` takes the `Hello` and every
+    // frame behind it into the buffer the inbox then reads from.
     let burst = [hello(), query(1), query(2), query(3)].concat();
-    let _conn = dial(&addr, &burst);
+    let (_server, mut inbox, _conn) = bind("handover", &burst);
     for want in 1..=3 {
         let env = inbox.recv_timeout(LONG).expect("delivered");
         assert_eq!(sn_of(&env), want);
@@ -93,11 +111,11 @@ fn frames_behind_the_hello_travel_with_the_reader() {
 /// bus mailbox does, each stamped with the tag.
 #[test]
 fn a_tag_written_twice_reaches_the_replica_twice() {
-    let (_server, mut inbox, addr) = bind("duplicate");
     let twice = Frame::EnvBatch {
         entries: vec![entry(7), entry(7), entry(8)],
     };
-    let mut conn = dial(&addr, &[hello(), twice.encode().expect("encodes")].concat());
+    let opening = [hello(), twice.encode().expect("encodes")].concat();
+    let (_server, mut inbox, mut conn) = bind("duplicate", &opening);
     for want in [7, 7, 8] {
         let env = inbox.recv_timeout(LONG).expect("admitted");
         assert_eq!((sn_of(&env), env.reply_to), (want, u64::from(want)));
@@ -108,49 +126,40 @@ fn a_tag_written_twice_reaches_the_replica_twice() {
     assert_eq!(inbox.recv_timeout(SHORT), Err(RecvTimeoutError::Timeout));
 }
 
+/// The driver connection is the run's one connection: when it ends, the
+/// input ends, for good, and no later dial reaches the server.
 #[test]
-fn the_newest_driver_connection_wins() {
-    let (_server, mut inbox, addr) = bind("redial");
-    let mut first = dial(&addr, &[hello(), query(42)].concat());
+fn the_driver_connection_ending_ends_the_input() {
+    let (server, mut inbox, conn) = bind("conn-ends", &[hello(), query(42)].concat());
     assert_eq!(sn_of(&inbox.recv_timeout(LONG).expect("admitted")), 42);
+    assert!(
+        sock("conn-ends").connect().is_err(),
+        "the listener outlived the accept"
+    );
 
-    // A redial while the old connection is still open and silent: the
-    // inbox finds the hand-over when its read of the old socket times out,
-    // after the caller's timeout, as a serve loop's idle poll does.
-    let second = dial(&addr, &[hello(), query(42), query(43)].concat());
-    let deadline = Instant::now() + LONG;
-    let fresh = loop {
-        match inbox.recv_timeout(SHORT) {
-            Ok(env) => break env,
-            Err(RecvTimeoutError::Timeout) if Instant::now() < deadline => {}
-            Err(e) => panic!("no hand-over: {e:?}"),
-        }
-    };
-    assert_eq!(sn_of(&fresh), 42, "the new connection's first frame");
-    assert_eq!(sn_of(&inbox.recv_timeout(LONG).expect("delivered")), 43);
-    // The old connection lost: what it sends now goes nowhere.
-    let _ = first.write_all(&query(44));
-    assert_eq!(inbox.recv_timeout(SHORT), Err(RecvTimeoutError::Timeout));
-
-    // And a redial after the connection died (EOF), which leaves the
-    // inbox waiting on its mailbox alone.
-    drop(second);
-    drop(first);
-    assert_eq!(inbox.recv_timeout(SHORT), Err(RecvTimeoutError::Timeout));
-    let _third = dial(&addr, &[hello(), query(42)].concat());
-    assert_eq!(sn_of(&inbox.recv_timeout(LONG).expect("after EOF")), 42);
+    drop(conn);
+    let t0 = Instant::now();
+    assert_eq!(
+        inbox.recv_timeout(LONG),
+        Err(RecvTimeoutError::Disconnected),
+        "at the end of the stream, not after a timeout"
+    );
+    assert!(t0.elapsed() < SHORT, "took {:?}", t0.elapsed());
+    assert_eq!(inbox.try_recv(), Err(TryRecvError::Disconnected));
+    assert!(
+        !server.stop_flag().load(Ordering::SeqCst),
+        "only a `Shutdown` raises the stop flag"
+    );
 }
 
 #[test]
 fn try_recv_never_reads_the_socket() {
-    let (_server, mut inbox, addr) = bind("try-recv");
     // The socket's read timeout is the caller's: a `try_recv` that read
     // the socket would sit out the 5 s below.
-    assert_eq!(inbox.try_recv(), Err(TryRecvError::Empty), "no driver yet");
-
     let second = query(2);
     let (head, tail) = second.split_at(second.len() / 2);
-    let mut conn = dial(&addr, &[hello(), query(1), head.to_vec()].concat());
+    let opening = [hello(), query(1), head.to_vec()].concat();
+    let (_server, mut inbox, mut conn) = bind("try-recv", &opening);
     assert_eq!(sn_of(&inbox.recv_timeout(LONG).expect("whole frame")), 1);
     let t0 = Instant::now();
     assert_eq!(
@@ -173,10 +182,10 @@ fn try_recv_never_reads_the_socket() {
 
 #[test]
 fn shutdown_raises_the_flag_and_ends_the_input_after_what_preceded_it() {
-    let (server, mut inbox, addr) = bind("shutdown");
-    let stop = server.stop_flag();
     let shutdown = Frame::Shutdown.encode().expect("encodes");
-    let _conn = dial(&addr, &[hello(), query(1), shutdown, query(2)].concat());
+    let opening = [hello(), query(1), shutdown, query(2)].concat();
+    let (server, mut inbox, _conn) = bind("shutdown", &opening);
+    let stop = server.stop_flag();
     assert_eq!(sn_of(&inbox.recv_timeout(LONG).expect("ahead of it")), 1);
     assert_eq!(inbox.try_recv(), Err(TryRecvError::Disconnected));
     assert!(stop.load(std::sync::atomic::Ordering::SeqCst));
@@ -188,10 +197,11 @@ fn shutdown_raises_the_flag_and_ends_the_input_after_what_preceded_it() {
 }
 
 /// Only the driver talks to a server: a connection whose `Hello` names any
-/// other node is closed, and the frames behind it reach no one.
+/// other node is closed, and the frames behind it reach no one, and so is
+/// one that says nothing; the server takes the next.
 #[test]
 fn a_hello_from_another_node_is_refused() {
-    let (_server, mut inbox, addr) = bind("refused");
+    let (server, addr) = serve("refused");
     let mut peer = dial(&addr, &[hello_from(1), query(1)].concat());
     peer.set_read_timeout(Some(LONG)).expect("read timeout");
     let mut rest = Vec::new();
@@ -200,9 +210,12 @@ fn a_hello_from_another_node_is_refused() {
         // Closed with our bytes unread.
         Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset, "not closed: {e}"),
     }
-    assert_eq!(inbox.recv_timeout(SHORT), Err(RecvTimeoutError::Timeout));
+    // A dialer that never says `Hello` holds the accept only for a while.
+    let _silent = dial(&addr, &[]);
 
     // The driver is still welcome.
     let _driver = dial(&addr, &[hello(), query(2)].concat());
+    let (_server, mut inbox) = server.join().expect("bind thread");
     assert_eq!(sn_of(&inbox.recv_timeout(LONG).expect("delivered")), 2);
+    assert_eq!(inbox.recv_timeout(SHORT), Err(RecvTimeoutError::Timeout));
 }

@@ -151,8 +151,8 @@ fn drive(with_query: bool) -> Outcome {
     )
     .expect("chaos is a valid fault config here");
 
-    // The driver dials on its first send to a server; an exempt one draws
-    // no fate.
+    // `connect` dialed both servers, each `Hello` first (`accept` checks
+    // it); an opening exempt ack to each draws no fate.
     let mut conns = Vec::new();
     for (s, listener) in listeners.iter().enumerate() {
         let ack = AbdMsg::Ack {

@@ -133,7 +133,8 @@ fn accept_driver() -> Server {
     )
     .expect("chaos is a valid fault config here");
 
-    // The driver dials on its first send; an exempt one draws no fate.
+    // `connect` dialed the server, its `Hello` first (checked below); an
+    // opening exempt ack draws no fate.
     let hello_sent = Envelope::abd(
         Pid(SERVERS),
         ME,

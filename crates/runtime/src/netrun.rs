@@ -75,8 +75,8 @@ pub struct NetServeConfig {
     /// Directory for this process's own flight dump
     /// (`serve-<id>.flight.jsonl`), written when the serve loop exits —
     /// whether by the driver's `Shutdown` or by losing the driver
-    /// connection mid-window. `None` skips the local file; the bounded
-    /// dump still goes back piggybacked on `Goodbye`.
+    /// connection. `None` skips the local file; the bounded dump still
+    /// goes back piggybacked on `Goodbye`.
     pub dump_dir: Option<PathBuf>,
 }
 
@@ -102,7 +102,8 @@ fn telemetry(sink: &RecoverySink, recorder: &FlightRecorder) -> ServerTelemetry 
     }
 }
 
-/// What one server process did, reported after its driver says `Shutdown`.
+/// What one server process did, reported after its driver says `Shutdown`
+/// or its driver connection ends.
 #[derive(Debug)]
 pub struct NetServeReport {
     /// This server's crash-recovery counters (also sent to the driver in
@@ -110,12 +111,13 @@ pub struct NetServeReport {
     pub recovery: RecoveryStats,
 }
 
-/// Runs one server process to completion: bind, serve the ABD step machine
-/// until the driver broadcasts `Shutdown`, then report.
+/// Runs one server process to completion: bind and take the driver's
+/// connection, serve the ABD step machine until the driver says `Shutdown`
+/// or its connection ends, then report.
 ///
 /// # Errors
 ///
-/// I/O errors from binding the listen address.
+/// I/O errors from binding the listen address or accepting on it.
 pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
     assert!(
         cfg.server_id < cfg.servers,
@@ -178,9 +180,9 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
     ticker.join().expect("telemetry thread");
 
     // Drain the flight rings NOW, whatever ended the serve loop — the
-    // driver's `Shutdown` or a lost driver connection mid-window. The full
-    // dump goes to the local file (when configured) and a bounded tail
-    // rides the `Goodbye`.
+    // driver's `Shutdown` or a lost driver connection. The full dump goes
+    // to the local file (when configured) and a bounded tail rides the
+    // `Goodbye`.
     let dump = recorder.dump();
     if let Some(dir) = &cfg.dump_dir {
         let _ = std::fs::create_dir_all(dir);
@@ -195,9 +197,8 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
     let report = telemetry(&sink, &recorder);
     srv.telemetry(report);
     srv.goodbye(dump.last_n(GOODBYE_DUMP_EVENTS).to_jsonl());
-    // Nothing follows the goodbye: without this the acceptor, its listener
-    // and the driver connection — and the driver's reader thread at the
-    // other end of it — would outlive the run.
+    // Nothing follows the goodbye: the driver's reader sees the end of
+    // the stream.
     srv.close();
     Ok(NetServeReport {
         recovery: report.recovery,

@@ -2,15 +2,19 @@
 //! ends the serve loop at once (not at the next idle poll) — a latency, so
 //! it is measured several times and the median is held to the bound: one
 //! descheduled run on a busy box is not a regression, a 20 ms idle poll on
-//! the path is — and a peer's recovery query, relayed by the driver, is
-//! answered back to the driver for the peer.
+//! the path is — and so does the connection ending, after which the
+//! process still writes its flight dump; and a peer's recovery query,
+//! relayed by the driver, is answered back to the driver for the peer.
 
+use std::path::PathBuf;
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
 use blunt_net::frame::{Frame, FrameReader, FrameWriter, DRIVER_NODE};
 use blunt_net::{Addr, Envelope, FaultConfig, Payload, SpanCtx, Stream};
+use blunt_obs::flight::FlightDump;
 use blunt_runtime::{run_net_server, NetServeConfig, NetServeReport, RecoveryMode};
 
 const SHUTDOWN_BOUND: Duration = Duration::from_millis(5);
@@ -33,6 +37,16 @@ fn serve(
     servers: u32,
     recovery: RecoveryMode,
 ) -> thread::JoinHandle<(NetServeReport, Instant)> {
+    serve_dumping(listen, servers, recovery, None)
+}
+
+/// [`serve`], writing the process's flight dump into `dump_dir`.
+fn serve_dumping(
+    listen: &Addr,
+    servers: u32,
+    recovery: RecoveryMode,
+    dump_dir: Option<PathBuf>,
+) -> thread::JoinHandle<(NetServeReport, Instant)> {
     let cfg = NetServeConfig {
         listen: listen.clone(),
         server_id: 0,
@@ -43,7 +57,7 @@ fn serve(
         faults: FaultConfig::none(),
         recovery,
         shard_size: None,
-        dump_dir: None,
+        dump_dir,
     };
     thread::spawn(move || {
         let report = run_net_server(&cfg).expect("serve");
@@ -81,11 +95,11 @@ fn shutdown_ends_the_serve_loop_at_once() {
         ("stop-amnesia", RecoveryMode::amnesia()),
     ] {
         let dir = sock_dir(tag);
+        // One path for every round: a server drops its listener once its
+        // driver is in, and the next round's server binds the path afresh.
+        let listen = addr(&dir, "s0.sock");
         let took: Vec<Duration> = (0..ROUNDS)
-            .map(|round| {
-                // A path per round: a finished server's acceptor thread
-                // keeps its listener, and must not take the next dial.
-                let listen = addr(&dir, &format!("s0-{round}.sock"));
+            .map(|_| {
                 let server = serve(&listen, 1, recovery);
                 let (mut driver, _replies) = dial(&listen);
                 // Idle long enough for the replica to be parked in a read
@@ -103,6 +117,37 @@ fn shutdown_ends_the_serve_loop_at_once() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The driver's connection is a serve process's input: when it ends
+/// without a `Shutdown` — the driver died — the serve loop returns, and
+/// the process writes its flight dump, as it does after a `Shutdown`.
+#[test]
+fn the_driver_connection_ending_ends_the_serve_loop_and_writes_the_dump() {
+    let dir = sock_dir("driver-gone");
+    let listen = addr(&dir, "s0.sock");
+    let dumps = dir.join("dumps");
+    let server = serve_dumping(&listen, 1, RecoveryMode::amnesia(), Some(dumps.clone()));
+    let (driver, replies) = dial(&listen);
+    let (done_tx, done) = mpsc::channel();
+    let waiter = thread::spawn(move || {
+        let _ = done_tx.send(server.join());
+    });
+    // Idle long enough for the replica to be parked in a read of this
+    // connection.
+    thread::sleep(Duration::from_millis(30));
+    let closed = Instant::now();
+    drop((driver, replies));
+    let (report, returned) = done
+        .recv_timeout(Duration::from_secs(1))
+        .expect("run_net_server still running 1 s after its driver went away")
+        .expect("server thread");
+    waiter.join().expect("waiter thread");
+    assert!(returned.duration_since(closed) < Duration::from_secs(1));
+    assert_eq!(report.recovery.crashes, 0);
+    let dump = std::fs::read_to_string(dumps.join("serve-0.flight.jsonl")).expect("the dump");
+    FlightDump::parse(&dump).expect("a flight dump");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A peer's catch-up query reaches a server the way everything does: on

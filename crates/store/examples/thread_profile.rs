@@ -12,7 +12,7 @@
 //! | `run` | this example's thread that calls the run and joins it |
 //! | `server` | a socket replica's serve thread (`server-<pid>`, its own worker) |
 //! | `net-reader` | the driver's reader of one server connection: decodes frames for the worker |
-//! | `net-accept`, `net-telemetry` | a serve process's acceptor and telemetry tick |
+//! | `net-telemetry` | a serve process's telemetry tick (a serve thread accepts its one connection itself) |
 //! | `thread_profile` | the sampler (the main thread) |
 //!
 //! Printed per class: CPU µs per op, voluntary context switches per op (the

@@ -8,14 +8,17 @@
 //! amnesia crashes, report zero linearizability violations, and show at
 //! least one server crash *and recovery* mid-run, every catch-up complete —
 //! i.e. the WAL + peer catch-up machinery works when peers answer through
-//! the driver's relay, not a mailbox.
+//! the driver's relay, not a mailbox. And a serve process that goes away
+//! mid-run is a crashed replica, which the majority quorums ride out.
 
 mod common;
 
-use std::time::Duration;
+use std::thread;
+use std::time::{Duration, Instant};
 
-use blunt_runtime::{RecoveryMode, RecoveryStats};
-use blunt_store::{RunOpts, StoreConfig};
+use blunt_net::{Addr, FaultConfig};
+use blunt_runtime::{run_net_server, NetServeConfig, RecoveryMode, RecoveryStats};
+use blunt_store::{run_store_net, RunOpts, StoreConfig};
 
 #[test]
 fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
@@ -113,4 +116,58 @@ fn net_run_is_clean_under_stable_recovery_too() {
     assert!(report.monitor.clean(), "stable-mode violations");
     // Stable mode: crashes are blackouts, never recovery events.
     assert_eq!(report.recovery.crashes, 0);
+}
+
+/// A replica whose serve process went away right after the driver dialed
+/// it — its connection and listener gone, its socket file left behind — is
+/// a crash-stop replica: the other two are a majority, and the run is
+/// clean and as quick as a fault-free one. Nothing dials it again.
+#[test]
+fn a_replica_gone_after_the_dial_is_a_crashed_replica() {
+    let mut cfg = StoreConfig::register(0x4E75_0003);
+    cfg.faults = FaultConfig::none();
+    cfg.clients = 1;
+    cfg.ops_per_client = 4;
+    let dir = std::env::temp_dir().join(format!("blunt-store-gone-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("socket dir");
+    let addrs: Vec<Addr> = (0..3)
+        .map(|i| Addr::parse(dir.join(format!("s{i}.sock")).to_str().expect("utf-8 path")))
+        .collect();
+    let live: Vec<_> = (0..2)
+        .map(|i| {
+            let scfg = NetServeConfig {
+                listen: addrs[i as usize].clone(),
+                server_id: i,
+                servers: 3,
+                clients: cfg.clients,
+                peers: Vec::new(),
+                seed: cfg.seed,
+                faults: cfg.faults,
+                recovery: cfg.recovery,
+                shard_size: None,
+                dump_dir: None,
+            };
+            thread::spawn(move || run_net_server(&scfg).expect("server run"))
+        })
+        .collect();
+    let listener = addrs[2].listen().expect("bind UDS listener");
+    let gone = thread::spawn(move || drop(listener.accept().expect("the driver dials")));
+
+    let t0 = Instant::now();
+    let report = run_store_net(&cfg, &addrs).expect("valid fault config");
+    let took = t0.elapsed();
+    gone.join().expect("the gone replica");
+    for s in live {
+        s.join().expect("server thread");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(report.ops, 4);
+    assert!(report.monitor.clean(), "{:?}", report.monitor.violations);
+    assert!(took < Duration::from_secs(2), "took {took:?}");
+    let said_goodbye: Vec<bool> = report
+        .remote_servers
+        .iter()
+        .map(|r| r.dump.is_some())
+        .collect();
+    assert_eq!(said_goodbye, [true, true, false]);
 }

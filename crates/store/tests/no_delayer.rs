@@ -5,10 +5,12 @@
 //! `client-*`, `server-s*` or `monitor-*` thread exists; over sockets the
 //! driver's clients and monitors, beside one `net-reader-*` thread per
 //! server connection, while each replica is its own `server-<pid>` thread
-//! (a `run_net_server`). A `Delay` is a timer the worker keeps, on either
-//! tier, and the driver's worker writes the catch-up relays itself: no run
-//! shows a `*-delayer` thread, not a bus run that delays replies, nor a
-//! socket run under amnesia that relays catch-up traffic. A sampler thread
+//! (a `run_net_server`), which accepts its driver's connection itself: no
+//! `net-accept` or `net-conn` thread waits for a later dial. A `Delay` is
+//! a timer the worker keeps, on either tier, and the driver's worker
+//! writes the catch-up relays itself: no run shows a `*-delayer` thread,
+//! not a bus run that delays replies, nor a socket run under amnesia that
+//! relays catch-up traffic. A sampler thread
 //! reads `/proc/self/task/*/comm` every millisecond while the runs go;
 //! this file holds the one test so that no other test's threads are seen.
 
@@ -98,7 +100,11 @@ fn a_run_steps_its_machines_on_one_worker_and_starts_no_delayer_even_for_delays(
         assert!(report.monitor.clean());
     });
     assert!(uds.contains("worker"), "the driver's worker: {uds:?}");
-    assert!(uds.contains("net-accept"), "{uds:?}");
+    assert_eq!(
+        named(&uds, &["net-accept", "net-conn"]),
+        Vec::<&str>::new(),
+        "a serve process takes its one connection on its own thread"
+    );
     assert_eq!(
         named(&uds, &["net-reader-"]),
         (0..6)

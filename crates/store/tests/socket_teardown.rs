@@ -1,11 +1,14 @@
 //! A socket-tier run leaves nothing behind in its process.
 //!
-//! `NetServer`'s acceptor blocks in `accept` and the driver's per-connection
-//! readers in `read`; neither ends because the run that started it returned.
-//! Until `NetServer::close` and `NetClient::shutdown` took care of it, every
-//! in-process socket run leaked one acceptor (with its listener, the driver
-//! connection and the server's flight recorder) and one reader (with the
-//! client lanes and the driver's recorder) per replica — 12 threads and
+//! The driver's per-connection readers block in `read`, and a reader does
+//! not end because the run that started it returned: `NetClient::shutdown`
+//! shuts every connection down, so its reader sees the end of the stream
+//! whatever the server does, and `NetServer::close` does the same from the
+//! server's end. A serve process accepts its one connection on its own
+//! thread and drops its listener there, so it leaves no thread in `accept`.
+//! Before the two endpoints shut their connections down, every in-process
+//! socket run leaked two threads per replica (one blocked in `accept`, one
+//! reader), with the client lanes and both recorders — 12 threads and
 //! ≈ 5 MB a run on the benchmark's `uds_*` shapes. This file holds the one
 //! test so that no other test's threads are counted.
 
@@ -35,8 +38,8 @@ fn socket_runs_leave_no_threads_behind() {
     cfg.faults = FaultConfig::none();
     let before = threads();
     for run in 0..3 {
-        // The same tag, so the same six socket paths every time: a listener
-        // that outlived its run would also take the next run's dials.
+        // The same tag, so the same six socket paths every time: each run's
+        // servers bind them afresh.
         let (report, _) = common::run_over_uds(&cfg, &RunOpts::default(), "teardown");
         assert!(report.monitor.clean());
         assert_eq!(report.ops, 800);

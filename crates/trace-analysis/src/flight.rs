@@ -141,7 +141,7 @@ fn raw_trace_event(e: &blunt_obs::FlightEvent) -> TraceEvent {
         },
         FlightKind::MonitorViolation => TraceEvent::Internal {
             pid,
-            label: format!("VIOLATION seg {}", e.a),
+            label: format!("VIOLATION #{}", e.a),
         },
     }
 }
@@ -380,7 +380,7 @@ mod tests {
         assert!(s.contains("p3→p0: update#1"), "arrow label:\n{s}");
         assert!(s.contains("✂ drop →p1"), "{s}");
         assert!(s.contains('✗'), "crash marker:\n{s}");
-        assert!(s.contains("VIOLATION seg 0"), "{s}");
+        assert!(s.contains("VIOLATION #0"), "{s}");
         assert!(s.ends_with("· t=1µs → t=7µs · 7 events\n"), "{s}");
     }
 

@@ -87,8 +87,8 @@ fn rendering_names_the_interesting_events() {
         "✂ crash-drop →p1 w4",
         "✂ partition →p2 w1",
         "recovered in 512µs",
-        "VIOLATION seg 0",
-        "VIOLATION seg 1",
+        "VIOLATION #0",
+        "VIOLATION #1",
         "· t=10µs → t=62µs · 18 events",
     ] {
         assert!(s.contains(needle), "missing {needle:?} in:\n{s}");
