@@ -68,7 +68,8 @@ impl fmt::Display for Action {
 }
 
 /// A complete description of one invocation extracted from a history: its
-/// call data plus the return value if it returned.
+/// call data, the return value if it returned, and where in the history
+/// both actions sit.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct InvocationRecord {
     /// Unique invocation identifier.
@@ -83,6 +84,10 @@ pub struct InvocationRecord {
     pub arg: Val,
     /// Return value, if the invocation completed in this history.
     pub ret: Option<Val>,
+    /// Index of the call action in the history.
+    pub call_pos: usize,
+    /// Index of the return action, if the invocation completed.
+    pub ret_pos: Option<usize>,
 }
 
 /// A history: a finite sequence of call and return actions.
@@ -182,7 +187,7 @@ impl History {
     pub fn invocations(&self) -> Vec<InvocationRecord> {
         let mut recs: Vec<InvocationRecord> = Vec::new();
         let mut index: BTreeMap<InvId, usize> = BTreeMap::new();
-        for a in &self.actions {
+        for (pos, a) in self.actions.iter().enumerate() {
             match a {
                 Action::Call {
                     inv,
@@ -199,11 +204,14 @@ impl History {
                         method: *method,
                         arg: arg.clone(),
                         ret: None,
+                        call_pos: pos,
+                        ret_pos: None,
                     });
                 }
                 Action::Return { inv, val } => {
                     if let Some(&i) = index.get(inv) {
                         recs[i].ret = Some(val.clone());
+                        recs[i].ret_pos = Some(pos);
                     }
                 }
             }
@@ -438,6 +446,8 @@ mod tests {
         assert_eq!(recs[0].ret, None);
         assert_eq!(recs[1].ret, Some(Val::Int(1)));
         assert_eq!(recs[1].method, MethodId::READ);
+        assert_eq!((recs[0].call_pos, recs[0].ret_pos), (0, None));
+        assert_eq!((recs[1].call_pos, recs[1].ret_pos), (1, Some(2)));
     }
 
     #[test]

@@ -20,50 +20,10 @@
 //! decides tail strong linearizability w.r.t. that `Π`.
 
 use crate::tree::{ExecTree, NodeId};
-use blunt_core::history::{Action, History};
+use blunt_core::history::InvocationRecord;
 use blunt_core::ids::InvId;
 use blunt_core::spec::SequentialSpec;
 use std::collections::BTreeSet;
-
-/// Per-invocation view of a history used during extension search.
-struct OpView {
-    inv: InvId,
-    method: blunt_core::ids::MethodId,
-    arg: blunt_core::value::Val,
-    ret: Option<blunt_core::value::Val>,
-    call_pos: usize,
-    ret_pos: Option<usize>,
-}
-
-fn ops_of(history: &History) -> Vec<OpView> {
-    let mut ops: Vec<OpView> = history
-        .invocations()
-        .into_iter()
-        .map(|r| OpView {
-            inv: r.inv,
-            method: r.method,
-            arg: r.arg,
-            ret: r.ret,
-            call_pos: 0,
-            ret_pos: None,
-        })
-        .collect();
-    for (pos, a) in history.actions().iter().enumerate() {
-        match a {
-            Action::Call { inv, .. } => {
-                if let Some(o) = ops.iter_mut().find(|o| o.inv == *inv) {
-                    o.call_pos = pos;
-                }
-            }
-            Action::Return { inv, .. } => {
-                if let Some(o) = ops.iter_mut().find(|o| o.inv == *inv) {
-                    o.ret_pos = Some(pos);
-                }
-            }
-        }
-    }
-    ops
-}
 
 struct Checker<'a, S: SequentialSpec> {
     tree: &'a ExecTree,
@@ -93,7 +53,7 @@ impl<'a, S: SequentialSpec> Checker<'a, S> {
             return node.children.iter().all(|&c| self.node_ok(c, sigma, state));
         }
         let history = self.tree.history_at(id);
-        let ops = ops_of(&history);
+        let ops = history.invocations();
         // An op linearized while pending was assigned its *destined* value
         // by the specification; if it has since returned with a different
         // value, this committed prefix cannot serve this subtree.
@@ -116,7 +76,7 @@ impl<'a, S: SequentialSpec> Checker<'a, S> {
     fn extend_ok(
         &self,
         id: NodeId,
-        ops: &[OpView],
+        ops: &[InvocationRecord],
         sigma: Vec<(InvId, blunt_core::value::Val)>,
         placed: BTreeSet<InvId>,
         state: S::State,

@@ -12,7 +12,7 @@
 //! ([`blunt_core::history::History::project`]); linearizability is local, so
 //! checking each projection suffices.
 
-use blunt_core::history::{Action, History, InvocationRecord};
+use blunt_core::history::{History, InvocationRecord};
 use blunt_core::ids::InvId;
 use blunt_core::spec::SequentialSpec;
 use std::collections::HashSet;
@@ -35,15 +35,9 @@ impl LinResult {
     }
 }
 
-struct Op {
-    rec: InvocationRecord,
-    call_pos: usize,
-    ret_pos: Option<usize>,
-}
-
 struct Search<'a, S: SequentialSpec> {
     spec: &'a S,
-    ops: Vec<Op>,
+    ops: Vec<InvocationRecord>,
     /// Failed (linearized-mask, dropped-mask, state) combinations.
     seen: HashSet<(u64, u64, S::State)>,
     /// Search nodes entered (accumulated locally, flushed to the global
@@ -81,13 +75,13 @@ impl<'a, S: SequentialSpec> Search<'a, S> {
             }
             let op = &self.ops[i];
             // Try linearizing op i next.
-            if let Some((next, val)) = self.spec.apply(state, op.rec.method, &op.rec.arg) {
-                let matches = match &op.rec.ret {
+            if let Some((next, val)) = self.spec.apply(state, op.method, &op.arg) {
+                let matches = match &op.ret {
                     Some(actual) => *actual == val,
                     None => true, // pending: destined value is free
                 };
                 if matches {
-                    witness.push(op.rec.inv);
+                    witness.push(op.inv);
                     if self.go(linearized | bit, dropped, &next, witness) {
                         return true;
                     }
@@ -124,9 +118,12 @@ impl<'a, S: SequentialSpec> Search<'a, S> {
 /// invocations (the bitmask width; far beyond any history produced here).
 #[must_use]
 pub fn check_linearizable<S: SequentialSpec>(history: &History, spec: &S) -> LinResult {
+    assert!(history.is_well_formed(), "history must be well-formed");
+    let ops = history.invocations();
+    assert!(ops.len() <= 64, "history too large for the checker");
     let mut search = Search {
         spec,
-        ops: build_ops(history),
+        ops,
         seen: HashSet::new(),
         states: 0,
         memo_prunes: 0,
@@ -141,37 +138,6 @@ pub fn check_linearizable<S: SequentialSpec>(history: &History, spec: &S) -> Lin
     }
 }
 
-fn build_ops(history: &History) -> Vec<Op> {
-    assert!(history.is_well_formed(), "history must be well-formed");
-    let recs = history.invocations();
-    assert!(recs.len() <= 64, "history too large for the checker");
-
-    // Recover call/return positions.
-    let mut ops: Vec<Op> = Vec::with_capacity(recs.len());
-    for rec in recs {
-        ops.push(Op {
-            rec,
-            call_pos: 0,
-            ret_pos: None,
-        });
-    }
-    for (pos, action) in history.actions().iter().enumerate() {
-        match action {
-            Action::Call { inv, .. } => {
-                if let Some(op) = ops.iter_mut().find(|o| o.rec.inv == *inv) {
-                    op.call_pos = pos;
-                }
-            }
-            Action::Return { inv, .. } => {
-                if let Some(op) = ops.iter_mut().find(|o| o.rec.inv == *inv) {
-                    op.ret_pos = Some(pos);
-                }
-            }
-        }
-    }
-    ops
-}
-
 fn flush_counters(states: u64, memo_prunes: u64) {
     blunt_obs::static_counter!("lincheck.wgl.checks").inc();
     blunt_obs::static_counter!("lincheck.wgl.states").add(states);
@@ -182,6 +148,7 @@ fn flush_counters(states: u64, memo_prunes: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blunt_core::history::Action;
     use blunt_core::ids::{MethodId, ObjId, Pid};
     use blunt_core::spec::RegisterSpec;
     use blunt_core::value::Val;

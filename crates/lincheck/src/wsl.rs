@@ -16,50 +16,10 @@
 //! inherited — the per-node reads are re-chosen each time.
 
 use crate::tree::{ExecTree, NodeId};
-use blunt_core::history::{Action, History};
+use blunt_core::history::{History, InvocationRecord};
 use blunt_core::ids::{InvId, MethodId};
 use blunt_core::spec::SequentialSpec;
-use blunt_core::value::Val;
 use std::collections::BTreeSet;
-
-struct OpView {
-    inv: InvId,
-    method: MethodId,
-    arg: Val,
-    ret: Option<Val>,
-    call_pos: usize,
-    ret_pos: Option<usize>,
-}
-
-fn ops_of(history: &History) -> Vec<OpView> {
-    let mut ops: Vec<OpView> = history
-        .invocations()
-        .into_iter()
-        .map(|r| OpView {
-            inv: r.inv,
-            method: r.method,
-            arg: r.arg,
-            ret: r.ret,
-            call_pos: 0,
-            ret_pos: None,
-        })
-        .collect();
-    for (pos, a) in history.actions().iter().enumerate() {
-        match a {
-            Action::Call { inv, .. } => {
-                if let Some(o) = ops.iter_mut().find(|o| o.inv == *inv) {
-                    o.call_pos = pos;
-                }
-            }
-            Action::Return { inv, .. } => {
-                if let Some(o) = ops.iter_mut().find(|o| o.inv == *inv) {
-                    o.ret_pos = Some(pos);
-                }
-            }
-        }
-    }
-    ops
-}
 
 /// Which methods count as *writes* for the projection.
 pub type WritePredicate = fn(MethodId) -> bool;
@@ -76,14 +36,20 @@ struct Checker<'a, S: SequentialSpec> {
 impl<'a, S: SequentialSpec> Checker<'a, S> {
     fn node_ok(&self, id: NodeId, committed: &[InvId]) -> bool {
         let history = self.tree.history_at(id);
-        let ops = ops_of(&history);
+        let ops = history.invocations();
         self.search(id, &ops, &history, committed)
     }
 
     /// Searches for a linearization of `history` whose write projection
     /// starts with `committed`, then recurses into children with the
     /// resulting (possibly longer) write commitment.
-    fn search(&self, id: NodeId, ops: &[OpView], history: &History, committed: &[InvId]) -> bool {
+    fn search(
+        &self,
+        id: NodeId,
+        ops: &[InvocationRecord],
+        history: &History,
+        committed: &[InvId],
+    ) -> bool {
         // DFS over linearization prefixes: (placed set, spec state, how many
         // committed writes already emitted, write order emitted so far).
         self.dfs(
@@ -102,7 +68,7 @@ impl<'a, S: SequentialSpec> Checker<'a, S> {
     fn dfs(
         &self,
         id: NodeId,
-        ops: &[OpView],
+        ops: &[InvocationRecord],
         history: &History,
         committed: &[InvId],
         placed: &BTreeSet<InvId>,
@@ -211,6 +177,7 @@ mod tests {
     use crate::tree::ExecTree;
     use blunt_core::ids::{CallSite, ObjId, Pid};
     use blunt_core::spec::RegisterSpec;
+    use blunt_core::value::Val;
     use blunt_sim::trace::{Trace, TraceEvent};
 
     fn call_ev(inv: u64, method: MethodId, arg: Val) -> TraceEvent {

@@ -315,7 +315,7 @@ impl NetClient {
             .enumerate()
             .map(|(peer, addr)| Mutex::new(dial(peer, addr, &inbound, &remote, &flight).ok()))
             .collect();
-        let ring = flight.register_lanes("net-inbox", 1);
+        let ring = flight.register("net-inbox");
         let client = Arc::new(NetClient {
             conns,
             tags,

@@ -261,7 +261,7 @@ struct Slot {
 
 /// One bounded event ring, a thread's or a machine's. Obtained from
 /// [`FlightRecorder::register_current`] / [`FlightRecorder::thread_ring`],
-/// or [`FlightRecorder::register_lanes`] for a machine whose thread
+/// or [`FlightRecorder::register`] for a machine whose thread
 /// [enters](FlightRecorder::enter) it; only one thread at a time should
 /// record into it.
 pub struct FlightRing {
@@ -413,7 +413,7 @@ thread_local! {
 /// Create one per run, hand clones of the `Arc` to every thread, have each
 /// thread call [`register_current`](FlightRecorder::register_current) with
 /// its lane name — or register a ring per machine with
-/// [`register_lanes`](FlightRecorder::register_lanes) and
+/// [`register`](FlightRecorder::register) and
 /// [`enter`](FlightRecorder::enter) it before stepping the machine — then
 /// [`dump`](FlightRecorder::dump) whenever a window into recent history is
 /// needed. Dumping does not consume events.
@@ -452,20 +452,16 @@ impl FlightRecorder {
     /// caches it in thread-local storage, replacing any prior ring this
     /// thread had with this recorder.
     pub fn register_current(&self, label: &str) -> Arc<FlightRing> {
-        let ring = self.register_lanes(label, 1);
+        let ring = self.register(label);
         self.enter(&ring);
         ring
     }
 
-    /// Registers a fresh ring labeled `label` that records for `lanes`
-    /// participants — a host running several replicas: it holds `lanes`
-    /// rings' worth of events (rounded up to a power of two), so a dump
-    /// keeps at least as much history per participant as one ring each
-    /// would have. No thread's current ring until one
-    /// [`enter`](FlightRecorder::enter)s it.
-    pub fn register_lanes(&self, label: &str, lanes: usize) -> Arc<FlightRing> {
-        let capacity = (self.capacity * lanes.max(1)).next_power_of_two();
-        let ring = Arc::new(FlightRing::new(label, capacity, self.start));
+    /// Registers a fresh ring labeled `label` — a machine's, which a thread
+    /// stepping several machines [`enter`](FlightRecorder::enter)s before
+    /// each step. No thread's current ring until one enters it.
+    pub fn register(&self, label: &str) -> Arc<FlightRing> {
+        let ring = Arc::new(FlightRing::new(label, self.capacity, self.start));
         self.rings.lock().unwrap().push(Arc::clone(&ring));
         ring
     }
@@ -813,31 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn a_ring_for_several_lanes_keeps_each_lane_a_whole_ring_of_history() {
-        // Three lanes interleaved on one thread: the ring holds at least
-        // three rings' worth, so each lane keeps its last 8 events.
-        let rec = FlightRecorder::new(8);
-        let ring = rec.register_lanes("server-s0", 3);
-        for i in 0..60u64 {
-            ring.record_at(i, FlightKind::BusDeliver, (i % 3) as u32, i, 0);
-        }
-        let dump = rec.dump();
-        assert_eq!(dump.len(), 32, "3 × 8 rounded up to a power of two");
-        for lane in 0..3 {
-            let kept = dump.events.iter().filter(|e| e.pid == lane).count();
-            assert!(kept >= 8, "lane {lane} kept {kept} events");
-        }
-        assert!(dump.events.iter().all(|e| e.ring == "server-s0"));
-        // One lane is a plain ring.
-        let one = FlightRecorder::new(8);
-        let ring = one.register_lanes("server-0", 1);
-        for i in 0..20u64 {
-            ring.record_at(i, FlightKind::BusDeliver, 0, i, 0);
-        }
-        assert_eq!(one.dump().len(), 8);
-    }
-
-    #[test]
     fn dump_merges_rings_in_time_order_without_consuming() {
         let rec = FlightRecorder::new(16);
         let a = rec.register_current("client-0");
@@ -880,8 +851,8 @@ mod tests {
         // One thread stepping two machines: each one's sends land in its
         // own ring, however often the thread switches between them.
         let rec = FlightRecorder::new(8);
-        let client = rec.register_lanes("client-3", 1);
-        let server = rec.register_lanes("server-s0", 3);
+        let client = rec.register("client-3");
+        let server = rec.register("server-0");
         assert_eq!(rec.rings(), 2, "registered, not yet entered");
         for _ in 0..2 {
             rec.enter(&client);

@@ -3,12 +3,11 @@
 //!
 //! Every node (server replica or client) reads one mailbox, an
 //! `mpsc::Receiver<Envelope>`, and the bus holds the matching senders,
-//! indexed by pid. A mailbox may be shared: [`Bus::hosted`] maps each pid
-//! to a mailbox — a store run gives every node the same one, which its
+//! indexed by pid. [`Bus::new`] gives every node its own mailbox;
+//! [`Bus::shared`] gives every node the same one — a store run's, which its
 //! one worker reads through a [`BusInbox`], telling the machines apart by
-//! `dst`; [`Bus::new`] gives every node its own. Every send of a store run
-//! is its worker's, so one thread draws every fate of the run, from the
-//! bus's one table. A send draws the fate of every
+//! `dst`. Every send of a store run is its worker's, so one thread draws
+//! every fate of the run, from the bus's one table. A send draws the fate of every
 //! non-exempt envelope and realises it through [`blunt_net::Links`] — the
 //! same decision core and the same realiser the socket transports use, so
 //! fault counters are a pure function of the seed regardless of backend,
@@ -108,41 +107,51 @@ impl Bus {
         signal_crashes: bool,
         flight: Arc<FlightRecorder>,
     ) -> Result<(Bus, Vec<Receiver<Envelope>>), FaultConfigError> {
-        let own: Vec<usize> = (0..nodes as usize).collect();
-        Bus::hosted(seed, cfg, servers, &own, signal_crashes, flight)
+        let (senders, receivers) = (0..nodes).map(|_| mpsc::channel()).unzip();
+        let bus = Bus::over(seed, cfg, servers, senders, signal_crashes, flight)?;
+        Ok((bus, receivers))
     }
 
-    /// [`Bus::new`] over shared mailboxes: node `pid` reads mailbox
-    /// `mailbox_of[pid]`, so there are `mailbox_of.len()` nodes, and the
-    /// bus returns one receiver per mailbox (index = mailbox). Fates are
-    /// still drawn per link and every link stays FIFO; which thread drains
-    /// a destination is the only thing a shared mailbox changes.
+    /// [`Bus::new`] with one mailbox for all `nodes`: the bus returns its
+    /// one receiver. Fates are still drawn per link and every link stays
+    /// FIFO; which thread drains a destination is the only thing a shared
+    /// mailbox changes.
     ///
     /// # Errors
     ///
     /// As [`Bus::new`].
-    pub fn hosted(
+    pub fn shared(
         seed: u64,
         cfg: FaultConfig,
         servers: u32,
-        mailbox_of: &[usize],
+        nodes: u32,
         signal_crashes: bool,
         flight: Arc<FlightRecorder>,
-    ) -> Result<(Bus, Vec<Receiver<Envelope>>), FaultConfigError> {
-        let nodes = u32::try_from(mailbox_of.len()).expect("node count fits u32");
+    ) -> Result<(Bus, Receiver<Envelope>), FaultConfigError> {
+        let (tx, rx) = mpsc::channel();
+        let senders = vec![tx; nodes as usize];
+        let bus = Bus::over(seed, cfg, servers, senders, signal_crashes, flight)?;
+        Ok((bus, rx))
+    }
+
+    /// A bus whose node `pid` reads the mailbox `mailboxes[pid]` sends to.
+    fn over(
+        seed: u64,
+        cfg: FaultConfig,
+        servers: u32,
+        mailboxes: Vec<Sender<Envelope>>,
+        signal_crashes: bool,
+        flight: Arc<FlightRecorder>,
+    ) -> Result<Bus, FaultConfigError> {
+        let nodes = u32::try_from(mailboxes.len()).expect("node count fits u32");
         let injector = Injector::new(seed, cfg, servers, nodes, signal_crashes)?;
-        let count = mailbox_of.iter().max().map_or(0, |&m| m + 1);
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..count).map(|_| mpsc::channel()).unzip();
-        let mailboxes: Vec<Sender<Envelope>> =
-            mailbox_of.iter().map(|&m| senders[m].clone()).collect();
-        let bus = Bus {
+        Ok(Bus {
             flight,
             mailboxes,
             links: Mutex::new(Links::new(injector, Envelope::crash)),
             timers: Mutex::default(),
             delaying: AtomicBool::new(false),
-        };
-        Ok((bus, receivers))
+        })
     }
 
     fn enqueue(&self, env: Envelope) {
@@ -325,24 +334,26 @@ mod tests {
 
     #[test]
     fn a_shared_mailbox_carries_each_link_in_order_addressed_to_its_pid() {
-        // Servers 0 and 1 share mailbox 0; the client (pid 2) reads
-        // mailbox 1. The host sees both links, each in send order, and
-        // tells them apart by `dst`.
-        let (bus, rxs) =
-            Bus::hosted(0, FaultConfig::none(), 2, &[0, 0, 1], false, flight()).unwrap();
-        assert_eq!(rxs.len(), 2);
+        // Servers 0 and 1 and the client (pid 2) all read the one mailbox.
+        // Its reader sees every link, each in send order, and tells them
+        // apart by `dst`.
+        let (bus, rx) = Bus::shared(0, FaultConfig::none(), 2, 3, false, flight()).unwrap();
         bus.send_batch((0..6).map(|sn| env(2, sn % 2, sn, false)).collect());
         bus.send(env(0, 2, 9, false));
+        bus.send_batch((10..13).map(|sn| env(2, 1, sn, false)).collect());
+        bus.send(env(1, 2, 14, false));
         bus.flush();
         drop(bus);
-        let mut by_dst: [Vec<u32>; 2] = Default::default();
-        while let Ok(e) = rxs[0].recv_timeout(Duration::from_millis(200)) {
+        let mut by_dst: [Vec<u32>; 3] = Default::default();
+        while let Ok(e) = rx.recv_timeout(Duration::from_millis(200)) {
             if let Payload::Abd(m) = e.msg {
                 by_dst[e.dst.index()].push(m.sn());
             }
         }
-        assert_eq!(by_dst, [vec![0, 2, 4], vec![1, 3, 5]]);
-        assert_eq!(drain(&rxs[1]), vec![9]);
+        assert_eq!(
+            by_dst,
+            [vec![0, 2, 4], vec![1, 3, 5, 10, 11, 12], vec![9, 14]]
+        );
     }
 
     #[test]

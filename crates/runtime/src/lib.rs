@@ -10,7 +10,7 @@
 //! the socket tier in `blunt_net` — whose [`blunt_net::fault`] injector — drop, delay,
 //! duplicate, reorder, partition, crash — follows a schedule that is a pure
 //! function of the run seed, so any run is replayable. [`workload`] holds
-//! the replica and its [`Host`], the shard monitor and the run observers
+//! the [`Replica`], the shard monitor and the run observers
 //! (live telemetry, the watch/watchdog thread); [`worker`] is the one
 //! driver that steps every machine of a run process on one thread over one
 //! mailbox ([`run_worker`]; [`server_loop`] is its one-replica call). The
@@ -57,4 +57,4 @@ pub use recovery::{RecoveryMode, RecoverySink};
 pub use shm::{run_shm_chaos, ShmChaosConfig, ShmReport};
 pub use storage::MultiWal;
 pub use worker::{run_worker, Client};
-pub use workload::{server_loop, watch_loop, Host, ShardMonitor, Telemetry, MAX_OPS_PER_CLIENT};
+pub use workload::{server_loop, watch_loop, Replica, ShardMonitor, Telemetry, MAX_OPS_PER_CLIENT};

@@ -3,10 +3,10 @@
 //!
 //! A run's machines never block and take their decisions at a `now` they
 //! are handed: the store's clients (`blunt-store`'s `StoreClient`, seen
-//! here through [`Client`]) and the replicas of each [`Host`].
-//! [`run_worker`] is their only driver. In process it runs every client and
-//! every shard's replicas; in a socket driver the clients; in a serve
-//! process one replica ([`crate::server_loop`]). The shard monitors
+//! here through [`Client`]) and the [`Replica`]s. [`run_worker`] is their
+//! only driver. In process it runs every client and every shard's
+//! replicas; in a socket driver the clients; in a serve process one
+//! replica ([`crate::server_loop`]). The shard monitors
 //! ([`crate::ShardMonitor`]) are not machines: a client calls its shard's
 //! monitor inside the step that calls or returns an op. Which thread runs
 //! a machine's step is the scheduler's business, not the protocol's: the
@@ -18,10 +18,11 @@
 //!
 //! 1. **Step the clients**: a client whose burst is over draws its next
 //!    one, then fills its pipeline and flushes what it buffered.
-//! 2. **Take a bounded pass of envelopes** (`DRAIN_PASS` per hosted
-//!    machine) and hand each to the machine its `dst` names.
-//! 3. **End every host's pass**: commit, then flush — the write-ahead acks
-//!    the commit releases leave with the pass's other replies.
+//! 2. **Take a bounded pass of envelopes** (`DRAIN_PASS` per machine) and
+//!    hand each to the machine its `dst` names.
+//! 3. **End every replica's pass**, in the order the replicas were given
+//!    (shard-major in a store run): commit, then flush — the write-ahead
+//!    acks the commit releases leave with the pass's other replies.
 //! 4. **Sweep every client** at the pass's `now`: the reply gap, then the
 //!    deadlines.
 //!
@@ -30,14 +31,15 @@
 //! the 5 ms poll of an open catch-up, or the idle stop check; an inbox
 //! that holds delayed messages wakes it sooner, when the next falls due. A run with
 //! clients ends when every client has finished and the mailbox and the
-//! hosts' catch-ups have drained; a run without (a serve process) when its
+//! replicas' catch-ups have drained; a run without (a serve process) when its
 //! input ends, or at an idle check once `stop` is set. Either way every
 //! catch-up still open is aborted first.
 //!
 //! Flight lanes stay per machine: the worker [enters](FlightRecorder::enter)
 //! a machine's ring before stepping it, so what the machine sends — the
 //! transport records `bus_send` and fault events into the thread's current
-//! ring — lands in `client-<pid>`, `server-s<shard>` or `server-<pid>`.
+//! ring — lands in `client-<pid>` or `server-<pid>`, on the bus and in a
+//! serve process alike.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
@@ -49,10 +51,10 @@ use blunt_net::Inbox;
 use blunt_obs::{FlightRecorder, FlightRing};
 
 use crate::bus::Envelope;
-use crate::workload::Host;
+use crate::workload::Replica;
 
-/// Most envelopes one pass takes off the mailbox per hosted machine before
-/// the hosts' replies are flushed: bounds both how long the first reply of
+/// Most envelopes one pass takes off the mailbox per machine before the
+/// replicas' replies are flushed: bounds both how long the first reply of
 /// a pass waits for the last and how many envelopes share one `EnvBatch`
 /// frame.
 const DRAIN_PASS: usize = 64;
@@ -65,7 +67,7 @@ const CATCH_UP_POLL: Duration = Duration::from_millis(5);
 /// at `stop`.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
-/// A client machine the worker steps beside its hosts.
+/// A client machine the worker steps beside its replicas.
 pub trait Client {
     /// The pid whose envelopes this client takes.
     fn pid(&self) -> Pid;
@@ -94,13 +96,13 @@ pub trait Client {
 enum Owner {
     /// Nobody on this worker.
     None,
-    /// `hosts[h]`'s `r`-th replica.
-    Replica(usize, usize),
+    /// `replicas[r]`.
+    Replica(usize),
     /// `clients[c]`.
     Client(usize),
 }
 
-/// Steps `clients` and the replicas of `hosts` over `inbox` until the run
+/// Steps `clients` and `replicas` over `inbox` until the run
 /// ends (module docs), on the calling thread. `stop` is the idle check of
 /// a worker without clients; `recorder` holds every machine's ring.
 ///
@@ -110,7 +112,7 @@ enum Owner {
 /// ends while a client is still running.
 pub fn run_worker(
     inbox: &mut impl Inbox,
-    hosts: &mut [Host<'_>],
+    replicas: &mut [Replica<'_>],
     clients: &mut [&mut dyn Client],
     stop: Option<&AtomicBool>,
     recorder: &FlightRecorder,
@@ -122,16 +124,13 @@ pub fn run_worker(
         }
         owner[pid.index()] = who;
     };
-    for (h, host) in hosts.iter().enumerate() {
-        for (r, pid) in host.hosted().enumerate() {
-            own(pid, Owner::Replica(h, r));
-        }
+    for (r, replica) in replicas.iter().enumerate() {
+        own(replica.pid(), Owner::Replica(r));
     }
     for (c, client) in clients.iter().enumerate() {
         own(client.pid(), Owner::Client(c));
     }
-    let machines = hosts.iter().map(|h| h.hosted().len()).sum::<usize>() + clients.len();
-    let pass = DRAIN_PASS * machines.max(1);
+    let pass = DRAIN_PASS * (replicas.len() + clients.len()).max(1);
     let mut head = None;
     loop {
         for c in clients.iter_mut() {
@@ -152,9 +151,9 @@ pub fn run_worker(
             };
             taken += 1;
             match owner.get(env.dst.index()).copied().unwrap_or(Owner::None) {
-                Owner::Replica(h, r) => {
-                    recorder.enter(hosts[h].ring());
-                    hosts[h].on_envelope(r, env);
+                Owner::Replica(r) => {
+                    recorder.enter(replicas[r].ring());
+                    replicas[r].on_envelope(env);
                 }
                 Owner::Client(c) => {
                     recorder.enter(clients[c].ring());
@@ -163,9 +162,9 @@ pub fn run_worker(
                 Owner::None => panic!("an envelope for {:?}, which no machine here owns", env.dst),
             }
         }
-        for h in hosts.iter_mut() {
-            recorder.enter(h.ring());
-            h.end_pass();
+        for r in replicas.iter_mut() {
+            recorder.enter(r.ring());
+            r.end_pass();
         }
         let mut swept = false;
         for c in clients.iter_mut() {
@@ -179,7 +178,7 @@ pub fn run_worker(
                 !running,
                 "transport closed while store operations were in flight"
             );
-            close(hosts, recorder);
+            close(replicas, recorder);
             break;
         }
         if taken > 0 || swept {
@@ -188,13 +187,13 @@ pub fn run_worker(
         if !clients.is_empty() && !running {
             // The mailbox is dry: whatever a catch-up still waits for is
             // not coming.
-            if abort_catch_ups(hosts, recorder) {
+            if abort_catch_ups(replicas, recorder) {
                 continue;
             }
             break;
         }
-        hosts.iter().for_each(Host::debug_assert_nothing_held);
-        let mut wait = if hosts.iter().any(Host::catching_up) {
+        replicas.iter().for_each(Replica::debug_assert_nothing_held);
+        let mut wait = if replicas.iter().any(Replica::catching_up) {
             CATCH_UP_POLL
         } else {
             IDLE_POLL
@@ -208,7 +207,7 @@ pub fn run_worker(
             Ok(env) => head = Some(env),
             Err(RecvTimeoutError::Timeout) => {
                 if stop.is_some_and(|s| s.load(Ordering::Relaxed))
-                    && !abort_catch_ups(hosts, recorder)
+                    && !abort_catch_ups(replicas, recorder)
                 {
                     break;
                 }
@@ -217,26 +216,26 @@ pub fn run_worker(
             Err(RecvTimeoutError::Disconnected) => {}
         }
     }
-    hosts.iter().for_each(Host::debug_assert_nothing_held);
+    replicas.iter().for_each(Replica::debug_assert_nothing_held);
 }
 
 /// Aborts every catch-up under way; whether any was. An aborted recovery
 /// serves what it buffered, so its replies leave with the next pass.
-fn abort_catch_ups(hosts: &mut [Host<'_>], recorder: &FlightRecorder) -> bool {
+fn abort_catch_ups(replicas: &mut [Replica<'_>], recorder: &FlightRecorder) -> bool {
     let mut aborted = false;
-    for h in hosts {
-        recorder.enter(h.ring());
-        aborted |= h.abort_catch_ups();
+    for r in replicas {
+        recorder.enter(r.ring());
+        aborted |= r.end_catch_up(true);
     }
     aborted
 }
 
 /// The end of input: every catch-up aborted — and every one a crash
 /// signal queued behind it — and every pass ended.
-fn close(hosts: &mut [Host<'_>], recorder: &FlightRecorder) {
-    for h in hosts {
-        recorder.enter(h.ring());
-        while h.abort_catch_ups() {}
-        h.end_pass();
+fn close(replicas: &mut [Replica<'_>], recorder: &FlightRecorder) {
+    for r in replicas {
+        recorder.enter(r.ring());
+        while r.end_catch_up(true) {}
+        r.end_pass();
     }
 }

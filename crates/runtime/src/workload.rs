@@ -1,10 +1,10 @@
 //! The replica, the shard monitor and the run observers: what every chaos
 //! run is built from, whatever drives it.
 //!
-//! The replica is a state machine that never blocks (`Replica`: one
-//! dispatch per envelope, one commit-and-flush per pass); a [`Host`] holds
-//! the replicas one worker runs — a shard's on the bus, one in a serve
-//! process ([`server_loop`]). The shard monitor ([`ShardMonitor`]) checks
+//! The replica is a state machine that never blocks ([`Replica`]: one
+//! dispatch per envelope, one commit-and-flush per pass); one worker runs
+//! every replica of a bus run, and one in a serve process
+//! ([`server_loop`]). The shard monitor ([`ShardMonitor`]) checks
 //! each action a client hands it inside that call. Both run on the one
 //! worker (`crate::worker`), beside the clients, which live in
 //! `blunt-store`: their pipelined machine is the only client in the
@@ -136,7 +136,7 @@ impl<'a> ShardMonitor<'a> {
     pub fn new(shard: u32, recorder: &'a FlightRecorder, lanes: usize) -> ShardMonitor<'a> {
         ShardMonitor {
             recorder,
-            ring: recorder.register_lanes(&format!("monitor-s{shard}"), 1),
+            ring: recorder.register(&format!("monitor-s{shard}")),
             pid: u32::try_from(lanes).expect("node count fits u32") + shard,
             checked: RefCell::new(Checked {
                 checker: OnlineMonitor::new(Val::Nil, lanes),
@@ -369,10 +369,16 @@ struct PendingAck {
 
 /// One ABD replica's whole state between two steps: its registers, its
 /// durable storage, what the pass under way has produced, and — while it
-/// recovers — its catch-up. It never blocks: the worker hands it one
-/// envelope at a time and ends each pass, and the sends go through the
-/// [`Transport`] it was given.
-struct Replica<'a> {
+/// recovers — its catch-up. It never blocks: the worker ([`run_worker`])
+/// hands it one envelope at a time and ends each pass, and the sends go
+/// through the [`Transport`] it was given.
+///
+/// Which thread runs a replica's step is the scheduler's business, not
+/// ABD's: replicas on one worker share nothing but the thread, each keeps
+/// its own state, WAL, catch-up and flight ring, and state transfer
+/// between two of them goes through the transport and back into the
+/// worker's mailbox like any peer's.
+pub struct Replica<'a> {
     me: Pid,
     /// The replica group `me` belongs to (including `me`): recovery
     /// catch-up queries exactly these peers, and the catch-up quorum is
@@ -394,8 +400,7 @@ struct Replica<'a> {
     /// The recovery under way, if any: while it is `Some`, ABD traffic
     /// waits in it and crash signals are counted by it.
     catch_up: Option<CatchUp>,
-    /// Its host's flight-recorder ring (`server-<pid>` for a lone
-    /// replica), shared with the replicas hosted beside it.
+    /// Its own flight ring, `server-<pid>`.
     ring: Arc<FlightRing>,
 }
 
@@ -424,7 +429,7 @@ struct CatchUp {
 /// the triggering envelope's exemption so retransmitted exchanges complete
 /// without consuming fault indices.
 ///
-/// This is the worker ([`run_worker`]) with one hosted replica: every
+/// This is the worker ([`run_worker`]) with one [`Replica`]: every
 /// protocol decision is the replica machine's, the worker only waits. Each
 /// pass **drains, commits, then flushes**: it takes whatever is already
 /// queued (up to 64 envelopes a pass) without blocking, and ends the pass —
@@ -465,54 +470,34 @@ pub fn server_loop(
     sink: &RecoverySink,
     recorder: &FlightRecorder,
 ) {
-    let name = format!("server-{}", me.0);
-    let mut host = Host::new(&name, &[me], &group, mode, bus, sink, recorder);
+    let mut replica = Replica::new(me, group, mode, bus, sink, recorder);
     run_worker(
         &mut rx,
-        std::slice::from_mut(&mut host),
+        std::slice::from_mut(&mut replica),
         &mut [],
         Some(stop),
         recorder,
     );
 }
 
-/// The replicas `hosted` of one replica `group`, as the worker steps them.
-///
-/// Which thread runs a replica's step is the scheduler's business, not
-/// ABD's: the replicas share nothing but the thread, each keeps its own
-/// state, WAL and catch-up, and state transfer between two of them goes
-/// through the transport and back into the worker's mailbox like any
-/// peer's. The host records into one flight ring labeled `name`, sized for
-/// `hosted.len()` rings' worth of events; its events carry the replica's
-/// pid, so lanes stay per replica.
-pub struct Host<'a> {
-    replicas: Vec<Replica<'a>>,
-    ring: Arc<FlightRing>,
-}
-
-impl<'a> Host<'a> {
-    /// Fresh replicas `hosted` of `group`, recovering as `mode` says,
-    /// sending through `bus` and counting crashes and recoveries on `sink`.
+impl<'a> Replica<'a> {
+    /// Fresh replica `me` of `group`, recovering as `mode` says, sending
+    /// through `bus` and counting crashes and recoveries on `sink`. It
+    /// records into its own flight ring, `server-<me>`.
     ///
     /// # Panics
     ///
-    /// Panics if `hosted` is empty or names a pid outside `group`.
+    /// Panics if `group` does not contain `me`.
     #[must_use]
     pub fn new(
-        name: &str,
-        hosted: &[Pid],
-        group: &[Pid],
+        me: Pid,
+        group: Vec<Pid>,
         mode: RecoveryMode,
         bus: &'a dyn Transport,
         sink: &'a RecoverySink,
         recorder: &FlightRecorder,
-    ) -> Host<'a> {
-        assert!(!hosted.is_empty(), "a host runs at least one replica");
-        assert!(
-            hosted.iter().all(|me| group.contains(me)),
-            "a replica group includes its own pid"
-        );
-        let ring = recorder.register_lanes(name, hosted.len());
+    ) -> Replica<'a> {
+        assert!(group.contains(&me), "a replica group includes its own pid");
         let (amnesia, fsync_interval, demo_skip) = match mode {
             RecoveryMode::Stable => (false, 1, false),
             RecoveryMode::Amnesia {
@@ -520,73 +505,43 @@ impl<'a> Host<'a> {
                 demo_skip_recovery,
             } => (true, fsync_interval, demo_skip_recovery),
         };
-        let replicas = hosted
-            .iter()
-            .map(|&me| Replica {
-                me,
-                group: group.to_vec(),
-                bus,
-                sink,
-                state: StoreState::new(Val::Nil),
-                wal: MultiWal::new(fsync_interval),
-                pending_acks: Vec::new(),
-                replies: Vec::new(),
-                amnesia,
-                demo_skip,
-                catchup_sn: 0,
-                catch_up: None,
-                ring: Arc::clone(&ring),
-            })
-            .collect();
-        Host { replicas, ring }
+        Replica {
+            me,
+            group,
+            bus,
+            sink,
+            state: StoreState::new(Val::Nil),
+            wal: MultiWal::new(fsync_interval),
+            pending_acks: Vec::new(),
+            replies: Vec::new(),
+            amnesia,
+            demo_skip,
+            catchup_sn: 0,
+            catch_up: None,
+            ring: recorder.register(&format!("server-{}", me.0)),
+        }
     }
 
-    /// The hosted replicas' pids, in hosting order.
-    pub(crate) fn hosted(&self) -> impl ExactSizeIterator<Item = Pid> + '_ {
-        self.replicas.iter().map(|r| r.me)
+    /// The pid whose envelopes this replica takes.
+    pub(crate) fn pid(&self) -> Pid {
+        self.me
     }
 
+    /// This replica's flight ring, entered before every step.
     pub(crate) fn ring(&self) -> &Arc<FlightRing> {
         &self.ring
     }
 
-    /// One envelope for the `r`-th hosted replica.
-    pub(crate) fn on_envelope(&mut self, r: usize, env: Envelope) {
-        self.replicas[r].on_envelope(env);
-    }
-
-    /// Every replica's pass end: commit, then flush.
-    pub(crate) fn end_pass(&mut self) {
-        self.replicas.iter_mut().for_each(Replica::end_pass);
-    }
-
     pub(crate) fn catching_up(&self) -> bool {
-        self.replicas.iter().any(|r| r.catch_up.is_some())
+        self.catch_up.is_some()
     }
 
-    /// Ends every catch-up under way; whether any was.
-    pub(crate) fn abort_catch_ups(&mut self) -> bool {
-        let mut aborted = false;
-        for r in &mut self.replicas {
-            aborted |= r.end_catch_up(true);
-        }
-        aborted
-    }
-
-    pub(crate) fn debug_assert_nothing_held(&self) {
-        self.replicas
-            .iter()
-            .for_each(Replica::debug_assert_nothing_held);
-    }
-}
-
-impl Replica<'_> {
     /// One envelope off the mailbox: flight event, then the replica's one
     /// dispatch. During a catch-up, ABD traffic waits and crash signals
     /// are counted; state transfer is served either way — another server
     /// recovering concurrently needs an answer, or the two recoveries
     /// deadlock.
-    fn on_envelope(&mut self, env: Envelope) {
+    pub(crate) fn on_envelope(&mut self, env: Envelope) {
         self.ring.record_span(
             FlightKind::BusDeliver,
             self.me.0,
@@ -616,7 +571,7 @@ impl Replica<'_> {
     /// Pass end is the commit point: one fsync covers every record the
     /// pass left unsynced, and the acks it releases leave with the pass's
     /// other replies.
-    fn end_pass(&mut self) {
+    pub(crate) fn end_pass(&mut self) {
         self.flush_wal();
         self.flush_replies();
     }
@@ -626,7 +581,7 @@ impl Replica<'_> {
     /// ack released, every reply handed to the transport. A pass commits
     /// and flushes at its end and a crash clears all three, so nothing can
     /// sit here until a timer or the next arrival.
-    fn debug_assert_nothing_held(&self) {
+    pub(crate) fn debug_assert_nothing_held(&self) {
         debug_assert_eq!(self.wal.unsynced_len(), 0, "blocking on an unsynced record");
         debug_assert!(self.pending_acks.is_empty(), "blocking on a withheld ack");
         debug_assert!(self.replies.is_empty(), "blocking on a buffered reply");
@@ -899,7 +854,7 @@ impl Replica<'_> {
     /// complete. A crash signal that arrived meanwhile crashes the replica
     /// again, handing the buffered traffic on; otherwise that traffic is
     /// served, in arrival order. Returns whether a catch-up ended.
-    fn end_catch_up(&mut self, abort: bool) -> bool {
+    pub(crate) fn end_catch_up(&mut self, abort: bool) -> bool {
         let Some(c) = self.catch_up.take_if(|c| abort || c.got >= c.needed) else {
             return false;
         };

@@ -7,10 +7,10 @@
 //! shape in which a buffered reply could be held over the crash and the
 //! catch-up wait), or a handful of updates too few to fill a WAL batch.
 //!
-//! A `Host` of a whole replica group on the worker, over one mailbox:
-//! there a recovering replica's peers share its thread, so its catch-up
-//! must complete through the transport and back into that mailbox, for
-//! one crash and for two at once.
+//! Several replicas of one group on the worker, over one mailbox: there a
+//! recovering replica's peers share its thread, so its catch-up must
+//! complete through the transport and back into that mailbox, for one
+//! crash and for two at once.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -25,7 +25,7 @@ use blunt_core::value::Val;
 use blunt_net::{Coverage, SpanCtx, Transport, TransportStats};
 use blunt_obs::{FlightKind, FlightRecorder};
 use blunt_runtime::{
-    run_worker, server_loop, Envelope, Host, Payload, RecoveryMode, RecoverySink, RecoveryStats,
+    run_worker, server_loop, Envelope, Payload, RecoveryMode, RecoverySink, RecoveryStats, Replica,
 };
 
 /// Records every envelope in the order the transport is handed it, and
@@ -338,12 +338,12 @@ fn to(dst: Pid, env: Envelope) -> Envelope {
     Envelope { dst, ..env }
 }
 
-/// The transport of a host running `hosted` of [`GROUP`]: envelopes for a
-/// hosted replica go back into the host's mailbox, everything else — the
-/// client's answers, a query to a replica hosted nowhere — to the
+/// The transport of a worker running `local` of [`GROUP`]: envelopes for
+/// a local replica go back into the worker's mailbox, everything else —
+/// the client's answers, a query to a replica run nowhere — to the
 /// [`Probe`].
 struct Loopback<'a> {
-    hosted: &'a [Pid],
+    local: &'a [Pid],
     mailbox: Sender<Envelope>,
     out: Probe,
 }
@@ -355,9 +355,9 @@ impl Transport for Loopback<'_> {
 
     fn send_batch(&self, envs: Vec<Envelope>) {
         let (home, out): (Vec<_>, Vec<_>) =
-            envs.into_iter().partition(|e| self.hosted.contains(&e.dst));
+            envs.into_iter().partition(|e| self.local.contains(&e.dst));
         home.into_iter()
-            .for_each(|e| self.mailbox.send(e).expect("the host reads its mailbox"));
+            .for_each(|e| self.mailbox.send(e).expect("the worker reads its mailbox"));
         if !out.is_empty() {
             self.out.send_batch(out);
         }
@@ -374,19 +374,19 @@ impl Transport for Loopback<'_> {
     }
 }
 
-/// Runs `hosted` of [`GROUP`] on one host under amnesia over `inbound`,
+/// Runs `local` of [`GROUP`] on one worker under amnesia over `inbound`,
 /// preloaded like [`serve`]'s, until `recoveries` recoveries have completed
 /// (or 5 s have passed); only then is `stop` raised, so no catch-up can
-/// have been cut short by it. Returns what left the host, in order, and
-/// the host's recovery counters.
-fn host(hosted: &[Pid], inbound: Vec<Envelope>, recoveries: u64) -> (Vec<Envelope>, RecoveryStats) {
+/// have been cut short by it. Returns what left the worker, in order, and
+/// the replicas' recovery counters.
+fn host(local: &[Pid], inbound: Vec<Envelope>, recoveries: u64) -> (Vec<Envelope>, RecoveryStats) {
     let (tx, mut rx) = mpsc::channel();
     for env in inbound {
         tx.send(env).unwrap();
     }
     let stop = AtomicBool::new(false);
     let transport = Loopback {
-        hosted,
+        local,
         mailbox: tx,
         out: Probe::default(),
     };
@@ -394,17 +394,11 @@ fn host(hosted: &[Pid], inbound: Vec<Envelope>, recoveries: u64) -> (Vec<Envelop
     let recorder = FlightRecorder::new(256);
     thread::scope(|s| {
         s.spawn(|| {
-            let mut host = Host::new(
-                "server-s0",
-                hosted,
-                &GROUP,
-                AMNESIA,
-                &transport,
-                &sink,
-                &recorder,
-            );
-            let hosts = std::slice::from_mut(&mut host);
-            run_worker(&mut rx, hosts, &mut [], Some(&stop), &recorder);
+            let mut replicas: Vec<Replica<'_>> = local
+                .iter()
+                .map(|&me| Replica::new(me, GROUP.to_vec(), AMNESIA, &transport, &sink, &recorder))
+                .collect();
+            run_worker(&mut rx, &mut replicas, &mut [], Some(&stop), &recorder);
         });
         let deadline = Instant::now() + Duration::from_secs(5);
         while sink.snapshot().recoveries < recoveries && Instant::now() < deadline {
@@ -417,7 +411,7 @@ fn host(hosted: &[Pid], inbound: Vec<Envelope>, recoveries: u64) -> (Vec<Envelop
 }
 
 #[test]
-fn a_hosted_replica_catches_up_from_the_replicas_on_its_own_thread() {
+fn a_replica_catches_up_from_the_replicas_on_its_own_thread() {
     // Replica 0 crashes with ABD traffic behind the signal; its two peers
     // run on the same thread and answer its StateQuery through the
     // mailbox they share, so the catch-up completes — nothing aborts it —
@@ -441,29 +435,29 @@ fn a_hosted_replica_catches_up_from_the_replicas_on_its_own_thread() {
 }
 
 #[test]
-fn two_hosted_replicas_crashed_in_one_pass_both_recover_without_stop() {
+fn two_replicas_crashed_in_one_pass_on_one_worker_both_recover_without_stop() {
     // Replicas 0 and 1 crash in the same pass, so each asks the other
-    // while both are catching up. With replica 2 on the host, it alone
-    // could answer both; hosted without it, each catch-up can only end
+    // while both are catching up. With replica 2 on the worker, it alone
+    // could answer both; run without it, each catch-up can only end
     // with the other's answer: state transfer is served during a
     // catch-up, or the two recoveries would wait on each other until
     // `stop` aborted them.
     let inbound = || vec![crash(), to(Pid(1), crash()), query(1), to(Pid(1), query(2))];
-    for hosted in [&GROUP[..], &GROUP[..2]] {
-        let (seen, r) = host(hosted, inbound(), 2);
-        assert_eq!((r.crashes, r.recoveries), (2, 2), "hosting {hosted:?}");
+    for local in [&GROUP[..], &GROUP[..2]] {
+        let (seen, r) = host(local, inbound(), 2);
+        assert_eq!((r.crashes, r.recoveries), (2, 2), "running {local:?}");
         assert_eq!(r.state_queries, 4);
         assert_eq!(r.catchup_aborted, 0, "a recovery waited for `stop`");
         let mut replied: Vec<(u32, u32)> = seen
             .iter()
             .filter_map(|e| match &e.msg {
                 Payload::Abd(AbdMsg::Reply { sn, .. }) => Some((e.src.0, *sn)),
-                // The query to the replica hosted nowhere.
+                // The query to the replica run nowhere.
                 Payload::StateQuery { .. } => None,
-                other => panic!("only query replies leave the host, got {other:?}"),
+                other => panic!("only query replies leave the worker, got {other:?}"),
             })
             .collect();
         replied.sort_unstable();
-        assert_eq!(replied, vec![(0, 1), (1, 2)], "hosting {hosted:?}");
+        assert_eq!(replied, vec![(0, 1), (1, 2)], "running {local:?}");
     }
 }

@@ -8,8 +8,8 @@
 //! [`RunOpts::k`], and the tier is the transport the driver is handed. A seed-deterministic
 //! consistent-hash [`ring`] maps each key onto one of N independent ABD
 //! shards — disjoint slices of the server set, each running the unmodified
-//! replica machine over its own quorum (in process, a shard's replicas are
-//! one [`blunt_runtime::Host`] on the run's one worker, beside the clients;
+//! replica machine over its own quorum (in process, each replica is one
+//! [`blunt_runtime::Replica`] on the run's one worker, beside the clients;
 //! over sockets, one [`blunt_runtime::server_loop`] per serve process).
 //! Clients are
 //! *pipelined*: each keeps up to `pipeline_depth` operations in flight at

@@ -9,7 +9,7 @@
 //! inbox too. Either way one `worker` thread steps every machine the
 //! process owns over that inbox ([`run_worker`]), and draws and realises
 //! every fate of the run: every client, and on the bus every shard's
-//! [`Host`] of unmodified replica machines; the clients call every shard's
+//! unmodified [`Replica`] machines; the clients call every shard's
 //! monitor on that thread too. Every client is a `StoreClient` — the only
 //! client in the workspace — so the two tiers
 //! exercise identical protocol logic and differ only in transport. The
@@ -65,8 +65,8 @@ use blunt_net::{
 use blunt_obs::flight::encode_val;
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Histogram, HistogramSnapshot};
 use blunt_runtime::{
-    run_worker, watch_loop, Bus, BusInbox, Client, Host, MonitorReport, RecoveryMode, RecoverySink,
-    RecoveryStats, ShardMonitor, Telemetry, MAX_OPS_PER_CLIENT,
+    run_worker, watch_loop, Bus, BusInbox, Client, MonitorReport, RecoveryMode, RecoverySink,
+    RecoveryStats, Replica, ShardMonitor, Telemetry, MAX_OPS_PER_CLIENT,
 };
 use blunt_sim::rng::{RandomSource, SplitMix64};
 
@@ -513,7 +513,7 @@ fn run_on_bus(
         &mut BusInbox { bus: &bus, mailbox },
         &recorder,
         started,
-        &Replicas::Hosted(&sinks),
+        &Replicas::Local(&sinks),
     );
     report.stats = bus.stats();
     report.coverage = bus.coverage();
@@ -544,42 +544,39 @@ fn shard_bus(
     cfg: &StoreConfig,
     recorder: &Arc<FlightRecorder>,
 ) -> Result<(Bus, Receiver<Envelope>), FaultConfigError> {
-    let servers_total = cfg.servers_total();
-    let mailbox_of = vec![0; (servers_total + cfg.clients) as usize];
-    let (bus, mut mailboxes) = Bus::hosted(
+    let servers = cfg.servers_total();
+    Bus::shared(
         cfg.seed,
         cfg.faults,
-        servers_total,
-        &mailbox_of,
+        servers,
+        servers + cfg.clients,
         cfg.recovery.is_amnesia(),
         Arc::clone(recorder),
-    )?;
-    Ok((bus, mailboxes.pop().expect("one mailbox")))
+    )
 }
 
 /// Where a run's replicas live.
 enum Replicas<'a> {
-    /// On the worker, one [`Host`] per shard, counting each shard's crashes
-    /// and recoveries on its sink.
-    Hosted(&'a [RecoverySink]),
+    /// On the worker, each counting its crashes and recoveries on its
+    /// shard's sink.
+    Local(&'a [RecoverySink]),
     /// In serve processes, whose crashes the driver hears of through their
     /// telemetry.
     Remote(&'a NetClient),
 }
 
-/// Shard `shard`'s replicas as one [`Host`] named `server-s<shard>`. The
-/// replica is key-agnostic (its store is a per-key map), so shard
-/// membership is purely a property of who clients address: replica s
-/// serves shard s / servers_per_shard. Recovery catch-up stays within the
-/// shard — only these replicas hold the keys — and the host runs exactly
-/// them.
-fn shard_host<'a>(
+/// Shard `shard`'s replicas, in pid order. The replica is key-agnostic
+/// (its store is a per-key map), so shard membership is purely a property
+/// of who clients address: replica s serves shard s / servers_per_shard.
+/// Recovery catch-up stays within the shard — only these replicas hold
+/// the keys.
+fn shard_replicas<'a>(
     cfg: &StoreConfig,
     shard: u32,
     transport: &'a dyn Transport,
     sink: &'a RecoverySink,
     recorder: &FlightRecorder,
-) -> Host<'a> {
+) -> Vec<Replica<'a>> {
     let group: Vec<Pid> = (shard * cfg.servers_per_shard..(shard + 1) * cfg.servers_per_shard)
         .map(Pid)
         .collect();
@@ -587,14 +584,16 @@ fn shard_host<'a>(
         Some(d) if d == shard => RecoveryMode::demo_amnesia(),
         _ => cfg.recovery,
     };
-    let name = format!("server-s{shard}");
-    Host::new(&name, &group, &group, mode, transport, sink, recorder)
+    group
+        .iter()
+        .map(|&me| Replica::new(me, group.clone(), mode, transport, sink, recorder))
+        .collect()
 }
 
 /// The `worker` thread's body: builds every machine of the run — the
-/// clients, the shard monitors and, when they are hosted, the shard
-/// replicas — runs them over `inbox` to the end, and reports what they
-/// counted; the tiers fill in the rest.
+/// clients, the shard monitors and, on the bus, the shard replicas — runs
+/// them over `inbox` to the end, and reports what they counted; the tiers
+/// fill in the rest.
 fn work(
     cfg: &StoreConfig,
     k: u32,
@@ -608,9 +607,10 @@ fn work(
     let monitors: Vec<ShardMonitor<'_>> = (0..cfg.shards)
         .map(|s| ShardMonitor::new(s, recorder, nodes))
         .collect();
-    let mut hosts: Vec<Host<'_>> = sinks.map_or_else(Vec::new, |sinks| {
+    // Shard-major: the order in which the worker ends their passes.
+    let mut replicas: Vec<Replica<'_>> = sinks.map_or_else(Vec::new, |sinks| {
         (0..cfg.shards)
-            .map(|s| shard_host(cfg, s, transport, &sinks[s as usize], recorder))
+            .flat_map(|s| shard_replicas(cfg, s, transport, &sinks[s as usize], recorder))
             .collect()
     });
     let mut clients: Vec<StoreClient<'_>> = (0..cfg.clients)
@@ -618,7 +618,7 @@ fn work(
         .collect();
     let mut stepped: Vec<&mut dyn Client> =
         clients.iter_mut().map(|c| c as &mut dyn Client).collect();
-    run_worker(inbox, &mut hosts, &mut stepped, None, recorder);
+    run_worker(inbox, &mut replicas, &mut stepped, None, recorder);
 
     let latency = Histogram::unregistered();
     let (mut retransmissions, mut gap_retransmissions, mut degraded_ops) = (0, 0, 0);
@@ -683,11 +683,11 @@ fn drive_clients(
     let stalled = &AtomicBool::new(false);
     let (watch_stop_tx, watch_stop_rx) = mpsc::channel::<()>();
     let recoveries = || match replicas {
-        Replicas::Hosted(sinks) => sinks.iter().map(|s| s.snapshot().recoveries).sum(),
+        Replicas::Local(sinks) => sinks.iter().map(|s| s.snapshot().recoveries).sum(),
         Replicas::Remote(net) => net.remote_recoveries(),
     };
     let sinks = match replicas {
-        Replicas::Hosted(sinks) => Some(*sinks),
+        Replicas::Local(sinks) => Some(*sinks),
         Replicas::Remote(_) => None,
     };
     let mut report = thread::scope(|s| {
@@ -981,6 +981,7 @@ impl<'a> StoreClient<'a> {
     ) -> StoreClient<'a> {
         let spr = cfg.servers_per_shard;
         let me = Pid(cfg.servers_total() + c);
+        let initial_wait = cfg.retransmit_after.min(cfg.retransmit_cap);
         StoreClient {
             c,
             me,
@@ -989,21 +990,23 @@ impl<'a> StoreClient<'a> {
             ring_map: HashRing::new(cfg.seed, cfg.shards),
             monitors,
             telemetry,
-            ring: recorder.register_lanes(&format!("client-{}", me.0), 1),
+            ring: recorder.register(&format!("client-{}", me.0)),
             rng: client_rng(cfg.seed, c),
             bt: BatchingTransport::new(transport, cfg.batch_max),
             quorum: spr / 2 + 1,
             shard_servers: (0..cfg.shards)
                 .map(|s| (s * spr..(s + 1) * spr).map(Pid).collect())
                 .collect(),
-            initial_wait: cfg.retransmit_after.min(cfg.retransmit_cap),
+            initial_wait,
             sn_counter: 0,
             drawn: 0,
             answered: vec![0; cfg.servers_total() as usize],
             pending: VecDeque::new(),
             active: BTreeMap::new(),
             active_keys: HashSet::new(),
-            health: Vec::new(),
+            health: (0..cfg.shards)
+                .map(|_| ShardHealth::new(initial_wait))
+                .collect(),
             latency: Histogram::unregistered(),
             retransmissions: 0,
             gap_retransmissions: 0,
@@ -1025,9 +1028,9 @@ impl<'a> StoreClient<'a> {
             n,
         );
         self.drawn += n;
-        self.health = (0..self.cfg.shards)
-            .map(|_| ShardHealth::new(self.initial_wait))
-            .collect();
+        for h in &mut self.health {
+            *h = ShardHealth::new(self.initial_wait);
+        }
     }
 
     /// Fills the pipeline: first startable spec front-to-back, skipping
@@ -1548,7 +1551,7 @@ mod tests {
             &mut mailbox,
             &recorder,
             started,
-            &Replicas::Hosted(&[RecoverySink::default()]),
+            &Replicas::Local(&[RecoverySink::default()]),
         );
         report.elapsed = started.elapsed();
         assert!(

@@ -146,7 +146,7 @@ fn violation_captures_a_flight_dump_containing_the_violating_ops() {
 
     // One worker steps every machine, and each machine's sends and the
     // fates they drew are in its own ring: a client's under `client-<pid>`,
-    // the shard's replicas' under `server-s0`.
+    // a replica's under `server-<pid>`.
     let sends = |prefix: &str| {
         let ring = |e: &&blunt_obs::FlightEvent| e.ring.starts_with(prefix);
         dump.events
@@ -155,7 +155,7 @@ fn violation_captures_a_flight_dump_containing_the_violating_ops() {
             .filter(|e| e.kind == FlightKind::BusSend)
             .count()
     };
-    assert!(sends("client-") > 0 && sends("server-s0") > 0);
+    assert!(sends("client-") > 0 && sends("server-") > 0);
     let servers = cfg.servers_total();
     for e in &dump.events {
         let sent = e.kind == FlightKind::BusSend || e.kind.as_str().starts_with("fault_");
@@ -163,7 +163,7 @@ fn violation_captures_a_flight_dump_containing_the_violating_ops() {
             continue;
         }
         let owner = if e.pid < servers {
-            "server-s0".to_string()
+            format!("server-{}", e.pid)
         } else {
             format!("client-{}", e.pid)
         };

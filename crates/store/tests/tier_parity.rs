@@ -10,10 +10,17 @@
 //! order on each link, is then a function of the seed on either tier. A
 //! request `Duplicate` reaches the replica twice on both, so under stable
 //! recovery every delivered copy of a request is answered once.
+//!
+//! Each replica is one machine on either tier, and records into its own
+//! flight ring, `server-<pid>`: the two tiers' dumps name the same replica
+//! rings.
 
 mod common;
 
+use std::collections::BTreeSet;
+
 use blunt_net::{Coverage, FaultConfig};
+use blunt_obs::FlightEvent;
 use blunt_runtime::RecoveryMode;
 use blunt_store::{run_store, RunOpts, StoreConfig, StoreReport};
 
@@ -90,4 +97,46 @@ fn bus_and_uds_draw_the_same_fates_under_amnesia() {
             assert_eq!(r.catchup_aborted, 0, "{tier}, seed {seed:#x}");
         }
     }
+}
+
+/// The rings `events` — every one a replica recorded — came from; each must
+/// be its replica's own, `server-<pid>`.
+fn replica_rings<'a>(
+    events: impl Iterator<Item = &'a FlightEvent>,
+    tier: &str,
+) -> BTreeSet<String> {
+    events
+        .map(|e| {
+            assert_eq!(
+                e.ring,
+                format!("server-{}", e.pid),
+                "{tier}: {:?} of pid {}",
+                e.kind,
+                e.pid
+            );
+            e.ring.clone()
+        })
+        .collect()
+}
+
+#[test]
+fn every_replica_records_into_its_own_ring_on_both_tiers() {
+    // The unsound single-server read, so the bus run takes a violation
+    // dump; a socket run always merges its serve processes' dumps.
+    let mut cfg = StoreConfig::register(0x0BAD_5EED);
+    cfg.broken_reads = true;
+    cfg.read_per_mille = 400;
+    let bus = run_store(&cfg).expect("valid fault config");
+    let (uds, _) = common::run_over_uds(&cfg, &RunOpts::default(), "tier-parity-rings");
+    let bus_dump = bus.violation_dump.expect("the broken read is caught");
+    let uds_dump = uds.merged_flight.expect("a socket run merges its dumps");
+    // On the bus, every event of a replica's pid is the replica's own: its
+    // deliveries, acks and WAL flushes, its sends and the fates they drew.
+    let on_bus = replica_rings(bus_dump.events.iter().filter(|e| e.pid < SERVERS), "bus");
+    // Over sockets, every event a serve process recorded (the driver draws
+    // the replies' fates in its own inbox ring).
+    let on_uds = replica_rings(uds_dump.events.iter().filter(|e| !e.proc.is_empty()), "uds");
+    let all: BTreeSet<String> = (0..SERVERS).map(|p| format!("server-{p}")).collect();
+    assert_eq!(on_bus, all);
+    assert_eq!(on_uds, on_bus, "one ring per replica on both tiers");
 }
