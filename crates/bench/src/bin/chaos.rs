@@ -1,7 +1,8 @@
-//! chaos — seeded soak runner for the threaded chaos runtime
-//! (`blunt_runtime` replicas under the one client driver in `blunt_store`):
-//! ABD and O^k step machines on real OS threads under fault injection, with
-//! the online linearizability monitor as the oracle. Every mode plans named
+//! chaos — seeded soak runner for the chaos runtime (`blunt_runtime`
+//! replicas under the one client driver in `blunt_store`): ABD and O^k step
+//! machines on one worker per run process under fault injection, plus the
+//! Vitányi–Awerbuch register stepped in a seeded order, with the online
+//! linearizability monitor as the oracle. Every mode plans named
 //! `(StoreConfig, RunOpts)` runs for that one driver — the register set is
 //! the store at one shard and one key.
 //!
@@ -51,7 +52,7 @@
 //! produce identical deterministic results. `--watch`, `--watch-out` and
 //! the stall watchdog apply in every mode.
 //!
-//! **Flight recorder.** Every run keeps a bounded per-thread event window
+//! **Flight recorder.** Every run keeps a bounded per-machine event window
 //! (bus sends, fault decisions, op boundaries, acks, WAL flushes, crashes,
 //! monitor violations). On a monitor violation the window is captured *at the
 //! moment of detection* and written under `--dump-dir` (default
@@ -143,7 +144,7 @@ struct Cli {
     /// `--fault-profile`, `--crash-len`, `--crash-period`, `--recovery`.
     faults: FaultFlags,
     /// `--connect a,b,c`: drive external `chaos serve` processes at these
-    /// addresses instead of in-process server threads.
+    /// addresses instead of in-process replicas.
     connect: Option<Vec<Addr>>,
     /// `--k N`: preamble depth (ABD^k) wherever one configuration runs —
     /// `--store`, `--connect`, `--sweep`, the demos. The default register
@@ -569,7 +570,7 @@ fn plan(cli: &Cli) -> Vec<Run> {
         .map(|k| register_run(cli, mode, cli.seed ^ u64::from(k), k, cli.smoke))
         .collect();
     if cli.faults.profile.is_none() {
-        // The protocol under nothing but thread nondeterminism.
+        // The fault-free control: the protocol with no fault injected.
         let quiet = register_shape(cli, cli.seed ^ 0x71, cli.smoke);
         let name = format!("{mode}.abd_k1_quiet");
         runs.push(finish_run(cli, name, quiet, 1, FaultProfile::None));
@@ -584,7 +585,7 @@ fn shm_configs(smoke: bool, seed: u64) -> Vec<(String, ShmChaosConfig)> {
         .map(|k| {
             let mut cfg = ShmChaosConfig::small(seed ^ 0x5113 ^ u64::from(k), k);
             if !smoke {
-                cfg.ops_per_thread = 2_000;
+                cfg.ops_per_process = 2_000;
             }
             (format!("{mode}.va_k{k}"), cfg)
         })

@@ -315,7 +315,11 @@ impl NetClient {
             .enumerate()
             .map(|(peer, addr)| Mutex::new(dial(peer, addr, &inbound, &remote, &flight).ok()))
             .collect();
-        let ring = flight.register("net-inbox");
+        // A replica's reply legs draw their fates into its own ring, as
+        // on the bus.
+        let rings = (0..cfg.servers.len())
+            .map(|pid| flight.register(&format!("server-{pid}")))
+            .collect();
         let client = Arc::new(NetClient {
             conns,
             tags,
@@ -329,7 +333,7 @@ impl NetClient {
             frames,
             ready: VecDeque::new(),
             timers: Timers::default(),
-            ring,
+            rings,
         };
         Ok((client, inbox))
     }
@@ -466,18 +470,19 @@ pub struct DriverInbox {
     /// Deliverable replies nobody has taken yet, in delivery order.
     ready: VecDeque<Envelope>,
     timers: Timers<TaggedEnv>,
-    /// Where the replies' fault events are recorded.
-    ring: Arc<FlightRing>,
+    /// Where each server's replies record their fault events (index =
+    /// server pid): `server-<pid>`, the replica's ring on the bus.
+    rings: Vec<Arc<FlightRing>>,
 }
 
 impl DriverInbox {
     fn take(&mut self, message: Inbound) {
         let remote = &self.net.remote;
         match message {
-            Inbound::Frame(_, Frame::Env { tag, re, env }) => {
-                self.admit(vec![TaggedEnv { tag, re, env }]);
+            Inbound::Frame(peer, Frame::Env { tag, re, env }) => {
+                self.admit(peer, vec![TaggedEnv { tag, re, env }]);
             }
-            Inbound::Frame(_, Frame::EnvBatch { entries }) => self.admit(entries),
+            Inbound::Frame(peer, Frame::EnvBatch { entries }) => self.admit(peer, entries),
             Inbound::Frame(peer, Frame::Telemetry { report, .. }) => {
                 remote.lock().expect("remote lock")[peer].telemetry = Some(report);
             }
@@ -498,12 +503,13 @@ impl DriverInbox {
         }
     }
 
-    /// One frame's entries, in wire order: replies through the links
-    /// (fates drawn per entry under one lock, as the send path draws a
-    /// batch's), entries for a server (always exempt) relayed. Each entry
-    /// is handled exactly as if it had arrived as its own `Env` frame, so
-    /// batching is invisible above the framing layer.
-    fn admit(&mut self, entries: Vec<TaggedEnv>) {
+    /// One frame's entries from server `peer`, in wire order: replies
+    /// through the links (fates drawn per entry under one lock, as the send
+    /// path draws a batch's, into `peer`'s ring), entries for a server
+    /// (always exempt) relayed. Each entry is handled exactly as if it had
+    /// arrived as its own `Env` frame, so batching is invisible above the
+    /// framing layer.
+    fn admit(&mut self, peer: usize, entries: Vec<TaggedEnv>) {
         let net = &*self.net;
         let ready = &mut self.ready;
         let (mut later, mut relays) = (Vec::new(), Vec::new());
@@ -514,7 +520,9 @@ impl DriverInbox {
                 route(ready, e);
             }
         };
-        net.draw(entries, &self.ring, deliver, |ms, e| later.push((ms, e)));
+        net.draw(entries, &self.rings[peer], deliver, |ms, e| {
+            later.push((ms, e))
+        });
         self.timers.add(later);
         for e in relays {
             let dst = e.env.dst.index();

@@ -1,17 +1,17 @@
-//! The chaos runtime: the repo's protocol step machines on real OS threads,
-//! under seeded fault injection, with an online linearizability check.
+//! The chaos runtime: the repo's protocol step machines run outside the
+//! simulator, under seeded fault injection, with an online linearizability
+//! check.
 //!
 //! Everything else in this workspace runs inside the single-threaded
 //! deterministic simulator (`blunt_sim`), where the adversary is an explicit
 //! player. This crate turns the adversary into *measured chaos*: the same
-//! ABD client/server machines (`blunt_abd`) and shared-memory register
-//! constructions (`blunt_registers`) execute on threads connected by a
+//! ABD client/server machines (`blunt_abd`) exchange messages over a
 //! swappable [`blunt_net::Transport`] — the in-process message [`bus`] or
 //! the socket tier in `blunt_net` — whose [`blunt_net::fault`] injector — drop, delay,
 //! duplicate, reorder, partition, crash — follows a schedule that is a pure
 //! function of the run seed, so any run is replayable. [`workload`] holds
 //! the [`Replica`], the shard monitor and the run observers
-//! (live telemetry, the watch/watchdog thread); [`worker`] is the one
+//! (live telemetry, the watch/watchdog); [`worker`] is the one
 //! driver that steps every machine of a run process on one thread over one
 //! mailbox ([`run_worker`]; [`server_loop`] is its one-replica call). The
 //! client side — the one client machine, of which the single-register
@@ -25,7 +25,8 @@
 //! history as it streams in, with a zone check for registers whose write
 //! values are unique, rendering any violation window through
 //! `blunt_trace`'s space-time diagram. [`shm`] does
-//! the same for the mutex-shared-memory register constructions. [`netrun`]
+//! the same for the shared-memory register constructions, every process
+//! stepped on one thread in an order a seeded draw picks. [`netrun`]
 //! is the server half of multi-process runs: one `chaos serve` process per
 //! server, driven by the store's client driver over sockets — same protocol
 //! loops, same seeded fault schedule pushed down to the socket layer.

@@ -49,7 +49,7 @@ use blunt_core::value::Val;
 use blunt_trace::{history_space_time, DiagramOptions};
 
 /// A flagged violation: the offending window and its rendering.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Violation {
     /// The register whose history stopped linearizing.
     pub obj: ObjId,
@@ -64,7 +64,7 @@ pub struct Violation {
 }
 
 /// What the monitor concluded, reported after the run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MonitorReport {
     /// Returns checked and accepted.
     pub checked: u64,

@@ -1,21 +1,21 @@
-//! A threaded workload over the shared-memory register constructions of
+//! A seeded workload over the shared-memory register constructions of
 //! `blunt_registers` — the Vitányi–Awerbuch MWMR register (and its
-//! preamble-iterated O^k version) executed by real OS threads.
+//! preamble-iterated O^k version), every process stepped on the calling
+//! thread.
 //!
-//! Here the "network" is a mutex around the [`Shm`] cell array: each
-//! protocol *step* (one base-register access) takes the lock, mutates, and
-//! releases, so operations of different threads interleave at base-step
-//! granularity and the OS scheduler plays the adversary. The same
-//! [`OnlineMonitor`] checks the resulting history.
+//! In the paper's shared-memory model the adversary picks every
+//! base-register access. Here a seeded draw plays it: at each step it
+//! picks one process that still has ops left, and that process either
+//! starts its next op or takes one step of the op in flight — one
+//! base-register access — against the [`Shm`] cell array. So operations of
+//! different processes interleave at base-step granularity, and the
+//! interleaving, the history and the [`OnlineMonitor`]'s verdict on it are
+//! a pure function of the seed.
 //!
 //! The broken mode truncates a read's preamble to a single cell: it stops
 //! scanning the other processes' single-writer cells, so it simply cannot
 //! observe their writes — a deliberately unsound "fast read" the monitor
 //! must flag.
-
-use std::sync::mpsc::Sender;
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread;
 
 use blunt_core::history::Action;
 use blunt_core::ids::{InvId, MethodId, ObjId, Pid};
@@ -29,18 +29,18 @@ use blunt_sim::rng::{RandomSource, SplitMix64};
 use crate::monitor::{MonitorReport, OnlineMonitor};
 use crate::workload::MAX_OPS_PER_CLIENT;
 
-/// Configuration of a threaded shared-memory chaos run.
+/// Configuration of a seeded shared-memory chaos run.
 #[derive(Clone, Copy, Debug)]
 pub struct ShmChaosConfig {
-    /// Worker threads (= register processes).
-    pub threads: u32,
-    /// Operations per thread.
-    pub ops_per_thread: u64,
+    /// Register processes.
+    pub processes: u32,
+    /// Operations per process.
+    pub ops_per_process: u64,
     /// Preamble iterations for the O^k transformation.
     pub k: u32,
     /// ‰ of operations that are reads.
     pub read_per_mille: u16,
-    /// Run seed (op mix and object random choices).
+    /// Run seed (schedule, op mix and object random choices).
     pub seed: u64,
     /// Use the unsound single-cell fast read.
     pub broken_reads: bool,
@@ -51,8 +51,8 @@ impl ShmChaosConfig {
     #[must_use]
     pub fn small(seed: u64, k: u32) -> ShmChaosConfig {
         ShmChaosConfig {
-            threads: 4,
-            ops_per_thread: 400,
+            processes: 4,
+            ops_per_process: 400,
             k,
             read_per_mille: 500,
             seed,
@@ -61,7 +61,7 @@ impl ShmChaosConfig {
     }
 }
 
-/// Outcome of a threaded shared-memory run.
+/// Outcome of a shared-memory run.
 #[derive(Debug)]
 pub struct ShmReport {
     /// Operations completed.
@@ -83,81 +83,61 @@ fn va_layout(n: usize) -> ShmLayout {
     l
 }
 
-/// Runs the threaded Vitányi–Awerbuch workload.
-///
-/// # Panics
-///
-/// Panics on a degenerate configuration or on more than
-/// [`MAX_OPS_PER_CLIENT`] ops per thread.
-#[must_use]
-pub fn run_shm_chaos(cfg: &ShmChaosConfig) -> ShmReport {
-    assert!(cfg.threads >= 1 && cfg.ops_per_thread >= 1 && cfg.k >= 1);
-    assert!(
-        cfg.ops_per_thread <= MAX_OPS_PER_CLIENT,
-        "write values stay unique only up to MAX_OPS_PER_CLIENT ops per thread"
-    );
-    let n = cfg.threads as usize;
-    let layout = Arc::new(va_layout(n));
-    let shm = Arc::new(Mutex::new(layout.initial_memory()));
-    let (mon_tx, mon_rx) = mpsc::channel::<Action>();
-    let monitor = thread::spawn(move || {
-        let mut m = OnlineMonitor::new(Val::Nil, n);
-        while let Ok(a) = mon_rx.recv() {
-            m.observe(a);
-        }
-        m.finish()
-    });
-
-    let mut workers = Vec::new();
-    for t in 0..cfg.threads {
-        let layout = Arc::clone(&layout);
-        let shm = Arc::clone(&shm);
-        let mon_tx = mon_tx.clone();
-        let cfg = *cfg;
-        workers.push(thread::spawn(move || {
-            worker_loop(t, &cfg, &layout, &shm, &mon_tx);
-        }));
-    }
-    drop(mon_tx);
-    for w in workers {
-        w.join().expect("shm worker thread");
-    }
-    let monitor = monitor.join().expect("monitor thread");
-    ShmReport {
-        ops: u64::from(cfg.threads) * cfg.ops_per_thread,
-        monitor,
-    }
+/// One register process: its own draw stream (op mix and object random
+/// choices, in the order it uses them) and the op it has in flight.
+struct Process {
+    me: Pid,
+    rng: SplitMix64,
+    /// Ops started so far.
+    started: u64,
+    op: Option<(InvId, IteratedOp<VaOp>)>,
 }
 
-fn worker_loop(
-    t: u32,
-    cfg: &ShmChaosConfig,
-    layout: &ShmLayout,
-    shm: &Mutex<Shm>,
-    mon_tx: &Sender<Action>,
-) {
-    let me = Pid(t);
-    let n = cfg.threads as usize;
-    let obj = ObjId(0);
-    let mut rng = SplitMix64::new(
-        cfg.seed ^ 0x5348_4D00_0000_0000 ^ u64::from(t).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
-    for op_idx in 0..cfg.ops_per_thread {
-        let inv = InvId(u64::from(t) * (10 * MAX_OPS_PER_CLIENT) + op_idx);
-        let is_read = rng.draw(1000) < usize::from(cfg.read_per_mille);
+impl Process {
+    /// Starts the next op, or takes one step of the op in flight. Returns
+    /// `true` once the process's last op has completed.
+    fn step(
+        &mut self,
+        cfg: &ShmChaosConfig,
+        mem: &mut Shm,
+        layout: &ShmLayout,
+        monitor: &mut OnlineMonitor,
+    ) -> bool {
+        let Some((inv, op)) = self.op.as_mut() else {
+            self.start(cfg, layout.len(), monitor);
+            return false;
+        };
+        match op.step(mem, layout) {
+            IterEffect::Complete(val) => {
+                monitor.observe(Action::Return { inv: *inv, val });
+                self.op = None;
+                return self.started == cfg.ops_per_process;
+            }
+            IterEffect::NeedChoice { choices, .. } => op.choose(self.rng.draw(choices as usize)),
+            IterEffect::Continue | IterEffect::PreamblePassed { .. } => {}
+        }
+        false
+    }
+
+    /// Draws the next op and hands its `Call` to the monitor.
+    fn start(&mut self, cfg: &ShmChaosConfig, n: usize, monitor: &mut OnlineMonitor) {
+        let (me, op_idx) = (self.me, self.started);
+        let pid = u64::from(me.0);
+        let inv = InvId(pid * (10 * MAX_OPS_PER_CLIENT) + op_idx);
+        let is_read = self.rng.draw(1000) < usize::from(cfg.read_per_mille);
         let (method, arg) = if is_read {
             (MethodId::READ, Val::Nil)
         } else {
-            let v = u64::from(t) * MAX_OPS_PER_CLIENT + op_idx;
+            let v = pid * MAX_OPS_PER_CLIENT + op_idx;
             (
                 MethodId::WRITE,
                 Val::Int(i64::try_from(v).expect("write value fits i64")),
             )
         };
-        let _ = mon_tx.send(Action::Call {
+        monitor.observe(Action::Call {
             inv,
             pid: me,
-            obj,
+            obj: ObjId(0),
             method,
             arg: arg.clone(),
         });
@@ -171,22 +151,50 @@ fn worker_loop(
         } else {
             VaOp::write(me, 0, n, arg)
         };
-        let mut op = IteratedOp::new(inner, cfg.k);
-        let ret = loop {
-            // Lock per *step*, not per op: base-register accesses of
-            // different threads interleave freely.
-            let effect = {
-                let mut mem = shm.lock().expect("shm lock");
-                op.step(&mut mem, layout)
-            };
-            match effect {
-                IterEffect::Complete(v) => break v,
-                IterEffect::NeedChoice { choices, .. } => {
-                    op.choose(rng.draw(choices as usize));
-                }
-                IterEffect::Continue | IterEffect::PreamblePassed { .. } => {}
-            }
-        };
-        let _ = mon_tx.send(Action::Return { inv, val: ret });
+        self.op = Some((inv, IteratedOp::new(inner, cfg.k)));
+        self.started += 1;
+    }
+}
+
+/// Runs the Vitányi–Awerbuch workload, every process on the calling
+/// thread, in the order a seeded draw picks.
+///
+/// # Panics
+///
+/// Panics on a degenerate configuration or on more than
+/// [`MAX_OPS_PER_CLIENT`] ops per process.
+#[must_use]
+pub fn run_shm_chaos(cfg: &ShmChaosConfig) -> ShmReport {
+    assert!(cfg.processes >= 1 && cfg.ops_per_process >= 1 && cfg.k >= 1);
+    assert!(
+        cfg.ops_per_process <= MAX_OPS_PER_CLIENT,
+        "write values stay unique only up to MAX_OPS_PER_CLIENT ops per process"
+    );
+    let n = cfg.processes as usize;
+    let layout = va_layout(n);
+    let mut mem = layout.initial_memory();
+    let mut monitor = OnlineMonitor::new(Val::Nil, n);
+    // The processes that still have ops left; the scheduler's own stream
+    // picks which one takes the next step.
+    let mut live: Vec<Process> = (0..cfg.processes)
+        .map(|t| Process {
+            me: Pid(t),
+            rng: SplitMix64::new(
+                cfg.seed ^ 0x5348_4D00_0000_0000 ^ u64::from(t).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ),
+            started: 0,
+            op: None,
+        })
+        .collect();
+    let mut schedule = SplitMix64::new(cfg.seed ^ 0x5343_4845_4400_0000);
+    while !live.is_empty() {
+        let i = schedule.draw(live.len());
+        if live[i].step(cfg, &mut mem, &layout, &mut monitor) {
+            live.swap_remove(i);
+        }
+    }
+    ShmReport {
+        ops: u64::from(cfg.processes) * cfg.ops_per_process,
+        monitor: monitor.finish(),
     }
 }

@@ -11,7 +11,8 @@
 //! workspace, and the classic single-register workload is that store at one
 //! shard and one key. The observers stay here, next to `blunt-trace`: the
 //! shared [`Telemetry`] counters and [`watch_loop`] (progress line, JSONL
-//! mirror, stall watchdog), the one run thread besides the worker.
+//! mirror, stall watchdog), which the thread that started the run runs
+//! while the worker steps it.
 //!
 //! **Crash recovery.** Under [`RecoveryMode::Amnesia`] every server keeps a
 //! write-ahead log ([`MultiWal`]) and obeys the *write-ahead ack discipline*: an
@@ -68,13 +69,13 @@ use crate::storage::MultiWal;
 use crate::worker::run_worker;
 
 /// The most operations one client of a chaos run — a store client, a VA
-/// worker thread — may perform. Client `c`'s `idx`-th write stores the
+/// process — may perform. Client `c`'s `idx`-th write stores the
 /// value `c × MAX_OPS_PER_CLIENT + idx` and pid `p`'s invocation ids are
 /// `p × 10 × MAX_OPS_PER_CLIENT + idx`; past this bound two clients' writes
 /// would share a value, and the checker could no longer tell them apart.
 pub const MAX_OPS_PER_CLIENT: u64 = 1_000_000;
 
-/// Live counters the clients keep and the watch/watchdog thread reads.
+/// Live counters the clients keep and the watch/watchdog reads.
 /// Pure observation: nothing here feeds back into scheduling or the fault
 /// plan.
 #[derive(Default)]
@@ -238,7 +239,8 @@ fn replay_window(ring: &FlightRing, actions: &[Action]) {
     }
 }
 
-/// The combined watch/watchdog thread: prints a progress line every
+/// The combined watch/watchdog, run by the thread that started the run
+/// while the worker steps it: prints a progress line every
 /// `watch` interval, mirrors it as JSONL to `watch_out` — a `chaos_watch`
 /// header, then one `watch_tick` record per tick, at the `watch` interval
 /// when set, every 250 ms otherwise — and captures a
@@ -246,8 +248,9 @@ fn replay_window(ring: &FlightRing, actions: &[Action]) {
 /// `lanes` lanes — if no operation completes for `stall_after`. `seed` goes
 /// into the mirror's header. `recoveries` reads the live recovery count:
 /// the run's own sinks in process, the servers' telemetry over sockets.
-/// Exits when the run drops its end of `stop_rx`.
-#[allow(clippy::too_many_arguments)] // a thread entry point, not an API
+/// Returns once the sender of `stop_rx` is gone, with whether it declared
+/// a stall.
+#[allow(clippy::too_many_arguments)] // the run's observer loop, not an API
 pub fn watch_loop(
     watch: Option<Duration>,
     watch_out: Option<&Path>,
@@ -258,15 +261,14 @@ pub fn watch_loop(
     started: Instant,
     t: &Telemetry,
     recorder: &FlightRecorder,
-    recoveries: &(dyn Fn() -> u64 + Send + Sync),
-    stalled: &AtomicBool,
+    recoveries: &dyn Fn() -> u64,
     stop_rx: &Receiver<()>,
-) {
+) -> bool {
     let tick = watch.unwrap_or(Duration::from_millis(250));
     let mut last_ops: u64 = 0;
     let mut last_tick = started;
     let mut progressed_at = Instant::now();
-    let mut dumped = false;
+    let mut stalled = false;
     let mut watch_file = watch_out.and_then(|p| {
         let mut f = std::fs::File::create(p).ok()?;
         let header = blunt_obs::json::doc("chaos_watch", vec![("seed".into(), Json::UInt(seed))]);
@@ -315,7 +317,7 @@ pub fn watch_loop(
             }
         }
         if stopping {
-            return;
+            return stalled;
         }
         if ops != last_ops {
             progressed_at = now;
@@ -323,9 +325,8 @@ pub fn watch_loop(
         last_ops = ops;
         last_tick = now;
         if let Some(limit) = stall_after {
-            if !dumped && now.duration_since(progressed_at) >= limit {
-                dumped = true;
-                stalled.store(true, Ordering::Relaxed);
+            if !stalled && now.duration_since(progressed_at) >= limit {
+                stalled = true;
                 eprintln!(
                     "chaos[watchdog] no operation completed for {limit:?}; capturing flight dump"
                 );

@@ -1,8 +1,9 @@
-//! The shared-memory register constructions under the threaded chaos
+//! The shared-memory register constructions under the seeded chaos
 //! runtime: the Vitányi–Awerbuch workload stays clean at k = 1 and 2, and
-//! the intentionally-broken single-cell read is caught. (The
-//! message-passing soak lives with the one client driver, in
-//! `crates/store/tests/register_soak.rs`.)
+//! the intentionally-broken single-cell read is caught — by the same
+//! violations on every run of a seed, since the processes are stepped in
+//! a seeded order. (The message-passing soak lives with the one client
+//! driver, in `crates/store/tests/register_soak.rs`.)
 
 use blunt_runtime::{run_shm_chaos, ShmChaosConfig};
 
@@ -29,4 +30,8 @@ fn shm_broken_single_cell_read_is_caught() {
         "single-cell fast read went unnoticed"
     );
     assert!(report.monitor.violations[0].rendered.contains("call"));
+    // A second run of the seed flags the same returns: each violation's
+    // stream position, register, window and rendering.
+    let again = run_shm_chaos(&cfg);
+    assert_eq!(report.monitor, again.monitor, "one seed, one history");
 }

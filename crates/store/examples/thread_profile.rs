@@ -9,7 +9,7 @@
 //! | class | threads |
 //! |---|---|
 //! | `worker` | the run's one worker: every client and shard monitor, and on the bus every shard's replicas; every fate drawn and every delay kept |
-//! | `run` | this example's thread that calls the run and joins it |
+//! | `run` | this example's thread that calls the run and joins it (and watches it, when a run is watched) |
 //! | `server` | a socket replica's serve thread (`server-<pid>`, its own worker) |
 //! | `net-reader` | the driver's reader of one server connection: decodes frames for the worker |
 //! | `net-telemetry` | a serve process's telemetry tick (a serve thread accepts its one connection itself) |

@@ -47,7 +47,6 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::thread;
@@ -524,20 +523,6 @@ fn run_on_bus(
     Ok(report)
 }
 
-/// A run's threads carry their role as their name (`worker`, `watch`; the
-/// kernel keeps 15 bytes), so a per-thread profile can tell the classes
-/// apart (`examples/thread_profile.rs`).
-fn spawn_named<'s, T: Send + 's>(
-    scope: &'s thread::Scope<'s, '_>,
-    name: &str,
-    f: impl FnOnce() -> T + Send + 's,
-) -> thread::ScopedJoinHandle<'s, T> {
-    thread::Builder::new()
-        .name(name.into())
-        .spawn_scoped(scope, f)
-        .expect("spawn a run thread")
-}
-
 /// The in-process bus for `cfg`'s topology, with one mailbox that every
 /// node — every replica, every client — reads through the worker.
 fn shard_bus(
@@ -665,10 +650,11 @@ fn work(
 }
 
 /// Runs the `worker` thread over `inbox` and, when asked for, the
-/// watch/watchdog thread, joins them, and reports. Shared by both tiers,
-/// which fill in what only they know (`stats`, `coverage`, the recovery
-/// counters, the remote sections) afterwards; the entry stamps `elapsed`
-/// last.
+/// watch/watchdog on the calling thread until the worker is done, joins
+/// the worker, and reports. Shared by both tiers, which fill in what only
+/// they know (`stats`, `coverage`, the recovery counters, the remote
+/// sections) afterwards; the entry stamps `elapsed` last. The watch stays
+/// off the worker, so a worker that hangs still leaves its stall dump.
 fn drive_clients(
     cfg: &StoreConfig,
     opts: &RunOpts,
@@ -680,8 +666,6 @@ fn drive_clients(
 ) -> StoreReport {
     let lanes = (cfg.servers_total() + cfg.clients + cfg.shards) as usize;
     let telemetry = &Telemetry::default();
-    let stalled = &AtomicBool::new(false);
-    let (watch_stop_tx, watch_stop_rx) = mpsc::channel::<()>();
     let recoveries = || match replicas {
         Replicas::Local(sinks) => sinks.iter().map(|s| s.snapshot().recoveries).sum(),
         Replicas::Remote(net) => net.remote_recoveries(),
@@ -690,43 +674,38 @@ fn drive_clients(
         Replicas::Local(sinks) => Some(*sinks),
         Replicas::Remote(_) => None,
     };
-    let mut report = thread::scope(|s| {
-        let watcher = (opts.watch.is_some()
-            || opts.watch_out.is_some()
-            || opts.stall_after.is_some())
-        .then(|| {
-            let watch = move || {
-                watch_loop(
-                    opts.watch,
-                    opts.watch_out.as_deref(),
-                    opts.stall_after,
-                    opts.flight_dump_dir.as_deref(),
-                    cfg.seed,
-                    lanes,
-                    started,
-                    telemetry,
-                    recorder,
-                    &recoveries,
-                    stalled,
-                    &watch_stop_rx,
-                );
-            };
-            spawn_named(s, "watch", watch)
-        });
-        let worker = spawn_named(s, "worker", || {
-            work(cfg, opts.k, transport, inbox, recorder, telemetry, sinks)
-        });
-        let report = worker.join().expect("worker thread");
-        // Dropping the stop end makes the watcher write its last tick —
-        // after every op has completed, so that tick carries the run's
-        // totals.
-        drop(watch_stop_tx);
-        if let Some(w) = watcher {
-            w.join().expect("watch thread");
-        }
-        report
+    let watched = opts.watch.is_some() || opts.watch_out.is_some() || opts.stall_after.is_some();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let (mut report, stalled) = thread::scope(|s| {
+        // The thread's name is its role, so a per-thread profile can tell
+        // it apart (`examples/thread_profile.rs`).
+        let worker = thread::Builder::new()
+            .name("worker".into())
+            .spawn_scoped(s, move || {
+                // Dropped as the worker returns or unwinds: the watch then
+                // writes its last tick — after every op has completed, so
+                // that tick carries the run's totals — and returns.
+                let _done = done_tx;
+                work(cfg, opts.k, transport, inbox, recorder, telemetry, sinks)
+            })
+            .expect("spawn the worker");
+        let stalled = watched
+            && watch_loop(
+                opts.watch,
+                opts.watch_out.as_deref(),
+                opts.stall_after,
+                opts.flight_dump_dir.as_deref(),
+                cfg.seed,
+                lanes,
+                started,
+                telemetry,
+                recorder,
+                &recoveries,
+                &done_rx,
+            );
+        (worker.join().expect("worker thread"), stalled)
     });
-    report.stalled = stalled.load(Ordering::Relaxed);
+    report.stalled = stalled;
     blunt_obs::static_counter!("store.ops.completed").add(report.ops);
     report
 }

@@ -1,4 +1,4 @@
-//! The flight recorder, coverage telemetry and watch thread, end to end
+//! The flight recorder, coverage telemetry and the watch, end to end
 //! through the one driver on the register shape:
 //!
 //! - two same-seed runs produce byte-identical coverage (and summary-grade
@@ -9,14 +9,17 @@
 //!   themselves — and keeps every machine's sends in that machine's own
 //!   ring, though one worker thread steps them all;
 //! - `watch` streams without changing any deterministic result, and its
-//!   JSONL mirror ends on the run's totals.
+//!   JSONL mirror ends on the run's totals;
+//! - a run in which no op completes for `stall_after` is declared stalled,
+//!   and the watchdog writes its flight window to the dump directory.
 
 use std::time::Duration;
 
 use blunt_core::history::Action;
 use blunt_core::value::Val;
+use blunt_net::FaultConfig;
 use blunt_obs::flight::encode_val;
-use blunt_obs::{FlightKind, Json};
+use blunt_obs::{FlightDump, FlightKind, Json};
 use blunt_store::{run_store, run_store_with, RunOpts, StoreConfig};
 
 fn small(seed: u64) -> StoreConfig {
@@ -212,4 +215,55 @@ fn watch_mode_streams_without_perturbing_determinism() {
     let last = docs.last().expect("at least the header");
     assert_eq!(last.get("type").and_then(Json::as_str), Some("watch_tick"));
     assert_eq!(last.get("ops").and_then(Json::as_u64), Some(watched.ops));
+}
+
+#[test]
+fn the_watchdog_declares_a_stall_and_dumps_the_flight_window() {
+    // Every first transmission is dropped, so each phase of the one op
+    // completes only on its rebroadcast (exempt, as are the replies it
+    // draws), one 300 ms silence deadline later: well past `stall_after`.
+    let mut cfg = StoreConfig::register(0x57A1_1ED0);
+    cfg.clients = 1;
+    cfg.ops_per_client = 1;
+    cfg.faults = FaultConfig {
+        drop_per_mille: 1000,
+        ..FaultConfig::none()
+    };
+    cfg.retransmit_after = Duration::from_millis(300);
+    cfg.retransmit_cap = Duration::from_millis(300);
+    let dir = std::env::temp_dir().join(format!("blunt-store-stall-{}", std::process::id()));
+    let opts = RunOpts {
+        stall_after: Some(Duration::from_millis(100)),
+        flight_dump_dir: Some(dir.clone()),
+        ..RunOpts::default()
+    };
+    let report = run_store_with(&cfg, &opts, None).expect("valid fault config");
+    assert!(report.stalled, "no op completed for 100 ms");
+    assert!(report.monitor.clean());
+    assert_eq!(report.ops, 1);
+
+    let dumps: Vec<_> = std::fs::read_dir(&dir)
+        .expect("the stall dump directory was made")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("stall") && n.ends_with(".flight.jsonl"))
+        })
+        .collect();
+    assert_eq!(dumps.len(), 1, "one stall dump: {dumps:?}");
+    let text = std::fs::read_to_string(&dumps[0]).expect("stall dump readable");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dump = FlightDump::parse(&text).expect("the stall dump parses as a flight dump");
+    let client = cfg.servers_total();
+    assert!(
+        dump.events.iter().any(|e| e.pid == client
+            && matches!(e.kind, FlightKind::OpStartRead | FlightKind::OpStartWrite)),
+        "the client's op start is in the window"
+    );
+    assert!(
+        dump.events.iter().any(|e| e.kind == FlightKind::FaultDrop),
+        "and the drop that stalled it"
+    );
 }

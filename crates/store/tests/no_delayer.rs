@@ -10,7 +10,8 @@
 //! a timer the worker keeps, on either tier, and the driver's worker
 //! writes the catch-up relays itself: no run shows a `*-delayer` thread,
 //! not a bus run that delays replies, nor a socket run under amnesia that
-//! relays catch-up traffic. A sampler thread
+//! relays catch-up traffic. A watched run is watched by the thread that
+//! started it: beside its worker, no `watch` thread. A sampler thread
 //! reads `/proc/self/task/*/comm` every millisecond while the runs go;
 //! this file holds the one test so that no other test's threads are seen.
 
@@ -94,6 +95,26 @@ fn a_run_steps_its_machines_on_one_worker_and_starts_no_delayer_even_for_delays(
         "the bus run's machines all run on its worker"
     );
     assert_eq!(delayers(&bus), Vec::<&String>::new(), "fault-free bus run");
+
+    let mirror =
+        std::env::temp_dir().join(format!("blunt-no-delayer-{}.jsonl", std::process::id()));
+    let watching = RunOpts {
+        watch_out: Some(mirror.clone()),
+        stall_after: Some(Duration::from_secs(60)),
+        ..RunOpts::default()
+    };
+    let watched = names_during(|| {
+        let report = run_store_with(&shape(FaultConfig::none()), &watching, None).expect("valid");
+        assert!(report.monitor.clean());
+        assert!(!report.stalled);
+    });
+    let _ = std::fs::remove_file(&mirror);
+    assert!(watched.contains("worker"), "{watched:?}");
+    assert_eq!(
+        named(&watched, &["watch"]),
+        Vec::<&str>::new(),
+        "the thread that started a watched run watches it"
+    );
 
     let uds = names_during(|| {
         let (report, _) = common::run_over_uds(&shape(FaultConfig::none()), &opts, "no-delayer");

@@ -130,12 +130,12 @@ fn every_replica_records_into_its_own_ring_on_both_tiers() {
     let (uds, _) = common::run_over_uds(&cfg, &RunOpts::default(), "tier-parity-rings");
     let bus_dump = bus.violation_dump.expect("the broken read is caught");
     let uds_dump = uds.merged_flight.expect("a socket run merges its dumps");
-    // On the bus, every event of a replica's pid is the replica's own: its
-    // deliveries, acks and WAL flushes, its sends and the fates they drew.
+    // On either tier, every event of a replica's pid is in the replica's
+    // own ring: its deliveries, acks and WAL flushes, its sends and the
+    // fates they drew — over sockets the driver draws a reply's fate as it
+    // takes the frame, into the same `server-<pid>` ring of its recorder.
     let on_bus = replica_rings(bus_dump.events.iter().filter(|e| e.pid < SERVERS), "bus");
-    // Over sockets, every event a serve process recorded (the driver draws
-    // the replies' fates in its own inbox ring).
-    let on_uds = replica_rings(uds_dump.events.iter().filter(|e| !e.proc.is_empty()), "uds");
+    let on_uds = replica_rings(uds_dump.events.iter().filter(|e| e.pid < SERVERS), "uds");
     let all: BTreeSet<String> = (0..SERVERS).map(|p| format!("server-{p}")).collect();
     assert_eq!(on_bus, all);
     assert_eq!(on_uds, on_bus, "one ring per replica on both tiers");
